@@ -23,12 +23,13 @@
 // resolved kernel is recorded in the JSON and asserted to match the
 // request. Throughput is then measured on the auto-dispatched kernel.
 //
-// A third section measures the exact panel-skip pruning on a
-// deliberately norm-skewed synthetic table (a hot band of large-norm
-// rows in front of a long small-norm tail — the shape pruning exists
-// for): prune-on (concurrent sweeps) vs prune-off (the pre-pruning
-// serialised server) QPS/p99 at 1/4/8 clients, the fraction of panels
-// skipped, and a pruned-vs-unpruned bitwise parity grid over
+// A third section measures the exact panel-skip pruning: prune-on vs
+// prune-off QPS/p99 at 1/4/8 concurrent clients (both arms concurrent,
+// so the ratio is the pruning effect alone) and the fraction of panels
+// skipped, on a deliberately norm-skewed synthetic table (a hot band of
+// large-norm rows in front of a long small-norm tail — the shape pruning
+// exists for) and on the folded CamE table above. It ends with a
+// pruned-vs-unpruned bitwise parity grid over
 // {fp32, int8, bf16} x {plain, ties, NaN, filtered} that
 // tools/check_serving_parity.py gates on.
 //
@@ -204,10 +205,15 @@ QuantResult RunQuantized(infer::ScoreServer* fp32_server,
 
   QuantResult res;
   res.dtype = infer::ScoreDtypeName(dtype);
-  res.entity_matrix_bytes = qserver.quantized_table().entity_matrix_bytes();
-  res.bytes_ratio =
-      static_cast<double>(res.entity_matrix_bytes) /
-      static_cast<double>(table->num_entities() * table->dim() * 4);
+  // The server's store holds rows x dim elements of the dtype's width,
+  // plus one fp32 scale per row for int8.
+  const int64_t rows = table->num_entities();
+  res.entity_matrix_bytes =
+      dtype == infer::ScoreDtype::kInt8
+          ? rows * table->dim() + rows * static_cast<int64_t>(sizeof(float))
+          : rows * table->dim() * static_cast<int64_t>(sizeof(uint16_t));
+  res.bytes_ratio = static_cast<double>(res.entity_matrix_bytes) /
+                    static_cast<double>(rows * table->dim() * 4);
 
   // Parity on the pinned microkernel: host-independent CI-gated numbers.
   CAME_CHECK(tensor::qgemm::KernelAvailable(pin_kernel));
@@ -327,6 +333,82 @@ infer::FusedEmbeddingTable MakeTieTable(int64_t n, int64_t d, int64_t hot) {
   }
   return infer::FusedEmbeddingTable("ties", std::move(cand), std::move(bias),
                                     tensor::Tensor());
+}
+
+// Prune-on vs prune-off over one table, both servers answering the same
+// concurrent clients.
+struct PruneArm {
+  std::vector<ModeResult> results;
+  infer::ScoreServer::Stats stats;  // of the prune-on server
+  double skip_ratio = 0;
+  double speedup_at_4 = 0;
+};
+
+PruneArm RunPruneArm(const char* table_name, infer::ScoreServer* on,
+                     infer::ScoreServer* off,
+                     const std::vector<int64_t>& heads,
+                     const std::vector<int64_t>& rels) {
+  {
+    const Result<infer::TopKResult> warm = on->TopK(heads[0], rels[0], kTopK);
+    CAME_CHECK(warm.ok()) << warm.status().ToString();
+  }
+  PruneArm arm;
+  double off_qps4 = 0;
+  double on_qps4 = 0;
+  for (const int threads : {1, 4, 8}) {
+    ModeResult off_r = RunUnbatched(off, heads, rels, threads);
+    off_r.mode = "prune_off";
+    ModeResult on_r = RunUnbatched(on, heads, rels, threads);
+    on_r.mode = "prune_on";
+    for (const ModeResult* r : {&off_r, &on_r}) {
+      std::printf("%-6s %-9s t=%d  p50 %8.0fus  p99 %8.0fus  %8.1f qps\n",
+                  table_name, r->mode.c_str(), r->threads, r->p50_us,
+                  r->p99_us, r->qps);
+    }
+    if (threads == 4) {
+      off_qps4 = off_r.qps;
+      on_qps4 = on_r.qps;
+    }
+    arm.results.push_back(off_r);
+    arm.results.push_back(on_r);
+  }
+  arm.stats = on->GetStats();
+  const double panels_total =
+      static_cast<double>(arm.stats.panels_scored + arm.stats.panels_skipped);
+  arm.skip_ratio =
+      panels_total > 0
+          ? static_cast<double>(arm.stats.panels_skipped) / panels_total
+          : 0;
+  arm.speedup_at_4 = off_qps4 > 0 ? on_qps4 / off_qps4 : 0;
+  std::printf("%-6s pruning: skipped %.1f%% of panels; prune_on/prune_off "
+              "qps at 4 clients: %.2fx\n",
+              table_name, 100.0 * arm.skip_ratio, arm.speedup_at_4);
+  return arm;
+}
+
+void WriteModeResults(JsonWriter* w, const std::vector<ModeResult>& results) {
+  w->BeginArray();
+  for (const ModeResult& r : results) {
+    w->BeginObject();
+    w->Key("mode");
+    w->String(r.mode);
+    w->Key("threads");
+    w->Int(r.threads);
+    w->Key("p50_us");
+    w->Double(r.p50_us);
+    w->Key("p99_us");
+    w->Double(r.p99_us);
+    w->Key("qps");
+    w->Double(r.qps);
+    if (r.mode == "batched") {
+      w->Key("batches");
+      w->Int(r.batches);
+      w->Key("max_coalesced");
+      w->Int(r.max_coalesced);
+    }
+    w->EndObject();
+  }
+  w->EndArray();
 }
 
 // Head id the parity encoder maps to an all-NaN query row (a diverged
@@ -525,64 +607,31 @@ int Main(int argc, char** argv) {
     quant.push_back(q);
   }
 
-  // --- Exact panel-skip pruning on a norm-skewed synthetic table. The
-  // prune-off arm also serialises sweeps (the pre-pruning server held one
-  // mutex across every sweep), so the speedup is the combined effect of
-  // pruning plus the concurrent-reader path.
+  // --- Exact panel-skip pruning, prune-on vs prune-off, both arms
+  // serving the same concurrent clients: on a norm-skewed synthetic
+  // table, then on the folded CamE table itself.
   const int64_t pn = 24000, pd = 64, phot = 256;
   const infer::FusedEmbeddingTable skewed = MakeSkewedTable(pn, pd, phot);
   infer::QueryEncoder penc = SyntheticEncoder(pd, false);
   infer::ScoreServerConfig prune_off_cfg;
   prune_off_cfg.prune = false;
-  prune_off_cfg.serialize_sweep = true;
   infer::ScoreServerConfig prune_on_cfg;
   prune_on_cfg.prune = true;
   infer::ScoreServer prune_off_server(penc, &skewed, prune_off_cfg);
   infer::ScoreServer prune_on_server(penc, &skewed, prune_on_cfg);
-
   std::vector<int64_t> pheads;
   std::vector<int64_t> prels;
   for (size_t i = 0; i < kQueries; ++i) {
     pheads.push_back(static_cast<int64_t>(i * 37) % pn);
     prels.push_back(0);
   }
-  {
-    const Result<infer::TopKResult> pwarm =
-        prune_on_server.TopK(pheads[0], 0, kTopK);
-    CAME_CHECK(pwarm.ok()) << pwarm.status().ToString();
-  }
+  const PruneArm skewed_arm = RunPruneArm(
+      "skewed", &prune_on_server, &prune_off_server, pheads, prels);
 
-  std::vector<ModeResult> prune_results;
-  double prune_off_qps4 = 0;
-  double prune_on_qps4 = 0;
-  for (const int threads : {1, 4, 8}) {
-    ModeResult off = RunUnbatched(&prune_off_server, pheads, prels, threads);
-    off.mode = "prune_off";
-    ModeResult on = RunUnbatched(&prune_on_server, pheads, prels, threads);
-    on.mode = "prune_on";
-    for (const ModeResult* r : {&off, &on}) {
-      std::printf("%-9s t=%d  p50 %8.0fus  p99 %8.0fus  %8.1f qps\n",
-                  r->mode.c_str(), r->threads, r->p50_us, r->p99_us, r->qps);
-    }
-    if (threads == 4) {
-      prune_off_qps4 = off.qps;
-      prune_on_qps4 = on.qps;
-    }
-    prune_results.push_back(off);
-    prune_results.push_back(on);
-  }
-  const infer::ScoreServer::Stats prune_stats = prune_on_server.GetStats();
-  const double panels_total = static_cast<double>(
-      prune_stats.panels_scored + prune_stats.panels_skipped);
-  const double skip_ratio =
-      panels_total > 0
-          ? static_cast<double>(prune_stats.panels_skipped) / panels_total
-          : 0;
-  const double prune_speedup =
-      prune_off_qps4 > 0 ? prune_on_qps4 / prune_off_qps4 : 0;
-  std::printf("pruning: skipped %.1f%% of panels; prune_on/prune_off qps "
-              "at 4 clients: %.2fx\n",
-              100.0 * skip_ratio, prune_speedup);
+  infer::ScoreServer came_off_server(ip, &table, prune_off_cfg);
+  infer::ScoreServer came_on_server(ip, &table, prune_on_cfg);
+  const PruneArm came_arm =
+      RunPruneArm("CamE", &came_on_server, &came_off_server, heads, rels);
 
   // Bitwise parity grid, pruned vs unpruned, on the tie/NaN fixture. Runs
   // on the pinned kernel so the CI-gated numbers are host-independent.
@@ -618,28 +667,7 @@ int Main(int argc, char** argv) {
   w.Key("folded_rows");
   w.Bool(table.has_folded_rows());
   w.Key("results");
-  w.BeginArray();
-  for (const ModeResult& r : results) {
-    w.BeginObject();
-    w.Key("mode");
-    w.String(r.mode);
-    w.Key("threads");
-    w.Int(r.threads);
-    w.Key("p50_us");
-    w.Double(r.p50_us);
-    w.Key("p99_us");
-    w.Double(r.p99_us);
-    w.Key("qps");
-    w.Double(r.qps);
-    if (r.mode == "batched") {
-      w.Key("batches");
-      w.Int(r.batches);
-      w.Key("max_coalesced");
-      w.Int(r.max_coalesced);
-    }
-    w.EndObject();
-  }
-  w.EndArray();
+  WriteModeResults(&w, results);
   w.Key("batched_speedup_at_max_threads");
   w.Double(speedup);
   w.Key("quantized");
@@ -686,32 +714,36 @@ int Main(int argc, char** argv) {
   w.Key("hot_rows");
   w.Int(phot);
   w.Key("results");
-  w.BeginArray();
-  for (const ModeResult& r : prune_results) {
-    w.BeginObject();
-    w.Key("mode");
-    w.String(r.mode);
-    w.Key("threads");
-    w.Int(r.threads);
-    w.Key("p50_us");
-    w.Double(r.p50_us);
-    w.Key("p99_us");
-    w.Double(r.p99_us);
-    w.Key("qps");
-    w.Double(r.qps);
-    w.EndObject();
-  }
-  w.EndArray();
+  WriteModeResults(&w, skewed_arm.results);
   w.Key("panels_scored");
-  w.Int(prune_stats.panels_scored);
+  w.Int(skewed_arm.stats.panels_scored);
   w.Key("panels_skipped");
-  w.Int(prune_stats.panels_skipped);
+  w.Int(skewed_arm.stats.panels_skipped);
   w.Key("panels_skipped_ratio");
-  w.Double(skip_ratio);
+  w.Double(skewed_arm.skip_ratio);
   w.Key("bound_rejects");
-  w.Int(prune_stats.bound_rejects);
-  w.Key("combined_speedup_at_4_clients");
-  w.Double(prune_speedup);
+  w.Int(skewed_arm.stats.bound_rejects);
+  w.Key("prune_speedup_at_4_clients");
+  w.Double(skewed_arm.speedup_at_4);
+  w.Key("came");
+  w.BeginObject();
+  w.Key("num_entities");
+  w.Int(table.num_entities());
+  w.Key("dim");
+  w.Int(table.dim());
+  w.Key("panel_width");
+  w.Int(prune_on_cfg.panel_width);
+  w.Key("results");
+  WriteModeResults(&w, came_arm.results);
+  w.Key("panels_scored");
+  w.Int(came_arm.stats.panels_scored);
+  w.Key("panels_skipped");
+  w.Int(came_arm.stats.panels_skipped);
+  w.Key("panels_skipped_ratio");
+  w.Double(came_arm.skip_ratio);
+  w.Key("prune_speedup_at_4_clients");
+  w.Double(came_arm.speedup_at_4);
+  w.EndObject();
   w.Key("prune_parity");
   w.BeginObject();
   w.Key("parity_kernel");

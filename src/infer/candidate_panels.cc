@@ -1,78 +1,28 @@
 #include "infer/candidate_panels.h"
 
-#include <limits>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace came::infer {
 
-const int8_t* CandidatePanelSource::PanelInt8(int64_t, int64_t) {
-  CAME_CHECK(false) << "source dtype " << ScoreDtypeName(dtype())
-                    << " has no int8 panels";
-  return nullptr;
-}
-
-const float* CandidatePanelSource::PanelScales(int64_t, int64_t) {
-  CAME_CHECK(false) << "source dtype " << ScoreDtypeName(dtype())
-                    << " has no int8 row scales";
-  return nullptr;
-}
-
-const uint16_t* CandidatePanelSource::PanelBf16(int64_t, int64_t) {
-  CAME_CHECK(false) << "source dtype " << ScoreDtypeName(dtype())
-                    << " has no bf16 panels";
-  return nullptr;
-}
-
-float CandidatePanelSource::PanelMaxNorm(int64_t, int64_t) const {
-  return std::numeric_limits<float>::infinity();
-}
-
-float CandidatePanelSource::PanelMaxBias(int64_t, int64_t) const {
-  return std::numeric_limits<float>::infinity();
-}
-
-int64_t CandidatePanelSource::AcquirePanelPin(int64_t, int64_t) { return -1; }
-
-void CandidatePanelSource::ReleasePanelPin(int64_t) {}
-
-FusedTablePanelSource::FusedTablePanelSource(const FusedEmbeddingTable* table)
-    : table_(table) {
-  CAME_CHECK(table_ != nullptr);
-}
-
-int64_t FusedTablePanelSource::PanelEnd(int64_t begin) const {
-  CAME_CHECK_GE(begin, 0);
-  CAME_CHECK_LT(begin, table_->num_entities());
-  return table_->num_entities();
-}
-
-const float* FusedTablePanelSource::Panel(int64_t begin, int64_t end) {
-  CAME_CHECK_GE(begin, 0);
-  CAME_CHECK_LT(begin, end);
-  CAME_CHECK_LE(end, table_->num_entities());
-  return table_->candidates().data() + begin * table_->dim();
-}
-
-const float* FusedTablePanelSource::BiasPanel(int64_t begin, int64_t end) {
-  CAME_CHECK(table_->has_bias());
-  CAME_CHECK_GE(begin, 0);
-  CAME_CHECK_LT(begin, end);
-  CAME_CHECK_LE(end, table_->num_entities());
-  return table_->bias().data() + begin;
-}
-
-float FusedTablePanelSource::PanelMaxNorm(int64_t begin, int64_t end) const {
-  return table_->bounds().MaxNorm(begin, end);
-}
-
-float FusedTablePanelSource::PanelMaxBias(int64_t begin, int64_t end) const {
-  return table_->bounds().MaxBias(begin, end);
-}
-
 ShardStorePanelSource::ShardStorePanelSource(tensor::ShardStore* store)
-    : store_(store) {
+    : ShardStorePanelSource(store, tensor::Tensor()) {}
+
+ShardStorePanelSource::ShardStorePanelSource(tensor::ShardStore* store,
+                                             tensor::Tensor bias)
+    : store_(store), bias_(std::move(bias)) {
   CAME_CHECK(store_ != nullptr);
+  if (!has_bias()) return;
+  CAME_CHECK_EQ(bias_.ndim(), 1);
+  CAME_CHECK_EQ(bias_.dim(0), store_->rows());
+  // Norm bounds come from the store; only the bias column is accounted
+  // here (a zero norm is a valid bound for the norm half of this table).
+  bias_bounds_ = tensor::PanelBoundTable(store_->rows(),
+                                         tensor::kDefaultBoundBlockRows);
+  for (int64_t r = 0; r < store_->rows(); ++r) {
+    bias_bounds_.AccountRow(r, 0.0f, bias_.data()[r]);
+  }
 }
 
 ScoreDtype ShardStorePanelSource::dtype() const {
@@ -86,50 +36,6 @@ ScoreDtype ShardStorePanelSource::dtype() const {
   }
   CAME_CHECK(false) << "unknown shard dtype";
   return ScoreDtype::kFp32;
-}
-
-int64_t ShardStorePanelSource::PanelEnd(int64_t begin) const {
-  return store_->ShardEnd(begin);
-}
-
-const float* ShardStorePanelSource::Panel(int64_t begin, int64_t end) {
-  return store_->PanelRows(begin, end);
-}
-
-const float* ShardStorePanelSource::BiasPanel(int64_t, int64_t) {
-  CAME_CHECK(false) << "shard-backed candidate source has no bias";
-  return nullptr;
-}
-
-const int8_t* ShardStorePanelSource::PanelInt8(int64_t begin, int64_t end) {
-  return store_->QuantPanelRows(begin, end);
-}
-
-const float* ShardStorePanelSource::PanelScales(int64_t begin, int64_t end) {
-  return store_->PanelScales(begin, end);
-}
-
-const uint16_t* ShardStorePanelSource::PanelBf16(int64_t begin, int64_t end) {
-  return store_->Bf16PanelRows(begin, end);
-}
-
-float ShardStorePanelSource::PanelMaxNorm(int64_t begin, int64_t end) const {
-  return store_->bounds().MaxNorm(begin, end);
-}
-
-float ShardStorePanelSource::PanelMaxBias(int64_t begin, int64_t end) const {
-  // Shard-backed serving is inner-product only (no per-entity bias), and
-  // the store's bound table is built bias-free, so this is exactly 0 —
-  // or +inf from an empty table, which just disables pruning.
-  return store_->bounds().MaxBias(begin, end);
-}
-
-int64_t ShardStorePanelSource::AcquirePanelPin(int64_t begin, int64_t end) {
-  return store_->PinPanel(begin, end);
-}
-
-void ShardStorePanelSource::ReleasePanelPin(int64_t token) {
-  store_->UnpinPanel(token);
 }
 
 }  // namespace came::infer

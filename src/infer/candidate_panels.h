@@ -3,161 +3,62 @@
 
 #include <cstdint>
 
-#include "infer/fused_embedding_table.h"
 #include "infer/score_dtype.h"
+#include "tensor/panel_bounds.h"
 #include "tensor/shard_store.h"
+#include "tensor/tensor.h"
 
 namespace came::infer {
 
-/// Where the serving layer's candidate-entity rows come from. The
-/// ScoreServer sweeps candidates panel by panel; this interface lets the
-/// same sweep run over an in-RAM FusedEmbeddingTable or an mmap-backed
-/// ShardStore whose slabs page in and out under a residency budget — the
-/// in-RAM table is just the one-shard special case.
+/// Where the serving layer's candidate-entity rows come from: one
+/// tensor::ShardStore — in RAM (ShardStore::InRam, or ShardStore::Quantize
+/// into an empty dir) or mmap-backed slabs paging in and out under a
+/// residency budget — plus an optional fp32 per-entity bias. The in-RAM
+/// table is the one-shard special case of the same access path, so every
+/// ScoreServer sweeps through this one source, in every dtype.
 ///
-/// Contract: pointers returned by Panel/BiasPanel stay valid only until
-/// the next Panel/BiasPanel call on the same source (a shard-backed
-/// source may evict the mapping). Callers consume each pointer (GEMM,
-/// heap update) before asking for the next.
-///
-/// Concurrency: accessors may be called from multiple threads at once
-/// (every implementation here is either immutable in-RAM state or backed
-/// by the internally synchronised ShardStore) — but under concurrency
-/// the single-threaded pointer lifetime above is not enough, because
-/// *another* thread's access can evict a mapping between your calls.
-/// Holding a pin lease (AcquirePanelPin) on the range restores it:
-/// pointers obtained for a pinned range stay valid until the pin is
-/// released.
-class CandidatePanelSource {
+/// Panels must not cross a shard boundary (PanelEnd clamps them). The
+/// store's residency machinery is internally synchronised, so the source
+/// is safe for concurrent readers; a panel pointer stays valid across
+/// other threads' accesses only while the reader holds a pin on its shard
+/// (ShardStore::PinPanel). The bias and both bound tables are immutable.
+class ShardStorePanelSource {
  public:
-  virtual ~CandidatePanelSource() = default;
-
-  virtual int64_t num_entities() const = 0;
-  virtual int64_t dim() const = 0;
-  virtual bool has_bias() const = 0;
-
-  /// Largest legal exclusive end for a panel starting at `begin` (the
-  /// owning shard's boundary, clamped to num_entities()).
-  virtual int64_t PanelEnd(int64_t begin) const = 0;
-
-  /// Contiguous candidate rows [begin, end), row-major [end-begin, dim].
-  /// Requires end <= PanelEnd(begin).
-  virtual const float* Panel(int64_t begin, int64_t end) = 0;
-
-  /// Per-entity bias for rows [begin, end), indexed panel-locally
-  /// (result[j] is the bias of entity begin + j). Only called when
-  /// has_bias() is true.
-  virtual const float* BiasPanel(int64_t begin, int64_t end) = 0;
-
-  /// Storage precision of this source's candidate rows. The ScoreServer
-  /// routes its sweep on this: kFp32 sources serve Panel(), kInt8 serve
-  /// PanelInt8()+PanelScales(), kBf16 serve PanelBf16(). The base
-  /// implementations of the quantized accessors CHECK-fail, so an fp32
-  /// source never has to think about them.
-  virtual ScoreDtype dtype() const { return ScoreDtype::kFp32; }
-
-  /// Quantized candidate rows [begin, end), row-major int8 [end-begin,
-  /// dim]. Same lifetime contract as Panel(). Requires dtype() == kInt8.
-  virtual const int8_t* PanelInt8(int64_t begin, int64_t end);
-
-  /// Per-row fp32 dequantization scales for rows [begin, end), indexed
-  /// panel-locally. Requires dtype() == kInt8. Unlike Panel/BiasPanel,
-  /// the scales pointer stays valid alongside the PanelInt8 pointer for
-  /// the same range (both live in the same mapping or table).
-  virtual const float* PanelScales(int64_t begin, int64_t end);
-
-  /// bf16 candidate rows [begin, end), row-major [end-begin, dim].
-  /// Requires dtype() == kBf16.
-  virtual const uint16_t* PanelBf16(int64_t begin, int64_t end);
-
-  /// Upper bound (>=) on the L2 norm of every candidate row in
-  /// [begin, end) — for quantized sources, of the dequantized encoded
-  /// rows the sweep actually scores. The base implementation returns
-  /// +inf ("no metadata"), which makes the ScoreServer's panel pruning a
-  /// no-op rather than unsound. Thread-safe (immutable after
-  /// construction/sealing).
-  virtual float PanelMaxNorm(int64_t begin, int64_t end) const;
-  /// Upper bound (>=) on the per-entity bias of rows [begin, end); the
-  /// base implementation returns +inf. Sources without bias report 0.
-  virtual float PanelMaxBias(int64_t begin, int64_t end) const;
-
-  /// Takes a lease on whatever residency backs rows [begin, end), so the
-  /// range's panel pointers stay valid across concurrent accessor calls
-  /// from other threads until ReleasePanelPin. Returns an opaque token;
-  /// the base implementation returns -1 ("nothing to pin" — in-RAM
-  /// sources), which ReleasePanelPin ignores. Leases nest.
-  virtual int64_t AcquirePanelPin(int64_t begin, int64_t end);
-  virtual void ReleasePanelPin(int64_t token);
-};
-
-/// RAII pin lease over a CandidatePanelSource range.
-class PanelPin {
- public:
-  PanelPin(CandidatePanelSource* source, int64_t begin, int64_t end)
-      : source_(source), token_(source->AcquirePanelPin(begin, end)) {}
-  ~PanelPin() {
-    if (token_ >= 0) source_->ReleasePanelPin(token_);
-  }
-  PanelPin(const PanelPin&) = delete;
-  PanelPin& operator=(const PanelPin&) = delete;
-
- private:
-  CandidatePanelSource* source_;
-  int64_t token_;
-};
-
-/// The in-RAM special case: panels are pointer arithmetic into the fused
-/// table's contiguous candidate matrix; every panel boundary is legal.
-class FusedTablePanelSource : public CandidatePanelSource {
- public:
-  /// `table` is not owned and must outlive the source.
-  explicit FusedTablePanelSource(const FusedEmbeddingTable* table);
-
-  int64_t num_entities() const override { return table_->num_entities(); }
-  int64_t dim() const override { return table_->dim(); }
-  bool has_bias() const override { return table_->has_bias(); }
-  int64_t PanelEnd(int64_t begin) const override;
-  const float* Panel(int64_t begin, int64_t end) override;
-  const float* BiasPanel(int64_t begin, int64_t end) override;
-  float PanelMaxNorm(int64_t begin, int64_t end) const override;
-  float PanelMaxBias(int64_t begin, int64_t end) const override;
-
- private:
-  const FusedEmbeddingTable* table_;
-};
-
-/// Beyond-RAM serving: candidates live in a ShardStore (typically opened
-/// sealed from the trainer's published slabs); panels are zero-copy views
-/// into the mapped slab and must respect shard boundaries, which
-/// PanelEnd reports. No per-entity bias (inner-product-only models).
-/// Quantized stores (ShardStore::Quantize) are served through the same
-/// source: dtype() mirrors the store's ShardDtype and the matching panel
-/// accessors route to the store's quantized slab views.
-class ShardStorePanelSource : public CandidatePanelSource {
- public:
-  /// `store` is not owned and must outlive the source. ShardStore's
-  /// residency machinery is internally synchronised, so this source is
-  /// safe for concurrent readers; AcquirePanelPin maps to the store's
-  /// pin leases, which concurrent sweeps hold while consuming a panel.
+  /// Inner-product-only candidates (no bias). `store` is not owned and
+  /// must outlive the source.
   explicit ShardStorePanelSource(tensor::ShardStore* store);
+  /// Candidates with a per-entity bias of shape [store->rows()] (aliased,
+  /// not copied). An empty tensor means no bias.
+  ShardStorePanelSource(tensor::ShardStore* store, tensor::Tensor bias);
 
-  int64_t num_entities() const override { return store_->rows(); }
-  int64_t dim() const override { return store_->dim(); }
-  bool has_bias() const override { return false; }
-  ScoreDtype dtype() const override;
-  int64_t PanelEnd(int64_t begin) const override;
-  const float* Panel(int64_t begin, int64_t end) override;
-  const float* BiasPanel(int64_t begin, int64_t end) override;
-  const int8_t* PanelInt8(int64_t begin, int64_t end) override;
-  const float* PanelScales(int64_t begin, int64_t end) override;
-  const uint16_t* PanelBf16(int64_t begin, int64_t end) override;
-  float PanelMaxNorm(int64_t begin, int64_t end) const override;
-  float PanelMaxBias(int64_t begin, int64_t end) const override;
-  int64_t AcquirePanelPin(int64_t begin, int64_t end) override;
-  void ReleasePanelPin(int64_t token) override;
+  tensor::ShardStore* store() const { return store_; }
+  int64_t num_entities() const { return store_->rows(); }
+  int64_t dim() const { return store_->dim(); }
+  /// The store's encoding as a serving dtype.
+  ScoreDtype dtype() const;
+  bool has_bias() const { return bias_.numel() > 0; }
+  /// Bias of entities [begin, ...), indexed panel-locally. Requires
+  /// has_bias().
+  const float* BiasFrom(int64_t begin) const { return bias_.data() + begin; }
+
+  /// Largest legal exclusive end for a panel starting at `begin`.
+  int64_t PanelEnd(int64_t begin) const { return store_->ShardEnd(begin); }
+  /// Upper bound (>=) on the L2 norm of every row the sweep scores in
+  /// [begin, end) — the store's bound table, over the encoded rows. +inf
+  /// when the store has no bounds (never prune).
+  float PanelMaxNorm(int64_t begin, int64_t end) const {
+    return store_->bounds().MaxNorm(begin, end);
+  }
+  /// Upper bound (>=) on the bias of every row in [begin, end); 0 without
+  /// bias.
+  float PanelMaxBias(int64_t begin, int64_t end) const {
+    return has_bias() ? bias_bounds_.MaxBias(begin, end) : 0.0f;
+  }
 
  private:
   tensor::ShardStore* store_;
+  tensor::Tensor bias_;                   // [rows] or empty
+  tensor::PanelBoundTable bias_bounds_;   // per-64-row max bias
 };
 
 }  // namespace came::infer

@@ -14,17 +14,17 @@ namespace {
 // File layout (version 1, little-endian):
 //   magic   8 bytes "CAMEFET1"
 //   version u32
-//   count   u32                     -- number of sections (4 or 5)
+//   count   u32                     -- number of sections (4, or 5 in
+//                                      older files)
 //   sections, each:
 //     id    u32 fourcc              -- META, CAND, BIAS, FOLD [, BNDS]
 //     len   u64                     -- payload byte length
 //     crc   u32                     -- CRC32 of the payload
 //     payload
 // Absent bias / folded rows are encoded as empty ({0}) tensors so the
-// section framing is fixed shape. The trailing BNDS section (a
-// tensor::PanelBoundTable payload for the serving layer's panel pruning)
-// was added later; 4-section files still load — the bounds are then the
-// ones recomputed from the candidate rows at construction.
+// section framing is fixed shape. Files from before the bounds moved into
+// the serving store carry a trailing BNDS section (panel-pruning bounds);
+// it is still CRC-checked, then ignored. Saves write 4 sections.
 constexpr char kMagic[8] = {'C', 'A', 'M', 'E', 'F', 'E', 'T', '1'};
 constexpr uint32_t kVersion = 1;
 
@@ -67,7 +67,8 @@ class Reader {
       return Status::Corruption("fused table truncated at byte " +
                                 std::to_string(pos_));
     }
-    std::memcpy(out, data_ + pos_, n);
+    // Empty tensors have a null data(); memcpy must not see it.
+    if (n > 0) std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();
   }
@@ -152,14 +153,6 @@ FusedEmbeddingTable::FusedEmbeddingTable(std::string model_name,
     CAME_CHECK_EQ(folded_rows_.ndim(), 2);
     CAME_CHECK_EQ(folded_rows_.dim(0), candidates_.dim(0));
   }
-  if (candidates_.numel() > 0) {
-    bounds_ = tensor::PanelBoundTable(candidates_.dim(0),
-                                      tensor::kDefaultBoundBlockRows);
-    tensor::AccountRowsFp32(&bounds_, candidates_.data(),
-                            has_bias() ? bias_.data() : nullptr,
-                            /*first_row=*/0, candidates_.dim(0),
-                            candidates_.dim(1));
-  }
 }
 
 FusedEmbeddingTable FusedEmbeddingTable::Build(
@@ -184,16 +177,11 @@ Status FusedEmbeddingTable::Save(const std::string& path) const {
   std::string file;
   file.append(kMagic, sizeof(kMagic));
   AppendPod(&file, kVersion);
-  // Empty tables have no bounds to persist; they keep the legacy
-  // 4-section framing.
-  AppendPod(&file, static_cast<uint32_t>(bounds_.empty() ? 4 : 5));
+  AppendPod(&file, uint32_t{4});
   AppendSection(&file, kSectionMeta, meta);
   AppendSection(&file, kSectionCandidates, EncodeTensorSection(candidates_));
   AppendSection(&file, kSectionBias, EncodeTensorSection(bias_));
   AppendSection(&file, kSectionFolded, EncodeTensorSection(folded_rows_));
-  if (!bounds_.empty()) {
-    AppendSection(&file, kSectionBounds, bounds_.Encode());
-  }
   return io::WriteFileAtomic(path, file.data(), file.size());
 }
 
@@ -211,14 +199,12 @@ Status FusedEmbeddingTable::Load(const std::string& path,
   }
   uint32_t version = 0;
   CAME_RETURN_IF_ERROR(r.ReadPod(&version));
-  if (version == 2) {
-    return Status::InvalidArgument(
-        path + ": fused table version 2 is the quantized format; load it "
-               "with QuantizedTable::Load");
-  }
   if (version != kVersion) {
+    // Version 2 was a quantized container; quantization now happens at
+    // serve time (ScoreServerConfig::dtype), so only fp32 tables load.
     return Status::InvalidArgument(path + ": unsupported fused table version " +
-                                   std::to_string(version));
+                                   std::to_string(version) +
+                                   " (this build reads version 1)");
   }
   uint32_t section_count = 0;
   CAME_RETURN_IF_ERROR(r.ReadPod(&section_count));
@@ -233,7 +219,6 @@ Status FusedEmbeddingTable::Load(const std::string& path,
   tensor::Tensor candidates;
   tensor::Tensor bias;
   tensor::Tensor folded;
-  tensor::PanelBoundTable stored_bounds;
 
   constexpr uint32_t kExpectedOrder[5] = {kSectionMeta, kSectionCandidates,
                                           kSectionBias, kSectionFolded,
@@ -284,13 +269,8 @@ Status FusedEmbeddingTable::Load(const std::string& path,
       case kSectionFolded:
         CAME_RETURN_IF_ERROR(DecodeTensorSection(&pr, &folded));
         break;
-      case kSectionBounds: {
-        Result<tensor::PanelBoundTable> b =
-            tensor::PanelBoundTable::Decode(payload.data(), payload.size());
-        if (!b.ok()) return b.status();
-        stored_bounds = std::move(b).value();
-        break;
-      }
+      case kSectionBounds:
+        break;  // legacy panel bounds: CRC-checked above, then ignored
       default:
         return Status::Corruption("unreachable section id");
     }
@@ -314,18 +294,9 @@ Status FusedEmbeddingTable::Load(const std::string& path,
       (folded.ndim() != 2 || folded.dim(0) != candidates.dim(0))) {
     return Status::Corruption(path + ": folded rows shape mismatch");
   }
-  if (!stored_bounds.empty() && stored_bounds.rows() != candidates.dim(0)) {
-    return Status::Corruption(path + ": bounds section covers " +
-                              std::to_string(stored_bounds.rows()) +
-                              " rows, candidates have " +
-                              std::to_string(candidates.dim(0)));
-  }
 
   *out = FusedEmbeddingTable(std::move(model_name), std::move(candidates),
                              std::move(bias), std::move(folded));
-  // The construction above recomputes bounds from the rows; prefer the
-  // persisted table when present so the file round-trips bit-for-bit.
-  if (!stored_bounds.empty()) out->bounds_ = std::move(stored_bounds);
   return Status::OK();
 }
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "tensor/panel_bounds.h"
 #include "tensor/tensor.h"
 
 namespace came::baselines {
@@ -36,7 +35,9 @@ namespace came::infer {
 /// every section carries its own CRC32, loads are bounds-checked against
 /// the declared lengths, and saves go through the atomic
 /// temp-write + fsync + rename path, so a torn or bit-flipped file is
-/// reported as Corruption rather than served.
+/// reported as Corruption rather than served. The table stores fp32 only;
+/// serving-time quantization and panel-pruning bounds belong to the
+/// ScoreServer's tensor::ShardStore.
 class FusedEmbeddingTable {
  public:
   /// Empty table (num_entities() == 0). Populate via Build or Load.
@@ -72,19 +73,11 @@ class FusedEmbeddingTable {
   bool has_folded_rows() const { return folded_rows_.numel() > 0; }
   const tensor::Tensor& folded_rows() const { return folded_rows_; }
 
-  /// Per-block score-bound metadata over candidates/bias, the input to
-  /// the serving layer's exact panel pruning (tensor::PanelBoundTable).
-  /// Always populated for a non-empty table: recomputed on construction,
-  /// and round-tripped through the on-disk BNDS section (files written
-  /// before the section existed load fine and keep the recomputed table).
-  const tensor::PanelBoundTable& bounds() const { return bounds_; }
-
  private:
   std::string model_name_;
   tensor::Tensor candidates_;   // [N, d]
   tensor::Tensor bias_;         // [N] or empty
   tensor::Tensor folded_rows_;  // [N, d_f] or empty
-  tensor::PanelBoundTable bounds_;
 };
 
 }  // namespace came::infer

@@ -4,8 +4,8 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -67,11 +67,10 @@ SkipCursor CursorOver(const std::vector<int64_t>* ids) {
   return ids == nullptr ? SkipCursor() : SkipCursor(std::span(*ids));
 }
 
-// Feeds one panel of scores into the query's bounded heap. `bias` is
-// panel-local (bias[j] belongs to entity begin + j), matching the
-// CandidatePanelSource::BiasPanel contract.
+// Feeds one panel of scores (bias already added) into the query's
+// bounded heap.
 void UpdateHeap(std::vector<Entry>* heap, int64_t k, const float* scores,
-                const float* bias, int64_t begin, int64_t len,
+                int64_t begin, int64_t len,
                 SkipCursor filter_cursor, int64_t keep,
                 SkipCursor exclude_cursor, SkipCursor restrict_cursor) {
   filter_cursor.Seek(begin);
@@ -83,7 +82,7 @@ void UpdateHeap(std::vector<Entry>* heap, int64_t k, const float* scores,
     const bool in_filter = filter_cursor.Skip(id);
     const bool in_exclude = exclude_cursor.Skip(id);
     if ((in_filter || in_exclude) && id != keep) continue;
-    const float s = bias != nullptr ? scores[j] + bias[j] : scores[j];
+    const float s = scores[j];
     if (static_cast<int64_t>(heap->size()) < k) {
       heap->push_back({s, id});
       std::push_heap(heap->begin(), heap->end(), BetterEntry);
@@ -94,26 +93,6 @@ void UpdateHeap(std::vector<Entry>* heap, int64_t k, const float* scores,
     }
   }
 }
-
-// Conditionally-held whole-sweep lock (ScoreServerConfig::serialize_sweep).
-// The thread-safety analysis cannot express "acquired iff a runtime flag",
-// and the mutex guards no fields (it only serialises sweeps), so the
-// helper body is exempt from the analysis.
-class OptionalSweepLock {
- public:
-  explicit OptionalSweepLock(came::Mutex* mu) CAME_NO_THREAD_SAFETY_ANALYSIS
-      : mu_(mu) {
-    if (mu_ != nullptr) mu_->Lock();
-  }
-  ~OptionalSweepLock() CAME_NO_THREAD_SAFETY_ANALYSIS {
-    if (mu_ != nullptr) mu_->Unlock();
-  }
-  OptionalSweepLock(const OptionalSweepLock&) = delete;
-  OptionalSweepLock& operator=(const OptionalSweepLock&) = delete;
-
- private:
-  came::Mutex* mu_;
-};
 
 // Relative safety margin folded into every panel score bound. The sweep's
 // fp32 GEMM accumulates with relative error <= dim * 2^-24 against the
@@ -169,6 +148,187 @@ struct PanelSeg {
   double key = 0.0;
 };
 
+// Query-side state for one sweep, shared by TopKBatch and RankOf. int8
+// sweeps encode the queries once as a two-digit (hi + residual) pair, so
+// the query contributes ~127x less error than the int8 candidate rows (a
+// non-finite query degrades to NaN scales -> NaN scores -> ranked worst).
+// With pruning on, each query's L2 norm — of the row the GEMM actually
+// scores with: the fp32 row, or the dequantized two-digit vector — feeds
+// the per-panel Cauchy–Schwarz bound.
+struct QueryBlock {
+  tensor::Tensor q;  // [b, d] fp32 rows
+  int64_t b = 0;
+  int64_t d = 0;
+  std::vector<int8_t> hi;
+  std::vector<float> hi_scales;
+  std::vector<int8_t> lo;
+  std::vector<float> lo_scales;
+  std::vector<double> norms;  // [b], pruning only
+  double max_norm = 0.0;
+};
+
+QueryBlock PrepareQueries(tensor::Tensor q, ScoreDtype dtype, bool prune) {
+  QueryBlock qb;
+  qb.b = q.dim(0);
+  qb.d = q.dim(1);
+  qb.q = std::move(q);
+  const size_t b = static_cast<size_t>(qb.b);
+  const int64_t d = qb.d;
+  if (dtype == ScoreDtype::kInt8) {
+    qb.hi.resize(b * static_cast<size_t>(d));
+    qb.hi_scales.resize(b);
+    qb.lo.resize(b * static_cast<size_t>(d));
+    qb.lo_scales.resize(b);
+    tensor::qgemm::QuantizeRowsInt8ServingTwoDigit(
+        qb.q.data(), qb.b, d, qb.hi.data(), qb.hi_scales.data(),
+        qb.lo.data(), qb.lo_scales.data());
+  }
+  if (!prune) return qb;
+  qb.norms.resize(b);
+  for (size_t i = 0; i < b; ++i) {
+    const int64_t off = static_cast<int64_t>(i) * d;
+    const double qn =
+        dtype == ScoreDtype::kInt8
+            ? TwoDigitQueryNorm(qb.hi.data() + off, qb.hi_scales[i],
+                                qb.lo.data() + off, qb.lo_scales[i], d)
+            : static_cast<double>(tensor::qgemm::RowNormUpperBoundFp32(
+                  qb.q.data() + off, d));
+    qb.norms[i] = qn;
+    qb.max_norm = std::max(qb.max_norm, qn);
+  }
+  return qb;
+}
+
+// The panel schedule: [0, n) cut every `width` rows and at every shard
+// boundary. With pruning on, each panel carries its bound metadata and
+// panels are visited in descending batch-bound order (best candidates
+// first fill the heaps with strong entries, so later weak panels prune);
+// the tie-break on `begin` keeps the order deterministic. Safe to reorder
+// because eval::ScoredBefore is a strict total order — the top-K *set*
+// (and its sorted output) is sweep-order independent — and RankOf's
+// counts do not depend on order at all.
+std::vector<PanelSeg> PanelSchedule(const ShardStorePanelSource& src,
+                                    int64_t width, bool prune,
+                                    double qnorm_max) {
+  const int64_t n = src.num_entities();
+  std::vector<PanelSeg> segs;
+  segs.reserve(static_cast<size_t>((n + width - 1) / width));
+  for (int64_t p0 = 0; p0 < n;) {
+    PanelSeg seg;
+    seg.begin = p0;
+    seg.end = std::min(src.PanelEnd(p0), p0 + width);
+    if (prune) {
+      seg.max_norm = src.PanelMaxNorm(seg.begin, seg.end);
+      seg.max_bias = src.PanelMaxBias(seg.begin, seg.end);
+      const double key = qnorm_max * static_cast<double>(seg.max_norm) +
+                         static_cast<double>(seg.max_bias);
+      seg.key =
+          std::isnan(key) ? std::numeric_limits<double>::infinity() : key;
+    }
+    segs.push_back(seg);
+    p0 = seg.end;
+  }
+  if (prune) {
+    std::sort(segs.begin(), segs.end(),
+              [](const PanelSeg& a, const PanelSeg& b) {
+                if (a.key != b.key) return a.key > b.key;
+                return a.begin < b.begin;
+              });
+  }
+  return segs;
+}
+
+// RAII pin lease on the shard behind rows [begin, end).
+class PanelPin {
+ public:
+  PanelPin(tensor::ShardStore* store, int64_t begin, int64_t end)
+      : store_(store), shard_(store->PinPanel(begin, end)) {}
+  ~PanelPin() { store_->UnpinPanel(shard_); }
+  PanelPin(const PanelPin&) = delete;
+  PanelPin& operator=(const PanelPin&) = delete;
+
+ private:
+  tensor::ShardStore* store_;
+  int64_t shard_;
+};
+
+// Scores candidates [begin, end) against every query of `qb` into
+// `scores` ([b, end - begin], row-major), bias included. The panel's
+// shard stays pinned while the GEMM reads it, so a concurrent sweep's
+// eviction cannot unmap it mid-use; the scores hold no store pointers.
+// fp32 and bf16 (decoded to fp32) run tensor::gemm::Gemm; int8 runs the
+// exact-integer two-digit GEMM, so its panel width never matters.
+void ScorePanel(ShardStorePanelSource* src, const QueryBlock& qb,
+                int64_t begin, int64_t end, float* scores) {
+  tensor::ShardStore* store = src->store();
+  const int64_t pw = end - begin;
+  {
+    PanelPin pin(store, begin, end);
+    switch (src->dtype()) {
+      case ScoreDtype::kFp32:
+        tensor::gemm::Gemm(qb.q.data(), store->PanelRows(begin, end), scores,
+                           qb.b, qb.d, pw, /*trans_a=*/false,
+                           /*trans_b=*/true, /*accumulate=*/false);
+        break;
+      case ScoreDtype::kInt8:
+        tensor::qgemm::GemmInt8TwoDigit(
+            qb.hi.data(), qb.hi_scales.data(), qb.lo.data(),
+            qb.lo_scales.data(), store->QuantPanelRows(begin, end),
+            store->PanelScales(begin, end), scores, qb.b, qb.d, pw);
+        break;
+      case ScoreDtype::kBf16: {
+        tensor::pool::ScratchLease decode(pw * qb.d);
+        tensor::qgemm::DecodeBf16(store->Bf16PanelRows(begin, end),
+                                  pw * qb.d, decode.data());
+        tensor::gemm::Gemm(qb.q.data(), decode.data(), scores, qb.b, qb.d, pw,
+                           /*trans_a=*/false, /*trans_b=*/true,
+                           /*accumulate=*/false);
+        break;
+      }
+    }
+  }
+  if (!src->has_bias()) return;
+  const float* bias = src->BiasFrom(begin);
+  for (int64_t i = 0; i < qb.b; ++i) {
+    float* row = scores + i * pw;
+    for (int64_t j = 0; j < pw; ++j) row[j] += bias[j];
+  }
+}
+
+// The fused table's candidate matrix as an in-RAM store in `dtype`:
+// copied into a one-shard ShardStore, then re-encoded by
+// ShardStore::Quantize when `dtype` is not fp32 (rows holding NaN/Inf
+// cannot be quantized and CHECK-fail here).
+tensor::ShardStore CandidateStore(const FusedEmbeddingTable& table,
+                                  ScoreDtype dtype) {
+  CAME_CHECK_GT(table.num_entities(), 0) << "empty fused table";
+  Result<tensor::ShardStore> made =
+      tensor::ShardStore::InRam(table.num_entities(), table.dim());
+  CAME_CHECK(made.ok()) << made.status().ToString();
+  tensor::ShardStore fp32 = std::move(made).value();
+  // InRam is one contiguous shard, so row 0 addresses the whole matrix.
+  std::memcpy(fp32.MutableRow(0), table.candidates().data(),
+              static_cast<size_t>(table.candidates().numel()) * sizeof(float));
+  if (dtype == ScoreDtype::kFp32) {
+    const Status sealed = fp32.Seal();  // in RAM: computes the bounds
+    CAME_CHECK(sealed.ok()) << sealed.ToString();
+    return fp32;
+  }
+  Result<tensor::ShardStore> quantized = tensor::ShardStore::Quantize(
+      &fp32, /*dir=*/"",
+      dtype == ScoreDtype::kInt8 ? tensor::ShardDtype::kInt8
+                                 : tensor::ShardDtype::kBf16);
+  CAME_CHECK(quantized.ok()) << quantized.status().ToString();
+  return std::move(quantized).value();
+}
+
+int64_t ClampPanelWidth(int64_t width) {
+  if (width > 0) return width;
+  CAME_LOG(Warning) << "ScoreServerConfig::panel_width " << width
+                    << " is not positive; using 1024";
+  return 1024;
+}
+
 }  // namespace
 
 bool ScorePruneFromEnv() {
@@ -200,51 +360,23 @@ ScoreServer::ScoreServer(baselines::InnerProductKgcModel* model,
 ScoreServer::ScoreServer(QueryEncoder encoder,
                          const FusedEmbeddingTable* table,
                          const ScoreServerConfig& config)
-    : encoder_(std::move(encoder)), table_(table), config_(config) {
+    : encoder_(std::move(encoder)), config_(config) {
   CAME_CHECK(encoder_ != nullptr);
-  CAME_CHECK(table_ != nullptr);
-  if (config_.dtype == ScoreDtype::kFp32) {
-    owned_source_ = std::make_unique<FusedTablePanelSource>(table_);
-  } else {
-    // Quantize the candidate matrix once at construction; the sweep then
-    // scores against the compact snapshot for the server's lifetime.
-    Result<QuantizedTable> qt = QuantizedTable::Build(*table_, config_.dtype);
-    CAME_CHECK(qt.ok()) << qt.status().ToString();
-    owned_qtable_ = std::make_unique<QuantizedTable>(std::move(qt).value());
-    owned_source_ =
-        std::make_unique<QuantizedTablePanelSource>(owned_qtable_.get());
-  }
+  CAME_CHECK(table != nullptr);
+  owned_store_ = CandidateStore(*table, config_.dtype);
+  owned_source_ =
+      std::make_unique<ShardStorePanelSource>(&owned_store_, table->bias());
   source_ = owned_source_.get();
-  CAME_CHECK_GT(source_->num_entities(), 0) << "empty fused table";
-  if (config_.panel_width <= 0) {
-    CAME_LOG(Warning) << "ScoreServerConfig::panel_width "
-                      << config_.panel_width << " is not positive; using 1024";
-    config_.panel_width = 1024;
-  }
+  config_.panel_width = ClampPanelWidth(config_.panel_width);
 }
 
-ScoreServer::ScoreServer(QueryEncoder encoder, CandidatePanelSource* source,
+ScoreServer::ScoreServer(QueryEncoder encoder, ShardStorePanelSource* source,
                          const ScoreServerConfig& config)
     : encoder_(std::move(encoder)), source_(source), config_(config) {
   CAME_CHECK(encoder_ != nullptr);
   CAME_CHECK(source_ != nullptr);
   CAME_CHECK_GT(source_->num_entities(), 0) << "empty candidate source";
-  if (config_.panel_width <= 0) {
-    CAME_LOG(Warning) << "ScoreServerConfig::panel_width "
-                      << config_.panel_width << " is not positive; using 1024";
-    config_.panel_width = 1024;
-  }
-}
-
-const FusedEmbeddingTable& ScoreServer::table() const {
-  CAME_CHECK(table_ != nullptr) << "server is not backed by a fused table";
-  return *table_;
-}
-
-const QuantizedTable& ScoreServer::quantized_table() const {
-  CAME_CHECK(owned_qtable_ != nullptr)
-      << "server is not scoring a quantized fused table";
-  return *owned_qtable_;
+  config_.panel_width = ClampPanelWidth(config_.panel_width);
 }
 
 tensor::Tensor ScoreServer::EncodeQueries(const std::vector<int64_t>& heads,
@@ -297,107 +429,23 @@ Result<std::vector<TopKResult>> ScoreServer::TopKBatch(
   if (heads.empty()) return std::vector<TopKResult>();
   CAME_RETURN_IF_ERROR(ValidateIds(heads, rels));
 
-  OptionalSweepLock sweep_lock(config_.serialize_sweep ? &serial_mu_
-                                                       : nullptr);
-  const tensor::Tensor q = EncodeQueries(heads, rels);
-  const int64_t b = q.dim(0);
-  const int64_t d = q.dim(1);
+  const bool prune = config_.prune;
+  const QueryBlock qb =
+      PrepareQueries(EncodeQueries(heads, rels), source_->dtype(), prune);
+  const int64_t b = qb.b;
   const int64_t n = source_->num_entities();
 
   std::vector<std::vector<Entry>> heaps(static_cast<size_t>(b));
   for (auto& h : heaps) h.reserve(static_cast<size_t>(std::min(k, n)));
 
-  const int64_t panel = std::min(config_.panel_width, n);
-  const ScoreDtype dtype = source_->dtype();
-  // Query-side state for the quantized paths: int8 queries are encoded
-  // once per batch as a two-digit (hi + residual) pair, so the query
-  // contributes ~127x less error than the int8 candidate rows (a
-  // non-finite query degrades to NaN scales → NaN scores → ranked
-  // worst); bf16 panels decode into an fp32 scratch panel and reuse the
-  // fp32 GEMM.
-  std::vector<int8_t> q8_hi;
-  std::vector<float> q8_hi_scales;
-  std::vector<int8_t> q8_lo;
-  std::vector<float> q8_lo_scales;
-  if (dtype == ScoreDtype::kInt8) {
-    q8_hi.resize(static_cast<size_t>(b * d));
-    q8_hi_scales.resize(static_cast<size_t>(b));
-    q8_lo.resize(static_cast<size_t>(b * d));
-    q8_lo_scales.resize(static_cast<size_t>(b));
-    tensor::qgemm::QuantizeRowsInt8ServingTwoDigit(
-        q.data(), b, d, q8_hi.data(), q8_hi_scales.data(), q8_lo.data(),
-        q8_lo_scales.data());
-  }
-  std::optional<tensor::pool::ScratchLease> decode;
-  if (dtype == ScoreDtype::kBf16) decode.emplace(panel * d);
-
-  // Pruning state: each query's L2 norm (of the row the GEMM actually
-  // scores with — the fp32 row, or the int8 path's dequantized two-digit
-  // vector) feeds the per-panel Cauchy–Schwarz bound.
-  const bool prune = config_.prune;
-  std::vector<double> qnorms;
-  double qnorm_max = 0.0;
-  if (prune) {
-    qnorms.resize(static_cast<size_t>(b));
-    for (int64_t i = 0; i < b; ++i) {
-      const double qn =
-          dtype == ScoreDtype::kInt8
-              ? TwoDigitQueryNorm(
-                    q8_hi.data() + i * d, q8_hi_scales[static_cast<size_t>(i)],
-                    q8_lo.data() + i * d, q8_lo_scales[static_cast<size_t>(i)],
-                    d)
-              : static_cast<double>(
-                    tensor::qgemm::RowNormUpperBoundFp32(q.data() + i * d, d));
-      qnorms[static_cast<size_t>(i)] = qn;
-      qnorm_max = std::max(qnorm_max, qn);
-    }
-  }
-
-  // Panel schedule. With pruning on, panels are visited in descending
-  // batch-bound order (best candidates first fill the heaps with strong
-  // entries, so later weak panels prune); the tie-break on `begin` keeps
-  // the order deterministic. Safe to reorder because eval::ScoredBefore
-  // is a strict total order — the top-K *set* (and its sorted output) is
-  // sweep-order independent.
-  std::vector<PanelSeg> segs;
-  segs.reserve(static_cast<size_t>((n + panel - 1) / std::max<int64_t>(
-                                                         panel, 1)));
-  for (int64_t p0 = 0; p0 < n;) {
-    // Clamp to the candidate source's shard boundary; for the in-RAM
-    // table PanelEnd is n and this is the plain blocked sweep.
-    const int64_t pend =
-        std::min(source_->PanelEnd(p0), p0 + config_.panel_width);
-    PanelSeg seg;
-    seg.begin = p0;
-    seg.end = pend;
-    if (prune) {
-      seg.max_norm = source_->PanelMaxNorm(p0, pend);
-      seg.max_bias = source_->PanelMaxBias(p0, pend);
-      const double key = qnorm_max * static_cast<double>(seg.max_norm) +
-                         static_cast<double>(seg.max_bias);
-      seg.key = std::isnan(key) ? std::numeric_limits<double>::infinity()
-                                : key;
-    }
-    segs.push_back(seg);
-    p0 = pend;
-  }
-  if (prune) {
-    std::sort(segs.begin(), segs.end(), [](const PanelSeg& a,
-                                           const PanelSeg& b) {
-      if (a.key != b.key) return a.key > b.key;
-      return a.begin < b.begin;
-    });
-  }
-
-  tensor::pool::ScratchLease scores(b * panel);
+  const std::vector<PanelSeg> segs =
+      PanelSchedule(*source_, config_.panel_width, prune, qb.max_norm);
+  tensor::pool::ScratchLease scores(b * std::min(config_.panel_width, n));
   std::vector<uint8_t> skip(static_cast<size_t>(b), 0);
   int64_t panels_scored = 0;
-  int64_t panels_skipped = 0;
   int64_t bound_rejects = 0;
   for (const PanelSeg& seg : segs) {
-    const int64_t p0 = seg.begin;
-    const int64_t pend = seg.end;
-    const int64_t pw = pend - p0;
+    const int64_t pw = seg.end - seg.begin;
     // Prune pass: a query skips this panel once its heap holds k entries
     // whose worst member the panel's score bound cannot beat. The bound
     // over-approximates every panel score and seg.begin lower-bounds
@@ -410,54 +458,20 @@ Result<std::vector<TopKResult>> ScoreServer::TopKBatch(
         const std::vector<Entry>& h = heaps[static_cast<size_t>(i)];
         bool s = false;
         if (static_cast<int64_t>(h.size()) == k) {
-          const float bound = PanelScoreBound(qnorms[static_cast<size_t>(i)],
-                                              seg.max_norm, seg.max_bias);
+          const float bound = PanelScoreBound(
+              qb.norms[static_cast<size_t>(i)], seg.max_norm, seg.max_bias);
           s = !eval::ScoredBefore(bound, seg.begin, h.front().score,
                                   h.front().id);
         }
         skip[static_cast<size_t>(i)] = s ? 1 : 0;
         if (s) ++nskip;
       }
-    } else {
-      std::fill(skip.begin(), skip.end(), 0);
     }
     bound_rejects += nskip;
-    if (nskip == b) {
-      // Every query pruned the panel: no pin, no GEMM, and for a
-      // shard-backed source no residency fault.
-      ++panels_skipped;
-      continue;
-    }
-    // Pin the panel's backing residency for the whole consume (GEMM +
-    // bias + heap updates) so a concurrent sweep's eviction cannot
-    // invalidate the pointers mid-use.
-    PanelPin pin(source_, p0, pend);
-    // q [B, d] x candidates[p0 .. pend) [pw, d]^T -> [B, pw]. Bitwise
-    // equal to columns [p0, pend) of the full [B, N] score GEMM (fp32
-    // and bf16 paths), or of the full int8 score GEMM (exact int32
-    // accumulation makes panel width irrelevant there too).
-    switch (dtype) {
-      case ScoreDtype::kFp32:
-        tensor::gemm::Gemm(q.data(), source_->Panel(p0, pend), scores.data(),
-                           b, d, pw, /*trans_a=*/false, /*trans_b=*/true,
-                           /*accumulate=*/false);
-        break;
-      case ScoreDtype::kInt8:
-        tensor::qgemm::GemmInt8TwoDigit(
-            q8_hi.data(), q8_hi_scales.data(), q8_lo.data(),
-            q8_lo_scales.data(), source_->PanelInt8(p0, pend),
-            source_->PanelScales(p0, pend), scores.data(), b, d, pw);
-        break;
-      case ScoreDtype::kBf16:
-        tensor::qgemm::DecodeBf16(source_->PanelBf16(p0, pend), pw * d,
-                                  decode->data());
-        tensor::gemm::Gemm(q.data(), decode->data(), scores.data(), b, d, pw,
-                           /*trans_a=*/false, /*trans_b=*/true,
-                           /*accumulate=*/false);
-        break;
-    }
-    const float* bias =
-        source_->has_bias() ? source_->BiasPanel(p0, pend) : nullptr;
+    // Every query pruned the panel: no pin, no GEMM, and for a
+    // shard-backed source no residency fault.
+    if (nskip == b) continue;
+    ScorePanel(source_, qb, seg.begin, seg.end, scores.data());
     ++panels_scored;
     ParallelFor(0, b, 1, [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
@@ -468,7 +482,7 @@ Result<std::vector<TopKResult>> ScoreServer::TopKBatch(
                                                 rels[static_cast<size_t>(i)]))
                 : SkipCursor();
         UpdateHeap(&heaps[static_cast<size_t>(i)], k, scores.data() + i * pw,
-                   bias, p0, pw, filtered, opts.keep,
+                   seg.begin, pw, filtered, opts.keep,
                    CursorOver(opts.exclude), CursorOver(opts.restrict_to));
       }
     });
@@ -486,11 +500,9 @@ Result<std::vector<TopKResult>> ScoreServer::TopKBatch(
       r.scores.push_back(e.score);
     }
   }
-  stats_.queries_served.fetch_add(b, std::memory_order_relaxed);
-  stats_.batches_executed.fetch_add(1, std::memory_order_relaxed);
-  stats_.panels_scored.fetch_add(panels_scored, std::memory_order_relaxed);
-  stats_.panels_skipped.fetch_add(panels_skipped, std::memory_order_relaxed);
-  stats_.bound_rejects.fetch_add(bound_rejects, std::memory_order_relaxed);
+  RecordSweep(b, panels_scored,
+              static_cast<int64_t>(segs.size()) - panels_scored,
+              bound_rejects);
   return out;
 }
 
@@ -504,157 +516,66 @@ Result<double> ScoreServer::RankOf(int64_t head, int64_t rel, int64_t target,
   const std::vector<int64_t> rels = {rel};
   CAME_RETURN_IF_ERROR(ValidateIds(heads, rels));
 
-  OptionalSweepLock sweep_lock(config_.serialize_sweep ? &serial_mu_
-                                                       : nullptr);
-  const tensor::Tensor q = EncodeQueries(heads, rels);
-  const int64_t d = q.dim(1);
-  const bool has_bias = source_->has_bias();
   const bool prune = config_.prune;
-
+  const QueryBlock qb =
+      PrepareQueries(EncodeQueries(heads, rels), source_->dtype(), prune);
+  const std::vector<PanelSeg> segs =
+      PanelSchedule(*source_, config_.panel_width, prune, qb.max_norm);
   const std::span<const int64_t> filtered =
       opts.filter != nullptr ? opts.filter->Tails(head, rel)
                              : std::span<const int64_t>();
 
-  const int64_t panel = std::min(config_.panel_width, n);
-  const ScoreDtype dtype = source_->dtype();
-  std::vector<int8_t> q8_hi;
-  std::vector<float> q8_hi_scales;
-  std::vector<int8_t> q8_lo;
-  std::vector<float> q8_lo_scales;
-  if (dtype == ScoreDtype::kInt8) {
-    q8_hi.resize(static_cast<size_t>(d));
-    q8_hi_scales.resize(1);
-    q8_lo.resize(static_cast<size_t>(d));
-    q8_lo_scales.resize(1);
-    tensor::qgemm::QuantizeRowsInt8ServingTwoDigit(
-        q.data(), 1, d, q8_hi.data(), q8_hi_scales.data(), q8_lo.data(),
-        q8_lo_scales.data());
-  }
-  const double qnorm =
-      !prune ? 0.0
-      : dtype == ScoreDtype::kInt8
-          ? TwoDigitQueryNorm(q8_hi.data(), q8_hi_scales[0], q8_lo.data(),
-                              q8_lo_scales[0], d)
-          : static_cast<double>(
-                tensor::qgemm::RowNormUpperBoundFp32(q.data(), d));
-  std::optional<tensor::pool::ScratchLease> decode;
-  if (dtype == ScoreDtype::kBf16) decode.emplace(panel * d);
-
-  tensor::pool::ScratchLease scores(panel);
-
-  // The target's score first (the accumulator compares against it). A
-  // 1-wide panel is bitwise identical to the same element of any wider
-  // panel in every dtype: fp32/bf16 because the per-element
-  // k-accumulation order does not depend on n, int8 because the dot is
-  // exact integer arithmetic.
-  float s_target;
-  {
-    // Pin across both the row and the bias (int8 also reads scales): the
-    // second accessor call must not evict the first's mapping under a
-    // concurrent sweep.
-    PanelPin pin(source_, target, target + 1);
-    switch (dtype) {
-      case ScoreDtype::kFp32:
-        tensor::gemm::Gemm(q.data(), source_->Panel(target, target + 1),
-                           &s_target, 1, d, 1, /*trans_a=*/false,
-                           /*trans_b=*/true, /*accumulate=*/false);
-        break;
-      case ScoreDtype::kInt8:
-        tensor::qgemm::GemmInt8TwoDigit(
-            q8_hi.data(), q8_hi_scales.data(), q8_lo.data(),
-            q8_lo_scales.data(), source_->PanelInt8(target, target + 1),
-            source_->PanelScales(target, target + 1), &s_target, 1, d, 1);
-        break;
-      case ScoreDtype::kBf16:
-        tensor::qgemm::DecodeBf16(source_->PanelBf16(target, target + 1), d,
-                                  decode->data());
-        tensor::gemm::Gemm(q.data(), decode->data(), &s_target, 1, d, 1,
-                           /*trans_a=*/false, /*trans_b=*/true,
-                           /*accumulate=*/false);
-        break;
-    }
-    if (has_bias) s_target += source_->BiasPanel(target, target + 1)[0];
-  }
-
+  // The target's own panel first, at its sweep width, so the target's
+  // score comes out of the same GEMM that scores its panel neighbours. (A
+  // separate 1-wide GEMM falls under Gemm's small-shape cutoff onto the
+  // reference loop, which can differ from the blocked FMA kernel in the
+  // last ulp and so turn an "equal" candidate into a "better" one.)
+  const auto own =
+      std::find_if(segs.begin(), segs.end(), [target](const PanelSeg& seg) {
+        return seg.begin <= target && target < seg.end;
+      });
+  CAME_CHECK(own != segs.end());
+  tensor::pool::ScratchLease scores(std::min(config_.panel_width, n));
+  ScorePanel(source_, qb, own->begin, own->end, scores.data());
+  const float s_target = scores.data()[target - own->begin];
   eval::RankAccumulator acc(s_target, target, filtered);
-  int64_t panels_scored = 0;
-  int64_t panels_skipped = 0;
+  acc.Accumulate(scores.data(), own->begin, own->end - own->begin);
+
+  int64_t panels_scored = 1;
   int64_t bound_rejects = 0;
-  if (prune && std::isnan(s_target)) {
-    // A NaN target ranks worst by protocol and Accumulate is a no-op for
-    // every candidate (nothing is "better" or "equal" to NaN), so the
-    // whole sweep can be skipped: Rank(n) already computes the worst
-    // rank from n and the filter alone. Bitwise identical by
-    // construction — no scores feed the result. Gated on `prune` so the
-    // prune-off configuration stays a faithful full-sweep baseline
-    // (panels_skipped stays zero when pruning is disabled).
-    for (int64_t p0 = 0; p0 < n;) {
-      const int64_t pend =
-          std::min(source_->PanelEnd(p0), p0 + config_.panel_width);
-      ++panels_skipped;
+  for (const PanelSeg& seg : segs) {
+    if (seg.begin == own->begin) continue;
+    // With pruning on, a panel is skipped when its score bound is
+    // *strictly* below s_target: every candidate in it then scores
+    // strictly worse (or NaN, which the accumulator ignores) and adds
+    // neither "better" nor "equal" counts. The bound-equal case must
+    // still be scored — equal scores count half a rank each. A NaN target
+    // ranks worst by protocol and Accumulate ignores every candidate, so
+    // all remaining panels are skipped: Rank(n) derives the rank from n
+    // and the filter alone.
+    if (prune && (std::isnan(s_target) ||
+                  PanelScoreBound(qb.norms[0], seg.max_norm, seg.max_bias) <
+                      s_target)) {
       ++bound_rejects;
-      p0 = pend;
+      continue;
     }
-  } else {
-    // Panel order is irrelevant here (s_target is fixed before the
-    // sweep), so panels run in natural order. A panel is skipped when
-    // its score bound is *strictly* below s_target: every candidate in
-    // it then scores strictly worse (or NaN, which the accumulator
-    // ignores) and contributes neither "better" nor "equal" counts. The
-    // bound-equal case must still be scored — equal scores count half a
-    // rank each. The target's own panel is never skipped (belt and
-    // braces; its bound >= s_target anyway).
-    for (int64_t p0 = 0; p0 < n;) {
-      const int64_t pend =
-          std::min(source_->PanelEnd(p0), p0 + config_.panel_width);
-      const int64_t pw = pend - p0;
-      if (prune && !(p0 <= target && target < pend)) {
-        const float bound =
-            PanelScoreBound(qnorm, source_->PanelMaxNorm(p0, pend),
-                            source_->PanelMaxBias(p0, pend));
-        if (bound < s_target) {
-          ++panels_skipped;
-          ++bound_rejects;
-          p0 = pend;
-          continue;
-        }
-      }
-      PanelPin pin(source_, p0, pend);
-      switch (dtype) {
-        case ScoreDtype::kFp32:
-          tensor::gemm::Gemm(q.data(), source_->Panel(p0, pend),
-                             scores.data(), 1, d, pw, /*trans_a=*/false,
-                             /*trans_b=*/true, /*accumulate=*/false);
-          break;
-        case ScoreDtype::kInt8:
-          tensor::qgemm::GemmInt8TwoDigit(
-              q8_hi.data(), q8_hi_scales.data(), q8_lo.data(),
-              q8_lo_scales.data(), source_->PanelInt8(p0, pend),
-              source_->PanelScales(p0, pend), scores.data(), 1, d, pw);
-          break;
-        case ScoreDtype::kBf16:
-          tensor::qgemm::DecodeBf16(source_->PanelBf16(p0, pend), pw * d,
-                                    decode->data());
-          tensor::gemm::Gemm(q.data(), decode->data(), scores.data(), 1, d,
-                             pw, /*trans_a=*/false, /*trans_b=*/true,
-                             /*accumulate=*/false);
-          break;
-      }
-      ++panels_scored;
-      if (has_bias) {
-        const float* bias = source_->BiasPanel(p0, pend);
-        for (int64_t j = 0; j < pw; ++j) scores.data()[j] += bias[j];
-      }
-      acc.Accumulate(scores.data(), p0, pw);
-      p0 = pend;
-    }
+    ScorePanel(source_, qb, seg.begin, seg.end, scores.data());
+    ++panels_scored;
+    acc.Accumulate(scores.data(), seg.begin, seg.end - seg.begin);
   }
-  stats_.queries_served.fetch_add(1, std::memory_order_relaxed);
+  RecordSweep(1, panels_scored,
+              static_cast<int64_t>(segs.size()) - panels_scored,
+              bound_rejects);
+  return acc.Rank(n);
+}
+
+void ScoreServer::RecordSweep(int64_t queries, int64_t panels_scored,
+                              int64_t panels_skipped, int64_t bound_rejects) {
+  stats_.queries_served.fetch_add(queries, std::memory_order_relaxed);
   stats_.batches_executed.fetch_add(1, std::memory_order_relaxed);
   stats_.panels_scored.fetch_add(panels_scored, std::memory_order_relaxed);
   stats_.panels_skipped.fetch_add(panels_skipped, std::memory_order_relaxed);
   stats_.bound_rejects.fetch_add(bound_rejects, std::memory_order_relaxed);
-  return acc.Rank(n);
 }
 
 ScoreServer::Stats ScoreServer::GetStats() const {

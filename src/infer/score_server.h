@@ -7,14 +7,12 @@
 #include <memory>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "infer/candidate_panels.h"
 #include "infer/fused_embedding_table.h"
-#include "infer/quantized_table.h"
 #include "infer/score_dtype.h"
 #include "kg/filter_index.h"
+#include "tensor/shard_store.h"
 #include "tensor/tensor.h"
 
 namespace came::baselines {
@@ -47,9 +45,9 @@ struct ScoreServerConfig {
   /// CAME_SCORE_DTYPE (fp32 when unset), so exporting the variable flips
   /// every fused-table server in the process without a code change. A
   /// non-fp32 value makes the server quantize the table at construction
-  /// and score through the matching qgemm path. Ignored by the
-  /// CandidatePanelSource constructor, where the source's own dtype()
-  /// governs (e.g. a quantized ShardStore).
+  /// (ShardStore::Quantize into RAM) and score through the matching qgemm
+  /// path. Ignored by the ShardStorePanelSource constructor, where the
+  /// store's own dtype governs (e.g. a quantized ShardStore).
   ScoreDtype dtype = ScoreDtypeFromEnv();
   /// Exact panel-skip pruning: panels whose cached score upper bound
   /// (Cauchy–Schwarz: ||q|| * max_row_norm + max_bias) provably cannot
@@ -60,11 +58,6 @@ struct ScoreServerConfig {
   /// total order, so the top-K set is sweep-order independent). Defaults
   /// to CAME_SCORE_PRUNE (on when unset).
   bool prune = ScorePruneFromEnv();
-  /// Serialise whole sweeps on an internal mutex, restoring the
-  /// pre-concurrent behaviour (one sweep in flight at a time). Off by
-  /// default: sweeps are read-only over the source and safe to run
-  /// concurrently. The bench uses this as its baseline arm.
-  bool serialize_sweep = false;
   /// Relation-id bound for request validation; rel ids outside
   /// [0, num_relations) are rejected with InvalidArgument. <= 0 disables
   /// the check (sources carry no relation count; the model-backed
@@ -94,23 +87,28 @@ struct TopKOptions {
   const std::vector<int64_t>* restrict_to = nullptr;
 };
 
-/// Answers (h, r, ?) top-K queries against a CandidatePanelSource — an
-/// in-RAM FusedEmbeddingTable or a ShardStore whose slabs page in and
-/// out of a residency budget (beyond-RAM serving). The sweep clamps
-/// every panel to the source's PanelEnd, so shard boundaries are
-/// respected without the scoring loop knowing about shards.
+/// Answers (h, r, ?) top-K queries against a ShardStorePanelSource: a
+/// tensor::ShardStore of candidate rows (in RAM for fused-table servers,
+/// or mmap-backed slabs paging under a residency budget for beyond-RAM
+/// serving) plus an optional per-entity bias. The sweep clamps every
+/// panel to the source's PanelEnd, so shard boundaries are respected
+/// without the scoring loop knowing about shards.
 ///
-/// Each batch runs one blocked SGEMM per entity panel
+/// Each batch runs one panel GEMM per entity panel
 /// (q [B, d] x panel [P, d]^T), and the panel scores feed per-query
 /// bounded heaps of size K directly — the full [B, N] score matrix never
-/// exists. Panel scores are bitwise identical to the corresponding
-/// columns of a full-width GEMM over the same serving arithmetic (the
-/// per-element k-accumulation order is independent of the m/n blocking
-/// and the panel width), so top-K results match a brute-force sort of
-/// the full serving score vector exactly, ties included. The training
-/// path's ScoreAllTails materialises the transposed candidate table and
-/// multiplies untransposed — same math, different accumulation path — so
-/// its scores may differ from serving scores in the last ulp.
+/// exists. Top-K results match a brute-force sort of the same serving
+/// score vector exactly, ties included, as long as that vector comes from
+/// the same GEMM shapes. Scores are *not* independent of panel width or
+/// batch size in general: tensor::gemm::Gemm runs the serial reference
+/// loop below its m*k*n < 32^3 cutoff and the blocked (on AVX2/AVX-512,
+/// FMA) kernel above it, and the two may differ in the last ulp. So a
+/// TopK call ([1, d] x [P, d]^T) and a TopKBatch call over the same query
+/// can disagree in the last bits when one side crosses the cutoff. The
+/// int8 path is exact integer arithmetic and has no such caveat. The
+/// training path's ScoreAllTails materialises the transposed candidate
+/// table and multiplies untransposed — same math, different accumulation
+/// path — so its scores may differ from serving scores in the last ulp.
 ///
 /// Pruning (config.prune): the source's per-block bound metadata
 /// (tensor::PanelBoundTable) gives each panel a conservative score upper
@@ -124,28 +122,26 @@ struct TopKOptions {
 /// independent), pruned results are bitwise identical to the unpruned
 /// sweep; tools/check_serving_parity.py gates on that.
 ///
-/// Thread-safe for concurrent readers: sweeps take no global lock
-/// (config.serialize_sweep restores the old single-sweep behaviour).
-/// Shard-backed sweeps hold a pin lease on a panel's slab while
-/// consuming it, so a concurrent sweep's eviction cannot pull the
-/// mapping out from under the GEMM; per-query scratch comes from the
-/// thread-safe tensor::pool; stats are relaxed atomics.
+/// Thread-safe for concurrent readers: sweeps take no global lock. Each
+/// sweep holds a pin lease on a panel's shard while scoring it, so a
+/// concurrent sweep's eviction cannot pull the mapping out from under the
+/// GEMM; per-query scratch comes from the thread-safe tensor::pool; stats
+/// are relaxed atomics.
 class ScoreServer {
  public:
   /// Serves `model` (used for query encoding only; entity-side state
-  /// comes from `table`). Both must outlive the server; the model must
-  /// stay in eval mode. Fills config.num_relations from the model when
-  /// unset.
+  /// comes from `table`, which is copied into the server's own store at
+  /// construction). The model must outlive the server and stay in eval
+  /// mode. Fills config.num_relations from the model when unset.
   ScoreServer(baselines::InnerProductKgcModel* model,
               const FusedEmbeddingTable* table,
               const ScoreServerConfig& config = {});
   /// Custom query encoder (tests, remote encoders).
   ScoreServer(QueryEncoder encoder, const FusedEmbeddingTable* table,
               const ScoreServerConfig& config = {});
-  /// Serves candidates straight from `source` (e.g. a
-  /// ShardStorePanelSource over a sealed beyond-RAM store). Not owned;
-  /// must outlive the server.
-  ScoreServer(QueryEncoder encoder, CandidatePanelSource* source,
+  /// Serves candidates straight from `source` (e.g. over a sealed
+  /// beyond-RAM store). Not owned; must outlive the server.
+  ScoreServer(QueryEncoder encoder, ShardStorePanelSource* source,
               const ScoreServerConfig& config = {});
 
   /// Top-K for a single query. K is clamped to the number of eligible
@@ -164,25 +160,21 @@ class ScoreServer {
 
   /// Filtered rank of `target` for (head, rel, ?), identical to the
   /// Evaluator's protocol (1 + #better + #equal/2, NaN target worst),
-  /// computed over panels without materialising the score vector.
-  /// Filtering uses opts.filter; `target` is always kept. Pruning skips
-  /// panels whose bound is strictly below the target's score — they can
-  /// contribute neither "better" nor "equal" counts — with, again,
-  /// bitwise-identical ranks.
+  /// computed over panels without materialising the score vector. The
+  /// target's own panel is scored first, at the sweep's panel width, and
+  /// the target's score is read from it — so the rank always agrees with
+  /// eval::FilteredRank over the sweep's own scores. Filtering uses
+  /// opts.filter; `target` is always kept. Pruning skips panels whose
+  /// bound is strictly below the target's score — they can contribute
+  /// neither "better" nor "equal" counts — with, again, bitwise-identical
+  /// ranks.
   Result<double> RankOf(int64_t head, int64_t rel, int64_t target,
                         const TopKOptions& opts = {});
 
   int64_t num_entities() const { return source_->num_entities(); }
-  /// The precision the sweep actually scores in (the panel source's
-  /// dtype — for fused-table servers this is config.dtype).
+  /// The precision the sweep actually scores in (the store's dtype — for
+  /// fused-table servers this is config.dtype).
   ScoreDtype score_dtype() const { return source_->dtype(); }
-  /// The fused table, when this server was built over one (CHECK-fails
-  /// for shard-backed servers).
-  const FusedEmbeddingTable& table() const;
-  /// The quantized table a non-fp32 fused-table server scores against
-  /// (CHECK-fails when score_dtype() is fp32 or the server is
-  /// source-backed).
-  const QuantizedTable& quantized_table() const;
 
   struct Stats {
     int64_t queries_served = 0;
@@ -218,17 +210,16 @@ class ScoreServer {
   /// InvalidArgument, not a crash.
   Status ValidateIds(const std::vector<int64_t>& heads,
                      const std::vector<int64_t>& rels) const;
+  void RecordSweep(int64_t queries, int64_t panels_scored,
+                   int64_t panels_skipped, int64_t bound_rejects);
 
   QueryEncoder encoder_;
-  const FusedEmbeddingTable* table_ = nullptr;  // null for shard-backed
-  /// Owned quantized snapshot of `table_` when config.dtype != fp32.
-  std::unique_ptr<QuantizedTable> owned_qtable_;
-  std::unique_ptr<CandidatePanelSource> owned_source_;
-  CandidatePanelSource* source_ = nullptr;
+  /// Fused-table servers: the candidate matrix, copied (and quantized when
+  /// config.dtype asks) into an in-RAM store, plus the source over it.
+  tensor::ShardStore owned_store_;
+  std::unique_ptr<ShardStorePanelSource> owned_source_;
+  ShardStorePanelSource* source_ = nullptr;
   ScoreServerConfig config_;
-  /// Held for the whole sweep only when config.serialize_sweep — the
-  /// opt-in single-sweep mode. Guards no fields (sweeps are read-only).
-  mutable came::Mutex serial_mu_;
   AtomicStats stats_;
 };
 

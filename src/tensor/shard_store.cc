@@ -231,24 +231,27 @@ Result<ShardStore> ShardStore::InRam(int64_t rows, int64_t dim) {
   s.rows_per_shard_ = rows;
   s.max_resident_ = 0;
   s.shards_.resize(1);
-  Shard& sh = s.shards_[0];
-  sh.begin = 0;
-  sh.end = rows;
-  const size_t bytes = static_cast<size_t>(s.ShardByteSize(0, rows));
-  void* base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  s.shards_[0].end = rows;
+  CAME_RETURN_IF_ERROR(s.MapAnonymous(0));
+  return s;
+}
+
+Status ShardStore::MapAnonymous(int64_t shard) {
+  Shard& sh = shards_[static_cast<size_t>(shard)];
+  const int64_t bytes = ShardByteSize(sh.begin, sh.end);
+  void* base = ::mmap(nullptr, static_cast<size_t>(bytes),
+                      PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                      0);
   if (base == MAP_FAILED) {
     return Status::IOError("anonymous mmap of " + std::to_string(bytes) +
                            " bytes: " + std::strerror(errno));
   }
+  came::MutexLock lock(&mu_);
   sh.base = base;
-  {
-    came::MutexLock lock(&s.mu_);
-    s.resident_count_ = 1;
-    s.stats_.resident_shards = 1;
-    s.stats_.resident_bytes = static_cast<int64_t>(bytes);
-  }
-  return s;
+  ++resident_count_;
+  stats_.resident_shards = resident_count_;
+  stats_.resident_bytes += bytes;
+  return Status::OK();
 }
 
 Result<ShardStore> ShardStore::Create(const std::string& dir, int64_t rows,
@@ -424,16 +427,14 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
     return Status::InvalidArgument(
         "Quantize target dtype must be int8 or bf16");
   }
-  if (src->in_ram() && dir.empty()) {
-    return Status::InvalidArgument("Quantize wants a destination directory");
-  }
   if (options.max_resident_shards < 0) {
     return Status::InvalidArgument("negative shard-store option");
   }
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IOError("mkdir " + dir + ": " + std::strerror(errno));
-  }
-  {
+  const bool in_ram = dir.empty();
+  if (!in_ram) {
+    if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+      return Status::IOError("mkdir " + dir + ": " + std::strerror(errno));
+    }
     struct stat st {};
     if (::stat(ManifestPath(dir).c_str(), &st) == 0) {
       return Status::InvalidArgument(dir +
@@ -447,24 +448,33 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
   s.dim_ = src->dim();
   s.dtype_ = dtype;
   s.rows_per_shard_ = src->rows_per_shard();
-  s.max_resident_ = options.max_resident_shards;
+  s.max_resident_ = in_ram ? 0 : options.max_resident_shards;
   const int64_t n_shards = src->num_shards();
   s.shards_.resize(static_cast<size_t>(n_shards));
 
   // One slab at a time: read the fp32 rows from the source's mapping,
-  // re-encode into a payload buffer, write the slab, record its CRC and
-  // fold its rows into the panel bounds (over the *encoded* values, so
-  // the bound is scale-aware rather than inherited from fp32).
+  // re-encode into the slab payload (a file-bound buffer, or the in-RAM
+  // store's own zero-filled anonymous mapping), record its CRC and fold
+  // its rows into the panel bounds (over the *encoded* values, so the
+  // bound is scale-aware rather than inherited from fp32).
   PanelBoundTable bounds(s.rows_, kDefaultBoundBlockRows);
-  std::string payload;
+  std::string buffer;
   for (int64_t i = 0; i < n_shards; ++i) {
     Shard& sh = s.shards_[static_cast<size_t>(i)];
     sh.begin = i * s.rows_per_shard_;
     sh.end = std::min(s.rows_, sh.begin + s.rows_per_shard_);
     const int64_t srows = sh.end - sh.begin;
     const float* rows = src->PanelRows(sh.begin, sh.end);
-    payload.assign(static_cast<size_t>(s.ShardByteSize(sh.begin, sh.end)),
-                   '\0');
+    const size_t bytes =
+        static_cast<size_t>(s.ShardByteSize(sh.begin, sh.end));
+    char* payload = nullptr;
+    if (in_ram) {
+      CAME_RETURN_IF_ERROR(s.MapAnonymous(i));
+      payload = static_cast<char*>(sh.base);
+    } else {
+      buffer.assign(bytes, '\0');
+      payload = buffer.data();
+    }
     if (dtype == ShardDtype::kInt8) {
       std::vector<int8_t> q(static_cast<size_t>(srows * s.dim_));
       std::vector<float> scales(static_cast<size_t>(srows));
@@ -474,8 +484,8 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
         return Status::InvalidArgument("slab " + std::to_string(i) + ": " +
                                        st.message());
       }
-      std::memcpy(payload.data(), q.data(), q.size());
-      std::memcpy(payload.data() + PadTo64(srows * s.dim_), scales.data(),
+      std::memcpy(payload, q.data(), q.size());
+      std::memcpy(payload + PadTo64(srows * s.dim_), scales.data(),
                   scales.size() * sizeof(float));
       AccountRowsInt8(&bounds, q.data(), scales.data(), /*bias=*/nullptr,
                       sh.begin, srows, s.dim_);
@@ -486,16 +496,17 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
         return Status::InvalidArgument("slab " + std::to_string(i) + ": " +
                                        st.message());
       }
-      std::memcpy(payload.data(), enc.data(),
-                  enc.size() * sizeof(uint16_t));
+      std::memcpy(payload, enc.data(), enc.size() * sizeof(uint16_t));
       AccountRowsBf16(&bounds, enc.data(), /*bias=*/nullptr, sh.begin, srows,
                       s.dim_);
     }
-    CAME_RETURN_IF_ERROR(io::WriteFileAtomic(
-        s.SlabPath(i), payload.data(), payload.size()));
-    sh.crc = io::Crc32(payload.data(), payload.size());
+    if (!in_ram) {
+      CAME_RETURN_IF_ERROR(io::WriteFileAtomic(s.SlabPath(i), payload, bytes));
+    }
+    sh.crc = io::Crc32(payload, bytes);
   }
   s.bounds_ = std::move(bounds);
+  if (in_ram) return s;
   // Slabs and CRCs are durable; publish the sealed manifest directly —
   // a quantized store is never served unsealed.
   CAME_RETURN_IF_ERROR(s.WriteManifest(/*sealed=*/true));

@@ -112,7 +112,9 @@ class ShardStore {
 
   /// Re-encodes a sealed-or-unsealed fp32 store's rows into a new
   /// *sealed* quantized store at `dir` (must not already hold a
-  /// manifest), streaming shard by shard so peak memory is one slab. The
+  /// manifest), streaming shard by shard so peak memory is one slab. An
+  /// empty `dir` builds the store in RAM instead: one always-resident
+  /// anonymous mapping per shard, same slab layout, no files. The
   /// geometry (rows_per_shard) is inherited from `src`. `dtype` must be
   /// kInt8 or kBf16; rows containing NaN/Inf are rejected with
   /// InvalidArgument. The result is immutable: MutableRow and the fp32
@@ -222,6 +224,9 @@ class ShardStore {
   char* AcquirePanel(int64_t begin, int64_t end, int64_t* shard_out)
       CAME_EXCLUDES(mu_);
   Status MapShard(int64_t shard) CAME_REQUIRES(mu_);
+  /// Backs `shard` with a zero-filled, always-resident anonymous mapping
+  /// (in-RAM stores).
+  Status MapAnonymous(int64_t shard) CAME_EXCLUDES(mu_);
   void UnmapShard(int64_t shard) CAME_REQUIRES(mu_);
   Status WriteManifest(bool sealed);
   /// Streams every slab and rebuilds bounds_ from the payload bytes.

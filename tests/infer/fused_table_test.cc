@@ -11,7 +11,9 @@
 #include <fstream>
 #include <string>
 
+#include "common/io.h"
 #include "common/status.h"
+#include "tensor/panel_bounds.h"
 #include "tensor/tensor.h"
 
 namespace came::infer {
@@ -85,46 +87,56 @@ TEST(FusedTableFormatTest, AbsentBiasAndFoldRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(FusedTableFormatTest, BoundsRoundTripThroughBndsSection) {
-  const std::string path = TmpPath("bounds");
-  const FusedEmbeddingTable table = SyntheticTable();
-  ASSERT_FALSE(table.bounds().empty());
-  ASSERT_TRUE(table.Save(path).ok());
-  FusedEmbeddingTable loaded;
-  ASSERT_TRUE(FusedEmbeddingTable::Load(path, &loaded).ok());
-  EXPECT_EQ(loaded.bounds(), table.bounds());
-  std::remove(path.c_str());
-}
-
-TEST(FusedTableFormatTest, LegacyFourSectionFileLoadsWithRebuiltBounds) {
-  // Files written before the BNDS section carry 4 sections; they must
-  // still load, with bounds recomputed from the candidate rows.
-  const std::string path = TmpPath("legacy");
+// Files written before the panel bounds moved into the serving store
+// carry a fifth BNDS section. It must still load (CRC-checked, then
+// ignored), and a corrupt BNDS payload must still be caught.
+TEST(FusedTableFormatTest, LegacyBndsSectionIsCrcCheckedThenIgnored) {
+  const std::string path = TmpPath("legacy_bnds");
   const FusedEmbeddingTable table = SyntheticTable();
   ASSERT_TRUE(table.Save(path).ok());
   std::string bytes = Slurp(path);
-  // Walk the first four sections (magic 8 + version 4 + count 4 = 16
-  // header bytes; each section is id u32 + len u64 + crc u32 + payload)
-  // and drop everything after them.
-  size_t off = 16;
-  for (int sec = 0; sec < 4; ++sec) {
-    uint64_t len = 0;
-    ASSERT_LE(off + 16, bytes.size());
-    std::memcpy(&len, bytes.data() + off + 4, sizeof(len));
-    off += 16 + static_cast<size_t>(len);
-  }
-  ASSERT_LT(off, bytes.size()) << "expected a trailing BNDS section";
-  std::string legacy = bytes.substr(0, off);
-  const uint32_t four = 4;
-  std::memcpy(legacy.data() + 12, &four, sizeof(four));
-  Dump(path, legacy);
+  uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + 12, sizeof(count));
+  ASSERT_EQ(count, 4u);
+  const std::string payload = tensor::PanelBoundTable(4, 64).Encode();
+  const uint32_t id = 0x53444e42;  // "BNDS" as a little-endian fourcc
+  const uint64_t len = payload.size();
+  const uint32_t crc = io::Crc32(payload.data(), payload.size());
+  bytes.append(reinterpret_cast<const char*>(&id), sizeof(id));
+  bytes.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  bytes.append(payload);
+  const uint32_t five = 5;
+  std::memcpy(bytes.data() + 12, &five, sizeof(five));
+  Dump(path, bytes);
 
   FusedEmbeddingTable loaded;
   ASSERT_TRUE(FusedEmbeddingTable::Load(path, &loaded).ok());
   ExpectBitwiseEqual(loaded.candidates(), table.candidates());
-  // Rebuilt-on-construction bounds equal the persisted ones (both come
-  // from the same rows through the same accounting).
-  EXPECT_EQ(loaded.bounds(), table.bounds());
+  ExpectBitwiseEqual(loaded.bias(), table.bias());
+
+  bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0x40);
+  Dump(path, bytes);
+  EXPECT_EQ(FusedEmbeddingTable::Load(path, &loaded).code(),
+            Status::Code::kCorruption);
+  std::remove(path.c_str());
+}
+
+// Version 2 was the quantized container; it is no longer readable and
+// must say so rather than report corruption.
+TEST(FusedTableFormatTest, QuantizedVersionTwoIsUnsupported) {
+  const std::string path = TmpPath("v2");
+  ASSERT_TRUE(SyntheticTable().Save(path).ok());
+  std::string bytes = Slurp(path);
+  const uint32_t two = 2;
+  std::memcpy(bytes.data() + 8, &two, sizeof(two));
+  Dump(path, bytes);
+  FusedEmbeddingTable out;
+  const Status st = FusedEmbeddingTable::Load(path, &out);
+  EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(st.message().find("unsupported fused table version 2"),
+            std::string::npos)
+      << st.ToString();
   std::remove(path.c_str());
 }
 

@@ -22,7 +22,6 @@
 #include "eval/ranking.h"
 #include "infer/candidate_panels.h"
 #include "infer/fused_embedding_table.h"
-#include "infer/quantized_table.h"
 #include "infer/score_dtype.h"
 #include "infer/score_server.h"
 #include "kg/filter_index.h"
@@ -39,7 +38,7 @@ constexpr int64_t kDim = 8;
 constexpr int64_t kNumRels = 4;
 
 // Quantised hash values provoke ties (see score_server_test.cc). No NaN
-// candidate rows here — QuantizedTable::Build rejects them by contract;
+// candidate rows here — ShardStore::Quantize rejects them by contract;
 // NaN enters the quantized path through queries instead.
 float HashVal(uint64_t a, uint64_t b) {
   uint64_t x = 0x9e3779b97f4a7c15ULL ^ (a * 0x100000001b3ULL) ^
@@ -140,9 +139,9 @@ class QuantScoreServerTest : public ::testing::Test {
   }
 
   // Full quantized score vector through the same arithmetic the server
-  // advertises: the two-digit serving-quantized query x the server's own
-  // quantized table, via the serial scalar reference GEMM, plus the fp32
-  // bias.
+  // advertises: the two-digit serving-quantized query x the per-row int8
+  // encoding of the table (what ShardStore::Quantize stores), via the
+  // serial scalar reference GEMM, plus the fp32 bias.
   std::vector<float> FullInt8Scores(int64_t head, int64_t rel) const {
     const tensor::Tensor q = EncodeQueriesFixture({head}, {rel});
     std::vector<int8_t> q8_hi(static_cast<size_t>(kDim));
@@ -151,25 +150,33 @@ class QuantScoreServerTest : public ::testing::Test {
     float lo_scale = 0.0f;
     tensor::qgemm::QuantizeRowsInt8ServingTwoDigit(
         q.data(), 1, kDim, q8_hi.data(), &hi_scale, q8_lo.data(), &lo_scale);
-    const QuantizedTable& qt = int8_server_->quantized_table();
+    std::vector<int8_t> codes(static_cast<size_t>(kN * kDim));
+    std::vector<float> row_scales(static_cast<size_t>(kN));
+    CAME_CHECK(tensor::qgemm::QuantizeRowsInt8(table_.candidates().data(), kN,
+                                               kDim, codes.data(),
+                                               row_scales.data())
+                   .ok());
     std::vector<float> scores(static_cast<size_t>(kN));
     tensor::qgemm::ReferenceGemmInt8TwoDigit(
-        q8_hi.data(), &hi_scale, q8_lo.data(), &lo_scale, qt.int8_rows(),
-        qt.scales(), scores.data(), 1, kDim, kN);
+        q8_hi.data(), &hi_scale, q8_lo.data(), &lo_scale, codes.data(),
+        row_scales.data(), scores.data(), 1, kDim, kN);
     for (int64_t i = 0; i < kN; ++i) {
       scores[static_cast<size_t>(i)] += table_.bias().data()[i];
     }
     return scores;
   }
 
-  // bf16: decode the server's encoded rows once and run the same fp32
-  // GEMM the fp32 path uses (panel scores are bitwise equal to full-width
-  // columns, so one full-width call is a valid oracle).
+  // bf16: encode and decode the table's rows once and run the same fp32
+  // GEMM the fp32 path uses (every GEMM this fixture runs stays under
+  // Gemm's small-shape cutoff, so one full-width call is a valid oracle).
   std::vector<float> FullBf16Scores(int64_t head, int64_t rel) const {
     const tensor::Tensor q = EncodeQueriesFixture({head}, {rel});
-    const QuantizedTable& qt = bf16_server_->quantized_table();
+    std::vector<uint16_t> encoded(static_cast<size_t>(kN * kDim));
+    CAME_CHECK(tensor::qgemm::EncodeRowsBf16(table_.candidates().data(), kN,
+                                             kDim, encoded.data())
+                   .ok());
     std::vector<float> decoded(static_cast<size_t>(kN * kDim));
-    tensor::qgemm::DecodeBf16(qt.bf16_rows(), kN * kDim, decoded.data());
+    tensor::qgemm::DecodeBf16(encoded.data(), kN * kDim, decoded.data());
     std::vector<float> scores(static_cast<size_t>(kN));
     tensor::gemm::Gemm(q.data(), decoded.data(), scores.data(), 1, kDim, kN,
                        /*trans_a=*/false, /*trans_b=*/true,
@@ -230,17 +237,27 @@ class QuantScoreServerTest : public ::testing::Test {
   std::unique_ptr<ScoreServer> bf16_server_;
 };
 
-TEST_F(QuantScoreServerTest, DtypePlumbingAndAccessors) {
+TEST(ScoreDtypeTest, ParseAndName) {
+  EXPECT_EQ(ScoreDtypeName(ScoreDtype::kFp32), "fp32");
+  EXPECT_EQ(ScoreDtypeName(ScoreDtype::kInt8), "int8");
+  EXPECT_EQ(ScoreDtypeName(ScoreDtype::kBf16), "bf16");
+  for (const ScoreDtype d :
+       {ScoreDtype::kFp32, ScoreDtype::kInt8, ScoreDtype::kBf16}) {
+    const Result<ScoreDtype> parsed = ParseScoreDtype(ScoreDtypeName(d));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value(), d);
+  }
+  EXPECT_FALSE(ParseScoreDtype("fp16").ok());
+  EXPECT_FALSE(ParseScoreDtype("").ok());
+}
+
+TEST_F(QuantScoreServerTest, DtypePlumbing) {
   EXPECT_EQ(int8_server_->score_dtype(), ScoreDtype::kInt8);
   EXPECT_EQ(bf16_server_->score_dtype(), ScoreDtype::kBf16);
-  EXPECT_EQ(int8_server_->quantized_table().dtype(), ScoreDtype::kInt8);
-  EXPECT_EQ(bf16_server_->quantized_table().dtype(), ScoreDtype::kBf16);
-  // A fused-table quantized server still exposes the fp32 table it was
-  // built from; a plain fp32 server has no quantized table.
-  EXPECT_EQ(&int8_server_->table(), &table_);
-  ScoreServer fp32(EncodeQueriesFixture, &table_);
+  ScoreServerConfig cfg;
+  cfg.dtype = ScoreDtype::kFp32;
+  ScoreServer fp32(EncodeQueriesFixture, &table_, cfg);
   EXPECT_EQ(fp32.score_dtype(), ScoreDtype::kFp32);
-  EXPECT_DEATH(fp32.quantized_table(), "");
 }
 
 TEST_F(QuantScoreServerTest, Int8MatchesQuantizedOracleAcrossKAndThreads) {
@@ -414,7 +431,7 @@ TEST_F(QuantScoreServerTest, Int8StaysCloseToFp32Scores) {
 // A quantized beyond-RAM store must serve bitwise the same results as
 // the in-RAM quantized server: same quantizer over the same rows, and
 // the int8 GEMM's exact-integer panels make shard-boundary clamping
-// invisible. (No bias: shard stores carry none.)
+// invisible. (No bias on either side.)
 class QuantShardBackedServerTest : public ::testing::Test {
  protected:
   void SetUp() override {

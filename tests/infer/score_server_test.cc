@@ -304,6 +304,11 @@ TEST_F(ScoreServerTest, PanelWidthDoesNotChangeResults) {
   }
 }
 
+// Holds here only because every GEMM this 237 x 8 fixture runs stays
+// under Gemm's m*k*n < 32^3 cutoff (serial reference loop at any batch
+// size). Above the cutoff a batched panel and a single-query panel can run
+// different kernels and differ in the last ulp, so TopK and TopKBatch are
+// not bitwise interchangeable in general (score_server.h).
 TEST_F(ScoreServerTest, TopKBatchMatchesPerQueryCalls) {
   ThreadCountGuard restore;
   std::vector<int64_t> heads;
@@ -474,18 +479,20 @@ TEST(ScoreServerPruneTest, NanQueryMatchesUnprunedSweep) {
   EXPECT_EQ(RankOfOrDie(&on, 3, 0, 100), RankOfOrDie(&off, 3, 0, 100));
 }
 
-TEST_F(ScoreServerTest, RankOfNanTargetSkipsEveryPanel) {
+TEST_F(ScoreServerTest, RankOfNanTargetScoresOnlyItsOwnPanel) {
   if (!ScorePruneFromEnv()) GTEST_SKIP() << "pruning disabled via env";
   const ScoreServer::Stats before = server_->GetStats();
-  // Row 5 is a NaN candidate, so the target score is NaN: the rank is
-  // computable from n and the filter alone and no panel needs scoring.
+  // Row 5 is a NaN candidate, so the target score is NaN: once the
+  // target's own panel yields that score, the rank is computable from n
+  // and the filter alone and no other panel needs scoring.
   const std::vector<float> scores = FullScores(11, 0);
   const double want =
       eval::FilteredRank(scores.data(), kN, 5, std::span<const int64_t>());
   EXPECT_EQ(RankOfOrDie(server_.get(), 11, 0, 5), want);
   const ScoreServer::Stats after = server_->GetStats();
-  EXPECT_EQ(after.panels_scored, before.panels_scored);
-  EXPECT_EQ(after.panels_skipped - before.panels_skipped, (kN + 63) / 64);
+  EXPECT_EQ(after.panels_scored - before.panels_scored, 1);
+  EXPECT_EQ(after.panels_skipped - before.panels_skipped,
+            (kN + 63) / 64 - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -710,9 +717,94 @@ TEST_F(ShardBackedServerTest, FilteredRankAndOptionsMatchInRamServer) {
   }
 }
 
-TEST_F(ShardBackedServerTest, ShardServerHasNoFusedTable) {
+// Full-mantissa value in [-1, 1). HashVal's quarter-step grid makes every
+// d <= 32 dot product exact, which would hide rounding differences.
+float FullVal(uint64_t a, uint64_t b) {
+  uint64_t x = a * 0x9e3779b97f4a7c15ULL + b * 0xbf58476d1ce4e5b9ULL + 1;
+  x ^= x >> 31;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 29;
+  return static_cast<float>(static_cast<double>(x >> 11) * 0x1.0p-52 - 1.0);
+}
+
+// RankOf reads the target's score out of the target's own sweep panel. At
+// d = 32 a 1024-wide panel (1 x 32 x 1024) runs Gemm's blocked kernel,
+// whereas a separate 1-wide target GEMM (1 x 32 x 1) would fall under the
+// small-shape cutoff onto the reference loop; with FMA kernels the two
+// differ in the last ulp for some queries. Each target's row is duplicated
+// at the next id, so such an ulp would turn the duplicate's "equal" (half
+// a rank) into "better" or "worse" and break agreement with FilteredRank
+// over the sweep's own panel scores.
+TEST_F(ShardBackedServerTest, RankOfAgreesWithSweepScoresOnWidePanels) {
+  constexpr int64_t kWideN = 2560;
+  constexpr int64_t kWideDim = 32;
+  constexpr int64_t kWidth = 1024;
+  const std::vector<int64_t> targets = {100, 700, 1100, 1900};
+  std::vector<float> rows(static_cast<size_t>(kWideN * kWideDim));
+  for (int64_t i = 0; i < kWideN; ++i) {
+    for (int64_t j = 0; j < kWideDim; ++j) {
+      rows[static_cast<size_t>(i * kWideDim + j)] =
+          FullVal(static_cast<uint64_t>(i), static_cast<uint64_t>(j));
+    }
+  }
+  for (int64_t t : targets) {
+    std::memcpy(&rows[static_cast<size_t>((t + 1) * kWideDim)],
+                &rows[static_cast<size_t>(t * kWideDim)],
+                sizeof(float) * kWideDim);
+  }
+  tensor::ShardStoreOptions opts;
+  opts.rows_per_shard = kWidth;
+  opts.max_resident_shards = 2;
+  auto made = tensor::ShardStore::Create(dir_ + "/wide", kWideN, kWideDim,
+                                         opts);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  tensor::ShardStore store = std::move(made).value();
+  for (int64_t i = 0; i < kWideN; ++i) {
+    std::memcpy(store.MutableRow(i), &rows[static_cast<size_t>(i * kWideDim)],
+                sizeof(float) * kWideDim);
+  }
+  ASSERT_TRUE(store.Seal().ok());
+
+  QueryEncoder enc = [](const std::vector<int64_t>& heads,
+                        const std::vector<int64_t>& rels) {
+    tensor::Tensor q({static_cast<int64_t>(heads.size()), kWideDim});
+    for (size_t i = 0; i < heads.size(); ++i) {
+      for (int64_t j = 0; j < kWideDim; ++j) {
+        q.data()[static_cast<int64_t>(i) * kWideDim + j] = FullVal(
+            0xABCD + static_cast<uint64_t>(heads[i] * kNumRels + rels[i]),
+            static_cast<uint64_t>(j));
+      }
+    }
+    return q;
+  };
+  ShardStorePanelSource source(&store);
+  ScoreServerConfig cfg;
+  cfg.panel_width = kWidth;
+  ScoreServer server(enc, &source, cfg);
+
+  for (int64_t head = 0; head < 16; ++head) {
+    const tensor::Tensor q = enc({head}, {0});
+    // The sweep's own scores: one GEMM per panel at the sweep's shapes.
+    std::vector<float> scores(static_cast<size_t>(kWideN));
+    for (int64_t p = 0; p < kWideN; p += kWidth) {
+      const int64_t pw = std::min(kWidth, kWideN - p);
+      tensor::gemm::Gemm(q.data(), &rows[static_cast<size_t>(p * kWideDim)],
+                         &scores[static_cast<size_t>(p)], 1, kWideDim, pw,
+                         /*trans_a=*/false, /*trans_b=*/true,
+                         /*accumulate=*/false);
+    }
+    for (int64_t t : targets) {
+      EXPECT_EQ(RankOfOrDie(&server, head, 0, t),
+                eval::FilteredRank(scores.data(), kWideN, t,
+                                   std::span<const int64_t>()))
+          << "head " << head << " target " << t;
+    }
+  }
+}
+
+TEST_F(ShardBackedServerTest, ShardServerReportsStoreGeometry) {
   EXPECT_EQ(shard_server_->num_entities(), kN);
-  EXPECT_DEATH(shard_server_->table(), "not backed by a fused table");
+  EXPECT_EQ(shard_server_->score_dtype(), ScoreDtype::kFp32);
 }
 
 }  // namespace

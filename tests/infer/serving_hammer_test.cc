@@ -240,17 +240,5 @@ TEST_F(ServingHammerTest, ShardBackedConcurrentClientsMatchSerialAnswers) {
   EXPECT_GT(store_.GetStats().evictions, 0);
 }
 
-TEST_F(ServingHammerTest, SerializedSweepStillMatchesUnderContention) {
-  // serialize_sweep=true is the debug escape hatch; it must give the
-  // same bits, just without reader concurrency.
-  ScoreServerConfig cfg;
-  cfg.panel_width = 64;
-  cfg.prune = true;
-  cfg.serialize_sweep = true;
-  ScoreServer serial(Encode, &table_, cfg);
-  const Expected e = Precompute(fp32_server_.get());
-  EXPECT_EQ(Hammer(&serial, e), 0);
-}
-
 }  // namespace
 }  // namespace came::infer

@@ -436,69 +436,89 @@ class ShardStoreQuantizeTest : public ::testing::Test {
   ShardStore src_;
 };
 
+// Every quantization test runs both destinations: an on-disk store, and
+// an empty dir, which builds the same slab layout in RAM. The in-RAM store
+// must carry the same codes, scales and bounds as the on-disk one.
 TEST_F(ShardStoreQuantizeTest, Int8QuantizeMatchesDirectQuantization) {
   const std::string dir = TestDir("quant_int8");
-  Result<ShardStore> made = ShardStore::Quantize(&src_, dir, ShardDtype::kInt8);
-  ASSERT_TRUE(made.ok()) << made.status().ToString();
-  ShardStore& q = made.value();
-  EXPECT_EQ(q.dtype(), ShardDtype::kInt8);
-  EXPECT_EQ(q.rows(), 10);
-  EXPECT_EQ(q.dim(), 3);
-  EXPECT_EQ(q.rows_per_shard(), 4);  // geometry inherited
-  EXPECT_EQ(q.num_shards(), 3);
+  Result<ShardStore> disk = ShardStore::Quantize(&src_, dir, ShardDtype::kInt8);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  Result<ShardStore> ram = ShardStore::Quantize(&src_, "", ShardDtype::kInt8);
+  ASSERT_TRUE(ram.ok()) << ram.status().ToString();
+  EXPECT_FALSE(disk.value().in_ram());
+  EXPECT_TRUE(ram.value().in_ram());
+  for (ShardStore* q : {&disk.value(), &ram.value()}) {
+    EXPECT_EQ(q->dtype(), ShardDtype::kInt8);
+    EXPECT_EQ(q->rows(), 10);
+    EXPECT_EQ(q->dim(), 3);
+    EXPECT_EQ(q->rows_per_shard(), 4);  // geometry inherited
+    EXPECT_EQ(q->num_shards(), 3);
 
-  // Per shard: the slab contents equal quantizing the fp32 rows directly.
-  for (int64_t begin = 0; begin < 10; begin = q.ShardEnd(begin)) {
-    const int64_t end = q.ShardEnd(begin);
-    const int64_t rows = end - begin;
-    const float* fp32 = src_.PanelRows(begin, end);
-    std::vector<int8_t> want_q(static_cast<size_t>(rows * 3));
-    std::vector<float> want_s(static_cast<size_t>(rows));
-    ASSERT_TRUE(qgemm::QuantizeRowsInt8(fp32, rows, 3, want_q.data(),
-                                        want_s.data())
-                    .ok());
-    EXPECT_EQ(std::memcmp(q.QuantPanelRows(begin, end), want_q.data(),
-                          want_q.size()),
-              0)
-        << "shard at row " << begin;
-    EXPECT_EQ(std::memcmp(q.PanelScales(begin, end), want_s.data(),
-                          want_s.size() * sizeof(float)),
-              0);
+    // Per shard: the slab contents equal quantizing the fp32 rows directly.
+    for (int64_t begin = 0; begin < 10; begin = q->ShardEnd(begin)) {
+      const int64_t end = q->ShardEnd(begin);
+      const int64_t rows = end - begin;
+      const float* fp32 = src_.PanelRows(begin, end);
+      std::vector<int8_t> want_q(static_cast<size_t>(rows * 3));
+      std::vector<float> want_s(static_cast<size_t>(rows));
+      ASSERT_TRUE(qgemm::QuantizeRowsInt8(fp32, rows, 3, want_q.data(),
+                                          want_s.data())
+                      .ok());
+      EXPECT_EQ(std::memcmp(q->QuantPanelRows(begin, end), want_q.data(),
+                            want_q.size()),
+                0)
+          << "shard at row " << begin << (q->in_ram() ? " (in RAM)" : "");
+      EXPECT_EQ(std::memcmp(q->PanelScales(begin, end), want_s.data(),
+                            want_s.size() * sizeof(float)),
+                0);
+    }
+    EXPECT_EQ(q->PanelScales(4, 8)[2], 0.0f);  // row 6, the all-zero row
   }
-  EXPECT_EQ(q.PanelScales(4, 8)[2], 0.0f);  // row 6, the all-zero row
+  EXPECT_EQ(ram.value().ContentCrc32(), disk.value().ContentCrc32());
+  ASSERT_FALSE(ram.value().bounds().empty());
+  EXPECT_EQ(ram.value().bounds(), disk.value().bounds());
 
   // Sealed from birth: a fresh Open succeeds and verifies CRCs.
   Result<ShardStore> reopened = ShardStore::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value().dtype(), ShardDtype::kInt8);
-  EXPECT_EQ(reopened.value().ContentCrc32(), q.ContentCrc32());
+  EXPECT_EQ(reopened.value().ContentCrc32(), disk.value().ContentCrc32());
 
 #if GTEST_HAS_DEATH_TEST
   // Quantized stores are immutable and fp32-accessor-free.
-  EXPECT_DEATH(q.MutableRow(0), "");
-  EXPECT_DEATH(q.Row(0), "");
-  EXPECT_DEATH(q.PanelRows(0, 4), "");
-  EXPECT_DEATH(q.Bf16PanelRows(0, 4), "");
+  for (ShardStore* q : {&disk.value(), &ram.value()}) {
+    EXPECT_DEATH(q->MutableRow(0), "");
+    EXPECT_DEATH(q->Row(0), "");
+    EXPECT_DEATH(q->PanelRows(0, 4), "");
+    EXPECT_DEATH(q->Bf16PanelRows(0, 4), "");
+  }
 #endif
 }
 
 TEST_F(ShardStoreQuantizeTest, Bf16QuantizeMatchesDirectEncoding) {
   const std::string dir = TestDir("quant_bf16");
-  Result<ShardStore> made = ShardStore::Quantize(&src_, dir, ShardDtype::kBf16);
-  ASSERT_TRUE(made.ok()) << made.status().ToString();
-  ShardStore& q = made.value();
-  EXPECT_EQ(q.dtype(), ShardDtype::kBf16);
-  for (int64_t begin = 0; begin < 10; begin = q.ShardEnd(begin)) {
-    const int64_t end = q.ShardEnd(begin);
-    const int64_t rows = end - begin;
-    std::vector<uint16_t> want(static_cast<size_t>(rows * 3));
-    ASSERT_TRUE(qgemm::EncodeRowsBf16(src_.PanelRows(begin, end), rows, 3,
-                                      want.data())
-                    .ok());
-    EXPECT_EQ(std::memcmp(q.Bf16PanelRows(begin, end), want.data(),
-                          want.size() * sizeof(uint16_t)),
-              0);
+  Result<ShardStore> disk = ShardStore::Quantize(&src_, dir, ShardDtype::kBf16);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  Result<ShardStore> ram = ShardStore::Quantize(&src_, "", ShardDtype::kBf16);
+  ASSERT_TRUE(ram.ok()) << ram.status().ToString();
+  for (ShardStore* q : {&disk.value(), &ram.value()}) {
+    EXPECT_EQ(q->dtype(), ShardDtype::kBf16);
+    for (int64_t begin = 0; begin < 10; begin = q->ShardEnd(begin)) {
+      const int64_t end = q->ShardEnd(begin);
+      const int64_t rows = end - begin;
+      std::vector<uint16_t> want(static_cast<size_t>(rows * 3));
+      ASSERT_TRUE(qgemm::EncodeRowsBf16(src_.PanelRows(begin, end), rows, 3,
+                                        want.data())
+                      .ok());
+      EXPECT_EQ(std::memcmp(q->Bf16PanelRows(begin, end), want.data(),
+                            want.size() * sizeof(uint16_t)),
+                0)
+          << "shard at row " << begin << (q->in_ram() ? " (in RAM)" : "");
+    }
   }
+  EXPECT_EQ(ram.value().ContentCrc32(), disk.value().ContentCrc32());
+  ASSERT_FALSE(ram.value().bounds().empty());
+  EXPECT_EQ(ram.value().bounds(), disk.value().bounds());
   Result<ShardStore> reopened = ShardStore::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value().dtype(), ShardDtype::kBf16);
@@ -528,10 +548,11 @@ TEST_F(ShardStoreQuantizeTest, QuantizeRejectsNonFiniteRows) {
   FillStore(&created.value());
   created.value().MutableRow(2)[1] = std::numeric_limits<float>::quiet_NaN();
   for (const ShardDtype dtype : {ShardDtype::kInt8, ShardDtype::kBf16}) {
-    Result<ShardStore> q = ShardStore::Quantize(
-        &created.value(), TestDir("quant_nan_dst"), dtype);
-    ASSERT_FALSE(q.ok()) << ShardDtypeName(dtype);
-    EXPECT_EQ(q.status().code(), Status::Code::kInvalidArgument);
+    for (const std::string& dst : {TestDir("quant_nan_dst"), std::string()}) {
+      Result<ShardStore> q = ShardStore::Quantize(&created.value(), dst, dtype);
+      ASSERT_FALSE(q.ok()) << ShardDtypeName(dtype) << " into '" << dst << "'";
+      EXPECT_EQ(q.status().code(), Status::Code::kInvalidArgument);
+    }
   }
 }
 
