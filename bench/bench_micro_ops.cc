@@ -97,6 +97,22 @@ void BM_CoAttentionFused(benchmark::State& state) {
 }
 BENCHMARK(BM_CoAttentionFused)->Args({128, 32})->Args({256, 32})->Args({256, 64});
 
+void BM_CoAttentionFusedNoTape(benchmark::State& state) {
+  // The forward alone, as serving ({1, 32}: one query) and filtered eval
+  // ({128, 32}: one scoring batch) run it: no tape, only the output written.
+  const int64_t batch = state.range(0);
+  const int64_t d = state.range(1);
+  const ag::Var x = ag::Const(RandomTensor({batch, d}, 6));
+  const ag::Var a = ag::Const(RandomTensor({batch, d}, 7));
+  const ag::Var b = ag::Const(RandomTensor({batch, d}, 8));
+  const ag::Var u = ag::Const(ts::Tensor::Scalar(0.2f));
+  ag::NoGradGuard no_grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ag::CoAttentionApply(x, a, b, u));
+  }
+}
+BENCHMARK(BM_CoAttentionFusedNoTape)->Args({1, 32})->Args({128, 32});
+
 void BM_CoAttentionUnfused(benchmark::State& state) {
   // The composed BatchMatMul/Softmax pipeline the fused kernel replaced;
   // the ratio to BM_CoAttentionFused is the ablation of that design choice.

@@ -3,9 +3,10 @@
 #include <cmath>
 #include <utility>
 
+#include "autograd/coattention_kernel.h"
 #include "autograd/op_registry.h"
-#include "common/fast_math.h"
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "tensor/tensor_ops.h"
 
 namespace came::ag {
@@ -302,19 +303,24 @@ Var Abs(const Var& v) {
 // Linear algebra
 // ---------------------------------------------------------------------------
 
-Var MatMul(const Var& a, const Var& b) {
+Var MatMul(const Var& a, const Var& b, bool trans_a, bool trans_b) {
   static const int kOp = RegisterOp("MatMul");
-  Tensor out = ts::MatMul(a.value(), b.value());
+  Tensor out = ts::MatMul(a.value(), b.value(), trans_a, trans_b);
   auto as = a.state();
   auto bs = b.state();
   Tensor av = a.value();
   Tensor bv = b.value();
-  return MakeResult(kOp, std::move(out), {a, b}, [as, bs, av, bv](const Tensor& g) {
+  return MakeResult(kOp, std::move(out), {a, b},
+                    [as, bs, av, bv, trans_a, trans_b](const Tensor& g) {
+    // C = op(A) op(B): dop(A) = G op(B)^T and dop(B) = op(A)^T G, taken
+    // back through each flag by swapping operands instead of transposing.
     if (as->requires_grad) {
-      as->AccumulateGrad(ts::MatMul(g, bv, false, /*trans_b=*/true));
+      as->AccumulateGrad(trans_a ? ts::MatMul(bv, g, trans_b, true)
+                                 : ts::MatMul(g, bv, false, !trans_b));
     }
     if (bs->requires_grad) {
-      bs->AccumulateGrad(ts::MatMul(av, g, /*trans_a=*/true, false));
+      bs->AccumulateGrad(trans_b ? ts::MatMul(g, av, true, trans_a)
+                                 : ts::MatMul(av, g, !trans_a, false));
     }
   });
 }
@@ -333,14 +339,6 @@ Var BatchMatMul(const Var& a, const Var& b) {
     if (bs->requires_grad) {
       bs->AccumulateGrad(ts::BatchMatMul(av, g, /*trans_a=*/true, false));
     }
-  });
-}
-
-Var Transpose(const Var& v) {
-  static const int kOp = RegisterOp("Transpose");
-  auto s = v.state();
-  return MakeResult(kOp, ts::Transpose2D(v.value()), {v}, [s](const Tensor& g) {
-    Accum(s, ts::Transpose2D(g));
   });
 }
 
@@ -804,39 +802,20 @@ Var CoAttentionApply(const Var& x, const Var& a, const Var& b,
   const int64_t batch = xv.dim(0);
   const int64_t d = xv.dim(1);
   const float u = inv_tau.value().data()[0];
+  const int64_t grain = coattention::RowsPerChunk(d);
 
-  // The softmax is stored TRANSPOSED — st[j][i] = S[i][j] — so both the
-  // forward column pass and the backward pass touch contiguous memory.
-  // fully-written: the per-row forward pass stores every st column
-  Tensor softmax_t = Tensor::Uninitialized(Shape{batch, d, d});
+  // Only the output is written; the softmax lives in per-chunk scratch.
+  // fully-written: every row's ForwardRow stores all d outputs
   Tensor out = Tensor::Uninitialized(Shape{batch, d});
-  for (int64_t r = 0; r < batch; ++r) {
-    const float* ar = av.data() + r * d;
-    const float* br = bv.data() + r * d;
-    const float* xr = xv.data() + r * d;
-    float* st = softmax_t.data() + r * d * d;
-    float* o = out.data() + r * d;
-    for (int64_t j = 0; j < d; ++j) {
-      // Column j of M: softmax over i of a[i] * (b[j] * u).
-      const float bj = br[j] * u;
-      float* srow = st + j * d;
-      float m = ar[0] * bj;
-      for (int64_t i = 1; i < d; ++i) m = std::max(m, ar[i] * bj);
-      float denom = 0.0f;
-      for (int64_t i = 0; i < d; ++i) {
-        const float e = FastExp(ar[i] * bj - m);
-        srow[i] = e;
-        denom += e;
-      }
-      const float inv = 1.0f / denom;
-      float acc = 0.0f;
-      for (int64_t i = 0; i < d; ++i) {
-        srow[i] *= inv;
-        acc += xr[i] * srow[i];
-      }
-      o[j] = acc;
+  ParallelFor(0, batch, grain, [&](int64_t lo, int64_t hi) {
+    // fully-written: ForwardRow writes its scratch before reading it
+    Tensor scratch = Tensor::Uninitialized(Shape{coattention::ScratchFloats(d)});
+    for (int64_t r = lo; r < hi; ++r) {
+      coattention::ForwardRow(xv.data() + r * d, av.data() + r * d,
+                              bv.data() + r * d, u, d, out.data() + r * d,
+                              scratch.data());
     }
-  }
+  });
 
   auto xs = x.state();
   auto as = a.state();
@@ -845,56 +824,47 @@ Var CoAttentionApply(const Var& x, const Var& a, const Var& b,
   Tensor x_saved = xv;
   Tensor a_saved = av;
   Tensor b_saved = bv;
-  Tensor s_saved = softmax_t;
   Tensor o_saved = out;
-  return MakeResult(kOp, 
+  return MakeResult(kOp,
       std::move(out), {x, a, b, inv_tau},
-      [xs, as, bs, us, x_saved, a_saved, b_saved, s_saved, o_saved, batch, d,
-       u](const Tensor& g) {
-        // All three accumulate with += across j — zeroed allocations.
-        Tensor dx(Shape{batch, d});
-        Tensor da(Shape{batch, d});
-        Tensor db(Shape{batch, d});
-        double du_total = 0.0;
+      [xs, as, bs, us, x_saved, a_saved, b_saved, o_saved, batch, d, u,
+       grain](const Tensor& g) {
         const bool need_x = xs->requires_grad;
         const bool need_a = as->requires_grad;
         const bool need_b = bs->requires_grad;
         const bool need_u = us->requires_grad;
-        for (int64_t r = 0; r < batch; ++r) {
-          const float* ar = a_saved.data() + r * d;
-          const float* br = b_saved.data() + r * d;
-          const float* xr = x_saved.data() + r * d;
-          const float* st = s_saved.data() + r * d * d;
-          const float* o = o_saved.data() + r * d;
-          const float* gr = g.data() + r * d;
-          float* dxr = dx.data() + r * d;
-          float* dar = da.data() + r * d;
-          float* dbr = db.data() + r * d;
-          for (int64_t j = 0; j < d; ++j) {
-            const float gj = gr[j];
-            const float oj = o[j];
-            const float* srow = st + j * d;
-            float dbj = 0.0f;
-            float duj = 0.0f;
-            for (int64_t i = 0; i < d; ++i) {
-              const float sij = srow[i];
-              if (need_x) dxr[i] += gj * sij;
-              // dM[i][j] = S[i][j] * g[j] * (x[i] - o[j]);
-              // M[i][j] = a[i] * b[j] * u.
-              const float dm = sij * gj * (xr[i] - oj);
-              const float dm_ai = dm * ar[i];
-              if (need_a) dar[i] += dm * br[j] * u;
-              dbj += dm_ai;
-              duj += dm_ai;
-            }
-            if (need_b) dbr[j] += dbj * u;
-            if (need_u) du_total += static_cast<double>(duj) * br[j];
+        auto grad = [batch, d](bool need) {
+          // fully-written: BackwardRow overwrites every row of a requested one
+          return need ? Tensor::Uninitialized(Shape{batch, d}) : Tensor();
+        };
+        Tensor dx = grad(need_x);
+        Tensor da = grad(need_a);
+        Tensor db = grad(need_b);
+        Tensor dsum = grad(need_u);  // per-(row, j) du terms, reduced below
+        auto row = [d](Tensor& t, int64_t r) {
+          return t.numel() > 0 ? t.data() + r * d : nullptr;
+        };
+        ParallelFor(0, batch, grain, [&](int64_t lo, int64_t hi) {
+          // fully-written: BackwardRow writes its scratch before reading it
+          Tensor scratch =
+              Tensor::Uninitialized(Shape{coattention::ScratchFloats(d)});
+          for (int64_t r = lo; r < hi; ++r) {
+            coattention::BackwardRow(
+                x_saved.data() + r * d, a_saved.data() + r * d,
+                b_saved.data() + r * d, u, o_saved.data() + r * d,
+                g.data() + r * d, d, row(dx, r), row(da, r), row(db, r),
+                row(dsum, r), scratch.data());
           }
-        }
+        });
         if (need_x) xs->AccumulateGrad(dx);
         if (need_a) as->AccumulateGrad(da);
         if (need_b) bs->AccumulateGrad(db);
         if (need_u) {
+          // Serial (row, j) order keeps du independent of the thread count.
+          double du_total = 0.0;
+          for (int64_t k = 0; k < batch * d; ++k) {
+            du_total += static_cast<double>(dsum.data()[k]) * b_saved.data()[k];
+          }
           us->AccumulateGrad(Tensor::Scalar(static_cast<float>(du_total)));
         }
       });

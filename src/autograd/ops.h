@@ -45,10 +45,12 @@ Var Sin(const Var& v);
 Var Abs(const Var& v);
 
 // -- linear algebra ----------------------------------------------------------
-Var MatMul(const Var& a, const Var& b);
+/// op(a) x op(b) -> [m, n], op(a) [m, k], op(b) [k, n]. The flags read
+/// a or b as transposed (a is [k, m] / b is [n, k]) without copying it.
+Var MatMul(const Var& a, const Var& b, bool trans_a = false,
+           bool trans_b = false);
 /// [B, m, k] x [B, k, n] -> [B, m, n].
 Var BatchMatMul(const Var& a, const Var& b);
-Var Transpose(const Var& v);       // 2-D
 Var BatchTranspose(const Var& v);  // swap trailing dims of 3-D
 
 // -- shape -------------------------------------------------------------------
@@ -97,8 +99,9 @@ Var Dropout(const Var& v, float p, Rng* rng, bool training);
 ///   out[j]  = sum_i x[i] * S[i][j]
 /// x, a, b are [B, d]; inv_tau is a scalar Var [1]; result is [B, d].
 /// Mathematically identical to the composed BatchMatMul/Softmax pipeline
-/// but with one saved buffer and a hand-derived backward, avoiding ~10
-/// [B, d, d] intermediates per call.
+/// but with no [B, d, d] buffer at all: the backward recomputes each row's
+/// softmax. Rows run on the worker pool; the row kernels and their bitwise
+/// contract are in autograd/coattention_kernel.h.
 Var CoAttentionApply(const Var& x, const Var& a, const Var& b,
                      const Var& inv_tau);
 

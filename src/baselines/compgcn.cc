@@ -95,7 +95,7 @@ ag::Var CompGcn::ScoreAllTails(const std::vector<int64_t>& heads,
   Convolved g = RunGcn();
   ag::Var q = ag::Mul(ag::Gather(g.entities, heads),
                       ag::Gather(g.relations, rels));
-  return ag::MatMul(q, ag::Transpose(g.entities));
+  return ag::MatMul(q, g.entities, false, /*trans_b=*/true);
 }
 
 }  // namespace came::baselines

@@ -34,7 +34,8 @@ ag::Var InnerProductKgcModel::ScoreTriples(const std::vector<int64_t>& heads,
 ag::Var InnerProductKgcModel::ScoreAllTails(const std::vector<int64_t>& heads,
                                             const std::vector<int64_t>& rels) {
   ag::Var q = Query(heads, rels);                         // [B, d]
-  ag::Var scores = ag::MatMul(q, ag::Transpose(CandidateTable()));  // [B, N]
+  ag::Var scores =
+      ag::MatMul(q, CandidateTable(), false, /*trans_b=*/true);  // [B, N]
   if (bias_.defined()) scores = ag::Add(scores, bias_);
   return scores;
 }

@@ -7,7 +7,7 @@ namespace came::baselines {
 ag::Var NegativeSquaredDistanceToAll(const ag::Var& a, const ag::Var& table) {
   // -(||a||^2 - 2 a.E + ||E||^2) broadcast over [B, N].
   ag::Var a2 = ag::SumAlong(ag::Square(a), 1, /*keepdim=*/true);      // [B,1]
-  ag::Var cross = ag::MatMul(a, ag::Transpose(table));                // [B,N]
+  ag::Var cross = ag::MatMul(a, table, false, true);                  // [B,N]
   ag::Var e2 = ag::SumAlong(ag::Square(table), 1, /*keepdim=*/false); // [N]
   return ag::Neg(ag::Add(ag::Sub(a2, ag::Scale(cross, 2.0f)), e2));
 }
@@ -85,9 +85,9 @@ ag::Var PairRe::ScoreAllTails(const std::vector<int64_t>& heads,
   ag::Var rt = ag::Gather(rel_tail_, rels);                          // [B,d]
   ag::Var a2 = ag::SumAlong(ag::Square(a), 1, /*keepdim=*/true);     // [B,1]
   ag::Var cross =
-      ag::MatMul(ag::Mul(a, rt), ag::Transpose(entities_));          // [B,N]
-  ag::Var quad = ag::MatMul(ag::Square(rt),
-                            ag::Transpose(ag::Square(entities_)));   // [B,N]
+      ag::MatMul(ag::Mul(a, rt), entities_, false, true);            // [B,N]
+  ag::Var quad = ag::MatMul(ag::Square(rt), ag::Square(entities_),
+                            false, true);                            // [B,N]
   return ag::Neg(
       ag::Add(ag::Sub(a2, ag::Scale(cross, 2.0f)), quad));
 }

@@ -51,8 +51,8 @@ ag::Var TransH::ScoreAllTails(const std::vector<int64_t>& heads,
       ProjectToHyperplane(ag::Gather(entities_, heads), w),
       ag::Gather(translate_, rels));                                // [B,d]
   ag::Var a2 = ag::SumAlong(ag::Square(a), 1, /*keepdim=*/true);    // [B,1]
-  ag::Var at = ag::MatMul(a, ag::Transpose(entities_));             // [B,N]
-  ag::Var wt = ag::MatMul(w, ag::Transpose(entities_));             // [B,N]
+  ag::Var at = ag::MatMul(a, entities_, false, true);               // [B,N]
+  ag::Var wt = ag::MatMul(w, entities_, false, true);               // [B,N]
   ag::Var aw = ag::SumAlong(ag::Mul(a, w), 1, /*keepdim=*/true);    // [B,1]
   ag::Var t2 = ag::SumAlong(ag::Square(entities_), 1, false);       // [N]
   ag::Var a_dot_tperp = ag::Sub(at, ag::Mul(wt, aw));
@@ -107,9 +107,9 @@ ag::Var TransD::ScoreAllTails(const std::vector<int64_t>& heads,
   ag::Var s = ag::SumAlong(ag::Mul(entity_proj_, entities_), 1,
                            /*keepdim=*/false);                       // [N]
   ag::Var a2 = ag::SumAlong(ag::Square(a), 1, /*keepdim=*/true);     // [B,1]
-  ag::Var at = ag::MatMul(a, ag::Transpose(entities_));              // [B,N]
+  ag::Var at = ag::MatMul(a, entities_, false, true);                // [B,N]
   ag::Var arp = ag::SumAlong(ag::Mul(a, r_p), 1, /*keepdim=*/true);  // [B,1]
-  ag::Var trp = ag::MatMul(r_p, ag::Transpose(entities_));           // [B,N]
+  ag::Var trp = ag::MatMul(r_p, entities_, false, true);             // [B,N]
   ag::Var rp2 = ag::SumAlong(ag::Square(r_p), 1, /*keepdim=*/true);  // [B,1]
   ag::Var t2 = ag::SumAlong(ag::Square(entities_), 1, false);        // [N]
 

@@ -15,6 +15,10 @@ namespace came {
 /// NaN propagates (a diverging attention logit must surface as NaN
 /// downstream, not as garbage); -inf underflows to 0 and +inf saturates
 /// to the finite exp(87) cap like any other out-of-range argument.
+///
+/// The co-attention kernel (autograd/coattention_kernel.cc) evaluates this
+/// exact sequence lane by lane; its oracle test compares the two bitwise,
+/// so a change here must be made there too.
 inline float FastExp(float x) {
   if (std::isnan(x)) return x;  // std::floor(NaN) -> NaN, and casting that
                                 // to int32_t below would be UB

@@ -14,7 +14,7 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng* rng, bool bias)
 }
 
 ag::Var Linear::Forward(const ag::Var& x) const {
-  ag::Var out = ag::MatMul(x, ag::Transpose(weight_));
+  ag::Var out = ag::MatMul(x, weight_, false, /*trans_b=*/true);
   if (bias_.defined()) out = ag::Add(out, bias_);
   return out;
 }

@@ -431,7 +431,6 @@ void ReferenceGemm(const float* a, const float* b, float* c, int64_t m,
       float* crow = c + i * n;
       for (int64_t p = 0; p < k; ++p) {
         const float av = a_at(i, p);
-        if (av == 0.0f) continue;
         const float* brow = b + p * n;
         for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
       }

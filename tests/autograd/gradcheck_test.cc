@@ -179,13 +179,20 @@ TEST(GradCheckTest, DropoutDeterministicMask) {
 }
 
 TEST(GradCheckTest, MatMul) {
-  Rng rng(5);
-  Var a = RandomVar({3, 4}, &rng);
-  Var b = RandomVar({4, 2}, &rng);
-  auto fn = [](const std::vector<Var>& v) {
-    return WeightedSum(MatMul(v[0], v[1]), 11);
-  };
-  EXPECT_LT(GradCheck(fn, {a, b}), kTol);
+  // Every transpose-flag combination of op(a) [3,4] x op(b) [4,2]; a
+  // transposed operand is stored the other way round.
+  for (const bool trans_a : {false, true}) {
+    for (const bool trans_b : {false, true}) {
+      Rng rng(5);
+      Var a = RandomVar(trans_a ? Shape{4, 3} : Shape{3, 4}, &rng);
+      Var b = RandomVar(trans_b ? Shape{2, 4} : Shape{4, 2}, &rng);
+      auto fn = [trans_a, trans_b](const std::vector<Var>& v) {
+        return WeightedSum(MatMul(v[0], v[1], trans_a, trans_b), 11);
+      };
+      EXPECT_LT(GradCheck(fn, {a, b}), kTol)
+          << "trans_a=" << trans_a << " trans_b=" << trans_b;
+    }
+  }
 }
 
 TEST(GradCheckTest, BatchMatMul) {
@@ -196,15 +203,6 @@ TEST(GradCheckTest, BatchMatMul) {
     return WeightedSum(BatchMatMul(v[0], v[1]), 12);
   };
   EXPECT_LT(GradCheck(fn, {a, b}), kTol);
-}
-
-TEST(GradCheckTest, TransposeChain) {
-  Rng rng(7);
-  Var a = RandomVar({3, 4}, &rng);
-  auto fn = [](const std::vector<Var>& v) {
-    return WeightedSum(Transpose(v[0]), 13);
-  };
-  EXPECT_LT(GradCheck(fn, {a}), kTol);
 }
 
 TEST(GradCheckTest, BatchTransposeChain) {
@@ -369,6 +367,20 @@ TEST(GradCheckTest, CoAttentionApplyFused) {
   Var u(Tensor::Scalar(0.6f), true);
   auto fn = [](const std::vector<Var>& v) {
     return WeightedSum(CoAttentionApply(v[0], v[1], v[2], v[3]), 30);
+  };
+  EXPECT_LT(GradCheck(fn, {x, a, b, u}, 1e-2), 8e-2);
+}
+
+TEST(GradCheckTest, CoAttentionApplyVectorBodyAndTail) {
+  // d = 33: two full 16-lane blocks plus a one-lane tail, in both the
+  // forward's column lanes and the backward's row lanes.
+  Rng rng(33);
+  Var x = RandomVar({2, 33}, &rng);
+  Var a = RandomVar({2, 33}, &rng);
+  Var b = RandomVar({2, 33}, &rng);
+  Var u(Tensor::Scalar(0.6f), true);
+  auto fn = [](const std::vector<Var>& v) {
+    return WeightedSum(CoAttentionApply(v[0], v[1], v[2], v[3]), 31);
   };
   EXPECT_LT(GradCheck(fn, {x, a, b, u}, 1e-2), 8e-2);
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/parallel_for.h"
@@ -199,6 +200,31 @@ TEST(GemmEdgeTest, DegenerateDimensions) {
   Gemm(a.data(), b.data(), c.data(), 2, 0, 2, false, false,
        /*accumulate=*/false);
   EXPECT_EQ(c, (std::vector<float>{0.0f, 0.0f, 0.0f, 0.0f}));
+}
+
+TEST(GemmEdgeTest, ZeroTimesInfIsNanAtEveryBatchSize) {
+  // IEEE 0 * inf = NaN must reach C whichever path the shape selects: m = 1
+  // runs below the small-GEMM cutoff (reference loop), m = 64 above it
+  // (blocked kernel). A row of C must not depend on the batch it rides in.
+  constexpr int64_t kK = 32;
+  constexpr int64_t kN = 32;
+  for (const bool trans_b : {false, true}) {
+    for (const int64_t m : {int64_t{1}, int64_t{64}}) {
+      std::vector<float> a(static_cast<size_t>(m * kK), 1.0f);
+      for (int64_t i = 0; i < m; ++i) a[static_cast<size_t>(i * kK)] = 0.0f;
+      std::vector<float> b(static_cast<size_t>(kK * kN), 1.0f);
+      b[0] = std::numeric_limits<float>::infinity();  // op(B)[0][0]
+      std::vector<float> c(static_cast<size_t>(m * kN), -1.0f);
+      Gemm(a.data(), b.data(), c.data(), m, kK, kN, /*trans_a=*/false,
+           trans_b, /*accumulate=*/false);
+      for (int64_t i = 0; i < m; ++i) {
+        EXPECT_TRUE(std::isnan(c[static_cast<size_t>(i * kN)]))
+            << "m=" << m << " tb=" << trans_b << " row " << i;
+        EXPECT_EQ(c[static_cast<size_t>(i * kN + 1)], kK - 1.0f)
+            << "m=" << m << " tb=" << trans_b << " row " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

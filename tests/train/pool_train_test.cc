@@ -14,6 +14,7 @@
 #include "common/parallel_for.h"
 #include "datagen/bkg_generator.h"
 #include "encoders/feature_bank.h"
+#include "eval/evaluator.h"
 #include "tensor/storage_pool.h"
 #include "train/trainer.h"
 
@@ -105,12 +106,17 @@ class PoolTrainFixture : public ::testing::Test {
   /// bytes, and the trained model for parameter comparison.
   RunResult RunTraining(const std::string& model_name, tensor::pool::Mode mode,
                         int n_threads, int epochs) {
+    return RunTraining(model_name, Options(), mode, n_threads, epochs);
+  }
+  RunResult RunTraining(const std::string& model_name,
+                        const baselines::ZooOptions& options,
+                        tensor::pool::Mode mode, int n_threads, int epochs) {
     tensor::pool::Clear();
     tensor::pool::SetMode(mode);
     SetNumThreads(n_threads);
 
     RunResult r;
-    r.model = baselines::CreateModel(model_name, Context(), Options());
+    r.model = baselines::CreateModel(model_name, Context(), options);
     train::Trainer trainer(r.model.get(), bkg_->dataset, Config(epochs));
     trainer.Train(
         [&](const train::EpochStats& s) { r.losses.push_back(s.loss); });
@@ -180,6 +186,46 @@ TEST_F(PoolTrainFixture, TransENegSamplingBitwiseParityAt1Thread) {
 }
 TEST_F(PoolTrainFixture, TransENegSamplingBitwiseParityAt4Threads) {
   CheckBitwiseParity("TransE", 4);
+}
+
+// CamE runs CoAttentionApply (48 calls a step) and its fc layers on the
+// pool. At dim 32 a 128-row batch spans several co-attention chunks, so a
+// reduction that depended on the chunk-to-thread assignment would show here:
+// losses, parameters, checkpoint bytes and filtered metrics must all be
+// bitwise equal at 1 and 4 threads.
+TEST_F(PoolTrainFixture, CamEOneToNBitwiseAcrossThreadCounts) {
+  baselines::ZooOptions options = Options();
+  options.dim = 32;
+  options.came.fusion_dim = 32;
+  const int kEpochs = 2;
+  eval::Evaluator evaluator(bkg_->dataset);
+  eval::EvalConfig ec;
+  ec.max_triples = 100;
+
+  RunResult one =
+      RunTraining("CamE", options, tensor::pool::Mode::kOn, 1, kEpochs);
+  const eval::Metrics m1 =
+      evaluator.Evaluate(one.model.get(), bkg_->dataset.test, ec);
+  RunResult four =
+      RunTraining("CamE", options, tensor::pool::Mode::kOn, 4, kEpochs);
+  const eval::Metrics m4 =
+      evaluator.Evaluate(four.model.get(), bkg_->dataset.test, ec);
+
+  ASSERT_EQ(one.losses.size(), four.losses.size());
+  for (size_t i = 0; i < one.losses.size(); ++i) {
+    EXPECT_EQ(one.losses[i], four.losses[i]) << "epoch " << i + 1;
+  }
+  EXPECT_TRUE(one.checkpoint_bytes == four.checkpoint_bytes)
+      << "CamE checkpoint bytes differ between 1 and 4 threads";
+  ExpectModelsBitwiseEqual(one.model.get(), four.model.get(),
+                           "CamE 1-vs-4 threads");
+  EXPECT_GT(m1.count, 0);
+  EXPECT_EQ(m1.count, m4.count);
+  EXPECT_EQ(m1.rank_sum, m4.rank_sum);
+  EXPECT_EQ(m1.reciprocal_sum, m4.reciprocal_sum);
+  EXPECT_EQ(m1.hits1, m4.hits1);
+  EXPECT_EQ(m1.hits3, m4.hits3);
+  EXPECT_EQ(m1.hits10, m4.hits10);
 }
 
 // After a warm-up epoch every size class the step needs is populated, so a
