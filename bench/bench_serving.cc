@@ -33,6 +33,15 @@
 // {fp32, int8, bf16} x {plain, ties, NaN, filtered} that
 // tools/check_serving_parity.py gates on.
 //
+// A fourth section ("rank") measures what batching does to the filtered
+// rank sweep's pruning: ScoreServer::RankBatch on the skewed table at
+// batch sizes 1, 8 and 64 (a batch skips a panel's GEMM only when every
+// query in it can), reporting the skipped-panel ratio, bound rejects per
+// query and queries/s, for three target draws: each query's 10th-best
+// candidate, the candidate at a log-uniform rank in [1, N] (most targets
+// near the top, a long tail, as for a trained model's held-out tails),
+// and a uniformly random id. Not gated.
+//
 // Run:  ./bench_serving [scale] [ignored] [--json_out=PATH]
 //                       [--pin_kernel=scalar|avx2|vnni]
 #include <algorithm>
@@ -46,6 +55,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/model_zoo.h"
@@ -386,6 +396,55 @@ PruneArm RunPruneArm(const char* table_name, infer::ScoreServer* on,
   return arm;
 }
 
+// RankBatch over the whole query set in consecutive batches of `batch`,
+// on one client thread.
+struct RankResult {
+  std::string target;
+  int64_t batch = 0;
+  double panels_skipped_ratio = 0;
+  double bound_rejects_per_query = 0;
+  double qps = 0;
+};
+
+RankResult RunRankBatches(infer::ScoreServer* server,
+                          const std::vector<int64_t>& heads,
+                          const std::vector<int64_t>& rels,
+                          const std::vector<int64_t>& targets,
+                          const char* target_name, int64_t batch) {
+  const infer::ScoreServer::Stats before = server->GetStats();
+  Stopwatch wall;
+  for (size_t q0 = 0; q0 < heads.size(); q0 += static_cast<size_t>(batch)) {
+    const size_t q1 = std::min(heads.size(), q0 + static_cast<size_t>(batch));
+    const Result<std::vector<double>> ranks = server->RankBatch(
+        std::vector<int64_t>(heads.begin() + q0, heads.begin() + q1),
+        std::vector<int64_t>(rels.begin() + q0, rels.begin() + q1),
+        std::vector<int64_t>(targets.begin() + q0, targets.begin() + q1),
+        nullptr);
+    CAME_CHECK(ranks.ok()) << ranks.status().ToString();
+  }
+  const double elapsed = wall.ElapsedSeconds();
+  const infer::ScoreServer::Stats after = server->GetStats();
+  const int64_t scored = after.panels_scored - before.panels_scored;
+  const int64_t skipped = after.panels_skipped - before.panels_skipped;
+  RankResult r;
+  r.target = target_name;
+  r.batch = batch;
+  r.panels_skipped_ratio =
+      scored + skipped > 0
+          ? static_cast<double>(skipped) / static_cast<double>(scored + skipped)
+          : 0;
+  r.bound_rejects_per_query =
+      static_cast<double>(after.bound_rejects - before.bound_rejects) /
+      static_cast<double>(heads.size());
+  r.qps = static_cast<double>(heads.size()) / elapsed;
+  std::printf("rank   %-16s batch %-3lld skipped %5.1f%% of panels  %6.2f "
+              "bound rejects/query  %8.1f qps\n",
+              target_name, static_cast<long long>(batch),
+              100.0 * r.panels_skipped_ratio,
+              r.bound_rejects_per_query, r.qps);
+  return r;
+}
+
 void WriteModeResults(JsonWriter* w, const std::vector<ModeResult>& results) {
   w->BeginArray();
   for (const ModeResult& r : results) {
@@ -633,6 +692,36 @@ int Main(int argc, char** argv) {
   const PruneArm came_arm =
       RunPruneArm("CamE", &came_on_server, &came_off_server, heads, rels);
 
+  // Filtered-rank sweep on the skewed table at growing batch sizes, for
+  // targets drawn at three spreads of rank.
+  std::vector<int64_t> top10_targets;
+  std::vector<int64_t> log_rank_targets;
+  std::vector<int64_t> uniform_targets;
+  for (size_t i = 0; i < pheads.size(); ++i) {
+    const Result<infer::TopKResult> all =
+        prune_off_server.TopK(pheads[i], prels[i], pn);
+    CAME_CHECK(all.ok()) << all.status().ToString();
+    const std::vector<int64_t>& by_rank = all.value().ids;
+    top10_targets.push_back(by_rank[kTopK - 1]);
+    const double u0 = 0.5 * (HashUnit(0x7a11u + i) + 1.0);  // [0, 1)
+    const auto rank = static_cast<int64_t>(
+        std::pow(static_cast<double>(pn), u0));  // [1, pn]
+    log_rank_targets.push_back(by_rank[static_cast<size_t>(rank - 1)]);
+    const double u1 = 0.5 * (HashUnit(0x0f1du + i) + 1.0);
+    uniform_targets.push_back(std::min(
+        pn - 1, static_cast<int64_t>(u1 * static_cast<double>(pn))));
+  }
+  std::vector<RankResult> rank_results;
+  for (const auto& [name, targets] :
+       {std::pair{"10th-best", &top10_targets},
+        std::pair{"log-uniform rank", &log_rank_targets},
+        std::pair{"uniform id", &uniform_targets}}) {
+    for (const int64_t batch : {int64_t{1}, int64_t{8}, int64_t{64}}) {
+      rank_results.push_back(RunRankBatches(&prune_on_server, pheads, prels,
+                                            *targets, name, batch));
+    }
+  }
+
   // Bitwise parity grid, pruned vs unpruned, on the tie/NaN fixture. Runs
   // on the pinned kernel so the CI-gated numbers are host-independent.
   tensor::qgemm::SetKernel(pin_kernel);
@@ -759,6 +848,28 @@ int Main(int argc, char** argv) {
   for (const char* name : {"fp32", "int8", "bf16"}) w.String(name);
   w.EndArray();
   w.EndObject();
+  w.EndObject();
+  w.Key("rank");
+  w.BeginObject();
+  w.Key("table");
+  w.String("skewed");
+  w.Key("results");
+  w.BeginArray();
+  for (const RankResult& r : rank_results) {
+    w.BeginObject();
+    w.Key("target");
+    w.String(r.target);
+    w.Key("batch");
+    w.Int(r.batch);
+    w.Key("panels_skipped_ratio");
+    w.Double(r.panels_skipped_ratio);
+    w.Key("bound_rejects_per_query");
+    w.Double(r.bound_rejects_per_query);
+    w.Key("qps");
+    w.Double(r.qps);
+    w.EndObject();
+  }
+  w.EndArray();
   w.EndObject();
   w.EndObject();
   if (w.WriteFile(json_out)) {

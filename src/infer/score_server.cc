@@ -148,7 +148,7 @@ struct PanelSeg {
   double key = 0.0;
 };
 
-// Query-side state for one sweep, shared by TopKBatch and RankOf. int8
+// Query-side state for one sweep, shared by TopKBatch and RankBatch. int8
 // sweeps encode the queries once as a two-digit (hi + residual) pair, so
 // the query contributes ~127x less error than the int8 candidate rows (a
 // non-finite query degrades to NaN scales -> NaN scores -> ranked worst).
@@ -200,13 +200,8 @@ QueryBlock PrepareQueries(tensor::Tensor q, ScoreDtype dtype, bool prune) {
 }
 
 // The panel schedule: [0, n) cut every `width` rows and at every shard
-// boundary. With pruning on, each panel carries its bound metadata and
-// panels are visited in descending batch-bound order (best candidates
-// first fill the heaps with strong entries, so later weak panels prune);
-// the tie-break on `begin` keeps the order deterministic. Safe to reorder
-// because eval::ScoredBefore is a strict total order — the top-K *set*
-// (and its sorted output) is sweep-order independent — and RankOf's
-// counts do not depend on order at all.
+// boundary, in ascending row order. With pruning on, each panel carries
+// its bound metadata and its batch-level bound `key`.
 std::vector<PanelSeg> PanelSchedule(const ShardStorePanelSource& src,
                                     int64_t width, bool prune,
                                     double qnorm_max) {
@@ -228,13 +223,6 @@ std::vector<PanelSeg> PanelSchedule(const ShardStorePanelSource& src,
     segs.push_back(seg);
     p0 = seg.end;
   }
-  if (prune) {
-    std::sort(segs.begin(), segs.end(),
-              [](const PanelSeg& a, const PanelSeg& b) {
-                if (a.key != b.key) return a.key > b.key;
-                return a.begin < b.begin;
-              });
-  }
   return segs;
 }
 
@@ -252,36 +240,39 @@ class PanelPin {
   int64_t shard_;
 };
 
-// Scores candidates [begin, end) against every query of `qb` into
-// `scores` ([b, end - begin], row-major), bias included. The panel's
+// Scores candidates [begin, end) against queries [q0, q1) of `qb` into
+// `scores` ([q1 - q0, end - begin], row-major), bias included. The panel's
 // shard stays pinned while the GEMM reads it, so a concurrent sweep's
 // eviction cannot unmap it mid-use; the scores hold no store pointers.
 // fp32 and bf16 (decoded to fp32) run tensor::gemm::Gemm; int8 runs the
 // exact-integer two-digit GEMM, so its panel width never matters.
 void ScorePanel(ShardStorePanelSource* src, const QueryBlock& qb,
-                int64_t begin, int64_t end, float* scores) {
+                int64_t q0, int64_t q1, int64_t begin, int64_t end,
+                float* scores) {
   tensor::ShardStore* store = src->store();
   const int64_t pw = end - begin;
+  const int64_t m = q1 - q0;
+  const int64_t off = q0 * qb.d;
   {
     PanelPin pin(store, begin, end);
     switch (src->dtype()) {
       case ScoreDtype::kFp32:
-        tensor::gemm::Gemm(qb.q.data(), store->PanelRows(begin, end), scores,
-                           qb.b, qb.d, pw, /*trans_a=*/false,
+        tensor::gemm::Gemm(qb.q.data() + off, store->PanelRows(begin, end),
+                           scores, m, qb.d, pw, /*trans_a=*/false,
                            /*trans_b=*/true, /*accumulate=*/false);
         break;
       case ScoreDtype::kInt8:
         tensor::qgemm::GemmInt8TwoDigit(
-            qb.hi.data(), qb.hi_scales.data(), qb.lo.data(),
-            qb.lo_scales.data(), store->QuantPanelRows(begin, end),
-            store->PanelScales(begin, end), scores, qb.b, qb.d, pw);
+            qb.hi.data() + off, qb.hi_scales.data() + q0, qb.lo.data() + off,
+            qb.lo_scales.data() + q0, store->QuantPanelRows(begin, end),
+            store->PanelScales(begin, end), scores, m, qb.d, pw);
         break;
       case ScoreDtype::kBf16: {
         tensor::pool::ScratchLease decode(pw * qb.d);
         tensor::qgemm::DecodeBf16(store->Bf16PanelRows(begin, end),
                                   pw * qb.d, decode.data());
-        tensor::gemm::Gemm(qb.q.data(), decode.data(), scores, qb.b, qb.d, pw,
-                           /*trans_a=*/false, /*trans_b=*/true,
+        tensor::gemm::Gemm(qb.q.data() + off, decode.data(), scores, m, qb.d,
+                           pw, /*trans_a=*/false, /*trans_b=*/true,
                            /*accumulate=*/false);
         break;
       }
@@ -289,10 +280,51 @@ void ScorePanel(ShardStorePanelSource* src, const QueryBlock& qb,
   }
   if (!src->has_bias()) return;
   const float* bias = src->BiasFrom(begin);
-  for (int64_t i = 0; i < qb.b; ++i) {
+  for (int64_t i = 0; i < m; ++i) {
     float* row = scores + i * pw;
     for (int64_t j = 0; j < pw; ++j) row[j] += bias[j];
   }
+}
+
+// The panel sweep shared by TopKBatch and RankBatch. With pruning on,
+// `sits_out(i, seg)` decides per query whether query i may skip the panel;
+// when every query does, the panel is skipped outright (no pin, no GEMM,
+// and for a shard-backed source no residency fault). Otherwise it is
+// scored once for the whole batch and `consume(i, scores, seg)` takes
+// each remaining query's row of panel scores, on the pool.
+struct SweepCounts {
+  int64_t panels_scored = 0;
+  int64_t bound_rejects = 0;
+};
+
+template <typename SitsOut, typename Consume>
+SweepCounts Sweep(ShardStorePanelSource* src, const QueryBlock& qb,
+                  const std::vector<PanelSeg>& segs, int64_t width,
+                  bool prune, const SitsOut& sits_out,
+                  const Consume& consume) {
+  SweepCounts counts;
+  tensor::pool::ScratchLease scores(qb.b *
+                                    std::min(width, src->num_entities()));
+  std::vector<uint8_t> skip(static_cast<size_t>(qb.b), 0);
+  for (const PanelSeg& seg : segs) {
+    int64_t nskip = 0;
+    for (int64_t i = 0; prune && i < qb.b; ++i) {
+      skip[static_cast<size_t>(i)] = sits_out(i, seg) ? 1 : 0;
+      nskip += skip[static_cast<size_t>(i)];
+    }
+    counts.bound_rejects += nskip;
+    if (nskip == qb.b) continue;
+    ScorePanel(src, qb, 0, qb.b, seg.begin, seg.end, scores.data());
+    ++counts.panels_scored;
+    const int64_t pw = seg.end - seg.begin;
+    ParallelFor(0, qb.b, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) {
+        if (skip[static_cast<size_t>(i)] == 0)
+          consume(i, scores.data() + i * pw, seg);
+      }
+    });
+  }
+  return counts;
 }
 
 // The fused table's candidate matrix as an in-RAM store in `dtype`:
@@ -391,20 +423,39 @@ tensor::Tensor ScoreServer::EncodeQueries(const std::vector<int64_t>& heads,
 }
 
 Status ScoreServer::ValidateIds(const std::vector<int64_t>& heads,
-                                const std::vector<int64_t>& rels) const {
+                                const std::vector<int64_t>& rels,
+                                const std::vector<int64_t>* targets) const {
+  if (heads.size() != rels.size() ||
+      (targets != nullptr && targets->size() != heads.size())) {
+    return Status::InvalidArgument(
+        "batch size mismatch: " + std::to_string(heads.size()) + " heads, " +
+        std::to_string(rels.size()) + " relations" +
+        (targets != nullptr ? ", " + std::to_string(targets->size()) +
+                                  " targets"
+                            : std::string()));
+  }
   const int64_t n = source_->num_entities();
+  const int64_t nr = config_.num_relations;
   for (size_t i = 0; i < heads.size(); ++i) {
+    std::string why;
     if (heads[i] < 0 || heads[i] >= n) {
-      return Status::InvalidArgument(
-          "head id " + std::to_string(heads[i]) + " outside [0, " +
-          std::to_string(n) + ")");
+      why = "head id " + std::to_string(heads[i]) + " outside [0, " +
+            std::to_string(n) + ")";
+    } else if (nr > 0 && (rels[i] < 0 || rels[i] >= nr)) {
+      why = "relation id " + std::to_string(rels[i]) + " outside [0, " +
+            std::to_string(nr) + ")";
+    } else if (targets != nullptr &&
+               ((*targets)[i] < 0 || (*targets)[i] >= n)) {
+      why = "target id " + std::to_string((*targets)[i]) + " outside [0, " +
+            std::to_string(n) + ")";
+    } else {
+      continue;
     }
-    if (config_.num_relations > 0 &&
-        (rels[i] < 0 || rels[i] >= config_.num_relations)) {
-      return Status::InvalidArgument(
-          "relation id " + std::to_string(rels[i]) + " outside [0, " +
-          std::to_string(config_.num_relations) + ")");
-    }
+    std::string query = "query " + std::to_string(i) + " (" +
+                        std::to_string(heads[i]) + ", " +
+                        std::to_string(rels[i]);
+    if (targets != nullptr) query += ", " + std::to_string((*targets)[i]);
+    return Status::InvalidArgument(query + "): " + why);
   }
   return Status::OK();
 }
@@ -422,12 +473,8 @@ Result<std::vector<TopKResult>> ScoreServer::TopKBatch(
   if (k <= 0)
     return Status::InvalidArgument("top-k requires k > 0, got " +
                                    std::to_string(k));
-  if (heads.size() != rels.size())
-    return Status::InvalidArgument(
-        "head/relation batch size mismatch: " + std::to_string(heads.size()) +
-        " vs " + std::to_string(rels.size()));
-  if (heads.empty()) return std::vector<TopKResult>();
   CAME_RETURN_IF_ERROR(ValidateIds(heads, rels));
+  if (heads.empty()) return std::vector<TopKResult>();
 
   const bool prune = config_.prune;
   const QueryBlock qb =
@@ -438,55 +485,47 @@ Result<std::vector<TopKResult>> ScoreServer::TopKBatch(
   std::vector<std::vector<Entry>> heaps(static_cast<size_t>(b));
   for (auto& h : heaps) h.reserve(static_cast<size_t>(std::min(k, n)));
 
-  const std::vector<PanelSeg> segs =
+  std::vector<PanelSeg> segs =
       PanelSchedule(*source_, config_.panel_width, prune, qb.max_norm);
-  tensor::pool::ScratchLease scores(b * std::min(config_.panel_width, n));
-  std::vector<uint8_t> skip(static_cast<size_t>(b), 0);
-  int64_t panels_scored = 0;
-  int64_t bound_rejects = 0;
-  for (const PanelSeg& seg : segs) {
-    const int64_t pw = seg.end - seg.begin;
-    // Prune pass: a query skips this panel once its heap holds k entries
-    // whose worst member the panel's score bound cannot beat. The bound
-    // over-approximates every panel score and seg.begin lower-bounds
-    // every panel id, so (bound, begin) ranks at least as well as any
-    // (score, id) the panel could produce under ScoredBefore — if even
-    // that loses to the heap front, every real candidate does too.
-    int64_t nskip = 0;
-    if (prune) {
-      for (int64_t i = 0; i < b; ++i) {
-        const std::vector<Entry>& h = heaps[static_cast<size_t>(i)];
-        bool s = false;
-        if (static_cast<int64_t>(h.size()) == k) {
-          const float bound = PanelScoreBound(
-              qb.norms[static_cast<size_t>(i)], seg.max_norm, seg.max_bias);
-          s = !eval::ScoredBefore(bound, seg.begin, h.front().score,
-                                  h.front().id);
-        }
-        skip[static_cast<size_t>(i)] = s ? 1 : 0;
-        if (s) ++nskip;
-      }
-    }
-    bound_rejects += nskip;
-    // Every query pruned the panel: no pin, no GEMM, and for a
-    // shard-backed source no residency fault.
-    if (nskip == b) continue;
-    ScorePanel(source_, qb, seg.begin, seg.end, scores.data());
-    ++panels_scored;
-    ParallelFor(0, b, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) {
-        if (skip[static_cast<size_t>(i)] != 0) continue;
-        const SkipCursor filtered =
-            opts.filter != nullptr
-                ? SkipCursor(opts.filter->Tails(heads[static_cast<size_t>(i)],
-                                                rels[static_cast<size_t>(i)]))
-                : SkipCursor();
-        UpdateHeap(&heaps[static_cast<size_t>(i)], k, scores.data() + i * pw,
-                   seg.begin, pw, filtered, opts.keep,
-                   CursorOver(opts.exclude), CursorOver(opts.restrict_to));
-      }
-    });
+  // With pruning on, panels are visited in descending batch-bound order:
+  // the best candidates fill the heaps first, so later weak panels prune.
+  // The tie-break on `begin` keeps the order deterministic. Safe to
+  // reorder because eval::ScoredBefore is a strict total order, so the
+  // top-K *set* (and its sorted output) is sweep-order independent.
+  if (prune) {
+    std::sort(segs.begin(), segs.end(),
+              [](const PanelSeg& a, const PanelSeg& b) {
+                if (a.key != b.key) return a.key > b.key;
+                return a.begin < b.begin;
+              });
   }
+  // A query sits out a panel once its heap holds k entries whose worst
+  // member the panel's score bound cannot beat. The bound
+  // over-approximates every panel score and seg.begin lower-bounds every
+  // panel id, so (bound, begin) ranks at least as well as any (score, id)
+  // the panel could produce under ScoredBefore — if even that loses to
+  // the heap front, every real candidate does too.
+  const auto sits_out = [&](int64_t i, const PanelSeg& seg) {
+    const std::vector<Entry>& h = heaps[static_cast<size_t>(i)];
+    if (static_cast<int64_t>(h.size()) < k) return false;
+    const float bound = PanelScoreBound(qb.norms[static_cast<size_t>(i)],
+                                        seg.max_norm, seg.max_bias);
+    return !eval::ScoredBefore(bound, seg.begin, h.front().score,
+                               h.front().id);
+  };
+  const auto consume = [&](int64_t i, const float* scores,
+                           const PanelSeg& seg) {
+    const auto ui = static_cast<size_t>(i);
+    const SkipCursor filtered =
+        opts.filter != nullptr
+            ? SkipCursor(opts.filter->Tails(heads[ui], rels[ui]))
+            : SkipCursor();
+    UpdateHeap(&heaps[ui], k, scores, seg.begin, seg.end - seg.begin,
+               filtered, opts.keep, CursorOver(opts.exclude),
+               CursorOver(opts.restrict_to));
+  };
+  const SweepCounts counts = Sweep(source_, qb, segs, config_.panel_width,
+                                   prune, sits_out, consume);
 
   std::vector<TopKResult> out(static_cast<size_t>(b));
   for (int64_t i = 0; i < b; ++i) {
@@ -500,73 +539,76 @@ Result<std::vector<TopKResult>> ScoreServer::TopKBatch(
       r.scores.push_back(e.score);
     }
   }
-  RecordSweep(b, panels_scored,
-              static_cast<int64_t>(segs.size()) - panels_scored,
-              bound_rejects);
+  RecordSweep(b, counts.panels_scored,
+              static_cast<int64_t>(segs.size()) - counts.panels_scored,
+              counts.bound_rejects);
   return out;
 }
 
 Result<double> ScoreServer::RankOf(int64_t head, int64_t rel, int64_t target,
                                    const TopKOptions& opts) {
-  const int64_t n = source_->num_entities();
-  if (target < 0 || target >= n)
-    return Status::InvalidArgument("rank target " + std::to_string(target) +
-                                   " outside [0, " + std::to_string(n) + ")");
-  const std::vector<int64_t> heads = {head};
-  const std::vector<int64_t> rels = {rel};
-  CAME_RETURN_IF_ERROR(ValidateIds(heads, rels));
+  Result<std::vector<double>> ranks =
+      RankBatch({head}, {rel}, {target}, opts.filter);
+  if (!ranks.ok()) return ranks.status();
+  return ranks.value()[0];
+}
+
+Result<std::vector<double>> ScoreServer::RankBatch(
+    const std::vector<int64_t>& heads, const std::vector<int64_t>& rels,
+    const std::vector<int64_t>& targets, const kg::FilterIndex* filter) {
+  CAME_RETURN_IF_ERROR(ValidateIds(heads, rels, &targets));
+  if (heads.empty()) return std::vector<double>();
 
   const bool prune = config_.prune;
   const QueryBlock qb =
       PrepareQueries(EncodeQueries(heads, rels), source_->dtype(), prune);
+  const int64_t b = qb.b;
+
+  // Query i's target row is scored once, against query i alone, through
+  // the sweep's own ScorePanel; a score's bits do not depend on the GEMM
+  // shape, so this is the target's sweep score bit for bit.
+  std::vector<float> target_scores(static_cast<size_t>(b));
+  std::vector<eval::RankAccumulator> accs;
+  accs.reserve(static_cast<size_t>(b));
+  for (int64_t i = 0; i < b; ++i) {
+    const auto ui = static_cast<size_t>(i);
+    ScorePanel(source_, qb, i, i + 1, targets[ui], targets[ui] + 1,
+               &target_scores[ui]);
+    accs.emplace_back(target_scores[ui], targets[ui],
+                      filter != nullptr ? filter->Tails(heads[ui], rels[ui])
+                                        : std::span<const int64_t>());
+  }
+
+  // Panels in ascending row order: rank counts do not depend on order. A
+  // query sits out a panel whose bound is *strictly* below its target
+  // score, as every candidate there scores strictly worse (or NaN, which
+  // the accumulator ignores); bound-equal panels are scored, since equal
+  // scores count half a rank each. A NaN target ranks worst by protocol,
+  // so its query sits out every panel.
   const std::vector<PanelSeg> segs =
       PanelSchedule(*source_, config_.panel_width, prune, qb.max_norm);
-  const std::span<const int64_t> filtered =
-      opts.filter != nullptr ? opts.filter->Tails(head, rel)
-                             : std::span<const int64_t>();
-
-  // The target's own panel first, at its sweep width, so the target's
-  // score comes out of the same GEMM that scores its panel neighbours. (A
-  // separate 1-wide GEMM falls under Gemm's small-shape cutoff onto the
-  // reference loop, which can differ from the blocked FMA kernel in the
-  // last ulp and so turn an "equal" candidate into a "better" one.)
-  const auto own =
-      std::find_if(segs.begin(), segs.end(), [target](const PanelSeg& seg) {
-        return seg.begin <= target && target < seg.end;
-      });
-  CAME_CHECK(own != segs.end());
-  tensor::pool::ScratchLease scores(std::min(config_.panel_width, n));
-  ScorePanel(source_, qb, own->begin, own->end, scores.data());
-  const float s_target = scores.data()[target - own->begin];
-  eval::RankAccumulator acc(s_target, target, filtered);
-  acc.Accumulate(scores.data(), own->begin, own->end - own->begin);
-
-  int64_t panels_scored = 1;
-  int64_t bound_rejects = 0;
-  for (const PanelSeg& seg : segs) {
-    if (seg.begin == own->begin) continue;
-    // With pruning on, a panel is skipped when its score bound is
-    // *strictly* below s_target: every candidate in it then scores
-    // strictly worse (or NaN, which the accumulator ignores) and adds
-    // neither "better" nor "equal" counts. The bound-equal case must
-    // still be scored — equal scores count half a rank each. A NaN target
-    // ranks worst by protocol and Accumulate ignores every candidate, so
-    // all remaining panels are skipped: Rank(n) derives the rank from n
-    // and the filter alone.
-    if (prune && (std::isnan(s_target) ||
-                  PanelScoreBound(qb.norms[0], seg.max_norm, seg.max_bias) <
-                      s_target)) {
-      ++bound_rejects;
-      continue;
-    }
-    ScorePanel(source_, qb, seg.begin, seg.end, scores.data());
-    ++panels_scored;
-    acc.Accumulate(scores.data(), seg.begin, seg.end - seg.begin);
+  const auto sits_out = [&](int64_t i, const PanelSeg& seg) {
+    const float s_target = target_scores[static_cast<size_t>(i)];
+    return std::isnan(s_target) ||
+           PanelScoreBound(qb.norms[static_cast<size_t>(i)], seg.max_norm,
+                           seg.max_bias) < s_target;
+  };
+  const auto consume = [&](int64_t i, const float* scores,
+                           const PanelSeg& seg) {
+    accs[static_cast<size_t>(i)].Accumulate(scores, seg.begin,
+                                            seg.end - seg.begin);
+  };
+  const SweepCounts counts = Sweep(source_, qb, segs, config_.panel_width,
+                                   prune, sits_out, consume);
+  RecordSweep(b, counts.panels_scored,
+              static_cast<int64_t>(segs.size()) - counts.panels_scored,
+              counts.bound_rejects);
+  std::vector<double> ranks(static_cast<size_t>(b));
+  for (int64_t i = 0; i < b; ++i) {
+    ranks[static_cast<size_t>(i)] =
+        accs[static_cast<size_t>(i)].Rank(source_->num_entities());
   }
-  RecordSweep(1, panels_scored,
-              static_cast<int64_t>(segs.size()) - panels_scored,
-              bound_rejects);
-  return acc.Rank(n);
+  return ranks;
 }
 
 void ScoreServer::RecordSweep(int64_t queries, int64_t panels_scored,

@@ -97,18 +97,10 @@ struct TopKOptions {
 /// Each batch runs one panel GEMM per entity panel
 /// (q [B, d] x panel [P, d]^T), and the panel scores feed per-query
 /// bounded heaps of size K directly — the full [B, N] score matrix never
-/// exists. Top-K results match a brute-force sort of the same serving
-/// score vector exactly, ties included, as long as that vector comes from
-/// the same GEMM shapes. Scores are *not* independent of panel width or
-/// batch size in general: tensor::gemm::Gemm runs the serial reference
-/// loop below its m*k*n < 32^3 cutoff and the blocked (on AVX2/AVX-512,
-/// FMA) kernel above it, and the two may differ in the last ulp. So a
-/// TopK call ([1, d] x [P, d]^T) and a TopKBatch call over the same query
-/// can disagree in the last bits when one side crosses the cutoff. The
-/// int8 path is exact integer arithmetic and has no such caveat. The
-/// training path's ScoreAllTails materialises the transposed candidate
-/// table and multiplies untransposed — same math, different accumulation
-/// path — so its scores may differ from serving scores in the last ulp.
+/// exists. Top-K results match a brute-force sort of the serving score
+/// vector exactly, ties included. tensor::gemm::Gemm computes every
+/// element in one order per kernel whatever the shape, so a query's
+/// scores do not depend on the panel width or on the batch it rides in.
 ///
 /// Pruning (config.prune): the source's per-block bound metadata
 /// (tensor::PanelBoundTable) gives each panel a conservative score upper
@@ -158,18 +150,31 @@ class ScoreServer {
                                             int64_t k,
                                             const TopKOptions& opts = {});
 
-  /// Filtered rank of `target` for (head, rel, ?), identical to the
-  /// Evaluator's protocol (1 + #better + #equal/2, NaN target worst),
-  /// computed over panels without materialising the score vector. The
-  /// target's own panel is scored first, at the sweep's panel width, and
-  /// the target's score is read from it — so the rank always agrees with
-  /// eval::FilteredRank over the sweep's own scores. Filtering uses
-  /// opts.filter; `target` is always kept. Pruning skips panels whose
-  /// bound is strictly below the target's score — they can contribute
-  /// neither "better" nor "equal" counts — with, again, bitwise-identical
-  /// ranks.
+  /// Filtered rank of `target` for (head, rel, ?): RankBatch over one
+  /// query, filtered by opts.filter (the other options are ignored).
   Result<double> RankOf(int64_t head, int64_t rel, int64_t target,
                         const TopKOptions& opts = {});
+
+  /// Filtered ranks of targets[i] for (heads[i], rels[i], ?), identical
+  /// to the Evaluator's protocol (1 + #better + #equal/2, NaN target
+  /// worst), computed over panels without materialising the score vector.
+  /// Each target's score comes from scoring its own row once against its
+  /// own query, which equals its score in the sweep bit for bit, so every
+  /// rank agrees with eval::FilteredRank over the sweep's scores. Panels
+  /// are swept in ascending row order, one GEMM per panel for the whole
+  /// batch.
+  /// Filtering uses filter->Tails(head, rel) when `filter` is set; the
+  /// target is always kept. Pruning lets a query sit out a panel whose
+  /// bound is strictly below its target's score (such a panel adds
+  /// neither "better" nor "equal" counts), so ranks are bitwise those of
+  /// the unpruned sweep; the GEMM is skipped when every query sits out.
+  /// InvalidArgument, naming the query, on mismatched sizes or an
+  /// out-of-range head, relation or target. An empty batch returns an
+  /// empty vector.
+  Result<std::vector<double>> RankBatch(const std::vector<int64_t>& heads,
+                                        const std::vector<int64_t>& rels,
+                                        const std::vector<int64_t>& targets,
+                                        const kg::FilterIndex* filter);
 
   int64_t num_entities() const { return source_->num_entities(); }
   /// The precision the sweep actually scores in (the store's dtype — for
@@ -206,10 +211,11 @@ class ScoreServer {
   /// here are encoder-contract bugs and CHECK-fail.
   tensor::Tensor EncodeQueries(const std::vector<int64_t>& heads,
                                const std::vector<int64_t>& rels);
-  /// Request validation shared by TopKBatch/RankOf: id-range errors are
-  /// InvalidArgument, not a crash.
+  /// Request validation shared by TopKBatch/RankBatch: size and id-range
+  /// errors are InvalidArgument, not a crash.
   Status ValidateIds(const std::vector<int64_t>& heads,
-                     const std::vector<int64_t>& rels) const;
+                     const std::vector<int64_t>& rels,
+                     const std::vector<int64_t>* targets = nullptr) const;
   void RecordSweep(int64_t queries, int64_t panels_scored,
                    int64_t panels_skipped, int64_t bound_rejects);
 

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
 
-#if defined(__AVX2__) || defined(__AVX512F__)
+#if defined(__AVX2__) || defined(__AVX512F__) || defined(__FMA__)
 #include <immintrin.h>
 #endif
 
@@ -39,6 +40,18 @@ constexpr int64_t kSmallGemmFlopCutoff = 32 * 32 * 32;
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 int64_t RoundUp(int64_t a, int64_t b) { return CeilDiv(a, b) * b; }
+
+// One step of a C element's accumulation chain, rounded as the
+// microkernels round it: a fused multiply-add wherever the build targets
+// FMA (every microkernel fuses explicitly there), a separate multiply and
+// add otherwise.
+inline float MulAdd(float a, float b, float acc) {
+#if defined(__FMA__)
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
 
 // ---------------------------------------------------------------------------
 // Packing. Operand layout is absorbed here: element (i, p) of op(A) lives at
@@ -117,6 +130,17 @@ inline v8f Load8(const float* p) {
 }
 inline void Store8(float* p, v8f v) { std::memcpy(p, &v, sizeof(v)); }
 
+// MulAdd on eight lanes. Fused explicitly on FMA builds: GCC contracts
+// `acc + a * b` only from -O2 on, and the tile must round like
+// ReferenceGemm at every optimisation level.
+inline v8f MulAdd8(v8f a, v8f b, v8f acc) {
+#if defined(__FMA__) && defined(__AVX__)
+  return (v8f)_mm256_fmadd_ps((__m256)a, (__m256)b, (__m256)acc);
+#else
+  return acc + a * b;
+#endif
+}
+
 // 4x16 register tile: 8 generic-vector accumulators + 2 B loads.
 void MicroKernelScalarTile(const float* ap, const float* bp, int64_t kc,
                            float* c, int64_t ldc) {
@@ -125,14 +149,14 @@ void MicroKernelScalarTile(const float* ap, const float* bp, int64_t kc,
     const v8f b0 = Load8(bp + p * kScalarNR);
     const v8f b1 = Load8(bp + p * kScalarNR + 8);
     const float* arow = ap + p * kScalarMR;
-    a00 += Splat8(arow[0]) * b0;
-    a01 += Splat8(arow[0]) * b1;
-    a10 += Splat8(arow[1]) * b0;
-    a11 += Splat8(arow[1]) * b1;
-    a20 += Splat8(arow[2]) * b0;
-    a21 += Splat8(arow[2]) * b1;
-    a30 += Splat8(arow[3]) * b0;
-    a31 += Splat8(arow[3]) * b1;
+    a00 = MulAdd8(Splat8(arow[0]), b0, a00);
+    a01 = MulAdd8(Splat8(arow[0]), b1, a01);
+    a10 = MulAdd8(Splat8(arow[1]), b0, a10);
+    a11 = MulAdd8(Splat8(arow[1]), b1, a11);
+    a20 = MulAdd8(Splat8(arow[2]), b0, a20);
+    a21 = MulAdd8(Splat8(arow[2]), b1, a21);
+    a30 = MulAdd8(Splat8(arow[3]), b0, a30);
+    a31 = MulAdd8(Splat8(arow[3]), b1, a31);
   }
   float* c0 = c;
   float* c1 = c + ldc;
@@ -158,7 +182,8 @@ void MicroKernelScalarTile(const float* ap, const float* bp, int64_t kc,
     const float* arow = ap + p * kScalarMR;
     for (int r = 0; r < kScalarMR; ++r) {
       const float av = arow[r];
-      for (int j = 0; j < kScalarNR; ++j) acc[r][j] += av * brow[j];
+      for (int j = 0; j < kScalarNR; ++j)
+        acc[r][j] = MulAdd(av, brow[j], acc[r][j]);
     }
   }
   for (int r = 0; r < kScalarMR; ++r) {
@@ -423,27 +448,54 @@ void ReferenceGemm(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n, bool trans_a, bool trans_b,
                    bool accumulate) {
   if (!accumulate) std::fill(c, c + m * n, 0.0f);
-  auto a_at = [&](int64_t i, int64_t p) {
-    return trans_a ? a[p * m + i] : a[i * k + p];
-  };
-  if (!trans_b) {
-    for (int64_t i = 0; i < m; ++i) {
-      float* crow = c + i * n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = a_at(i, p);
-        const float* brow = b + p * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
-    }
-  } else {
-    // B is [n, k] accessed as B^T: dot products of rows.
-    for (int64_t i = 0; i < m; ++i) {
-      float* crow = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float* brow = b + j * k;
-        float acc = 0.0f;
-        for (int64_t p = 0; p < k; ++p) acc += a_at(i, p) * brow[p];
-        crow[j] += acc;
+  const int64_t a_si = trans_a ? 1 : k;  // same strides as BlockedGemm
+  const int64_t a_sp = trans_a ? m : 1;
+  // Each C element follows the microkernels' chain: per kKC depth pass, a
+  // sequential multiply-add over p into an accumulator starting at zero,
+  // then one add into C. Only the interleaving of independent chains
+  // differs between the two B layouts.
+  for (int64_t i = 0; i < m; ++i) {
+    const float* ai = a + i * a_si;
+    float* crow = c + i * n;
+    for (int64_t pc = 0; pc < k; pc += kKC) {
+      const int64_t pe = std::min(k, pc + kKC);
+      if (trans_b) {
+        // B rows are the columns of op(B): kJ dot products at a time, so
+        // kJ chains are in flight, then the remaining columns one by one.
+        constexpr int64_t kJ = 8;
+        int64_t j = 0;
+        for (; j + kJ <= n; j += kJ) {
+          float acc[kJ] = {};
+          for (int64_t p = pc; p < pe; ++p) {
+            const float av = ai[p * a_sp];
+            for (int64_t jj = 0; jj < kJ; ++jj)
+              acc[jj] = MulAdd(av, b[(j + jj) * k + p], acc[jj]);
+          }
+          for (int64_t jj = 0; jj < kJ; ++jj) crow[j + jj] += acc[jj];
+        }
+        for (; j < n; ++j) {
+          const float* bj = b + j * k;
+          float acc = 0.0f;
+          for (int64_t p = pc; p < pe; ++p)
+            acc = MulAdd(ai[p * a_sp], bj[p], acc);
+          crow[j] += acc;
+        }
+      } else {
+        // Contiguous B rows: the chains of a column chunk advance together
+        // and vectorise over j.
+        constexpr int64_t kJB = 256;
+        float acc[kJB];
+        for (int64_t j0 = 0; j0 < n; j0 += kJB) {
+          const int64_t nj = std::min(kJB, n - j0);
+          std::fill(acc, acc + nj, 0.0f);
+          for (int64_t p = pc; p < pe; ++p) {
+            const float av = ai[p * a_sp];
+            const float* brow = b + p * n + j0;
+            for (int64_t j = 0; j < nj; ++j)
+              acc[j] = MulAdd(av, brow[j], acc[j]);
+          }
+          for (int64_t j = 0; j < nj; ++j) crow[j0 + j] += acc[j];
+        }
       }
     }
   }
@@ -455,8 +507,9 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
   if (!accumulate) std::fill(c, c + m * n, 0.0f);
   if (k <= 0) return;
   if (m * k * n < kSmallGemmFlopCutoff) {
-    // Too small to amortize packing; the reference loop is serial, so this
-    // path is trivially thread-count-invariant.
+    // Too small to amortize packing. The unpacked loop computes every
+    // element in the microkernels' order, so the result does not depend
+    // on which side of the cutoff a shape falls.
     ReferenceGemm(a, b, c, m, k, n, trans_a, trans_b, /*accumulate=*/true);
     return;
   }

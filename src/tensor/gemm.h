@@ -25,11 +25,11 @@ namespace came::tensor::gemm {
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool trans_a, bool trans_b, bool accumulate);
 
-/// The retained pre-blocking ikj kernel (serial, unpacked). Kept as the
-/// parity reference for tests and as the before-side of the GEMM benches.
-/// Accumulation order differs from Gemm (straight k-order per output vs
-/// KC-blocked register tiles), so parity is tolerance-based; see
-/// tests/tensor/gemm_test.cc for the policy.
+/// The serial, unpacked loop Gemm runs below its small-shape cutoff, and
+/// the tests' bitwise oracle. Each C element is computed in the
+/// microkernels' order: per 256-deep pass a sequential multiply-add chain
+/// (fused on FMA builds) from zero, then one add into C. So for a given
+/// kernel no output bit depends on m, n, or which path a shape takes.
 void ReferenceGemm(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n, bool trans_a, bool trans_b,
                    bool accumulate);

@@ -11,8 +11,8 @@
 #include "common/io.h"
 #include "common/logging.h"
 #include "common/parallel_for.h"
-#include "eval/ranking.h"
-#include "tensor/gemm.h"
+#include "infer/candidate_panels.h"
+#include "infer/score_server.h"
 
 namespace came::train {
 
@@ -195,9 +195,14 @@ Result<double> ScaleTrainer::TrainEpoch(TripleSource* source) {
         done = true;
         break;
       }
-      CAME_CHECK_LT(t.head, num_entities_);
-      CAME_CHECK_LT(t.rel, num_relations_);
-      CAME_CHECK_LT(t.tail, num_entities_);
+      if (t.head < 0 || t.head >= num_entities_ || t.rel < 0 ||
+          t.rel >= num_relations_ || t.tail < 0 || t.tail >= num_entities_) {
+        return Status::InvalidArgument(
+            "triple (" + std::to_string(t.head) + ", " +
+            std::to_string(t.rel) + ", " + std::to_string(t.tail) +
+            ") outside " + std::to_string(num_entities_) + " entities, " +
+            std::to_string(num_relations_) + " relations");
+      }
       batch.push_back(Sample{t.head, t.rel, t.tail, 1.0f});
       // Negative tails drawn sequentially from the trainer stream: the
       // sample list is a pure function of (data order, seed).
@@ -343,17 +348,38 @@ Result<eval::Metrics> ScaleTrainer::EvaluateFiltered(
     TripleSource* queries, const kg::FilterIndex& filter) {
   CAME_RETURN_IF_ERROR(queries->Reset());
   const int64_t d = config_.dim;
-  const int64_t qb = config_.eval_query_batch;
-  eval::Metrics metrics;
+  // DistMult queries h∘r, built from row copies: only one pointer into a
+  // given store is live at a time (a second Row() may evict the slab).
+  infer::QueryEncoder encode = [this, d](const std::vector<int64_t>& heads,
+                                         const std::vector<int64_t>& rels) {
+    // fully-written: every row is copied from its head row, then scaled.
+    tensor::Tensor q = tensor::Tensor::Uninitialized(
+        {static_cast<int64_t>(heads.size()), d});
+    for (size_t i = 0; i < heads.size(); ++i) {
+      float* qrow = q.data() + static_cast<int64_t>(i) * d;
+      std::memcpy(qrow, entities_.Row(heads[i]),
+                  sizeof(float) * static_cast<size_t>(d));
+      const float* rr = relations_.Row(rels[i]);
+      for (int64_t k = 0; k < d; ++k) qrow[k] *= rr[k];
+    }
+    return q;
+  };
+  infer::ShardStorePanelSource source(&entities_);
+  infer::ScoreServerConfig server_config;
+  server_config.panel_width = config_.eval_panel_rows;
+  server_config.num_relations = num_relations_;
+  infer::ScoreServer server(std::move(encode), &source, server_config);
 
-  std::vector<kg::Triple> batch;
-  std::vector<float> qmat;       // [Q, d] — eh ∘ r per query
-  std::vector<float> tail_row(static_cast<size_t>(d));
-  std::vector<float> scores;     // [Q, panel_width]
+  eval::Metrics metrics;
+  std::vector<int64_t> heads;
+  std::vector<int64_t> rels;
+  std::vector<int64_t> tails;
   bool done = false;
   while (!done) {
-    batch.clear();
-    for (int64_t i = 0; i < qb; ++i) {
+    heads.clear();
+    rels.clear();
+    tails.clear();
+    for (int64_t i = 0; i < config_.eval_query_batch; ++i) {
       kg::Triple t;
       Result<bool> got = queries->Next(&t);
       if (!got.ok()) return got.status();
@@ -361,59 +387,15 @@ Result<eval::Metrics> ScaleTrainer::EvaluateFiltered(
         done = true;
         break;
       }
-      CAME_CHECK_LT(t.head, num_entities_);
-      CAME_CHECK_LT(t.rel, num_relations_);
-      CAME_CHECK_LT(t.tail, num_entities_);
-      batch.push_back(t);
+      heads.push_back(t.head);
+      rels.push_back(t.rel);
+      tails.push_back(t.tail);
     }
-    if (batch.empty()) break;
-    const auto nq = static_cast<int64_t>(batch.size());
-
-    // Build query vectors + target scores from row copies. Order within
-    // each query matters: only one pointer into a given store is live at
-    // a time (the second entity Row() may evict the first's slab).
-    qmat.assign(static_cast<size_t>(nq) * static_cast<size_t>(d), 0.0f);
-    std::vector<eval::RankAccumulator> accs;
-    accs.reserve(static_cast<size_t>(nq));
-    for (int64_t i = 0; i < nq; ++i) {
-      const kg::Triple& q = batch[static_cast<size_t>(i)];
-      float* qrow = &qmat[static_cast<size_t>(i) * static_cast<size_t>(d)];
-      std::memcpy(qrow, entities_.Row(q.head),
-                  sizeof(float) * static_cast<size_t>(d));
-      std::memcpy(tail_row.data(), entities_.Row(q.tail),
-                  sizeof(float) * static_cast<size_t>(d));
-      const float* rr = relations_.Row(q.rel);
-      float target_score = 0.0f;
-      for (int64_t k = 0; k < d; ++k) {
-        qrow[k] *= rr[k];
-        target_score += qrow[k] * tail_row[static_cast<size_t>(k)];
-      }
-      accs.emplace_back(target_score, q.tail, filter.Tails(q.head, q.rel));
-    }
-
-    // Shard-panel sweep: one GEMM per panel, scores fed straight into the
-    // streaming accumulators; the [Q, N] score matrix never exists.
-    int64_t row0 = 0;
-    while (row0 < num_entities_) {
-      const int64_t pend = std::min(entities_.ShardEnd(row0),
-                                    row0 + config_.eval_panel_rows);
-      const int64_t pw = pend - row0;
-      const float* panel = entities_.PanelRows(row0, pend);
-      scores.assign(static_cast<size_t>(nq) * static_cast<size_t>(pw), 0.0f);
-      tensor::gemm::Gemm(qmat.data(), panel, scores.data(), nq, d, pw,
-                 /*trans_a=*/false, /*trans_b=*/true, /*accumulate=*/false);
-      ParallelFor(0, nq, 1, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          accs[static_cast<size_t>(i)].Accumulate(
-              &scores[static_cast<size_t>(i) * static_cast<size_t>(pw)], row0,
-              pw);
-        }
-      });
-      row0 = pend;
-    }
-    for (int64_t i = 0; i < nq; ++i) {
-      metrics.AddRank(accs[static_cast<size_t>(i)].Rank(num_entities_));
-    }
+    if (heads.empty()) break;
+    Result<std::vector<double>> ranks =
+        server.RankBatch(heads, rels, tails, &filter);
+    if (!ranks.ok()) return ranks.status();
+    for (const double rank : ranks.value()) metrics.AddRank(rank);
   }
   return metrics;
 }

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -188,19 +187,41 @@ TEST_F(InferCamETest, ServerTopKMatchesFullScoreSort) {
           << "query " << qi << " rank " << i;
     }
 
-    // The training-path ScoreAllTails multiplies a materialised transpose
-    // (a different accumulation order), so it is only ulp-close to the
-    // serving scores — assert agreement to tolerance, not bitwise.
+    // The training-path ScoreAllTails gives the serving scores bit for bit.
     tensor::Tensor row;
     {
       NoTapeGuard guard;
       row = model.ScoreAllTails({head}, {rel}).value().Clone();
     }
     ASSERT_EQ(row.numel(), n);
-    for (int64_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(scores[static_cast<size_t>(i)], row.data()[i],
-                  1e-4 * (1.0 + std::abs(row.data()[i])))
-          << "query " << qi << " entity " << i;
+    EXPECT_EQ(std::memcmp(scores.data(), row.data(),
+                          static_cast<size_t>(n) * sizeof(float)),
+              0)
+        << "query " << qi;
+  }
+
+  // Batched: row i of ScoreAllTails over several heads sorts to TopK's
+  // answer for query i, scores included.
+  const tensor::Tensor all = EvalScoreAllTails(&model);
+  ASSERT_EQ(all.numel(), static_cast<int64_t>(SomeHeads().size()) * n);
+  const int64_t k = 10;
+  for (size_t qi = 0; qi < SomeHeads().size(); ++qi) {
+    const float* row = all.data() + static_cast<int64_t>(qi) * n;
+    std::vector<int64_t> order(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
+    std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+      return eval::ScoredBefore(row[a], a, row[b], b);
+    });
+    Result<TopKResult> got_r =
+        server.TopK(SomeHeads()[qi], SomeRels()[qi], k);
+    ASSERT_TRUE(got_r.ok()) << got_r.status().ToString();
+    const TopKResult& got = got_r.value();
+    ASSERT_EQ(static_cast<int64_t>(got.ids.size()), std::min(k, n));
+    for (size_t r = 0; r < got.ids.size(); ++r) {
+      EXPECT_EQ(got.ids[r], order[r]) << "query " << qi << " rank " << r;
+      EXPECT_EQ(std::memcmp(&got.scores[r], &row[got.ids[r]], sizeof(float)),
+                0)
+          << "query " << qi << " rank " << r;
     }
   }
 }

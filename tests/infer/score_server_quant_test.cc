@@ -167,8 +167,8 @@ class QuantScoreServerTest : public ::testing::Test {
   }
 
   // bf16: encode and decode the table's rows once and run the same fp32
-  // GEMM the fp32 path uses (every GEMM this fixture runs stays under
-  // Gemm's small-shape cutoff, so one full-width call is a valid oracle).
+  // GEMM the fp32 path uses (Gemm's scores do not depend on the shape, so
+  // one full-width call is a valid oracle).
   std::vector<float> FullBf16Scores(int64_t head, int64_t rel) const {
     const tensor::Tensor q = EncodeQueriesFixture({head}, {rel});
     std::vector<uint16_t> encoded(static_cast<size_t>(kN * kDim));

@@ -17,6 +17,7 @@
 #include <limits>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -46,6 +47,16 @@ float HashVal(uint64_t a, uint64_t b) {
   x *= 0xff51afd7ed558ccdULL;
   x ^= x >> 33;
   return static_cast<float>(x % 13) * 0.25f - 1.5f;
+}
+
+// Full-mantissa value in [-1, 1). HashVal's quarter-step grid makes every
+// d <= 32 dot product exact, which would hide rounding differences.
+float FullVal(uint64_t a, uint64_t b) {
+  uint64_t x = a * 0x9e3779b97f4a7c15ULL + b * 0xbf58476d1ce4e5b9ULL + 1;
+  x ^= x >> 31;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 29;
+  return static_cast<float>(static_cast<double>(x >> 11) * 0x1.0p-52 - 1.0);
 }
 
 // Unwrap helpers: these tests always issue well-formed requests, so a
@@ -304,13 +315,38 @@ TEST_F(ScoreServerTest, PanelWidthDoesNotChangeResults) {
   }
 }
 
-// Holds here only because every GEMM this 237 x 8 fixture runs stays
-// under Gemm's m*k*n < 32^3 cutoff (serial reference loop at any batch
-// size). Above the cutoff a batched panel and a single-query panel can run
-// different kernels and differ in the last ulp, so TopK and TopKBatch are
-// not bitwise interchangeable in general (score_server.h).
+// A query's answer must not depend on the batch it rides in: Gemm computes
+// every element in one order whatever the shape, on both sides of its
+// small-shape cutoff. The 237 x 8 fixture stays below the cutoff; the
+// 1100 x 32 table puts the batched 1024-wide panel above it while the
+// 76-row tail panel of a lone query stays below.
 TEST_F(ScoreServerTest, TopKBatchMatchesPerQueryCalls) {
   ThreadCountGuard restore;
+  constexpr int64_t kWideN = 1100;
+  constexpr int64_t kWideDim = 32;
+  tensor::Tensor cand({kWideN, kWideDim});
+  for (int64_t i = 0; i < kWideN; ++i) {
+    for (int64_t j = 0; j < kWideDim; ++j) {
+      cand.data()[i * kWideDim + j] =
+          FullVal(static_cast<uint64_t>(i), static_cast<uint64_t>(j));
+    }
+  }
+  const FusedEmbeddingTable wide_table("Wide", cand, tensor::Tensor(),
+                                       tensor::Tensor());
+  ScoreServer wide(
+      [](const std::vector<int64_t>& heads, const std::vector<int64_t>& rels) {
+        tensor::Tensor q({static_cast<int64_t>(heads.size()), kWideDim});
+        for (size_t i = 0; i < heads.size(); ++i) {
+          for (int64_t j = 0; j < kWideDim; ++j) {
+            q.data()[static_cast<int64_t>(i) * kWideDim + j] = FullVal(
+                0xABCD + static_cast<uint64_t>(heads[i] * kNumRels + rels[i]),
+                static_cast<uint64_t>(j));
+          }
+        }
+        return q;
+      },
+      &wide_table);
+
   std::vector<int64_t> heads;
   std::vector<int64_t> rels;
   for (int64_t i = 0; i < 23; ++i) {
@@ -319,12 +355,17 @@ TEST_F(ScoreServerTest, TopKBatchMatchesPerQueryCalls) {
   }
   for (int threads : {1, 4}) {
     SetNumThreads(threads);
-    const std::vector<TopKResult> batched =
-        TopKBatchOrDie(server_.get(), heads, rels, 7);
-    ASSERT_EQ(batched.size(), heads.size());
-    for (size_t i = 0; i < heads.size(); ++i) {
-      ExpectSameResult(batched[i],
-                       TopKOrDie(server_.get(), heads[i], rels[i], 7));
+    for (const auto& [server, k] :
+         {std::pair<ScoreServer*, int64_t>{server_.get(), 7},
+          std::pair<ScoreServer*, int64_t>{&wide, 7},
+          std::pair<ScoreServer*, int64_t>{&wide, kWideN}}) {
+      const std::vector<TopKResult> batched =
+          TopKBatchOrDie(server, heads, rels, k);
+      ASSERT_EQ(batched.size(), heads.size());
+      for (size_t i = 0; i < heads.size(); ++i) {
+        ExpectSameResult(batched[i],
+                         TopKOrDie(server, heads[i], rels[i], k));
+      }
     }
   }
 }
@@ -345,6 +386,73 @@ TEST_F(ScoreServerTest, RankOfMatchesSharedFilteredRank) {
     EXPECT_EQ(RankOfOrDie(server_.get(), 11, 0, target, opts), want)
         << "target " << target;
   }
+}
+
+TEST_F(ScoreServerTest, RankBatchMatchesFilteredRankOverSweepScores) {
+  ThreadCountGuard restore;
+  kg::FilterIndex filter(kN, kNumRels);
+  filter.AddTriples({{11, 0, 60}, {11, 0, 61}, {11, 0, 5}, {9, 1, 21},
+                     {9, 1, 22}, {4, 2, 100}, {4, 2, 150}});
+  // 16 queries: plain targets, bitwise-tied rows (20/21/22, 100/101), NaN
+  // targets (5, 150), and targets whose tied or neighbouring rows are
+  // filtered out (60 next to 61, 21 next to 22).
+  const std::vector<kg::Triple> queries = {
+      {11, 0, 60}, {11, 0, 5},  {9, 1, 21},   {9, 1, 20},
+      {4, 2, 100}, {4, 2, 101}, {4, 2, 150},  {0, 3, 22},
+      {17, 1, 0},  {123, 2, 236}, {11, 0, 61}, {200, 0, 64},
+      {9, 1, 5},   {33, 3, 101}, {64, 1, 63},  {5, 2, 21}};
+  ScoreServerConfig on_cfg;
+  on_cfg.panel_width = 64;
+  on_cfg.prune = true;
+  ScoreServerConfig off_cfg = on_cfg;
+  off_cfg.prune = false;
+  ScoreServer on(EncodeQueriesFixture, &table_, on_cfg);
+  ScoreServer off(EncodeQueriesFixture, &table_, off_cfg);
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (ScoreServer* server : {&on, &off}) {
+      for (const size_t batch : {size_t{1}, size_t{3}, size_t{16}}) {
+        for (size_t q0 = 0; q0 < queries.size(); q0 += batch) {
+          std::vector<int64_t> heads;
+          std::vector<int64_t> rels;
+          std::vector<int64_t> targets;
+          for (size_t q = q0; q < std::min(queries.size(), q0 + batch); ++q) {
+            heads.push_back(queries[q].head);
+            rels.push_back(queries[q].rel);
+            targets.push_back(queries[q].tail);
+          }
+          const Result<std::vector<double>> ranks =
+              server->RankBatch(heads, rels, targets, &filter);
+          ASSERT_TRUE(ranks.ok()) << ranks.status().ToString();
+          ASSERT_EQ(ranks.value().size(), heads.size());
+          for (size_t i = 0; i < heads.size(); ++i) {
+            const std::vector<float> scores = FullScores(heads[i], rels[i]);
+            EXPECT_EQ(ranks.value()[i],
+                      eval::FilteredRank(scores.data(), kN, targets[i],
+                                         filter.Tails(heads[i], rels[i])))
+                << "batch " << batch << " query (" << heads[i] << ", "
+                << rels[i] << ", " << targets[i] << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ScoreServerTest, RankBatchRejectsMalformedBatches) {
+  static_assert(kN == 237);
+  EXPECT_EQ(server_->RankBatch({1, 2}, {0, 0}, {3}, nullptr).status().code(),
+            Status::Code::kInvalidArgument);
+  const Result<std::vector<double>> bad =
+      server_->RankBatch({1, 2}, {0, 0}, {3, kN}, nullptr);
+  EXPECT_EQ(bad.status().code(), Status::Code::kInvalidArgument);
+  // The message names the offending query.
+  const std::string why = bad.status().ToString();
+  EXPECT_NE(why.find("query 1 (2, 0, 237)"), std::string::npos) << why;
+  const Result<std::vector<double>> empty =
+      server_->RankBatch({}, {}, {}, nullptr);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty.value().empty());
 }
 
 TEST_F(ScoreServerTest, StatsCountQueriesAndPanels) {
@@ -479,20 +587,19 @@ TEST(ScoreServerPruneTest, NanQueryMatchesUnprunedSweep) {
   EXPECT_EQ(RankOfOrDie(&on, 3, 0, 100), RankOfOrDie(&off, 3, 0, 100));
 }
 
-TEST_F(ScoreServerTest, RankOfNanTargetScoresOnlyItsOwnPanel) {
+TEST_F(ScoreServerTest, RankOfNanTargetScoresNoPanel) {
   if (!ScorePruneFromEnv()) GTEST_SKIP() << "pruning disabled via env";
   const ScoreServer::Stats before = server_->GetStats();
   // Row 5 is a NaN candidate, so the target score is NaN: once the
-  // target's own panel yields that score, the rank is computable from n
-  // and the filter alone and no other panel needs scoring.
+  // target's own row yields that score, the rank is computable from n and
+  // the filter alone and no panel needs scoring.
   const std::vector<float> scores = FullScores(11, 0);
   const double want =
       eval::FilteredRank(scores.data(), kN, 5, std::span<const int64_t>());
   EXPECT_EQ(RankOfOrDie(server_.get(), 11, 0, 5), want);
   const ScoreServer::Stats after = server_->GetStats();
-  EXPECT_EQ(after.panels_scored - before.panels_scored, 1);
-  EXPECT_EQ(after.panels_skipped - before.panels_skipped,
-            (kN + 63) / 64 - 1);
+  EXPECT_EQ(after.panels_scored - before.panels_scored, 0);
+  EXPECT_EQ(after.panels_skipped - before.panels_skipped, (kN + 63) / 64);
 }
 
 // ---------------------------------------------------------------------------
@@ -717,24 +824,12 @@ TEST_F(ShardBackedServerTest, FilteredRankAndOptionsMatchInRamServer) {
   }
 }
 
-// Full-mantissa value in [-1, 1). HashVal's quarter-step grid makes every
-// d <= 32 dot product exact, which would hide rounding differences.
-float FullVal(uint64_t a, uint64_t b) {
-  uint64_t x = a * 0x9e3779b97f4a7c15ULL + b * 0xbf58476d1ce4e5b9ULL + 1;
-  x ^= x >> 31;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 29;
-  return static_cast<float>(static_cast<double>(x >> 11) * 0x1.0p-52 - 1.0);
-}
-
-// RankOf reads the target's score out of the target's own sweep panel. At
-// d = 32 a 1024-wide panel (1 x 32 x 1024) runs Gemm's blocked kernel,
-// whereas a separate 1-wide target GEMM (1 x 32 x 1) would fall under the
-// small-shape cutoff onto the reference loop; with FMA kernels the two
-// differ in the last ulp for some queries. Each target's row is duplicated
-// at the next id, so such an ulp would turn the duplicate's "equal" (half
-// a rank) into "better" or "worse" and break agreement with FilteredRank
-// over the sweep's own panel scores.
+// RankOf scores the target from its single row (a 1 x 32 x 1 GEMM) and the
+// rest from 1024-wide sweep panels (1 x 32 x 1024). Each target's row is
+// duplicated at the next id, so the two scores must agree bit for bit: an
+// ulp apart would turn the duplicate's "equal" (half a rank) into "better"
+// or "worse" and break agreement with FilteredRank over the sweep's own
+// panel scores.
 TEST_F(ShardBackedServerTest, RankOfAgreesWithSweepScoresOnWidePanels) {
   constexpr int64_t kWideN = 2560;
   constexpr int64_t kWideDim = 32;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/parallel_for.h"
@@ -17,15 +18,15 @@
 namespace came::tensor::gemm {
 namespace {
 
-// Tolerance policy (documented in DESIGN.md "GEMM subsystem"): the blocked
-// kernel accumulates each output in KC-sized register-tiled partial sums
-// while the reference accumulates in straight k-order, so results differ
-// by reordered float rounding. For unit-variance operands the per-element
-// error of either order is O(eps * k) in the worst case, so parity is
-// checked against an absolute budget linear in k (the sqrt(k) growth of
-// |c| itself keeps the relative error well below this).
-float ParityTolerance(int64_t k) {
-  return 4e-6f * static_cast<float>(k) + 1e-5f;
+// ReferenceGemm computes every output element in the microkernels' own
+// order and contraction, so parity against it is bitwise. Compared through
+// the bit patterns so a NaN output matches a NaN oracle.
+bool SameBits(float a, float b) {
+  uint32_t x = 0;
+  uint32_t y = 0;
+  std::memcpy(&x, &a, sizeof(x));
+  std::memcpy(&y, &b, sizeof(y));
+  return x == y;
 }
 
 void FillNormal(std::vector<float>* v, Rng* rng) {
@@ -41,7 +42,6 @@ void CheckShape(int64_t m, int64_t k, int64_t n, Rng* rng) {
   FillNormal(&a, rng);
   FillNormal(&b, rng);
   FillNormal(&seed, rng);
-  const float tol = ParityTolerance(k);
   for (const bool trans_a : {false, true}) {
     for (const bool trans_b : {false, true}) {
       for (const bool accumulate : {false, true}) {
@@ -52,10 +52,12 @@ void CheckShape(int64_t m, int64_t k, int64_t n, Rng* rng) {
         Gemm(a.data(), b.data(), got.data(), m, k, n, trans_a, trans_b,
              accumulate);
         for (int64_t i = 0; i < m * n; ++i) {
-          ASSERT_NEAR(got[static_cast<size_t>(i)], ref[static_cast<size_t>(i)],
-                      tol)
+          ASSERT_TRUE(SameBits(got[static_cast<size_t>(i)],
+                               ref[static_cast<size_t>(i)]))
               << "m=" << m << " k=" << k << " n=" << n << " ta=" << trans_a
               << " tb=" << trans_b << " acc=" << accumulate << " i=" << i
+              << " got " << got[static_cast<size_t>(i)] << " want "
+              << ref[static_cast<size_t>(i)]
               << " kernel=" << KernelName(ActiveKernel());
         }
       }
@@ -104,6 +106,97 @@ TEST(GemmParityTest, EveryAvailableKernel) {
       static Rng rng(11);
       return &rng;
     }());
+  }
+}
+
+// The leading [keep_rows, keep_cols] block of a row-major logical matrix
+// with `cols` columns, stored as-is or transposed.
+std::vector<float> Layout(const std::vector<float>& logical, int64_t cols,
+                          int64_t keep_rows, int64_t keep_cols, bool trans) {
+  std::vector<float> out(static_cast<size_t>(keep_rows * keep_cols));
+  for (int64_t r = 0; r < keep_rows; ++r) {
+    for (int64_t c = 0; c < keep_cols; ++c) {
+      const size_t at = static_cast<size_t>(trans ? c * keep_rows + r
+                                                  : r * keep_cols + c);
+      out[at] = logical[static_cast<size_t>(r * cols + c)];
+    }
+  }
+  return out;
+}
+
+TEST(GemmShapeTest, EveryElementIndependentOfMAndN) {
+  // A sub-product's element must equal the same element of a wide blocked
+  // product over the same operands, bit for bit, whichever path (unpacked
+  // loop below the 32^3 cutoff, blocked kernel above it) each side takes.
+  KernelAndThreadGuard guard;
+  constexpr int64_t kBigM = 64;
+  constexpr int64_t kBigN = 1100;
+  const std::vector<int64_t> ms = {1, 2, 3, 13};
+  const std::vector<int64_t> ks = {1, 7, 32, 64, 300};
+  const std::vector<int64_t> ns = {1, 5, 31, 33, 525};
+  for (const Kernel kernel :
+       {Kernel::kScalar, Kernel::kAvx2, Kernel::kAvx512}) {
+    SetKernel(kernel);
+    if (ActiveKernel() != kernel) continue;  // not available here
+    int64_t mismatches = 0;
+    std::string first;
+    Rng rng(31);
+    for (const int64_t k : ks) {
+      std::vector<float> a(static_cast<size_t>(kBigM * k));
+      std::vector<float> b(static_cast<size_t>(k * kBigN));
+      std::vector<float> seed(static_cast<size_t>(kBigM * kBigN));
+      FillNormal(&a, &rng);
+      FillNormal(&b, &rng);
+      FillNormal(&seed, &rng);
+      for (const bool trans_a : {false, true}) {
+        for (const bool trans_b : {false, true}) {
+          const std::vector<float> big_a =
+              Layout(a, k, kBigM, k, trans_a);
+          const std::vector<float> big_b =
+              Layout(b, kBigN, k, kBigN, trans_b);
+          for (const bool accumulate : {false, true}) {
+            std::vector<float> big = seed;
+            Gemm(big_a.data(), big_b.data(), big.data(), kBigM, k, kBigN,
+                 trans_a, trans_b, accumulate);
+            for (const int64_t m : ms) {
+              const std::vector<float> sa = Layout(a, k, m, k, trans_a);
+              for (const int64_t n : ns) {
+                const std::vector<float> sb =
+                    Layout(b, kBigN, k, n, trans_b);
+                std::vector<float> c(static_cast<size_t>(m * n));
+                for (int64_t i = 0; i < m; ++i) {
+                  std::memcpy(&c[static_cast<size_t>(i * n)],
+                              &seed[static_cast<size_t>(i * kBigN)],
+                              static_cast<size_t>(n) * sizeof(float));
+                }
+                Gemm(sa.data(), sb.data(), c.data(), m, k, n, trans_a,
+                     trans_b, accumulate);
+                for (int64_t i = 0; i < m; ++i) {
+                  for (int64_t j = 0; j < n; ++j) {
+                    if (SameBits(c[static_cast<size_t>(i * n + j)],
+                                 big[static_cast<size_t>(i * kBigN + j)])) {
+                      continue;
+                    }
+                    if (mismatches++ == 0) {
+                      first = "m=" + std::to_string(m) +
+                              " k=" + std::to_string(k) +
+                              " n=" + std::to_string(n) +
+                              " ta=" + std::to_string(trans_a) +
+                              " tb=" + std::to_string(trans_b) +
+                              " acc=" + std::to_string(accumulate) + " (" +
+                              std::to_string(i) + ", " + std::to_string(j) +
+                              ")";
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "kernel=" << KernelName(kernel)
+                             << ", first at " << first;
   }
 }
 
