@@ -7,9 +7,11 @@
 //
 // The bench runs a small calibration point first and the headline point
 // second (default 1.2M entities), so the JSON carries triples/sec vs
-// entity count. Exit status is non-zero if peak RSS exceeded the budget,
-// which is what lets CI enforce the memory envelope rather than trust
-// the README.
+// entity count. After the timed filtered evaluation, each point ranks the
+// same held-out queries again through ScoreServer::RankBatch at batch 1, 8
+// and 64 and records how much of the sweep pruning skipped. Exit status
+// is non-zero if peak RSS exceeded the budget, which is what lets CI
+// enforce the memory envelope rather than trust the README.
 //
 // Writes BENCH_sharded_scale.json (override with --json_out=PATH).
 //
@@ -18,10 +20,12 @@
 //         [--dim=N] [--eval_queries=N] [--work_dir=PATH] [--json_out=PATH]
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -29,6 +33,8 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "datagen/stream_bkg.h"
+#include "eval/metrics.h"
+#include "infer/score_server.h"
 #include "kg/filter_index.h"
 #include "train/scale_trainer.h"
 
@@ -67,6 +73,19 @@ datagen::BkgConfig ConfigFor(int64_t entities, int64_t triples) {
   return config;
 }
 
+// One untimed-eval rerun of the held-out queries through RankBatch at a
+// fixed batch size: throughput and what pruning skipped.
+struct RankSweep {
+  int64_t batch = 0;
+  double queries_per_sec = 0;
+  int64_t panels_scored = 0;
+  int64_t panels_skipped = 0;
+  double bound_rejects_per_query = 0;
+  // bound_rejects over (queries x panels per sweep): the share of
+  // (query, panel) pairs that sat out.
+  double sit_out_share = 0;
+};
+
 struct PointResult {
   int64_t entities = 0;
   int64_t train_triples = 0;
@@ -79,7 +98,80 @@ struct PointResult {
   int64_t evictions = 0;
   int64_t map_misses = 0;
   int64_t resident_shards = 0;
+  std::vector<RankSweep> rank_sweeps;
 };
+
+// Ranks `queries` through a ScoreServer built as EvaluateFiltered builds
+// its own (the entity store, an h∘r DistMult encoder, eval_panel_rows-wide
+// panels), `batch` queries per RankBatch call, and checks that the ranks
+// reproduce EvaluateFiltered's metrics exactly.
+RankSweep RankAtBatch(train::ScaleTrainer* trainer,
+                      const train::ScaleTrainConfig& tc,
+                      const std::vector<kg::Triple>& queries,
+                      const kg::FilterIndex& filter, int64_t batch,
+                      const eval::Metrics& expected) {
+  const int64_t d = tc.dim;
+  tensor::ShardStore* entities = &trainer->entity_store();
+  tensor::ShardStore* relations = &trainer->relation_store();
+  infer::QueryEncoder encode = [entities, relations, d](
+                                   const std::vector<int64_t>& heads,
+                                   const std::vector<int64_t>& rels) {
+    // fully-written: every row is copied from its head row, then scaled.
+    tensor::Tensor q = tensor::Tensor::Uninitialized(
+        {static_cast<int64_t>(heads.size()), d});
+    for (size_t i = 0; i < heads.size(); ++i) {
+      float* qrow = q.data() + static_cast<int64_t>(i) * d;
+      std::memcpy(qrow, entities->Row(heads[i]),
+                  sizeof(float) * static_cast<size_t>(d));
+      const float* rr = relations->Row(rels[i]);
+      for (int64_t k = 0; k < d; ++k) qrow[k] *= rr[k];
+    }
+    return q;
+  };
+  infer::ShardStorePanelSource source(entities);
+  infer::ScoreServerConfig server_config;
+  server_config.panel_width = tc.eval_panel_rows;
+  server_config.num_relations = trainer->num_relations();
+  infer::ScoreServer server(std::move(encode), &source, server_config);
+
+  eval::Metrics metrics;
+  Stopwatch watch;
+  for (size_t q0 = 0; q0 < queries.size(); q0 += static_cast<size_t>(batch)) {
+    const size_t q1 = std::min(queries.size(), q0 + static_cast<size_t>(batch));
+    std::vector<int64_t> heads;
+    std::vector<int64_t> rels;
+    std::vector<int64_t> tails;
+    for (size_t q = q0; q < q1; ++q) {
+      heads.push_back(queries[q].head);
+      rels.push_back(queries[q].rel);
+      tails.push_back(queries[q].tail);
+    }
+    Result<std::vector<double>> ranks =
+        server.RankBatch(heads, rels, tails, &filter);
+    CAME_CHECK(ranks.ok()) << ranks.status().ToString();
+    for (const double rank : ranks.value()) metrics.AddRank(rank);
+  }
+  const double seconds = watch.ElapsedSeconds();
+  CAME_CHECK(metrics.Mrr() == expected.Mrr() &&
+             metrics.Hits10() == expected.Hits10())
+      << "RankBatch at batch " << batch << " gave " << metrics.ToString()
+      << ", EvaluateFiltered gave " << expected.ToString();
+
+  const infer::ScoreServer::Stats stats = server.GetStats();
+  const double n = static_cast<double>(stats.queries_served);
+  const double panels_per_sweep =
+      static_cast<double>(stats.panels_scored + stats.panels_skipped) /
+      static_cast<double>(stats.batches_executed);
+  RankSweep sweep;
+  sweep.batch = batch;
+  sweep.queries_per_sec = n / seconds;
+  sweep.panels_scored = stats.panels_scored;
+  sweep.panels_skipped = stats.panels_skipped;
+  sweep.bound_rejects_per_query = static_cast<double>(stats.bound_rejects) / n;
+  sweep.sit_out_share =
+      static_cast<double>(stats.bound_rejects) / (n * panels_per_sweep);
+  return sweep;
+}
 
 PointResult RunPoint(const Args& args, int64_t entities, int64_t triples,
                      const std::string& tag) {
@@ -164,8 +256,23 @@ PointResult RunPoint(const Args& args, int64_t entities, int64_t triples,
   point.eval_seconds = eval_watch.ElapsedSeconds();
   point.mrr = metrics.value().Mrr();
   point.hits10 = metrics.value().Hits10();
-
+  // Store stats cover the training epoch and the timed evaluation only.
   const tensor::ShardStore::Stats stats = trainer.entity_store().GetStats();
+
+  // 4. Held-out-tail pruning: the same queries through RankBatch.
+  for (const int64_t batch : {int64_t{1}, int64_t{8}, int64_t{64}}) {
+    point.rank_sweeps.push_back(RankAtBatch(&trainer, tc, eval_queries,
+                                            filter, batch, metrics.value()));
+    const RankSweep& r = point.rank_sweeps.back();
+    std::printf(
+        "[%s] RankBatch batch=%lld %.0f queries/s panels scored=%lld "
+        "skipped=%lld bound_rejects/query=%.2f sit-out share=%.3f\n",
+        tag.c_str(), static_cast<long long>(r.batch), r.queries_per_sec,
+        static_cast<long long>(r.panels_scored),
+        static_cast<long long>(r.panels_skipped), r.bound_rejects_per_query,
+        r.sit_out_share);
+  }
+
   point.evictions = stats.evictions;
   point.map_misses = stats.map_misses;
   point.resident_shards = stats.resident_shards;
@@ -206,6 +313,25 @@ void WritePoint(JsonWriter* w, const PointResult& p) {
   w->Int(p.map_misses);
   w->Key("resident_shards");
   w->Int(p.resident_shards);
+  w->Key("rank_batch_sweeps");
+  w->BeginArray();
+  for (const RankSweep& r : p.rank_sweeps) {
+    w->BeginObject();
+    w->Key("batch");
+    w->Int(r.batch);
+    w->Key("queries_per_sec");
+    w->Double(r.queries_per_sec);
+    w->Key("panels_scored");
+    w->Int(r.panels_scored);
+    w->Key("panels_skipped");
+    w->Int(r.panels_skipped);
+    w->Key("bound_rejects_per_query");
+    w->Double(r.bound_rejects_per_query);
+    w->Key("sit_out_share");
+    w->Double(r.sit_out_share);
+    w->EndObject();
+  }
+  w->EndArray();
   w->EndObject();
 }
 

@@ -15,24 +15,39 @@ RankAccumulator::RankAccumulator(float target_score, int64_t target,
 void RankAccumulator::Accumulate(const float* scores, int64_t begin,
                                  int64_t len) {
   if (target_is_nan_) return;  // Rank() derives the NaN-target rank directly.
-  // known_tails is sorted; walk a cursor across this panel's id range.
-  auto known_it =
-      std::lower_bound(known_tails_.begin(), known_tails_.end(), begin);
+  // Count the whole panel without branches, so the loop vectorises. NaN
+  // compares false both ways, so a NaN candidate adds to neither count.
+  const float t = target_score_;
+  int64_t better = 0;
+  int64_t equal = 0;
   for (int64_t j = 0; j < len; ++j) {
-    const int64_t i = begin + j;
-    while (known_it != known_tails_.end() && *known_it < i) ++known_it;
-    if (known_it != known_tails_.end() && *known_it == i && i != target_) {
-      continue;  // filtered: another known true tail
-    }
-    if (i == target_) continue;
-    const float s = scores[j];
-    if (std::isnan(s)) continue;
-    if (s > target_score_) {
-      ++better_;
-    } else if (s == target_score_) {
-      ++equal_;
-    }
+    better += scores[j] > t;
+    equal += scores[j] == t;
   }
+  // Then take back, with the same compares, the ids the protocol leaves
+  // out: the target itself and every other known tail in this panel
+  // (known_tails is sorted; a repeated id is taken back once).
+  const int64_t end = begin + len;
+  const auto take_back = [&](int64_t id) {
+    const float s = scores[id - begin];
+    better -= s > t;
+    equal -= s == t;
+  };
+  if (target_ >= begin && target_ < end) take_back(target_);
+  int64_t prev = begin - 1;
+  for (auto it = std::lower_bound(known_tails_.begin(), known_tails_.end(),
+                                  begin);
+       it != known_tails_.end() && *it < end; ++it) {
+    if (*it != prev && *it != target_) take_back(*it);
+    prev = *it;
+  }
+  better_ += better;
+  equal_ += equal;
+}
+
+void RankAccumulator::Merge(const RankAccumulator& other) {
+  better_ += other.better_;
+  equal_ += other.equal_;
 }
 
 double RankAccumulator::Rank(int64_t n) const {

@@ -36,6 +36,12 @@ class RankAccumulator {
   /// exactly the candidate ids the rank should be computed over.
   void Accumulate(const float* scores, int64_t begin, int64_t len);
 
+  /// Adds the counts `other` accumulated over its own panels, which must
+  /// be disjoint from this one's. `other` ranks the same query (same
+  /// target, target score and known tails). The counts are integers, so
+  /// the rank does not depend on how panels were split or merged.
+  void Merge(const RankAccumulator& other);
+
   /// Filtered rank after all panels covering [0, n) have been fed.
   double Rank(int64_t n) const;
 

@@ -13,6 +13,7 @@
 
 #include "baselines/kgc_model.h"
 #include "common/logging.h"
+#include "common/mutex.h"
 #include "common/parallel_for.h"
 #include "eval/ranking.h"
 #include "tensor/gemm.h"
@@ -286,46 +287,44 @@ void ScorePanel(ShardStorePanelSource* src, const QueryBlock& qb,
   }
 }
 
-// The panel sweep shared by TopKBatch and RankBatch. With pruning on,
-// `sits_out(i, seg)` decides per query whether query i may skip the panel;
-// when every query does, the panel is skipped outright (no pin, no GEMM,
-// and for a shard-backed source no residency fault). Otherwise it is
-// scored once for the whole batch and `consume(i, scores, seg)` takes
-// each remaining query's row of panel scores, on the pool.
+// One panel of the sweep, the body TopKBatch and RankBatch share. With
+// pruning on, `sits_out(i, seg)` decides per query whether query i may
+// skip the panel (mask in `skip`, [b]); when every query does, the panel
+// is skipped outright (no pin, no GEMM, and for a shard-backed source no
+// residency fault). Otherwise it is scored once for the whole batch into
+// `scores` ([b, panel width]) and `consume(i, row, seg)` takes each
+// remaining query's row of panel scores, on the pool — or inline when the
+// caller already runs inside a pool chunk. Returns how many queries sat
+// out.
+template <typename SitsOut, typename Consume>
+int64_t SweepPanel(ShardStorePanelSource* src, const QueryBlock& qb,
+                   const PanelSeg& seg, bool prune, const SitsOut& sits_out,
+                   const Consume& consume, uint8_t* skip, float* scores) {
+  int64_t nskip = 0;
+  for (int64_t i = 0; i < qb.b; ++i) {
+    skip[i] = prune && sits_out(i, seg) ? 1 : 0;
+    nskip += skip[i];
+  }
+  if (nskip == qb.b) return nskip;
+  ScorePanel(src, qb, 0, qb.b, seg.begin, seg.end, scores);
+  const int64_t pw = seg.end - seg.begin;
+  ParallelFor(0, qb.b, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      if (skip[i] == 0) consume(i, scores + i * pw, seg);
+    }
+  });
+  return nskip;
+}
+
 struct SweepCounts {
   int64_t panels_scored = 0;
   int64_t bound_rejects = 0;
-};
 
-template <typename SitsOut, typename Consume>
-SweepCounts Sweep(ShardStorePanelSource* src, const QueryBlock& qb,
-                  const std::vector<PanelSeg>& segs, int64_t width,
-                  bool prune, const SitsOut& sits_out,
-                  const Consume& consume) {
-  SweepCounts counts;
-  tensor::pool::ScratchLease scores(qb.b *
-                                    std::min(width, src->num_entities()));
-  std::vector<uint8_t> skip(static_cast<size_t>(qb.b), 0);
-  for (const PanelSeg& seg : segs) {
-    int64_t nskip = 0;
-    for (int64_t i = 0; prune && i < qb.b; ++i) {
-      skip[static_cast<size_t>(i)] = sits_out(i, seg) ? 1 : 0;
-      nskip += skip[static_cast<size_t>(i)];
-    }
-    counts.bound_rejects += nskip;
-    if (nskip == qb.b) continue;
-    ScorePanel(src, qb, 0, qb.b, seg.begin, seg.end, scores.data());
-    ++counts.panels_scored;
-    const int64_t pw = seg.end - seg.begin;
-    ParallelFor(0, qb.b, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) {
-        if (skip[static_cast<size_t>(i)] == 0)
-          consume(i, scores.data() + i * pw, seg);
-      }
-    });
+  void Add(int64_t nskip, int64_t b) {
+    panels_scored += nskip < b ? 1 : 0;
+    bound_rejects += nskip;
   }
-  return counts;
-}
+};
 
 // The fused table's candidate matrix as an in-RAM store in `dtype`:
 // copied into a one-shard ShardStore, then re-encoded by
@@ -524,8 +523,16 @@ Result<std::vector<TopKResult>> ScoreServer::TopKBatch(
                filtered, opts.keep, CursorOver(opts.exclude),
                CursorOver(opts.restrict_to));
   };
-  const SweepCounts counts = Sweep(source_, qb, segs, config_.panel_width,
-                                   prune, sits_out, consume);
+  // Serial, in schedule order: a query's sit-out reads the heap that
+  // earlier panels filled.
+  SweepCounts counts;
+  tensor::pool::ScratchLease scores(b * std::min(config_.panel_width, n));
+  std::vector<uint8_t> skip(static_cast<size_t>(b));
+  for (const PanelSeg& seg : segs) {
+    counts.Add(SweepPanel(source_, qb, seg, prune, sits_out, consume,
+                          skip.data(), scores.data()),
+               b);
+  }
 
   std::vector<TopKResult> out(static_cast<size_t>(b));
   for (int64_t i = 0; i < b; ++i) {
@@ -568,19 +575,22 @@ Result<std::vector<double>> ScoreServer::RankBatch(
   // the sweep's own ScorePanel; a score's bits do not depend on the GEMM
   // shape, so this is the target's sweep score bit for bit.
   std::vector<float> target_scores(static_cast<size_t>(b));
-  std::vector<eval::RankAccumulator> accs;
-  accs.reserve(static_cast<size_t>(b));
+  std::vector<std::span<const int64_t>> known_tails(static_cast<size_t>(b));
   for (int64_t i = 0; i < b; ++i) {
     const auto ui = static_cast<size_t>(i);
     ScorePanel(source_, qb, i, i + 1, targets[ui], targets[ui] + 1,
                &target_scores[ui]);
-    accs.emplace_back(target_scores[ui], targets[ui],
-                      filter != nullptr ? filter->Tails(heads[ui], rels[ui])
-                                        : std::span<const int64_t>());
+    if (filter != nullptr) known_tails[ui] = filter->Tails(heads[ui], rels[ui]);
   }
+  const auto fresh_accumulators = [&] {
+    std::vector<eval::RankAccumulator> accs;
+    accs.reserve(static_cast<size_t>(b));
+    for (size_t i = 0; i < static_cast<size_t>(b); ++i)
+      accs.emplace_back(target_scores[i], targets[i], known_tails[i]);
+    return accs;
+  };
 
-  // Panels in ascending row order: rank counts do not depend on order. A
-  // query sits out a panel whose bound is *strictly* below its target
+  // A query sits out a panel whose bound is *strictly* below its target
   // score, as every candidate there scores strictly worse (or NaN, which
   // the accumulator ignores); bound-equal panels are scored, since equal
   // scores count half a rank each. A NaN target ranks worst by protocol,
@@ -593,13 +603,38 @@ Result<std::vector<double>> ScoreServer::RankBatch(
            PanelScoreBound(qb.norms[static_cast<size_t>(i)], seg.max_norm,
                            seg.max_bias) < s_target;
   };
-  const auto consume = [&](int64_t i, const float* scores,
-                           const PanelSeg& seg) {
-    accs[static_cast<size_t>(i)].Accumulate(scores, seg.begin,
-                                            seg.end - seg.begin);
+
+  // That sit-out reads nothing an earlier panel wrote, so the panels are
+  // independent and run in parallel, one pool chunk each. A chunk scores
+  // into its own lease under its own pin (the GEMM and the consume loop
+  // nested in it run inline) and counts into its own accumulators, which
+  // are merged at the end. The counts are integers, so every rank and
+  // stat is the same at any thread count and in any chunk order.
+  std::vector<eval::RankAccumulator> accs = fresh_accumulators();
+  SweepCounts counts;
+  Mutex mu;
+  const int64_t width = std::min(config_.panel_width, source_->num_entities());
+  const auto sweep_chunk = [&](int64_t lo, int64_t hi) {
+    std::vector<eval::RankAccumulator> part = fresh_accumulators();
+    const auto consume = [&](int64_t i, const float* scores,
+                             const PanelSeg& seg) {
+      part[static_cast<size_t>(i)].Accumulate(scores, seg.begin,
+                                              seg.end - seg.begin);
+    };
+    tensor::pool::ScratchLease scores(b * width);
+    std::vector<uint8_t> skip(static_cast<size_t>(b));
+    SweepCounts local;
+    for (int64_t p = lo; p < hi; ++p) {
+      local.Add(SweepPanel(source_, qb, segs[static_cast<size_t>(p)], prune,
+                           sits_out, consume, skip.data(), scores.data()),
+                b);
+    }
+    MutexLock lock(&mu);
+    for (size_t i = 0; i < part.size(); ++i) accs[i].Merge(part[i]);
+    counts.panels_scored += local.panels_scored;
+    counts.bound_rejects += local.bound_rejects;
   };
-  const SweepCounts counts = Sweep(source_, qb, segs, config_.panel_width,
-                                   prune, sits_out, consume);
+  ParallelFor(0, static_cast<int64_t>(segs.size()), 1, sweep_chunk);
   RecordSweep(b, counts.panels_scored,
               static_cast<int64_t>(segs.size()) - counts.panels_scored,
               counts.bound_rejects);

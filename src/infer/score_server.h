@@ -36,8 +36,9 @@ bool ScorePruneFromEnv();
 
 struct ScoreServerConfig {
   /// Entity-panel width for the blocked score sweep. Scratch memory per
-  /// batch is batch_size * panel_width floats — the full N-entity score
-  /// vector is never materialised. Non-positive values are clamped to
+  /// batch is batch_size * panel_width floats (RankBatch: that much per
+  /// pool thread, as its panels run in parallel) — the full N-entity
+  /// score vector is never materialised. Non-positive values are clamped to
   /// 1024 with a warning (a misconfigured width should degrade, not
   /// crash the server).
   int64_t panel_width = 1024;
@@ -161,8 +162,12 @@ class ScoreServer {
   /// Each target's score comes from scoring its own row once against its
   /// own query, which equals its score in the sweep bit for bit, so every
   /// rank agrees with eval::FilteredRank over the sweep's scores. Panels
-  /// are swept in ascending row order, one GEMM per panel for the whole
-  /// batch.
+  /// are scored in parallel on the pool, one GEMM per panel for the whole
+  /// batch, each pool chunk under its own pin and score lease. This is
+  /// deterministic: a query's skips depend only on its target score and
+  /// the panel bounds (never on earlier panels), and the per-panel
+  /// better/equal counts are integers, so ranks and stats are the same at
+  /// every thread count.
   /// Filtering uses filter->Tails(head, rel) when `filter` is set; the
   /// target is always kept. Pruning lets a query sit out a panel whose
   /// bound is strictly below its target's score (such a panel adds

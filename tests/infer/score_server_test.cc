@@ -897,6 +897,146 @@ TEST_F(ShardBackedServerTest, RankOfAgreesWithSweepScoresOnWidePanels) {
   }
 }
 
+// RankBatch scores its panels in parallel, each pool chunk under its own
+// pin, here over a store with more shards than resident slots, so chunks
+// pin and evict concurrently. Ranks and stats must not depend on the
+// thread count, and every rank must equal FilteredRank over brute-force
+// scores — NaN target and bitwise-tied duplicate rows included.
+TEST_F(ShardBackedServerTest, RankBatchIsThreadCountInvariant) {
+  ThreadCountGuard restore;
+  constexpr int64_t kRows = 600;
+  constexpr int64_t kNumQueries = 70;
+  std::vector<float> rows(static_cast<size_t>(kRows * kDim));
+  for (int64_t i = 0; i < kRows; ++i) {
+    for (int64_t j = 0; j < kDim; ++j) {
+      rows[static_cast<size_t>(i * kDim + j)] =
+          HashVal(0xFACE + static_cast<uint64_t>(i), static_cast<uint64_t>(j));
+    }
+  }
+  // Row 41 duplicates row 40 and row 300 duplicates row 299; row 5 scores
+  // NaN against every query.
+  for (const auto& [from, to] : {std::pair<int64_t, int64_t>{40, 41},
+                                 std::pair<int64_t, int64_t>{299, 300}}) {
+    std::memcpy(&rows[static_cast<size_t>(to * kDim)],
+                &rows[static_cast<size_t>(from * kDim)],
+                sizeof(float) * kDim);
+  }
+  rows[static_cast<size_t>(5 * kDim)] = std::numeric_limits<float>::quiet_NaN();
+
+  // 12 shards of 50 rows (so 12 panels at width 64), 3 resident.
+  tensor::ShardStoreOptions opts;
+  opts.rows_per_shard = 50;
+  opts.max_resident_shards = 3;
+  auto made =
+      tensor::ShardStore::Create(dir_ + "/threads", kRows, kDim, opts);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  tensor::ShardStore store = std::move(made).value();
+  for (int64_t i = 0; i < kRows; ++i) {
+    std::memcpy(store.MutableRow(i), &rows[static_cast<size_t>(i * kDim)],
+                sizeof(float) * kDim);
+  }
+  ASSERT_TRUE(store.Seal().ok());
+  ShardStorePanelSource source(&store);
+
+  // HashVal's quarter-step grid makes every dot product exact, so a plain
+  // loop gives the sweep's scores bit for bit.
+  const auto brute_force = [&](int64_t head, int64_t rel) {
+    const tensor::Tensor q = EncodeQueriesFixture({head}, {rel});
+    std::vector<float> scores(static_cast<size_t>(kRows));
+    for (int64_t i = 0; i < kRows; ++i) {
+      float dot = 0.0f;
+      for (int64_t j = 0; j < kDim; ++j)
+        dot += q.data()[j] * rows[static_cast<size_t>(i * kDim + j)];
+      scores[static_cast<size_t>(i)] = dot;
+    }
+    return scores;
+  };
+
+  // Every third target is its query's best row, so pruning has panels to
+  // skip; the first queries pin the NaN target and the duplicate ties.
+  std::vector<int64_t> heads;
+  std::vector<int64_t> rels;
+  std::vector<int64_t> targets;
+  std::vector<kg::Triple> known;
+  for (int64_t q = 0; q < kNumQueries; ++q) {
+    heads.push_back(q * 37 % kRows);
+    rels.push_back(q % kNumRels);
+    const std::vector<float> scores = brute_force(heads.back(), rels.back());
+    int64_t target = (q * 113 + 7) % kRows;
+    if (q % 3 == 0) {
+      target = std::max_element(scores.begin(), scores.end(),
+                                [](float a, float b) {
+                                  return std::isnan(a) ? !std::isnan(b)
+                                                       : a < b;
+                                }) -
+               scores.begin();
+    }
+    if (q == 1) target = 5;
+    if (q == 2) target = 40;
+    if (q == 4) target = 300;
+    targets.push_back(target);
+    known.push_back({heads.back(), rels.back(), (target + 1) % kRows});
+    known.push_back({heads.back(), rels.back(), (target + 64) % kRows});
+  }
+  kg::FilterIndex filter(kRows, kNumRels);
+  filter.AddTriples(known);
+  std::vector<double> want;
+  for (int64_t q = 0; q < kNumQueries; ++q) {
+    const auto uq = static_cast<size_t>(q);
+    const std::vector<float> scores = brute_force(heads[uq], rels[uq]);
+    want.push_back(eval::FilteredRank(scores.data(), kRows, targets[uq],
+                                      filter.Tails(heads[uq], rels[uq])));
+  }
+
+  const auto stats_delta = [](const ScoreServer::Stats& after,
+                              const ScoreServer::Stats& before) {
+    return std::vector<int64_t>{
+        after.queries_served - before.queries_served,
+        after.batches_executed - before.batches_executed,
+        after.panels_scored - before.panels_scored,
+        after.panels_skipped - before.panels_skipped,
+        after.bound_rejects - before.bound_rejects};
+  };
+  for (const bool prune : {true, false}) {
+    ScoreServerConfig cfg;
+    cfg.panel_width = 64;
+    cfg.prune = prune;
+    ScoreServer server(EncodeQueriesFixture, &source, cfg);
+    for (const size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
+      std::vector<int64_t> first_delta;
+      for (const int threads : {1, 2, 4}) {
+        SetNumThreads(threads);
+        const ScoreServer::Stats before = server.GetStats();
+        for (size_t q0 = 0; q0 < heads.size(); q0 += batch) {
+          const size_t q1 = std::min(heads.size(), q0 + batch);
+          const auto slice = [&](const std::vector<int64_t>& v) {
+            return std::vector<int64_t>(v.begin() + q0, v.begin() + q1);
+          };
+          const Result<std::vector<double>> ranks = server.RankBatch(
+              slice(heads), slice(rels), slice(targets), &filter);
+          ASSERT_TRUE(ranks.ok()) << ranks.status().ToString();
+          for (size_t q = q0; q < q1; ++q) {
+            EXPECT_EQ(ranks.value()[q - q0], want[q])
+                << "prune " << prune << " batch " << batch << " threads "
+                << threads << " query " << q;
+          }
+        }
+        const std::vector<int64_t> delta =
+            stats_delta(server.GetStats(), before);
+        if (first_delta.empty()) {
+          first_delta = delta;
+          // Pruning skips panels; without it every panel is scored.
+          EXPECT_EQ(delta[4] > 0, prune) << "batch " << batch;
+        }
+        EXPECT_EQ(delta, first_delta)
+            << "prune " << prune << " batch " << batch << " threads "
+            << threads;
+      }
+    }
+  }
+  EXPECT_GT(store.GetStats().evictions, 0);
+}
+
 TEST_F(ShardBackedServerTest, ShardServerReportsStoreGeometry) {
   EXPECT_EQ(shard_server_->num_entities(), kN);
   EXPECT_EQ(shard_server_->score_dtype(), ScoreDtype::kFp32);
