@@ -280,19 +280,29 @@ double BestSeconds(const Fn& fn) {
   return best;
 }
 
-// GFLOP/s for one (shape, kernel, threads) cell; kernel==nullopt-style
-// empty string means the reference ikj loop.
-void EmitGemmCell(JsonWriter* w, int64_t m, int64_t k, int64_t n,
-                  const std::string& kernel, int threads, double seconds,
-                  double ref_seconds) {
-  const double gflops = 2.0 * static_cast<double>(m * k * n) / seconds / 1e9;
+// A GEMM shape as Gemm takes it: op(A) is m x k, op(B) is k x n.
+struct GemmShape {
+  int64_t m, k, n;
+  bool trans_a, trans_b;
+};
+
+// GFLOP/s for one (shape, kernel, threads) cell; kernel "reference" means
+// the unpacked oracle loop.
+void EmitGemmCell(JsonWriter* w, const GemmShape& s, const std::string& kernel,
+                  int threads, double seconds, double ref_seconds) {
+  const double gflops =
+      2.0 * static_cast<double>(s.m * s.k * s.n) / seconds / 1e9;
   w->BeginObject();
   w->Key("m");
-  w->Int(m);
+  w->Int(s.m);
   w->Key("k");
-  w->Int(k);
+  w->Int(s.k);
   w->Key("n");
-  w->Int(n);
+  w->Int(s.n);
+  w->Key("trans_a");
+  w->Bool(s.trans_a);
+  w->Key("trans_b");
+  w->Bool(s.trans_b);
   w->Key("kernel");
   w->String(kernel);
   w->Key("threads");
@@ -323,21 +333,35 @@ void WriteMicroOpsJson(const std::string& path) {
   w.Key("default_threads");
   w.Int(kDefaultThreads);
 
-  // GEMM GFLOP/s per shape: reference ikj at 1 thread, then every kernel
-  // available on this machine at 1 and kDefaultThreads threads.
+  // GEMM GFLOP/s per shape: the reference loop at 1 thread, then every
+  // kernel available on this machine at 1 and kDefaultThreads threads.
+  // Square shapes, then the skinny products the model runs: CamE's
+  // decoder layers fc1/fc2 (a batch of queries times a [32, 1024|2048]
+  // weight) and top-K sweep panels (queries times a [rows, 32] panel).
   w.Key("gemm");
   w.BeginArray();
-  const std::vector<std::array<int64_t, 3>> shapes = {
-      {128, 128, 128}, {256, 256, 256}, {512, 512, 512}, {300, 257, 301}};
-  for (const auto& [m, k, n] : shapes) {
+  std::vector<GemmShape> shapes = {{128, 128, 128, false, false},
+                                   {256, 256, 256, false, false},
+                                   {512, 512, 512, false, false},
+                                   {300, 257, 301, false, false}};
+  for (const int64_t m : {1, 4, 8}) {
+    for (const int64_t k : {1024, 2048}) {
+      shapes.push_back({m, k, 32, false, true});
+    }
+    for (const int64_t n : {525, 1024, 8192}) {
+      shapes.push_back({m, 32, n, false, true});
+    }
+  }
+  for (const GemmShape& shape : shapes) {
+    const auto [m, k, n, trans_a, trans_b] = shape;
     ts::Tensor a = RandomTensor({m, k}, 25);
     ts::Tensor b = RandomTensor({k, n}, 26);
     ts::Tensor c({m, n});
     const double ref_s = BestSeconds([&] {
-      gemm::ReferenceGemm(a.data(), b.data(), c.data(), m, k, n, false,
-                          false, /*accumulate=*/false);
+      gemm::ReferenceGemm(a.data(), b.data(), c.data(), m, k, n, trans_a,
+                          trans_b, /*accumulate=*/false);
     });
-    EmitGemmCell(&w, m, k, n, "reference", 1, ref_s, 0.0);
+    EmitGemmCell(&w, shape, "reference", 1, ref_s, 0.0);
     for (const gemm::Kernel kern :
          {gemm::Kernel::kScalar, gemm::Kernel::kAvx2,
           gemm::Kernel::kAvx512}) {
@@ -346,10 +370,10 @@ void WriteMicroOpsJson(const std::string& path) {
       for (const int threads : thread_counts) {
         SetNumThreads(threads);
         const double s = BestSeconds([&] {
-          gemm::Gemm(a.data(), b.data(), c.data(), m, k, n, false, false,
+          gemm::Gemm(a.data(), b.data(), c.data(), m, k, n, trans_a, trans_b,
                      /*accumulate=*/false);
         });
-        EmitGemmCell(&w, m, k, n, gemm::KernelName(kern), threads, s,
+        EmitGemmCell(&w, shape, gemm::KernelName(kern), threads, s,
                      threads == 1 ? ref_s : 0.0);
       }
       SetNumThreads(kDefaultThreads);

@@ -42,6 +42,11 @@
 // near the top, a long tail, as for a trained model's held-out tails),
 // and a uniformly random id. Not gated.
 //
+// The pruning section also serves a trained DistMult table (the
+// inner-product model whose row norms follow entity degree) in 64-row
+// panels: top-K prune-on vs prune-off as above, and RankBatch on each
+// query's held-out (test) tail at batch 1, 8 and 64.
+//
 // Run:  ./bench_serving [scale] [ignored] [--json_out=PATH]
 //                       [--pin_kernel=scalar|avx2|vnni]
 #include <algorithm>
@@ -63,6 +68,7 @@
 #include "common/json_writer.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "eval/evaluator.h"
 #include "infer/batching_front_end.h"
 #include "infer/fused_embedding_table.h"
 #include "infer/score_dtype.h"
@@ -445,6 +451,25 @@ RankResult RunRankBatches(infer::ScoreServer* server,
   return r;
 }
 
+void WriteRankResults(JsonWriter* w, const std::vector<RankResult>& results) {
+  w->BeginArray();
+  for (const RankResult& r : results) {
+    w->BeginObject();
+    w->Key("target");
+    w->String(r.target);
+    w->Key("batch");
+    w->Int(r.batch);
+    w->Key("panels_skipped_ratio");
+    w->Double(r.panels_skipped_ratio);
+    w->Key("bound_rejects_per_query");
+    w->Double(r.bound_rejects_per_query);
+    w->Key("qps");
+    w->Double(r.qps);
+    w->EndObject();
+  }
+  w->EndArray();
+}
+
 void WriteModeResults(JsonWriter* w, const std::vector<ModeResult>& results) {
   w->BeginArray();
   for (const ModeResult& r : results) {
@@ -692,6 +717,37 @@ int Main(int argc, char** argv) {
   const PruneArm came_arm =
       RunPruneArm("CamE", &came_on_server, &came_off_server, heads, rels);
 
+  // A trained DistMult table in 64-row panels: top-K pruning, then the
+  // rank sweep on the held-out tails.
+  constexpr int kDistMultEpochs = 30;
+  constexpr int64_t kDistMultPanel = 64;
+  const eval::Evaluator evaluator(ds);
+  const bench::TrainedModel distmult = bench::TrainAndEval(
+      "DistMult", env, evaluator, kDistMultEpochs, bench::DefaultZoo());
+  auto* dm = dynamic_cast<baselines::InnerProductKgcModel*>(
+      distmult.model.get());
+  CAME_CHECK(dm != nullptr);
+  dm->SetTraining(false);
+  const infer::FusedEmbeddingTable dm_table =
+      infer::FusedEmbeddingTable::Build(dm);
+  infer::ScoreServerConfig dm_off_cfg = prune_off_cfg;
+  dm_off_cfg.panel_width = kDistMultPanel;
+  infer::ScoreServerConfig dm_on_cfg = prune_on_cfg;
+  dm_on_cfg.panel_width = kDistMultPanel;
+  infer::ScoreServer dm_off_server(dm, &dm_table, dm_off_cfg);
+  infer::ScoreServer dm_on_server(dm, &dm_table, dm_on_cfg);
+  const PruneArm dm_arm =
+      RunPruneArm("DistMult", &dm_on_server, &dm_off_server, heads, rels);
+  std::vector<int64_t> held_out_tails;
+  for (size_t i = 0; i < kQueries; ++i) {
+    held_out_tails.push_back(ds.test[i % ds.test.size()].tail);
+  }
+  std::vector<RankResult> dm_rank_results;
+  for (const int64_t batch : {int64_t{1}, int64_t{8}, int64_t{64}}) {
+    dm_rank_results.push_back(RunRankBatches(
+        &dm_on_server, heads, rels, held_out_tails, "held-out tail", batch));
+  }
+
   // Filtered-rank sweep on the skewed table at growing batch sizes, for
   // targets drawn at three spreads of rank.
   std::vector<int64_t> top10_targets;
@@ -833,6 +889,31 @@ int Main(int argc, char** argv) {
   w.Key("prune_speedup_at_4_clients");
   w.Double(came_arm.speedup_at_4);
   w.EndObject();
+  w.Key("distmult");
+  w.BeginObject();
+  w.Key("num_entities");
+  w.Int(dm_table.num_entities());
+  w.Key("dim");
+  w.Int(dm_table.dim());
+  w.Key("panel_width");
+  w.Int(kDistMultPanel);
+  w.Key("epochs");
+  w.Int(kDistMultEpochs);
+  w.Key("test_mrr");
+  w.Double(distmult.test_metrics.Mrr());
+  w.Key("results");
+  WriteModeResults(&w, dm_arm.results);
+  w.Key("panels_scored");
+  w.Int(dm_arm.stats.panels_scored);
+  w.Key("panels_skipped");
+  w.Int(dm_arm.stats.panels_skipped);
+  w.Key("panels_skipped_ratio");
+  w.Double(dm_arm.skip_ratio);
+  w.Key("prune_speedup_at_4_clients");
+  w.Double(dm_arm.speedup_at_4);
+  w.Key("rank");
+  WriteRankResults(&w, dm_rank_results);
+  w.EndObject();
   w.Key("prune_parity");
   w.BeginObject();
   w.Key("parity_kernel");
@@ -854,22 +935,7 @@ int Main(int argc, char** argv) {
   w.Key("table");
   w.String("skewed");
   w.Key("results");
-  w.BeginArray();
-  for (const RankResult& r : rank_results) {
-    w.BeginObject();
-    w.Key("target");
-    w.String(r.target);
-    w.Key("batch");
-    w.Int(r.batch);
-    w.Key("panels_skipped_ratio");
-    w.Double(r.panels_skipped_ratio);
-    w.Key("bound_rejects_per_query");
-    w.Double(r.bound_rejects_per_query);
-    w.Key("qps");
-    w.Double(r.qps);
-    w.EndObject();
-  }
-  w.EndArray();
+  WriteRankResults(&w, rank_results);
   w.EndObject();
   w.EndObject();
   if (w.WriteFile(json_out)) {

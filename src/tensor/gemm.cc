@@ -1,10 +1,12 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #if defined(__AVX2__) || defined(__AVX512F__) || defined(__FMA__)
@@ -33,13 +35,24 @@ constexpr int64_t kMC = 96;   // rows of A per parallel work item
 constexpr int64_t kKC = 256;  // depth of one packed panel pass
 constexpr int64_t kNC = 1024; // columns of B packed per pass
 
-// Products smaller than this skip packing entirely: the blocked path's
-// pack+dispatch overhead exceeds the multiply itself. Shape-only test, so
-// the chosen path (and the result) is independent of the thread count.
+// Products smaller than this run unpacked whatever their row count: the
+// blocked path's pack+dispatch overhead exceeds the multiply itself.
 constexpr int64_t kSmallGemmFlopCutoff = 32 * 32 * 32;
 
 int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
 int64_t RoundUp(int64_t a, int64_t b) { return CeilDiv(a, b) * b; }
+
+// One product with the transpose flags folded into strides: element (i, p)
+// of op(A) lives at a[i * a_si + p * a_sp], element (p, j) of op(B) at
+// b[p * b_sp + j * b_sj]. C is m x n row-major.
+struct Operands {
+  const float* a;
+  const float* b;
+  float* c;
+  int64_t m, k, n;
+  int64_t a_si, a_sp, b_sp, b_sj;
+  bool trans_b;
+};
 
 // One step of a C element's accumulation chain, rounded as the
 // microkernels round it: a fused multiply-add wherever the build targets
@@ -117,8 +130,10 @@ constexpr int kScalarMR = 4;
 constexpr int kScalarNR = 16;
 
 #if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"  // v8f ABI is internal to this TU
+// v8f never crosses this file's boundary, so the ABI warning GCC gives for
+// it on targets without AVX does not apply; its deferred out-of-line
+// copies are emitted at the end of the file, hence no matching pop.
+#pragma GCC diagnostic ignored "-Wpsabi"
 
 typedef float v8f __attribute__((vector_size(32)));
 
@@ -172,8 +187,64 @@ void MicroKernelScalarTile(const float* ap, const float* bp, int64_t kc,
   Store8(c3 + 8, Load8(c3 + 8) + a31);
 }
 
-#pragma GCC diagnostic pop
+// Lanes of the unpacked row kernel (see UnpackedTile below) for the
+// portable kernel: one GNU vector of eight floats.
+struct PortableLanes {
+  using V = v8f;
+  static constexpr int kL = 8;
+  static V Zero() { return V{}; }
+  static V Splat(float s) { return Splat8(s); }
+  static V Load(const float* p) { return Load8(p); }
+  static void Store(float* p, V v) { Store8(p, v); }
+  static void AddStore(float* c, V v) { Store8(c, Load8(c) + v); }
+  static V MulAdd(V a, V b, V acc) { return MulAdd8(a, b, acc); }
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_shufflevector)
+  // 8x8 block of B rows (src[j * lds + p]) into j-lane rows
+  // (dst[p * ldd + j]): three rounds of two-source shuffles, round d
+  // swapping bit d of the row index with bit d of the column index.
+  static void Transpose(const float* src, int64_t lds, float* dst,
+                        int64_t ldd) {
+    v8f r[8];
+    for (int i = 0; i < 8; ++i) r[i] = Load8(src + i * lds);
+    for (int i : {0, 1, 2, 3}) {
+      const v8f x = r[i];
+      const v8f y = r[i + 4];
+      r[i] = __builtin_shufflevector(x, y, 0, 1, 2, 3, 8, 9, 10, 11);
+      r[i + 4] = __builtin_shufflevector(x, y, 4, 5, 6, 7, 12, 13, 14, 15);
+    }
+    for (int i : {0, 1, 4, 5}) {
+      const v8f x = r[i];
+      const v8f y = r[i + 2];
+      r[i] = __builtin_shufflevector(x, y, 0, 1, 8, 9, 4, 5, 12, 13);
+      r[i + 2] = __builtin_shufflevector(x, y, 2, 3, 10, 11, 6, 7, 14, 15);
+    }
+    for (int i : {0, 2, 4, 6}) {
+      const v8f x = r[i];
+      const v8f y = r[i + 1];
+      r[i] = __builtin_shufflevector(x, y, 0, 8, 2, 10, 4, 12, 6, 14);
+      r[i + 1] = __builtin_shufflevector(x, y, 1, 9, 3, 11, 5, 13, 7, 15);
+    }
+    for (int i = 0; i < 8; ++i) Store8(dst + i * ldd, r[i]);
+  }
+#endif  // __has_builtin(__builtin_shufflevector)
+#endif  // __has_builtin
+};
+
 #else   // plain-loop variant for compilers without GNU vector extensions
+struct PortableLanes {
+  using V = float;
+  static constexpr int kL = 1;
+  static V Zero() { return 0.0f; }
+  static V Splat(float s) { return s; }
+  static V Load(const float* p) { return *p; }
+  static void Store(float* p, V v) { *p = v; }
+  static void AddStore(float* c, V v) { *c += v; }
+  static V MulAdd(V a, V b, V acc) {
+    return came::tensor::gemm::MulAdd(a, b, acc);
+  }
+};
+
 void MicroKernelScalarTile(const float* ap, const float* bp, int64_t kc,
                            float* c, int64_t ldc) {
   float acc[kScalarMR][kScalarNR] = {};
@@ -250,6 +321,43 @@ void MicroKernelAvx2(const float* ap, const float* bp, int64_t kc, float* c,
     for (int j = 0; j < cols; ++j) crow[j] += tmp[r * kAvx2NR + j];
   }
 }
+
+// Unpacked-kernel lanes: one ymm. Transpose turns an 8x8 block of B rows
+// (src[j * lds + p]) into j-lane rows (dst[p * ldd + j]) in registers.
+struct Avx2Lanes {
+  using V = __m256;
+  static constexpr int kL = 8;
+  static V Zero() { return _mm256_setzero_ps(); }
+  static V Splat(float s) { return _mm256_set1_ps(s); }
+  static V Load(const float* p) { return _mm256_loadu_ps(p); }
+  static void Store(float* p, V v) { _mm256_storeu_ps(p, v); }
+  static void AddStore(float* c, V v) {
+    _mm256_storeu_ps(c, _mm256_add_ps(_mm256_loadu_ps(c), v));
+  }
+  static V MulAdd(V a, V b, V acc) { return _mm256_fmadd_ps(a, b, acc); }
+  static void Transpose(const float* src, int64_t lds, float* dst,
+                        int64_t ldd) {
+    __m256 r[8];
+    __m256 t[8];
+    for (int i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * lds);
+    for (int i = 0; i < 8; i += 2) {
+      t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+      t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+    }
+    for (int i = 0; i < 8; i += 4) {  // within each 128-bit lane: 4 rows
+      r[i] = _mm256_shuffle_ps(t[i], t[i + 2], 0x44);
+      r[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], 0xee);
+      r[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0x44);
+      r[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0xee);
+    }
+    for (int i = 0; i < 4; ++i) {  // join rows 0-3 and 4-7 of column i, i+4
+      _mm256_storeu_ps(dst + i * ldd,
+                       _mm256_permute2f128_ps(r[i], r[i + 4], 0x20));
+      _mm256_storeu_ps(dst + (i + 4) * ldd,
+                       _mm256_permute2f128_ps(r[i], r[i + 4], 0x31));
+    }
+  }
+};
 #endif  // __AVX2__ && __FMA__
 
 #if defined(__AVX512F__)
@@ -295,13 +403,178 @@ void MicroKernelAvx512(const float* ap, const float* bp, int64_t kc, float* c,
     for (int j = 0; j < cols; ++j) crow[j] += tmp[r * kAvx512NR + j];
   }
 }
+// Unpacked-kernel lanes: one zmm. Transpose is the 16x16 counterpart of
+// Avx2Lanes::Transpose, as four rounds of two-source permutes.
+struct Avx512Lanes {
+  using V = __m512;
+  static constexpr int kL = 16;
+  static V Zero() { return _mm512_setzero_ps(); }
+  static V Splat(float s) { return _mm512_set1_ps(s); }
+  static V Load(const float* p) { return _mm512_loadu_ps(p); }
+  static void Store(float* p, V v) { _mm512_storeu_ps(p, v); }
+  static void AddStore(float* c, V v) {
+    _mm512_storeu_ps(c, _mm512_add_ps(_mm512_loadu_ps(c), v));
+  }
+  static V MulAdd(V a, V b, V acc) { return _mm512_fmadd_ps(a, b, acc); }
+
+  // Swaps bit D of the row index with bit D of the column index: each
+  // pair (r[i], r[i + D]) keeps its lower or upper half-block of lanes.
+  template <int D>
+  static void Round(__m512* r) {
+    struct Index {
+      alignas(64) int32_t lo[16];
+      alignas(64) int32_t hi[16];
+    };
+    static constexpr Index kIndex = [] {
+      Index index{};
+      for (int j = 0; j < 16; ++j) {
+        index.lo[j] = (j & D) != 0 ? 16 + j - D : j;
+        index.hi[j] = (j & D) != 0 ? 16 + j : j + D;
+      }
+      return index;
+    }();
+    const __m512i lo = _mm512_load_si512(kIndex.lo);
+    const __m512i hi = _mm512_load_si512(kIndex.hi);
+    for (int i = 0; i < 16; ++i) {
+      if ((i & D) != 0) continue;
+      const __m512 x = r[i];
+      const __m512 y = r[i + D];
+      r[i] = _mm512_permutex2var_ps(x, lo, y);
+      r[i + D] = _mm512_permutex2var_ps(x, hi, y);
+    }
+  }
+  static void Transpose(const float* src, int64_t lds, float* dst,
+                        int64_t ldd) {
+    __m512 r[16];
+    for (int i = 0; i < 16; ++i) r[i] = _mm512_loadu_ps(src + i * lds);
+    Round<8>(r);
+    Round<4>(r);
+    Round<2>(r);
+    Round<1>(r);
+    for (int i = 0; i < 16; ++i) _mm512_storeu_ps(dst + i * ldd, r[i]);
+  }
+};
 #endif  // __AVX512F__
+
+// ---------------------------------------------------------------------------
+// Unpacked row kernel: every product with fewer rows than a microkernel
+// tile, and every product too small to amortise packing. Lanes run over
+// the column j, two vectors (W = 2 * kL columns) per row of C, and each
+// row keeps its own register chains. Each C element follows the
+// microkernels' chain exactly: per kKC pass a sequential multiply-add over
+// p from zero, then one add into C, so the result is bitwise the blocked
+// path's. Nothing is packed: B rows are read in place, and only a kL-deep
+// block of a transposed or ragged B is staged in j-lanes, once for all the
+// rows of the tile.
+// ---------------------------------------------------------------------------
+
+// Fills t (kL x W, row-major) with op(B)(p0 + p, j0 + jj) for p < depth,
+// jj < w, and zeros in the columns jj >= w.
+template <class Lanes>
+void StageB(const Operands& o, int64_t p0, int64_t j0, int depth, int w,
+            float* t) {
+  constexpr int kL = Lanes::kL;
+  constexpr int kW = 2 * kL;
+  for (int h = 0; h < kW; h += kL) {
+    const int cols = std::clamp(w - h, 0, kL);
+    if constexpr (requires { Lanes::Transpose; }) {
+      if (o.trans_b && cols == kL && depth == kL) {
+        Lanes::Transpose(o.b + (j0 + h) * o.k + p0, o.k, t + h, kW);
+        continue;
+      }
+    }
+    for (int p = 0; p < depth; ++p) {
+      for (int jj = 0; jj < kL; ++jj) {
+        t[p * kW + h + jj] =
+            jj < cols ? o.b[(p0 + p) * o.b_sp + (j0 + h + jj) * o.b_sj]
+                      : 0.0f;
+      }
+    }
+  }
+}
+
+// Rows [i0, i0 + R) x columns [j0, j0 + W) of C, clipped to n.
+template <class Lanes, int R>
+void UnpackedTile(const Operands& o, int64_t i0, int64_t j0) {
+  using V = typename Lanes::V;
+  constexpr int kL = Lanes::kL;
+  constexpr int kW = 2 * kL;
+  const int w = static_cast<int>(std::min<int64_t>(kW, o.n - j0));
+  // Full-width rows of an untransposed B are read where they lie.
+  const bool in_place = !o.trans_b && w == kW;
+  const float* arow[R];
+  for (int r = 0; r < R; ++r) arow[r] = o.a + (i0 + r) * o.a_si;
+  alignas(64) float staged[kL * kW];
+  float* c = o.c + i0 * o.n + j0;
+  for (int64_t pc = 0; pc < o.k; pc += kKC) {
+    const int64_t pe = std::min(o.k, pc + kKC);
+    V acc[R][2];
+    for (int r = 0; r < R; ++r) acc[r][0] = acc[r][1] = Lanes::Zero();
+    for (int64_t p0 = pc; p0 < pe; p0 += kL) {
+      const int depth = static_cast<int>(std::min<int64_t>(kL, pe - p0));
+      const float* bt = staged;
+      int64_t ldb = kW;
+      if (in_place) {
+        bt = o.b + p0 * o.n + j0;
+        ldb = o.n;
+      } else {
+        StageB<Lanes>(o, p0, j0, depth, w, staged);
+      }
+      for (int p = 0; p < depth; ++p) {
+        const V b0 = Lanes::Load(bt + p * ldb);
+        const V b1 = Lanes::Load(bt + p * ldb + kL);
+        const int64_t ap = (p0 + p) * o.a_sp;
+        for (int r = 0; r < R; ++r) {
+          const V av = Lanes::Splat(arow[r][ap]);
+          acc[r][0] = Lanes::MulAdd(av, b0, acc[r][0]);
+          acc[r][1] = Lanes::MulAdd(av, b1, acc[r][1]);
+        }
+      }
+    }
+    if (w == kW) {
+      for (int r = 0; r < R; ++r) {
+        Lanes::AddStore(c + r * o.n, acc[r][0]);
+        Lanes::AddStore(c + r * o.n + kL, acc[r][1]);
+      }
+    } else {
+      alignas(64) float tile[R * kW];
+      for (int r = 0; r < R; ++r) {
+        Lanes::Store(tile + r * kW, acc[r][0]);
+        Lanes::Store(tile + r * kW + kL, acc[r][1]);
+      }
+      for (int r = 0; r < R; ++r) {
+        for (int jj = 0; jj < w; ++jj) c[r * o.n + jj] += tile[r * kW + jj];
+      }
+    }
+  }
+}
+
+using UnpackedTileFn = void (*)(const Operands&, int64_t, int64_t);
+
+template <class Lanes, int... R>
+constexpr std::array<UnpackedTileFn, sizeof...(R)> UnpackedTiles(
+    std::integer_sequence<int, R...>) {
+  return {&UnpackedTile<Lanes, R + 1>...};
+}
+
+// Column blocks of W, each in row tiles of MR and one tile of the m % MR
+// remaining rows. Serial: a product this skinny or small is one work item.
+template <class Lanes, int MR>
+void UnpackedGemm(const Operands& o) {
+  static constexpr std::array<UnpackedTileFn, MR> kTiles =
+      UnpackedTiles<Lanes>(std::make_integer_sequence<int, MR>());
+  for (int64_t j0 = 0; j0 < o.n; j0 += 2 * Lanes::kL) {
+    int64_t i0 = 0;
+    for (; i0 + MR <= o.m; i0 += MR) kTiles[MR - 1](o, i0, j0);
+    if (i0 < o.m) kTiles[o.m - i0 - 1](o, i0, j0);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Blocked driver. Loop nest (outside in): column blocks of C (jc), depth
 // panels (pc, serial — so the accumulation order into C is fixed), then
 // row blocks of A distributed over the worker pool. Each row block packs
-// its own slab of A (thread-local scratch) and writes a disjoint band of C
+// its own slab of A (a pooled scratch lease) and writes a disjoint band of C
 // rows; the packed B panel is shared read-only across workers.
 // ---------------------------------------------------------------------------
 
@@ -309,12 +582,13 @@ using MicroKernelFn = void (*)(const float*, const float*, int64_t, float*,
                                int64_t, int, int);
 
 template <int MR, int NR, MicroKernelFn MK>
-void BlockedGemm(const float* a, const float* b, float* c, int64_t m,
-                 int64_t k, int64_t n, bool trans_a, bool trans_b) {
-  const int64_t a_si = trans_a ? 1 : k;  // stride of i in op(A)(i, p)
-  const int64_t a_sp = trans_a ? m : 1;  // stride of p
-  const int64_t b_sp = trans_b ? 1 : n;  // stride of p in op(B)(p, j)
-  const int64_t b_sj = trans_b ? k : 1;  // stride of j
+void BlockedGemm(const Operands& o) {
+  const float* a = o.a;
+  const float* b = o.b;
+  float* c = o.c;
+  const int64_t m = o.m;
+  const int64_t k = o.k;
+  const int64_t n = o.n;
 
   // Packing scratch comes from the storage pool on a per-panel lease
   // instead of thread_local vectors, which grew to the largest panel ever
@@ -329,7 +603,7 @@ void BlockedGemm(const float* a, const float* b, float* c, int64_t m,
       const pool::ScratchLease bp_lease(nc_pad * kc);
       float* bp = bp_lease.data();  // raw pointer: workers share the
                                     // calling thread's packed panel
-      PackB<NR>(b, b_sp, b_sj, pc, jc, kc, nc, bp);
+      PackB<NR>(b, o.b_sp, o.b_sj, pc, jc, kc, nc, bp);
 
       const int64_t ap_numel = RoundUp(std::min(kMC, m), MR) * kc;
       ParallelFor(0, CeilDiv(m, kMC), /*grain=*/1,
@@ -339,7 +613,7 @@ void BlockedGemm(const float* a, const float* b, float* c, int64_t m,
         for (int64_t blk = blk_lo; blk < blk_hi; ++blk) {
           const int64_t ic = blk * kMC;
           const int64_t mc = std::min(kMC, m - ic);
-          PackA<MR>(a, a_si, a_sp, ic, pc, mc, kc, ap_buf);
+          PackA<MR>(a, o.a_si, o.a_sp, ic, pc, mc, kc, ap_buf);
           for (int64_t jr = 0; jr < nc; jr += NR) {
             const float* bpan = bp + (jr / NR) * NR * kc;
             const int cols = static_cast<int>(std::min<int64_t>(NR, nc - jr));
@@ -354,6 +628,19 @@ void BlockedGemm(const float* a, const float* b, float* c, int64_t m,
         }
       });
     }
+  }
+}
+
+// The one shape rule: rows that cannot fill a microkernel tile, or a
+// product too small to amortise packing, run unpacked; everything else is
+// blocked. Shape-only, so the path never depends on the thread count, and
+// both paths give the same bits anyway.
+template <class Lanes, int MR, int NR, MicroKernelFn MK>
+void RunGemm(const Operands& o) {
+  if (o.m < MR || o.m * o.k * o.n < kSmallGemmFlopCutoff) {
+    UnpackedGemm<Lanes, MR>(o);
+  } else {
+    BlockedGemm<MR, NR, MK>(o);
   }
 }
 
@@ -506,29 +793,23 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
   if (m <= 0 || n <= 0) return;
   if (!accumulate) std::fill(c, c + m * n, 0.0f);
   if (k <= 0) return;
-  if (m * k * n < kSmallGemmFlopCutoff) {
-    // Too small to amortize packing. The unpacked loop computes every
-    // element in the microkernels' order, so the result does not depend
-    // on which side of the cutoff a shape falls.
-    ReferenceGemm(a, b, c, m, k, n, trans_a, trans_b, /*accumulate=*/true);
-    return;
-  }
+  const Operands o{a, b, c, m, k, n,
+                   /*a_si=*/trans_a ? 1 : k, /*a_sp=*/trans_a ? m : 1,
+                   /*b_sp=*/trans_b ? 1 : n, /*b_sj=*/trans_b ? k : 1,
+                   trans_b};
   switch (ActiveKernel()) {
 #if defined(__AVX512F__)
     case Kernel::kAvx512:
-      BlockedGemm<kAvx512MR, kAvx512NR, MicroKernelAvx512>(a, b, c, m, k, n,
-                                                           trans_a, trans_b);
+      RunGemm<Avx512Lanes, kAvx512MR, kAvx512NR, MicroKernelAvx512>(o);
       return;
 #endif
 #if defined(__AVX2__) && defined(__FMA__)
     case Kernel::kAvx2:
-      BlockedGemm<kAvx2MR, kAvx2NR, MicroKernelAvx2>(a, b, c, m, k, n,
-                                                     trans_a, trans_b);
+      RunGemm<Avx2Lanes, kAvx2MR, kAvx2NR, MicroKernelAvx2>(o);
       return;
 #endif
     default:
-      BlockedGemm<kScalarMR, kScalarNR, MicroKernelScalar>(a, b, c, m, k, n,
-                                                           trans_a, trans_b);
+      RunGemm<PortableLanes, kScalarMR, kScalarNR, MicroKernelScalar>(o);
       return;
   }
 }

@@ -9,13 +9,19 @@ namespace came::tensor::gemm {
 // ---------------------------------------------------------------------------
 // Single-precision GEMM: C (m x n, row-major) = op(A) * op(B) [+ C].
 //
-// The implementation is a cache-blocked, packed-panel SGEMM with a
-// register-tiled microkernel (see DESIGN.md "GEMM subsystem"). Operands are
-// consumed through their transpose flags by the packing routines, so no
-// transposed copy is ever materialized. Work is distributed over the
-// ParallelFor worker pool with a partition that depends only on the problem
-// shape — never the thread count — so results are bitwise-identical at
-// every CAME_NUM_THREADS setting.
+// Two schedules, chosen by shape alone (see DESIGN.md "GEMM subsystem"):
+//  - unpacked: a product with fewer rows than the active microkernel's
+//    tile height MR, or with fewer than 32^3 multiply-adds, runs serially
+//    on vector lanes over the columns of C, one register chain per row,
+//    reading B in place (a transposed B passes through registers a
+//    lanes x lanes block at a time). Nothing is packed.
+//  - blocked: everything else is a cache-blocked, packed-panel SGEMM with
+//    a register-tiled microkernel, distributed over the ParallelFor pool
+//    with a partition that depends only on the shape.
+// Both read operands through their transpose flags, so no transposed copy
+// is materialized, and both compute each C element in the same chain, so
+// results are bitwise-identical on either path and at every
+// CAME_NUM_THREADS setting.
 // ---------------------------------------------------------------------------
 
 /// op(A) is m x k, op(B) is k x n, C is m x n, all dense row-major.
@@ -25,11 +31,12 @@ namespace came::tensor::gemm {
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool trans_a, bool trans_b, bool accumulate);
 
-/// The serial, unpacked loop Gemm runs below its small-shape cutoff, and
-/// the tests' bitwise oracle. Each C element is computed in the
-/// microkernels' order: per 256-deep pass a sequential multiply-add chain
+/// The tests' bitwise oracle and the benches' baseline; Gemm never calls
+/// it. A plain serial loop that computes each C element in the chain both
+/// Gemm schedules use: per 256-deep pass a sequential multiply-add over p
 /// (fused on FMA builds) from zero, then one add into C. So for a given
-/// kernel no output bit depends on m, n, or which path a shape takes.
+/// build no output bit of Gemm depends on m, n, the kernel, or which
+/// schedule a shape takes.
 void ReferenceGemm(const float* a, const float* b, float* c, int64_t m,
                    int64_t k, int64_t n, bool trans_a, bool trans_b,
                    bool accumulate);
@@ -47,7 +54,7 @@ enum class Kernel {
   kAuto,    ///< pick the best kernel the CPU and binary support
   kScalar,  ///< portable blocked C++ (still compiler-autovectorizable)
   kAvx2,    ///< AVX2 + FMA 6x16 microkernel
-  kAvx512,  ///< AVX-512F 8x32 microkernel
+  kAvx512,  ///< AVX-512F 12x32 microkernel
 };
 
 /// The kernel Gemm will actually run (never kAuto). Resolved on first use

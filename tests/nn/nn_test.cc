@@ -166,8 +166,9 @@ TEST(ModuleTest, SnapshotRestoreRoundTrip) {
     v.mutable_value().Fill(99.0f);
   }
   m.RestoreParameters(snapshot);
+  const auto params = m.NamedParameters();
   for (size_t i = 0; i < snapshot.size(); ++i) {
-    const auto& [name, p] = m.NamedParameters()[i];
+    const auto& [name, p] = params[i];
     for (int64_t j = 0; j < p.numel(); ++j) {
       EXPECT_EQ(p.value().data()[j], snapshot[i].data()[j]) << name;
     }

@@ -19,9 +19,13 @@ namespace came::tensor::gemm {
 namespace {
 
 // ReferenceGemm computes every output element in the microkernels' own
-// order and contraction, so parity against it is bitwise. Compared through
-// the bit patterns so a NaN output matches a NaN oracle.
+// order and contraction, so parity against it is bitwise: compared through
+// the bit patterns, so -0 differs from +0. The one exception is which NaN
+// comes out: IEEE 754 leaves open which NaN operand an operation passes on,
+// and x86 picks by operand position, which the compiler's choice of
+// instruction form decides. So a NaN must meet a NaN, in any encoding.
 bool SameBits(float a, float b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
   uint32_t x = 0;
   uint32_t y = 0;
   std::memcpy(&x, &a, sizeof(x));
@@ -33,32 +37,59 @@ void FillNormal(std::vector<float>* v, Rng* rng) {
   for (float& x : *v) x = static_cast<float>(rng->Normal());
 }
 
+// Overwrites a few random entries with NaN, +inf, -inf and -0, so the
+// products, the chains and the adds into C all meet IEEE special values.
+void SprinkleSpecials(std::vector<float>* v, Rng* rng) {
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), -0.0f,
+                            -0.0f};
+  for (const float x : specials) {
+    (*v)[static_cast<size_t>(rng->UniformU64(v->size()))] = x;
+  }
+}
+
 // Runs new-vs-reference parity on one (m, k, n) for all four transpose
-// combinations with accumulate off and on.
-void CheckShape(int64_t m, int64_t k, int64_t n, Rng* rng) {
+// combinations with accumulate off and on, on the active kernel or on each
+// of `kernels` against one reference. With `specials`, A, B and the seed
+// of C each carry NaN, +-inf and -0 entries.
+void CheckShape(int64_t m, int64_t k, int64_t n, Rng* rng,
+                bool specials = false,
+                const std::vector<Kernel>& kernels = {}) {
   std::vector<float> a(static_cast<size_t>(m * k));
   std::vector<float> b(static_cast<size_t>(k * n));
   std::vector<float> seed(static_cast<size_t>(m * n));
   FillNormal(&a, rng);
   FillNormal(&b, rng);
   FillNormal(&seed, rng);
+  if (specials) {
+    SprinkleSpecials(&a, rng);
+    SprinkleSpecials(&b, rng);
+    SprinkleSpecials(&seed, rng);
+  }
   for (const bool trans_a : {false, true}) {
     for (const bool trans_b : {false, true}) {
       for (const bool accumulate : {false, true}) {
         std::vector<float> ref = seed;
-        std::vector<float> got = seed;
         ReferenceGemm(a.data(), b.data(), ref.data(), m, k, n, trans_a,
                       trans_b, accumulate);
-        Gemm(a.data(), b.data(), got.data(), m, k, n, trans_a, trans_b,
-             accumulate);
-        for (int64_t i = 0; i < m * n; ++i) {
-          ASSERT_TRUE(SameBits(got[static_cast<size_t>(i)],
-                               ref[static_cast<size_t>(i)]))
-              << "m=" << m << " k=" << k << " n=" << n << " ta=" << trans_a
-              << " tb=" << trans_b << " acc=" << accumulate << " i=" << i
-              << " got " << got[static_cast<size_t>(i)] << " want "
-              << ref[static_cast<size_t>(i)]
-              << " kernel=" << KernelName(ActiveKernel());
+        for (const Kernel kernel :
+             kernels.empty() ? std::vector<Kernel>{ActiveKernel()}
+                             : kernels) {
+          SetKernel(kernel);
+          std::vector<float> got = seed;
+          Gemm(a.data(), b.data(), got.data(), m, k, n, trans_a, trans_b,
+               accumulate);
+          for (int64_t i = 0; i < m * n; ++i) {
+            ASSERT_TRUE(SameBits(got[static_cast<size_t>(i)],
+                                 ref[static_cast<size_t>(i)]))
+                << "m=" << m << " k=" << k << " n=" << n
+                << " ta=" << trans_a << " tb=" << trans_b
+                << " acc=" << accumulate << " i=" << i << " got "
+                << got[static_cast<size_t>(i)] << " want "
+                << ref[static_cast<size_t>(i)]
+                << " kernel=" << KernelName(ActiveKernel());
+          }
         }
       }
     }
@@ -97,15 +128,29 @@ TEST(GemmParityTest, AdversarialGridOnActiveKernel) {
 
 TEST(GemmParityTest, EveryAvailableKernel) {
   KernelAndThreadGuard guard;
+  std::vector<Kernel> available;
   for (const Kernel k : {Kernel::kScalar, Kernel::kAvx2, Kernel::kAvx512}) {
     SetKernel(k);
     if (ActiveKernel() != k) continue;  // not available on this CPU/binary
+    available.push_back(k);
     SCOPED_TRACE("kernel=" + KernelName(k));
     CheckGrid({1, 7, 129}, /*rng_seed=*/7);
     CheckShape(512, 512, 512, [] {
       static Rng rng(11);
       return &rng;
     }());
+  }
+  // Every row count up to the largest microkernel tile (12), so each
+  // kernel runs both sides of its m < MR boundary; depths that span
+  // several 256-deep passes, with and without a ragged last one; whole,
+  // ragged and wide column counts; IEEE specials in every operand.
+  Rng rng(13);
+  for (int64_t m = 1; m <= 12; ++m) {
+    for (const int64_t depth : {256, 257, 1024, 2048}) {
+      for (const int64_t n : {16, 17, 32, 1024}) {
+        CheckShape(m, depth, n, &rng, /*specials=*/true, available);
+      }
+    }
   }
 }
 
@@ -131,9 +176,9 @@ TEST(GemmShapeTest, EveryElementIndependentOfMAndN) {
   KernelAndThreadGuard guard;
   constexpr int64_t kBigM = 64;
   constexpr int64_t kBigN = 1100;
-  const std::vector<int64_t> ms = {1, 2, 3, 13};
-  const std::vector<int64_t> ks = {1, 7, 32, 64, 300};
-  const std::vector<int64_t> ns = {1, 5, 31, 33, 525};
+  const std::vector<int64_t> ms = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
+  const std::vector<int64_t> ks = {1, 7, 32, 64, 256, 257, 300};
+  const std::vector<int64_t> ns = {1, 5, 16, 17, 31, 32, 33, 525};
   for (const Kernel kernel :
        {Kernel::kScalar, Kernel::kAvx2, Kernel::kAvx512}) {
     SetKernel(kernel);
