@@ -6,9 +6,8 @@
 // Besides the human-readable google-benchmark table, the binary writes a
 // machine-readable trajectory file (default BENCH_micro_ops.json, override
 // with --json_out=PATH) holding GFLOP/s per GEMM shape for each available
-// kernel — including the retained reference ikj loop, so the speedup of
-// the blocked SGEMM subsystem is recorded per commit — plus the latency of
-// a full filtered-ranking eval batch.
+// kernel, so the SGEMM subsystem's throughput is recorded per commit, plus
+// the latency of a full filtered-ranking eval batch.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -286,10 +285,9 @@ struct GemmShape {
   bool trans_a, trans_b;
 };
 
-// GFLOP/s for one (shape, kernel, threads) cell; kernel "reference" means
-// the unpacked oracle loop.
+// GFLOP/s for one (shape, kernel, threads) cell.
 void EmitGemmCell(JsonWriter* w, const GemmShape& s, const std::string& kernel,
-                  int threads, double seconds, double ref_seconds) {
+                  int threads, double seconds) {
   const double gflops =
       2.0 * static_cast<double>(s.m * s.k * s.n) / seconds / 1e9;
   w->BeginObject();
@@ -311,10 +309,6 @@ void EmitGemmCell(JsonWriter* w, const GemmShape& s, const std::string& kernel,
   w->Double(seconds * 1e3);
   w->Key("gflops");
   w->Double(gflops);
-  if (ref_seconds > 0.0) {
-    w->Key("speedup_vs_reference");
-    w->Double(ref_seconds / seconds);
-  }
   w->EndObject();
 }
 
@@ -333,8 +327,8 @@ void WriteMicroOpsJson(const std::string& path) {
   w.Key("default_threads");
   w.Int(kDefaultThreads);
 
-  // GEMM GFLOP/s per shape: the reference loop at 1 thread, then every
-  // kernel available on this machine at 1 and kDefaultThreads threads.
+  // GEMM GFLOP/s per shape: every kernel available on this machine at 1
+  // and kDefaultThreads threads.
   // Square shapes, then the skinny products the model runs: CamE's
   // decoder layers fc1/fc2 (a batch of queries times a [32, 1024|2048]
   // weight) and top-K sweep panels (queries times a [rows, 32] panel).
@@ -357,11 +351,6 @@ void WriteMicroOpsJson(const std::string& path) {
     ts::Tensor a = RandomTensor({m, k}, 25);
     ts::Tensor b = RandomTensor({k, n}, 26);
     ts::Tensor c({m, n});
-    const double ref_s = BestSeconds([&] {
-      gemm::ReferenceGemm(a.data(), b.data(), c.data(), m, k, n, trans_a,
-                          trans_b, /*accumulate=*/false);
-    });
-    EmitGemmCell(&w, shape, "reference", 1, ref_s, 0.0);
     for (const gemm::Kernel kern :
          {gemm::Kernel::kScalar, gemm::Kernel::kAvx2,
           gemm::Kernel::kAvx512}) {
@@ -373,8 +362,7 @@ void WriteMicroOpsJson(const std::string& path) {
           gemm::Gemm(a.data(), b.data(), c.data(), m, k, n, trans_a, trans_b,
                      /*accumulate=*/false);
         });
-        EmitGemmCell(&w, shape, gemm::KernelName(kern), threads, s,
-                     threads == 1 ? ref_s : 0.0);
+        EmitGemmCell(&w, shape, gemm::KernelName(kern), threads, s);
       }
       SetNumThreads(kDefaultThreads);
     }

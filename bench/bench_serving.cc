@@ -642,10 +642,18 @@ int Main(int argc, char** argv) {
     rels.push_back(t.rel);
   }
 
-  // Warm-up: prime the tensor pool and GEMM packing scratch.
-  const Result<std::vector<infer::TopKResult>> warm =
-      server.TopKBatch({heads[0], heads[1]}, {rels[0], rels[1]}, kTopK);
-  CAME_CHECK(warm.ok()) << warm.status().ToString();
+  // Warm-up: prime the tensor pool, the GEMM packing scratch and the
+  // model's query plan for every batch size the front end can coalesce
+  // (up to kMaxThreads clients x 4 in flight). A plan is captured on the
+  // first query of its batch size, which costs several eager forwards;
+  // the short batched runs below would otherwise time those captures.
+  for (size_t b = 1; b <= 4 * static_cast<size_t>(kMaxThreads); ++b) {
+    const std::vector<int64_t> wh(heads.begin(), heads.begin() + b);
+    const std::vector<int64_t> wr(rels.begin(), rels.begin() + b);
+    const Result<std::vector<infer::TopKResult>> warm =
+        server.TopKBatch(wh, wr, kTopK);
+    CAME_CHECK(warm.ok()) << warm.status().ToString();
+  }
 
   std::vector<ModeResult> results;
   for (int threads = 1; threads <= kMaxThreads; threads *= 2) {

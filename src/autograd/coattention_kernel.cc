@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/parallel_for.h"
+
 // No vector crosses this TU's boundary, so the psABI note about passing
 // vector arguments does not apply.
 #pragma GCC diagnostic ignored "-Wpsabi"
@@ -131,6 +133,23 @@ int64_t ScratchFloats(int64_t d) {
 
 int64_t RowsPerChunk(int64_t d) {
   return std::max<int64_t>(1, (int64_t{32} << 10) / std::max<int64_t>(1, d * d));
+}
+
+int64_t ForwardRowsScratchFloats(int64_t batch, int64_t d) {
+  const int64_t grain = RowsPerChunk(d);
+  return (batch + grain - 1) / grain * ScratchFloats(d);
+}
+
+void ForwardRows(const float* x, const float* a, const float* b, float u,
+                 int64_t batch, int64_t d, float* out, float* scratch) {
+  const int64_t grain = RowsPerChunk(d);
+  ParallelFor(0, batch, grain, [&](int64_t lo, int64_t hi) {
+    float* chunk_scratch = scratch + lo / grain * ScratchFloats(d);
+    for (int64_t r = lo; r < hi; ++r) {
+      ForwardRow(x + r * d, a + r * d, b + r * d, u, d, out + r * d,
+                 chunk_scratch);
+    }
+  });
 }
 
 void ForwardRow(const float* x, const float* a, const float* b, float u,

@@ -32,6 +32,16 @@ int64_t ScratchFloats(int64_t d);
 /// depends only on (batch, d).
 int64_t RowsPerChunk(int64_t d);
 
+/// Floats of scratch ForwardRows needs for a [batch, d] call: one
+/// ScratchFloats(d) block per RowsPerChunk(d) chunk.
+int64_t ForwardRowsScratchFloats(int64_t batch, int64_t d);
+
+/// ForwardRow over every row of [batch, d] inputs, chunks of
+/// RowsPerChunk(d) rows on the worker pool. `scratch` holds
+/// ForwardRowsScratchFloats(batch, d) floats and needs no initialisation.
+void ForwardRows(const float* x, const float* a, const float* b, float u,
+                 int64_t batch, int64_t d, float* out, float* scratch);
+
 /// out[0..d) = the co-attention output of one row. Lanes run over the
 /// column j. `scratch` holds ScratchFloats(d) floats and needs no
 /// initialisation.

@@ -1,5 +1,7 @@
 #include "autograd/op_registry.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace came::ag {
@@ -27,16 +29,59 @@ int OpRegistry::Register(const std::string& name, BroadcastSpec broadcast) {
   return id;
 }
 
-void OpRegistry::CountNoTapeDispatch(int id) {
-  const size_t slot =
-      (id >= 0 && id < kMaxOps) ? static_cast<size_t>(id) + 1 : 0;
-  no_tape_dispatches_[slot].fetch_add(1, std::memory_order_relaxed);
+namespace {
+
+size_t DispatchSlot(int id) {
+  return (id >= 0 && id < OpRegistry::kMaxOps) ? static_cast<size_t>(id) + 1
+                                               : 0;
+}
+
+}  // namespace
+
+/// Owns the calling thread's shard: attaches it to the registry on the
+/// thread's first dispatch and folds it into the exited totals at thread
+/// exit (the registry is never destroyed, so it outlives every thread).
+class DispatchShardOwner {
+ public:
+  DispatchShardOwner() { OpRegistry::Instance().AttachShard(&shard_); }
+  ~DispatchShardOwner() { OpRegistry::Instance().DetachShard(&shard_); }
+  DispatchShardOwner(const DispatchShardOwner&) = delete;
+  DispatchShardOwner& operator=(const DispatchShardOwner&) = delete;
+
+  OpRegistry::DispatchShard& shard() { return shard_; }
+
+ private:
+  OpRegistry::DispatchShard shard_;
+};
+
+void OpRegistry::CountNoTapeDispatches(int id, int64_t n) {
+  thread_local DispatchShardOwner owner;
+  // Single writer per shard: a relaxed load + store, no locked RMW.
+  std::atomic<int64_t>& c = owner.shard().counts[DispatchSlot(id)];
+  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
 }
 
 int64_t OpRegistry::NoTapeDispatches(int id) const {
-  const size_t slot =
-      (id >= 0 && id < kMaxOps) ? static_cast<size_t>(id) + 1 : 0;
-  return no_tape_dispatches_[slot].load(std::memory_order_relaxed);
+  const size_t slot = DispatchSlot(id);
+  came::MutexLock lock(&shards_mu_);
+  int64_t total = retired_[slot];
+  for (const DispatchShard* shard : shards_) {
+    total += shard->counts[slot].load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void OpRegistry::AttachShard(DispatchShard* shard) {
+  came::MutexLock lock(&shards_mu_);
+  shards_.push_back(shard);
+}
+
+void OpRegistry::DetachShard(DispatchShard* shard) {
+  came::MutexLock lock(&shards_mu_);
+  for (int i = 0; i <= kMaxOps; ++i) {
+    retired_[i] += shard->counts[i].load(std::memory_order_relaxed);
+  }
+  shards_.erase(std::find(shards_.begin(), shards_.end(), shard));
 }
 
 int OpRegistry::Find(const std::string& name) const {

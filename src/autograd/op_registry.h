@@ -62,12 +62,16 @@ class OpRegistry {
 
   /// Records one forward-only dispatch of `id` (grad mode off or no input
   /// requiring grad — the op executed without allocating a tape node).
-  /// Lock-free: a relaxed atomic bump, safe from any thread, so the hot
-  /// inference path never touches the registry mutex. Out-of-range ids
-  /// (e.g. -1) are counted into a shared "unregistered" slot.
-  void CountNoTapeDispatch(int id);
-  /// Total forward-only dispatches recorded for `id` across all threads.
-  int64_t NoTapeDispatches(int id) const;
+  /// Lock-free and uncontended: each thread counts into its own shard, so
+  /// concurrent inference clients never write a shared cache line. Out-of-
+  /// range ids (e.g. -1) are counted into a shared "unregistered" slot.
+  void CountNoTapeDispatch(int id) { CountNoTapeDispatches(id, 1); }
+  /// Records `n` forward-only dispatches of `id` at once (a replayed query
+  /// plan credits each op kind it ran with one add).
+  void CountNoTapeDispatches(int id, int64_t n);
+  /// Total forward-only dispatches recorded for `id` across all threads:
+  /// the sum over the live threads' shards plus the totals of exited ones.
+  int64_t NoTapeDispatches(int id) const CAME_EXCLUDES(shards_mu_);
 
   /// Maximum number of distinct ops the dispatch counters track; the 39
   /// registered ops sit far below it, and Register CHECK-fails before the
@@ -75,15 +79,30 @@ class OpRegistry {
   static constexpr int kMaxOps = 256;
 
  private:
+  /// One thread's dispatch counters. Index 0 counts unregistered ids; op
+  /// `id` lives at `id + 1`. Only the owning thread writes; readers sum
+  /// with relaxed loads.
+  struct DispatchShard {
+    std::atomic<int64_t> counts[kMaxOps + 1] = {};
+  };
+
   OpRegistry() = default;
 
-  /// Guards the name/metadata tables; the dispatch counters below are
-  /// deliberately outside it (relaxed atomics on the hot inference path).
+  friend class DispatchShardOwner;
+  void AttachShard(DispatchShard* shard) CAME_EXCLUDES(shards_mu_);
+  /// Folds an exiting thread's counts into retired_ and forgets its shard.
+  void DetachShard(DispatchShard* shard) CAME_EXCLUDES(shards_mu_);
+
+  /// Guards the name/metadata tables; the dispatch counters are outside it.
   mutable came::Mutex mu_;
   std::vector<OpInfo> ops_ CAME_GUARDED_BY(mu_);
   std::unordered_map<std::string, int> by_name_ CAME_GUARDED_BY(mu_);
-  /// Index 0 counts unregistered ids; op `id` lives at `id + 1`.
-  std::atomic<int64_t> no_tape_dispatches_[kMaxOps + 1] = {};
+  /// Guards the set of live shards and the exited threads' totals. Taken
+  /// once per thread at its first and last dispatch and by readers; the
+  /// counting itself never takes it.
+  mutable came::Mutex shards_mu_;
+  std::vector<DispatchShard*> shards_ CAME_GUARDED_BY(shards_mu_);
+  int64_t retired_[kMaxOps + 1] CAME_GUARDED_BY(shards_mu_) = {};
 };
 
 /// Resolves a tape node's op id to a printable name. Returns

@@ -5,6 +5,7 @@
 
 #include "autograd/coattention_kernel.h"
 #include "autograd/op_registry.h"
+#include "autograd/query_plan.h"
 #include "common/logging.h"
 #include "common/parallel_for.h"
 #include "tensor/tensor_ops.h"
@@ -15,7 +16,31 @@ namespace {
 
 namespace ts = came::tensor;
 using internal::Node;
+using internal::PlanAttrs;
+using internal::PlanKernel;
 using internal::VarState;
+
+// What each op tells a query-plan capture (see MakeResult).
+PlanAttrs KernelPlan(PlanKernel kernel, int64_t i0 = 0, int64_t i1 = 0) {
+  PlanAttrs attrs;
+  attrs.kernel = kernel;
+  attrs.i0 = i0;
+  attrs.i1 = i1;
+  return attrs;
+}
+
+PlanAttrs BinaryPlan(ts::BinaryOp op) {
+  PlanAttrs attrs = KernelPlan(PlanKernel::kBinary);
+  attrs.sub_op = static_cast<int>(op);
+  return attrs;
+}
+
+PlanAttrs UnaryPlan(ts::UnaryOp op, float s = 0.0f) {
+  PlanAttrs attrs = KernelPlan(PlanKernel::kUnary);
+  attrs.sub_op = static_cast<int>(op);
+  attrs.scalar = s;
+  return attrs;
+}
 
 bool NeedsGrad(const Var& v) { return v.defined() && v.requires_grad(); }
 
@@ -37,9 +62,13 @@ int RegisterOp(const char* name,
 /// closure is dropped without ever being type-erased, so an inference
 /// forward pays no tape node, no std::function heap allocation, and no
 /// refcount churn beyond the captures the caller already built.
+///
+/// `plan` tells a query-plan capture (autograd/query_plan.h) how to replay
+/// the op; ops without a replay kernel leave it default, which refuses
+/// the capture.
 template <typename BackwardFn>
 Var MakeResult(int op_id, Tensor value, const std::vector<Var>& inputs,
-               BackwardFn&& backward) {
+               BackwardFn&& backward, const PlanAttrs& plan = {}) {
   bool any = false;
   if (GradModeEnabled()) {
     for (const auto& v : inputs) any = any || NeedsGrad(v);
@@ -47,6 +76,9 @@ Var MakeResult(int op_id, Tensor value, const std::vector<Var>& inputs,
   if (!any) {
     internal::CountNoTapeDispatch();
     OpRegistry::Instance().CountNoTapeDispatch(op_id);
+    if (internal::PlanRecorder* recorder = internal::ActivePlanRecorder()) {
+      internal::RecordPlanStep(recorder, op_id, plan, inputs, value);
+    }
     return Const(std::move(value));
   }
   auto node = std::make_shared<Node>();
@@ -89,7 +121,7 @@ Var Add(const Var& a, const Var& b) {
   return MakeResult(kOp, std::move(out), {a, b}, [as, bs](const Tensor& g) {
     AccumReduced(as, g);
     AccumReduced(bs, g);
-  });
+  }, BinaryPlan(ts::BinaryOp::kAdd));
 }
 
 Var Sub(const Var& a, const Var& b) {
@@ -100,7 +132,7 @@ Var Sub(const Var& a, const Var& b) {
   return MakeResult(kOp, std::move(out), {a, b}, [as, bs](const Tensor& g) {
     AccumReduced(as, g);
     AccumReduced(bs, ts::Neg(g));
-  });
+  }, BinaryPlan(ts::BinaryOp::kSub));
 }
 
 Var Mul(const Var& a, const Var& b) {
@@ -113,7 +145,7 @@ Var Mul(const Var& a, const Var& b) {
   return MakeResult(kOp, std::move(out), {a, b}, [as, bs, av, bv](const Tensor& g) {
     AccumReduced(as, ts::Mul(g, bv));
     AccumReduced(bs, ts::Mul(g, av));
-  });
+  }, BinaryPlan(ts::BinaryOp::kMul));
 }
 
 Var Div(const Var& a, const Var& b) {
@@ -127,7 +159,7 @@ Var Div(const Var& a, const Var& b) {
     AccumReduced(as, ts::Div(g, bv));
     // db = -g * a / b^2
     AccumReduced(bs, ts::Neg(ts::Div(ts::Mul(g, av), ts::Square(bv))));
-  });
+  }, BinaryPlan(ts::BinaryOp::kDiv));
 }
 
 // ---------------------------------------------------------------------------
@@ -138,7 +170,8 @@ Var Neg(const Var& v) {
   static const int kOp = RegisterOp("Neg");
   auto s = v.state();
   return MakeResult(kOp, ts::Neg(v.value()), {v},
-                    [s](const Tensor& g) { Accum(s, ts::Neg(g)); });
+                    [s](const Tensor& g) { Accum(s, ts::Neg(g)); },
+                    UnaryPlan(ts::UnaryOp::kNeg));
 }
 
 Var Exp(const Var& v) {
@@ -148,7 +181,7 @@ Var Exp(const Var& v) {
   Tensor saved = out;
   return MakeResult(kOp, std::move(out), {v}, [s, saved](const Tensor& g) {
     Accum(s, ts::Mul(g, saved));
-  });
+  }, UnaryPlan(ts::UnaryOp::kExp));
 }
 
 Var Log(const Var& v) {
@@ -157,7 +190,7 @@ Var Log(const Var& v) {
   Tensor x = v.value();
   return MakeResult(kOp, ts::Log(v.value()), {v}, [s, x](const Tensor& g) {
     Accum(s, ts::Div(g, x));
-  });
+  }, UnaryPlan(ts::UnaryOp::kLog));
 }
 
 Var Sqrt(const Var& v) {
@@ -168,7 +201,7 @@ Var Sqrt(const Var& v) {
   return MakeResult(kOp, std::move(out), {v}, [s, saved](const Tensor& g) {
     // d sqrt(x) = 1 / (2 sqrt(x))
     Accum(s, ts::Div(g, ts::Scale(saved, 2.0f)));
-  });
+  }, UnaryPlan(ts::UnaryOp::kSqrt));
 }
 
 Var Square(const Var& v) {
@@ -177,7 +210,7 @@ Var Square(const Var& v) {
   Tensor x = v.value();
   return MakeResult(kOp, ts::Square(v.value()), {v}, [s, x](const Tensor& g) {
     Accum(s, ts::Mul(g, ts::Scale(x, 2.0f)));
-  });
+  }, UnaryPlan(ts::UnaryOp::kSquare));
 }
 
 Var Sigmoid(const Var& v) {
@@ -189,7 +222,7 @@ Var Sigmoid(const Var& v) {
     // y' = y (1 - y)
     Tensor one_minus = ts::AddScalar(ts::Neg(y), 1.0f);
     Accum(s, ts::Mul(g, ts::Mul(y, one_minus)));
-  });
+  }, UnaryPlan(ts::UnaryOp::kSigmoid));
 }
 
 Var Tanh(const Var& v) {
@@ -200,7 +233,7 @@ Var Tanh(const Var& v) {
   return MakeResult(kOp, std::move(out), {v}, [s, y](const Tensor& g) {
     Tensor d = ts::AddScalar(ts::Neg(ts::Square(y)), 1.0f);
     Accum(s, ts::Mul(g, d));
-  });
+  }, UnaryPlan(ts::UnaryOp::kTanh));
 }
 
 Var Relu(const Var& v) {
@@ -216,7 +249,7 @@ Var Relu(const Var& v) {
     float* pd = d.data();
     for (int64_t i = 0; i < d.numel(); ++i) pd[i] = px[i] > 0 ? pg[i] : 0.0f;
     Accum(s, d);
-  });
+  }, UnaryPlan(ts::UnaryOp::kRelu));
 }
 
 Var Scale(const Var& v, float k) {
@@ -224,14 +257,15 @@ Var Scale(const Var& v, float k) {
   auto s = v.state();
   return MakeResult(kOp, ts::Scale(v.value(), k), {v}, [s, k](const Tensor& g) {
     Accum(s, ts::Scale(g, k));
-  });
+  }, UnaryPlan(ts::UnaryOp::kScale, k));
 }
 
 Var AddScalar(const Var& v, float k) {
   static const int kOp = RegisterOp("AddScalar");
   auto s = v.state();
   return MakeResult(kOp, ts::AddScalar(v.value(), k), {v},
-                    [s](const Tensor& g) { Accum(s, g); });
+                    [s](const Tensor& g) { Accum(s, g); },
+                    UnaryPlan(ts::UnaryOp::kAddScalar, k));
 }
 
 Var LogSigmoid(const Var& v) {
@@ -296,7 +330,7 @@ Var Abs(const Var& v) {
       d.data()[i] = x.data()[i] >= 0 ? g.data()[i] : -g.data()[i];
     }
     Accum(s, d);
-  });
+  }, UnaryPlan(ts::UnaryOp::kAbs));
 }
 
 // ---------------------------------------------------------------------------
@@ -322,7 +356,7 @@ Var MatMul(const Var& a, const Var& b, bool trans_a, bool trans_b) {
       bs->AccumulateGrad(trans_b ? ts::MatMul(g, av, true, trans_a)
                                  : ts::MatMul(av, g, !trans_a, false));
     }
-  });
+  }, KernelPlan(PlanKernel::kMatMul, trans_a, trans_b));
 }
 
 Var BatchMatMul(const Var& a, const Var& b) {
@@ -362,7 +396,7 @@ Var Reshape(const Var& v, Shape new_shape) {
   Tensor out = v.value().Clone().Reshape(std::move(new_shape));
   return MakeResult(kOp, std::move(out), {v}, [s, old_shape](const Tensor& g) {
     Accum(s, g.Clone().Reshape(old_shape));
-  });
+  }, KernelPlan(PlanKernel::kReshape));
 }
 
 Var Concat(const std::vector<Var>& parts, int64_t dim) {
@@ -391,7 +425,7 @@ Var Concat(const std::vector<Var>& parts, int64_t dim) {
                         }
                         offset += extents[i];
                       }
-                    });
+                    }, KernelPlan(PlanKernel::kConcat, dim));
 }
 
 Var Slice(const Var& v, int64_t dim, int64_t start, int64_t len) {
@@ -423,7 +457,7 @@ Var Slice(const Var& v, int64_t dim, int64_t start, int64_t len) {
                         std::copy(src, src + len * inner, dst);
                       }
                       s->AccumulateGrad(full);
-                    });
+                    }, KernelPlan(PlanKernel::kSlice, dim_pos, start));
 }
 
 // ---------------------------------------------------------------------------
@@ -467,7 +501,7 @@ Var SumAlong(const Var& v, int64_t dim, bool keepdim) {
                       Tensor gk = g.Clone().Reshape(keep);
                       s->AccumulateGrad(
                           ts::Add(Tensor::Zeros(in_shape), gk));
-                    });
+                    }, KernelPlan(PlanKernel::kSumAlong, dim_pos));
 }
 
 Var MeanAlong(const Var& v, int64_t dim, bool keepdim) {
@@ -495,7 +529,7 @@ Var SoftmaxAlong(const Var& v, int64_t dim) {
     Tensor gy = ts::Mul(g, y);
     Tensor sum = ts::SumAlong(gy, dim_pos, /*keepdim=*/true);
     s->AccumulateGrad(ts::Mul(y, ts::Sub(g, sum)));
-  });
+  }, KernelPlan(PlanKernel::kSoftmaxAlong, dim_pos));
 }
 
 namespace {
@@ -515,34 +549,14 @@ Var LayerNormImpl(int op_id, const Var& v, const Var& gamma, const Var& beta,
     CAME_CHECK_EQ(beta.numel(), d);
   }
 
-  // The per-row pass below writes every element of all three buffers.
+  // LayerNormInto writes every element of all three buffers.
   Tensor xhat = Tensor::Uninitialized(x.shape());      // fully-written: per row
   Tensor inv_sigma = Tensor::Uninitialized(Shape{rows});  // fully-written: per row
   Tensor out = Tensor::Uninitialized(x.shape());       // fully-written: per row
-  const float* px = x.data();
-  float* ph = xhat.data();
-  float* po = out.data();
-  const float* pg = affine ? gamma.value().data() : nullptr;
-  const float* pb = affine ? beta.value().data() : nullptr;
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* row = px + r * d;
-    double mean = 0.0;
-    for (int64_t j = 0; j < d; ++j) mean += row[j];
-    mean /= static_cast<double>(d);
-    double var = 0.0;
-    for (int64_t j = 0; j < d; ++j) {
-      const double c = row[j] - mean;
-      var += c * c;
-    }
-    var /= static_cast<double>(d);
-    const float inv = static_cast<float>(1.0 / std::sqrt(var + eps));
-    inv_sigma.data()[r] = inv;
-    for (int64_t j = 0; j < d; ++j) {
-      const float h = (row[j] - static_cast<float>(mean)) * inv;
-      ph[r * d + j] = h;
-      po[r * d + j] = affine ? h * pg[j] + pb[j] : h;
-    }
-  }
+  ts::LayerNormInto(x.data(), rows, d,
+                    affine ? gamma.value().data() : nullptr,
+                    affine ? beta.value().data() : nullptr, eps, out.data(),
+                    xhat.data(), inv_sigma.data());
 
   auto xs = v.state();
   auto gs = affine ? gamma.state() : nullptr;
@@ -553,6 +567,8 @@ Var LayerNormImpl(int op_id, const Var& v, const Var& gamma, const Var& beta,
     inputs.push_back(beta);
   }
   Tensor gamma_v = affine ? gamma.value() : Tensor();
+  PlanAttrs plan = KernelPlan(PlanKernel::kLayerNorm);
+  plan.scalar = eps;
   return MakeResult(
       op_id, std::move(out), inputs,
       [xs, gs, bs, xhat, inv_sigma, gamma_v, rows, d,
@@ -607,7 +623,7 @@ Var LayerNormImpl(int op_id, const Var& v, const Var& gamma, const Var& beta,
           }
           xs->AccumulateGrad(dx);
         }
-      });
+      }, plan);
 }
 
 }  // namespace
@@ -633,11 +649,13 @@ Var Gather(const Var& matrix, const std::vector<int64_t>& indices) {
   Tensor out = ts::GatherRows(matrix.value(), indices);
   auto s = matrix.state();
   const int64_t rows = matrix.value().dim(0);
+  PlanAttrs plan = KernelPlan(PlanKernel::kGather);
+  plan.ids = &indices;
   return MakeResult(kOp, std::move(out), {matrix},
                     [s, indices, rows](const Tensor& g) {
                       if (!s->requires_grad) return;
                       s->AccumulateGrad(ts::ScatterAddRows(g, indices, rows));
-                    });
+                    }, plan);
 }
 
 Var Scatter(const Var& src, const std::vector<int64_t>& indices,
@@ -688,30 +706,21 @@ Var Conv2d(const Var& input, const Var& weight, const Var& bias, int64_t pad) {
   const int64_t kw = w.dim(3);
   const int64_t out_h = h + 2 * pad - kh + 1;
   const int64_t out_w = wdt + 2 * pad - kw + 1;
-
-  Tensor cols = ts::Im2Col(x, kh, kw, pad);  // [B, cin*kh*kw, L]
-  Tensor w2d = w.Reshape(Shape{filters, cin * kh * kw});
-  // fully-written: out[b] = w2d x cols[b] on raw slices; every slab is
-  // overwritten by the accumulate=false GEMM below.
-  Tensor out = Tensor::Uninitialized(Shape{batch, filters, out_h, out_w});
+  CAME_CHECK_GT(out_h, 0);
+  CAME_CHECK_GT(out_w, 0);
   const int64_t l = out_h * out_w;
   const int64_t col_stride = cin * kh * kw * l;
-  for (int64_t b = 0; b < batch; ++b) {
-    ts::MatMulRaw(w2d.data(), cols.data() + b * col_stride,
-                  out.data() + b * filters * l, filters, cin * kh * kw, l,
-                  false, false, /*accumulate=*/false);
-  }
   const bool has_bias = bias.defined();
   if (has_bias) {
     CAME_CHECK_EQ(bias.numel(), filters);
-    const float* pb = bias.value().data();
-    for (int64_t b = 0; b < batch; ++b) {
-      for (int64_t f = 0; f < filters; ++f) {
-        float* dst = out.data() + (b * filters + f) * l;
-        for (int64_t i = 0; i < l; ++i) dst[i] += pb[f];
-      }
-    }
   }
+  // fully-written: Conv2dInto stores every im2col and output element.
+  Tensor cols = Tensor::Uninitialized(Shape{batch, cin * kh * kw, l});
+  Tensor out = Tensor::Uninitialized(Shape{batch, filters, out_h, out_w});
+  ts::Conv2dInto(x.data(), batch, cin, h, wdt, w.data(), filters, kh, kw,
+                 has_bias ? bias.value().data() : nullptr, pad, cols.data(),
+                 out.data());
+  Tensor w2d = w.Reshape(Shape{filters, cin * kh * kw});
 
   auto xs = input.state();
   auto ws = weight.state();
@@ -764,7 +773,7 @@ Var Conv2d(const Var& input, const Var& weight, const Var& bias, int64_t pad) {
         if (xs->requires_grad) {
           xs->AccumulateGrad(ts::Col2Im(dcols, batch, cin, h, wdt, kh, kw, pad));
         }
-      });
+      }, KernelPlan(PlanKernel::kConv2d, pad));
 }
 
 Var Dropout(const Var& v, float p, Rng* rng, bool training) {
@@ -807,15 +816,11 @@ Var CoAttentionApply(const Var& x, const Var& a, const Var& b,
   // Only the output is written; the softmax lives in per-chunk scratch.
   // fully-written: every row's ForwardRow stores all d outputs
   Tensor out = Tensor::Uninitialized(Shape{batch, d});
-  ParallelFor(0, batch, grain, [&](int64_t lo, int64_t hi) {
-    // fully-written: ForwardRow writes its scratch before reading it
-    Tensor scratch = Tensor::Uninitialized(Shape{coattention::ScratchFloats(d)});
-    for (int64_t r = lo; r < hi; ++r) {
-      coattention::ForwardRow(xv.data() + r * d, av.data() + r * d,
-                              bv.data() + r * d, u, d, out.data() + r * d,
-                              scratch.data());
-    }
-  });
+  // fully-written: ForwardRow writes its scratch before reading it
+  Tensor scratch = Tensor::Uninitialized(
+      Shape{coattention::ForwardRowsScratchFloats(batch, d)});
+  coattention::ForwardRows(xv.data(), av.data(), bv.data(), u, batch, d,
+                           out.data(), scratch.data());
 
   auto xs = x.state();
   auto as = a.state();
@@ -867,7 +872,7 @@ Var CoAttentionApply(const Var& x, const Var& a, const Var& b,
           }
           us->AccumulateGrad(Tensor::Scalar(static_cast<float>(du_total)));
         }
-      });
+      }, KernelPlan(PlanKernel::kCoAttention));
 }
 
 // ---------------------------------------------------------------------------

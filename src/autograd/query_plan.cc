@@ -1,0 +1,582 @@
+#include "autograd/query_plan.h"
+
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <string>
+
+#include "autograd/coattention_kernel.h"
+#include "autograd/op_registry.h"
+#include "common/logging.h"
+#include "tensor/storage_pool.h"
+#include "tensor/tensor_ops.h"
+
+namespace came::ag {
+
+namespace ts = came::tensor;
+using internal::PlanAttrs;
+using internal::PlanKernel;
+
+namespace {
+
+thread_local internal::PlanRecorder* g_recorder = nullptr;
+
+/// Arena slots start on 64-byte boundaries, as pool buffers do.
+constexpr int64_t kAlignFloats = 16;
+/// Concat parts a replay step can take (a fixed array on the stack).
+constexpr size_t kMaxConcatParts = 16;
+
+int64_t AlignUp(int64_t floats) {
+  return (floats + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
+}
+
+/// First-fit offset allocator over the replay arena. Blocks are freed as
+/// soon as their last reader has run, so the arena holds only what is
+/// live at once.
+class ArenaAllocator {
+ public:
+  int64_t Allocate(int64_t floats) {
+    floats = AlignUp(std::max<int64_t>(floats, 1));
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+      if (it->second < floats) continue;
+      const int64_t offset = it->first;
+      const int64_t rest = it->second - floats;
+      free_.erase(it);
+      if (rest > 0) free_.emplace(offset + floats, rest);
+      return offset;
+    }
+    // Grow the arena, reusing a free block that ends at the top.
+    if (!free_.empty()) {
+      auto last = std::prev(free_.end());
+      if (last->first + last->second == top_) {
+        const int64_t offset = last->first;
+        free_.erase(last);
+        top_ = offset + floats;
+        return offset;
+      }
+    }
+    const int64_t offset = top_;
+    top_ += floats;
+    return offset;
+  }
+
+  void Free(int64_t offset, int64_t floats) {
+    floats = AlignUp(std::max<int64_t>(floats, 1));
+    auto it = free_.emplace(offset, floats).first;
+    auto next = std::next(it);
+    if (next != free_.end() && it->first + it->second == next->first) {
+      it->second += next->second;
+      free_.erase(next);
+    }
+    if (it != free_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->first + prev->second == it->first) {
+        prev->second += it->second;
+        free_.erase(it);
+      }
+    }
+  }
+
+  int64_t size() const { return top_; }
+
+ private:
+  std::map<int64_t, int64_t> free_;  // offset -> floats
+  int64_t top_ = 0;
+};
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return ts::SameShape(a.shape(), b.shape()) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+}  // namespace
+
+struct QueryPlan::Step {
+  enum class Ids : uint8_t { kNone, kHeads, kRels };
+
+  PlanKernel kernel = PlanKernel::kNone;
+  int op_id = -1;
+  int sub_op = 0;
+  float scalar = 0.0f;
+  Ids ids = Ids::kNone;
+  /// Kernel extents, fixed at capture (see Replay for each kernel's use).
+  int64_t dims[8] = {};
+  uint32_t in_begin = 0;
+  uint32_t in_count = 0;
+  int64_t out_offset = -1;  ///< -1: the result tensor
+  int64_t scratch_offset = 0;
+  Shape a_shape;                 ///< kBinary operands
+  Shape b_shape;
+  std::vector<int64_t> extents;  ///< kConcat part extents
+};
+
+QueryPlan::QueryPlan() = default;
+QueryPlan::~QueryPlan() = default;
+
+int64_t QueryPlan::num_steps() const {
+  return static_cast<int64_t>(steps_.size());
+}
+
+namespace internal {
+
+/// Builds a QueryPlan from the ops a query forward dispatches on this
+/// thread. Every step output is kept alive until Finish, so no buffer
+/// address is reused during the capture and a data pointer names one
+/// tensor.
+class PlanRecorder {
+ public:
+  PlanRecorder(const std::vector<int64_t>* heads,
+               const std::vector<int64_t>* rels,
+               const std::vector<Var>& parameters,
+               std::unordered_map<const float*, Tensor>* transposed)
+      : heads_(heads), rels_(rels), transposed_(transposed),
+        previous_(g_recorder) {
+    for (const Var& p : parameters) {
+      params_.emplace(p.value().data(), p.value());
+    }
+    g_recorder = this;
+  }
+  ~PlanRecorder() { g_recorder = previous_; }
+  PlanRecorder(const PlanRecorder&) = delete;
+  PlanRecorder& operator=(const PlanRecorder&) = delete;
+
+  void Record(int op_id, const PlanAttrs& attrs,
+              const std::vector<Var>& inputs, const Tensor& out);
+
+  /// The plan whose result is `result`; a refused plan when the capture
+  /// was refused. The recorder is spent afterwards.
+  std::unique_ptr<QueryPlan> Finish(const Tensor& result);
+
+  /// Exclusive bound on the ids the forward gathered by (heads, rels).
+  int64_t head_bound() const { return head_bound_; }
+  int64_t rel_bound() const { return rel_bound_; }
+
+ private:
+  struct Ref {
+    int slot = -1;                 ///< producing step, or -1
+    const float* fixed = nullptr;  ///< when slot < 0
+  };
+  struct Pending {
+    QueryPlan::Step step;
+    std::vector<Ref> inputs;
+    int64_t out_floats = 0;
+    int64_t scratch_floats = 0;
+  };
+
+  void Refuse(const std::string& why) {
+    if (refusal_.empty()) refusal_ = why;
+  }
+  Ref Classify(const Var& v, PlanKernel kernel, size_t index);
+  void Describe(const PlanAttrs& attrs, const std::vector<Var>& inputs,
+                const Tensor& out, Pending* p);
+
+  const std::vector<int64_t>* heads_;
+  const std::vector<int64_t>* rels_;
+  std::unordered_map<const float*, Tensor>* transposed_;
+  PlanRecorder* previous_;
+  std::unordered_map<const float*, Tensor> params_;
+  std::unordered_map<const float*, int> slot_of_;
+  std::vector<Pending> pending_;
+  std::vector<Tensor> held_;  ///< referenced leaves (go to the plan)
+  std::vector<Tensor> outputs_;  ///< step outputs, alive until Finish
+  std::string refusal_;
+  int64_t head_bound_ = std::numeric_limits<int64_t>::max();
+  int64_t rel_bound_ = std::numeric_limits<int64_t>::max();
+};
+
+PlanRecorder* ActivePlanRecorder() { return g_recorder; }
+
+void RecordPlanStep(PlanRecorder* recorder, int op_id, const PlanAttrs& attrs,
+                    const std::vector<Var>& inputs, const Tensor& out) {
+  recorder->Record(op_id, attrs, inputs, out);
+}
+
+PlanRecorder::Ref PlanRecorder::Classify(const Var& v, PlanKernel kernel,
+                                         size_t index) {
+  const Tensor& t = v.value();
+  auto slot = slot_of_.find(t.data());
+  if (slot != slot_of_.end()) {
+    if (pending_[static_cast<size_t>(slot->second)].out_floats != t.numel()) {
+      Refuse("an input views a step output with another size");
+    }
+    return Ref{slot->second, nullptr};
+  }
+  auto param = params_.find(t.data());
+  if (param != params_.end()) {
+    held_.push_back(param->second);
+    return Ref{-1, t.data()};
+  }
+  if (v.requires_grad()) {
+    Refuse("a trainable leaf that is not a parameter of the model");
+    return Ref{};
+  }
+  if (kernel == PlanKernel::kGather && index == 0) {
+    // A gather table (feature rows, folded encoder rows): read in place.
+    held_.push_back(t);
+    return Ref{-1, t.data()};
+  }
+  // A constant the forward builds afresh each call: snapshot it.
+  held_.push_back(t.Clone());
+  return Ref{-1, held_.back().data()};
+}
+
+void PlanRecorder::Record(int op_id, const PlanAttrs& attrs,
+                          const std::vector<Var>& inputs, const Tensor& out) {
+  if (!refusal_.empty()) return;
+  if (attrs.kernel == PlanKernel::kNone) {
+    Refuse("op " + OpName(op_id) + " has no replay kernel");
+    return;
+  }
+  if (slot_of_.count(out.data()) != 0 || params_.count(out.data()) != 0) {
+    Refuse("op " + OpName(op_id) + " returned a buffer it did not allocate");
+    return;
+  }
+  Pending p;
+  p.step.kernel = attrs.kernel;
+  p.step.op_id = op_id;
+  p.step.sub_op = attrs.sub_op;
+  p.step.scalar = attrs.scalar;
+  p.out_floats = out.numel();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    p.inputs.push_back(Classify(inputs[i], attrs.kernel, i));
+  }
+  Describe(attrs, inputs, out, &p);
+  if (!refusal_.empty()) return;
+  slot_of_.emplace(out.data(), static_cast<int>(pending_.size()));
+  outputs_.push_back(out);
+  pending_.push_back(std::move(p));
+}
+
+void PlanRecorder::Describe(const PlanAttrs& attrs,
+                            const std::vector<Var>& inputs, const Tensor& out,
+                            Pending* p) {
+  QueryPlan::Step& s = p->step;
+  int64_t* dims = s.dims;
+  const Tensor& x = inputs[0].value();
+  switch (attrs.kernel) {
+    case PlanKernel::kNone:
+      break;
+    case PlanKernel::kGather: {
+      dims[0] = x.dim(0);
+      dims[1] = x.dim(1);
+      if (attrs.ids == heads_) {
+        s.ids = QueryPlan::Step::Ids::kHeads;
+        head_bound_ = std::min(head_bound_, x.dim(0));
+      } else if (attrs.ids == rels_) {
+        s.ids = QueryPlan::Step::Ids::kRels;
+        rel_bound_ = std::min(rel_bound_, x.dim(0));
+      } else {
+        Refuse("a Gather by ids other than the query's heads or rels");
+      }
+      break;
+    }
+    case PlanKernel::kMatMul: {
+      const Tensor& b = inputs[1].value();
+      const bool trans_a = attrs.i0 != 0;
+      bool trans_b = attrs.i1 != 0;
+      dims[0] = trans_a ? x.dim(1) : x.dim(0);
+      dims[1] = trans_a ? x.dim(0) : x.dim(1);
+      dims[2] = trans_b ? b.dim(0) : b.dim(1);
+      Ref& rb = p->inputs[1];
+      if (trans_b && rb.slot < 0 && params_.count(b.data()) != 0) {
+        // A parameter read transposed: copy it transposed once per model,
+        // so the GEMM reads B in place instead of transposing the same
+        // blocks in registers on every call.
+        auto it = transposed_->find(b.data());
+        if (it == transposed_->end()) {
+          it = transposed_->emplace(b.data(), ts::Transpose2D(b)).first;
+        }
+        if (it->second.dim(0) != dims[1] || it->second.dim(1) != dims[2]) {
+          Refuse("a weight read transposed with two different shapes");
+        }
+        held_.push_back(it->second);
+        rb.fixed = it->second.data();
+        trans_b = false;
+      }
+      dims[3] = trans_a ? 1 : 0;
+      dims[4] = trans_b ? 1 : 0;
+      break;
+    }
+    case PlanKernel::kBinary:
+      s.a_shape = x.shape();
+      s.b_shape = inputs[1].value().shape();
+      break;
+    case PlanKernel::kUnary:
+    case PlanKernel::kReshape:
+      dims[0] = x.numel();
+      break;
+    case PlanKernel::kConcat: {
+      if (inputs.size() > kMaxConcatParts) {
+        Refuse("a Concat of more than " + std::to_string(kMaxConcatParts) +
+               " parts");
+        break;
+      }
+      int64_t axis = 0;
+      ts::AxisDecompose(out.shape(), attrs.i0, &dims[0], &axis, &dims[1]);
+      const int64_t nd = out.ndim();
+      const int64_t dim = attrs.i0 < 0 ? attrs.i0 + nd : attrs.i0;
+      for (const Var& v : inputs) s.extents.push_back(v.value().dim(dim));
+      break;
+    }
+    case PlanKernel::kSlice:
+      ts::AxisDecompose(x.shape(), attrs.i0, &dims[0], &dims[1], &dims[2]);
+      dims[3] = attrs.i1;
+      dims[4] = out.numel() / std::max<int64_t>(1, dims[0] * dims[2]);
+      break;
+    case PlanKernel::kSumAlong:
+    case PlanKernel::kSoftmaxAlong:
+      ts::AxisDecompose(x.shape(), attrs.i0, &dims[0], &dims[1], &dims[2]);
+      break;
+    case PlanKernel::kLayerNorm:
+      dims[1] = x.dim(x.ndim() - 1);
+      dims[0] = x.numel() / dims[1];
+      break;
+    case PlanKernel::kConv2d: {
+      const Tensor& w = inputs[1].value();
+      for (int i = 0; i < 4; ++i) dims[i] = x.dim(i);
+      dims[4] = w.dim(0);
+      dims[5] = w.dim(2);
+      dims[6] = w.dim(3);
+      dims[7] = attrs.i0;
+      const int64_t l = (dims[2] + 2 * dims[7] - dims[5] + 1) *
+                        (dims[3] + 2 * dims[7] - dims[6] + 1);
+      p->scratch_floats = dims[0] * dims[1] * dims[5] * dims[6] * l;
+      break;
+    }
+    case PlanKernel::kCoAttention:
+      dims[0] = x.dim(0);
+      dims[1] = x.dim(1);
+      p->scratch_floats =
+          coattention::ForwardRowsScratchFloats(dims[0], dims[1]);
+      break;
+  }
+}
+
+std::unique_ptr<QueryPlan> PlanRecorder::Finish(const Tensor& result) {
+  std::unique_ptr<QueryPlan> plan(new QueryPlan());
+  plan->batch_ = static_cast<int64_t>(heads_->size());
+  auto result_slot = slot_of_.find(result.data());
+  if (refusal_.empty() && result_slot == slot_of_.end()) {
+    Refuse("the forward's result is not a recorded step output");
+  }
+  if (!refusal_.empty()) {
+    CAME_LOG(Debug) << "query plan refused for batch " << plan->batch_
+                    << ": " << refusal_;
+    plan->refusal_ = refusal_;
+    return plan;
+  }
+  // Keep only the steps the result depends on.
+  const int last = result_slot->second;
+  std::vector<bool> needed(pending_.size(), false);
+  needed[static_cast<size_t>(last)] = true;
+  for (int i = last; i >= 0; --i) {
+    if (!needed[static_cast<size_t>(i)]) continue;
+    for (const Ref& r : pending_[static_cast<size_t>(i)].inputs) {
+      if (r.slot >= 0) needed[static_cast<size_t>(r.slot)] = true;
+    }
+  }
+  std::vector<int> last_use(pending_.size(), -1);
+  for (int i = 0; i <= last; ++i) {
+    if (!needed[static_cast<size_t>(i)]) continue;
+    for (const Ref& r : pending_[static_cast<size_t>(i)].inputs) {
+      if (r.slot >= 0) last_use[static_cast<size_t>(r.slot)] = i;
+    }
+  }
+
+  // Lay the live step outputs into the arena: a slot is taken when its
+  // step runs and returned after its last reader has run.
+  ArenaAllocator arena;
+  std::vector<int64_t> offset(pending_.size(), -1);
+  std::map<int, int64_t> counts;
+  for (int i = 0; i <= last; ++i) {
+    if (!needed[static_cast<size_t>(i)]) continue;
+    Pending& p = pending_[static_cast<size_t>(i)];
+    QueryPlan::Step step = p.step;
+    if (i != last) {
+      offset[static_cast<size_t>(i)] = arena.Allocate(p.out_floats);
+      step.out_offset = offset[static_cast<size_t>(i)];
+    }
+    if (p.scratch_floats > 0) {
+      step.scratch_offset = arena.Allocate(p.scratch_floats);
+      arena.Free(step.scratch_offset, p.scratch_floats);
+    }
+    step.in_begin = static_cast<uint32_t>(plan->operands_.size());
+    step.in_count = static_cast<uint32_t>(p.inputs.size());
+    for (const Ref& r : p.inputs) {
+      QueryPlan::Operand o;
+      if (r.slot >= 0) {
+        o.offset = offset[static_cast<size_t>(r.slot)];
+      } else {
+        o.fixed = r.fixed;
+      }
+      plan->operands_.push_back(o);
+    }
+    for (const Ref& r : p.inputs) {
+      const auto s = static_cast<size_t>(r.slot);
+      if (r.slot >= 0 && last_use[s] == i && offset[s] >= 0) {
+        arena.Free(offset[s], pending_[s].out_floats);
+        offset[s] = -1;  // a slot read twice by this step is freed once
+      }
+    }
+    ++counts[step.op_id];
+    plan->steps_.push_back(std::move(step));
+  }
+  plan->arena_floats_ = arena.size();
+  plan->result_shape_ = result.shape();
+  plan->held_ = std::move(held_);
+  for (const auto& [op, n] : counts) {
+    plan->op_counts_.emplace_back(op, n);
+    plan->total_ops_ += n;
+  }
+  plan->ok_ = true;
+  return plan;
+}
+
+}  // namespace internal
+
+Tensor QueryPlan::Replay(const std::vector<int64_t>& heads,
+                         const std::vector<int64_t>& rels) const {
+  CAME_CHECK(ok_);
+  CAME_CHECK_EQ(static_cast<int64_t>(heads.size()), batch_);
+  CAME_CHECK_EQ(static_cast<int64_t>(rels.size()), batch_);
+  // fully-written: the last step stores the whole result
+  Tensor result = Tensor::Uninitialized(result_shape_);
+  tensor::pool::ScratchLease arena(std::max<int64_t>(arena_floats_, 1));
+  float* base = arena.data();
+  for (const Step& s : steps_) {
+    const Operand* ops = operands_.data() + s.in_begin;
+    auto in = [&](uint32_t k) -> const float* {
+      return ops[k].fixed != nullptr ? ops[k].fixed : base + ops[k].offset;
+    };
+    float* out = s.out_offset < 0 ? result.data() : base + s.out_offset;
+    float* scratch = base + s.scratch_offset;
+    const int64_t* d = s.dims;
+    switch (s.kernel) {
+      case PlanKernel::kNone:
+        CAME_CHECK(false) << "unreachable";
+        break;
+      case PlanKernel::kGather:
+        ts::GatherRowsInto(in(0), d[0], d[1],
+                           s.ids == Step::Ids::kHeads ? heads : rels, out);
+        break;
+      case PlanKernel::kMatMul:
+        ts::MatMulRaw(in(0), in(1), out, d[0], d[1], d[2], d[3] != 0,
+                      d[4] != 0, /*accumulate=*/false);
+        break;
+      case PlanKernel::kBinary:
+        ts::BinaryInto(static_cast<ts::BinaryOp>(s.sub_op), in(0), s.a_shape,
+                       in(1), s.b_shape, out);
+        break;
+      case PlanKernel::kUnary:
+        ts::UnaryInto(static_cast<ts::UnaryOp>(s.sub_op), in(0), d[0],
+                      s.scalar, out);
+        break;
+      case PlanKernel::kReshape:
+        std::copy(in(0), in(0) + d[0], out);
+        break;
+      case PlanKernel::kConcat: {
+        const float* parts[kMaxConcatParts];
+        for (uint32_t k = 0; k < s.in_count; ++k) parts[k] = in(k);
+        ts::ConcatInto(parts, s.extents.data(), s.in_count, d[0], d[1], out);
+        break;
+      }
+      case PlanKernel::kSlice:
+        ts::SliceInto(in(0), d[0], d[1], d[2], d[3], d[4], out);
+        break;
+      case PlanKernel::kSumAlong:
+        ts::SumAlongInto(in(0), d[0], d[1], d[2], out);
+        break;
+      case PlanKernel::kSoftmaxAlong:
+        ts::SoftmaxAlongInto(in(0), d[0], d[1], d[2], out);
+        break;
+      case PlanKernel::kLayerNorm: {
+        const bool affine = s.in_count == 3;
+        ts::LayerNormInto(in(0), d[0], d[1], affine ? in(1) : nullptr,
+                          affine ? in(2) : nullptr, s.scalar, out, nullptr,
+                          nullptr);
+        break;
+      }
+      case PlanKernel::kConv2d:
+        ts::Conv2dInto(in(0), d[0], d[1], d[2], d[3], in(1), d[4], d[5], d[6],
+                       s.in_count == 3 ? in(2) : nullptr, d[7], scratch, out);
+        break;
+      case PlanKernel::kCoAttention:
+        coattention::ForwardRows(in(0), in(1), in(2), in(3)[0], d[0], d[1],
+                                 out, scratch);
+        break;
+    }
+  }
+  OpRegistry& registry = OpRegistry::Instance();
+  for (const auto& [op, n] : op_counts_) registry.CountNoTapeDispatches(op, n);
+  internal::CountNoTapeDispatches(total_ops_);
+  return result;
+}
+
+QueryPlanCache::~QueryPlanCache() = default;
+
+const QueryPlan* QueryPlanCache::Find(int64_t batch) const {
+  for (int probe = 0; probe < kMaxPlans; ++probe) {
+    const QueryPlan* plan =
+        slots_[(batch + probe) % kMaxPlans].load(std::memory_order_acquire);
+    if (plan == nullptr) return nullptr;
+    if (plan->batch() == batch) return plan;
+  }
+  return nullptr;
+}
+
+const QueryPlan* QueryPlanCache::Capture(const std::vector<int64_t>& heads,
+                                         const std::vector<int64_t>& rels,
+                                         const QueryFn& query,
+                                         const std::vector<Var>& parameters) {
+  CAME_CHECK(!GradModeEnabled()) << "query plans capture eval forwards only";
+  const auto batch = static_cast<int64_t>(heads.size());
+  if (batch == 0) return nullptr;
+  came::MutexLock lock(&mu_);
+  if (const QueryPlan* found = Find(batch)) return found;
+  if (plans_.size() >= static_cast<size_t>(kMaxPlans)) return nullptr;
+
+  std::unique_ptr<QueryPlan> plan;
+  Tensor eager;
+  std::vector<int64_t> heads2 = heads;
+  std::vector<int64_t> rels2 = rels;
+  {
+    internal::PlanRecorder recorder(&heads, &rels, parameters, &transposed_);
+    eager = query(heads, rels).value();
+    // A second, different id set for the check below: each id moved to
+    // the next valid one.
+    for (int64_t& h : heads2) h = (h + 1) % recorder.head_bound();
+    for (int64_t& r : rels2) r = (r + 1) % recorder.rel_bound();
+    plan = recorder.Finish(eager);
+  }
+  if (plan->ok() &&
+      !(BitwiseEqual(plan->Replay(heads, rels), eager) &&
+        BitwiseEqual(plan->Replay(heads2, rels2),
+                     query(heads2, rels2).value()))) {
+    plan.reset(new QueryPlan());
+    plan->batch_ = batch;
+    plan->refusal_ = "replay differs from the eager forward";
+    CAME_LOG(Debug) << "query plan refused for batch " << batch << ": "
+                    << plan->refusal_;
+  }
+  const QueryPlan* published = plan.get();
+  plans_.push_back(std::move(plan));
+  for (int probe = 0; probe < kMaxPlans; ++probe) {
+    std::atomic<const QueryPlan*>& slot = slots_[(batch + probe) % kMaxPlans];
+    if (slot.load(std::memory_order_relaxed) == nullptr) {
+      slot.store(published, std::memory_order_release);
+      break;
+    }
+  }
+  return published;
+}
+
+void QueryPlanCache::Clear() {
+  came::MutexLock lock(&mu_);
+  for (auto& slot : slots_) slot.store(nullptr, std::memory_order_relaxed);
+  plans_.clear();
+  transposed_.clear();
+}
+
+}  // namespace came::ag

@@ -22,6 +22,7 @@ int64_t NoTapeDispatchesThisThread() { return g_no_tape_dispatches; }
 namespace internal {
 void CountTapeNodeRecorded() { ++g_tape_nodes_recorded; }
 void CountNoTapeDispatch() { ++g_no_tape_dispatches; }
+void CountNoTapeDispatches(int64_t n) { g_no_tape_dispatches += n; }
 }  // namespace internal
 
 NoGradGuard::NoGradGuard() : previous_(g_grad_mode) { g_grad_mode = false; }

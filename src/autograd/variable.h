@@ -113,6 +113,7 @@ namespace internal {
 /// Counter bumps used by the op library (autograd/ops.cc).
 void CountTapeNodeRecorded();
 void CountNoTapeDispatch();
+void CountNoTapeDispatches(int64_t n);
 }  // namespace internal
 
 /// RAII scope that disables tape recording — use for evaluation/inference

@@ -43,8 +43,30 @@ ag::Var InnerProductKgcModel::ScoreAllTails(const std::vector<int64_t>& heads,
 tensor::Tensor InnerProductKgcModel::ServingQuery(
     const std::vector<int64_t>& heads, const std::vector<int64_t>& rels) {
   CAME_CHECK(!training()) << "ServingQuery requires eval mode";
+  const ag::QueryPlan* plan =
+      query_plans_.Find(static_cast<int64_t>(heads.size()));
+  if (plan == nullptr) {
+    infer::NoTapeGuard guard;
+    plan = query_plans_.Capture(
+        heads, rels,
+        [this](const std::vector<int64_t>& h, const std::vector<int64_t>& r) {
+          return Query(h, r);
+        },
+        Parameters());
+  }
+  if (plan != nullptr && plan->ok()) return plan->Replay(heads, rels);
+  return EagerQuery(heads, rels);
+}
+
+tensor::Tensor InnerProductKgcModel::EagerQuery(
+    const std::vector<int64_t>& heads, const std::vector<int64_t>& rels) {
+  CAME_CHECK(!training()) << "EagerQuery requires eval mode";
   infer::NoTapeGuard guard;
   return Query(heads, rels).value();
+}
+
+void InnerProductKgcModel::OnSetTraining(bool training) {
+  if (training) DropQueryPlans();
 }
 
 tensor::Tensor InnerProductKgcModel::ServingCandidates() {
@@ -56,11 +78,6 @@ tensor::Tensor InnerProductKgcModel::ServingCandidates() {
 tensor::Tensor InnerProductKgcModel::ServingEntityBias() {
   if (!bias_.defined()) return tensor::Tensor();
   return bias_.value();
-}
-
-ag::Var GatherConstRows(const tensor::Tensor& table,
-                        const std::vector<int64_t>& indices) {
-  return ag::Const(tensor::GatherRows(table, indices));
 }
 
 }  // namespace came::baselines

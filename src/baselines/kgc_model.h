@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "autograd/ops.h"
+#include "autograd/query_plan.h"
 #include "autograd/variable.h"
 #include "encoders/feature_bank.h"
 #include "kg/triple_store.h"
@@ -122,9 +123,22 @@ class InnerProductKgcModel : public KgcModel {
   // score panels with plain GEMM, bypassing autograd entirely. All three
   // require eval mode and run under an enforced no-tape scope.
 
-  /// [B, d] query matrix for the batch (forward-only, no tape nodes).
+  /// [B, d] query matrix for the batch (forward-only, no tape nodes),
+  /// bitwise Query(heads, rels).value(). The first call for a batch size
+  /// captures a query plan (autograd/query_plan.h); later calls replay it
+  /// without building Vars. Forwards the plan cannot replay run eagerly.
+  /// Safe for concurrent callers.
   tensor::Tensor ServingQuery(const std::vector<int64_t>& heads,
                               const std::vector<int64_t>& rels);
+  /// Query(heads, rels).value() run eagerly under a no-tape scope: what
+  /// ServingQuery falls back to, and the bitwise oracle of its plans.
+  tensor::Tensor EagerQuery(const std::vector<int64_t>& heads,
+                            const std::vector<int64_t>& rels);
+  /// The plan ServingQuery published for `batch` (possibly a refused one),
+  /// or null before its first call at that size.
+  const ag::QueryPlan* ServingPlan(int64_t batch) const {
+    return query_plans_.Find(batch);
+  }
   /// [N, d] candidate-entity matrix (aliases the parameter buffer).
   tensor::Tensor ServingCandidates();
   /// [N] per-entity bias, or an empty tensor when the model has none.
@@ -140,13 +154,21 @@ class InnerProductKgcModel : public KgcModel {
   /// [N, query_dim] candidate-entity table the query is matched against.
   virtual ag::Var CandidateTable() = 0;
 
-  ag::Var bias_;  // [N] or undefined
-};
+  /// Drops the query plans. Overrides that change what Query computes
+  /// without touching a parameter (e.g. installing folded encoder rows)
+  /// call this; training mode and restored parameters drop them already.
+  void DropQueryPlans() { query_plans_.Clear(); }
+  void OnSetTraining(bool training) override;
+  void OnParametersRestored() override { DropQueryPlans(); }
 
-/// Frozen per-entity modality features as constant Vars (shared helper for
-/// the multimodal models).
-ag::Var GatherConstRows(const tensor::Tensor& table,
-                        const std::vector<int64_t>& indices);
+  ag::Var bias_;  // [N] or undefined
+
+ private:
+  /// ServingQuery's plans, one per batch size. They read the parameters
+  /// in place but hold transposed copies of some, so they live only while
+  /// the parameters are frozen (eval mode, no restore).
+  ag::QueryPlanCache query_plans_;
+};
 
 }  // namespace came::baselines
 

@@ -54,10 +54,10 @@ MkgformerLite::MkgformerLite(const ModelContext& context,
 
 ag::Var MkgformerLite::MEncoder(const std::vector<int64_t>& heads) {
   const encoders::FeatureBank& bank = *context_.features;
-  ag::Var text =
-      proj_text_->Forward(GatherConstRows(bank.text_features(), heads));
-  ag::Var vis =
-      proj_vis_->Forward(GatherConstRows(bank.molecule_features(), heads));
+  ag::Var text = proj_text_->Forward(
+      ag::Gather(ag::Const(bank.text_features()), heads));
+  ag::Var vis = proj_vis_->Forward(
+      ag::Gather(ag::Const(bank.molecule_features()), heads));
 
   // Prefix-guided interaction: text-derived query attends over the two
   // modal tokens {text, visual}.

@@ -30,7 +30,7 @@ CrossModalTransE::CrossModalTransE(const ModelContext& context, int64_t dim,
 ag::Var CrossModalTransE::ModalEmbedding(
     const std::vector<int64_t>& entities) {
   return ag::Tanh(
-      feature_proj_->Forward(GatherConstRows(features_, entities)));
+      feature_proj_->Forward(ag::Gather(ag::Const(features_), entities)));
 }
 
 ag::Var CrossModalTransE::ModalTable() {
@@ -108,7 +108,7 @@ TransAe::TransAe(const ModelContext& context, int64_t dim)
 }
 
 ag::Var TransAe::Encode(const std::vector<int64_t>& entities) {
-  ag::Var x = GatherConstRows(features_, entities);
+  ag::Var x = ag::Gather(ag::Const(features_), entities);
   return ag::Tanh(enc2_->Forward(ag::Relu(enc1_->Forward(x))));
 }
 
@@ -132,7 +132,7 @@ ag::Var TransAe::ScoreAllTails(const std::vector<int64_t>& heads,
 ag::Var TransAe::AuxiliaryLoss(const std::vector<int64_t>& entities) {
   ag::Var z = Encode(entities);
   ag::Var recon = dec2_->Forward(ag::Relu(dec1_->Forward(z)));
-  ag::Var target = GatherConstRows(features_, entities);
+  ag::Var target = ag::Gather(ag::Const(features_), entities);
   return ag::MeanAll(ag::Square(ag::Sub(recon, target)));
 }
 

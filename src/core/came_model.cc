@@ -118,11 +118,11 @@ std::vector<ag::Var> CamE::GatherModalities(
   std::vector<ag::Var> out(modality_names_.size());
   if (molecule_slot_ >= 0) {
     out[static_cast<size_t>(molecule_slot_)] =
-        baselines::GatherConstRows(bank.molecule_features(), heads);
+        ag::Gather(ag::Const(bank.molecule_features()), heads);
   }
   if (text_slot_ >= 0) {
     out[static_cast<size_t>(text_slot_)] =
-        baselines::GatherConstRows(bank.text_features(), heads);
+        ag::Gather(ag::Const(bank.text_features()), heads);
   }
   out[static_cast<size_t>(structural_slot_)] = ag::Gather(entities_, heads);
   return out;
@@ -150,6 +150,7 @@ tensor::Tensor CamE::FoldEntityEncoders() {
 }
 
 void CamE::SetFoldedEncoderCache(tensor::Tensor rows) {
+  DropQueryPlans();
   if (rows.numel() == 0) {
     mmf_row_cache_ = tensor::Tensor();
     return;
@@ -161,6 +162,7 @@ void CamE::SetFoldedEncoderCache(tensor::Tensor rows) {
 }
 
 void CamE::OnSetTraining(bool training) {
+  InnerProductKgcModel::OnSetTraining(training);
   if (training) mmf_row_cache_ = tensor::Tensor();
 }
 
@@ -175,7 +177,7 @@ ag::Var CamE::Query(const std::vector<int64_t>& heads,
   // installed (eval only; bitwise identical to the live computation).
   ag::Var h_f;
   if (!training() && mmf_row_cache_.numel() > 0) {
-    h_f = ag::Const(tensor::GatherRows(mmf_row_cache_, heads));
+    h_f = ag::Gather(ag::Const(mmf_row_cache_), heads);
   } else {
     h_f = mmf_->Forward(modal);
   }

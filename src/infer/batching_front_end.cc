@@ -77,11 +77,18 @@ void BatchingFrontEnd::WorkerLoop() {
                                       static_cast<int64_t>(batch.size()));
     }
     if (!results.ok()) {
-      // A rejected request (bad ids in this batch) fails every coalesced
-      // client with the server's message; the worker keeps serving.
+      // A malformed request (bad ids) rejects the whole batch. Serve each
+      // coalesced request on its own: TopK's answers are bitwise
+      // TopKBatch's, so only the malformed request fails, with its own
+      // message, and the worker keeps serving.
       for (Pending& p : batch) {
-        p.promise.set_exception(std::make_exception_ptr(
-            std::runtime_error(results.status().ToString())));
+        Result<TopKResult> one = server_->TopK(p.head, p.rel, k_, opts_);
+        if (one.ok()) {
+          p.promise.set_value(std::move(one).value());
+        } else {
+          p.promise.set_exception(std::make_exception_ptr(
+              std::runtime_error(one.status().ToString())));
+        }
       }
       continue;
     }

@@ -38,10 +38,10 @@ class BatchingFrontEnd {
   BatchingFrontEnd(const BatchingFrontEnd&) = delete;
   BatchingFrontEnd& operator=(const BatchingFrontEnd&) = delete;
 
-  /// Enqueues one query; the future resolves when its batch executes. If
-  /// the server rejects the batch (out-of-range ids), the future carries
-  /// a std::runtime_error with the server's status message instead of a
-  /// value.
+  /// Enqueues one query; the future resolves when its batch executes. A
+  /// query the server rejects (out-of-range ids) gets a std::runtime_error
+  /// with the server's status message instead of a value; the queries
+  /// coalesced with it are still answered.
   std::future<TopKResult> Submit(int64_t head, int64_t rel)
       CAME_EXCLUDES(mu_);
 

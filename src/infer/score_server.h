@@ -24,9 +24,10 @@ namespace came::infer {
 /// Encodes a batch of (head, relation) queries into a [B, d] query matrix.
 /// Must be forward-only (no tape nodes) and eval-mode. With concurrent
 /// server calls the encoder is invoked from multiple threads at once, so
-/// it must be safe for concurrent invocation (the model-backed encoder
-/// qualifies: an eval-mode ServingQuery with folded rows installed is a
-/// read-only gather + GEMM).
+/// it must be safe for concurrent invocation. The model-backed encoder
+/// qualifies: ServingQuery replays a captured query plan (for CamE: the
+/// folded-row gathers, RIC's co-attention heads and the two-branch conv
+/// decoder) that only reads the model, and captures under a mutex.
 using QueryEncoder = std::function<tensor::Tensor(
     const std::vector<int64_t>& heads, const std::vector<int64_t>& rels)>;
 

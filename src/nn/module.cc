@@ -78,6 +78,7 @@ void Module::RestoreParameters(const std::vector<tensor::Tensor>& snapshot) {
     std::copy(snapshot[i].data(), snapshot[i].data() + snapshot[i].numel(),
               p.mutable_value().data());
   }
+  OnParametersRestored();
 }
 
 Status Module::LoadParameterValues(
@@ -106,6 +107,7 @@ Status Module::LoadParameterValues(
     std::copy(src.data(), src.data() + src.numel(),
               p.mutable_value().data());
   }
+  OnParametersRestored();
   return Status::OK();
 }
 

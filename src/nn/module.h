@@ -73,6 +73,12 @@ class Module {
   /// when the mode flips back to training.
   virtual void OnSetTraining(bool training) { (void)training; }
 
+  /// Hook invoked after RestoreParameters / LoadParameterValues overwrote
+  /// this module's parameter values in place. Modules that keep state
+  /// derived from the values (e.g. a query plan's transposed weight
+  /// copies) drop it here.
+  virtual void OnParametersRestored() {}
+
  private:
   std::vector<std::pair<std::string, ag::Var>> params_;
   std::vector<std::pair<std::string, Module*>> children_;

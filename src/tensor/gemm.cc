@@ -146,8 +146,8 @@ inline v8f Load8(const float* p) {
 inline void Store8(float* p, v8f v) { std::memcpy(p, &v, sizeof(v)); }
 
 // MulAdd on eight lanes. Fused explicitly on FMA builds: GCC contracts
-// `acc + a * b` only from -O2 on, and the tile must round like
-// ReferenceGemm at every optimisation level.
+// `acc + a * b` only from -O2 on, and the tile must round like the
+// scalar chain (MulAdd) at every optimisation level.
 inline v8f MulAdd8(v8f a, v8f b, v8f acc) {
 #if defined(__FMA__) && defined(__AVX__)
   return (v8f)_mm256_fmadd_ps((__m256)a, (__m256)b, (__m256)acc);
@@ -729,63 +729,6 @@ std::string KernelName(Kernel k) {
       return "avx512";
   }
   return "unknown";
-}
-
-void ReferenceGemm(const float* a, const float* b, float* c, int64_t m,
-                   int64_t k, int64_t n, bool trans_a, bool trans_b,
-                   bool accumulate) {
-  if (!accumulate) std::fill(c, c + m * n, 0.0f);
-  const int64_t a_si = trans_a ? 1 : k;  // same strides as BlockedGemm
-  const int64_t a_sp = trans_a ? m : 1;
-  // Each C element follows the microkernels' chain: per kKC depth pass, a
-  // sequential multiply-add over p into an accumulator starting at zero,
-  // then one add into C. Only the interleaving of independent chains
-  // differs between the two B layouts.
-  for (int64_t i = 0; i < m; ++i) {
-    const float* ai = a + i * a_si;
-    float* crow = c + i * n;
-    for (int64_t pc = 0; pc < k; pc += kKC) {
-      const int64_t pe = std::min(k, pc + kKC);
-      if (trans_b) {
-        // B rows are the columns of op(B): kJ dot products at a time, so
-        // kJ chains are in flight, then the remaining columns one by one.
-        constexpr int64_t kJ = 8;
-        int64_t j = 0;
-        for (; j + kJ <= n; j += kJ) {
-          float acc[kJ] = {};
-          for (int64_t p = pc; p < pe; ++p) {
-            const float av = ai[p * a_sp];
-            for (int64_t jj = 0; jj < kJ; ++jj)
-              acc[jj] = MulAdd(av, b[(j + jj) * k + p], acc[jj]);
-          }
-          for (int64_t jj = 0; jj < kJ; ++jj) crow[j + jj] += acc[jj];
-        }
-        for (; j < n; ++j) {
-          const float* bj = b + j * k;
-          float acc = 0.0f;
-          for (int64_t p = pc; p < pe; ++p)
-            acc = MulAdd(ai[p * a_sp], bj[p], acc);
-          crow[j] += acc;
-        }
-      } else {
-        // Contiguous B rows: the chains of a column chunk advance together
-        // and vectorise over j.
-        constexpr int64_t kJB = 256;
-        float acc[kJB];
-        for (int64_t j0 = 0; j0 < n; j0 += kJB) {
-          const int64_t nj = std::min(kJB, n - j0);
-          std::fill(acc, acc + nj, 0.0f);
-          for (int64_t p = pc; p < pe; ++p) {
-            const float av = ai[p * a_sp];
-            const float* brow = b + p * n + j0;
-            for (int64_t j = 0; j < nj; ++j)
-              acc[j] = MulAdd(av, brow[j], acc[j]);
-          }
-          for (int64_t j = 0; j < nj; ++j) crow[j0 + j] += acc[j];
-        }
-      }
-    }
-  }
 }
 
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,

@@ -31,16 +31,6 @@ namespace came::tensor::gemm {
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
           int64_t n, bool trans_a, bool trans_b, bool accumulate);
 
-/// The tests' bitwise oracle and the benches' baseline; Gemm never calls
-/// it. A plain serial loop that computes each C element in the chain both
-/// Gemm schedules use: per 256-deep pass a sequential multiply-add over p
-/// (fused on FMA builds) from zero, then one add into C. So for a given
-/// build no output bit of Gemm depends on m, n, the kernel, or which
-/// schedule a shape takes.
-void ReferenceGemm(const float* a, const float* b, float* c, int64_t m,
-                   int64_t k, int64_t n, bool trans_a, bool trans_b,
-                   bool accumulate);
-
 // ---------------------------------------------------------------------------
 // Microkernel dispatch
 // ---------------------------------------------------------------------------

@@ -46,33 +46,24 @@ std::vector<int64_t> BroadcastStrides(const Shape& padded, const Shape& out) {
 }
 
 template <typename F>
-Tensor BinaryBroadcast(const Tensor& a, const Tensor& b, F op) {
-  if (SameShape(a.shape(), b.shape())) {
-    // fully-written: elementwise ParallelFor stores every output
-    Tensor out = Tensor::Uninitialized(a.shape());
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out.data();
-    ParallelFor(0, a.numel(), kElementwiseGrain,
+void BinaryBroadcastInto(const float* pa, const Shape& a_shape,
+                         const float* pb, const Shape& b_shape, float* po,
+                         F op) {
+  if (SameShape(a_shape, b_shape)) {
+    ParallelFor(0, NumElements(a_shape), kElementwiseGrain,
                 [&](int64_t lo, int64_t hi) {
                   for (int64_t i = lo; i < hi; ++i) po[i] = op(pa[i], pb[i]);
                 });
-    return out;
+    return;
   }
-  const Shape out_shape = BroadcastShape(a.shape(), b.shape());
+  const Shape out_shape = BroadcastShape(a_shape, b_shape);
   const size_t nd = out_shape.size();
-  const Shape sa = PadShape(a.shape(), nd);
-  const Shape sb = PadShape(b.shape(), nd);
+  const Shape sa = PadShape(a_shape, nd);
+  const Shape sb = PadShape(b_shape, nd);
   const auto stra = BroadcastStrides(sa, out_shape);
   const auto strb = BroadcastStrides(sb, out_shape);
 
-  // fully-written: the strided broadcast loop stores every output
-  Tensor out = Tensor::Uninitialized(out_shape);
-  float* po = out.data();
-  const float* pa = a.data();
-  const float* pb = b.data();
-
-  const int64_t n = out.numel();
+  const int64_t n = NumElements(out_shape);
   ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
     // Seed the odometer at linear index `lo`.
     std::vector<int64_t> idx(nd, 0);
@@ -101,33 +92,29 @@ Tensor BinaryBroadcast(const Tensor& a, const Tensor& b, F op) {
       }
     }
   });
+}
+
+Tensor Binary(BinaryOp op, const Tensor& a, const Tensor& b) {
+  const bool same = SameShape(a.shape(), b.shape());
+  // fully-written: BinaryInto stores every element of the broadcast shape
+  Tensor out = Tensor::Uninitialized(
+      same ? a.shape() : BroadcastShape(a.shape(), b.shape()));
+  BinaryInto(op, a.data(), a.shape(), b.data(), b.shape(), out.data());
   return out;
 }
 
 template <typename F>
-Tensor Unary(const Tensor& t, F op) {
-  // fully-written: op is applied to (and stored at) every element
-  Tensor out = Tensor::Uninitialized(t.shape());
-  const float* pi = t.data();
-  float* po = out.data();
-  ParallelFor(0, t.numel(), kElementwiseGrain, [&](int64_t lo, int64_t hi) {
+void UnaryLoop(const float* pi, int64_t n, float* po, F op) {
+  ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) po[i] = op(pi[i]);
   });
-  return out;
 }
 
-// Decomposes a shape around `dim` into (outer, axis, inner) extents.
-void AxisDecompose(const Shape& shape, int64_t dim, int64_t* outer,
-                   int64_t* axis, int64_t* inner) {
-  const int64_t nd = static_cast<int64_t>(shape.size());
-  if (dim < 0) dim += nd;
-  CAME_CHECK_GE(dim, 0);
-  CAME_CHECK_LT(dim, nd);
-  *outer = 1;
-  *axis = shape[static_cast<size_t>(dim)];
-  *inner = 1;
-  for (int64_t d = 0; d < dim; ++d) *outer *= shape[static_cast<size_t>(d)];
-  for (int64_t d = dim + 1; d < nd; ++d) *inner *= shape[static_cast<size_t>(d)];
+Tensor Unary(UnaryOp op, const Tensor& t, float s = 0.0f) {
+  // fully-written: UnaryInto stores every element
+  Tensor out = Tensor::Uninitialized(t.shape());
+  UnaryInto(op, t.data(), t.numel(), s, out.data());
+  return out;
 }
 
 Shape ReducedShape(const Shape& shape, int64_t dim, bool keepdim) {
@@ -146,6 +133,19 @@ Shape ReducedShape(const Shape& shape, int64_t dim, bool keepdim) {
 }
 
 }  // namespace
+
+void AxisDecompose(const Shape& shape, int64_t dim, int64_t* outer,
+                   int64_t* axis, int64_t* inner) {
+  const int64_t nd = static_cast<int64_t>(shape.size());
+  if (dim < 0) dim += nd;
+  CAME_CHECK_GE(dim, 0);
+  CAME_CHECK_LT(dim, nd);
+  *outer = 1;
+  *axis = shape[static_cast<size_t>(dim)];
+  *inner = 1;
+  for (int64_t d = 0; d < dim; ++d) *outer *= shape[static_cast<size_t>(d)];
+  for (int64_t d = dim + 1; d < nd; ++d) *inner *= shape[static_cast<size_t>(d)];
+}
 
 Shape BroadcastShape(const Shape& a, const Shape& b) {
   const size_t nd = std::max(a.size(), b.size());
@@ -176,17 +176,35 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target) {
   return cur.Reshape(target);
 }
 
+void BinaryInto(BinaryOp op, const float* a, const Shape& a_shape,
+                const float* b, const Shape& b_shape, float* out) {
+  switch (op) {
+    case BinaryOp::kAdd:
+      return BinaryBroadcastInto(a, a_shape, b, b_shape, out,
+                                 [](float x, float y) { return x + y; });
+    case BinaryOp::kSub:
+      return BinaryBroadcastInto(a, a_shape, b, b_shape, out,
+                                 [](float x, float y) { return x - y; });
+    case BinaryOp::kMul:
+      return BinaryBroadcastInto(a, a_shape, b, b_shape, out,
+                                 [](float x, float y) { return x * y; });
+    case BinaryOp::kDiv:
+      return BinaryBroadcastInto(a, a_shape, b, b_shape, out,
+                                 [](float x, float y) { return x / y; });
+  }
+}
+
 Tensor Add(const Tensor& a, const Tensor& b) {
-  return BinaryBroadcast(a, b, [](float x, float y) { return x + y; });
+  return Binary(BinaryOp::kAdd, a, b);
 }
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryBroadcast(a, b, [](float x, float y) { return x - y; });
+  return Binary(BinaryOp::kSub, a, b);
 }
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  return BinaryBroadcast(a, b, [](float x, float y) { return x * y; });
+  return Binary(BinaryOp::kMul, a, b);
 }
 Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryBroadcast(a, b, [](float x, float y) { return x / y; });
+  return Binary(BinaryOp::kDiv, a, b);
 }
 
 void Axpy(float alpha, const Tensor& x, Tensor* y) {
@@ -198,47 +216,56 @@ void Axpy(float alpha, const Tensor& x, Tensor* y) {
   });
 }
 
-Tensor Neg(const Tensor& t) {
-  return Unary(t, [](float x) { return -x; });
+void UnaryInto(UnaryOp op, const float* x, int64_t n, float s, float* out) {
+  switch (op) {
+    case UnaryOp::kNeg:
+      return UnaryLoop(x, n, out, [](float v) { return -v; });
+    case UnaryOp::kExp:
+      return UnaryLoop(x, n, out, [](float v) { return std::exp(v); });
+    case UnaryOp::kLog:
+      return UnaryLoop(x, n, out, [](float v) { return std::log(v); });
+    case UnaryOp::kSqrt:
+      return UnaryLoop(x, n, out, [](float v) { return std::sqrt(v); });
+    case UnaryOp::kSquare:
+      return UnaryLoop(x, n, out, [](float v) { return v * v; });
+    case UnaryOp::kSigmoid:
+      return UnaryLoop(x, n, out, [](float v) {
+        // Branch on sign for numerical stability at large |v|.
+        if (v >= 0) {
+          const float z = std::exp(-v);
+          return 1.0f / (1.0f + z);
+        }
+        const float z = std::exp(v);
+        return z / (1.0f + z);
+      });
+    case UnaryOp::kTanh:
+      return UnaryLoop(x, n, out, [](float v) { return std::tanh(v); });
+    case UnaryOp::kRelu:
+      return UnaryLoop(x, n, out, [](float v) { return v > 0 ? v : 0.0f; });
+    case UnaryOp::kAbs:
+      return UnaryLoop(x, n, out, [](float v) { return std::fabs(v); });
+    case UnaryOp::kScale:
+      return UnaryLoop(x, n, out, [s](float v) { return s * v; });
+    case UnaryOp::kAddScalar:
+      return UnaryLoop(x, n, out, [s](float v) { return v + s; });
+  }
 }
-Tensor Exp(const Tensor& t) {
-  return Unary(t, [](float x) { return std::exp(x); });
-}
-Tensor Log(const Tensor& t) {
-  return Unary(t, [](float x) { return std::log(x); });
-}
-Tensor Sqrt(const Tensor& t) {
-  return Unary(t, [](float x) { return std::sqrt(x); });
-}
-Tensor Square(const Tensor& t) {
-  return Unary(t, [](float x) { return x * x; });
-}
-Tensor Sigmoid(const Tensor& t) {
-  return Unary(t, [](float x) {
-    // Branch on sign for numerical stability at large |x|.
-    if (x >= 0) {
-      const float z = std::exp(-x);
-      return 1.0f / (1.0f + z);
-    }
-    const float z = std::exp(x);
-    return z / (1.0f + z);
-  });
-}
-Tensor Tanh(const Tensor& t) {
-  return Unary(t, [](float x) { return std::tanh(x); });
-}
-Tensor Relu(const Tensor& t) {
-  return Unary(t, [](float x) { return x > 0 ? x : 0.0f; });
-}
+
+Tensor Neg(const Tensor& t) { return Unary(UnaryOp::kNeg, t); }
+Tensor Exp(const Tensor& t) { return Unary(UnaryOp::kExp, t); }
+Tensor Log(const Tensor& t) { return Unary(UnaryOp::kLog, t); }
+Tensor Sqrt(const Tensor& t) { return Unary(UnaryOp::kSqrt, t); }
+Tensor Square(const Tensor& t) { return Unary(UnaryOp::kSquare, t); }
+Tensor Sigmoid(const Tensor& t) { return Unary(UnaryOp::kSigmoid, t); }
+Tensor Tanh(const Tensor& t) { return Unary(UnaryOp::kTanh, t); }
+Tensor Relu(const Tensor& t) { return Unary(UnaryOp::kRelu, t); }
 Tensor Scale(const Tensor& t, float s) {
-  return Unary(t, [s](float x) { return s * x; });
+  return Unary(UnaryOp::kScale, t, s);
 }
 Tensor AddScalar(const Tensor& t, float s) {
-  return Unary(t, [s](float x) { return x + s; });
+  return Unary(UnaryOp::kAddScalar, t, s);
 }
-Tensor Abs(const Tensor& t) {
-  return Unary(t, [](float x) { return std::fabs(x); });
-}
+Tensor Abs(const Tensor& t) { return Unary(UnaryOp::kAbs, t); }
 
 Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   CAME_CHECK_EQ(a.ndim(), 2);
@@ -340,22 +367,27 @@ float MaxAbs(const Tensor& t) {
   return m;
 }
 
+void SumAlongInto(const float* x, int64_t outer, int64_t axis, int64_t inner,
+                  float* out) {
+  // Accumulates with += below, so the output starts zeroed.
+  std::fill(out, out + outer * inner, 0.0f);
+  for (int64_t o = 0; o < outer; ++o) {
+    for (int64_t a = 0; a < axis; ++a) {
+      const float* src = x + (o * axis + a) * inner;
+      float* dst = out + o * inner;
+      for (int64_t in = 0; in < inner; ++in) dst[in] += src[in];
+    }
+  }
+}
+
 Tensor SumAlong(const Tensor& t, int64_t dim, bool keepdim) {
   int64_t outer;
   int64_t axis;
   int64_t inner;
   AxisDecompose(t.shape(), dim, &outer, &axis, &inner);
-  // Accumulates with += below, so the output must start zeroed.
-  Tensor out(ReducedShape(t.shape(), dim, keepdim));
-  const float* pi = t.data();
-  float* po = out.data();
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t a = 0; a < axis; ++a) {
-      const float* src = pi + (o * axis + a) * inner;
-      float* dst = po + o * inner;
-      for (int64_t in = 0; in < inner; ++in) dst[in] += src[in];
-    }
-  }
+  // fully-written: SumAlongInto zero-fills before it accumulates
+  Tensor out = Tensor::Uninitialized(ReducedShape(t.shape(), dim, keepdim));
+  SumAlongInto(t.data(), outer, axis, inner, out.data());
   return out;
 }
 
@@ -381,6 +413,27 @@ Tensor MaxAlong(const Tensor& t, int64_t dim, bool keepdim) {
   return out;
 }
 
+void SoftmaxAlongInto(const float* x, int64_t outer, int64_t axis,
+                      int64_t inner, float* out) {
+  for (int64_t o = 0; o < outer; ++o) {
+    for (int64_t in = 0; in < inner; ++in) {
+      const int64_t base = o * axis * inner + in;
+      float m = x[base];
+      for (int64_t a = 1; a < axis; ++a) {
+        m = std::max(m, x[base + a * inner]);
+      }
+      double denom = 0.0;
+      for (int64_t a = 0; a < axis; ++a) {
+        const float e = std::exp(x[base + a * inner] - m);
+        out[base + a * inner] = e;
+        denom += e;
+      }
+      const float inv = static_cast<float>(1.0 / denom);
+      for (int64_t a = 0; a < axis; ++a) out[base + a * inner] *= inv;
+    }
+  }
+}
+
 Tensor SoftmaxAlong(const Tensor& t, int64_t dim) {
   int64_t outer;
   int64_t axis;
@@ -388,26 +441,24 @@ Tensor SoftmaxAlong(const Tensor& t, int64_t dim) {
   AxisDecompose(t.shape(), dim, &outer, &axis, &inner);
   // fully-written: the normalise pass stores every element
   Tensor out = Tensor::Uninitialized(t.shape());
-  const float* pi = t.data();
-  float* po = out.data();
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t in = 0; in < inner; ++in) {
-      const int64_t base = o * axis * inner + in;
-      float m = pi[base];
-      for (int64_t a = 1; a < axis; ++a) {
-        m = std::max(m, pi[base + a * inner]);
-      }
-      double denom = 0.0;
-      for (int64_t a = 0; a < axis; ++a) {
-        const float e = std::exp(pi[base + a * inner] - m);
-        po[base + a * inner] = e;
-        denom += e;
-      }
-      const float inv = static_cast<float>(1.0 / denom);
-      for (int64_t a = 0; a < axis; ++a) po[base + a * inner] *= inv;
-    }
-  }
+  SoftmaxAlongInto(t.data(), outer, axis, inner, out.data());
   return out;
+}
+
+void ConcatInto(const float* const* parts, const int64_t* extents,
+                size_t count, int64_t outer, int64_t inner, float* out) {
+  int64_t axis_out = 0;
+  for (size_t i = 0; i < count; ++i) axis_out += extents[i];
+  int64_t offset = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const int64_t axis_p = extents[i];
+    const float* src = parts[i];
+    for (int64_t o = 0; o < outer; ++o) {
+      float* dst = out + (o * axis_out + offset) * inner;
+      std::copy(src + o * axis_p * inner, src + (o + 1) * axis_p * inner, dst);
+    }
+    offset += axis_p;
+  }
 }
 
 Tensor Concat(const std::vector<Tensor>& parts, int64_t dim) {
@@ -415,6 +466,8 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t dim) {
   const int64_t nd = parts[0].ndim();
   if (dim < 0) dim += nd;
   int64_t total = 0;
+  std::vector<const float*> ptrs;
+  std::vector<int64_t> extents;
   for (const auto& p : parts) {
     CAME_CHECK_EQ(p.ndim(), nd);
     for (int64_t d = 0; d < nd; ++d) {
@@ -423,6 +476,8 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t dim) {
       }
     }
     total += p.dim(dim);
+    ptrs.push_back(p.data());
+    extents.push_back(p.dim(dim));
   }
   Shape out_shape = parts[0].shape();
   out_shape[static_cast<size_t>(dim)] = total;
@@ -433,17 +488,17 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t dim) {
   int64_t axis_out;
   int64_t inner;
   AxisDecompose(out_shape, dim, &outer, &axis_out, &inner);
-  int64_t offset = 0;
-  for (const auto& p : parts) {
-    const int64_t axis_p = p.dim(dim);
-    const float* src = p.data();
-    for (int64_t o = 0; o < outer; ++o) {
-      float* dst = out.data() + (o * axis_out + offset) * inner;
-      std::copy(src + o * axis_p * inner, src + (o + 1) * axis_p * inner, dst);
-    }
-    offset += axis_p;
-  }
+  ConcatInto(ptrs.data(), extents.data(), parts.size(), outer, inner,
+             out.data());
   return out;
+}
+
+void SliceInto(const float* x, int64_t outer, int64_t axis, int64_t inner,
+               int64_t start, int64_t len, float* out) {
+  for (int64_t o = 0; o < outer; ++o) {
+    const float* src = x + (o * axis + start) * inner;
+    std::copy(src, src + len * inner, out + o * len * inner);
+  }
 }
 
 Tensor SliceAlong(const Tensor& t, int64_t dim, int64_t start, int64_t len) {
@@ -460,27 +515,27 @@ Tensor SliceAlong(const Tensor& t, int64_t dim, int64_t start, int64_t len) {
   int64_t axis;
   int64_t inner;
   AxisDecompose(t.shape(), dim, &outer, &axis, &inner);
-  for (int64_t o = 0; o < outer; ++o) {
-    const float* src = t.data() + (o * axis + start) * inner;
-    float* dst = out.data() + o * len * inner;
-    std::copy(src, src + len * inner, dst);
-  }
+  SliceInto(t.data(), outer, axis, inner, start, len, out.data());
   return out;
+}
+
+void GatherRowsInto(const float* matrix, int64_t rows, int64_t d,
+                    const std::vector<int64_t>& indices, float* out) {
+  for (size_t i = 0; i < indices.size(); ++i) {
+    const int64_t r = indices[i];
+    CAME_CHECK_GE(r, 0);
+    CAME_CHECK_LT(r, rows);
+    std::copy(matrix + r * d, matrix + (r + 1) * d,
+              out + static_cast<int64_t>(i) * d);
+  }
 }
 
 Tensor GatherRows(const Tensor& matrix, const std::vector<int64_t>& indices) {
   CAME_CHECK_EQ(matrix.ndim(), 2);
-  const int64_t n = matrix.dim(0);
   const int64_t d = matrix.dim(1);
   // fully-written: one row copy per index covers the whole output
   Tensor out = Tensor::Uninitialized(Shape{static_cast<int64_t>(indices.size()), d});
-  for (size_t i = 0; i < indices.size(); ++i) {
-    const int64_t r = indices[i];
-    CAME_CHECK_GE(r, 0);
-    CAME_CHECK_LT(r, n);
-    std::copy(matrix.data() + r * d, matrix.data() + (r + 1) * d,
-              out.data() + static_cast<int64_t>(i) * d);
-  }
+  GatherRowsInto(matrix.data(), matrix.dim(0), d, indices, out.data());
   return out;
 }
 
@@ -517,25 +572,17 @@ Tensor Where(const Tensor& mask, const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor Im2Col(const Tensor& input, int64_t kh, int64_t kw, int64_t pad) {
-  CAME_CHECK_EQ(input.ndim(), 4);
-  const int64_t b = input.dim(0);
-  const int64_t c = input.dim(1);
-  const int64_t h = input.dim(2);
-  const int64_t w = input.dim(3);
+void Im2ColInto(const float* input, int64_t b, int64_t c, int64_t h,
+                int64_t w, int64_t kh, int64_t kw, int64_t pad, float* cols) {
   const int64_t out_h = h + 2 * pad - kh + 1;
   const int64_t out_w = w + 2 * pad - kw + 1;
   CAME_CHECK_GT(out_h, 0);
   CAME_CHECK_GT(out_w, 0);
-  // fully-written: padding cells are stored explicitly as 0 below.
-  Tensor cols = Tensor::Uninitialized(Shape{b, c * kh * kw, out_h * out_w});
-  const float* pi = input.data();
-  float* po = cols.data();
   const int64_t col_stride = c * kh * kw * out_h * out_w;
   ParallelFor(0, b, RowGrain(col_stride), [&](int64_t b_lo, int64_t b_hi) {
   for (int64_t bi = b_lo; bi < b_hi; ++bi) {
-    float* col = po + bi * col_stride;
-    const float* img = pi + bi * c * h * w;
+    float* col = cols + bi * col_stride;
+    const float* img = input + bi * c * h * w;
     int64_t row = 0;
     for (int64_t ci = 0; ci < c; ++ci) {
       for (int64_t ki = 0; ki < kh; ++ki) {
@@ -556,7 +603,68 @@ Tensor Im2Col(const Tensor& input, int64_t kh, int64_t kw, int64_t pad) {
     }
   }
   });
+}
+
+Tensor Im2Col(const Tensor& input, int64_t kh, int64_t kw, int64_t pad) {
+  CAME_CHECK_EQ(input.ndim(), 4);
+  const int64_t b = input.dim(0);
+  const int64_t c = input.dim(1);
+  const int64_t h = input.dim(2);
+  const int64_t w = input.dim(3);
+  const int64_t out_h = h + 2 * pad - kh + 1;
+  const int64_t out_w = w + 2 * pad - kw + 1;
+  CAME_CHECK_GT(out_h, 0);
+  CAME_CHECK_GT(out_w, 0);
+  // fully-written: padding cells are stored explicitly as 0 by Im2ColInto.
+  Tensor cols = Tensor::Uninitialized(Shape{b, c * kh * kw, out_h * out_w});
+  Im2ColInto(input.data(), b, c, h, w, kh, kw, pad, cols.data());
   return cols;
+}
+
+void Conv2dInto(const float* x, int64_t b, int64_t c, int64_t h, int64_t w,
+                const float* weight, int64_t f, int64_t kh, int64_t kw,
+                const float* bias, int64_t pad, float* cols, float* out) {
+  const int64_t l = (h + 2 * pad - kh + 1) * (w + 2 * pad - kw + 1);
+  const int64_t depth = c * kh * kw;
+  Im2ColInto(x, b, c, h, w, kh, kw, pad, cols);
+  // out[b] = w2d x cols[b] on raw slices; the accumulate=false GEMM
+  // overwrites every slab.
+  for (int64_t bi = 0; bi < b; ++bi) {
+    MatMulRaw(weight, cols + bi * depth * l, out + bi * f * l, f, depth, l,
+              false, false, /*accumulate=*/false);
+  }
+  if (bias == nullptr) return;
+  for (int64_t bi = 0; bi < b; ++bi) {
+    for (int64_t fi = 0; fi < f; ++fi) {
+      float* dst = out + (bi * f + fi) * l;
+      for (int64_t i = 0; i < l; ++i) dst[i] += bias[fi];
+    }
+  }
+}
+
+void LayerNormInto(const float* x, int64_t rows, int64_t d,
+                   const float* gamma, const float* beta, float eps,
+                   float* out, float* xhat, float* inv_sigma) {
+  const bool affine = gamma != nullptr;
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* row = x + r * d;
+    double mean = 0.0;
+    for (int64_t j = 0; j < d; ++j) mean += row[j];
+    mean /= static_cast<double>(d);
+    double var = 0.0;
+    for (int64_t j = 0; j < d; ++j) {
+      const double c = row[j] - mean;
+      var += c * c;
+    }
+    var /= static_cast<double>(d);
+    const float inv = static_cast<float>(1.0 / std::sqrt(var + eps));
+    if (inv_sigma != nullptr) inv_sigma[r] = inv;
+    for (int64_t j = 0; j < d; ++j) {
+      const float hj = (row[j] - static_cast<float>(mean)) * inv;
+      if (xhat != nullptr) xhat[r * d + j] = hj;
+      out[r * d + j] = affine ? hj * gamma[j] + beta[j] : hj;
+    }
+  }
 }
 
 Tensor Col2Im(const Tensor& cols, int64_t batch, int64_t channels, int64_t h,

@@ -20,6 +20,11 @@ Shape BroadcastShape(const Shape& a, const Shape& b);
 /// (the reverse of broadcasting; used by autograd backward passes).
 Tensor ReduceToShape(const Tensor& t, const Shape& target);
 
+/// Splits `shape` around axis `dim` (negative counts from the back) into
+/// the extents before it, along it and after it.
+void AxisDecompose(const Shape& shape, int64_t dim, int64_t* outer,
+                   int64_t* axis, int64_t* inner);
+
 // ---------------------------------------------------------------------------
 // Elementwise (broadcasting) binary ops
 // ---------------------------------------------------------------------------
@@ -113,6 +118,64 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int64_t>& indices,
 
 /// out[i] = mask[i] != 0 ? a[i] : b[i]; all three same shape.
 Tensor Where(const Tensor& mask, const Tensor& a, const Tensor& b);
+
+// ---------------------------------------------------------------------------
+// Raw kernels
+//
+// The arithmetic of the Tensor-returning ops above, writing a buffer the
+// caller owns. Each of those ops allocates its output and calls the
+// kernel here, so a caller that brings its own buffers (the query plan,
+// autograd/query_plan.h) computes the same bits. Outputs never alias
+// inputs.
+// ---------------------------------------------------------------------------
+
+enum class BinaryOp { kAdd, kSub, kMul, kDiv };
+/// out = a op b with NumPy broadcasting; out has BroadcastShape(a, b).
+void BinaryInto(BinaryOp op, const float* a, const Shape& a_shape,
+                const float* b, const Shape& b_shape, float* out);
+
+enum class UnaryOp {
+  kNeg, kExp, kLog, kSqrt, kSquare, kSigmoid, kTanh, kRelu, kAbs,
+  kScale,      ///< s * x
+  kAddScalar,  ///< x + s
+};
+/// out[i] = op(x[i]) for i < n; `s` is the scalar of kScale / kAddScalar.
+void UnaryInto(UnaryOp op, const float* x, int64_t n, float s, float* out);
+
+/// out[i] = matrix[indices[i]] for a [rows, d] matrix; CHECK-fails on an
+/// out-of-range index.
+void GatherRowsInto(const float* matrix, int64_t rows, int64_t d,
+                    const std::vector<int64_t>& indices, float* out);
+/// Concatenates `count` parts of extents [outer, extents[i], inner] along
+/// the middle axis.
+void ConcatInto(const float* const* parts, const int64_t* extents,
+                size_t count, int64_t outer, int64_t inner, float* out);
+/// out = x[:, start:start+len, :] for x of extents [outer, axis, inner].
+void SliceInto(const float* x, int64_t outer, int64_t axis, int64_t inner,
+               int64_t start, int64_t len, float* out);
+/// Sum over the middle axis of [outer, axis, inner] -> [outer, inner].
+void SumAlongInto(const float* x, int64_t outer, int64_t axis, int64_t inner,
+                  float* out);
+/// Softmax over the middle axis of [outer, axis, inner].
+void SoftmaxAlongInto(const float* x, int64_t outer, int64_t axis,
+                      int64_t inner, float* out);
+/// Im2Col into a [b, c*kh*kw, out_h*out_w] buffer.
+void Im2ColInto(const float* input, int64_t b, int64_t c, int64_t h,
+                int64_t w, int64_t kh, int64_t kw, int64_t pad, float* cols);
+/// Stride-1 convolution of x [b, c, h, w] with weight [f, c, kh, kw] and
+/// an optional bias [f] (null skips it) into out [b, f, out_h, out_w].
+/// `cols` receives the Im2Col slab ([b, c*kh*kw, out_h*out_w] floats),
+/// which the backward pass reuses.
+void Conv2dInto(const float* x, int64_t b, int64_t c, int64_t h, int64_t w,
+                const float* weight, int64_t f, int64_t kh, int64_t kw,
+                const float* bias, int64_t pad, float* cols, float* out);
+/// LayerNorm over `rows` rows of length d: out = xhat * gamma + beta, or
+/// xhat when gamma is null (beta then is null too). `xhat` and
+/// `inv_sigma` (per row 1/sigma), when non-null, receive what the
+/// backward pass needs; they never change `out`.
+void LayerNormInto(const float* x, int64_t rows, int64_t d,
+                   const float* gamma, const float* beta, float eps,
+                   float* out, float* xhat, float* inv_sigma);
 
 // ---------------------------------------------------------------------------
 // Convolution building blocks (stride 1)

@@ -7,8 +7,11 @@
 // diagnostics (op name + tape path), not just the abort.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include "autograd/op_registry.h"
 #include "autograd/ops.h"
@@ -78,6 +81,33 @@ TEST(OpRegistryTest, RegistrationIsIdempotent) {
   const int first = reg.Register("TapeAuditTestOp");
   const int second = reg.Register("TapeAuditTestOp");
   EXPECT_EQ(first, second);
+}
+
+TEST(OpRegistryTest, DispatchCountsSumExactlyOverLiveAndExitedThreads) {
+  // Each thread counts into its own shard; the total must be exact both
+  // while the threads are alive and after they exited (their shards are
+  // folded into the registry's exited totals).
+  OpRegistry& reg = OpRegistry::Instance();
+  const int id = reg.Register("TapeAuditShardedCountOp");
+  constexpr int kThreads = 4;
+  constexpr int64_t kPerThread = 25000;
+  const int64_t before = reg.NoTapeDispatches(id);
+  std::atomic<int> counted{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int64_t i = 0; i < kPerThread; ++i) reg.CountNoTapeDispatch(id);
+      reg.CountNoTapeDispatches(id, 3);
+      counted.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  while (counted.load() < kThreads) std::this_thread::yield();
+  EXPECT_EQ(reg.NoTapeDispatches(id) - before, kThreads * (kPerThread + 3));
+  release.store(true);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(reg.NoTapeDispatches(id) - before, kThreads * (kPerThread + 3));
 }
 
 TEST(OpRegistryTest, ConflictingBroadcastSpecDies) {

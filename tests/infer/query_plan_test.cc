@@ -1,0 +1,396 @@
+// Query plans behind InnerProductKgcModel::ServingQuery: every replay must
+// memcmp the eager forward (folded CamE over batch sizes, GEMM kernels and
+// thread counts, every inner-product model of the zoo, concurrent
+// clients, a scrubbed pool), plans must die with the weights they copied,
+// and a replayed query must build nothing but its arena and its result.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "autograd/op_registry.h"
+#include "autograd/ops.h"
+#include "autograd/query_plan.h"
+#include "baselines/model_zoo.h"
+#include "common/parallel_for.h"
+#include "core/came_model.h"
+#include "datagen/bkg_generator.h"
+#include "encoders/feature_bank.h"
+#include "infer/fused_embedding_table.h"
+#include "infer/no_tape.h"
+#include "optim/optimizer.h"
+#include "tensor/gemm.h"
+#include "tensor/storage_pool.h"
+#include "tensor/tensor_ops.h"
+
+namespace came::infer {
+namespace {
+
+using tensor::Tensor;
+
+bool Bitwise(const Tensor& a, const Tensor& b) {
+  return tensor::SameShape(a.shape(), b.shape()) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+class QueryPlanTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    bkg_ = new datagen::GeneratedBkg(
+        datagen::GenerateBkg(datagen::BkgConfig::DrkgMmSynth(0.05)));
+    encoders::FeatureBankConfig cfg;
+    cfg.gin_pretrain_epochs = 0;
+    bank_ = new encoders::FeatureBank(BuildFeatureBank(*bkg_, cfg));
+  }
+  static void TearDownTestSuite() {
+    delete bank_;
+    delete bkg_;
+  }
+
+  static baselines::ModelContext Context() {
+    return {bkg_->dataset.num_entities(),
+            bkg_->dataset.num_relations_with_inverses(), bank_,
+            &bkg_->dataset.train, 5};
+  }
+  static baselines::ZooOptions Options() {
+    baselines::ZooOptions zoo;
+    zoo.dim = 16;
+    zoo.conv.reshape_h = 4;
+    zoo.conv.filters = 8;
+    zoo.came.embed_dim = 16;
+    zoo.came.fusion_dim = 16;
+    zoo.came.reshape_h = 4;
+    zoo.came.conv_filters = 8;
+    return zoo;
+  }
+  /// An eval-mode CamE with its MMF rows folded, as ScoreServer serves it.
+  static std::unique_ptr<core::CamE> FoldedCamE() {
+    auto model = std::make_unique<core::CamE>(Context(), Options().came);
+    model->SetTraining(false);
+    FusedEmbeddingTable::Build(model.get()).InstallFoldedRows(model.get());
+    return model;
+  }
+  static std::vector<int64_t> Heads(int64_t batch, int64_t salt) {
+    std::vector<int64_t> out;
+    for (int64_t i = 0; i < batch; ++i) {
+      out.push_back((i * 37 + salt) % bkg_->dataset.num_entities());
+    }
+    return out;
+  }
+  static std::vector<int64_t> Rels(int64_t batch, int64_t salt) {
+    std::vector<int64_t> out;
+    for (int64_t i = 0; i < batch; ++i) {
+      out.push_back((i * 5 + salt) %
+                    bkg_->dataset.num_relations_with_inverses());
+    }
+    return out;
+  }
+  /// ServingQuery (through the plan) against the eager forward.
+  static void ExpectReplayIsEager(baselines::InnerProductKgcModel* model,
+                                  int64_t batch, int64_t salt) {
+    const auto h = Heads(batch, salt);
+    const auto r = Rels(batch, salt);
+    const Tensor served = model->ServingQuery(h, r);
+    EXPECT_TRUE(Bitwise(served, model->EagerQuery(h, r)))
+        << model->Name() << " batch " << batch << " salt " << salt;
+  }
+
+  static datagen::GeneratedBkg* bkg_;
+  static encoders::FeatureBank* bank_;
+};
+
+datagen::GeneratedBkg* QueryPlanTest::bkg_ = nullptr;
+encoders::FeatureBank* QueryPlanTest::bank_ = nullptr;
+
+TEST_F(QueryPlanTest, FoldedCamEReplaysBitwiseOverBatchesKernelsAndThreads) {
+  const int saved_threads = NumThreads();
+  for (auto kernel : {tensor::gemm::Kernel::kScalar,
+                      tensor::gemm::Kernel::kAvx2,
+                      tensor::gemm::Kernel::kAvx512}) {
+    tensor::gemm::SetKernel(kernel);
+    if (tensor::gemm::ActiveKernel() != kernel) continue;  // not on this CPU
+    for (int threads : {1, 4}) {
+      SetNumThreads(threads);
+      auto model = FoldedCamE();
+      for (int64_t batch : {1, 3, 64}) {
+        for (int64_t salt : {0, 11, 23}) {
+          ExpectReplayIsEager(model.get(), batch, salt);
+        }
+        const ag::QueryPlan* plan = model->ServingPlan(batch);
+        ASSERT_NE(plan, nullptr);
+        EXPECT_TRUE(plan->ok()) << plan->refusal();
+        EXPECT_GT(plan->num_steps(), 0);
+      }
+    }
+  }
+  tensor::gemm::SetKernel(tensor::gemm::Kernel::kAuto);
+  SetNumThreads(saved_threads);
+}
+
+TEST_F(QueryPlanTest, EveryInnerProductModelOfTheZooReplaysBitwise) {
+  std::vector<std::string> names = baselines::AllModelNames();
+  for (const std::string& extra : baselines::ExtendedModelNames()) {
+    names.push_back(extra);
+  }
+  int planned = 0;
+  for (const std::string& name : names) {
+    auto model = baselines::CreateModel(name, Context(), Options());
+    auto* ip = dynamic_cast<baselines::InnerProductKgcModel*>(model.get());
+    if (ip == nullptr) continue;
+    ip->SetTraining(false);
+    for (int64_t batch : {1, 3}) {
+      ExpectReplayIsEager(ip, batch, 0);
+      ExpectReplayIsEager(ip, batch, 7);
+      const ag::QueryPlan* plan = ip->ServingPlan(batch);
+      ASSERT_NE(plan, nullptr) << name;
+      // Unfolded CamE runs MMF's exchanging fusion, whose mask depends on
+      // the data; every other inner-product model is replayable.
+      if (name == "CamE") {
+        EXPECT_FALSE(plan->ok());
+      } else {
+        EXPECT_TRUE(plan->ok()) << name << ": " << plan->refusal();
+        planned += plan->ok() ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GE(planned, 8);  // DistMult, ComplEx, ConvE, DualE, MKGformer x 2
+}
+
+TEST_F(QueryPlanTest, UnfoldedCamEFallsBackToEager) {
+  core::CamE model(Context(), Options().came);
+  model.SetTraining(false);
+  ASSERT_FALSE(model.HasFoldedEncoderCache());
+  ExpectReplayIsEager(&model, 3, 0);
+  const ag::QueryPlan* plan = model.ServingPlan(3);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_FALSE(plan->ok());
+  EXPECT_NE(plan->refusal().find("WhereConst"), std::string::npos)
+      << plan->refusal();
+  // The refusal is remembered: later calls stay eager and stay exact.
+  ExpectReplayIsEager(&model, 3, 5);
+  EXPECT_EQ(model.ServingPlan(3), plan);
+}
+
+TEST_F(QueryPlanTest, ConcurrentCapturesAndReplaysMatchEager) {
+  auto model = FoldedCamE();
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 12;
+  // Eager answers first: EagerQuery never captures.
+  std::vector<std::vector<Tensor>> want(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kRounds; ++i) {
+      const int64_t batch = 1 + (i % 3);
+      want[t].push_back(model->EagerQuery(Heads(batch, t * 31 + i),
+                                          Rels(batch, t * 31 + i)));
+    }
+  }
+  std::vector<std::vector<Tensor>> got(kThreads);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const int64_t batch = 1 + (i % 3);
+        got[t].push_back(model->ServingQuery(Heads(batch, t * 31 + i),
+                                             Rels(batch, t * 31 + i)));
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kRounds; ++i) {
+      EXPECT_TRUE(Bitwise(got[t][i], want[t][i])) << t << "/" << i;
+    }
+  }
+  for (int64_t batch : {1, 2, 3}) {
+    ASSERT_NE(model->ServingPlan(batch), nullptr);
+    EXPECT_TRUE(model->ServingPlan(batch)->ok());
+  }
+}
+
+TEST_F(QueryPlanTest, ScrubbedPoolReplayReadsNoUnwrittenSlot) {
+  // Scrub poisons every uninitialised lease with signalling NaNs, so a
+  // step that read an arena slot before its producer wrote it would
+  // show up in the memcmp.
+  const tensor::pool::Mode saved = tensor::pool::ActiveMode();
+  tensor::pool::SetMode(tensor::pool::Mode::kScrub);
+  auto model = FoldedCamE();
+  for (int64_t batch : {1, 3, 64}) {
+    ExpectReplayIsEager(model.get(), batch, 4);
+    ASSERT_NE(model->ServingPlan(batch), nullptr);
+    EXPECT_TRUE(model->ServingPlan(batch)->ok());
+  }
+  tensor::pool::SetMode(saved);
+}
+
+TEST_F(QueryPlanTest, TrainingStepAndRefoldReplaceThePlan) {
+  auto model = FoldedCamE();
+  const auto h = Heads(1, 3);
+  const auto r = Rels(1, 3);
+  const Tensor before = model->ServingQuery(h, r).Clone();
+  ASSERT_NE(model->ServingPlan(1), nullptr);
+
+  model->SetTraining(true);
+  EXPECT_EQ(model->ServingPlan(1), nullptr);
+  optim::Adam adam(model->Parameters(), 0.05f);
+  model->ZeroGrad();
+  ag::Var scores = model->ScoreAllTails(Heads(8, 1), Rels(8, 1));
+  ag::Var loss = ag::BceWithLogitsMean(
+      scores, Tensor::Full(scores.shape(), 0.25f));
+  loss.Backward();
+  adam.Step();
+
+  model->SetTraining(false);
+  FusedEmbeddingTable::Build(model.get()).InstallFoldedRows(model.get());
+  const Tensor after = model->ServingQuery(h, r);
+  ASSERT_NE(model->ServingPlan(1), nullptr);
+  EXPECT_TRUE(model->ServingPlan(1)->ok());
+  EXPECT_TRUE(Bitwise(after, model->EagerQuery(h, r)));
+  EXPECT_FALSE(Bitwise(after, before));  // the weights did move
+}
+
+TEST_F(QueryPlanTest, RestoreParametersInEvalModeDropsThePlans) {
+  auto model = FoldedCamE();
+  const auto h = Heads(3, 9);
+  const auto r = Rels(3, 9);
+  const Tensor before = model->ServingQuery(h, r).Clone();
+  ASSERT_NE(model->ServingPlan(3), nullptr);
+
+  std::vector<Tensor> halved = model->SnapshotParameters();
+  for (Tensor& t : halved) t = tensor::Scale(t, 0.5f);
+  model->RestoreParameters(halved);
+  EXPECT_EQ(model->ServingPlan(3), nullptr);
+  const Tensor after = model->ServingQuery(h, r);
+  EXPECT_TRUE(Bitwise(after, model->EagerQuery(h, r)));
+  EXPECT_FALSE(Bitwise(after, before));
+}
+
+TEST_F(QueryPlanTest, ReplayBuildsOnlyItsArenaAndResult) {
+  auto model = FoldedCamE();
+  const auto h = Heads(1, 2);
+  const auto r = Rels(1, 2);
+  (void)model->ServingQuery(h, r);  // capture
+  (void)model->ServingQuery(h, r);  // warm the pool's free lists
+  const int64_t nodes = ag::TapeNodesRecordedThisThread();
+  const int64_t heap = tensor::pool::HeapAllocCount();
+  const int64_t acquires = tensor::pool::AcquireCount();
+  const Tensor q = model->ServingQuery(h, r);
+  EXPECT_EQ(ag::TapeNodesRecordedThisThread() - nodes, 0);
+  EXPECT_EQ(tensor::pool::HeapAllocCount() - heap, 0);
+  EXPECT_LE(tensor::pool::AcquireCount() - acquires, 2);
+  EXPECT_TRUE(Bitwise(q, model->EagerQuery(h, r)));
+}
+
+TEST_F(QueryPlanTest, ReplayCreditsTheSameDispatchCountsAsEager) {
+  auto model = FoldedCamE();
+  const auto h = Heads(1, 6);
+  const auto r = Rels(1, 6);
+  (void)model->ServingQuery(h, r);  // capture
+  ag::OpRegistry& registry = ag::OpRegistry::Instance();
+  for (const char* op : {"MatMul", "CoAttentionApply", "Conv2d", "Gather"}) {
+    const int id = registry.Find(op);
+    ASSERT_GE(id, 0) << op;
+    const int64_t t0 = registry.NoTapeDispatches(id);
+    (void)model->EagerQuery(h, r);
+    const int64_t t1 = registry.NoTapeDispatches(id);
+    (void)model->ServingQuery(h, r);
+    const int64_t t2 = registry.NoTapeDispatches(id);
+    EXPECT_GT(t1 - t0, 0) << op;
+    EXPECT_EQ(t2 - t1, t1 - t0) << op;
+  }
+}
+
+// The recorder's rules on a hand-written forward: what it references,
+// what it snapshots, and what it refuses.
+class ToyForward {
+ public:
+  ToyForward()
+      : table_(Tensor::Full({10, 4}, 0.0f), true),
+        weight_(Tensor::Full({6, 4}, 0.0f), true),
+        rel_table_(Tensor::Full({3, 6}, 0.0f), true) {
+    for (int64_t i = 0; i < 40; ++i) table_.mutable_value().data()[i] = 0.1f * i;
+    for (int64_t i = 0; i < 24; ++i) weight_.mutable_value().data()[i] = 0.3f - 0.05f * i;
+    for (int64_t i = 0; i < 18; ++i) rel_table_.mutable_value().data()[i] = 0.02f * i;
+  }
+  std::vector<ag::Var> Parameters() const {
+    return {table_, weight_, rel_table_};
+  }
+  /// sigmoid(E[h] W^T) * 2 + R[r] + 1 (the 1 a fresh constant per call).
+  ag::Var Forward(const std::vector<int64_t>& h,
+                  const std::vector<int64_t>& r) const {
+    ag::Var x = ag::Sigmoid(
+        ag::MatMul(ag::Gather(table_, h), weight_, false, true));
+    ag::Var one = ag::Const(Tensor::Full({6}, 1.0f));
+    return ag::Add(ag::Add(ag::Scale(x, 2.0f), ag::Gather(rel_table_, r)),
+                   one);
+  }
+
+ private:
+  ag::Var table_;
+  ag::Var weight_;
+  ag::Var rel_table_;
+};
+
+TEST(QueryPlanRecorderTest, ReplaysAHandWrittenForwardBitwise) {
+  ToyForward toy;
+  ag::QueryPlanCache cache;
+  NoTapeGuard guard;
+  const std::vector<int64_t> h = {1, 7};
+  const std::vector<int64_t> r = {2, 0};
+  const ag::QueryPlan* plan = cache.Capture(
+      h, r, [&](const auto& a, const auto& b) { return toy.Forward(a, b); },
+      toy.Parameters());
+  ASSERT_NE(plan, nullptr);
+  ASSERT_TRUE(plan->ok()) << plan->refusal();
+  EXPECT_EQ(cache.Find(2), plan);
+  EXPECT_EQ(cache.Find(3), nullptr);
+  // Gather, MatMul, Sigmoid, Scale, Gather, Add, Add.
+  EXPECT_EQ(plan->num_steps(), 7);
+  const std::vector<int64_t> h2 = {9, 0};
+  const std::vector<int64_t> r2 = {1, 1};
+  EXPECT_TRUE(Bitwise(plan->Replay(h2, r2), toy.Forward(h2, r2).value()));
+  cache.Clear();
+  EXPECT_EQ(cache.Find(2), nullptr);
+}
+
+TEST(QueryPlanRecorderTest, RefusesWhatItCannotReplay) {
+  ToyForward toy;
+  NoTapeGuard guard;
+  const std::vector<int64_t> h = {1, 7};
+  const std::vector<int64_t> r = {2, 0};
+  auto refusal = [&](const ag::QueryFn& fn,
+                     const std::vector<ag::Var>& params) {
+    ag::QueryPlanCache cache;
+    const ag::QueryPlan* plan = cache.Capture(h, r, fn, params);
+    EXPECT_NE(plan, nullptr);
+    EXPECT_FALSE(plan->ok());
+    return plan->refusal();
+  };
+  // An op without a replay kernel.
+  EXPECT_NE(refusal([&](const auto& a, const auto& b) {
+              return ag::MeanAll(toy.Forward(a, b));
+            }, toy.Parameters()).find("MeanAll"), std::string::npos);
+  // A gather by ids the plan cannot reproduce.
+  EXPECT_NE(refusal([&](const auto& a, const auto&) {
+              std::vector<int64_t> shifted = a;
+              for (int64_t& id : shifted) id = (id + 1) % 10;
+              return toy.Forward(shifted, {0, 0});
+            }, toy.Parameters()).find("Gather"), std::string::npos);
+  // A trainable leaf the caller did not list as a parameter.
+  EXPECT_NE(refusal([&](const auto& a, const auto& b) {
+              return toy.Forward(a, b);
+            }, {}).find("trainable"), std::string::npos);
+  // A constant that depends on the ids: snapshotted at capture, so the
+  // second-id-set check catches it.
+  EXPECT_NE(refusal([&](const auto& a, const auto& b) {
+              Tensor t = toy.Forward(a, b).value().Clone();
+              return ag::Scale(ag::Const(t), 3.0f);
+            }, toy.Parameters()).find("differs"), std::string::npos);
+}
+
+}  // namespace
+}  // namespace came::infer

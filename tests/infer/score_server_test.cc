@@ -16,6 +16,8 @@
 #include <future>
 #include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -710,6 +712,41 @@ TEST_F(ScoreServerTest, BatchingFrontEndMatchesDirectCalls) {
                                       [static_cast<size_t>(i)];
       ExpectSameResult(got[static_cast<size_t>(c)][static_cast<size_t>(i)],
                        TopKOrDie(server_.get(), head, rel, 5));
+    }
+  }
+}
+
+TEST_F(ScoreServerTest, FrontEndFailsOnlyTheMalformedRequestOfABatch) {
+  // 63 valid requests and one out-of-range head, submitted back to back
+  // so they coalesce: the valid ones must still be answered exactly.
+  constexpr int kRequests = 64;
+  constexpr int kBad = 31;
+  const int64_t bad_head = kN + 5;
+  std::vector<std::future<TopKResult>> futures;
+  std::vector<std::pair<int64_t, int64_t>> queries;
+  {
+    BatchingFrontEnd front(server_.get(), /*k=*/4);
+    for (int i = 0; i < kRequests; ++i) {
+      const int64_t head = i == kBad ? bad_head : (i * 13) % kN;
+      const int64_t rel = i % kNumRels;
+      queries.emplace_back(head, rel);
+      futures.push_back(front.Submit(head, rel));
+    }
+    for (int i = 0; i < kRequests; ++i) {
+      const auto [head, rel] = queries[static_cast<size_t>(i)];
+      if (i == kBad) {
+        try {
+          futures[static_cast<size_t>(i)].get();
+          ADD_FAILURE() << "the out-of-range head was answered";
+        } catch (const std::runtime_error& e) {
+          EXPECT_NE(std::string(e.what()).find(std::to_string(bad_head)),
+                    std::string::npos)
+              << e.what();
+        }
+        continue;
+      }
+      ExpectSameResult(futures[static_cast<size_t>(i)].get(),
+                       TopKOrDie(server_.get(), head, rel, 4));
     }
   }
 }

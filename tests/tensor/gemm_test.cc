@@ -18,6 +18,86 @@
 namespace came::tensor::gemm {
 namespace {
 
+// Depth of one Gemm panel pass (kKC in src/tensor/gemm.cc): every C
+// element is accumulated from zero per pass of this many p, then added.
+constexpr int64_t kKC = 256;
+
+// One step of a C element's chain, rounded as the microkernels round it.
+inline float MulAdd(float a, float b, float acc) {
+#if defined(__FMA__)
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
+// The bitwise oracle: a plain serial loop over each C element's chain in
+// Gemm's order (per kKC pass a sequential multiply-add over p from zero,
+// then one add into C). Only the interleaving of independent chains
+// differs between the two B layouts. Kept out of GCC's interprocedural
+// optimisation: specialised for a call's constant extents, GCC warns about
+// an index overflow it cannot rule out (clang has no such attribute).
+#if defined(__GNUC__) && !defined(__clang__)
+[[gnu::noipa]]
+#endif
+void ReferenceGemm(const float* a, const float* b, float* c, int64_t m,
+                   int64_t k, int64_t n, bool trans_a, bool trans_b,
+                   bool accumulate) {
+  if (!accumulate) std::fill(c, c + m * n, 0.0f);
+  const int64_t a_si = trans_a ? 1 : k;  // same strides as Gemm
+  const int64_t a_sp = trans_a ? m : 1;
+  // Each C element follows the microkernels' chain: per kKC depth pass, a
+  // sequential multiply-add over p into an accumulator starting at zero,
+  // then one add into C. Only the interleaving of independent chains
+  // differs between the two B layouts.
+  for (int64_t i = 0; i < m; ++i) {
+    const float* ai = a + i * a_si;
+    float* crow = c + i * n;
+    for (int64_t pc = 0; pc < k; pc += kKC) {
+      const int64_t pe = std::min(k, pc + kKC);
+      if (trans_b) {
+        // B rows are the columns of op(B): kJ dot products at a time, so
+        // kJ chains are in flight, then the remaining columns one by one.
+        constexpr int64_t kJ = 8;
+        int64_t j = 0;
+        for (; j + kJ <= n; j += kJ) {
+          float acc[kJ] = {};
+          for (int64_t p = pc; p < pe; ++p) {
+            const float av = ai[p * a_sp];
+            for (int64_t jj = 0; jj < kJ; ++jj)
+              acc[jj] = MulAdd(av, b[(j + jj) * k + p], acc[jj]);
+          }
+          for (int64_t jj = 0; jj < kJ; ++jj) crow[j + jj] += acc[jj];
+        }
+        for (; j < n; ++j) {
+          const float* bj = b + j * k;
+          float acc = 0.0f;
+          for (int64_t p = pc; p < pe; ++p)
+            acc = MulAdd(ai[p * a_sp], bj[p], acc);
+          crow[j] += acc;
+        }
+      } else {
+        // Contiguous B rows: the chains of a column chunk advance together
+        // and vectorise over j.
+        constexpr int64_t kJB = 256;
+        float acc[kJB];
+        for (int64_t j0 = 0; j0 < n; j0 += kJB) {
+          const int64_t nj = std::min(kJB, n - j0);
+          std::fill(acc, acc + nj, 0.0f);
+          for (int64_t p = pc; p < pe; ++p) {
+            const float av = ai[p * a_sp];
+            const float* brow = b + p * n + j0;
+            for (int64_t j = 0; j < nj; ++j)
+              acc[j] = MulAdd(av, brow[j], acc[j]);
+          }
+          for (int64_t j = 0; j < nj; ++j) crow[j0 + j] += acc[j];
+        }
+      }
+    }
+  }
+}
+
+
 // ReferenceGemm computes every output element in the microkernels' own
 // order and contraction, so parity against it is bitwise: compared through
 // the bit patterns, so -0 differs from +0. The one exception is which NaN
