@@ -321,8 +321,8 @@ infer::FusedEmbeddingTable MakeSkewedTable(int64_t n, int64_t d,
     }
     bias.data()[i] = 0.001f * HashUnit(0xb1a5u + static_cast<uint64_t>(i));
   }
-  return infer::FusedEmbeddingTable("skewed", std::move(cand),
-                                    std::move(bias), tensor::Tensor());
+  return infer::FusedEmbeddingTable(std::move(cand), std::move(bias),
+                                    tensor::Tensor());
 }
 
 // Tie-and-NaN torture table for the parity grid: a hot band of distinct
@@ -347,7 +347,7 @@ infer::FusedEmbeddingTable MakeTieTable(int64_t n, int64_t d, int64_t hot) {
     }
     bias.data()[i] = 0.125f * grid(HashUnit(0xb1a5u + pattern));
   }
-  return infer::FusedEmbeddingTable("ties", std::move(cand), std::move(bias),
+  return infer::FusedEmbeddingTable(std::move(cand), std::move(bias),
                                     tensor::Tensor());
 }
 

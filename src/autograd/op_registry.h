@@ -73,7 +73,7 @@ class OpRegistry {
   /// the sum over the live threads' shards plus the totals of exited ones.
   int64_t NoTapeDispatches(int id) const CAME_EXCLUDES(shards_mu_);
 
-  /// Maximum number of distinct ops the dispatch counters track; the 39
+  /// Maximum number of distinct ops the dispatch counters track; the 36
   /// registered ops sit far below it, and Register CHECK-fails before the
   /// table could overflow.
   static constexpr int kMaxOps = 256;

@@ -174,16 +174,6 @@ Var Neg(const Var& v) {
                     UnaryPlan(ts::UnaryOp::kNeg));
 }
 
-Var Exp(const Var& v) {
-  static const int kOp = RegisterOp("Exp");
-  Tensor out = ts::Exp(v.value());
-  auto s = v.state();
-  Tensor saved = out;
-  return MakeResult(kOp, std::move(out), {v}, [s, saved](const Tensor& g) {
-    Accum(s, ts::Mul(g, saved));
-  }, UnaryPlan(ts::UnaryOp::kExp));
-}
-
 Var Log(const Var& v) {
   static const int kOp = RegisterOp("Log");
   auto s = v.state();
@@ -373,14 +363,6 @@ Var BatchMatMul(const Var& a, const Var& b) {
     if (bs->requires_grad) {
       bs->AccumulateGrad(ts::BatchMatMul(av, g, /*trans_a=*/true, false));
     }
-  });
-}
-
-Var BatchTranspose(const Var& v) {
-  static const int kOp = RegisterOp("BatchTranspose");
-  auto s = v.state();
-  return MakeResult(kOp, ts::BatchTranspose(v.value()), {v}, [s](const Tensor& g) {
-    Accum(s, ts::BatchTranspose(g));
   });
 }
 

@@ -29,7 +29,6 @@ Var Div(const Var& a, const Var& b);
 
 // -- elementwise unary -------------------------------------------------------
 Var Neg(const Var& v);
-Var Exp(const Var& v);
 Var Log(const Var& v);
 Var Sqrt(const Var& v);
 Var Square(const Var& v);
@@ -51,7 +50,6 @@ Var MatMul(const Var& a, const Var& b, bool trans_a = false,
            bool trans_b = false);
 /// [B, m, k] x [B, k, n] -> [B, m, n].
 Var BatchMatMul(const Var& a, const Var& b);
-Var BatchTranspose(const Var& v);  // swap trailing dims of 3-D
 
 // -- shape -------------------------------------------------------------------
 Var Reshape(const Var& v, Shape new_shape);

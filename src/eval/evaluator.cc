@@ -21,6 +21,8 @@ Metrics Evaluator::Evaluate(baselines::KgcModel* model,
                             const std::vector<kg::Triple>& triples,
                             const EvalConfig& config) const {
   CAME_CHECK(model != nullptr);
+  // The batch loop advances by batch_size; 0 would never terminate.
+  CAME_CHECK_GT(config.batch_size, 0);
   const bool was_training = model->training();
   model->SetTraining(false);
   // Enforced no-tape scope: every model forward below dispatches

@@ -2,9 +2,7 @@
 #define CAME_INFER_FUSED_EMBEDDING_TABLE_H_
 
 #include <cstdint>
-#include <string>
 
-#include "common/status.h"
 #include "tensor/tensor.h"
 
 namespace came::baselines {
@@ -30,37 +28,29 @@ namespace came::infer {
 ///                           query encoding skip the encoder stack with
 ///                           bitwise-identical results.
 ///
-/// On disk the table is a versioned, CRC-checksummed binary (magic
-/// "CAMEFET1", same section framing as the training checkpoint format):
-/// every section carries its own CRC32, loads are bounds-checked against
-/// the declared lengths, and saves go through the atomic
-/// temp-write + fsync + rename path, so a torn or bit-flipped file is
-/// reported as Corruption rather than served. The table stores fp32 only;
-/// serving-time quantization and panel-pruning bounds belong to the
-/// ScoreServer's tensor::ShardStore.
+/// The table lives in memory only. The one persisted candidate format is
+/// the ScoreServer's tensor::ShardStore (CRC-framed manifest + slabs),
+/// which also owns serving-time quantization and the panel-pruning
+/// bounds.
 class FusedEmbeddingTable {
  public:
-  /// Empty table (num_entities() == 0). Populate via Build or Load.
+  /// Empty table (num_entities() == 0); assign a built one over it.
   FusedEmbeddingTable() = default;
 
   /// Direct construction from raw tensors (tests, custom encoders).
   /// `bias` and `folded_rows` may be empty tensors.
-  FusedEmbeddingTable(std::string model_name, tensor::Tensor candidates,
-                      tensor::Tensor bias, tensor::Tensor folded_rows);
+  FusedEmbeddingTable(tensor::Tensor candidates, tensor::Tensor bias,
+                      tensor::Tensor folded_rows);
 
   /// Folds `model`'s entity-side state. The model must be in eval mode;
   /// every forward involved runs under an enforced no-tape scope.
   static FusedEmbeddingTable Build(baselines::InnerProductKgcModel* model);
-
-  Status Save(const std::string& path) const;
-  static Status Load(const std::string& path, FusedEmbeddingTable* out);
 
   /// Installs folded_rows into `model` (no-op when this table carries
   /// none). After this, the model's eval-mode forwards gather the folded
   /// rows instead of re-running the encoder stack.
   void InstallFoldedRows(baselines::KgcModel* model) const;
 
-  const std::string& model_name() const { return model_name_; }
   int64_t num_entities() const {
     return candidates_.numel() > 0 ? candidates_.dim(0) : 0;
   }
@@ -74,7 +64,6 @@ class FusedEmbeddingTable {
   const tensor::Tensor& folded_rows() const { return folded_rows_; }
 
  private:
-  std::string model_name_;
   tensor::Tensor candidates_;   // [N, d]
   tensor::Tensor bias_;         // [N] or empty
   tensor::Tensor folded_rows_;  // [N, d_f] or empty

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/logging.h"
@@ -13,12 +12,6 @@ namespace came::tensor {
 namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
-
-template <typename T>
-void AppendPod(std::string* buf, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  buf->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
 
 }  // namespace
 
@@ -67,53 +60,6 @@ float PanelBoundTable::MaxBias(int64_t begin, int64_t end) const {
     m = std::max(m, bias_max_[static_cast<size_t>(b)]);
   }
   return m;
-}
-
-std::string PanelBoundTable::Encode() const {
-  std::string buf;
-  AppendPod(&buf, rows_);
-  AppendPod(&buf, block_rows_);
-  AppendPod(&buf, static_cast<uint64_t>(norms_.size()));
-  buf.append(reinterpret_cast<const char*>(norms_.data()),
-             norms_.size() * sizeof(float));
-  buf.append(reinterpret_cast<const char*>(bias_max_.data()),
-             bias_max_.size() * sizeof(float));
-  return buf;
-}
-
-Result<PanelBoundTable> PanelBoundTable::Decode(const char* data,
-                                                size_t size) {
-  int64_t rows = 0;
-  int64_t block_rows = 0;
-  uint64_t blocks = 0;
-  const size_t header = sizeof(rows) + sizeof(block_rows) + sizeof(blocks);
-  if (size < header) {
-    return Status::Corruption("panel bounds payload truncated");
-  }
-  std::memcpy(&rows, data, sizeof(rows));
-  std::memcpy(&block_rows, data + sizeof(rows), sizeof(block_rows));
-  std::memcpy(&blocks, data + sizeof(rows) + sizeof(block_rows),
-              sizeof(blocks));
-  if (rows <= 0 || block_rows <= 0 ||
-      blocks != static_cast<uint64_t>((rows + block_rows - 1) / block_rows)) {
-    return Status::Corruption("implausible panel bounds geometry");
-  }
-  if (size != header + 2 * blocks * sizeof(float)) {
-    return Status::Corruption("panel bounds payload length mismatch");
-  }
-  PanelBoundTable t(rows, block_rows);
-  std::memcpy(t.norms_.data(), data + header, blocks * sizeof(float));
-  std::memcpy(t.bias_max_.data(), data + header + blocks * sizeof(float),
-              blocks * sizeof(float));
-  for (size_t b = 0; b < blocks; ++b) {
-    // A negative or NaN "max norm" can only come from a corrupt or
-    // hostile payload; serving with it would make pruning unsound.
-    if (std::isnan(t.norms_[b]) || t.norms_[b] < 0.0f ||
-        std::isnan(t.bias_max_[b])) {
-      return Status::Corruption("panel bounds contain invalid block values");
-    }
-  }
-  return t;
 }
 
 void AccountRowsFp32(PanelBoundTable* bounds, const float* rows,

@@ -2,10 +2,7 @@
 #define CAME_TENSOR_PANEL_BOUNDS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "common/status.h"
 
 namespace came::tensor {
 
@@ -56,12 +53,6 @@ class PanelBoundTable {
   /// Upper bound (>=) on the bias of every row in [begin, end); 0 for
   /// tables built without bias.
   float MaxBias(int64_t begin, int64_t end) const;
-
-  /// Serialization payload (little-endian: rows i64, block_rows i64,
-  /// num_blocks u64, norms f32[], bias f32[]). Framing — magic, CRC —
-  /// belongs to the container embedding it.
-  std::string Encode() const;
-  static Result<PanelBoundTable> Decode(const char* data, size_t size);
 
   bool operator==(const PanelBoundTable&) const = default;
 

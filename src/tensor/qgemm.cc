@@ -207,20 +207,6 @@ Status QuantizeRowsInt8(const float* src, int64_t rows, int64_t dim,
   return Status::OK();
 }
 
-void QuantizeRowsInt8Serving(const float* src, int64_t rows, int64_t dim,
-                             int8_t* out, float* scales) {
-  CAME_CHECK_GE(rows, 0);
-  CAME_CHECK_GT(dim, 0);
-  for (int64_t i = 0; i < rows; ++i) {
-    if (!QuantizeRowInt8(src + i * dim, dim, out + i * dim, &scales[i])) {
-      // Non-finite query row: poison the scale so every score it produces
-      // is NaN (ranked worst by the serving order) instead of garbage.
-      std::memset(out + i * dim, 0, static_cast<size_t>(dim));
-      scales[i] = std::numeric_limits<float>::quiet_NaN();
-    }
-  }
-}
-
 void QuantizeRowsInt8ServingTwoDigit(const float* src, int64_t rows,
                                      int64_t dim, int8_t* hi,
                                      float* hi_scales, int8_t* lo,
@@ -288,44 +274,6 @@ Status EncodeRowsBf16(const float* src, int64_t rows, int64_t dim,
 
 void DecodeBf16(const uint16_t* src, int64_t n, float* out) {
   for (int64_t i = 0; i < n; ++i) out[i] = Bf16ToFp32(src[i]);
-}
-
-void ReferenceGemmInt8(const int8_t* a, const float* a_scales,
-                       const int8_t* b, const float* b_scales, float* c,
-                       int64_t m, int64_t k, int64_t n) {
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) {
-      const int32_t acc = DotScalar(a + i * k, b + j * k, k);
-      c[i * n + j] =
-          static_cast<float>(acc) * (a_scales[i] * b_scales[j]);
-    }
-  }
-}
-
-void GemmInt8(const int8_t* a, const float* a_scales, const int8_t* b,
-              const float* b_scales, float* c, int64_t m, int64_t k,
-              int64_t n) {
-  if (m <= 0 || n <= 0) return;
-  const DotFn dot = ActiveDotFn();
-  ParallelFor(0, CeilDiv(n, kColBlock), /*grain=*/1,
-              [&](int64_t blk_lo, int64_t blk_hi) {
-    for (int64_t blk = blk_lo; blk < blk_hi; ++blk) {
-      const int64_t j0 = blk * kColBlock;
-      const int64_t j1 = std::min(n, j0 + kColBlock);
-      for (int64_t i = 0; i < m; ++i) {
-        const int8_t* arow = a + i * k;
-        const float as = a_scales[i];
-        float* crow = c + i * n;
-        for (int64_t j = j0; j < j1; ++j) {
-          const int32_t acc = dot(arow, b + j * k, k);
-          // The one scaling expression shared with ReferenceGemmInt8 —
-          // keeping it identical is what makes kernel/thread parity
-          // bitwise rather than approximate.
-          crow[j] = static_cast<float>(acc) * (as * b_scales[j]);
-        }
-      }
-    }
-  });
 }
 
 void ReferenceGemmInt8TwoDigit(const int8_t* a_hi, const float* a_hi_scales,

@@ -16,9 +16,9 @@ namespace came::tensor::qgemm {
 // flags and no accumulate mode.
 //
 // Determinism contract: the int8 path accumulates each dot product in
-// exact int32 arithmetic and applies one fixed fp32 scaling expression
-//   C[i, j] = float(acc32) * (a_scale[i] * b_scale[j])
-// in every kernel, so results are bitwise-identical across kernel choices
+// exact int32 arithmetic and applies one fixed fp32 combine of the
+// integer dots and the row scales, from one shared code site, in every
+// kernel, so results are bitwise-identical across kernel choices
 // (scalar / AVX2 / VNNI) and thread counts — the property the parity grid
 // in tests/tensor/qgemm_test.cc pins. Approximation error lives entirely
 // in the quantization step, never in the kernels.
@@ -41,30 +41,20 @@ namespace came::tensor::qgemm {
 Status QuantizeRowsInt8(const float* src, int64_t rows, int64_t dim,
                         int8_t* out, float* scales);
 
-/// Query-side variant for the serving hot path, where a non-finite query
-/// must degrade instead of erroring: a row containing NaN/Inf gets
-/// scale = quiet NaN and an all-zero quantized row, so every score it
-/// produces is NaN and ranks worst under the serving order.
-void QuantizeRowsInt8Serving(const float* src, int64_t rows, int64_t dim,
-                             int8_t* out, float* scales);
-
 /// Two-digit query quantization for the int8 scoring path: `hi` is the
 /// ordinary per-row int8 encoding, `lo` re-quantizes the per-element
 /// residual (x - hi * hi_scale) with its own scale. Since the residual's
 /// magnitude is at most hi_scale / 2, lo_scale <= hi_scale / 254 — the
 /// query contributes ~127x less error to the score than a single int8
 /// digit, leaving the candidate matrix as the dominant (and gated)
-/// approximation. Non-finite rows degrade like the single-digit serving
-/// variant: both scales NaN, both digit rows zero.
+/// approximation. A non-finite query must degrade instead of erroring: a
+/// row containing NaN/Inf gets both scales = quiet NaN and both digit
+/// rows zero, so every score it produces is NaN and ranks worst under the
+/// serving order.
 void QuantizeRowsInt8ServingTwoDigit(const float* src, int64_t rows,
                                      int64_t dim, int8_t* hi,
                                      float* hi_scales, int8_t* lo,
                                      float* lo_scales);
-
-/// Round-trip helper for tests: the dequantized value of one element.
-inline float DequantizeInt8(int8_t q, float scale) {
-  return static_cast<float>(q) * scale;
-}
 
 // ---------------------------------------------------------------------------
 // bf16 storage fallback: same panel interface, half the bytes of fp32.
@@ -89,35 +79,23 @@ void DecodeBf16(const uint16_t* src, int64_t n, float* out);
 // Int8 GEMM with fp32 output.
 // ---------------------------------------------------------------------------
 
-/// C[i, j] = float(<A[i], B[j]>_int32) * (a_scales[i] * b_scales[j]).
-/// A is [m, k] int8 row-major, B is [n, k] int8 row-major, C is [m, n]
-/// fp32 row-major (overwritten). Parallelised over candidate blocks with
-/// a shape-only partition; bitwise-identical at any CAME_NUM_THREADS and
-/// any kernel choice.
-void GemmInt8(const int8_t* a, const float* a_scales, const int8_t* b,
-              const float* b_scales, float* c, int64_t m, int64_t k,
-              int64_t n);
-
-/// Serial scalar reference (the parity oracle for the dispatched kernels;
-/// bitwise-equal to GemmInt8 by the determinism contract above).
-void ReferenceGemmInt8(const int8_t* a, const float* a_scales,
-                       const int8_t* b, const float* b_scales, float* c,
-                       int64_t m, int64_t k, int64_t n);
-
 /// Two-digit-query GEMM (the ScoreServer's int8 sweep): A is the (hi, lo)
-/// digit pair from QuantizeRowsInt8ServingTwoDigit, B the int8 candidate
-/// panel. One pass over each B row computes both integer dots and applies
-/// the fixed combine
+/// digit pair from QuantizeRowsInt8ServingTwoDigit, [m, k] int8 row-major
+/// each; B is the int8 candidate panel, [n, k] row-major; C is [m, n]
+/// fp32 row-major (overwritten). One pass over each B row computes both
+/// integer dots and applies the fixed combine
 ///   C[i, j] = float(hi_acc) * (hi_s[i] * b_s[j])
 ///           + float(lo_acc) * (lo_s[i] * b_s[j])
-/// through a single shared code site, so bitwise kernel/thread parity
-/// holds exactly as in GemmInt8.
+/// through a single shared code site. Parallelised over candidate blocks
+/// with a shape-only partition, so the result is bitwise-identical at any
+/// CAME_NUM_THREADS and any kernel choice.
 void GemmInt8TwoDigit(const int8_t* a_hi, const float* a_hi_scales,
                       const int8_t* a_lo, const float* a_lo_scales,
                       const int8_t* b, const float* b_scales, float* c,
                       int64_t m, int64_t k, int64_t n);
 
-/// Serial scalar reference for GemmInt8TwoDigit.
+/// Serial scalar reference (the parity oracle for the dispatched kernels;
+/// bitwise-equal to GemmInt8TwoDigit by the determinism contract above).
 void ReferenceGemmInt8TwoDigit(const int8_t* a_hi, const float* a_hi_scales,
                                const int8_t* a_lo, const float* a_lo_scales,
                                const int8_t* b, const float* b_scales,
@@ -156,7 +134,7 @@ enum class Kernel {
   kVnni,    ///< AVX-512 VNNI vpdpbusd (256-bit, requires AVX512VL)
 };
 
-/// The kernel GemmInt8 will actually run (never kAuto).
+/// The kernel GemmInt8TwoDigit will actually run (never kAuto).
 Kernel ActiveKernel();
 
 /// Forces the microkernel at runtime (tests / benches). kAuto restores

@@ -35,27 +35,12 @@ namespace {
 //   crc     u32                  -- CRC32 of the payload
 // fp32 stores keep writing version 1 (bit-identical to the format before
 // quantized stores existed), so pre-existing stores and tools stay valid.
-// Panel-pruning bound metadata deliberately lives in a separate advisory
-// sidecar (below) rather than a new manifest version: the manifest is the
-// integrity root and its bytes are pinned by the corruption-matrix tests.
+// Panel-pruning bounds are not persisted: Open derives them from the
+// CRC-verified slabs.
 constexpr char kMagic[8] = {'C', 'A', 'M', 'E', 'S', 'H', 'D', '1'};
 constexpr uint64_t kVersion = 1;
 constexpr uint64_t kQuantVersion = 2;
 constexpr uint64_t kMaxShards = 1ULL << 24;
-
-// Bounds sidecar layout (little-endian):
-//   magic   8 bytes "CAMESHB1"
-//   len     u64                  -- payload byte length
-//   payload:
-//     version u64                  -- 1
-//     tag     u32                  -- CRC32 over the manifest's slab CRCs
-//     bounds  PanelBoundTable::Encode bytes
-//   crc     u32                  -- CRC32 of the payload
-// The tag ties the bounds to the exact sealed contents they were computed
-// from; a mismatch (store re-sealed without the sidecar catching up) reads
-// as corruption and the bounds are rebuilt from the slabs.
-constexpr char kBoundsMagic[8] = {'C', 'A', 'M', 'E', 'S', 'H', 'B', '1'};
-constexpr uint64_t kBoundsVersion = 1;
 
 int64_t PadTo64(int64_t n) { return (n + 63) & ~int64_t{63}; }
 
@@ -81,7 +66,6 @@ class Reader {
     return Status::OK();
   }
 
-  const char* cursor() const { return data_ + pos_; }
   size_t remaining() const { return size_ - pos_; }
 
  private:
@@ -91,8 +75,6 @@ class Reader {
 };
 
 std::string ManifestPath(const std::string& dir) { return dir + "/manifest"; }
-
-std::string BoundsPath(const std::string& dir) { return dir + "/bounds"; }
 
 int64_t ShardBytesDt(int64_t begin, int64_t end, int64_t dim,
                      ShardDtype dtype) {
@@ -381,34 +363,15 @@ Result<ShardStore> ShardStore::Open(const std::string& dir,
   for (uint64_t i = 0; i < n_shards; ++i) {
     const Shard& sh = s.shards_[i];
     const std::string path = s.SlabPath(static_cast<int64_t>(i));
-    if (options.verify_on_open) {
-      Result<uint32_t> crc =
-          SlabFileCrc(path, s.ShardByteSize(sh.begin, sh.end));
-      if (!crc.ok()) return crc.status();
-      if (crc.value() != sh.crc) {
-        return Status::Corruption(path + ": slab checksum mismatch");
-      }
-    } else {
-      struct stat st {};
-      if (::stat(path.c_str(), &st) != 0) {
-        return Status::IOError("stat " + path + ": " + std::strerror(errno));
-      }
-      if (st.st_size != s.ShardByteSize(sh.begin, sh.end)) {
-        return Status::Corruption(path + ": slab size mismatch");
-      }
+    Result<uint32_t> crc = SlabFileCrc(path, s.ShardByteSize(sh.begin, sh.end));
+    if (!crc.ok()) return crc.status();
+    if (crc.value() != sh.crc) {
+      return Status::Corruption(path + ": slab checksum mismatch");
     }
   }
-  // The bounds sidecar is advisory: stores sealed before it existed (or
-  // with a stale/corrupt/truncated sidecar) rebuild the bounds from the
-  // slabs in one streaming pass and rewrite it best-effort. Integrity is
-  // never weakened — an unusable sidecar costs a rebuild, not soundness.
-  const Status side = s.LoadBoundsSidecar();
-  if (!side.ok()) {
-    CAME_LOG(Info) << dir << ": rebuilding panel bounds ("
-                   << side.message() << ")";
-    CAME_RETURN_IF_ERROR(s.ComputeBounds());
-    s.WriteBoundsSidecar().LogIfError("shard store bounds sidecar rewrite");
-  }
+  // Every slab matched its manifest CRC, so bounds derived from the rows
+  // bound exactly the contents that will be served.
+  CAME_RETURN_IF_ERROR(s.ComputeBounds());
   return s;
 }
 
@@ -510,7 +473,6 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
   // Slabs and CRCs are durable; publish the sealed manifest directly —
   // a quantized store is never served unsealed.
   CAME_RETURN_IF_ERROR(s.WriteManifest(/*sealed=*/true));
-  s.WriteBoundsSidecar().LogIfError("shard store bounds sidecar write");
   return s;
 }
 
@@ -537,80 +499,6 @@ Status ShardStore::WriteManifest(bool sealed) {
   CAME_RETURN_IF_ERROR(
       io::WriteFileAtomic(ManifestPath(dir_), file.data(), file.size()));
   sealed_ = sealed;
-  return Status::OK();
-}
-
-uint32_t ShardStore::BoundsTag() const {
-  std::string crcs;
-  for (const Shard& sh : shards_) AppendPod(&crcs, sh.crc);
-  return io::Crc32(crcs.data(), crcs.size());
-}
-
-Status ShardStore::WriteBoundsSidecar() const {
-  if (in_ram()) return Status::OK();
-  if (bounds_.empty()) {
-    return Status::FailedPrecondition("no panel bounds computed yet");
-  }
-  std::string payload;
-  AppendPod(&payload, kBoundsVersion);
-  AppendPod(&payload, BoundsTag());
-  payload += bounds_.Encode();
-
-  std::string file;
-  file.append(kBoundsMagic, sizeof(kBoundsMagic));
-  AppendPod(&file, static_cast<uint64_t>(payload.size()));
-  file += payload;
-  AppendPod(&file, io::Crc32(payload.data(), payload.size()));
-  return io::WriteFileAtomic(BoundsPath(dir_), file.data(), file.size());
-}
-
-Status ShardStore::LoadBoundsSidecar() {
-  std::string raw;
-  CAME_RETURN_IF_ERROR(io::ReadFile(BoundsPath(dir_), &raw));
-  if (raw.size() < sizeof(kBoundsMagic) + sizeof(uint64_t) +
-                       sizeof(uint32_t)) {
-    return Status::Corruption(dir_ + ": bounds sidecar too small");
-  }
-  if (std::memcmp(raw.data(), kBoundsMagic, sizeof(kBoundsMagic)) != 0) {
-    return Status::Corruption(dir_ + ": bad bounds sidecar magic");
-  }
-  uint64_t payload_len = 0;
-  std::memcpy(&payload_len, raw.data() + sizeof(kBoundsMagic),
-              sizeof(payload_len));
-  const size_t framed = sizeof(kBoundsMagic) + sizeof(uint64_t) +
-                        payload_len + sizeof(uint32_t);
-  if (payload_len > raw.size() || framed != raw.size()) {
-    return Status::Corruption(dir_ + ": bounds sidecar length mismatch");
-  }
-  const char* payload = raw.data() + sizeof(kBoundsMagic) + sizeof(uint64_t);
-  uint32_t want_crc = 0;
-  std::memcpy(&want_crc, payload + payload_len, sizeof(want_crc));
-  if (io::Crc32(payload, payload_len) != want_crc) {
-    return Status::Corruption(dir_ + ": bounds sidecar checksum mismatch");
-  }
-
-  Reader r(payload, payload_len);
-  uint64_t version = 0;
-  uint32_t tag = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&version));
-  if (version != kBoundsVersion) {
-    return Status::Corruption(dir_ + ": unsupported bounds sidecar version " +
-                              std::to_string(version));
-  }
-  CAME_RETURN_IF_ERROR(r.ReadPod(&tag));
-  if (tag != BoundsTag()) {
-    return Status::Corruption(
-        dir_ + ": bounds sidecar is stale (slab CRC tag mismatch)");
-  }
-  Result<PanelBoundTable> table =
-      PanelBoundTable::Decode(r.cursor(), r.remaining());
-  if (!table.ok()) return table.status();
-  if (table.value().rows() != rows_) {
-    return Status::Corruption(dir_ + ": bounds sidecar covers " +
-                              std::to_string(table.value().rows()) +
-                              " rows, store has " + std::to_string(rows_));
-  }
-  bounds_ = std::move(table).value();
   return Status::OK();
 }
 
@@ -873,9 +761,7 @@ Status ShardStore::Seal() {
   // Bounds stream through the panel accessors, which take mu_ themselves —
   // compute them before (and outside) the manifest publish.
   CAME_RETURN_IF_ERROR(ComputeBounds());
-  CAME_RETURN_IF_ERROR(WriteManifest(/*sealed=*/true));
-  WriteBoundsSidecar().LogIfError("shard store bounds sidecar write");
-  return Status::OK();
+  return WriteManifest(/*sealed=*/true);
 }
 
 uint32_t ShardStore::ContentCrc32() {

@@ -30,9 +30,6 @@ struct ShardStoreOptions {
   /// slabs (PinPanel) never count as eviction victims, so concurrent
   /// readers can push residency transiently past the budget.
   int64_t max_resident_shards = 0;
-  /// Verify every slab's payload CRC against the manifest when opening a
-  /// sealed store. Costs one streaming pass over the data.
-  bool verify_on_open = true;
 };
 
 /// A 2-D float row table `[rows, dim]` sliced into fixed-size on-disk
@@ -54,22 +51,18 @@ struct ShardStoreOptions {
 ///     rows, zero-padded to a 64-byte boundary, followed by one fp32
 ///     dequantization scale per row (the padding keeps the scale block
 ///     float-aligned inside the mapping).
-///   * `bounds` — advisory CRC-framed sidecar (magic "CAMESHB1") holding
-///     the per-block PanelBoundTable the serving layer's panel pruning
-///     uses, tagged with a CRC over the manifest's slab CRCs. The
-///     manifest format itself never changes for this: a missing, stale
-///     or corrupt sidecar is rebuilt from the slabs on Open (one
-///     streaming pass) and rewritten, so pre-existing stores keep
-///     loading bit-for-bit and a bad sidecar can never produce an
-///     unsound bound.
+///
+/// Nothing else is persisted: the per-block PanelBoundTable the serving
+/// layer's panel pruning uses is always computed from the rows.
 ///
 /// Lifecycle: `Create` makes zero-filled slabs and an *unsealed*
 /// manifest; mutate rows freely; `Seal()` msyncs every dirty slab,
 /// recomputes payload CRCs and the panel bounds, and atomically
-/// publishes the sealed manifest. `Open` accepts sealed stores only and
-/// (by default) verifies every slab CRC, so a bit-flipped, truncated, or
+/// publishes the sealed manifest. `Open` accepts sealed stores only,
+/// verifies every slab CRC — so a bit-flipped, truncated, or
 /// trailing-garbage slab or manifest surfaces as `Corruption` instead
-/// of being served.
+/// of being served — and then computes the panel bounds from the
+/// verified rows.
 ///
 /// `InRam` builds the one-shard special case — a single anonymous
 /// mapping, always resident, no files — through the identical row/panel
@@ -104,9 +97,10 @@ class ShardStore {
                                    int64_t dim,
                                    const ShardStoreOptions& options = {});
 
-  /// Opens a sealed store. `options.rows_per_shard` is ignored (the
-  /// manifest fixes the geometry); the residency budget and
-  /// verify_on_open apply.
+  /// Opens a sealed store, verifying every slab's CRC and computing the
+  /// panel bounds from the verified rows. `options.rows_per_shard` is
+  /// ignored (the manifest fixes the geometry); the residency budget
+  /// applies.
   static Result<ShardStore> Open(const std::string& dir,
                                  const ShardStoreOptions& options = {});
 
@@ -169,16 +163,16 @@ class ShardStore {
 
   /// Per-block score-bound metadata over the store's rows (no bias —
   /// shard-backed serving is inner-product only). Empty — meaning "never
-  /// prune" — until Seal()/Quantize computes it or Open loads/rebuilds
-  /// it; MutableRow drops it. Do not call concurrently with mutation.
+  /// prune" — until Seal(), Quantize or Open computes it; MutableRow
+  /// drops it. Do not call concurrently with mutation.
   const PanelBoundTable& bounds() const { return bounds_; }
 
   /// Exclusive end of the slab containing `row` (clamped to rows()).
   int64_t ShardEnd(int64_t row) const;
 
-  /// msync every dirty slab, recompute payload CRCs and panel bounds,
-  /// atomically publish a sealed manifest and rewrite the bounds
-  /// sidecar. In-RAM stores: computes bounds only. Idempotent.
+  /// msync every dirty slab, recompute payload CRCs and panel bounds, and
+  /// atomically publish a sealed manifest. In-RAM stores: computes bounds
+  /// only. Idempotent.
   Status Seal() CAME_EXCLUDES(mu_);
 
   /// Row-order CRC32 over the full table contents (parity tests and the
@@ -231,10 +225,6 @@ class ShardStore {
   Status WriteManifest(bool sealed);
   /// Streams every slab and rebuilds bounds_ from the payload bytes.
   Status ComputeBounds() CAME_EXCLUDES(mu_);
-  /// CRC over the manifest's slab-CRC array: the sidecar staleness tag.
-  uint32_t BoundsTag() const;
-  Status WriteBoundsSidecar() const;
-  Status LoadBoundsSidecar();
   void MoveFrom(ShardStore&& other);
   void ReleaseAll();
 

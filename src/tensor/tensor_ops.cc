@@ -220,8 +220,6 @@ void UnaryInto(UnaryOp op, const float* x, int64_t n, float s, float* out) {
   switch (op) {
     case UnaryOp::kNeg:
       return UnaryLoop(x, n, out, [](float v) { return -v; });
-    case UnaryOp::kExp:
-      return UnaryLoop(x, n, out, [](float v) { return std::exp(v); });
     case UnaryOp::kLog:
       return UnaryLoop(x, n, out, [](float v) { return std::log(v); });
     case UnaryOp::kSqrt:
@@ -252,7 +250,6 @@ void UnaryInto(UnaryOp op, const float* x, int64_t n, float s, float* out) {
 }
 
 Tensor Neg(const Tensor& t) { return Unary(UnaryOp::kNeg, t); }
-Tensor Exp(const Tensor& t) { return Unary(UnaryOp::kExp, t); }
 Tensor Log(const Tensor& t) { return Unary(UnaryOp::kLog, t); }
 Tensor Sqrt(const Tensor& t) { return Unary(UnaryOp::kSqrt, t); }
 Tensor Square(const Tensor& t) { return Unary(UnaryOp::kSquare, t); }
@@ -332,23 +329,6 @@ Tensor Transpose2D(const Tensor& t) {
   return out;
 }
 
-Tensor BatchTranspose(const Tensor& t) {
-  CAME_CHECK_EQ(t.ndim(), 3);
-  const int64_t b = t.dim(0);
-  const int64_t r = t.dim(1);
-  const int64_t c = t.dim(2);
-  // fully-written: every transposed element is stored per batch
-  Tensor out = Tensor::Uninitialized(Shape{b, c, r});
-  for (int64_t bi = 0; bi < b; ++bi) {
-    const float* src = t.data() + bi * r * c;
-    float* dst = out.data() + bi * r * c;
-    for (int64_t i = 0; i < r; ++i) {
-      for (int64_t j = 0; j < c; ++j) dst[j * r + i] = src[i * c + j];
-    }
-  }
-  return out;
-}
-
 Tensor SumAll(const Tensor& t) { return Tensor::Scalar(SumAllScalar(t)); }
 
 float SumAllScalar(const Tensor& t) {
@@ -388,28 +368,6 @@ Tensor SumAlong(const Tensor& t, int64_t dim, bool keepdim) {
   // fully-written: SumAlongInto zero-fills before it accumulates
   Tensor out = Tensor::Uninitialized(ReducedShape(t.shape(), dim, keepdim));
   SumAlongInto(t.data(), outer, axis, inner, out.data());
-  return out;
-}
-
-Tensor MaxAlong(const Tensor& t, int64_t dim, bool keepdim) {
-  int64_t outer;
-  int64_t axis;
-  int64_t inner;
-  AxisDecompose(t.shape(), dim, &outer, &axis, &inner);
-  CAME_CHECK_GT(axis, 0);
-  // fully-written: the max reduction stores every (outer, inner) cell
-  Tensor out = Tensor::Uninitialized(ReducedShape(t.shape(), dim, keepdim));
-  const float* pi = t.data();
-  float* po = out.data();
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t in = 0; in < inner; ++in) {
-      float m = pi[(o * axis) * inner + in];
-      for (int64_t a = 1; a < axis; ++a) {
-        m = std::max(m, pi[(o * axis + a) * inner + in]);
-      }
-      po[o * inner + in] = m;
-    }
-  }
   return out;
 }
 

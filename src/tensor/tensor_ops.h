@@ -41,7 +41,6 @@ void Axpy(float alpha, const Tensor& x, Tensor* y);
 // ---------------------------------------------------------------------------
 
 Tensor Neg(const Tensor& t);
-Tensor Exp(const Tensor& t);
 Tensor Log(const Tensor& t);
 Tensor Sqrt(const Tensor& t);
 Tensor Square(const Tensor& t);
@@ -74,8 +73,6 @@ void MatMulRaw(const float* a, const float* b, float* c, int64_t m, int64_t k,
 
 /// 2-D transpose.
 Tensor Transpose2D(const Tensor& t);
-/// Swap the trailing two dims of a 3-D tensor.
-Tensor BatchTranspose(const Tensor& t);
 
 // ---------------------------------------------------------------------------
 // Reductions & softmax
@@ -88,8 +85,6 @@ float MaxAbs(const Tensor& t);
 
 /// Sum along one axis. `keepdim` keeps a size-1 axis in place.
 Tensor SumAlong(const Tensor& t, int64_t dim, bool keepdim);
-/// Max along one axis (values only).
-Tensor MaxAlong(const Tensor& t, int64_t dim, bool keepdim);
 /// Numerically stable softmax along `dim`.
 Tensor SoftmaxAlong(const Tensor& t, int64_t dim);
 
@@ -135,7 +130,7 @@ void BinaryInto(BinaryOp op, const float* a, const Shape& a_shape,
                 const float* b, const Shape& b_shape, float* out);
 
 enum class UnaryOp {
-  kNeg, kExp, kLog, kSqrt, kSquare, kSigmoid, kTanh, kRelu, kAbs,
+  kNeg, kLog, kSqrt, kSquare, kSigmoid, kTanh, kRelu, kAbs,
   kScale,      ///< s * x
   kAddScalar,  ///< x + s
 };

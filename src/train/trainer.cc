@@ -21,6 +21,8 @@ Trainer::Trainer(baselines::KgcModel* model, const kg::Dataset& dataset,
       rng_(config.seed) {
   CAME_CHECK(model != nullptr);
   CAME_CHECK(!dataset.train.empty());
+  // The epoch loops advance by batch_size; 0 would never terminate.
+  CAME_CHECK_GT(config.batch_size, 0);
   order_.resize(train_.size());
   train_filter_.AddTriples(dataset.train);
   optimizer_ = std::make_unique<optim::Adam>(

@@ -61,7 +61,6 @@ TEST_P(UnaryGradTest, MatchesFiniteDifferences) {
 INSTANTIATE_TEST_SUITE_P(
     AllUnaryOps, UnaryGradTest,
     ::testing::Values(UnaryCase{"Neg", &Neg, 1.0, false},
-                      UnaryCase{"Exp", &Exp, 0.5, false},
                       UnaryCase{"Log", &Log, 1.0, true},
                       UnaryCase{"Sqrt", &Sqrt, 1.0, true},
                       UnaryCase{"Square", &Square, 1.0, false},
@@ -203,15 +202,6 @@ TEST(GradCheckTest, BatchMatMul) {
     return WeightedSum(BatchMatMul(v[0], v[1]), 12);
   };
   EXPECT_LT(GradCheck(fn, {a, b}), kTol);
-}
-
-TEST(GradCheckTest, BatchTransposeChain) {
-  Rng rng(8);
-  Var a = RandomVar({2, 3, 4}, &rng);
-  auto fn = [](const std::vector<Var>& v) {
-    return WeightedSum(BatchTranspose(v[0]), 14);
-  };
-  EXPECT_LT(GradCheck(fn, {a}), kTol);
 }
 
 TEST(GradCheckTest, ReshapeChain) {

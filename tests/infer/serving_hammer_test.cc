@@ -93,8 +93,7 @@ class ServingHammerTest : public ::testing::Test {
                             static_cast<uint64_t>(j));
       }
     }
-    table_ = FusedEmbeddingTable("Hammer", cand, tensor::Tensor(),
-                                 tensor::Tensor());
+    table_ = FusedEmbeddingTable(cand, tensor::Tensor(), tensor::Tensor());
 
     ScoreServerConfig cfg;
     cfg.panel_width = 64;

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -112,9 +111,9 @@ TEST(PanelBoundTableTest, Int8BoundDominatesDequantizedScores) {
   std::vector<float> deq(static_cast<size_t>(kRows * kDim));
   for (int64_t i = 0; i < kRows; ++i) {
     for (int64_t j = 0; j < kDim; ++j) {
-      deq[static_cast<size_t>(i * kDim + j)] = qgemm::DequantizeInt8(
-          codes[static_cast<size_t>(i * kDim + j)],
-          scales[static_cast<size_t>(i)]);
+      deq[static_cast<size_t>(i * kDim + j)] =
+          static_cast<float>(codes[static_cast<size_t>(i * kDim + j)]) *
+          scales[static_cast<size_t>(i)];
     }
   }
   for (uint64_t qs : {4u, 5u, 6u}) CheckDominates(bounds, deq, t.bias, qs);
@@ -159,31 +158,6 @@ TEST(PanelBoundTableTest, NanRowWidensItsBlockToInfinity) {
   EXPECT_EQ(bounds.MaxBias(64, 128), std::numeric_limits<float>::infinity());
   // Cross-block query sees the widened block.
   EXPECT_EQ(bounds.MaxNorm(0, 128), std::numeric_limits<float>::infinity());
-}
-
-TEST(PanelBoundTableTest, EncodeDecodeRoundTrips) {
-  const TestTable t = MakeTable(0xE2C);
-  PanelBoundTable bounds(kRows, kDefaultBoundBlockRows);
-  AccountRowsFp32(&bounds, t.rows.data(), t.bias.data(), 0, kRows, kDim);
-  const std::string payload = bounds.Encode();
-  const Result<PanelBoundTable> decoded =
-      PanelBoundTable::Decode(payload.data(), payload.size());
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value(), bounds);
-}
-
-TEST(PanelBoundTableTest, DecodeRejectsTruncatedAndCorruptPayloads) {
-  PanelBoundTable bounds(100, 64);
-  bounds.AccountRow(0, 1.0f, 0.0f);
-  const std::string payload = bounds.Encode();
-  for (size_t cut : {size_t{0}, size_t{7}, payload.size() - 1}) {
-    EXPECT_FALSE(PanelBoundTable::Decode(payload.data(), cut).ok())
-        << "truncated to " << cut;
-  }
-  // num_blocks inflated past the payload: must refuse, not overread.
-  std::string bloated = payload;
-  bloated[16] = static_cast<char>(0xFF);
-  EXPECT_FALSE(PanelBoundTable::Decode(bloated.data(), bloated.size()).ok());
 }
 
 }  // namespace

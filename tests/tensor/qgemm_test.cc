@@ -1,9 +1,9 @@
 // Property tests for the int8/bf16 quantized scoring kernels. Two
 // contracts are pinned here: quantization error is bounded per element
-// (|x - deq(q(x))| <= scale/2, scale = max|row|/127), and the int8 GEMM
-// is *bitwise deterministic* — every dispatched kernel at every thread
-// count reproduces the serial scalar reference exactly, because the dot
-// is exact int32 arithmetic under one shared scaling expression.
+// (|x - deq(q(x))| <= scale/2, scale = max|row|/127), and the two-digit
+// int8 GEMM is *bitwise deterministic* — every dispatched kernel at every
+// thread count reproduces the serial scalar reference exactly, because
+// the dots are exact int32 arithmetic under one shared combine.
 #include "tensor/qgemm.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,9 @@
 
 namespace came::tensor::qgemm {
 namespace {
+
+// The dequantized value of one int8 element.
+float Deq(int8_t q, float scale) { return static_cast<float>(q) * scale; }
 
 std::vector<float> RandomRows(Rng* rng, int64_t rows, int64_t dim,
                               double scale) {
@@ -71,7 +74,7 @@ TEST(QuantizeInt8, RoundTripErrorBoundedByHalfScale) {
         // Round-to-nearest gives a half-scale bound; the tiny slack
         // covers the 1-ulp difference between multiplying by 127/max
         // and dividing by max/127.
-        EXPECT_LE(std::fabs(x - DequantizeInt8(qv, scale)),
+        EXPECT_LE(std::fabs(x - Deq(qv, scale)),
                   scale * 0.500001f)
             << "row " << i << " col " << j;
       }
@@ -90,7 +93,7 @@ TEST(QuantizeInt8, AllZeroRowGetsZeroScaleAndExactZeros) {
   EXPECT_EQ(scales[0], 0.0f);
   for (int64_t j = 0; j < dim; ++j) {
     EXPECT_EQ(q[static_cast<size_t>(j)], 0);
-    EXPECT_EQ(DequantizeInt8(q[static_cast<size_t>(j)], scales[0]), 0.0f);
+    EXPECT_EQ(Deq(q[static_cast<size_t>(j)], scales[0]), 0.0f);
   }
   EXPECT_GT(scales[1], 0.0f);
   EXPECT_EQ(q[static_cast<size_t>(dim)], 127);  // the max element maps to 127
@@ -102,7 +105,7 @@ TEST(QuantizeInt8, SingleRowSingleColumn) {
   float scale = 0.0f;
   ASSERT_TRUE(QuantizeRowsInt8(&x, 1, 1, &q, &scale).ok());
   EXPECT_EQ(q, -127);
-  EXPECT_FLOAT_EQ(DequantizeInt8(q, scale), x);
+  EXPECT_FLOAT_EQ(Deq(q, scale), x);
 }
 
 TEST(QuantizeInt8, NanAndInfRowsRejectedWithRowInMessage) {
@@ -127,17 +130,22 @@ TEST(QuantizeInt8, ServingVariantDegradesNonFiniteRowsToNanScale) {
   std::vector<float> src = {1.0f, 2.0f, 3.0f,  // finite row
                             0.5f, std::numeric_limits<float>::quiet_NaN(),
                             1.0f};
-  std::vector<int8_t> q(src.size(), 42);
-  std::vector<float> scales(2);
-  QuantizeRowsInt8Serving(src.data(), 2, dim, q.data(), scales.data());
-  EXPECT_GT(scales[0], 0.0f);
-  EXPECT_TRUE(std::isnan(scales[1]));
+  std::vector<int8_t> hi(src.size(), 42);
+  std::vector<int8_t> lo(src.size(), 42);
+  std::vector<float> hs(2);
+  std::vector<float> ls(2);
+  QuantizeRowsInt8ServingTwoDigit(src.data(), 2, dim, hi.data(), hs.data(),
+                                  lo.data(), ls.data());
+  EXPECT_GT(hs[0], 0.0f);
+  EXPECT_FALSE(std::isnan(ls[0]));
+  EXPECT_TRUE(std::isnan(hs[1]));
+  EXPECT_TRUE(std::isnan(ls[1]));
   for (int64_t j = 0; j < dim; ++j) {
-    EXPECT_EQ(q[static_cast<size_t>(dim + j)], 0);
+    EXPECT_EQ(hi[static_cast<size_t>(dim + j)], 0);
+    EXPECT_EQ(lo[static_cast<size_t>(dim + j)], 0);
   }
   // A NaN scale poisons every score the row produces: float(acc) * NaN.
-  EXPECT_TRUE(std::isnan(DequantizeInt8(q[static_cast<size_t>(dim)],
-                                        scales[1])));
+  EXPECT_TRUE(std::isnan(Deq(hi[static_cast<size_t>(dim)], hs[1])));
 }
 
 TEST(QuantizeInt8, TwoDigitResidualShrinksErrorByTwoOrdersOfMagnitude) {
@@ -160,8 +168,8 @@ TEST(QuantizeInt8, TwoDigitResidualShrinksErrorByTwoOrdersOfMagnitude) {
     for (int64_t j = 0; j < dim; ++j) {
       const size_t at = static_cast<size_t>(i * dim + j);
       const float recon =
-          DequantizeInt8(hi[at], hs[static_cast<size_t>(i)]) +
-          DequantizeInt8(lo[at], ls[static_cast<size_t>(i)]);
+          Deq(hi[at], hs[static_cast<size_t>(i)]) +
+          Deq(lo[at], ls[static_cast<size_t>(i)]);
       // Two-digit round trip: error bounded by half the *lo* step.
       EXPECT_LE(std::fabs(src[at] - recon),
                 ls[static_cast<size_t>(i)] * 0.500001f +
@@ -241,62 +249,13 @@ TEST(Bf16, DecodeIsExactWidening) {
 // scalar reference. Shapes straddle the SIMD width (32) and the parallel
 // column block (64) so vector bodies, scalar tails, and multi-block
 // partitions are all exercised.
-TEST(GemmInt8, ParityGridAcrossKernelsAndThreads) {
+TEST(GemmInt8, TwoDigitParityGridAcrossKernelsAndThreads) {
   ThreadCountGuard restore_threads;
   KernelGuard restore_kernel;
   Rng rng(0x517);
-  const std::vector<Kernel> kernels = {Kernel::kScalar, Kernel::kAvx2,
-                                       Kernel::kVnni};
   for (const int64_t m : {1, 3, 8}) {
     for (const int64_t k : {1, 31, 32, 33, 96}) {
       for (const int64_t n : {1, 63, 64, 65, 200}) {
-        const std::vector<float> af = RandomRows(&rng, m, k, 2.0);
-        const std::vector<float> bf = RandomRows(&rng, n, k, 2.0);
-        std::vector<int8_t> a(af.size());
-        std::vector<int8_t> b(bf.size());
-        std::vector<float> a_scales(static_cast<size_t>(m));
-        std::vector<float> b_scales(static_cast<size_t>(n));
-        ASSERT_TRUE(QuantizeRowsInt8(af.data(), m, k, a.data(),
-                                     a_scales.data())
-                        .ok());
-        ASSERT_TRUE(QuantizeRowsInt8(bf.data(), n, k, b.data(),
-                                     b_scales.data())
-                        .ok());
-
-        std::vector<float> want(static_cast<size_t>(m * n));
-        ReferenceGemmInt8(a.data(), a_scales.data(), b.data(),
-                          b_scales.data(), want.data(), m, k, n);
-
-        for (const Kernel kernel : kernels) {
-          if (!KernelAvailable(kernel)) continue;
-          SetKernel(kernel);
-          ASSERT_EQ(ActiveKernel(), kernel);
-          for (const int threads : {1, 4}) {
-            SetNumThreads(threads);
-            std::vector<float> got(want.size(), -123.0f);
-            GemmInt8(a.data(), a_scales.data(), b.data(), b_scales.data(),
-                     got.data(), m, k, n);
-            ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                                  want.size() * sizeof(float)),
-                      0)
-                << "kernel=" << KernelName(kernel) << " threads=" << threads
-                << " m=" << m << " k=" << k << " n=" << n;
-          }
-        }
-      }
-    }
-  }
-}
-
-// Same determinism contract for the two-digit query GEMM the ScoreServer
-// int8 sweep actually runs.
-TEST(GemmInt8, TwoDigitParityAcrossKernelsAndThreads) {
-  ThreadCountGuard restore_threads;
-  KernelGuard restore_kernel;
-  Rng rng(0x2D162);
-  for (const int64_t m : {1, 5}) {
-    for (const int64_t k : {7, 32, 96}) {
-      for (const int64_t n : {1, 64, 131}) {
         const std::vector<float> af = RandomRows(&rng, m, k, 2.0);
         const std::vector<float> bf = RandomRows(&rng, n, k, 2.0);
         std::vector<int8_t> hi(af.size());
@@ -319,6 +278,7 @@ TEST(GemmInt8, TwoDigitParityAcrossKernelsAndThreads) {
              {Kernel::kScalar, Kernel::kAvx2, Kernel::kVnni}) {
           if (!KernelAvailable(kernel)) continue;
           SetKernel(kernel);
+          ASSERT_EQ(ActiveKernel(), kernel);
           for (const int threads : {1, 4}) {
             SetNumThreads(threads);
             std::vector<float> got(want.size(), -123.0f);
@@ -337,39 +297,52 @@ TEST(GemmInt8, TwoDigitParityAcrossKernelsAndThreads) {
 }
 
 TEST(GemmInt8, ReferenceMatchesPlainIntegerArithmetic) {
-  // Tiny hand-checkable case: a = [1, -2], b = [[3, 4], [-5, 6]],
-  // scales 0.5 / 0.25 and 2.0 / 4.0.
-  const int8_t a[] = {1, -2};
+  // Tiny hand-checkable case: hi = [1, -2], lo = [1, 1],
+  // b = [[3, 4], [-5, 6]], scales hi 0.5, lo 0.25, b 2.0 / 4.0. Every
+  // product and sum is exact in fp32.
+  const int8_t a_hi[] = {1, -2};
+  const int8_t a_lo[] = {1, 1};
   const int8_t b[] = {3, 4, -5, 6};
-  const float a_scales[] = {0.5f};
+  const float hs[] = {0.5f};
+  const float ls[] = {0.25f};
   const float b_scales[] = {2.0f, 4.0f};
   float c[2] = {0.0f, 0.0f};
-  ReferenceGemmInt8(a, a_scales, b, b_scales, c, 1, 2, 2);
-  EXPECT_EQ(c[0], static_cast<float>(1 * 3 + (-2) * 4) * (0.5f * 2.0f));
-  EXPECT_EQ(c[1], static_cast<float>(1 * (-5) + (-2) * 6) * (0.5f * 4.0f));
+  ReferenceGemmInt8TwoDigit(a_hi, hs, a_lo, ls, b, b_scales, c, 1, 2, 2);
+  // (1*3 - 2*4) * (0.5*2) + (1*3 + 1*4) * (0.25*2)
+  EXPECT_EQ(c[0], -1.5f);
+  // (1*-5 - 2*6) * (0.5*4) + (1*-5 + 1*6) * (0.25*4)
+  EXPECT_EQ(c[1], -33.0f);
 }
 
 TEST(GemmInt8, NanAScalePoisonsExactlyThatRow) {
-  const int8_t a[] = {1, 1};   // two query rows, k = 1
-  const int8_t b[] = {5, 7};   // two candidates
-  const float a_scales[] = {std::numeric_limits<float>::quiet_NaN(), 1.0f};
+  KernelGuard restore_kernel;
+  const int8_t a_hi[] = {1, 1};  // two query rows, k = 1
+  const int8_t a_lo[] = {0, 0};
+  const int8_t b[] = {5, 7};     // two candidates
+  const float hs[] = {std::numeric_limits<float>::quiet_NaN(), 1.0f};
+  const float ls[] = {1.0f, 1.0f};
   const float b_scales[] = {1.0f, 1.0f};
-  float c[4];
-  GemmInt8(a, a_scales, b, b_scales, c, 2, 1, 2);
-  EXPECT_TRUE(std::isnan(c[0]));
-  EXPECT_TRUE(std::isnan(c[1]));
-  EXPECT_EQ(c[2], 5.0f);
-  EXPECT_EQ(c[3], 7.0f);
+  for (const Kernel kernel : {Kernel::kScalar, Kernel::kAvx2, Kernel::kVnni}) {
+    if (!KernelAvailable(kernel)) continue;
+    SetKernel(kernel);
+    float c[4];
+    GemmInt8TwoDigit(a_hi, hs, a_lo, ls, b, b_scales, c, 2, 1, 2);
+    EXPECT_TRUE(std::isnan(c[0])) << KernelName(kernel);
+    EXPECT_TRUE(std::isnan(c[1])) << KernelName(kernel);
+    EXPECT_EQ(c[2], 5.0f) << KernelName(kernel);
+    EXPECT_EQ(c[3], 7.0f) << KernelName(kernel);
+  }
 }
 
 TEST(GemmInt8, SaturationBoundaryAccumulatesExactly) {
   // 96 pairs of (+-127 * 127): each AVX2 vpmaddubsw pair sum is
   // 2 * 127 * 127 = 32258 < int16 max, and the int32 accumulator carries
   // the full sum. Any saturating kernel would diverge from the scalar
-  // reference here.
+  // reference here. The lo digit is zero, so the hi dot alone decides.
   KernelGuard restore_kernel;
   const int64_t k = 96;
-  std::vector<int8_t> a(static_cast<size_t>(k), 127);
+  std::vector<int8_t> a_hi(static_cast<size_t>(k), 127);
+  const std::vector<int8_t> a_lo(static_cast<size_t>(k), 0);
   std::vector<int8_t> b(static_cast<size_t>(k));
   for (int64_t p = 0; p < k; ++p) {
     b[static_cast<size_t>(p)] = (p % 2 == 0) ? 127 : -127;
@@ -379,7 +352,8 @@ TEST(GemmInt8, SaturationBoundaryAccumulatesExactly) {
     if (!KernelAvailable(kernel)) continue;
     SetKernel(kernel);
     float c = -1.0f;
-    GemmInt8(a.data(), &one, b.data(), &one, &c, 1, k, 1);
+    GemmInt8TwoDigit(a_hi.data(), &one, a_lo.data(), &one, b.data(), &one, &c,
+                     1, k, 1);
     EXPECT_EQ(c, 0.0f) << KernelName(kernel);  // pairs cancel exactly
   }
   // All-same-sign: the worst-case magnitude 96 * 127 * 127 = 1548384.
@@ -388,7 +362,8 @@ TEST(GemmInt8, SaturationBoundaryAccumulatesExactly) {
     if (!KernelAvailable(kernel)) continue;
     SetKernel(kernel);
     float c = 0.0f;
-    GemmInt8(a.data(), &one, b.data(), &one, &c, 1, k, 1);
+    GemmInt8TwoDigit(a_hi.data(), &one, a_lo.data(), &one, b.data(), &one, &c,
+                     1, k, 1);
     EXPECT_EQ(c, 1548384.0f) << KernelName(kernel);
   }
 }

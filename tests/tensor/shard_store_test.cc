@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -20,11 +21,28 @@ std::string TestDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/shard_store_" + name + "_" +
                           std::to_string(::getpid());
   // Fresh directory per test: drop any leftovers from a previous run.
-  std::remove((dir + "/manifest").c_str());
-  for (int i = 0; i < 64; ++i) {
-    std::remove((dir + "/slab_" + std::to_string(i) + ".bin").c_str());
-  }
+  std::filesystem::remove_all(dir);
   return dir;
+}
+
+// The file names in `dir`, sorted.
+std::vector<std::string> ListDir(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// What a sealed store of `num_shards` slabs holds on disk, sorted.
+std::vector<std::string> StoreFiles(int64_t num_shards) {
+  std::vector<std::string> names = {"manifest"};
+  for (int64_t i = 0; i < num_shards; ++i) {
+    names.push_back("slab_" + std::to_string(i) + ".bin");
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 float RowValue(int64_t row, int64_t col) {
@@ -87,6 +105,8 @@ TEST(ShardStoreTest, CreateWriteSealOpenRoundTrip) {
   EXPECT_LE(s.GetStats().resident_shards, 2);
   EXPECT_GT(s.GetStats().evictions, 0);
   ASSERT_TRUE(s.Seal().ok());
+  ASSERT_FALSE(s.bounds().empty());
+  EXPECT_EQ(ListDir(dir), StoreFiles(7));
 
   ShardStoreOptions open_opts;
   open_opts.max_resident_shards = 3;
@@ -95,6 +115,10 @@ TEST(ShardStoreTest, CreateWriteSealOpenRoundTrip) {
   EXPECT_EQ(reopened.value().rows(), 100);
   EXPECT_EQ(reopened.value().dim(), 8);
   EXPECT_EQ(reopened.value().rows_per_shard(), 16);
+  // Open derives the bounds from the verified slabs, through a residency
+  // budget below the shard count.
+  ASSERT_FALSE(reopened.value().bounds().empty());
+  EXPECT_EQ(reopened.value().bounds(), s.bounds());
   ExpectStoreContents(&reopened.value());
   EXPECT_LE(reopened.value().GetStats().resident_shards, 3);
 }
@@ -406,15 +430,6 @@ TEST_F(ShardStoreCorruptionTest, SlabTrailingBytesAreDetected) {
   EXPECT_EQ(opened.status().code(), Status::Code::kCorruption);
 }
 
-TEST_F(ShardStoreCorruptionTest, SizeCheckOnlyOpenStillCatchesTruncation) {
-  ShardStoreOptions opts;
-  opts.verify_on_open = false;
-  EXPECT_TRUE(ShardStore::Open(dir_, opts).ok());
-  const std::string pristine = ReadAll(slab(0));
-  WriteAll(slab(0), pristine.substr(0, pristine.size() - 1));
-  EXPECT_FALSE(ShardStore::Open(dir_, opts).ok());
-}
-
 // --- quantized stores -----------------------------------------------------
 
 class ShardStoreQuantizeTest : public ::testing::Test {
@@ -478,11 +493,15 @@ TEST_F(ShardStoreQuantizeTest, Int8QuantizeMatchesDirectQuantization) {
   ASSERT_FALSE(ram.value().bounds().empty());
   EXPECT_EQ(ram.value().bounds(), disk.value().bounds());
 
-  // Sealed from birth: a fresh Open succeeds and verifies CRCs.
+  // Sealed from birth: a fresh Open succeeds, verifies CRCs and derives
+  // the writer's bounds.
+  EXPECT_EQ(ListDir(dir), StoreFiles(3));
   Result<ShardStore> reopened = ShardStore::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value().dtype(), ShardDtype::kInt8);
   EXPECT_EQ(reopened.value().ContentCrc32(), disk.value().ContentCrc32());
+  ASSERT_FALSE(reopened.value().bounds().empty());
+  EXPECT_EQ(reopened.value().bounds(), disk.value().bounds());
 
 #if GTEST_HAS_DEATH_TEST
   // Quantized stores are immutable and fp32-accessor-free.
@@ -519,9 +538,12 @@ TEST_F(ShardStoreQuantizeTest, Bf16QuantizeMatchesDirectEncoding) {
   EXPECT_EQ(ram.value().ContentCrc32(), disk.value().ContentCrc32());
   ASSERT_FALSE(ram.value().bounds().empty());
   EXPECT_EQ(ram.value().bounds(), disk.value().bounds());
+  EXPECT_EQ(ListDir(dir), StoreFiles(3));
   Result<ShardStore> reopened = ShardStore::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value().dtype(), ShardDtype::kBf16);
+  ASSERT_FALSE(reopened.value().bounds().empty());
+  EXPECT_EQ(reopened.value().bounds(), disk.value().bounds());
 }
 
 TEST_F(ShardStoreQuantizeTest, QuantizeRejectsBadInputs) {

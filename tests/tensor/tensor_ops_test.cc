@@ -109,10 +109,19 @@ TEST(BatchMatMulTest, TransposeFlags) {
   Rng rng(3);
   Tensor a = RandomTensor({2, 4, 3}, &rng);
   Tensor b = RandomTensor({2, 4, 5}, &rng);
-  Tensor c1 = BatchMatMul(a, b, /*trans_a=*/true, false);
-  Tensor c2 = BatchMatMul(BatchTranspose(a), b);
-  for (int64_t i = 0; i < c1.numel(); ++i) {
-    EXPECT_NEAR(c1.data()[i], c2.data()[i], 1e-5);
+  Tensor c = BatchMatMul(a, b, /*trans_a=*/true, false);
+  ASSERT_EQ(c.shape(), (Shape{2, 3, 5}));
+  // c[bi, i, j] = sum_p a[bi, p, i] * b[bi, p, j]
+  for (int64_t bi = 0; bi < 2; ++bi) {
+    for (int64_t i = 0; i < 3; ++i) {
+      for (int64_t j = 0; j < 5; ++j) {
+        double want = 0.0;
+        for (int64_t p = 0; p < 4; ++p) {
+          want += static_cast<double>(a.at({bi, p, i})) * b.at({bi, p, j});
+        }
+        EXPECT_NEAR(c.at({bi, i, j}), want, 1e-5);
+      }
+    }
   }
 }
 
@@ -161,13 +170,6 @@ TEST(ReductionTest, SumAlongKeepdim) {
   Tensor s1 = SumAlong(a, 1, false);
   EXPECT_EQ(s1.shape(), (Shape{2}));
   EXPECT_EQ(s1.data()[1], 15.0f);
-}
-
-TEST(ReductionTest, MaxAlong) {
-  Tensor a = Tensor::FromVector({2, 3}, {1, 9, 3, 4, 5, 6});
-  Tensor m = MaxAlong(a, 1, false);
-  EXPECT_EQ(m.data()[0], 9.0f);
-  EXPECT_EQ(m.data()[1], 6.0f);
 }
 
 TEST(ReductionTest, SumAllAndMaxAbs) {
@@ -253,7 +255,7 @@ TEST(UnaryTest, BasicIdentities) {
   EXPECT_EQ(Neg(a).data()[2], -2.0f);
   EXPECT_EQ(Square(a).data()[2], 4.0f);
   EXPECT_EQ(Abs(a).data()[0], 1.0f);
-  EXPECT_NEAR(Exp(Log(Tensor::Full({1}, 3.0f))).data()[0], 3.0f, 1e-5);
+  EXPECT_NEAR(Log(Tensor::Full({1}, std::exp(3.0f))).data()[0], 3.0f, 1e-5);
 }
 
 TEST(Im2ColTest, IdentityKernelNoPad) {
