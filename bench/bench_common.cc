@@ -2,10 +2,18 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
+#include "autograd/tape_audit.h"
 #include "common/flags.h"
+#include "common/json_writer.h"
+#include "common/mutex.h"
+#include "common/parallel_for.h"
+#include "common/runtime_config.h"
 #include "common/stopwatch.h"
+#include "infer/score_dtype.h"
+#include "tensor/gemm.h"
+#include "tensor/qgemm.h"
+#include "tensor/storage_pool.h"
 
 namespace came::bench {
 
@@ -19,9 +27,7 @@ BenchArgs BenchArgs::Parse(int argc, char** argv, double default_scale,
   }
   // CAME_BENCH_SCALE multiplies the bench's own default so one knob can
   // grow or shrink every bench together.
-  if (const char* env = std::getenv("CAME_BENCH_SCALE")) {
-    args.scale *= flags::DoubleFlag(env, "CAME_BENCH_SCALE(env)", 1e-6, 1e6);
-  }
+  args.scale *= GetRuntimeConfig().bench_scale;
   return args;
 }
 
@@ -102,6 +108,32 @@ TrainedModel TrainAndEval(const std::string& name, const BenchEnv& env,
   out.test_metrics =
       evaluator.Evaluate(out.model.get(), env.bkg.dataset.test, ec);
   return out;
+}
+
+void WriteRuntimeConfig(JsonWriter* w) {
+  const RuntimeConfig& config = GetRuntimeConfig();
+  const char* const kAuditLevels[] = {"off", "shape", "full"};
+  w->Key("config");
+  w->BeginObject();
+  w->Key("gemm_kernel");
+  w->String(tensor::gemm::KernelName(tensor::gemm::ActiveKernel()));
+  w->Key("qgemm_kernel");
+  w->String(tensor::qgemm::KernelName(tensor::qgemm::ActiveKernel()));
+  w->Key("threads");
+  w->Int(NumThreads());
+  w->Key("tensor_pool");
+  w->String(tensor::pool::ModeName(tensor::pool::ActiveMode()));
+  w->Key("tape_audit");
+  w->String(kAuditLevels[static_cast<int>(ag::audit::TapeAuditLevel())]);
+  w->Key("score_prune");
+  w->Bool(config.score_prune);
+  w->Key("score_dtype");
+  w->String(infer::ScoreDtypeName(config.score_dtype));
+  w->Key("deadlock_check");
+  w->Bool(DeadlockCheckEnabled());
+  w->Key("bench_scale");
+  w->Double(config.bench_scale);
+  w->EndObject();
 }
 
 void PrintBenchHeader(const std::string& title, const BenchEnv& env,

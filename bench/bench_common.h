@@ -16,6 +16,10 @@
 #include "eval/evaluator.h"
 #include "train/trainer.h"
 
+namespace came {
+class JsonWriter;
+}  // namespace came
+
 namespace came::bench {
 
 /// CLI of every bench: [scale] [epochs]. `scale` multiplies the dataset
@@ -62,6 +66,13 @@ TrainedModel TrainAndEval(const std::string& name, const BenchEnv& env,
                           const eval::Evaluator& evaluator, int epochs,
                           const baselines::ZooOptions& zoo,
                           int64_t eval_max_triples = -1);
+
+/// Writes a top-level "config" object: the GEMM and int8 kernels, pool
+/// threads, tensor-pool mode, tape-audit level, prune and dtype defaults,
+/// lock-order check and bench scale this process runs under (the
+/// RuntimeConfig after cpuid fallback and any in-process override), so
+/// BENCH files from different runs can be compared.
+void WriteRuntimeConfig(JsonWriter* w);
 
 /// Prints a standard bench header with the dataset + budget actually used.
 void PrintBenchHeader(const std::string& title, const BenchEnv& env,

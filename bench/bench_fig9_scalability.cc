@@ -38,6 +38,7 @@ void WriteFig9Json(const std::string& path, const std::vector<Cell>& cells) {
   w.BeginObject();
   w.Key("bench");
   w.String("fig9_scalability");
+  bench::WriteRuntimeConfig(&w);
   w.Key("rows");
   w.BeginArray();
   for (const Cell& c : cells) {

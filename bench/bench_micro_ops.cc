@@ -20,6 +20,7 @@
 
 #include "autograd/ops.h"
 #include "baselines/model_zoo.h"
+#include "bench_common.h"
 #include "common/json_writer.h"
 #include "common/logging.h"
 #include "common/parallel_for.h"
@@ -324,6 +325,7 @@ void WriteMicroOpsJson(const std::string& path) {
   w.BeginObject();
   w.Key("bench");
   w.String("micro_ops");
+  bench::WriteRuntimeConfig(&w);
   w.Key("default_threads");
   w.Int(kDefaultThreads);
 

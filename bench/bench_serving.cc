@@ -802,11 +802,15 @@ int Main(int argc, char** argv) {
               static_cast<long long>(parity.cases),
               static_cast<long long>(parity.mismatches),
               static_cast<long long>(parity_skipped));
+  // Back to the native kernel, which the "config" block records; the
+  // pinned one is recorded beside the parity numbers.
+  tensor::qgemm::SetKernel(tensor::qgemm::Kernel::kAuto);
 
   JsonWriter w;
   w.BeginObject();
   w.Key("bench");
   w.String("serving");
+  bench::WriteRuntimeConfig(&w);
   w.Key("model");
   w.String("CamE");
   w.Key("num_entities");

@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/flags.h"
 #include "common/json_writer.h"
 #include "common/logging.h"
@@ -382,6 +383,7 @@ int Main(int argc, char** argv) {
   w.BeginObject();
   w.Key("bench");
   w.String("sharded_scale");
+  bench::WriteRuntimeConfig(&w);
   w.Key("dim");
   w.Int(args.dim);
   w.Key("rows_per_shard");

@@ -4,7 +4,8 @@
 //   came_cli generate --out DIR [--dataset drkg|omaha] [--scale S] [--seed N]
 //       Generate a synthetic multimodal BKG and save it as TSV.
 //   came_cli train --kg DIR --model NAME --ckpt FILE [--epochs N] [--dim D]
-//       Train any zoo model on a saved KG; writes a checkpoint.
+//       Train any zoo model on a saved KG; writes a CRC-framed trainer
+//       checkpoint (train/checkpoint.h), which eval and predict read.
 //       (Multimodal models regenerate the modality features from the
 //        dataset config recorded at generate time.)
 //   came_cli eval --kg DIR --model NAME --ckpt FILE
@@ -32,6 +33,7 @@
 #include "eval/ranking.h"
 #include "infer/fused_embedding_table.h"
 #include "infer/score_server.h"
+#include "train/checkpoint.h"
 #include "train/trainer.h"
 
 namespace {
@@ -197,6 +199,14 @@ int LoadAll(const std::map<std::string, std::string>& flags,
   return 0;
 }
 
+// Loads the parameters of a checkpoint `train` wrote. Any flipped or
+// missing byte fails its CRC, and the model is left untouched.
+Status LoadParameters(const std::string& path, baselines::KgcModel* model) {
+  train::CheckpointState state;
+  CAME_RETURN_IF_ERROR(train::ReadCheckpoint(path, &state));
+  return model->LoadParameterValues(state.params);
+}
+
 int Train(const std::map<std::string, std::string>& flags) {
   LoadedModel lm;
   if (int rc = LoadAll(flags, &lm); rc != 0) return rc;
@@ -217,7 +227,7 @@ int Train(const std::map<std::string, std::string>& flags) {
                     s.seconds_elapsed);
       });
   std::printf("best validation: %s\n", best.ToString().c_str());
-  Status st = lm.model->SaveParameters(ckpt);
+  Status st = trainer.SaveCheckpoint(ckpt);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
@@ -229,7 +239,7 @@ int Train(const std::map<std::string, std::string>& flags) {
 int Eval(const std::map<std::string, std::string>& flags) {
   LoadedModel lm;
   if (int rc = LoadAll(flags, &lm); rc != 0) return rc;
-  Status st = lm.model->LoadParameters(FlagOr(flags, "ckpt", ""));
+  Status st = LoadParameters(FlagOr(flags, "ckpt", ""), lm.model.get());
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
@@ -246,7 +256,7 @@ int Eval(const std::map<std::string, std::string>& flags) {
 int Predict(const std::map<std::string, std::string>& flags) {
   LoadedModel lm;
   if (int rc = LoadAll(flags, &lm); rc != 0) return rc;
-  Status st = lm.model->LoadParameters(FlagOr(flags, "ckpt", ""));
+  Status st = LoadParameters(FlagOr(flags, "ckpt", ""), lm.model.get());
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;

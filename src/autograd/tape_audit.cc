@@ -2,14 +2,13 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "autograd/op_registry.h"
 #include "common/logging.h"
+#include "common/runtime_config.h"
 #include "tensor/tensor_ops.h"
 
 namespace came::ag::audit {
@@ -22,23 +21,6 @@ using tensor::Shape;
 using tensor::Tensor;
 
 std::atomic<int> g_level_override{-1};
-
-int ParseLevelFromEnv() {
-  const char* env = std::getenv("CAME_TAPE_AUDIT");
-  if (env == nullptr || *env == '\0') return static_cast<int>(AuditLevel::kOff);
-  if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
-    return static_cast<int>(AuditLevel::kOff);
-  }
-  if (std::strcmp(env, "shape") == 0) {
-    return static_cast<int>(AuditLevel::kShape);
-  }
-  if (std::strcmp(env, "full") == 0) {
-    return static_cast<int>(AuditLevel::kFull);
-  }
-  CAME_LOG(Warning) << "ignoring invalid CAME_TAPE_AUDIT=\"" << env
-                    << "\" (expected off|shape|full); audit stays off";
-  return static_cast<int>(AuditLevel::kOff);
-}
 
 /// The backward closure currently executing under an active auditor, used
 /// to attribute CHECK failures raised inside op closures. Backward runs on
@@ -312,8 +294,7 @@ void RunAudit(const std::shared_ptr<VarState>& root, AuditLevel level,
 AuditLevel TapeAuditLevel() {
   const int forced = g_level_override.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<AuditLevel>(forced);
-  static const int env_level = ParseLevelFromEnv();
-  return static_cast<AuditLevel>(env_level);
+  return GetRuntimeConfig().tape_audit;
 }
 
 void SetTapeAuditLevel(AuditLevel level) {

@@ -28,7 +28,7 @@ enum class AuditLevel {
 };
 
 /// Effective audit level: the SetTapeAuditLevel() override if set,
-/// otherwise CAME_TAPE_AUDIT parsed once on first query.
+/// otherwise RuntimeConfig::tape_audit (CAME_TAPE_AUDIT).
 AuditLevel TapeAuditLevel();
 
 /// Overrides the environment (tests, embedders). Pass-through of the

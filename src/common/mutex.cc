@@ -13,6 +13,8 @@
 #endif
 #endif
 
+#include "common/runtime_config.h"
+
 namespace came {
 namespace {
 
@@ -139,8 +141,7 @@ void OnReleased(const void* m) {
 bool DeadlockCheckEnabled() {
   int mode = g_deadlock_mode.load(std::memory_order_relaxed);
   if (mode < 0) {
-    const char* env = std::getenv("CAME_DEADLOCK_CHECK");
-    mode = (env != nullptr && env[0] == '1' && env[1] == '\0') ? 1 : 0;
+    mode = GetRuntimeConfig().deadlock_check ? 1 : 0;
     g_deadlock_mode.store(mode, std::memory_order_relaxed);
   }
   return mode != 0;

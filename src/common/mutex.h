@@ -15,7 +15,7 @@ namespace came {
 ///  1. Clang Thread Safety Analysis: fields declared CAME_GUARDED_BY(mu_)
 ///     and methods declared CAME_REQUIRES(mu_) are checked at compile time
 ///     under -Wthread-safety (CMake -DCAME_THREAD_SAFETY=ON).
-///  2. A debug lock-order validator (CAME_DEADLOCK_CHECK=1, or
+///  2. A debug lock-order validator (CAME_DEADLOCK_CHECK=on, or
 ///     SetDeadlockCheckEnabled): every acquisition records "held -> taken"
 ///     edges in a process-wide order graph; acquiring A while holding B
 ///     after some thread ever acquired B while holding A aborts with both
@@ -77,9 +77,9 @@ class CondVar {
   std::condition_variable cv_;
 };
 
-/// Runtime toggle for the lock-order validator. Default comes from the
-/// CAME_DEADLOCK_CHECK environment variable (unset/0 = off), resolved on
-/// first use; tests flip it explicitly so death tests work regardless of
+/// Runtime toggle for the lock-order validator. Default comes from
+/// RuntimeConfig::deadlock_check (CAME_DEADLOCK_CHECK=on|off, default off),
+/// resolved on first use; tests flip it explicitly so death tests work regardless of
 /// what the parent process already resolved.
 void SetDeadlockCheckEnabled(bool enabled);
 bool DeadlockCheckEnabled();

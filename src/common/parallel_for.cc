@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 #include <vector>
 
-#include "common/flags.h"
-#include "common/logging.h"
 #include "common/mutex.h"
+#include "common/runtime_config.h"
 #include "common/thread_annotations.h"
 
 namespace came {
@@ -22,15 +20,8 @@ namespace {
 thread_local bool tls_in_parallel_region = false;
 
 int ResolveDefaultThreads() {
-  const char* env = std::getenv("CAME_NUM_THREADS");
-  if (env != nullptr && *env != '\0') {
-    const Result<int64_t> v = flags::ParseInt(env);
-    if (v.ok() && v.value() >= 1) {
-      return static_cast<int>(std::min<int64_t>(v.value(), 256));
-    }
-    CAME_LOG(Warning) << "ignoring invalid CAME_NUM_THREADS=\"" << env
-                      << "\"; using hardware_concurrency";
-  }
+  const int configured = GetRuntimeConfig().num_threads;
+  if (configured > 0) return configured;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

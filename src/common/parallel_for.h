@@ -7,7 +7,7 @@
 namespace came {
 
 /// Worker-pool size used by ParallelFor. Resolved lazily on first use from
-/// the CAME_NUM_THREADS environment variable; unset, empty or invalid
+/// RuntimeConfig::num_threads (CAME_NUM_THREADS); unset, empty or invalid
 /// values fall back to std::thread::hardware_concurrency(). Always >= 1.
 int NumThreads();
 

@@ -1,9 +1,5 @@
 #include "infer/score_dtype.h"
 
-#include <cstdlib>
-
-#include "common/logging.h"
-
 namespace came::infer {
 
 std::string ScoreDtypeName(ScoreDtype dtype) {
@@ -16,26 +12,6 @@ std::string ScoreDtypeName(ScoreDtype dtype) {
       return "bf16";
   }
   return "unknown";
-}
-
-Result<ScoreDtype> ParseScoreDtype(const std::string& name) {
-  if (name == "fp32") return ScoreDtype::kFp32;
-  if (name == "int8") return ScoreDtype::kInt8;
-  if (name == "bf16") return ScoreDtype::kBf16;
-  return Status::InvalidArgument("unknown score dtype \"" + name +
-                                 "\" (want fp32|int8|bf16)");
-}
-
-ScoreDtype ScoreDtypeFromEnv() {
-  const char* env = std::getenv("CAME_SCORE_DTYPE");
-  if (env == nullptr || *env == '\0') return ScoreDtype::kFp32;
-  Result<ScoreDtype> parsed = ParseScoreDtype(env);
-  if (!parsed.ok()) {
-    CAME_LOG(Warning) << "ignoring invalid CAME_SCORE_DTYPE=\"" << env
-                      << "\" (want fp32|int8|bf16); serving fp32";
-    return ScoreDtype::kFp32;
-  }
-  return parsed.value();
 }
 
 }  // namespace came::infer

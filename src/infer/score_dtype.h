@@ -3,8 +3,6 @@
 
 #include <string>
 
-#include "common/status.h"
-
 namespace came::infer {
 
 /// Storage precision of the candidate-entity matrix the serving layer
@@ -21,15 +19,6 @@ enum class ScoreDtype { kFp32, kInt8, kBf16 };
 
 /// "fp32" | "int8" | "bf16".
 std::string ScoreDtypeName(ScoreDtype dtype);
-
-/// Inverse of ScoreDtypeName; InvalidArgument on anything else.
-Result<ScoreDtype> ParseScoreDtype(const std::string& name);
-
-/// Resolves CAME_SCORE_DTYPE ("fp32" | "int8" | "bf16"); unset or empty
-/// means kFp32, an invalid value warns and falls back to kFp32. This is
-/// the default for ScoreServerConfig::dtype, so exporting the variable
-/// switches every fused-table server in the process.
-ScoreDtype ScoreDtypeFromEnv();
 
 }  // namespace came::infer
 

@@ -1,7 +1,6 @@
 #include "infer/score_server.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -361,18 +360,6 @@ int64_t ClampPanelWidth(int64_t width) {
 }
 
 }  // namespace
-
-bool ScorePruneFromEnv() {
-  const char* v = std::getenv("CAME_SCORE_PRUNE");
-  if (v == nullptr || *v == '\0') return true;
-  std::string s(v);
-  for (char& c : s) c = static_cast<char>(std::tolower(c));
-  if (s == "on" || s == "1" || s == "true") return true;
-  if (s == "off" || s == "0" || s == "false") return false;
-  CAME_LOG(Warning) << "CAME_SCORE_PRUNE=" << v
-                    << " is not on/off; defaulting to on";
-  return true;
-}
 
 ScoreServer::ScoreServer(baselines::InnerProductKgcModel* model,
                          const FusedEmbeddingTable* table,

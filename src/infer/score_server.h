@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/runtime_config.h"
 #include "common/status.h"
 #include "infer/candidate_panels.h"
 #include "infer/fused_embedding_table.h"
@@ -31,9 +32,9 @@ namespace came::infer {
 using QueryEncoder = std::function<tensor::Tensor(
     const std::vector<int64_t>& heads, const std::vector<int64_t>& rels)>;
 
-/// Default for ScoreServerConfig::prune, from CAME_SCORE_PRUNE
-/// ("on"/"1"/"true" or "off"/"0"/"false"; unset or invalid means on).
-bool ScorePruneFromEnv();
+/// Default for ScoreServerConfig::prune: RuntimeConfig::score_prune
+/// (CAME_SCORE_PRUNE=on|off, default on).
+inline bool ScorePruneFromEnv() { return GetRuntimeConfig().score_prune; }
 
 struct ScoreServerConfig {
   /// Entity-panel width for the blocked score sweep. Scratch memory per
@@ -50,7 +51,7 @@ struct ScoreServerConfig {
   /// (ShardStore::Quantize into RAM) and score through the matching qgemm
   /// path. Ignored by the ShardStorePanelSource constructor, where the
   /// store's own dtype governs (e.g. a quantized ShardStore).
-  ScoreDtype dtype = ScoreDtypeFromEnv();
+  ScoreDtype dtype = GetRuntimeConfig().score_dtype;
   /// Exact panel-skip pruning: panels whose cached score upper bound
   /// (Cauchy–Schwarz: ||q|| * max_row_norm + max_bias) provably cannot
   /// beat a query's current K-th best are skipped, and panels are visited

@@ -1,10 +1,7 @@
 #include "nn/module.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <fstream>
 
-#include "common/io.h"
 #include "common/logging.h"
 
 namespace came::nn {
@@ -109,78 +106,6 @@ Status Module::LoadParameterValues(
   }
   OnParametersRestored();
   return Status::OK();
-}
-
-namespace {
-constexpr uint32_t kMagic = 0x43414d45;  // "CAME"
-}  // namespace
-
-Status Module::SaveParameters(const std::string& path) const {
-  // Serialise into memory, then publish with a single atomic replacement:
-  // a torn save (crash, ENOSPC) leaves any previous file intact.
-  std::string buf;
-  auto append = [&buf](const void* p, size_t n) {
-    buf.append(static_cast<const char*>(p), n);
-  };
-  const auto named = NamedParameters();
-  const uint32_t magic = kMagic;
-  const uint64_t count = named.size();
-  append(&magic, sizeof(magic));
-  append(&count, sizeof(count));
-  for (const auto& [name, p] : named) {
-    const uint64_t name_len = name.size();
-    append(&name_len, sizeof(name_len));
-    append(name.data(), name_len);
-    const uint64_t ndim = p.shape().size();
-    append(&ndim, sizeof(ndim));
-    for (int64_t d : p.shape()) append(&d, sizeof(d));
-    append(p.value().data(), static_cast<size_t>(p.numel()) * sizeof(float));
-  }
-  return io::WriteFileAtomic(path, buf.data(), buf.size());
-}
-
-Status Module::LoadParameters(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  uint32_t magic = 0;
-  uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || magic != kMagic) {
-    return Status::Corruption(path + ": not a CamE parameter file");
-  }
-  if (count > (1u << 20)) return Status::Corruption("bad parameter count");
-  // Decode the whole file into memory first; the module is only touched by
-  // the final LoadParameterValues, so a truncated or mismatched file
-  // cannot leave it half-loaded.
-  std::vector<std::pair<std::string, tensor::Tensor>> decoded;
-  decoded.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t name_len = 0;
-    in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
-    if (!in || name_len > 4096) return Status::Corruption("bad name length");
-    std::string name(name_len, 0);
-    in.read(name.data(), static_cast<std::streamsize>(name_len));
-    uint64_t ndim = 0;
-    in.read(reinterpret_cast<char*>(&ndim), sizeof(ndim));
-    if (!in || ndim > 8) return Status::Corruption("bad ndim");
-    tensor::Shape shape(ndim);
-    for (auto& d : shape) in.read(reinterpret_cast<char*>(&d), sizeof(d));
-    if (!in) return Status::Corruption("truncated shape for " + name);
-    int64_t numel = 1;
-    for (int64_t d : shape) {
-      if (d < 0 || (d > 0 && numel > (int64_t{1} << 40) / d)) {
-        return Status::Corruption("bad dimension for " + name);
-      }
-      numel *= d;
-    }
-    tensor::Tensor t(shape);
-    in.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(t.numel() * sizeof(float)));
-    if (!in) return Status::Corruption("truncated data for " + name);
-    decoded.emplace_back(std::move(name), std::move(t));
-  }
-  return LoadParameterValues(decoded);
 }
 
 }  // namespace came::nn

@@ -48,14 +48,6 @@ class Module {
   Status LoadParameterValues(
       const std::vector<std::pair<std::string, tensor::Tensor>>& named_values);
 
-  /// Binary serialisation of named parameters (name, shape, float data).
-  /// The file is written atomically (temp + fsync + rename), so a crash
-  /// mid-save can never corrupt a previous save under the same path.
-  Status SaveParameters(const std::string& path) const;
-  /// Loads parameters saved by SaveParameters; names and shapes must
-  /// match this module exactly.
-  Status LoadParameters(const std::string& path);
-
  protected:
   Module() = default;
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -15,6 +14,7 @@
 
 #include "common/logging.h"
 #include "common/parallel_for.h"
+#include "common/runtime_config.h"
 #include "tensor/storage_pool.h"
 
 namespace came::tensor::gemm {
@@ -686,19 +686,6 @@ Kernel ResolveRequested(Kernel requested) {
   return fallback;
 }
 
-Kernel ResolveFromEnv() {
-  const char* env = std::getenv("CAME_GEMM_KERNEL");
-  if (env == nullptr || *env == '\0') return BestAvailableKernel();
-  const std::string v(env);
-  if (v == "auto") return BestAvailableKernel();
-  if (v == "scalar") return ResolveRequested(Kernel::kScalar);
-  if (v == "avx2") return ResolveRequested(Kernel::kAvx2);
-  if (v == "avx512") return ResolveRequested(Kernel::kAvx512);
-  CAME_LOG(Warning) << "ignoring invalid CAME_GEMM_KERNEL=\"" << v
-                    << "\" (want auto|scalar|avx2|avx512)";
-  return BestAvailableKernel();
-}
-
 std::atomic<Kernel> g_kernel{Kernel::kAuto};
 
 }  // namespace
@@ -706,14 +693,16 @@ std::atomic<Kernel> g_kernel{Kernel::kAuto};
 Kernel ActiveKernel() {
   Kernel k = g_kernel.load(std::memory_order_relaxed);
   if (k == Kernel::kAuto) {
-    k = ResolveFromEnv();
+    k = ResolveRequested(GetRuntimeConfig().gemm_kernel);
     g_kernel.store(k, std::memory_order_relaxed);
   }
   return k;
 }
 
 void SetKernel(Kernel k) {
-  g_kernel.store(k == Kernel::kAuto ? ResolveFromEnv() : ResolveRequested(k),
+  g_kernel.store(ResolveRequested(k == Kernel::kAuto
+                                      ? GetRuntimeConfig().gemm_kernel
+                                      : k),
                  std::memory_order_relaxed);
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -14,6 +13,7 @@
 
 #include "common/logging.h"
 #include "common/parallel_for.h"
+#include "common/runtime_config.h"
 
 namespace came::tensor::qgemm {
 
@@ -118,19 +118,6 @@ Kernel ResolveRequested(Kernel requested) {
                     << "\" not available on this CPU/binary; using \""
                     << KernelName(fallback) << "\"";
   return fallback;
-}
-
-Kernel ResolveFromEnv() {
-  const char* env = std::getenv("CAME_QGEMM_KERNEL");
-  if (env == nullptr || *env == '\0') return BestAvailableKernel();
-  const std::string v(env);
-  if (v == "auto") return BestAvailableKernel();
-  if (v == "scalar") return ResolveRequested(Kernel::kScalar);
-  if (v == "avx2") return ResolveRequested(Kernel::kAvx2);
-  if (v == "vnni") return ResolveRequested(Kernel::kVnni);
-  CAME_LOG(Warning) << "ignoring invalid CAME_QGEMM_KERNEL=\"" << v
-                    << "\" (want auto|scalar|avx2|vnni)";
-  return BestAvailableKernel();
 }
 
 std::atomic<Kernel> g_kernel{Kernel::kAuto};
@@ -368,14 +355,16 @@ float RowNormUpperBoundBf16(const uint16_t* row, int64_t dim) {
 Kernel ActiveKernel() {
   Kernel k = g_kernel.load(std::memory_order_relaxed);
   if (k == Kernel::kAuto) {
-    k = ResolveFromEnv();
+    k = ResolveRequested(GetRuntimeConfig().qgemm_kernel);
     g_kernel.store(k, std::memory_order_relaxed);
   }
   return k;
 }
 
 void SetKernel(Kernel k) {
-  g_kernel.store(k == Kernel::kAuto ? ResolveFromEnv() : ResolveRequested(k),
+  g_kernel.store(ResolveRequested(k == Kernel::kAuto
+                                      ? GetRuntimeConfig().qgemm_kernel
+                                      : k),
                  std::memory_order_relaxed);
 }
 

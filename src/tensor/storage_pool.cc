@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/mutex.h"
+#include "common/runtime_config.h"
 #include "common/thread_annotations.h"
 
 namespace came::tensor::pool {
@@ -61,18 +61,6 @@ std::atomic<int64_t> g_heap_allocs{0};
 
 constexpr int kModeUnresolved = -1;
 std::atomic<int> g_mode{kModeUnresolved};
-
-Mode ResolveFromEnv() {
-  const char* env = std::getenv("CAME_TENSOR_POOL");
-  if (env == nullptr || *env == '\0') return Mode::kOn;
-  const std::string v(env);
-  if (v == "on") return Mode::kOn;
-  if (v == "off") return Mode::kOff;
-  if (v == "scrub") return Mode::kScrub;
-  CAME_LOG(Warning) << "ignoring invalid CAME_TENSOR_POOL=\"" << v
-                    << "\" (want on|off|scrub)";
-  return Mode::kOn;
-}
 
 // --- raw buffers --------------------------------------------------------
 
@@ -201,7 +189,7 @@ struct Deleter {
 Mode ActiveMode() {
   int m = g_mode.load(std::memory_order_relaxed);
   if (m == kModeUnresolved) {
-    m = static_cast<int>(ResolveFromEnv());
+    m = static_cast<int>(GetRuntimeConfig().tensor_pool);
     g_mode.store(m, std::memory_order_relaxed);
   }
   return static_cast<Mode>(m);

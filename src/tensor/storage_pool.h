@@ -38,7 +38,7 @@ enum class Mode {
   kScrub,
 };
 
-/// Active mode; resolved from CAME_TENSOR_POOL on first use.
+/// Active mode; resolved from RuntimeConfig::tensor_pool on first use.
 Mode ActiveMode();
 /// Overrides the mode at runtime (benchmarks/tests). Buffers remember how
 /// they were allocated, so switching modes while tensors are live is safe.

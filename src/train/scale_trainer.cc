@@ -18,8 +18,6 @@ namespace came::train {
 
 namespace {
 
-constexpr char kParamsMagic[8] = {'C', 'A', 'M', 'E', 'S', 'C', 'L', '1'};
-
 /// Numerically stable logistic loss: -log sigmoid(s) for label 1,
 /// -log(1 - sigmoid(s)) for label 0.
 double LogisticLoss(double s, double label) {
@@ -398,42 +396,6 @@ Result<eval::Metrics> ScaleTrainer::EvaluateFiltered(
     for (const double rank : ranks.value()) metrics.AddRank(rank);
   }
   return metrics;
-}
-
-Status ScaleTrainer::SaveParams(const std::string& path) {
-  io::AtomicFileWriter writer(path);
-  CAME_RETURN_IF_ERROR(writer.Open());
-  uint32_t crc = 0;
-  const auto append = [&](const void* data, size_t bytes) -> Status {
-    crc = io::Crc32(data, bytes, crc);
-    return writer.Append(data, bytes);
-  };
-  const auto stream_store = [&](tensor::ShardStore& store) -> Status {
-    int64_t row0 = 0;
-    while (row0 < store.rows()) {
-      const int64_t pend = store.ShardEnd(row0);
-      const float* panel = store.PanelRows(row0, pend);
-      CAME_RETURN_IF_ERROR(
-          append(panel, sizeof(float) * static_cast<size_t>(pend - row0) *
-                            static_cast<size_t>(store.dim())));
-      row0 = pend;
-    }
-    return Status::OK();
-  };
-
-  Status st = writer.Append(kParamsMagic, sizeof(kParamsMagic));
-  const uint64_t header[3] = {static_cast<uint64_t>(num_entities_),
-                              static_cast<uint64_t>(num_relations_),
-                              static_cast<uint64_t>(config_.dim)};
-  if (st.ok()) st = append(header, sizeof(header));
-  if (st.ok()) st = stream_store(entities_);
-  if (st.ok()) st = stream_store(relations_);
-  if (st.ok()) st = writer.Append(&crc, sizeof(crc));
-  if (!st.ok()) {
-    writer.Abort();
-    return st;
-  }
-  return writer.Commit();
 }
 
 uint32_t ScaleTrainer::ParamsCrc() {

@@ -124,10 +124,6 @@ class ScaleTrainer {
   Result<eval::Metrics> EvaluateFiltered(TripleSource* queries,
                                          const kg::FilterIndex& filter);
 
-  /// Streams all parameters into a CRC-framed "CAMESCL1" file via the
-  /// atomic-replace path. Byte-identical across storage layouts.
-  Status SaveParams(const std::string& path);
-
   /// CRC32 over entity then relation parameter bytes (parity checks).
   uint32_t ParamsCrc();
 

@@ -237,18 +237,10 @@ class QuantScoreServerTest : public ::testing::Test {
   std::unique_ptr<ScoreServer> bf16_server_;
 };
 
-TEST(ScoreDtypeTest, ParseAndName) {
+TEST(ScoreDtypeTest, Name) {
   EXPECT_EQ(ScoreDtypeName(ScoreDtype::kFp32), "fp32");
   EXPECT_EQ(ScoreDtypeName(ScoreDtype::kInt8), "int8");
   EXPECT_EQ(ScoreDtypeName(ScoreDtype::kBf16), "bf16");
-  for (const ScoreDtype d :
-       {ScoreDtype::kFp32, ScoreDtype::kInt8, ScoreDtype::kBf16}) {
-    const Result<ScoreDtype> parsed = ParseScoreDtype(ScoreDtypeName(d));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value(), d);
-  }
-  EXPECT_FALSE(ParseScoreDtype("fp16").ok());
-  EXPECT_FALSE(ParseScoreDtype("").ok());
 }
 
 TEST_F(QuantScoreServerTest, DtypePlumbing) {

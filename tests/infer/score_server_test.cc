@@ -660,24 +660,6 @@ TEST_F(ScoreServerTest, NonPositivePanelWidthClampsInsteadOfCrashing) {
   }
 }
 
-TEST(ScorePruneEnvTest, ParsesOnOffAndDefaultsToOn) {
-  const char* saved = std::getenv("CAME_SCORE_PRUNE");
-  const std::string saved_copy = saved != nullptr ? saved : "";
-  for (const char* on : {"on", "1", "true", "ON", "True"}) {
-    ::setenv("CAME_SCORE_PRUNE", on, 1);
-    EXPECT_TRUE(ScorePruneFromEnv()) << on;
-  }
-  for (const char* off : {"off", "0", "false", "OFF", "False"}) {
-    ::setenv("CAME_SCORE_PRUNE", off, 1);
-    EXPECT_FALSE(ScorePruneFromEnv()) << off;
-  }
-  ::setenv("CAME_SCORE_PRUNE", "bogus", 1);
-  EXPECT_TRUE(ScorePruneFromEnv());  // warn + default on
-  ::unsetenv("CAME_SCORE_PRUNE");
-  EXPECT_TRUE(ScorePruneFromEnv());
-  if (saved != nullptr) ::setenv("CAME_SCORE_PRUNE", saved_copy.c_str(), 1);
-}
-
 TEST_F(ScoreServerTest, BatchingFrontEndMatchesDirectCalls) {
   constexpr int kClients = 4;
   constexpr int kPerClient = 50;

@@ -10,6 +10,7 @@
 #include "datagen/bkg_generator.h"
 #include "encoders/feature_bank.h"
 #include "eval/evaluator.h"
+#include "train/checkpoint.h"
 #include "train/convergence.h"
 #include "train/trainer.h"
 
@@ -103,10 +104,13 @@ TEST(PipelineTest, CheckpointRoundTripPreservesScores) {
   trainer.Train();
 
   const std::string path = "/tmp/came_pipeline_ckpt.bin";
-  ASSERT_TRUE(model->SaveParameters(path).ok());
+  ASSERT_TRUE(trainer.SaveCheckpoint(path).ok());
 
+  // What `came_cli eval` does: read the checkpoint, load its parameters.
   auto fresh = baselines::CreateModel("CamE", p.Context(), SmallZoo());
-  ASSERT_TRUE(fresh->LoadParameters(path).ok());
+  train::CheckpointState state;
+  ASSERT_TRUE(train::ReadCheckpoint(path, &state).ok());
+  ASSERT_TRUE(fresh->LoadParameterValues(state.params).ok());
   std::remove(path.c_str());
 
   model->SetTraining(false);

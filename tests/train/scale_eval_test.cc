@@ -4,6 +4,7 @@
 // process-fatal CHECK.
 
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -75,9 +76,11 @@ TEST(ScaleEvalTest, OutOfRangeIdsAreInvalidArgumentNamingTheTriple) {
   const std::vector<kg::Triple> bad = {
       {-1, 0, 0}, {kEntities, 0, 0}, {0, kRelations, 0}};
   for (const kg::Triple& t : bad) {
-    const std::string name = "(" + std::to_string(t.head) + ", " +
-                             std::to_string(t.rel) + ", " +
-                             std::to_string(t.tail) + ")";
+    // A stream, not a std::string operator+ chain: GCC 12 reports a false
+    // -Wrestrict overlap in the inlined concatenation.
+    std::ostringstream triple;
+    triple << "(" << t.head << ", " << t.rel << ", " << t.tail << ")";
+    const std::string name = triple.str();
     // The bad triple rides behind a good one in the same batch.
     VectorTripleSource train({{1, 0, 2}, t});
     const Result<double> loss = trainer.TrainEpoch(&train);

@@ -31,6 +31,13 @@ so "the pattern appears anywhere else" is always a defect:
       valve is Status::LogIfError("context"), which keeps the decision to
       survive an error explicit and greppable.
 
+  E1  raw-getenv        — getenv / std::getenv / secure_getenv in src/,
+      examples/ or bench/ outside src/common/runtime_config.cc. Every
+      CAME_* knob is a row of that file's table, parsed once into
+      came::RuntimeConfig with one grammar and one warning format; a
+      second reader would bring back a second grammar. Read the field
+      from came::GetRuntimeConfig() instead.
+
 There are no inline suppressions: the allowlists above are the complete
 set, so a new violation can only be fixed, not waved through.
 
@@ -50,6 +57,7 @@ SRC_EXTS = {".h", ".cc", ".cpp"}
 
 MUTEX_ALLOWED = {"src/common/mutex.h", "src/common/mutex.cc"}
 RAW_PARSE_ALLOWED = {"src/common/flags.cc"}
+GETENV_ALLOWED = {"src/common/runtime_config.cc"}
 
 MUTEX_RE = re.compile(
     r"\bstd::(?:mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|"
@@ -58,6 +66,7 @@ MUTEX_RE = re.compile(
 RAW_PARSE_RE = re.compile(
     r"\b(?:std::)?(?:atoi|atof|atol|atoll|strtol|strtoll|strtoul|strtoull|"
     r"strtof|strtod|strtold)\s*\(")
+GETENV_RE = re.compile(r"\b(?:std::)?(?:secure_)?getenv\s*\(")
 UNINIT_CALL_RE = re.compile(r"\bUninitialized\s*\(")
 UNINIT_NON_CALL_RE = re.compile(
     r"^\s*(?:static\s+Tensor\s+Uninitialized\s*\(|"  # declaration
@@ -114,6 +123,18 @@ def check_raw_parse(relpath, lines):
             problems.append((relpath, i, "P1 raw-parse",
                              "use came::flags::ParseInt/ParseDouble or the "
                              "*Flag wrappers, not atoi/strtol-family"))
+    return problems
+
+
+def check_raw_getenv(relpath, lines):
+    if relpath in GETENV_ALLOWED:
+        return []
+    problems = []
+    for i, line in enumerate(lines, 1):
+        if GETENV_RE.search(strip_comment(line)):
+            problems.append((relpath, i, "E1 raw-getenv",
+                             "add a row to src/common/runtime_config.cc and "
+                             "read came::GetRuntimeConfig(), not getenv"))
     return problems
 
 
@@ -176,6 +197,7 @@ def lint_repo(repo):
         relpath = rel(repo, path)
         lines = path.read_text().splitlines()
         problems += check_raw_parse(relpath, lines)
+        problems += check_raw_getenv(relpath, lines)
     for path in iter_source_files(repo, ["src", "examples", "bench",
                                          "tests"]):
         relpath = rel(repo, path)
@@ -215,6 +237,15 @@ FIXTURES = [
      "long long v = strtoll(s, &end, 10);\n"),
     ("checked parser is fine", None, "src/foo/parse.cc",
      "auto v = flags::ParseInt(s);\n"),
+    ("raw std::getenv", "E1", "src/foo/knob.cc",
+     "const char* v = std::getenv(\"CAME_FOO\");\n"),
+    ("raw getenv in a bench", "E1", "bench/bench_foo.cc",
+     "if (const char* v = getenv(\"CAME_BENCH_SCALE\")) {}\n"),
+    ("runtime_config.cc may call getenv", None,
+     "src/common/runtime_config.cc",
+     "return std::getenv(name);\n"),
+    ("commented-out getenv does not fire", None, "src/foo/knob.cc",
+     "// std::getenv(\"CAME_FOO\") used to live here\n"),
     ("unjustified Uninitialized", "U1", "src/foo/kernel.cc",
      "Tensor out = Tensor::Uninitialized(x.shape());\n"),
     ("justified same line", None, "src/foo/kernel.cc",
@@ -249,6 +280,7 @@ def self_test():
         lines = source.splitlines()
         problems = (check_naked_mutex(relpath, lines) +
                     check_raw_parse(relpath, lines) +
+                    check_raw_getenv(relpath, lines) +
                     check_uninit_justified(relpath, lines) +
                     check_status_swallow(relpath, lines,
                                          SELF_TEST_STATUS_FNS))
