@@ -762,6 +762,8 @@ Var Dropout(const Var& v, float p, Rng* rng, bool training) {
   static const int kOp = RegisterOp("Dropout");
   if (!training || p <= 0.0f) return v;  // identity: no node recorded
   CAME_CHECK_LT(p, 1.0f);
+  // A micro-batch tape draws from its own stream (see MicroBatchScope).
+  if (Rng* scoped = internal::ScopedDropoutRng()) rng = scoped;
   CAME_CHECK(rng != nullptr);
   const float scale = 1.0f / (1.0f - p);
   // fully-written: the Bernoulli loop stores every mask element

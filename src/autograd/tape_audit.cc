@@ -166,10 +166,11 @@ std::string Fmt(float v) {
 /// catches, since AccumulateGrad itself CHECKs the accumulate path.
 void CheckGradShapes(const TapeView& view, const char* when) {
   for (const VarState* s : view.states) {
-    if (!s->has_grad) continue;
-    CAME_CHECK(tensor::SameShape(s->grad.shape(), s->value.shape()))
+    const Tensor* grad = ag::internal::GradOf(s);
+    if (grad == nullptr) continue;
+    CAME_CHECK(tensor::SameShape(grad->shape(), s->value.shape()))
         << "TapeAudit[" << when << "]: gradient shape "
-        << tensor::ShapeToString(s->grad.shape()) << " does not match value "
+        << tensor::ShapeToString(grad->shape()) << " does not match value "
         << tensor::ShapeToString(s->value.shape()) << " on the "
         << StateLabel(s) << " output of " << ProducerName(s)
         << (s->producer
@@ -209,8 +210,9 @@ void CheckBroadcastShapes(const TapeView& view, const char* when) {
 void CheckGradAliasing(const TapeView& view, const char* when) {
   std::unordered_map<const float*, const VarState*> grad_owner;
   for (const VarState* s : view.states) {
-    if (!s->has_grad || s->grad.numel() == 0) continue;
-    auto [it, inserted] = grad_owner.emplace(s->grad.data(), s);
+    const Tensor* grad = ag::internal::GradOf(s);
+    if (grad == nullptr || grad->numel() == 0) continue;
+    auto [it, inserted] = grad_owner.emplace(grad->data(), s);
     CAME_CHECK(inserted)
         << "TapeAudit[" << when << "]: the gradient buffers of "
         << ProducerName(it->second) << " and " << ProducerName(s)
@@ -263,11 +265,12 @@ void CheckValuesFinite(const TapeView& view, const char* when) {
 /// this whole-tape variant is the backstop for standalone AuditTape calls.
 void CheckGradsFinite(const TapeView& view, const char* when) {
   for (const VarState* s : view.states) {
-    if (!s->has_grad) continue;
-    const int64_t bad = FirstNonFinite(s->grad);
+    const Tensor* grad = ag::internal::GradOf(s);
+    if (grad == nullptr) continue;
+    const int64_t bad = FirstNonFinite(*grad);
     CAME_CHECK(bad < 0)
         << "TapeAudit[" << when << "]: non-finite gradient ("
-        << Fmt(s->grad.data()[bad]) << " at flat index " << bad
+        << Fmt(grad->data()[bad]) << " at flat index " << bad
         << ") accumulated on the output of " << ProducerName(s)
         << (s->producer
                 ? " (tape: " +
@@ -352,16 +355,17 @@ void BackwardAuditor::EndNode(const ag::internal::Node* node) {
           ? out->grad.data()
           : nullptr;
   for (const auto& in : node->inputs) {
-    if (!in->has_grad) continue;
-    CAME_CHECK(tensor::SameShape(in->grad.shape(), in->value.shape()))
+    const Tensor* grad = ag::internal::GradOf(in.get());
+    if (grad == nullptr) continue;
+    CAME_CHECK(tensor::SameShape(grad->shape(), in->value.shape()))
         << "TapeAudit[backward]: op '" << OpName(node->op_id)
         << "' produced a gradient of shape "
-        << tensor::ShapeToString(in->grad.shape())
+        << tensor::ShapeToString(grad->shape())
         << " for an input of shape "
         << tensor::ShapeToString(in->value.shape()) << " (tape: "
         << PathToNode(root_->producer.get(), node) << ")";
-    if (in->grad.numel() > 0) {
-      const float* buf = in->grad.data();
+    if (grad->numel() > 0) {
+      const float* buf = grad->data();
       CAME_CHECK(buf != out_grad_buf)
           << "TapeAudit[backward]: op '" << OpName(node->op_id)
           << "' made an input gradient alias its output gradient buffer";
@@ -371,12 +375,12 @@ void BackwardAuditor::EndNode(const ag::internal::Node* node) {
           << "' made an input gradient alias a forward value buffer";
     }
     if (level_ == AuditLevel::kFull) {
-      const int64_t bad = FirstNonFinite(in->grad);
+      const int64_t bad = FirstNonFinite(*grad);
       CAME_CHECK(bad < 0)
           << "TapeAudit[backward]: op '" << OpName(node->op_id)
           << "' is the first tape node whose backward left a non-finite "
-          << "gradient (" << Fmt(in->grad.data()[bad]) << " at flat index "
-          << bad << " of " << tensor::ShapeToString(in->grad.shape())
+          << "gradient (" << Fmt(grad->data()[bad]) << " at flat index "
+          << bad << " of " << tensor::ShapeToString(grad->shape())
           << ") on the output of " << ProducerName(in.get()) << " (tape: "
           << PathToNode(root_->producer.get(), node) << ")";
     }

@@ -1,5 +1,6 @@
 #include "autograd/variable.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "autograd/tape_audit.h"
@@ -12,6 +13,9 @@ namespace {
 thread_local bool g_grad_mode = true;
 thread_local int64_t g_tape_nodes_recorded = 0;
 thread_local int64_t g_no_tape_dispatches = 0;
+// The active MicroBatchScope's state on this thread (null outside one).
+thread_local GradSlots* g_scope_slots = nullptr;
+thread_local Rng* g_scope_dropout_rng = nullptr;
 }  // namespace
 
 bool GradModeEnabled() { return g_grad_mode; }
@@ -35,6 +39,10 @@ void VarState::AccumulateGrad(const Tensor& g) {
       << "grad shape " << tensor::ShapeToString(g.shape()) << " vs value "
       << tensor::ShapeToString(value.shape())
       << audit::detail::CurrentBackwardContext();
+  if (producer == nullptr && g_scope_slots != nullptr &&
+      g_scope_slots->Accumulate(this, g)) {
+    return;
+  }
   if (!has_grad) {
     grad = g.Clone();
     has_grad = true;
@@ -43,7 +51,81 @@ void VarState::AccumulateGrad(const Tensor& g) {
   }
 }
 
+const Tensor* GradOf(const VarState* s) {
+  if (s->producer == nullptr && g_scope_slots != nullptr) {
+    if (const Tensor* slot = g_scope_slots->Find(s)) return slot;
+  }
+  return s->has_grad ? &s->grad : nullptr;
+}
+
+Rng* ScopedDropoutRng() { return g_scope_dropout_rng; }
+
 }  // namespace internal
+
+GradSlots::GradSlots(const std::vector<Var>& leaves)
+    : leaves_(leaves), grads_(leaves.size()), has_(leaves.size(), 0) {
+  index_.reserve(leaves.size());
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    CAME_CHECK(leaves[i].defined());
+    index_.emplace_back(leaves[i].state().get(), i);
+  }
+  std::sort(index_.begin(), index_.end());
+}
+
+void GradSlots::Clear() { std::fill(has_.begin(), has_.end(), 0); }
+
+int64_t GradSlots::SlotOf(const internal::VarState* leaf) const {
+  auto it = std::lower_bound(
+      index_.begin(), index_.end(), leaf,
+      [](const auto& entry, const internal::VarState* key) {
+        return entry.first < key;
+      });
+  if (it == index_.end() || it->first != leaf) return -1;
+  return static_cast<int64_t>(it->second);
+}
+
+bool GradSlots::Accumulate(const internal::VarState* leaf, const Tensor& g) {
+  const int64_t slot = SlotOf(leaf);
+  if (slot < 0) return false;
+  const size_t i = static_cast<size_t>(slot);
+  if (has_[i]) {
+    tensor::Axpy(1.0f, g, &grads_[i]);
+    return true;
+  }
+  if (grads_[i].numel() != g.numel()) {
+    grads_[i] = Tensor::Uninitialized(g.shape());  // fully-written: copy below
+  }
+  std::copy_n(g.data(), g.numel(), grads_[i].data());
+  has_[i] = 1;
+  return true;
+}
+
+const Tensor* GradSlots::Find(const internal::VarState* leaf) const {
+  const int64_t slot = SlotOf(leaf);
+  if (slot < 0 || !has_[static_cast<size_t>(slot)]) return nullptr;
+  return &grads_[static_cast<size_t>(slot)];
+}
+
+void GradSlots::AddToLeaves() const {
+  CAME_CHECK(g_scope_slots == nullptr)
+      << "AddToLeaves inside a MicroBatchScope";
+  for (size_t i = 0; i < leaves_.size(); ++i) {
+    if (has_[i]) leaves_[i].state()->AccumulateGrad(grads_[i]);
+  }
+}
+
+MicroBatchScope::MicroBatchScope(GradSlots* slots, Rng* dropout_rng) {
+  CAME_CHECK(g_scope_slots == nullptr && g_scope_dropout_rng == nullptr)
+      << "MicroBatchScopes do not nest";
+  CAME_CHECK(slots != nullptr);
+  g_scope_slots = slots;
+  g_scope_dropout_rng = dropout_rng;
+}
+
+MicroBatchScope::~MicroBatchScope() {
+  g_scope_slots = nullptr;
+  g_scope_dropout_rng = nullptr;
+}
 
 Var::Var(Tensor value, bool requires_grad)
     : state_(std::make_shared<internal::VarState>()) {

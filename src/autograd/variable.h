@@ -7,6 +7,10 @@
 
 #include "tensor/tensor.h"
 
+namespace came {
+class Rng;
+}  // namespace came
+
 namespace came::ag {
 
 using tensor::Shape;
@@ -91,6 +95,65 @@ class Var {
 
 /// Convenience: constant (non-trainable) leaf.
 Var Const(Tensor value);
+
+namespace internal {
+/// The gradient accumulated on `s` as this thread's tape sees it: its
+/// MicroBatchScope slot for a bound leaf, else `s->grad`; null when none
+/// has been accumulated. Used by the tape auditor.
+const Tensor* GradOf(const VarState* s);
+/// The active MicroBatchScope's dropout stream, or null outside one.
+Rng* ScopedDropoutRng();
+}  // namespace internal
+
+/// Per-tape gradient accumulators for a fixed set of leaves (a model's
+/// parameters). While a MicroBatchScope naming it is active on a thread,
+/// every gradient that thread's Backward accumulates into one of these
+/// leaves lands in its slot instead of the leaf's shared gradient, so
+/// tapes running concurrently on different threads never write the same
+/// buffer. Slot buffers survive Clear(), so a warmed-up step reuses them.
+class GradSlots {
+ public:
+  explicit GradSlots(const std::vector<Var>& leaves);
+
+  /// Marks every slot empty; keeps the buffers.
+  void Clear();
+
+  /// Adds every filled slot into its leaf's own gradient, as
+  /// Backward would have: the first contribution is copied, later ones
+  /// summed in call order. Call outside any MicroBatchScope.
+  void AddToLeaves() const;
+
+ private:
+  friend struct internal::VarState;
+  friend const Tensor* internal::GradOf(const internal::VarState* s);
+
+  /// Accumulates `g` into the slot of `leaf`; false (and no effect) when
+  /// `leaf` is not one of the bound leaves.
+  bool Accumulate(const internal::VarState* leaf, const Tensor& g);
+  /// The slot gradient of `leaf`, or null when it is unbound or empty.
+  const Tensor* Find(const internal::VarState* leaf) const;
+  /// Slot of `leaf`, or -1.
+  int64_t SlotOf(const internal::VarState* leaf) const;
+
+  std::vector<Var> leaves_;
+  /// (leaf state, slot) sorted by state address, for binary search.
+  std::vector<std::pair<const internal::VarState*, size_t>> index_;
+  std::vector<Tensor> grads_;
+  std::vector<char> has_;
+};
+
+/// RAII scope for one micro-batch tape on the calling thread: gradients
+/// of the leaves bound by `slots` accumulate there, and Dropout draws its
+/// masks from `dropout_rng` instead of the Rng its caller passes, so the
+/// masks depend on the micro-batch, not on which thread runs it. Scopes
+/// do not nest.
+class MicroBatchScope {
+ public:
+  MicroBatchScope(GradSlots* slots, Rng* dropout_rng);
+  ~MicroBatchScope();
+  MicroBatchScope(const MicroBatchScope&) = delete;
+  MicroBatchScope& operator=(const MicroBatchScope&) = delete;
+};
 
 /// Whether ops currently record the tape (true by default).
 bool GradModeEnabled();

@@ -28,6 +28,8 @@ class CompGcn : public KgcModel {
 
   std::string Name() const override { return "CompGCN"; }
   TrainingRegime regime() const override { return TrainingRegime::kOneToN; }
+  /// Every score row reads the whole convolved graph.
+  bool score_rows_independent() const override { return false; }
 
   ag::Var ScoreTriples(const std::vector<int64_t>& heads,
                        const std::vector<int64_t>& rels,

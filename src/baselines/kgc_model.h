@@ -45,6 +45,13 @@ class KgcModel : public nn::Module {
   virtual std::string Name() const = 0;
   virtual TrainingRegime regime() const = 0;
 
+  /// True when row i of a training-mode ScoreAllTails depends only on
+  /// (heads[i], rels[i]) and the parameters, so the 1-to-N trainer may
+  /// split a batch into micro-batches on separate tapes. Models whose
+  /// forward mixes rows or propagates over the whole graph return false
+  /// and train each batch as one micro-batch.
+  virtual bool score_rows_independent() const { return true; }
+
   /// Scores of the aligned triples (heads[i], rels[i], tails[i]): [B].
   virtual ag::Var ScoreTriples(const std::vector<int64_t>& heads,
                                const std::vector<int64_t>& rels,

@@ -13,12 +13,38 @@ namespace came::io {
 
 namespace {
 
-// Nibble-driven CRC-32: a 16-entry table is cache-friendly and the
-// checkpoint payloads are small enough that throughput is irrelevant.
-constexpr uint32_t kCrcNibble[16] = {
-    0x00000000, 0x1db71064, 0x3b6e20c8, 0x26d930ac, 0x76dc4190, 0x6b6b51f4,
-    0x4db26158, 0x5005713c, 0xedb88320, 0xf00f9344, 0xd6d6a3e8, 0xcb61b38c,
-    0x9b64c2b0, 0x86d3d2d4, 0xa00ae278, 0xbdbdf21c};
+// Slice-by-8 CRC-32 tables: kCrcTables[0] is the bytewise table of the
+// reflected polynomial; kCrcTables[k][b] advances kCrcTables[0][b] by k
+// more zero bytes, so eight table lookups consume eight input bytes.
+struct CrcTables {
+  uint32_t t[8][256];
+};
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
+  for (uint32_t b = 0; b < 256; ++b) {
+    uint32_t crc = b;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+    tables.t[0][b] = crc;
+  }
+  for (int k = 1; k < 8; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      const uint32_t prev = tables.t[k - 1][b];
+      tables.t[k][b] = (prev >> 8) ^ tables.t[0][prev & 0xff];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+/// Little-endian load of 4 bytes at any alignment (one mov on x86).
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 struct FailpointState {
   Failpoint fp;
@@ -36,12 +62,16 @@ bool FailpointActive() {
 
 uint32_t Crc32(const void* data, size_t n, uint32_t crc) {
   const auto* p = static_cast<const uint8_t*>(data);
+  const auto& t = kCrcTables.t;
   crc = ~crc;
-  for (size_t i = 0; i < n; ++i) {
-    crc ^= p[i];
-    crc = (crc >> 4) ^ kCrcNibble[crc & 0xf];
-    crc = (crc >> 4) ^ kCrcNibble[crc & 0xf];
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = crc ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xff];
   return ~crc;
 }
 

@@ -108,52 +108,83 @@ float Trainer::RunEpoch() {
 }
 
 float Trainer::OneToNEpoch() {
-  const int64_t n_entities = dataset_.num_entities();
-  const float eps = config_.label_smoothing;
-  const float off_value = eps / static_cast<float>(n_entities);
-  const float on_value = 1.0f - eps + off_value;
-
+  const int64_t k = model_->score_rows_independent() ? kMicroBatches : 1;
+  if (micro_batches_.empty()) {
+    const std::vector<ag::Var> params = model_->Parameters();
+    micro_batches_.reserve(static_cast<size_t>(k));
+    for (int64_t m = 0; m < k; ++m) micro_batches_.emplace_back(params);
+  }
   double total = 0.0;
   int64_t batches = 0;
-  // Hoisted out of the batch loop: the vectors keep their capacity and the
-  // label tensor recycles the same pooled buffer every full-sized batch.
-  std::vector<int64_t> heads;
-  std::vector<int64_t> rels;
   for (size_t start = 0; start < train_.size();
        start += static_cast<size_t>(config_.batch_size)) {
     const size_t end =
         std::min(train_.size(), start + static_cast<size_t>(config_.batch_size));
     const int64_t b = static_cast<int64_t>(end - start);
-    heads.clear();
-    rels.clear();
-    tensor::Tensor labels =
-        tensor::Tensor::Full({b, n_entities}, off_value);
-    for (size_t i = start; i < end; ++i) {
-      heads.push_back(EpochTriple(i).head);
-      rels.push_back(EpochTriple(i).rel);
-    }
-    // Rows of the multi-label target are independent slabs; scatter the
-    // known tails across the pool (reads of the filter index are const).
-    ParallelFor(0, b, /*grain=*/16, [&](int64_t lo, int64_t hi) {
-      for (int64_t row = lo; row < hi; ++row) {
-        const kg::Triple& t = EpochTriple(start + static_cast<size_t>(row));
-        for (int64_t tail : train_filter_.Tails(t.head, t.rel)) {
-          labels.data()[row * n_entities + tail] = on_value;
-        }
+    // One model-Rng draw per step seeds every micro-batch's dropout
+    // stream: the masks depend on (step, micro-batch) only, and the
+    // checkpointed model-Rng state still replays the run.
+    const uint64_t dropout_seed = model_->mutable_rng()->NextU64();
+    // The grid depends on b alone: micro-batch m takes b / k rows, plus
+    // one for the first b % k. Each is one chunk, so the pool runs them
+    // concurrently while every op inside one runs inline.
+    ParallelFor(0, k, /*grain=*/1, [&](int64_t lo, int64_t hi) {
+      for (int64_t m = lo; m < hi; ++m) {
+        MicroBatch& mb = micro_batches_[static_cast<size_t>(m)];
+        mb.slots.Clear();
+        mb.loss = 0.0f;
+        const int64_t rows = b / k + (m < b % k ? 1 : 0);
+        if (rows == 0) continue;
+        Rng dropout_rng(dropout_seed + static_cast<uint64_t>(m));
+        RunMicroBatch(start, m * (b / k) + std::min(m, b % k), rows, b,
+                      &dropout_rng, &mb);
       }
     });
-    ag::Var scores = model_->ScoreAllTails(heads, rels);
-    ag::Var loss = ag::BceWithLogitsMean(scores, labels);
+    // Ordered reduction on the calling thread: each parameter's gradient
+    // is the sum of its micro-batch slots in grid order.
     optimizer_->ZeroGrad();
-    loss.Backward();
+    float loss = 0.0f;
+    for (const MicroBatch& mb : micro_batches_) {
+      mb.slots.AddToLeaves();
+      loss += mb.loss;
+    }
     if (config_.grad_clip > 0.0f) {
       optim::ClipGradNorm(model_->Parameters(), config_.grad_clip);
     }
     optimizer_->Step();
-    total += loss.value().data()[0];
+    total += loss;
     ++batches;
   }
   return static_cast<float>(total / std::max<int64_t>(1, batches));
+}
+
+void Trainer::RunMicroBatch(size_t start, int64_t first, int64_t rows,
+                            int64_t batch_rows, Rng* dropout_rng,
+                            MicroBatch* mb) {
+  const int64_t n_entities = dataset_.num_entities();
+  const float eps = config_.label_smoothing;
+  const float off_value = eps / static_cast<float>(n_entities);
+  const float on_value = 1.0f - eps + off_value;
+  mb->heads.clear();
+  mb->rels.clear();
+  tensor::Tensor labels = tensor::Tensor::Full({rows, n_entities}, off_value);
+  for (int64_t row = 0; row < rows; ++row) {
+    const kg::Triple& t = EpochTriple(start + static_cast<size_t>(first + row));
+    mb->heads.push_back(t.head);
+    mb->rels.push_back(t.rel);
+    for (int64_t tail : train_filter_.Tails(t.head, t.rel)) {
+      labels.data()[row * n_entities + tail] = on_value;
+    }
+  }
+  ag::MicroBatchScope scope(&mb->slots, dropout_rng);
+  ag::Var scores = model_->ScoreAllTails(mb->heads, mb->rels);
+  // Weighting each micro-batch mean by its share of the rows makes the
+  // summed loss (and gradient) the mean over the whole batch.
+  ag::Var loss = ag::Scale(ag::BceWithLogitsMean(scores, labels),
+                           static_cast<float>(rows) /
+                               static_cast<float>(batch_rows));
+  loss.Backward();
+  mb->loss = loss.value().data()[0];
 }
 
 Status Trainer::SaveCheckpoint(const std::string& path) const {

@@ -22,6 +22,11 @@ namespace came::train {
 /// other regimes.
 struct TrainConfig {
   int epochs = 20;
+  /// Triples per optimizer step; the epoch's last batch takes the rest.
+  /// The 1-to-N regime splits every batch into a fixed grid of
+  /// Trainer::kMicroBatches near-equal micro-batches (one for models
+  /// whose score rows are not independent) and runs them concurrently on
+  /// the pool; the grid never depends on the thread count.
   int64_t batch_size = 256;
   float lr = 1e-3f;
   float weight_decay = 0.0f;
@@ -57,6 +62,10 @@ struct EpochStats {
 /// filtered negative sampler use an index over the training split only.
 class Trainer {
  public:
+  /// Micro-batches per 1-to-N batch for models whose score rows are
+  /// independent (KgcModel::score_rows_independent).
+  static constexpr int64_t kMicroBatches = 4;
+
   Trainer(baselines::KgcModel* model, const kg::Dataset& dataset,
           const TrainConfig& config);
 
@@ -100,7 +109,24 @@ class Trainer {
   int epochs_run() const { return epochs_run_; }
 
  private:
+  /// One 1-to-N micro-batch's state, reused every step.
+  struct MicroBatch {
+    explicit MicroBatch(const std::vector<ag::Var>& params) : slots(params) {}
+    std::vector<int64_t> heads;
+    std::vector<int64_t> rels;
+    /// This micro-batch's parameter gradients.
+    ag::GradSlots slots;
+    /// Its loss, already weighted by its share of the batch rows.
+    float loss = 0.0f;
+  };
+
   float OneToNEpoch();
+  /// Forward + backward of rows [first, first + rows) of the batch that
+  /// starts at epoch position `start` (`batch_rows` rows in all), on a
+  /// tape of its own: gradients go to mb->slots, dropout draws from
+  /// `dropout_rng`.
+  void RunMicroBatch(size_t start, int64_t first, int64_t rows,
+                     int64_t batch_rows, Rng* dropout_rng, MicroBatch* mb);
   float NegativeSamplingEpoch(bool self_adversarial);
 
   /// Writes the periodic checkpoint configured by
@@ -124,6 +150,8 @@ class Trainer {
   std::vector<size_t> order_;
   kg::FilterIndex train_filter_;
   std::unique_ptr<optim::Adam> optimizer_;
+  /// The 1-to-N micro-batch grid, built on the first 1-to-N epoch.
+  std::vector<MicroBatch> micro_batches_;
   NegativeSampler sampler_;
   Rng rng_;
   Stopwatch stopwatch_;

@@ -386,6 +386,15 @@ TEST_F(CheckpointResumeFixture, ConvEOneToNResumesBitwiseAt1Thread) {
 TEST_F(CheckpointResumeFixture, ConvEOneToNResumesBitwiseAt4Threads) {
   CheckResumeDeterminism("ConvE", 4);
 }
+// CamE trains each 1-to-N batch as four micro-batches on pool threads,
+// each drawing dropout from a stream forked from the model rng at step
+// start; with dropout active, the resumed run must replay those streams.
+TEST_F(CheckpointResumeFixture, CamEOneToNResumesBitwiseAt1Thread) {
+  CheckResumeDeterminism("CamE", 1);
+}
+TEST_F(CheckpointResumeFixture, CamEOneToNResumesBitwiseAt4Threads) {
+  CheckResumeDeterminism("CamE", 4);
+}
 TEST_F(CheckpointResumeFixture, TransENegSamplingResumesBitwiseAt1Thread) {
   CheckResumeDeterminism("TransE", 1);
 }

@@ -298,6 +298,8 @@ class ScriptedEvalModel : public baselines::KgcModel {
   baselines::TrainingRegime regime() const override {
     return baselines::TrainingRegime::kOneToN;
   }
+  // Each training forward counts one epoch, so a batch must stay one call.
+  bool score_rows_independent() const override { return false; }
 
   float marker() const { return marker_.value().data()[0]; }
 
