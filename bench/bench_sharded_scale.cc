@@ -221,6 +221,13 @@ PointResult RunPoint(const Args& args, int64_t entities, int64_t triples,
   point.train_seconds = train_watch.ElapsedSeconds();
   point.triples_per_sec =
       static_cast<double>(summary.train_triples) / point.train_seconds;
+  // Sealing computes the entity store's panel bounds; without them every
+  // sweep below would score every panel and the pruning figures would be
+  // forced, not measured.
+  {
+    const Status sealed = trainer.entity_store().Seal();
+    CAME_CHECK(sealed.ok()) << sealed.ToString();
+  }
 
   // 3. Filtered evaluation over every entity, panel-swept per shard.
   kg::FilterIndex filter(summary.num_entities, summary.num_relations);
@@ -261,6 +268,8 @@ PointResult RunPoint(const Args& args, int64_t entities, int64_t triples,
   const tensor::ShardStore::Stats stats = trainer.entity_store().GetStats();
 
   // 4. Held-out-tail pruning: the same queries through RankBatch.
+  CAME_CHECK(!trainer.entity_store().bounds().empty())
+      << "entity store has no panel bounds: pruning would not be measured";
   for (const int64_t batch : {int64_t{1}, int64_t{8}, int64_t{64}}) {
     point.rank_sweeps.push_back(RankAtBatch(&trainer, tc, eval_queries,
                                             filter, batch, metrics.value()));

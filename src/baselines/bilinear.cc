@@ -6,7 +6,7 @@
 namespace came::baselines {
 
 DistMult::DistMult(const ModelContext& context, int64_t dim)
-    : InnerProductKgcModel(context, dim, /*entity_bias=*/false) {
+    : InnerProductKgcModel(context, /*entity_bias=*/false) {
   entities_ = RegisterParameter(
       "entities", nn::EmbeddingInit({context.num_entities, dim}, &rng_));
   relations_ = RegisterParameter(
@@ -19,7 +19,7 @@ ag::Var DistMult::Query(const std::vector<int64_t>& heads,
 }
 
 ComplEx::ComplEx(const ModelContext& context, int64_t dim)
-    : InnerProductKgcModel(context, dim, /*entity_bias=*/false),
+    : InnerProductKgcModel(context, /*entity_bias=*/false),
       half_(dim / 2) {
   CAME_CHECK_EQ(dim % 2, 0) << "ComplEx needs an even stored dimension";
   entities_ = RegisterParameter(

@@ -22,7 +22,7 @@ ag::Var Stack2d(const std::vector<ag::Var>& vectors, int64_t reshape_h) {
 }
 
 ConvE::ConvE(const ModelContext& context, const ConvDecoderConfig& config)
-    : InnerProductKgcModel(context, config.dim, /*entity_bias=*/true),
+    : InnerProductKgcModel(context, /*entity_bias=*/true),
       config_(config) {
   entities_ = RegisterParameter(
       "entities",

@@ -7,9 +7,8 @@
 namespace came::baselines {
 
 InnerProductKgcModel::InnerProductKgcModel(const ModelContext& context,
-                                           int64_t query_dim, bool entity_bias)
+                                           bool entity_bias)
     : KgcModel(context) {
-  (void)query_dim;
   if (entity_bias) {
     bias_ = RegisterParameter("entity_bias",
                               tensor::Tensor::Zeros({context.num_entities}));

@@ -152,8 +152,7 @@ class InnerProductKgcModel : public KgcModel {
   tensor::Tensor ServingEntityBias();
 
  protected:
-  InnerProductKgcModel(const ModelContext& context, int64_t query_dim,
-                       bool entity_bias);
+  InnerProductKgcModel(const ModelContext& context, bool entity_bias);
 
   /// [B, query_dim] query vectors.
   virtual ag::Var Query(const std::vector<int64_t>& heads,

@@ -9,7 +9,7 @@ namespace came::baselines {
 
 MkgformerLite::MkgformerLite(const ModelContext& context,
                              const ConvDecoderConfig& config)
-    : InnerProductKgcModel(context, config.dim, /*entity_bias=*/true),
+    : InnerProductKgcModel(context, /*entity_bias=*/true),
       config_(config) {
   CAME_CHECK(context.features != nullptr);
   entities_ = RegisterParameter(

@@ -50,7 +50,7 @@ ag::Var RotatE::ScoreAllTails(const std::vector<int64_t>& heads,
 }
 
 DualE::DualE(const ModelContext& context, int64_t dim)
-    : InnerProductKgcModel(context, dim, /*entity_bias=*/false),
+    : InnerProductKgcModel(context, /*entity_bias=*/false),
       block_(dim / 8) {
   CAME_CHECK_EQ(dim % 8, 0) << "DualE needs dim divisible by 8";
   entities_ = RegisterParameter(

@@ -1,6 +1,7 @@
 #ifndef CAME_COMMON_RUNTIME_CONFIG_H_
 #define CAME_COMMON_RUNTIME_CONFIG_H_
 
+#include <cstdint>
 #include <functional>
 
 // The knobs' types live with the subsystems that use them; declaring them
@@ -9,7 +10,7 @@ namespace came::tensor::gemm { enum class Kernel; }
 namespace came::tensor::qgemm { enum class Kernel; }
 namespace came::tensor::pool { enum class Mode; }
 namespace came::ag::audit { enum class AuditLevel; }
-namespace came::infer { enum class ScoreDtype; }
+namespace came::tensor { enum class ShardDtype : uint8_t; }
 
 namespace came {
 
@@ -29,7 +30,7 @@ struct RuntimeConfig {
   tensor::pool::Mode tensor_pool;
   ag::audit::AuditLevel tape_audit;
   bool score_prune;
-  infer::ScoreDtype score_dtype;
+  tensor::ShardDtype score_dtype;
   bool deadlock_check;
   /// Multiplies every bench's default dataset scale.
   double bench_scale;

@@ -13,7 +13,7 @@ using baselines::ModelContext;
 using baselines::Stack2d;
 
 CamE::CamE(const ModelContext& context, const CamEConfig& config)
-    : InnerProductKgcModel(context, config.embed_dim, /*entity_bias=*/true),
+    : InnerProductKgcModel(context, /*entity_bias=*/true),
       config_(config) {
   CAME_CHECK(context.features != nullptr) << "CamE is multimodal";
   const encoders::FeatureBank& bank = *context.features;

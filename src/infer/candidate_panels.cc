@@ -25,17 +25,4 @@ ShardStorePanelSource::ShardStorePanelSource(tensor::ShardStore* store,
   }
 }
 
-ScoreDtype ShardStorePanelSource::dtype() const {
-  switch (store_->dtype()) {
-    case tensor::ShardDtype::kF32:
-      return ScoreDtype::kFp32;
-    case tensor::ShardDtype::kInt8:
-      return ScoreDtype::kInt8;
-    case tensor::ShardDtype::kBf16:
-      return ScoreDtype::kBf16;
-  }
-  CAME_CHECK(false) << "unknown shard dtype";
-  return ScoreDtype::kFp32;
-}
-
 }  // namespace came::infer

@@ -34,8 +34,8 @@ class ShardStorePanelSource {
   tensor::ShardStore* store() const { return store_; }
   int64_t num_entities() const { return store_->rows(); }
   int64_t dim() const { return store_->dim(); }
-  /// The store's encoding as a serving dtype.
-  ScoreDtype dtype() const;
+  /// The store's encoding.
+  ScoreDtype dtype() const { return store_->dtype(); }
   bool has_bias() const { return bias_.numel() > 0; }
   /// Bias of entities [begin, ...), indexed panel-locally. Requires
   /// has_bias().

@@ -3,22 +3,19 @@
 
 #include <string>
 
+#include "tensor/shard_store.h"
+
 namespace came::infer {
 
 /// Storage precision of the candidate-entity matrix the serving layer
-/// scores against. Queries and accumulation stay fp32 in every mode;
-/// only the entity-side bytes change:
-///
-///   * kFp32 — the baseline path, 4 bytes/element.
-///   * kInt8 — per-row symmetric int8 + one fp32 scale per row
-///             (~1 byte/element); scores come from exact int32 dots
-///             scaled back to fp32 (tensor::qgemm).
-///   * kBf16 — truncated fp32, 2 bytes/element; panels decode to fp32
-///             and reuse the fp32 GEMM.
-enum class ScoreDtype { kFp32, kInt8, kBf16 };
+/// scores against: the encoding of the ShardStore it sweeps
+/// (tensor::ShardDtype documents each mode).
+using ScoreDtype = tensor::ShardDtype;
 
 /// "fp32" | "int8" | "bf16".
-std::string ScoreDtypeName(ScoreDtype dtype);
+inline std::string ScoreDtypeName(ScoreDtype dtype) {
+  return tensor::ShardDtypeName(dtype);
+}
 
 }  // namespace came::infer
 

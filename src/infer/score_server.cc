@@ -344,10 +344,8 @@ tensor::ShardStore CandidateStore(const FusedEmbeddingTable& table,
     CAME_CHECK(sealed.ok()) << sealed.ToString();
     return fp32;
   }
-  Result<tensor::ShardStore> quantized = tensor::ShardStore::Quantize(
-      &fp32, /*dir=*/"",
-      dtype == ScoreDtype::kInt8 ? tensor::ShardDtype::kInt8
-                                 : tensor::ShardDtype::kBf16);
+  Result<tensor::ShardStore> quantized =
+      tensor::ShardStore::Quantize(&fp32, /*dir=*/"", dtype);
   CAME_CHECK(quantized.ok()) << quantized.status().ToString();
   return std::move(quantized).value();
 }

@@ -10,8 +10,6 @@
 #include <cstring>
 #include <utility>
 
-#include <vector>
-
 #include "common/io.h"
 #include "common/logging.h"
 #include "tensor/qgemm.h"
@@ -20,12 +18,12 @@ namespace came::tensor {
 
 namespace {
 
-// Manifest layout (little-endian):
+// Manifest layout (little-endian), the same for every dtype:
 //   magic   8 bytes "CAMESHD1"
 //   len     u64                  -- payload byte length
 //   payload:
-//     version        u64           -- 1 (fp32) or 2 (quantized)
-//     dtype          u8            -- version 2 only: 1 int8, 2 bf16
+//     version        u64           -- 2
+//     dtype          u8            -- ShardDtype: 0 fp32, 1 int8, 2 bf16
 //     rows           i64
 //     dim            i64
 //     rows_per_shard i64
@@ -33,16 +31,29 @@ namespace {
 //     num_shards     u64
 //     crc[i]         u32 per shard  -- slab payload CRC32 (sealed only)
 //   crc     u32                  -- CRC32 of the payload
-// fp32 stores keep writing version 1 (bit-identical to the format before
-// quantized stores existed), so pre-existing stores and tools stay valid.
-// Panel-pruning bounds are not persisted: Open derives them from the
+// Version 1 was an fp32-only layout without the dtype byte; Open rejects
+// it. Panel-pruning bounds are not persisted: Open derives them from the
 // CRC-verified slabs.
 constexpr char kMagic[8] = {'C', 'A', 'M', 'E', 'S', 'H', 'D', '1'};
-constexpr uint64_t kVersion = 1;
-constexpr uint64_t kQuantVersion = 2;
+constexpr uint64_t kVersion = 2;
 constexpr uint64_t kMaxShards = 1ULL << 24;
 
 int64_t PadTo64(int64_t n) { return (n + 63) & ~int64_t{63}; }
+
+/// Bytes of one row element in a slab (int8 slabs also carry a scale
+/// block after their rows).
+int64_t ElementBytes(ShardDtype dtype) {
+  switch (dtype) {
+    case ShardDtype::kFp32:
+      return static_cast<int64_t>(sizeof(float));
+    case ShardDtype::kInt8:
+      return static_cast<int64_t>(sizeof(int8_t));
+    case ShardDtype::kBf16:
+      return static_cast<int64_t>(sizeof(uint16_t));
+  }
+  CAME_CHECK(false) << "unknown shard dtype";
+  return 0;
+}
 
 template <typename T>
 void AppendPod(std::string* buf, const T& value) {
@@ -76,64 +87,12 @@ class Reader {
 
 std::string ManifestPath(const std::string& dir) { return dir + "/manifest"; }
 
-int64_t ShardBytesDt(int64_t begin, int64_t end, int64_t dim,
-                     ShardDtype dtype) {
-  const int64_t rows = end - begin;
-  switch (dtype) {
-    case ShardDtype::kF32:
-      return rows * dim * static_cast<int64_t>(sizeof(float));
-    case ShardDtype::kBf16:
-      return rows * dim * static_cast<int64_t>(sizeof(uint16_t));
-    case ShardDtype::kInt8:
-      // int8 rows, padded so the per-row fp32 scale block that follows
-      // is 64-byte aligned inside the mapping.
-      return PadTo64(rows * dim) +
-             rows * static_cast<int64_t>(sizeof(float));
-  }
-  CAME_CHECK(false) << "unknown shard dtype";
-  return 0;
-}
-
-/// CRC32 of a slab file's payload via a transient read-only mapping (does
-/// not disturb the store's residency set).
-Result<uint32_t> SlabFileCrc(const std::string& path, int64_t bytes) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IOError("open " + path + ": " + std::strerror(errno));
-  }
-  struct stat st {};
-  if (::fstat(fd, &st) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::IOError("fstat " + path + ": " + std::strerror(err));
-  }
-  if (st.st_size != bytes) {
-    ::close(fd);
-    return Status::Corruption(path + ": slab is " +
-                              std::to_string(st.st_size) + " bytes, want " +
-                              std::to_string(bytes));
-  }
-  if (bytes == 0) {
-    ::close(fd);
-    return uint32_t{0};
-  }
-  void* base =
-      ::mmap(nullptr, static_cast<size_t>(bytes), PROT_READ, MAP_SHARED, fd, 0);
-  ::close(fd);
-  if (base == MAP_FAILED) {
-    return Status::IOError("mmap " + path + ": " + std::strerror(errno));
-  }
-  const uint32_t crc = io::Crc32(base, static_cast<size_t>(bytes));
-  ::munmap(base, static_cast<size_t>(bytes));
-  return crc;
-}
-
 }  // namespace
 
 std::string ShardDtypeName(ShardDtype dtype) {
   switch (dtype) {
-    case ShardDtype::kF32:
-      return "f32";
+    case ShardDtype::kFp32:
+      return "fp32";
     case ShardDtype::kInt8:
       return "int8";
     case ShardDtype::kBf16:
@@ -143,7 +102,12 @@ std::string ShardDtypeName(ShardDtype dtype) {
 }
 
 int64_t ShardStore::ShardByteSize(int64_t begin, int64_t end) const {
-  return ShardBytesDt(begin, end, dim_, dtype_);
+  const int64_t rows = end - begin;
+  const int64_t row_bytes = rows * dim_ * ElementBytes(dtype_);
+  if (dtype_ != ShardDtype::kInt8) return row_bytes;
+  // int8 rows, padded so the per-row fp32 scale block that follows is
+  // 64-byte aligned inside the mapping.
+  return PadTo64(row_bytes) + rows * static_cast<int64_t>(sizeof(float));
 }
 
 ShardStore::~ShardStore() { ReleaseAll(); }
@@ -289,6 +253,9 @@ Result<ShardStore> ShardStore::Create(const std::string& dir, int64_t rows,
 
 Result<ShardStore> ShardStore::Open(const std::string& dir,
                                     const ShardStoreOptions& options) {
+  if (options.max_resident_shards < 0) {
+    return Status::InvalidArgument("negative shard-store option");
+  }
   std::string raw;
   CAME_RETURN_IF_ERROR(io::ReadFile(ManifestPath(dir), &raw));
   if (raw.size() < sizeof(kMagic) + sizeof(uint64_t) + sizeof(uint32_t)) {
@@ -314,22 +281,19 @@ Result<ShardStore> ShardStore::Open(const std::string& dir,
   Reader r(payload, payload_len);
   uint64_t version = 0;
   CAME_RETURN_IF_ERROR(r.ReadPod(&version));
-  if (version != kVersion && version != kQuantVersion) {
+  if (version != kVersion) {
     return Status::Corruption(dir + ": unsupported shard store version " +
                               std::to_string(version));
   }
   ShardStore s;
   s.dir_ = dir;
-  if (version == kQuantVersion) {
-    uint8_t dtype_byte = 0;
-    CAME_RETURN_IF_ERROR(r.ReadPod(&dtype_byte));
-    if (dtype_byte != static_cast<uint8_t>(ShardDtype::kInt8) &&
-        dtype_byte != static_cast<uint8_t>(ShardDtype::kBf16)) {
-      return Status::Corruption(dir + ": unknown quantized slab dtype byte " +
-                                std::to_string(dtype_byte));
-    }
-    s.dtype_ = static_cast<ShardDtype>(dtype_byte);
+  uint8_t dtype_byte = 0;
+  CAME_RETURN_IF_ERROR(r.ReadPod(&dtype_byte));
+  if (dtype_byte > static_cast<uint8_t>(ShardDtype::kBf16)) {
+    return Status::Corruption(dir + ": unknown slab dtype byte " +
+                              std::to_string(dtype_byte));
   }
+  s.dtype_ = static_cast<ShardDtype>(dtype_byte);
   uint8_t sealed = 0;
   uint64_t n_shards = 0;
   CAME_RETURN_IF_ERROR(r.ReadPod(&s.rows_));
@@ -360,18 +324,18 @@ Result<ShardStore> ShardStore::Open(const std::string& dir,
   if (r.remaining() != 0) {
     return Status::Corruption(dir + ": trailing bytes in manifest payload");
   }
+  PanelBoundTable bounds(s.rows_, kDefaultBoundBlockRows);
   for (uint64_t i = 0; i < n_shards; ++i) {
-    const Shard& sh = s.shards_[i];
-    const std::string path = s.SlabPath(static_cast<int64_t>(i));
-    Result<uint32_t> crc = SlabFileCrc(path, s.ShardByteSize(sh.begin, sh.end));
+    const int64_t shard = static_cast<int64_t>(i);
+    Result<uint32_t> crc = s.ScanSlabFile(shard, /*sync=*/false, &bounds);
     if (!crc.ok()) return crc.status();
-    if (crc.value() != sh.crc) {
-      return Status::Corruption(path + ": slab checksum mismatch");
+    if (crc.value() != s.shards_[i].crc) {
+      return Status::Corruption(s.SlabPath(shard) + ": slab checksum mismatch");
     }
   }
   // Every slab matched its manifest CRC, so bounds derived from the rows
   // bound exactly the contents that will be served.
-  CAME_RETURN_IF_ERROR(s.ComputeBounds());
+  s.bounds_ = std::move(bounds);
   return s;
 }
 
@@ -382,11 +346,11 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
   if (src == nullptr) {
     return Status::InvalidArgument("Quantize wants a source store");
   }
-  if (src->dtype() != ShardDtype::kF32) {
+  if (src->dtype() != ShardDtype::kFp32) {
     return Status::InvalidArgument("Quantize wants an fp32 source store, got " +
                                    ShardDtypeName(src->dtype()));
   }
-  if (dtype == ShardDtype::kF32) {
+  if (dtype == ShardDtype::kFp32) {
     return Status::InvalidArgument(
         "Quantize target dtype must be int8 or bf16");
   }
@@ -416,10 +380,10 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
   s.shards_.resize(static_cast<size_t>(n_shards));
 
   // One slab at a time: read the fp32 rows from the source's mapping,
-  // re-encode into the slab payload (a file-bound buffer, or the in-RAM
-  // store's own zero-filled anonymous mapping), record its CRC and fold
-  // its rows into the panel bounds (over the *encoded* values, so the
-  // bound is scale-aware rather than inherited from fp32).
+  // encode them straight into the slab payload (a zero-filled file-bound
+  // buffer, or the in-RAM store's own zero-filled anonymous mapping), then
+  // scan the payload for its CRC and panel bounds (over the *encoded*
+  // values, so the bound is scale-aware rather than inherited from fp32).
   PanelBoundTable bounds(s.rows_, kDefaultBoundBlockRows);
   std::string buffer;
   for (int64_t i = 0; i < n_shards; ++i) {
@@ -438,35 +402,22 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
       buffer.assign(bytes, '\0');
       payload = buffer.data();
     }
-    if (dtype == ShardDtype::kInt8) {
-      std::vector<int8_t> q(static_cast<size_t>(srows * s.dim_));
-      std::vector<float> scales(static_cast<size_t>(srows));
-      Status st = qgemm::QuantizeRowsInt8(rows, srows, s.dim_, q.data(),
-                                          scales.data());
-      if (!st.ok()) {
-        return Status::InvalidArgument("slab " + std::to_string(i) + ": " +
-                                       st.message());
-      }
-      std::memcpy(payload, q.data(), q.size());
-      std::memcpy(payload + PadTo64(srows * s.dim_), scales.data(),
-                  scales.size() * sizeof(float));
-      AccountRowsInt8(&bounds, q.data(), scales.data(), /*bias=*/nullptr,
-                      sh.begin, srows, s.dim_);
-    } else {
-      std::vector<uint16_t> enc(static_cast<size_t>(srows * s.dim_));
-      Status st = qgemm::EncodeRowsBf16(rows, srows, s.dim_, enc.data());
-      if (!st.ok()) {
-        return Status::InvalidArgument("slab " + std::to_string(i) + ": " +
-                                       st.message());
-      }
-      std::memcpy(payload, enc.data(), enc.size() * sizeof(uint16_t));
-      AccountRowsBf16(&bounds, enc.data(), /*bias=*/nullptr, sh.begin, srows,
-                      s.dim_);
+    const Status st =
+        dtype == ShardDtype::kInt8
+            ? qgemm::QuantizeRowsInt8(
+                  rows, srows, s.dim_, reinterpret_cast<int8_t*>(payload),
+                  reinterpret_cast<float*>(payload +
+                                           PadTo64(srows * s.dim_)))
+            : qgemm::EncodeRowsBf16(rows, srows, s.dim_,
+                                    reinterpret_cast<uint16_t*>(payload));
+    if (!st.ok()) {
+      return Status::InvalidArgument("slab " + std::to_string(i) + ": " +
+                                     st.message());
     }
+    sh.crc = s.ScanSlab(i, payload, &bounds);
     if (!in_ram) {
       CAME_RETURN_IF_ERROR(io::WriteFileAtomic(s.SlabPath(i), payload, bytes));
     }
-    sh.crc = io::Crc32(payload, bytes);
   }
   s.bounds_ = std::move(bounds);
   if (in_ram) return s;
@@ -478,12 +429,8 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
 
 Status ShardStore::WriteManifest(bool sealed) {
   std::string payload;
-  if (dtype_ == ShardDtype::kF32) {
-    AppendPod(&payload, kVersion);
-  } else {
-    AppendPod(&payload, kQuantVersion);
-    AppendPod(&payload, static_cast<uint8_t>(dtype_));
-  }
+  AppendPod(&payload, kVersion);
+  AppendPod(&payload, static_cast<uint8_t>(dtype_));
   AppendPod(&payload, rows_);
   AppendPod(&payload, dim_);
   AppendPod(&payload, rows_per_shard_);
@@ -502,34 +449,78 @@ Status ShardStore::WriteManifest(bool sealed) {
   return Status::OK();
 }
 
-Status ShardStore::ComputeBounds() {
-  PanelBoundTable bounds(rows_, kDefaultBoundBlockRows);
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const int64_t begin = shards_[i].begin;
-    const int64_t end = shards_[i].end;
-    const int64_t n = end - begin;
+uint32_t ShardStore::ScanSlab(int64_t shard, const char* payload,
+                              PanelBoundTable* bounds) const {
+  const Shard& sh = shards_[static_cast<size_t>(shard)];
+  const int64_t n = sh.end - sh.begin;
+  const int64_t row_bytes = dim_ * ElementBytes(dtype_);
+  // Every encoding leads with its rows; int8 slabs follow them with the
+  // zero pad and the scale block, which the rows' bounds read too.
+  const float* scales =
+      dtype_ == ShardDtype::kInt8
+          ? reinterpret_cast<const float*>(payload + PadTo64(n * row_bytes))
+          : nullptr;
+  uint32_t crc = 0;
+  for (int64_t r0 = 0; r0 < n; r0 += kDefaultBoundBlockRows) {
+    const int64_t m = std::min(kDefaultBoundBlockRows, n - r0);
+    const char* rows = payload + r0 * row_bytes;
+    crc = io::Crc32(rows, static_cast<size_t>(m * row_bytes), crc);
     switch (dtype_) {
-      case ShardDtype::kF32:
-        AccountRowsFp32(&bounds, PanelRows(begin, end), /*bias=*/nullptr,
-                        begin, n, dim_);
+      case ShardDtype::kFp32:
+        AccountRowsFp32(bounds, reinterpret_cast<const float*>(rows),
+                        /*bias=*/nullptr, sh.begin + r0, m, dim_);
         break;
-      case ShardDtype::kInt8: {
-        // Both pointers land in the same slab mapping, so the second
-        // accessor is a residency hit and cannot evict the first.
-        const int8_t* codes = QuantPanelRows(begin, end);
-        const float* scales = PanelScales(begin, end);
-        AccountRowsInt8(&bounds, codes, scales, /*bias=*/nullptr, begin, n,
-                        dim_);
+      case ShardDtype::kInt8:
+        AccountRowsInt8(bounds, reinterpret_cast<const int8_t*>(rows),
+                        scales + r0, /*bias=*/nullptr, sh.begin + r0, m, dim_);
         break;
-      }
       case ShardDtype::kBf16:
-        AccountRowsBf16(&bounds, Bf16PanelRows(begin, end), /*bias=*/nullptr,
-                        begin, n, dim_);
+        AccountRowsBf16(bounds, reinterpret_cast<const uint16_t*>(rows),
+                        /*bias=*/nullptr, sh.begin + r0, m, dim_);
         break;
     }
   }
-  bounds_ = std::move(bounds);
-  return Status::OK();
+  const int64_t tail = ShardByteSize(sh.begin, sh.end) - n * row_bytes;
+  return io::Crc32(payload + n * row_bytes, static_cast<size_t>(tail), crc);
+}
+
+Result<uint32_t> ShardStore::ScanSlabFile(int64_t shard, bool sync,
+                                          PanelBoundTable* bounds) const {
+  const Shard& sh = shards_[static_cast<size_t>(shard)];
+  const int64_t bytes = ShardByteSize(sh.begin, sh.end);
+  const std::string path = SlabPath(shard);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError("open " + path + ": " + std::strerror(errno));
+  }
+  // Rows written through a mapping since evicted live in the page cache;
+  // fsync makes them durable before the checksum is taken.
+  if (sync && ::fsync(fd) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Status::IOError("fsync " + path + ": " + std::strerror(err));
+  }
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Status::IOError("fstat " + path + ": " + std::strerror(err));
+  }
+  if (st.st_size != bytes) {
+    ::close(fd);
+    return Status::Corruption(path + ": slab is " +
+                              std::to_string(st.st_size) + " bytes, want " +
+                              std::to_string(bytes));
+  }
+  void* base =
+      ::mmap(nullptr, static_cast<size_t>(bytes), PROT_READ, MAP_SHARED, fd, 0);
+  ::close(fd);
+  if (base == MAP_FAILED) {
+    return Status::IOError("mmap " + path + ": " + std::strerror(errno));
+  }
+  const uint32_t crc = ScanSlab(shard, static_cast<const char*>(base), bounds);
+  ::munmap(base, static_cast<size_t>(bytes));
+  return crc;
 }
 
 Status ShardStore::MapShard(int64_t shard) {
@@ -580,7 +571,7 @@ void ShardStore::UnmapShard(int64_t shard) {
   Shard& sh = shards_[static_cast<size_t>(shard)];
   if (sh.base == nullptr) return;
   const int64_t bytes = ShardByteSize(sh.begin, sh.end);
-  // MAP_SHARED dirty pages survive the unmap in the page cache; durability
+  // MAP_SHARED writes survive the unmap in the page cache; durability
   // and checksums are re-established by Seal().
   ::munmap(sh.base, static_cast<size_t>(bytes));
   sh.base = nullptr;
@@ -649,20 +640,10 @@ bool ShardStore::ShardResident(int64_t shard) const {
   return shards_[static_cast<size_t>(shard)].base != nullptr;
 }
 
-const float* ShardStore::Row(int64_t r) {
-  CAME_CHECK(dtype_ == ShardDtype::kF32)
-      << "fp32 row access on a " << ShardDtypeName(dtype_) << " store";
-  CAME_CHECK_GE(r, 0);
-  CAME_CHECK_LT(r, rows_);
-  const int64_t shard = ShardIndex(r);
-  Result<char*> base = Acquire(shard);
-  CAME_CHECK(base.ok()) << base.status().ToString();
-  return reinterpret_cast<const float*>(base.value()) +
-         (r - shards_[static_cast<size_t>(shard)].begin) * dim_;
-}
+const float* ShardStore::Row(int64_t r) { return PanelRows(r, r + 1); }
 
 float* ShardStore::MutableRow(int64_t r) {
-  CAME_CHECK(dtype_ == ShardDtype::kF32)
+  CAME_CHECK(dtype_ == ShardDtype::kFp32)
       << "quantized stores are immutable (dtype " << ShardDtypeName(dtype_)
       << ")";
   CAME_CHECK_GE(r, 0);
@@ -670,8 +651,7 @@ float* ShardStore::MutableRow(int64_t r) {
   const int64_t shard = ShardIndex(r);
   Result<char*> base = Acquire(shard);
   CAME_CHECK(base.ok()) << base.status().ToString();
-  Shard& sh = shards_[static_cast<size_t>(shard)];
-  sh.dirty = true;
+  const Shard& sh = shards_[static_cast<size_t>(shard)];
   // Any bound computed before this write may now be an under-estimate;
   // drop back to the never-prune state until the next Seal recomputes.
   bounds_ = PanelBoundTable();
@@ -685,7 +665,7 @@ float* ShardStore::MutableRow(int64_t r) {
 }
 
 const float* ShardStore::PanelRows(int64_t begin, int64_t end) {
-  CAME_CHECK(dtype_ == ShardDtype::kF32)
+  CAME_CHECK(dtype_ == ShardDtype::kFp32)
       << "fp32 panel access on a " << ShardDtypeName(dtype_) << " store";
   int64_t shard = 0;
   const char* base = AcquirePanel(begin, end, &shard);
@@ -728,39 +708,26 @@ int64_t ShardStore::ShardEnd(int64_t row) const {
 }
 
 Status ShardStore::Seal() {
-  if (in_ram()) return ComputeBounds();
+  PanelBoundTable bounds(rows_, kDefaultBoundBlockRows);
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& sh = shards_[i];
-    const int64_t bytes = ShardByteSize(sh.begin, sh.end);
-    if (sh.base != nullptr) {
-      if (::msync(sh.base, static_cast<size_t>(bytes), MS_SYNC) != 0) {
-        return Status::IOError("msync " + SlabPath(static_cast<int64_t>(i)) +
-                               ": " + std::strerror(errno));
+    const int64_t shard = static_cast<int64_t>(i);
+    if (sh.base != nullptr) {  // always so for in-RAM stores
+      const size_t bytes =
+          static_cast<size_t>(ShardByteSize(sh.begin, sh.end));
+      if (!in_ram() && ::msync(sh.base, bytes, MS_SYNC) != 0) {
+        return Status::IOError("msync " + SlabPath(shard) + ": " +
+                               std::strerror(errno));
       }
-      sh.crc = io::Crc32(sh.base, static_cast<size_t>(bytes));
+      sh.crc = ScanSlab(shard, static_cast<const char*>(sh.base), &bounds);
     } else {
-      // Evicted dirty pages live in the page cache; fsync makes them
-      // durable, then a transient mapping yields the checksum.
-      const std::string path = SlabPath(static_cast<int64_t>(i));
-      const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-      if (fd < 0) {
-        return Status::IOError("open " + path + ": " + std::strerror(errno));
-      }
-      if (::fsync(fd) != 0) {
-        const int err = errno;
-        ::close(fd);
-        return Status::IOError("fsync " + path + ": " + std::strerror(err));
-      }
-      ::close(fd);
-      Result<uint32_t> crc = SlabFileCrc(path, bytes);
+      Result<uint32_t> crc = ScanSlabFile(shard, /*sync=*/true, &bounds);
       if (!crc.ok()) return crc.status();
       sh.crc = crc.value();
     }
-    sh.dirty = false;
   }
-  // Bounds stream through the panel accessors, which take mu_ themselves —
-  // compute them before (and outside) the manifest publish.
-  CAME_RETURN_IF_ERROR(ComputeBounds());
+  bounds_ = std::move(bounds);
+  if (in_ram()) return Status::OK();
   return WriteManifest(/*sealed=*/true);
 }
 

@@ -12,12 +12,24 @@
 
 namespace came::tensor {
 
-/// Element encoding of a ShardStore's slab payloads. The trainer always
-/// produces kF32 stores; kInt8/kBf16 stores are derived from a sealed
-/// fp32 store via ShardStore::Quantize and are immutable (serving-only).
-enum class ShardDtype : uint8_t { kF32 = 0, kInt8 = 1, kBf16 = 2 };
+/// Element encoding of a ShardStore's slab payloads — the one encoding
+/// enum of the candidate rows, also the serving layer's score dtype
+/// (infer::ScoreDtype, CAME_SCORE_DTYPE). Queries and accumulation stay
+/// fp32 in every mode; only the row bytes change:
+///
+///   * kFp32 — 4 bytes/element. The trainer always produces these.
+///   * kInt8 — per-row symmetric int8 + one fp32 scale per row
+///             (~1 byte/element); scores come from exact int32 dots
+///             scaled back to fp32 (tensor::qgemm).
+///   * kBf16 — truncated fp32, 2 bytes/element; panels decode to fp32
+///             and reuse the fp32 GEMM.
+///
+/// kInt8/kBf16 stores are derived from an fp32 store via
+/// ShardStore::Quantize and are immutable (serving-only). The value is
+/// the manifest's dtype byte.
+enum class ShardDtype : uint8_t { kFp32 = 0, kInt8 = 1, kBf16 = 2 };
 
-/// "f32" | "int8" | "bf16".
+/// "fp32" | "int8" | "bf16".
 std::string ShardDtypeName(ShardDtype dtype);
 
 /// Residency policy for a ShardStore.
@@ -39,11 +51,9 @@ struct ShardStoreOptions {
 ///
 /// Layout on disk (`dir/`):
 ///   * `manifest` — versioned, CRC-framed metadata (magic "CAMESHD1",
-///     written atomically via the crash-safe temp+fsync+rename path):
-///     shape, slab geometry, a sealed flag, and one payload CRC32 per
-///     slab. fp32 stores write manifest version 1 (bit-identical to the
-///     pre-quantization format); quantized stores write version 2, which
-///     adds one dtype byte after the version field.
+///     written atomically via the crash-safe temp+fsync+rename path), one
+///     layout for every dtype: version, dtype byte, shape, slab geometry,
+///     a sealed flag, and one payload CRC32 per slab.
 ///   * `slab_<i>.bin` — raw little-endian payload of rows
 ///     [i*rows_per_shard, min((i+1)*rows_per_shard, rows)), no header,
 ///     so a mapped slab is directly addressable at element alignment.
@@ -55,14 +65,18 @@ struct ShardStoreOptions {
 /// Nothing else is persisted: the per-block PanelBoundTable the serving
 /// layer's panel pruning uses is always computed from the rows.
 ///
+/// One slab scan decides both: a single read of a slab's payload yields
+/// its CRC32 and folds its rows into the bound table. `Seal`, `Open` and
+/// `Quantize` all run it; `Seal` and `Open` leave the residency set alone.
+///
 /// Lifecycle: `Create` makes zero-filled slabs and an *unsealed*
-/// manifest; mutate rows freely; `Seal()` msyncs every dirty slab,
-/// recomputes payload CRCs and the panel bounds, and atomically
-/// publishes the sealed manifest. `Open` accepts sealed stores only,
-/// verifies every slab CRC — so a bit-flipped, truncated, or
-/// trailing-garbage slab or manifest surfaces as `Corruption` instead
-/// of being served — and then computes the panel bounds from the
-/// verified rows.
+/// manifest; mutate rows freely; `Seal()` msyncs the mapped slabs, scans
+/// every slab (resident ones through their mapping, evicted ones through
+/// a transient mapping after fsync) and atomically publishes the sealed
+/// manifest. `Open` accepts sealed stores only and scans every slab
+/// through a transient mapping, so a bit-flipped, truncated, or
+/// trailing-garbage slab or manifest surfaces as `Corruption` instead of
+/// being served; it keeps the bounds only when every CRC matched.
 ///
 /// `InRam` builds the one-shard special case — a single anonymous
 /// mapping, always resident, no files — through the identical row/panel
@@ -98,9 +112,9 @@ class ShardStore {
                                    const ShardStoreOptions& options = {});
 
   /// Opens a sealed store, verifying every slab's CRC and computing the
-  /// panel bounds from the verified rows. `options.rows_per_shard` is
-  /// ignored (the manifest fixes the geometry); the residency budget
-  /// applies.
+  /// panel bounds from the verified rows; maps no slab into the residency
+  /// set. `options.rows_per_shard` is ignored (the manifest fixes the
+  /// geometry); the residency budget applies to later accesses.
   static Result<ShardStore> Open(const std::string& dir,
                                  const ShardStoreOptions& options = {});
 
@@ -128,9 +142,9 @@ class ShardStore {
   /// Read access to row `r` (fp32 stores only). May fault the owning
   /// slab in (and evict the least-recently-used unpinned one).
   const float* Row(int64_t r) CAME_EXCLUDES(mu_);
-  /// Write access (fp32 stores only); marks the owning slab dirty (its
-  /// CRC is stale until the next Seal) and drops the panel bounds (they
-  /// no longer bound the mutated contents).
+  /// Write access (fp32 stores only). The slab CRCs are stale until the
+  /// next Seal, and the panel bounds are dropped (they no longer bound the
+  /// mutated contents).
   float* MutableRow(int64_t r) CAME_EXCLUDES(mu_);
 
   /// Contiguous rows [begin, end), which must not cross a slab boundary
@@ -170,9 +184,9 @@ class ShardStore {
   /// Exclusive end of the slab containing `row` (clamped to rows()).
   int64_t ShardEnd(int64_t row) const;
 
-  /// msync every dirty slab, recompute payload CRCs and panel bounds, and
-  /// atomically publish a sealed manifest. In-RAM stores: computes bounds
-  /// only. Idempotent.
+  /// msync the mapped slabs, rescan every slab for its CRC and panel
+  /// bounds, and atomically publish a sealed manifest; leaves residency
+  /// alone. In-RAM stores: scans only (no files). Idempotent.
   Status Seal() CAME_EXCLUDES(mu_);
 
   /// Row-order CRC32 over the full table contents (parity tests and the
@@ -200,7 +214,6 @@ class ShardStore {
     int64_t end = 0;        // one past the last row (immutable)
     uint64_t last_use = 0;  // LRU clock stamp
     int64_t pins = 0;       // PinPanel leases blocking eviction
-    bool dirty = false;     // mutation-path only (externally serialised)
     uint32_t crc = 0;       // manifest payload CRC (sealed stores)
   };
 
@@ -223,15 +236,22 @@ class ShardStore {
   Status MapAnonymous(int64_t shard) CAME_EXCLUDES(mu_);
   void UnmapShard(int64_t shard) CAME_REQUIRES(mu_);
   Status WriteManifest(bool sealed);
-  /// Streams every slab and rebuilds bounds_ from the payload bytes.
-  Status ComputeBounds() CAME_EXCLUDES(mu_);
+  /// The one slab scan: the CRC32 of `shard`'s slab payload at `payload`,
+  /// folding its rows into `bounds` while each block of rows is in cache.
+  uint32_t ScanSlab(int64_t shard, const char* payload,
+                    PanelBoundTable* bounds) const;
+  /// ScanSlab over a transient read-only mapping of `shard`'s slab file,
+  /// which leaves the residency set alone; `sync` fsyncs the file first.
+  /// Corruption when the file is not exactly the slab's size.
+  Result<uint32_t> ScanSlabFile(int64_t shard, bool sync,
+                                PanelBoundTable* bounds) const;
   void MoveFrom(ShardStore&& other);
   void ReleaseAll();
 
   std::string dir_;
   int64_t rows_ = 0;
   int64_t dim_ = 0;
-  ShardDtype dtype_ = ShardDtype::kF32;
+  ShardDtype dtype_ = ShardDtype::kFp32;
   int64_t rows_per_shard_ = 0;
   int64_t max_resident_ = 0;
   bool sealed_ = false;

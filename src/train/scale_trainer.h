@@ -120,7 +120,10 @@ class ScaleTrainer {
 
   /// Filtered tail-ranking over `queries` in the Bordes et al. protocol,
   /// swept shard panel by shard panel so the score matrix never exceeds
-  /// [query_batch, eval_panel_rows].
+  /// [query_batch, eval_panel_rows]. Panel pruning needs the entity
+  /// store's bounds, which only Seal() computes and TrainEpoch drops: an
+  /// unsealed entity store is swept without pruning (every panel scored),
+  /// with the same ranks.
   Result<eval::Metrics> EvaluateFiltered(TripleSource* queries,
                                          const kg::FilterIndex& filter);
 

@@ -123,6 +123,78 @@ TEST(ShardStoreTest, CreateWriteSealOpenRoundTrip) {
   EXPECT_LE(reopened.value().GetStats().resident_shards, 3);
 }
 
+// Open and Seal scan slabs through transient mappings: neither maps a slab
+// into the residency set nor evicts one.
+TEST(ShardStoreTest, OpenMapsNoSlabIntoTheResidencySet) {
+  const std::string dir = TestDir("open_residency");
+  ShardStoreOptions opts;
+  opts.rows_per_shard = 8;
+  Result<ShardStore> created = ShardStore::Create(dir, 30, 4, opts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  FillStore(&created.value());
+  ASSERT_TRUE(created.value().Seal().ok());
+
+  ShardStoreOptions open_opts;
+  open_opts.max_resident_shards = 2;
+  Result<ShardStore> opened = ShardStore::Open(dir, open_opts);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const ShardStore::Stats stats = opened.value().GetStats();
+  EXPECT_EQ(stats.map_misses, 0);
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.resident_shards, 0);
+  for (int64_t i = 0; i < opened.value().num_shards(); ++i) {
+    EXPECT_FALSE(opened.value().ShardResident(i)) << "shard " << i;
+  }
+  EXPECT_EQ(opened.value().bounds(), created.value().bounds());
+}
+
+TEST(ShardStoreTest, SealOverEvictedSlabsLeavesResidencyAlone) {
+  ShardStoreOptions tight;
+  tight.rows_per_shard = 8;
+  tight.max_resident_shards = 2;
+  Result<ShardStore> evicting =
+      ShardStore::Create(TestDir("seal_evicted"), 30, 4, tight);
+  ShardStoreOptions unlimited;
+  unlimited.rows_per_shard = 8;
+  Result<ShardStore> resident =
+      ShardStore::Create(TestDir("seal_resident"), 30, 4, unlimited);
+  ASSERT_TRUE(evicting.ok() && resident.ok());
+  FillStore(&evicting.value());
+  FillStore(&resident.value());
+  ASSERT_GT(evicting.value().GetStats().evictions, 0);  // slabs 0 and 1 out
+
+  const ShardStore::Stats before = evicting.value().GetStats();
+  std::vector<bool> was_resident;
+  for (int64_t i = 0; i < evicting.value().num_shards(); ++i) {
+    was_resident.push_back(evicting.value().ShardResident(i));
+  }
+  ASSERT_TRUE(evicting.value().Seal().ok());
+  const ShardStore::Stats after = evicting.value().GetStats();
+  EXPECT_EQ(after.map_misses, before.map_misses);
+  EXPECT_EQ(after.evictions, before.evictions);
+  for (int64_t i = 0; i < evicting.value().num_shards(); ++i) {
+    EXPECT_EQ(evicting.value().ShardResident(i), was_resident[i])
+        << "shard " << i;
+  }
+
+  ASSERT_TRUE(resident.value().Seal().ok());
+  ASSERT_FALSE(evicting.value().bounds().empty());
+  EXPECT_EQ(evicting.value().bounds(), resident.value().bounds());
+}
+
+TEST(ShardStoreTest, OpenRejectsNegativeResidencyBudget) {
+  const std::string dir = TestDir("open_negative");
+  Result<ShardStore> created = ShardStore::Create(dir, 8, 2);
+  ASSERT_TRUE(created.ok());
+  ASSERT_TRUE(created.value().Seal().ok());
+  ShardStoreOptions opts;
+  opts.max_resident_shards = -1;
+  Result<ShardStore> opened = ShardStore::Open(dir, opts);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_TRUE(ShardStore::Open(dir).ok());
+}
+
 TEST(ShardStoreTest, ZeroRowsPerShardMeansSingleShard) {
   const std::string dir = TestDir("single");
   Result<ShardStore> s = ShardStore::Create(dir, 33, 4);
@@ -430,6 +502,39 @@ TEST_F(ShardStoreCorruptionTest, SlabTrailingBytesAreDetected) {
   EXPECT_EQ(opened.status().code(), Status::Code::kCorruption);
 }
 
+// Every manifest carries the dtype byte. A manifest in the older fp32-only
+// layout (version 1, no dtype byte) is framed and checksummed correctly,
+// so only its version can reject it.
+TEST_F(ShardStoreCorruptionTest, VersionOneManifestIsRejectedByVersion) {
+  std::string payload;
+  auto append = [&payload](const auto& value) {
+    payload.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append(uint64_t{1});   // version
+  append(int64_t{10});   // rows
+  append(int64_t{2});    // dim
+  append(int64_t{4});    // rows_per_shard
+  append(uint8_t{1});    // sealed
+  append(uint64_t{3});   // num_shards
+  for (int i = 0; i < 3; ++i) {
+    const std::string slab_bytes = ReadAll(slab(i));
+    append(io::Crc32(slab_bytes.data(), slab_bytes.size()));
+  }
+  std::string file = "CAMESHD1";
+  const uint64_t len = payload.size();
+  file.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  file += payload;
+  const uint32_t crc = io::Crc32(payload.data(), payload.size());
+  file.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  WriteAll(manifest(), file);
+
+  Result<ShardStore> opened = ShardStore::Open(dir_);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), Status::Code::kCorruption);
+  EXPECT_NE(opened.status().message().find("version 1"), std::string::npos)
+      << opened.status().ToString();
+}
+
 // --- quantized stores -----------------------------------------------------
 
 class ShardStoreQuantizeTest : public ::testing::Test {
@@ -549,7 +654,7 @@ TEST_F(ShardStoreQuantizeTest, Bf16QuantizeMatchesDirectEncoding) {
 TEST_F(ShardStoreQuantizeTest, QuantizeRejectsBadInputs) {
   // Target dtype must be a quantized one.
   EXPECT_FALSE(
-      ShardStore::Quantize(&src_, TestDir("quant_f32"), ShardDtype::kF32)
+      ShardStore::Quantize(&src_, TestDir("quant_f32"), ShardDtype::kFp32)
           .ok());
   // Destination must not already hold a manifest.
   EXPECT_FALSE(
