@@ -79,23 +79,26 @@ class KgcModel : public nn::Module {
 
   // --- Offline encoder folding (serving) ---------------------------------
   //
-  // Some models run a query-independent per-entity encoder stack inside
-  // every forward (CamE's MMF fusion of frozen modality features). For
-  // inference those rows are a pure function of the parameters, so they
-  // can be evaluated once for all N entities and reinstalled as a lookup
-  // table. The default implementation reports "nothing foldable".
+  // Some models run per-entity encoder stages inside every forward that
+  // read the head entity alone (CamE: MMF fusion of frozen modality
+  // features, RIC's projections and head-only TCA half). For inference
+  // those rows are a pure function of the parameters, so they can be
+  // evaluated once for all N entities and reinstalled as a lookup table.
+  // The default implementation reports "nothing foldable".
 
-  /// Evaluates the query-independent per-entity encoder rows for every
-  /// entity ([N, d] — per-row, so batch-size invariant and bitwise equal
-  /// to the rows an un-folded forward computes). Returns an empty tensor
-  /// when the model has no foldable stage. Must be called in eval mode.
+  /// Evaluates the per-entity encoder rows for every entity ([N, W] —
+  /// per-row, so batch-size invariant and bitwise equal to what an
+  /// un-folded forward computes). Returns an empty tensor when the model
+  /// has no foldable stage. Must be called in eval mode.
   virtual tensor::Tensor FoldEntityEncoders() { return tensor::Tensor(); }
 
-  /// Installs rows produced by FoldEntityEncoders (possibly loaded from
-  /// disk); eval-mode forwards then gather from the cache instead of
-  /// re-running the encoder stack. An empty tensor clears the cache, and
-  /// switching back to training mode invalidates it automatically. No-op
-  /// for models without a foldable stage.
+  /// Installs rows produced by FoldEntityEncoders, sharing their storage
+  /// (neither side writes them). A model may derive further read-only
+  /// state from its frozen weights here (CamE: the relation-side rows).
+  /// Eval-mode forwards then gather from the cache instead of re-running
+  /// the folded stages. An empty tensor clears the cache; training mode
+  /// and restored parameters invalidate it automatically. No-op for
+  /// models without a foldable stage.
   virtual void SetFoldedEncoderCache(tensor::Tensor rows) { (void)rows; }
 
   /// True when a folded-encoder cache is installed and in use.

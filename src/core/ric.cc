@@ -1,5 +1,7 @@
 #include "core/ric.h"
 
+#include <tuple>
+
 #include "common/logging.h"
 #include "nn/init.h"
 
@@ -24,16 +26,16 @@ std::vector<ag::Var> Ric::Forward(const std::vector<ag::Var>& modal_inputs,
   std::vector<ag::Var> out;
   out.reserve(modal_inputs.size());
   for (size_t i = 0; i < modal_inputs.size(); ++i) {
-    ag::Var h = ag::MatMul(modal_inputs[i], proj_[i]);
+    ag::Var h = Project(i, modal_inputs[i]);
     ag::Var r = relation;
-    if (config_.enabled && config_.use_tca) {
-      auto [ht, rt] = modal_tca_[i]->Forward(h, r);
-      h = ht;
-      r = rt;
-    }
+    if (interactive()) std::tie(h, r) = modal_tca_[i]->Forward(h, r);
     out.push_back(ag::Concat({h, r}, 1));
   }
   return out;
+}
+
+ag::Var Ric::Project(size_t i, const ag::Var& modal) const {
+  return ag::MatMul(modal, proj_[i]);
 }
 
 }  // namespace came::core

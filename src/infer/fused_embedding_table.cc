@@ -38,7 +38,8 @@ FusedEmbeddingTable FusedEmbeddingTable::Build(
 void FusedEmbeddingTable::InstallFoldedRows(baselines::KgcModel* model) const {
   CAME_CHECK(model != nullptr);
   if (!has_folded_rows()) return;
-  model->SetFoldedEncoderCache(folded_rows_.Clone());
+  // A Tensor copy shares storage: the model reads the rows in place.
+  model->SetFoldedEncoderCache(folded_rows_);
 }
 
 }  // namespace came::infer

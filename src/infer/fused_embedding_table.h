@@ -20,13 +20,16 @@ namespace came::infer {
 ///                           score(h, r, t) = <query(h, r), E[t]> + bias[t];
 ///   * bias        [N]     — the per-entity bias (empty if the model has
 ///                           none);
-///   * folded_rows [N, d_f]— the model's query-independent encoder rows
-///                           (CamE: the MMF fusion output per entity;
-///                           empty for models with no foldable stage).
-///                           Reinstalled into the model via
-///                           SetFoldedEncoderCache, they make eval-mode
-///                           query encoding skip the encoder stack with
-///                           bitwise-identical results.
+///   * folded_rows [N, W]  — the model's per-entity encoder rows: every
+///                           stage of its query that reads the head entity
+///                           alone (CamE: the MMF fusion output h_f, then
+///                           per modality h_i and RIC's head-only TCA
+///                           half; empty for models with no foldable
+///                           stage). InstallFoldedRows hands them to the
+///                           model without a copy, and eval-mode query
+///                           encoding then gathers them instead of
+///                           re-running those stages, with bitwise-
+///                           identical results.
 ///
 /// The table lives in memory only. The one persisted candidate format is
 /// the ScoreServer's tensor::ShardStore (CRC-framed manifest + slabs),
@@ -47,8 +50,9 @@ class FusedEmbeddingTable {
   static FusedEmbeddingTable Build(baselines::InnerProductKgcModel* model);
 
   /// Installs folded_rows into `model` (no-op when this table carries
-  /// none). After this, the model's eval-mode forwards gather the folded
-  /// rows instead of re-running the encoder stack.
+  /// none). The model shares this table's buffer, which neither side
+  /// writes. After this, the model's eval-mode forwards gather the folded
+  /// rows instead of re-running the encoder stages.
   void InstallFoldedRows(baselines::KgcModel* model) const;
 
   int64_t num_entities() const {
@@ -66,7 +70,7 @@ class FusedEmbeddingTable {
  private:
   tensor::Tensor candidates_;   // [N, d]
   tensor::Tensor bias_;         // [N] or empty
-  tensor::Tensor folded_rows_;  // [N, d_f] or empty
+  tensor::Tensor folded_rows_;  // [N, W] or empty
 };
 
 }  // namespace came::infer

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "autograd/gradcheck.h"
+#include "core/came_model.h"
+#include "encoders/feature_bank.h"
 #include "nn/init.h"
 #include "tensor/tensor_ops.h"
 
@@ -141,6 +145,55 @@ TEST(CoAttentionApplyTest, GradCheckAllInputs) {
         ag::CoAttentionApply(v[0], v[1], v[2], v[3])));
   };
   EXPECT_LT(ag::GradCheck(fn, {x, a, b, u}, 1e-2), 8e-2);
+}
+
+TEST(TcaTest, ForwardIsCombineOfTheTwoSides) {
+  Rng rng(10);
+  TcaConfig cfg;
+  cfg.dim = 8;
+  cfg.num_heads = 2;
+  Tca tca(cfg, &rng);
+  for (int64_t batch : {1, 5, 64}) {
+    ag::Var q = RandomVar({batch, 8}, &rng, false);
+    ag::Var d = RandomVar({batch, 8}, &rng, false);
+    auto [qf, df] = tca.Forward(q, d);
+    const std::vector<ag::Var> inv_tau = tca.InvTau();
+    auto [qc, dc] = tca.Combine(q, tca.QuerySide(q, inv_tau), d,
+                                tca.DocSide(d, inv_tau), inv_tau);
+    const size_t bytes = static_cast<size_t>(batch * 8) * sizeof(float);
+    EXPECT_EQ(std::memcmp(qf.value().data(), qc.value().data(), bytes), 0)
+        << "batch " << batch;
+    EXPECT_EQ(std::memcmp(df.value().data(), dc.value().data(), bytes), 0)
+        << "batch " << batch;
+  }
+}
+
+// A small bank with every modality present, so CamE runs all three.
+encoders::FeatureBank SmallBank(int64_t n, Rng* rng) {
+  encoders::FeatureBank bank(n, 6, 10);
+  for (int64_t e = 0; e < n; ++e) {
+    bank.SetMolecule(e, nn::NormalInit({6}, rng, 1.0));
+    bank.SetText(e, nn::NormalInit({10}, rng, 1.0));
+  }
+  return bank;
+}
+
+TEST(TcaTest, CamETrainingForwardRecordsThePinnedTapeNodeCount) {
+  // Splitting TCA into halves must not add a tape node: the count below is
+  // what one training ScoreAllTails recorded before the split.
+  constexpr int64_t kTapeNodes = 283;
+  Rng rng(11);
+  const encoders::FeatureBank bank = SmallBank(12, &rng);
+  CamEConfig cfg;
+  cfg.embed_dim = 16;
+  cfg.fusion_dim = 16;
+  cfg.reshape_h = 4;
+  cfg.conv_filters = 8;
+  CamE model({12, 6, &bank, nullptr, 5}, cfg);
+  ASSERT_EQ(model.modality_names().size(), 3u);
+  const int64_t before = ag::TapeNodesRecordedThisThread();
+  ag::Var scores = model.ScoreAllTails({0, 4, 9, 2}, {1, 5, 0, 3});
+  EXPECT_EQ(ag::TapeNodesRecordedThisThread() - before, kTapeNodes);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/came_model.h"
@@ -17,6 +18,7 @@
 #include "infer/no_tape.h"
 #include "infer/score_server.h"
 #include "tensor/gemm.h"
+#include "tensor/tensor_ops.h"
 
 namespace came::infer {
 namespace {
@@ -95,6 +97,82 @@ TEST_F(InferCamETest, FoldedEncoderCacheIsBitwiseInvisible) {
   ExpectBitwiseEqual(cached, live);
 }
 
+TEST_F(InferCamETest, InstalledRowsShareTheTableStorage) {
+  core::CamE model(Context(), Config());
+  model.SetTraining(false);
+  const FusedEmbeddingTable table = FusedEmbeddingTable::Build(&model);
+  table.InstallFoldedRows(&model);
+  ASSERT_TRUE(model.HasFoldedEncoderCache());
+  // One copy of the rows in memory: the model reads the table's buffer.
+  EXPECT_EQ(model.folded_entity_rows().data(), table.folded_rows().data());
+}
+
+// The fold over the Fig. 6 ablation grid and the head count: each config
+// folds a different set of columns (no RIC/TCA: h_i only), and each must
+// serve exactly the live answers.
+struct FoldCase {
+  const char* name;
+  void (*apply)(core::CamEConfig*);
+};
+
+class InferCamEFoldTest : public InferCamETest,
+                          public ::testing::WithParamInterface<FoldCase> {};
+
+TEST_P(InferCamEFoldTest, FoldedQueriesAreBitwiseTheLiveOnes) {
+  core::CamEConfig cfg = Config();
+  GetParam().apply(&cfg);
+  core::CamE model(Context(), cfg);
+  model.SetTraining(false);
+  auto heads = [](int64_t batch) {
+    std::vector<int64_t> out;
+    for (int64_t i = 0; i < batch; ++i) {
+      out.push_back((i * 13 + 2) % bkg_->dataset.num_entities());
+    }
+    return out;
+  };
+  auto rels = [](int64_t batch) {
+    std::vector<int64_t> out;
+    for (int64_t i = 0; i < batch; ++i) {
+      out.push_back(i % bkg_->dataset.num_relations_with_inverses());
+    }
+    return out;
+  };
+  const std::vector<int64_t> batches = {1, 7};
+  const tensor::Tensor live = EvalScoreAllTails(&model);
+  std::vector<tensor::Tensor> live_queries;
+  for (int64_t b : batches) {
+    live_queries.push_back(model.EagerQuery(heads(b), rels(b)));
+  }
+
+  const FusedEmbeddingTable table = FusedEmbeddingTable::Build(&model);
+  table.InstallFoldedRows(&model);
+  ASSERT_TRUE(model.HasFoldedEncoderCache());
+  ExpectBitwiseEqual(EvalScoreAllTails(&model), live);
+  for (size_t k = 0; k < batches.size(); ++k) {
+    const int64_t b = batches[k];
+    const tensor::Tensor served = model.ServingQuery(heads(b), rels(b));
+    ExpectBitwiseEqual(served, model.EagerQuery(heads(b), rels(b)));
+    ExpectBitwiseEqual(served, live_queries[k]);
+    const ag::QueryPlan* plan = model.ServingPlan(b);
+    ASSERT_NE(plan, nullptr);
+    EXPECT_TRUE(plan->ok()) << plan->refusal();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ablations, InferCamEFoldTest,
+    ::testing::Values(
+        FoldCase{"NoTca", [](core::CamEConfig* c) { c->use_tca = false; }},
+        FoldCase{"NoRic", [](core::CamEConfig* c) { c->use_ric = false; }},
+        FoldCase{"NoMmf", [](core::CamEConfig* c) { c->use_mmf = false; }},
+        FoldCase{"OneHead", [](core::CamEConfig* c) { c->num_heads = 1; }},
+        FoldCase{"ThreeHeads", [](core::CamEConfig* c) { c->num_heads = 3; }},
+        FoldCase{"NoMolecule",
+                 [](core::CamEConfig* c) { c->use_molecule = false; }}),
+    [](const ::testing::TestParamInfo<FoldCase>& info) {
+      return std::string(info.param.name);
+    });
+
 TEST_F(InferCamETest, TrainingModeInvalidatesTheFoldCache) {
   core::CamE model(Context(), Config());
   model.SetTraining(false);
@@ -105,6 +183,24 @@ TEST_F(InferCamETest, TrainingModeInvalidatesTheFoldCache) {
   // about to move, so the folded rows would silently go stale.
   model.SetTraining(true);
   EXPECT_FALSE(model.HasFoldedEncoderCache());
+}
+
+TEST_F(InferCamETest, RestoredParametersInvalidateTheFoldCache) {
+  core::CamE model(Context(), Config());
+  model.SetTraining(false);
+  const std::vector<tensor::Tensor> original = model.SnapshotParameters();
+  const tensor::Tensor live = EvalScoreAllTails(&model);
+  std::vector<tensor::Tensor> halved;
+  for (const tensor::Tensor& t : original) {
+    halved.push_back(tensor::Scale(t, 0.5f));
+  }
+  model.RestoreParameters(halved);
+  FusedEmbeddingTable::Build(&model).InstallFoldedRows(&model);
+  ASSERT_TRUE(model.HasFoldedEncoderCache());
+  // Rows folded from the halved weights must not outlive them.
+  model.RestoreParameters(original);
+  EXPECT_FALSE(model.HasFoldedEncoderCache());
+  ExpectBitwiseEqual(EvalScoreAllTails(&model), live);
 }
 
 // Full serving score vector for one query: the brute-force oracle the

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -302,6 +303,37 @@ TEST_F(QueryPlanTest, ReplayCreditsTheSameDispatchCountsAsEager) {
     EXPECT_GT(t1 - t0, 0) << op;
     EXPECT_EQ(t2 - t1, t1 - t0) << op;
   }
+}
+
+TEST_F(QueryPlanTest, FoldedCamEQueryStaysInsideItsDispatchBudget) {
+  // The fold leaves, per modality, RIC's two pair-dependent co-attention
+  // calls per head and its two head projections, plus the decoder's four
+  // MatMuls. The unfolded query also runs MMF (24 co-attention calls, 42
+  // MatMuls) and RIC's head-only and relation-only halves (12, 27).
+  ag::OpRegistry& registry = ag::OpRegistry::Instance();
+  const int coattention = registry.Find("CoAttentionApply");
+  const int matmul = registry.Find("MatMul");
+  ASSERT_GE(coattention, 0);
+  ASSERT_GE(matmul, 0);
+  const auto h = Heads(1, 8);
+  const auto r = Rels(1, 8);
+  auto credited = [&](const std::function<void()>& query, int op) {
+    const int64_t before = registry.NoTapeDispatches(op);
+    query();
+    return registry.NoTapeDispatches(op) - before;
+  };
+
+  auto folded = FoldedCamE();
+  (void)folded->ServingQuery(h, r);  // capture
+  auto serve = [&] { (void)folded->ServingQuery(h, r); };
+  EXPECT_LE(credited(serve, coattention), 12);
+  EXPECT_LE(credited(serve, matmul), 10);
+
+  core::CamE unfolded(Context(), Options().came);
+  unfolded.SetTraining(false);
+  auto eager = [&] { (void)unfolded.EagerQuery(h, r); };
+  EXPECT_EQ(credited(eager, coattention), 48);
+  EXPECT_EQ(credited(eager, matmul), 79);
 }
 
 // The recorder's rules on a hand-written forward: what it references,
