@@ -6,12 +6,12 @@
 //              every query pays its own encoder forward and panel sweep.
 //   batched:   clients submit to a BatchingFrontEnd; whatever piles up
 //              while the previous batch runs executes as one TopKBatch,
-//              so the encoder forward and each packed entity panel are
-//              shared across the whole batch.
+//              so each packed entity panel is shared across the whole
+//              batch. Every answer must equal the unbatched one, bitwise.
 //
 // Writes BENCH_serving.json (override with --json_out=PATH): p50/p99
-// latency and QPS per (mode, threads), plus the batched/unbatched
-// throughput ratio at the highest thread count.
+// latency and QPS per (mode, threads), the batched/unbatched throughput
+// ratio at the highest thread count, and "batched_answers_match".
 //
 // A second section benchmarks the quantized scoring path (int8 / bf16
 // candidate matrices) against the fp32 server on the same workload:
@@ -91,6 +91,7 @@ struct ModeResult {
   double qps = 0;
   int64_t batches = 0;
   int64_t max_coalesced = 0;
+  int64_t mismatches = 0;  // batched answers that are not the unbatched one
 };
 
 double Percentile(std::vector<double> sorted_us, double p) {
@@ -138,14 +139,17 @@ ModeResult RunUnbatched(infer::ScoreServer* server,
   return res;
 }
 
+// Counts the answers that differ from `want`, the unbatched answers.
 ModeResult RunBatched(infer::ScoreServer* server,
                       const std::vector<int64_t>& heads,
-                      const std::vector<int64_t>& rels, int threads) {
+                      const std::vector<int64_t>& rels,
+                      const std::vector<infer::TopKResult>& want, int threads) {
   infer::BatchingFrontEndConfig cfg;
   cfg.max_batch = 64;
   infer::BatchingFrontEnd front(server, kTopK, {}, cfg);
 
   std::atomic<size_t> next{0};
+  std::atomic<int64_t> mismatches{0};
   std::vector<std::vector<double>> lat_us(static_cast<size_t>(threads));
   Stopwatch wall;
   std::vector<std::thread> clients;
@@ -156,6 +160,7 @@ ModeResult RunBatched(infer::ScoreServer* server,
       // client counts.
       constexpr size_t kDepth = 4;
       struct InFlight {
+        size_t query;
         std::future<infer::TopKResult> future;
         Stopwatch started;
       };
@@ -167,12 +172,16 @@ ModeResult RunBatched(infer::ScoreServer* server,
         lat_us[static_cast<size_t>(t)].push_back(f.started.ElapsedSeconds() *
                                                  1e6);
         CAME_CHECK(!r.ids.empty());
+        const infer::TopKResult& w = want[f.query];
+        mismatches += r.ids != w.ids ||
+                      std::memcmp(r.scores.data(), w.scores.data(),
+                                  r.scores.size() * sizeof(float)) != 0;
       };
       for (;;) {
         const size_t i = next.fetch_add(1);
         if (i >= heads.size()) break;
         if (window.size() >= kDepth) drain_one();
-        window.push_back({front.Submit(heads[i], rels[i]), Stopwatch()});
+        window.push_back({i, front.Submit(heads[i], rels[i]), Stopwatch()});
       }
       while (!window.empty()) drain_one();
     });
@@ -191,6 +200,7 @@ ModeResult RunBatched(infer::ScoreServer* server,
   res.qps = static_cast<double>(heads.size()) / elapsed;
   res.batches = stats.batches_executed;
   res.max_coalesced = stats.max_coalesced;
+  res.mismatches = mismatches.load();
   return res;
 }
 
@@ -642,23 +652,21 @@ int Main(int argc, char** argv) {
     rels.push_back(t.rel);
   }
 
-  // Warm-up: prime the tensor pool, the GEMM packing scratch and the
-  // model's query plan for every batch size the front end can coalesce
-  // (up to kMaxThreads clients x 4 in flight). A plan is captured on the
-  // first query of its batch size, which costs several eager forwards;
-  // the short batched runs below would otherwise time those captures.
-  for (size_t b = 1; b <= 4 * static_cast<size_t>(kMaxThreads); ++b) {
-    const std::vector<int64_t> wh(heads.begin(), heads.begin() + b);
-    const std::vector<int64_t> wr(rels.begin(), rels.begin() + b);
-    const Result<std::vector<infer::TopKResult>> warm =
-        server.TopKBatch(wh, wr, kTopK);
-    CAME_CHECK(warm.ok()) << warm.status().ToString();
+  // Each query's unbatched answer, which every batched answer must equal
+  // bit for bit. The pass is the warm-up too: its first query captures the
+  // query plan, and it primes the tensor pool and GEMM packing scratch.
+  std::vector<infer::TopKResult> answers;
+  for (size_t i = 0; i < heads.size(); ++i) {
+    Result<infer::TopKResult> r = server.TopK(heads[i], rels[i], kTopK);
+    CAME_CHECK(r.ok()) << r.status().ToString();
+    answers.push_back(std::move(r).value());
   }
 
   std::vector<ModeResult> results;
+  int64_t batched_mismatches = 0;
   for (int threads = 1; threads <= kMaxThreads; threads *= 2) {
     ModeResult u = RunUnbatched(&server, heads, rels, threads);
-    ModeResult b = RunBatched(&server, heads, rels, threads);
+    ModeResult b = RunBatched(&server, heads, rels, answers, threads);
     std::printf("%-9s t=%d  p50 %8.0fus  p99 %8.0fus  %8.1f qps\n",
                 u.mode.c_str(), u.threads, u.p50_us, u.p99_us, u.qps);
     std::printf("%-9s t=%d  p50 %8.0fus  p99 %8.0fus  %8.1f qps  "
@@ -666,6 +674,7 @@ int Main(int argc, char** argv) {
                 b.mode.c_str(), b.threads, b.p50_us, b.p99_us, b.qps,
                 static_cast<long long>(b.batches),
                 static_cast<long long>(b.max_coalesced));
+    batched_mismatches += b.mismatches;
     results.push_back(u);
     results.push_back(b);
   }
@@ -827,6 +836,8 @@ int Main(int argc, char** argv) {
   WriteModeResults(&w, results);
   w.Key("batched_speedup_at_max_threads");
   w.Double(speedup);
+  w.Key("batched_answers_match");
+  w.Bool(batched_mismatches == 0);
   w.Key("quantized");
   w.BeginObject();
   w.Key("parity_kernel");

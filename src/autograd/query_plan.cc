@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <unordered_map>
 
 #include "autograd/coattention_kernel.h"
 #include "autograd/op_registry.h"
@@ -85,12 +86,6 @@ class ArenaAllocator {
   int64_t top_ = 0;
 };
 
-bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  return ts::SameShape(a.shape(), b.shape()) &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
-}
-
 }  // namespace
 
 struct QueryPlan::Step {
@@ -105,7 +100,7 @@ struct QueryPlan::Step {
   int64_t dims[8] = {};
   uint32_t in_begin = 0;
   uint32_t in_count = 0;
-  int64_t out_offset = -1;  ///< -1: the result tensor
+  int64_t out_offset = -1;  ///< -1: the caller's row
   int64_t scratch_offset = 0;
   Shape a_shape;                 ///< kBinary operands
   Shape b_shape;
@@ -129,10 +124,8 @@ class PlanRecorder {
  public:
   PlanRecorder(const std::vector<int64_t>* heads,
                const std::vector<int64_t>* rels,
-               const std::vector<Var>& parameters,
-               std::unordered_map<const float*, Tensor>* transposed)
-      : heads_(heads), rels_(rels), transposed_(transposed),
-        previous_(g_recorder) {
+               const std::vector<Var>& parameters)
+      : heads_(heads), rels_(rels), previous_(g_recorder) {
     for (const Var& p : parameters) {
       params_.emplace(p.value().data(), p.value());
     }
@@ -174,10 +167,12 @@ class PlanRecorder {
 
   const std::vector<int64_t>* heads_;
   const std::vector<int64_t>* rels_;
-  std::unordered_map<const float*, Tensor>* transposed_;
   PlanRecorder* previous_;
   std::unordered_map<const float*, Tensor> params_;
   std::unordered_map<const float*, int> slot_of_;
+  /// [k, n] copies of the [n, k] parameters GEMMs read with trans_b,
+  /// keyed by the parameter's buffer; the plan's held_ keeps them.
+  std::unordered_map<const float*, Tensor> transposed_;
   std::vector<Pending> pending_;
   std::vector<Tensor> held_;  ///< referenced leaves (go to the plan)
   std::vector<Tensor> outputs_;  ///< step outputs, alive until Finish
@@ -281,12 +276,12 @@ void PlanRecorder::Describe(const PlanAttrs& attrs,
       dims[2] = trans_b ? b.dim(0) : b.dim(1);
       Ref& rb = p->inputs[1];
       if (trans_b && rb.slot < 0 && params_.count(b.data()) != 0) {
-        // A parameter read transposed: copy it transposed once per model,
+        // A parameter read transposed: copy it transposed once per plan,
         // so the GEMM reads B in place instead of transposing the same
         // blocks in registers on every call.
-        auto it = transposed_->find(b.data());
-        if (it == transposed_->end()) {
-          it = transposed_->emplace(b.data(), ts::Transpose2D(b)).first;
+        auto it = transposed_.find(b.data());
+        if (it == transposed_.end()) {
+          it = transposed_.emplace(b.data(), ts::Transpose2D(b)).first;
         }
         if (it->second.dim(0) != dims[1] || it->second.dim(1) != dims[2]) {
           Refuse("a weight read transposed with two different shapes");
@@ -356,14 +351,12 @@ void PlanRecorder::Describe(const PlanAttrs& attrs,
 
 std::unique_ptr<QueryPlan> PlanRecorder::Finish(const Tensor& result) {
   std::unique_ptr<QueryPlan> plan(new QueryPlan());
-  plan->batch_ = static_cast<int64_t>(heads_->size());
   auto result_slot = slot_of_.find(result.data());
   if (refusal_.empty() && result_slot == slot_of_.end()) {
     Refuse("the forward's result is not a recorded step output");
   }
   if (!refusal_.empty()) {
-    CAME_LOG(Debug) << "query plan refused for batch " << plan->batch_
-                    << ": " << refusal_;
+    CAME_LOG(Debug) << "query plan refused: " << refusal_;
     plan->refusal_ = refusal_;
     return plan;
   }
@@ -424,7 +417,7 @@ std::unique_ptr<QueryPlan> PlanRecorder::Finish(const Tensor& result) {
     plan->steps_.push_back(std::move(step));
   }
   plan->arena_floats_ = arena.size();
-  plan->result_shape_ = result.shape();
+  plan->row_floats_ = result.numel();
   plan->held_ = std::move(held_);
   for (const auto& [op, n] : counts) {
     plan->op_counts_.emplace_back(op, n);
@@ -436,13 +429,8 @@ std::unique_ptr<QueryPlan> PlanRecorder::Finish(const Tensor& result) {
 
 }  // namespace internal
 
-Tensor QueryPlan::Replay(const std::vector<int64_t>& heads,
-                         const std::vector<int64_t>& rels) const {
+void QueryPlan::Replay(int64_t head, int64_t rel, float* row) const {
   CAME_CHECK(ok_);
-  CAME_CHECK_EQ(static_cast<int64_t>(heads.size()), batch_);
-  CAME_CHECK_EQ(static_cast<int64_t>(rels.size()), batch_);
-  // fully-written: the last step stores the whole result
-  Tensor result = Tensor::Uninitialized(result_shape_);
   tensor::pool::ScratchLease arena(std::max<int64_t>(arena_floats_, 1));
   float* base = arena.data();
   for (const Step& s : steps_) {
@@ -450,7 +438,7 @@ Tensor QueryPlan::Replay(const std::vector<int64_t>& heads,
     auto in = [&](uint32_t k) -> const float* {
       return ops[k].fixed != nullptr ? ops[k].fixed : base + ops[k].offset;
     };
-    float* out = s.out_offset < 0 ? result.data() : base + s.out_offset;
+    float* out = s.out_offset < 0 ? row : base + s.out_offset;
     float* scratch = base + s.scratch_offset;
     const int64_t* d = s.dims;
     switch (s.kernel) {
@@ -459,7 +447,7 @@ Tensor QueryPlan::Replay(const std::vector<int64_t>& heads,
         break;
       case PlanKernel::kGather:
         ts::GatherRowsInto(in(0), d[0], d[1],
-                           s.ids == Step::Ids::kHeads ? heads : rels, out);
+                           {s.ids == Step::Ids::kHeads ? &head : &rel, 1}, out);
         break;
       case PlanKernel::kMatMul:
         ts::MatMulRaw(in(0), in(1), out, d[0], d[1], d[2], d[3] != 0,
@@ -511,72 +499,53 @@ Tensor QueryPlan::Replay(const std::vector<int64_t>& heads,
   OpRegistry& registry = OpRegistry::Instance();
   for (const auto& [op, n] : op_counts_) registry.CountNoTapeDispatches(op, n);
   internal::CountNoTapeDispatches(total_ops_);
-  return result;
 }
 
-QueryPlanCache::~QueryPlanCache() = default;
-
-const QueryPlan* QueryPlanCache::Find(int64_t batch) const {
-  for (int probe = 0; probe < kMaxPlans; ++probe) {
-    const QueryPlan* plan =
-        slots_[(batch + probe) % kMaxPlans].load(std::memory_order_acquire);
-    if (plan == nullptr) return nullptr;
-    if (plan->batch() == batch) return plan;
-  }
-  return nullptr;
-}
-
-const QueryPlan* QueryPlanCache::Capture(const std::vector<int64_t>& heads,
-                                         const std::vector<int64_t>& rels,
-                                         const QueryFn& query,
-                                         const std::vector<Var>& parameters) {
+const QueryPlan* QueryPlanSlot::Capture(int64_t head, int64_t rel,
+                                        const QueryFn& query,
+                                        const std::vector<Var>& parameters) {
   CAME_CHECK(!GradModeEnabled()) << "query plans capture eval forwards only";
-  const auto batch = static_cast<int64_t>(heads.size());
-  if (batch == 0) return nullptr;
   came::MutexLock lock(&mu_);
-  if (const QueryPlan* found = Find(batch)) return found;
-  if (plans_.size() >= static_cast<size_t>(kMaxPlans)) return nullptr;
+  if (plan_ != nullptr) return plan_.get();
 
   std::unique_ptr<QueryPlan> plan;
-  Tensor eager;
-  std::vector<int64_t> heads2 = heads;
-  std::vector<int64_t> rels2 = rels;
+  const std::vector<int64_t> heads = {head};
+  const std::vector<int64_t> rels = {rel};
+  std::vector<int64_t> pair_heads = {head, head};
+  std::vector<int64_t> pair_rels = {rel, rel};
   {
-    internal::PlanRecorder recorder(&heads, &rels, parameters, &transposed_);
-    eager = query(heads, rels).value();
-    // A second, different id set for the check below: each id moved to
-    // the next valid one.
-    for (int64_t& h : heads2) h = (h + 1) % recorder.head_bound();
-    for (int64_t& r : rels2) r = (r + 1) % recorder.rel_bound();
+    internal::PlanRecorder recorder(&heads, &rels, parameters);
+    const Tensor eager = query(heads, rels).value();
+    pair_heads[1] = (head + 1) % recorder.head_bound();
+    pair_rels[1] = (rel + 1) % recorder.rel_bound();
     plan = recorder.Finish(eager);
   }
-  if (plan->ok() &&
-      !(BitwiseEqual(plan->Replay(heads, rels), eager) &&
-        BitwiseEqual(plan->Replay(heads2, rels2),
-                     query(heads2, rels2).value()))) {
-    plan.reset(new QueryPlan());
-    plan->batch_ = batch;
-    plan->refusal_ = "replay differs from the eager forward";
-    CAME_LOG(Debug) << "query plan refused for batch " << batch << ": "
-                    << plan->refusal_;
-  }
-  const QueryPlan* published = plan.get();
-  plans_.push_back(std::move(plan));
-  for (int probe = 0; probe < kMaxPlans; ++probe) {
-    std::atomic<const QueryPlan*>& slot = slots_[(batch + probe) % kMaxPlans];
-    if (slot.load(std::memory_order_relaxed) == nullptr) {
-      slot.store(published, std::memory_order_release);
-      break;
+  if (plan->ok()) {
+    // The captured pair and a second one (each id moved to the next valid
+    // one), replayed row by row against one eager batch of both: a constant
+    // that depends on the ids, or rows that are not independent, fail.
+    const int64_t d = plan->row_floats();
+    // fully-written: each row is one replay's output
+    Tensor rows = Tensor::Uninitialized({2, d});
+    plan->Replay(head, rel, rows.data());
+    plan->Replay(pair_heads[1], pair_rels[1], rows.data() + d);
+    const Tensor eager = query(pair_heads, pair_rels).value();
+    if (!ts::SameShape(rows.shape(), eager.shape()) ||
+        std::memcmp(rows.data(), eager.data(), 2 * d * sizeof(float)) != 0) {
+      plan.reset(new QueryPlan());
+      plan->refusal_ = "replay differs from the eager forward";
+      CAME_LOG(Debug) << "query plan refused: " << plan->refusal_;
     }
   }
-  return published;
+  plan_ = std::move(plan);
+  published_.store(plan_.get(), std::memory_order_release);
+  return plan_.get();
 }
 
-void QueryPlanCache::Clear() {
+void QueryPlanSlot::Clear() {
   came::MutexLock lock(&mu_);
-  for (auto& slot : slots_) slot.store(nullptr, std::memory_order_relaxed);
-  plans_.clear();
-  transposed_.clear();
+  published_.store(nullptr, std::memory_order_relaxed);
+  plan_.reset();
 }
 
 }  // namespace came::ag

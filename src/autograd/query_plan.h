@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,11 +23,10 @@ namespace came::ag {
 // ids. Running it through autograd builds a Var, a VarState and an input
 // std::vector<Var> per op, and bumps the refcounts of the shared parameter
 // states, which at d = 32 costs more than the arithmetic. A QueryPlan runs
-// the forward once under a recorder and keeps a flat list of steps: op
-// kind, operand slots, shapes and attributes (the C-ML Operation enum /
-// Hetu op-header pattern). Replay walks the steps over one pooled arena,
-// calling the same tensor-level kernels the eager ops call, so its output
-// is bitwise the eager one.
+// the forward once, on one row, under a recorder and keeps a flat list of
+// steps: op kind, operand slots, shapes and attributes (the C-ML Operation
+// enum / Hetu op-header pattern). Replay walks the steps for one row over
+// one pooled arena with the eager ops' kernels, so the row is bitwise.
 
 namespace internal {
 
@@ -75,7 +73,8 @@ void RecordPlanStep(PlanRecorder* recorder, int op_id, const PlanAttrs& attrs,
 using QueryFn = std::function<Var(const std::vector<int64_t>& heads,
                                   const std::vector<int64_t>& rels)>;
 
-/// One captured query forward for one batch size.
+/// One captured query forward for a single (head, rel) row; a batch
+/// replays it once per row.
 class QueryPlan {
  public:
   ~QueryPlan();
@@ -86,18 +85,18 @@ class QueryPlan {
   bool ok() const { return ok_; }
   /// Why the capture was refused (empty when ok()).
   const std::string& refusal() const { return refusal_; }
-  int64_t batch() const { return batch_; }
   int64_t num_steps() const;
+  /// Floats in one query row: the d of the forward's [1, d] output.
+  int64_t row_floats() const { return row_floats_; }
 
-  /// The forward's [B, d] output for these ids, bitwise the eager one.
-  /// Builds no Var and touches no shared refcount; acquires the arena and
-  /// the result from the pool. Requires ok() and batch() ids.
-  Tensor Replay(const std::vector<int64_t>& heads,
-                const std::vector<int64_t>& rels) const;
+  /// Writes the forward's row for (head, rel) to row[0, row_floats()),
+  /// bitwise the eager one. Builds no Var and touches no shared refcount;
+  /// acquires only its arena from the pool. Requires ok().
+  void Replay(int64_t head, int64_t rel, float* row) const;
 
  private:
   friend class internal::PlanRecorder;
-  friend class QueryPlanCache;
+  friend class QueryPlanSlot;
 
   struct Operand {
     const float* fixed = nullptr;  ///< parameter, table or constant
@@ -109,12 +108,12 @@ class QueryPlan {
 
   bool ok_ = false;
   std::string refusal_;
-  int64_t batch_ = 0;
   int64_t arena_floats_ = 0;
-  Shape result_shape_;
+  int64_t row_floats_ = 0;
   std::vector<Step> steps_;
   std::vector<Operand> operands_;
-  /// Parameters, gather tables and constants the operands point into.
+  /// Parameters, gather tables, constants and transposed weight copies
+  /// the operands point into.
   std::vector<Tensor> held_;
   /// (op id, steps of that op): credited to the dispatch counters per
   /// replay, one add per op kind.
@@ -122,49 +121,34 @@ class QueryPlan {
   int64_t total_ops_ = 0;
 };
 
-/// The plans of one model, one per batch size, plus the trans_b weight
-/// copies they share.
-///
-/// Find is lock-free (an acquire load per probed slot), so concurrent
-/// clients replaying plans share no lock and no counter. Capture
-/// serialises on a mutex; it runs once per batch size. Clear must not run
-/// concurrently with Find or a Replay: it is called where the model's
-/// weights or mode change, which already excludes concurrent queries.
-class QueryPlanCache {
+/// The one query plan of a model. Get is one acquire load; Capture runs
+/// once, under a mutex. Clear must not run concurrently with Get or a
+/// Replay: it is called where the model's weights or mode change, which
+/// already excludes concurrent queries.
+class QueryPlanSlot {
  public:
-  QueryPlanCache() = default;
-  ~QueryPlanCache();
-  QueryPlanCache(const QueryPlanCache&) = delete;
-  QueryPlanCache& operator=(const QueryPlanCache&) = delete;
+  /// The published plan (possibly a refused one), or null.
+  const QueryPlan* Get() const {
+    return published_.load(std::memory_order_acquire);
+  }
 
-  /// The published plan (possibly a refused one) for `batch`, or null.
-  const QueryPlan* Find(int64_t batch) const;
-
-  /// Captures the plan for heads.size() by running `query` once under a
-  /// recorder, then checks it: replays of the captured ids and of a second
-  /// id set must memcmp the eager forward, or the published plan is a
-  /// refused one. `parameters` are the model's parameters (referenced in
-  /// place). Must run with grad mode off. Returns null, publishing
-  /// nothing, for an empty batch or when kMaxPlans batch sizes already
-  /// have plans.
-  const QueryPlan* Capture(const std::vector<int64_t>& heads,
-                           const std::vector<int64_t>& rels,
-                           const QueryFn& query,
+  /// Captures the plan by running `query` once on the one row (head, rel)
+  /// under a recorder, then checks it: replays of (head, rel) and of a
+  /// second id pair must memcmp the two rows of one eager batch of both,
+  /// or the published plan is a refused one. `parameters` are the model's
+  /// parameters (referenced in place). Must run with grad mode off.
+  /// Returns the plan already published, if any.
+  const QueryPlan* Capture(int64_t head, int64_t rel, const QueryFn& query,
                            const std::vector<Var>& parameters)
       CAME_EXCLUDES(mu_);
 
-  /// Drops every plan and the transposed weights.
+  /// Drops the plan.
   void Clear() CAME_EXCLUDES(mu_);
 
-  static constexpr int kMaxPlans = 64;
-
  private:
-  std::atomic<const QueryPlan*> slots_[kMaxPlans] = {};
-  mutable came::Mutex mu_;
-  std::vector<std::unique_ptr<QueryPlan>> plans_ CAME_GUARDED_BY(mu_);
-  /// [k, n] copies of the [n, k] parameters GEMMs read with trans_b,
-  /// keyed by the parameter's buffer; one per model, shared by every plan.
-  std::unordered_map<const float*, Tensor> transposed_ CAME_GUARDED_BY(mu_);
+  std::atomic<const QueryPlan*> published_{nullptr};
+  came::Mutex mu_;
+  std::unique_ptr<QueryPlan> plan_ CAME_GUARDED_BY(mu_);
 };
 
 }  // namespace came::ag

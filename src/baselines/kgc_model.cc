@@ -1,6 +1,7 @@
 #include "baselines/kgc_model.h"
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "infer/no_tape.h"
 #include "tensor/tensor_ops.h"
 
@@ -42,19 +43,31 @@ ag::Var InnerProductKgcModel::ScoreAllTails(const std::vector<int64_t>& heads,
 tensor::Tensor InnerProductKgcModel::ServingQuery(
     const std::vector<int64_t>& heads, const std::vector<int64_t>& rels) {
   CAME_CHECK(!training()) << "ServingQuery requires eval mode";
-  const ag::QueryPlan* plan =
-      query_plans_.Find(static_cast<int64_t>(heads.size()));
+  CAME_CHECK_EQ(heads.size(), rels.size());
+  if (heads.empty() || !score_rows_independent()) {
+    return EagerQuery(heads, rels);
+  }
+  const ag::QueryPlan* plan = query_plan_.Get();
   if (plan == nullptr) {
     infer::NoTapeGuard guard;
-    plan = query_plans_.Capture(
-        heads, rels,
+    plan = query_plan_.Capture(
+        heads[0], rels[0],
         [this](const std::vector<int64_t>& h, const std::vector<int64_t>& r) {
           return Query(h, r);
         },
         Parameters());
   }
-  if (plan != nullptr && plan->ok()) return plan->Replay(heads, rels);
-  return EagerQuery(heads, rels);
+  if (!plan->ok()) return EagerQuery(heads, rels);
+  const int64_t d = plan->row_floats();
+  // fully-written: each row is one replay's output
+  tensor::Tensor out = tensor::Tensor::Uninitialized(
+      {static_cast<int64_t>(heads.size()), d});
+  // Grain 1: chunk [i, i + 1) replays row i.
+  ParallelFor(0, out.dim(0), 1, [&](int64_t i, int64_t) {
+    const auto ui = static_cast<size_t>(i);
+    plan->Replay(heads[ui], rels[ui], out.data() + i * d);
+  });
+  return out;
 }
 
 tensor::Tensor InnerProductKgcModel::EagerQuery(
@@ -62,10 +75,6 @@ tensor::Tensor InnerProductKgcModel::EagerQuery(
   CAME_CHECK(!training()) << "EagerQuery requires eval mode";
   infer::NoTapeGuard guard;
   return Query(heads, rels).value();
-}
-
-void InnerProductKgcModel::OnSetTraining(bool training) {
-  if (training) DropQueryPlans();
 }
 
 tensor::Tensor InnerProductKgcModel::ServingCandidates() {

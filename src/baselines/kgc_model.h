@@ -134,21 +134,20 @@ class InnerProductKgcModel : public KgcModel {
   // require eval mode and run under an enforced no-tape scope.
 
   /// [B, d] query matrix for the batch (forward-only, no tape nodes),
-  /// bitwise Query(heads, rels).value(). The first call for a batch size
-  /// captures a query plan (autograd/query_plan.h); later calls replay it
-  /// without building Vars. Forwards the plan cannot replay run eagerly.
-  /// Safe for concurrent callers.
+  /// bitwise Query(heads, rels).value(). The first call captures the
+  /// model's one query plan from one row (autograd/query_plan.h); each
+  /// call replays it per row, one pool chunk per row. Models whose rows
+  /// are not independent (score_rows_independent()) and forwards the plan
+  /// cannot replay run eagerly. Safe for concurrent callers.
   tensor::Tensor ServingQuery(const std::vector<int64_t>& heads,
                               const std::vector<int64_t>& rels);
   /// Query(heads, rels).value() run eagerly under a no-tape scope: what
-  /// ServingQuery falls back to, and the bitwise oracle of its plans.
+  /// ServingQuery falls back to, and the bitwise oracle of its plan.
   tensor::Tensor EagerQuery(const std::vector<int64_t>& heads,
                             const std::vector<int64_t>& rels);
-  /// The plan ServingQuery published for `batch` (possibly a refused one),
-  /// or null before its first call at that size.
-  const ag::QueryPlan* ServingPlan(int64_t batch) const {
-    return query_plans_.Find(batch);
-  }
+  /// The plan ServingQuery published (possibly a refused one), or null
+  /// before its first call.
+  const ag::QueryPlan* ServingPlan() const { return query_plan_.Get(); }
   /// [N, d] candidate-entity matrix (aliases the parameter buffer).
   tensor::Tensor ServingCandidates();
   /// [N] per-entity bias, or an empty tensor when the model has none.
@@ -163,20 +162,22 @@ class InnerProductKgcModel : public KgcModel {
   /// [N, query_dim] candidate-entity table the query is matched against.
   virtual ag::Var CandidateTable() = 0;
 
-  /// Drops the query plans. Overrides that change what Query computes
+  /// Drops the query plan. Overrides that change what Query computes
   /// without touching a parameter (e.g. installing folded encoder rows)
-  /// call this; training mode and restored parameters drop them already.
-  void DropQueryPlans() { query_plans_.Clear(); }
-  void OnSetTraining(bool training) override;
-  void OnParametersRestored() override { DropQueryPlans(); }
+  /// call this; training mode and restored parameters drop it already.
+  void DropQueryPlan() { query_plan_.Clear(); }
+  void OnSetTraining(bool training) override {
+    if (training) DropQueryPlan();
+  }
+  void OnParametersRestored() override { DropQueryPlan(); }
 
   ag::Var bias_;  // [N] or undefined
 
  private:
-  /// ServingQuery's plans, one per batch size. They read the parameters
-  /// in place but hold transposed copies of some, so they live only while
-  /// the parameters are frozen (eval mode, no restore).
-  ag::QueryPlanCache query_plans_;
+  /// ServingQuery's one plan, captured from a single row. It reads the
+  /// parameters in place but holds transposed copies of some, so it lives
+  /// only while the parameters are frozen (eval mode, no restore).
+  ag::QueryPlanSlot query_plan_;
 };
 
 }  // namespace came::baselines

@@ -1,5 +1,7 @@
 #include "common/parallel_for.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -18,6 +20,24 @@ namespace {
 // calls (e.g. MatMul inside a parallel BatchMatMul) see it and run serially
 // instead of re-entering the pool.
 thread_local bool tls_in_parallel_region = false;
+
+/// Moves the calling thread to the k-th allowed CPU after `home`, then
+/// allows every CPU again: a starting CPU where the kernel balances load,
+/// the only spread where it does not (a cpuset with load balancing off
+/// leaves every new thread on its creator's CPU, as on some VMs).
+void MoveToKthCpuAfter(int home, int k) {
+  cpu_set_t allowed, one;
+  if (home < 0 || sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  int cpu = home;
+  for (int found = 0; found < k;) {
+    cpu = (cpu + 1) % CPU_SETSIZE;
+    if (CPU_ISSET(cpu, &allowed)) ++found;
+  }
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  sched_setaffinity(0, sizeof(one), &one);
+  sched_setaffinity(0, sizeof(allowed), &allowed);
+}
 
 int ResolveDefaultThreads() {
   const int configured = GetRuntimeConfig().num_threads;
@@ -96,8 +116,9 @@ class WorkerPool {
       shutdown_ = false;
     }
     const int n = nthreads_.load(std::memory_order_relaxed);
+    const int home = sched_getcpu();
     for (int i = 1; i < n; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
+      workers_.emplace_back([this, home, i] { WorkerLoop(home, i); });
     }
   }
 
@@ -111,7 +132,9 @@ class WorkerPool {
     workers_.clear();
   }
 
-  void WorkerLoop() CAME_EXCLUDES(mu_) {
+  /// Worker k of the pool, started from CPU `home`.
+  void WorkerLoop(int home, int k) CAME_EXCLUDES(mu_) {
+    MoveToKthCpuAfter(home, k);
     uint64_t seen_generation = 0;
     while (true) {
       {

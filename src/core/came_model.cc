@@ -214,7 +214,7 @@ tensor::Tensor CamE::FoldEntityEncoders() {
 }
 
 void CamE::SetFoldedEncoderCache(tensor::Tensor rows) {
-  DropQueryPlans();
+  DropQueryPlan();
   DropFoldedRows();
   if (rows.numel() == 0) return;
   CAME_CHECK(!training()) << "SetFoldedEncoderCache requires eval mode";

@@ -26,9 +26,9 @@ namespace came::infer {
 /// Must be forward-only (no tape nodes) and eval-mode. With concurrent
 /// server calls the encoder is invoked from multiple threads at once, so
 /// it must be safe for concurrent invocation. The model-backed encoder
-/// qualifies: ServingQuery replays a captured query plan (for CamE: the
-/// folded-row gathers, RIC's co-attention heads and the two-branch conv
-/// decoder) that only reads the model, and captures under a mutex.
+/// qualifies: ServingQuery replays the model's one query plan (for CamE:
+/// the folded-row gathers, RIC's co-attention heads and the conv decoder)
+/// once per row, reading only the model, and captures it under a mutex.
 using QueryEncoder = std::function<tensor::Tensor(
     const std::vector<int64_t>& heads, const std::vector<int64_t>& rels)>;
 

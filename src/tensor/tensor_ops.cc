@@ -478,7 +478,7 @@ Tensor SliceAlong(const Tensor& t, int64_t dim, int64_t start, int64_t len) {
 }
 
 void GatherRowsInto(const float* matrix, int64_t rows, int64_t d,
-                    const std::vector<int64_t>& indices, float* out) {
+                    std::span<const int64_t> indices, float* out) {
   for (size_t i = 0; i < indices.size(); ++i) {
     const int64_t r = indices[i];
     CAME_CHECK_GE(r, 0);

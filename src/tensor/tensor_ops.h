@@ -2,6 +2,7 @@
 #define CAME_TENSOR_TENSOR_OPS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -140,7 +141,7 @@ void UnaryInto(UnaryOp op, const float* x, int64_t n, float s, float* out);
 /// out[i] = matrix[indices[i]] for a [rows, d] matrix; CHECK-fails on an
 /// out-of-range index.
 void GatherRowsInto(const float* matrix, int64_t rows, int64_t d,
-                    const std::vector<int64_t>& indices, float* out);
+                    std::span<const int64_t> indices, float* out);
 /// Concatenates `count` parts of extents [outer, extents[i], inner] along
 /// the middle axis.
 void ConcatInto(const float* const* parts, const int64_t* extents,

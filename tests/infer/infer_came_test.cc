@@ -153,7 +153,7 @@ TEST_P(InferCamEFoldTest, FoldedQueriesAreBitwiseTheLiveOnes) {
     const tensor::Tensor served = model.ServingQuery(heads(b), rels(b));
     ExpectBitwiseEqual(served, model.EagerQuery(heads(b), rels(b)));
     ExpectBitwiseEqual(served, live_queries[k]);
-    const ag::QueryPlan* plan = model.ServingPlan(b);
+    const ag::QueryPlan* plan = model.ServingPlan();
     ASSERT_NE(plan, nullptr);
     EXPECT_TRUE(plan->ok()) << plan->refusal();
   }

@@ -1,8 +1,10 @@
-// Query plans behind InnerProductKgcModel::ServingQuery: every replay must
-// memcmp the eager forward (folded CamE over batch sizes, GEMM kernels and
-// thread counts, every inner-product model of the zoo, concurrent
-// clients, a scrubbed pool), plans must die with the weights they copied,
-// and a replayed query must build nothing but its arena and its result.
+// The query plan behind InnerProductKgcModel::ServingQuery: one plan per
+// model, captured from a single row and replayed once per row of a batch.
+// Every served batch must memcmp the eager forward (folded CamE over batch
+// sizes, GEMM kernels and thread counts, every inner-product model of the
+// zoo, concurrent clients racing pool-chunk replays, a scrubbed pool), the
+// plan must die with the weights it copied, and a replayed query must
+// build nothing but its arena and its result.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include "autograd/op_registry.h"
 #include "autograd/ops.h"
 #include "autograd/query_plan.h"
+#include "baselines/bilinear.h"
 #include "baselines/model_zoo.h"
 #include "common/parallel_for.h"
 #include "core/came_model.h"
@@ -122,7 +125,7 @@ TEST_F(QueryPlanTest, FoldedCamEReplaysBitwiseOverBatchesKernelsAndThreads) {
         for (int64_t salt : {0, 11, 23}) {
           ExpectReplayIsEager(model.get(), batch, salt);
         }
-        const ag::QueryPlan* plan = model->ServingPlan(batch);
+        const ag::QueryPlan* plan = model->ServingPlan();
         ASSERT_NE(plan, nullptr);
         EXPECT_TRUE(plan->ok()) << plan->refusal();
         EXPECT_GT(plan->num_steps(), 0);
@@ -147,7 +150,7 @@ TEST_F(QueryPlanTest, EveryInnerProductModelOfTheZooReplaysBitwise) {
     for (int64_t batch : {1, 3}) {
       ExpectReplayIsEager(ip, batch, 0);
       ExpectReplayIsEager(ip, batch, 7);
-      const ag::QueryPlan* plan = ip->ServingPlan(batch);
+      const ag::QueryPlan* plan = ip->ServingPlan();
       ASSERT_NE(plan, nullptr) << name;
       // Unfolded CamE runs MMF's exchanging fusion, whose mask depends on
       // the data; every other inner-product model is replayable.
@@ -167,27 +170,62 @@ TEST_F(QueryPlanTest, UnfoldedCamEFallsBackToEager) {
   model.SetTraining(false);
   ASSERT_FALSE(model.HasFoldedEncoderCache());
   ExpectReplayIsEager(&model, 3, 0);
-  const ag::QueryPlan* plan = model.ServingPlan(3);
+  const ag::QueryPlan* plan = model.ServingPlan();
   ASSERT_NE(plan, nullptr);
   EXPECT_FALSE(plan->ok());
   EXPECT_NE(plan->refusal().find("WhereConst"), std::string::npos)
       << plan->refusal();
   // The refusal is remembered: later calls stay eager and stay exact.
   ExpectReplayIsEager(&model, 3, 5);
-  EXPECT_EQ(model.ServingPlan(3), plan);
+  ExpectReplayIsEager(&model, 1, 2);
+  EXPECT_EQ(model.ServingPlan(), plan);
+}
+
+TEST_F(QueryPlanTest, ModelWithDependentRowsStaysEager) {
+  // A model whose score rows may read each other never captures: one
+  // plan replayed per row could not reproduce its batches.
+  class DependentRows : public baselines::DistMult {
+   public:
+    using DistMult::DistMult;
+    bool score_rows_independent() const override { return false; }
+  };
+  DependentRows model(Context(), 16);
+  model.SetTraining(false);
+  for (int64_t batch : {1, 3}) ExpectReplayIsEager(&model, batch, 0);
+  EXPECT_EQ(model.ServingPlan(), nullptr);
+}
+
+TEST_F(QueryPlanTest, ServesEveryBatchSizeFromOnePlan) {
+  // 70 sizes, past the 64 a per-size plan table could hold: each is
+  // bitwise the eager batch, and the plan captured by the first call is
+  // the one every later size replays.
+  auto model = FoldedCamE();
+  ExpectReplayIsEager(model.get(), 1, 0);
+  const ag::QueryPlan* plan = model->ServingPlan();
+  ASSERT_NE(plan, nullptr);
+  ASSERT_TRUE(plan->ok()) << plan->refusal();
+  for (int64_t batch = 1; batch <= 70; ++batch) {
+    ExpectReplayIsEager(model.get(), batch, batch);
+    EXPECT_EQ(model->ServingPlan(), plan) << "batch " << batch;
+  }
 }
 
 TEST_F(QueryPlanTest, ConcurrentCapturesAndReplaysMatchEager) {
+  // Four clients against a four-thread pool: batches past one row run as
+  // pool chunks, so their replays race the other clients' replays (and
+  // the one capture, whichever client gets there first).
+  const int saved_threads = NumThreads();
+  SetNumThreads(4);
   auto model = FoldedCamE();
   constexpr int kThreads = 4;
-  constexpr int kRounds = 12;
+  constexpr int kRounds = 16;
+  const auto batch_of = [](int t, int i) { return 1 + (t + i) % 8; };
   // Eager answers first: EagerQuery never captures.
   std::vector<std::vector<Tensor>> want(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kRounds; ++i) {
-      const int64_t batch = 1 + (i % 3);
-      want[t].push_back(model->EagerQuery(Heads(batch, t * 31 + i),
-                                          Rels(batch, t * 31 + i)));
+      want[t].push_back(model->EagerQuery(Heads(batch_of(t, i), t * 31 + i),
+                                          Rels(batch_of(t, i), t * 31 + i)));
     }
   }
   std::vector<std::vector<Tensor>> got(kThreads);
@@ -195,9 +233,8 @@ TEST_F(QueryPlanTest, ConcurrentCapturesAndReplaysMatchEager) {
   for (int t = 0; t < kThreads; ++t) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kRounds; ++i) {
-        const int64_t batch = 1 + (i % 3);
-        got[t].push_back(model->ServingQuery(Heads(batch, t * 31 + i),
-                                             Rels(batch, t * 31 + i)));
+        got[t].push_back(model->ServingQuery(Heads(batch_of(t, i), t * 31 + i),
+                                             Rels(batch_of(t, i), t * 31 + i)));
       }
     });
   }
@@ -207,10 +244,9 @@ TEST_F(QueryPlanTest, ConcurrentCapturesAndReplaysMatchEager) {
       EXPECT_TRUE(Bitwise(got[t][i], want[t][i])) << t << "/" << i;
     }
   }
-  for (int64_t batch : {1, 2, 3}) {
-    ASSERT_NE(model->ServingPlan(batch), nullptr);
-    EXPECT_TRUE(model->ServingPlan(batch)->ok());
-  }
+  SetNumThreads(saved_threads);
+  ASSERT_NE(model->ServingPlan(), nullptr);
+  EXPECT_TRUE(model->ServingPlan()->ok());
 }
 
 TEST_F(QueryPlanTest, ScrubbedPoolReplayReadsNoUnwrittenSlot) {
@@ -222,8 +258,8 @@ TEST_F(QueryPlanTest, ScrubbedPoolReplayReadsNoUnwrittenSlot) {
   auto model = FoldedCamE();
   for (int64_t batch : {1, 3, 64}) {
     ExpectReplayIsEager(model.get(), batch, 4);
-    ASSERT_NE(model->ServingPlan(batch), nullptr);
-    EXPECT_TRUE(model->ServingPlan(batch)->ok());
+    ASSERT_NE(model->ServingPlan(), nullptr);
+    EXPECT_TRUE(model->ServingPlan()->ok());
   }
   tensor::pool::SetMode(saved);
 }
@@ -233,10 +269,10 @@ TEST_F(QueryPlanTest, TrainingStepAndRefoldReplaceThePlan) {
   const auto h = Heads(1, 3);
   const auto r = Rels(1, 3);
   const Tensor before = model->ServingQuery(h, r).Clone();
-  ASSERT_NE(model->ServingPlan(1), nullptr);
+  ASSERT_NE(model->ServingPlan(), nullptr);
 
   model->SetTraining(true);
-  EXPECT_EQ(model->ServingPlan(1), nullptr);
+  EXPECT_EQ(model->ServingPlan(), nullptr);
   optim::Adam adam(model->Parameters(), 0.05f);
   model->ZeroGrad();
   ag::Var scores = model->ScoreAllTails(Heads(8, 1), Rels(8, 1));
@@ -248,23 +284,23 @@ TEST_F(QueryPlanTest, TrainingStepAndRefoldReplaceThePlan) {
   model->SetTraining(false);
   FusedEmbeddingTable::Build(model.get()).InstallFoldedRows(model.get());
   const Tensor after = model->ServingQuery(h, r);
-  ASSERT_NE(model->ServingPlan(1), nullptr);
-  EXPECT_TRUE(model->ServingPlan(1)->ok());
+  ASSERT_NE(model->ServingPlan(), nullptr);
+  EXPECT_TRUE(model->ServingPlan()->ok());
   EXPECT_TRUE(Bitwise(after, model->EagerQuery(h, r)));
   EXPECT_FALSE(Bitwise(after, before));  // the weights did move
 }
 
-TEST_F(QueryPlanTest, RestoreParametersInEvalModeDropsThePlans) {
+TEST_F(QueryPlanTest, RestoreParametersInEvalModeDropsThePlan) {
   auto model = FoldedCamE();
   const auto h = Heads(3, 9);
   const auto r = Rels(3, 9);
   const Tensor before = model->ServingQuery(h, r).Clone();
-  ASSERT_NE(model->ServingPlan(3), nullptr);
+  ASSERT_NE(model->ServingPlan(), nullptr);
 
   std::vector<Tensor> halved = model->SnapshotParameters();
   for (Tensor& t : halved) t = tensor::Scale(t, 0.5f);
   model->RestoreParameters(halved);
-  EXPECT_EQ(model->ServingPlan(3), nullptr);
+  EXPECT_EQ(model->ServingPlan(), nullptr);
   const Tensor after = model->ServingQuery(h, r);
   EXPECT_TRUE(Bitwise(after, model->EagerQuery(h, r)));
   EXPECT_FALSE(Bitwise(after, before));
@@ -369,37 +405,44 @@ class ToyForward {
 
 TEST(QueryPlanRecorderTest, ReplaysAHandWrittenForwardBitwise) {
   ToyForward toy;
-  ag::QueryPlanCache cache;
+  ag::QueryPlanSlot slot;
   NoTapeGuard guard;
-  const std::vector<int64_t> h = {1, 7};
-  const std::vector<int64_t> r = {2, 0};
-  const ag::QueryPlan* plan = cache.Capture(
-      h, r, [&](const auto& a, const auto& b) { return toy.Forward(a, b); },
-      toy.Parameters());
+  const auto forward = [&](const auto& a, const auto& b) {
+    return toy.Forward(a, b);
+  };
+  EXPECT_EQ(slot.Get(), nullptr);
+  const ag::QueryPlan* plan = slot.Capture(1, 2, forward, toy.Parameters());
   ASSERT_NE(plan, nullptr);
   ASSERT_TRUE(plan->ok()) << plan->refusal();
-  EXPECT_EQ(cache.Find(2), plan);
-  EXPECT_EQ(cache.Find(3), nullptr);
+  EXPECT_EQ(slot.Get(), plan);
+  // One plan per slot: a second capture, from another row, returns it.
+  EXPECT_EQ(slot.Capture(7, 0, forward, toy.Parameters()), plan);
   // Gather, MatMul, Sigmoid, Scale, Gather, Add, Add.
   EXPECT_EQ(plan->num_steps(), 7);
-  const std::vector<int64_t> h2 = {9, 0};
-  const std::vector<int64_t> r2 = {1, 1};
-  EXPECT_TRUE(Bitwise(plan->Replay(h2, r2), toy.Forward(h2, r2).value()));
-  cache.Clear();
-  EXPECT_EQ(cache.Find(2), nullptr);
+  EXPECT_EQ(plan->row_floats(), 6);
+  // Rows replayed one by one are the rows of an eager batch.
+  const std::vector<int64_t> h2 = {9, 0, 4};
+  const std::vector<int64_t> r2 = {1, 1, 2};
+  Tensor rows = Tensor::Uninitialized({3, 6});
+  for (size_t i = 0; i < h2.size(); ++i) {
+    plan->Replay(h2[i], r2[i], rows.data() + 6 * static_cast<int64_t>(i));
+  }
+  EXPECT_TRUE(Bitwise(rows, toy.Forward(h2, r2).value()));
+  slot.Clear();
+  EXPECT_EQ(slot.Get(), nullptr);
 }
 
 TEST(QueryPlanRecorderTest, RefusesWhatItCannotReplay) {
   ToyForward toy;
   NoTapeGuard guard;
-  const std::vector<int64_t> h = {1, 7};
-  const std::vector<int64_t> r = {2, 0};
   auto refusal = [&](const ag::QueryFn& fn,
                      const std::vector<ag::Var>& params) {
-    ag::QueryPlanCache cache;
-    const ag::QueryPlan* plan = cache.Capture(h, r, fn, params);
+    ag::QueryPlanSlot slot;
+    const ag::QueryPlan* plan = slot.Capture(1, 2, fn, params);
     EXPECT_NE(plan, nullptr);
     EXPECT_FALSE(plan->ok());
+    // The refused plan is published, so the model stays eager.
+    EXPECT_EQ(slot.Get(), plan);
     return plan->refusal();
   };
   // An op without a replay kernel.
@@ -410,17 +453,23 @@ TEST(QueryPlanRecorderTest, RefusesWhatItCannotReplay) {
   EXPECT_NE(refusal([&](const auto& a, const auto&) {
               std::vector<int64_t> shifted = a;
               for (int64_t& id : shifted) id = (id + 1) % 10;
-              return toy.Forward(shifted, {0, 0});
+              return toy.Forward(shifted, {0});
             }, toy.Parameters()).find("Gather"), std::string::npos);
   // A trainable leaf the caller did not list as a parameter.
   EXPECT_NE(refusal([&](const auto& a, const auto& b) {
               return toy.Forward(a, b);
             }, {}).find("trainable"), std::string::npos);
   // A constant that depends on the ids: snapshotted at capture, so the
-  // second-id-set check catches it.
+  // second-id-pair check catches it.
   EXPECT_NE(refusal([&](const auto& a, const auto& b) {
               Tensor t = toy.Forward(a, b).value().Clone();
               return ag::Scale(ag::Const(t), 3.0f);
+            }, toy.Parameters()).find("differs"), std::string::npos);
+  // A forward whose rows are not independent: one row replays exactly,
+  // but the rows of a two-row eager batch differ from two replays.
+  EXPECT_NE(refusal([&](const auto& a, const auto& b) {
+              ag::Var x = toy.Forward(a, b);
+              return ag::Add(x, ag::SumAlong(x, 0, /*keepdim=*/true));
             }, toy.Parameters()).find("differs"), std::string::npos);
 }
 

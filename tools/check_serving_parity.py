@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""CI gate for the quantized serving path.
+"""CI gate for the serving path.
 
-Reads the BENCH_serving.json emitted by bench_serving and enforces the
-quantized-vs-fp32 quality floor on the int8 section:
+Reads the BENCH_serving.json emitted by bench_serving. Every batched
+answer must equal the same query's unbatched answer, ids and score bits
+("batched_answers_match": a coalesced batch replays the one-row query plan
+per row, so each answer is bitwise the single query's).
+
+It enforces the quantized-vs-fp32 quality floor on the int8 section:
 
   * top-K agreement >= the floor (default 0.99),
   * entity-matrix bytes <= the ratio ceiling (default 0.3x fp32),
@@ -87,6 +91,11 @@ def check(bench, min_agreement, max_bytes_ratio, expect_kernel,
           min_throughput_ratio, min_prune_speedup=None):
     """Returns a list of failure strings (empty = gate passes)."""
     failures = check_pruning(bench, expect_kernel, min_prune_speedup)
+    if bench.get("batched_answers_match") is not True:
+        failures.append(
+            "batched answers differ from unbatched answers (or "
+            "\"batched_answers_match\" is missing) — a batch must answer "
+            "each query bitwise as a single query")
     quant = bench.get("quantized")
     if quant is None:
         return failures + ["BENCH_serving.json has no \"quantized\" section"]
@@ -127,7 +136,8 @@ def run_gate(args):
                      args.expect_kernel, args.min_throughput_ratio,
                      args.min_prune_speedup)
     int8 = bench.get("quantized", {}).get("int8", {})
-    print(f"quantized serving gate ({args.json}):")
+    print(f"serving gate ({args.json}):")
+    print(f"  batched == unbatched {bench.get('batched_answers_match')}")
     print(f"  parity kernel      {int8.get('parity_kernel')}")
     print(f"  agreement@K        {int8.get('agreement_at_k')}")
     print(f"  jaccard@K          {int8.get('jaccard_at_k')}")
@@ -156,6 +166,7 @@ def run_gate(args):
 def self_test():
     """The gate gates itself: known-good and each known-bad shape."""
     good = {
+        "batched_answers_match": True,
         "quantized": {
             "int8": {
                 "parity_kernel": "scalar",
@@ -201,7 +212,14 @@ def self_test():
     cases.append(("wrong kernel", variant(parity_kernel="vnni"), 1))
     cases.append(("missing section", {"bench": "serving"}, 1))
     cases.append(("missing int8",
-                  {"quantized": {}, "pruning": good["pruning"]}, 1))
+                  {"batched_answers_match": True, "quantized": {},
+                   "pruning": good["pruning"]}, 1))
+    batched_differ = json.loads(json.dumps(good))
+    batched_differ["batched_answers_match"] = False
+    cases.append(("batched answers differ", batched_differ, 1))
+    no_batched_check = json.loads(json.dumps(good))
+    del no_batched_check["batched_answers_match"]
+    cases.append(("batched check missing", no_batched_check, 1))
     cases.append(("prune mismatch", prune_variant(mismatches=3), 1))
     cases.append(("prune zero cases", prune_variant(cases=0), 1))
     cases.append(("prune missing dtype",
@@ -211,7 +229,8 @@ def self_test():
                   prune_variant(panels_skipped_ratio=0.0), 1))
     cases.append(("prune wrong kernel",
                   prune_variant(parity_kernel="avx2"), 1))
-    no_pruning = {"quantized": good["quantized"]}
+    no_pruning = {"batched_answers_match": True,
+                  "quantized": good["quantized"]}
     cases.append(("missing pruning section", no_pruning, 1))
 
     failed = []
