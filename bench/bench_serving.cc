@@ -11,7 +11,10 @@
 //
 // Writes BENCH_serving.json (override with --json_out=PATH): p50/p99
 // latency and QPS per (mode, threads), the batched/unbatched throughput
-// ratio at the highest thread count, and "batched_answers_match".
+// ratio at the highest thread count, "batched_answers_match", and the
+// CamE query plan's replayed steps and table bytes ("query_plan"). Client
+// t of a phase starts on the t-th CPU after the main thread's, so the
+// client counts compare clients running side by side.
 //
 // A second section benchmarks the quantized scoring path (int8 / bf16
 // candidate matrices) against the fp32 server on the same workload:
@@ -28,7 +31,7 @@
 // so the ratio is the pruning effect alone) and the fraction of panels
 // skipped, on a deliberately norm-skewed synthetic table (a hot band of
 // large-norm rows in front of a long small-norm tail — the shape pruning
-// exists for) and on the folded CamE table above. It ends with a
+// exists for) and on the CamE candidate table above. It ends with a
 // pruned-vs-unpruned bitwise parity grid over
 // {fp32, int8, bf16} x {plain, ties, NaN, filtered} that
 // tools/check_serving_parity.py gates on.
@@ -49,6 +52,8 @@
 //
 // Run:  ./bench_serving [scale] [ignored] [--json_out=PATH]
 //                       [--pin_kernel=scalar|avx2|vnni]
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -67,6 +72,7 @@
 #include "bench_common.h"
 #include "common/json_writer.h"
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "common/stopwatch.h"
 #include "eval/evaluator.h"
 #include "infer/batching_front_end.h"
@@ -103,16 +109,20 @@ double Percentile(std::vector<double> sorted_us, double p) {
 }
 
 // Each client thread claims queries off a shared cursor and times each
-// query end to end; per-mode QPS is total queries over wall-clock.
+// query end to end; per-mode QPS is total queries over wall-clock. Client
+// t starts on the t-th CPU after its creator's, so the clients run side
+// by side even where the kernel does not spread new threads.
 ModeResult RunUnbatched(infer::ScoreServer* server,
                         const std::vector<int64_t>& heads,
                         const std::vector<int64_t>& rels, int threads) {
   std::atomic<size_t> next{0};
   std::vector<std::vector<double>> lat_us(static_cast<size_t>(threads));
+  const int home = sched_getcpu();
   Stopwatch wall;
   std::vector<std::thread> clients;
   for (int t = 0; t < threads; ++t) {
     clients.emplace_back([&, t] {
+      MoveToKthCpuAfter(home, t);
       for (;;) {
         const size_t i = next.fetch_add(1);
         if (i >= heads.size()) return;
@@ -151,10 +161,12 @@ ModeResult RunBatched(infer::ScoreServer* server,
   std::atomic<size_t> next{0};
   std::atomic<int64_t> mismatches{0};
   std::vector<std::vector<double>> lat_us(static_cast<size_t>(threads));
+  const int home = sched_getcpu();
   Stopwatch wall;
   std::vector<std::thread> clients;
   for (int t = 0; t < threads; ++t) {
     clients.emplace_back([&, t] {
+      MoveToKthCpuAfter(home, t);  // as in RunUnbatched
       // Closed loop with a small pipeline per client: up to 4 requests in
       // flight, so the front end has something to coalesce even at low
       // client counts.
@@ -331,8 +343,7 @@ infer::FusedEmbeddingTable MakeSkewedTable(int64_t n, int64_t d,
     }
     bias.data()[i] = 0.001f * HashUnit(0xb1a5u + static_cast<uint64_t>(i));
   }
-  return infer::FusedEmbeddingTable(std::move(cand), std::move(bias),
-                                    tensor::Tensor());
+  return infer::FusedEmbeddingTable(std::move(cand), std::move(bias));
 }
 
 // Tie-and-NaN torture table for the parity grid: a hot band of distinct
@@ -357,8 +368,7 @@ infer::FusedEmbeddingTable MakeTieTable(int64_t n, int64_t d, int64_t hot) {
     }
     bias.data()[i] = 0.125f * grid(HashUnit(0xb1a5u + pattern));
   }
-  return infer::FusedEmbeddingTable(std::move(cand), std::move(bias),
-                                    tensor::Tensor());
+  return infer::FusedEmbeddingTable(std::move(cand), std::move(bias));
 }
 
 // Prune-on vs prune-off over one table, both servers answering the same
@@ -830,8 +840,21 @@ int Main(int argc, char** argv) {
   w.Int(kTopK);
   w.Key("queries");
   w.Int(static_cast<int64_t>(kQueries));
-  w.Key("folded_rows");
-  w.Bool(table.has_folded_rows());
+  // The query plan's hoisted rows: what serving holds besides the
+  // candidates and the weights.
+  const ag::QueryPlan* plan = ip->ServingPlan();
+  CAME_CHECK(plan != nullptr && plan->ok());
+  w.Key("query_plan");
+  w.BeginObject();
+  w.Key("replayed_steps");
+  w.Int(plan->num_steps());
+  w.Key("entity_table_bytes");
+  w.Int(plan->table(ag::PlanIds::kHeads).numel() *
+        static_cast<int64_t>(sizeof(float)));
+  w.Key("relation_table_bytes");
+  w.Int(plan->table(ag::PlanIds::kRels).numel() *
+        static_cast<int64_t>(sizeof(float)));
+  w.EndObject();
   w.Key("results");
   WriteModeResults(&w, results);
   w.Key("batched_speedup_at_max_threads");

@@ -655,17 +655,36 @@ Var Scatter(const Var& src, const std::vector<int64_t>& indices,
 // Selection
 // ---------------------------------------------------------------------------
 
-Var WhereConst(const Tensor& mask, const Var& a, const Var& b) {
-  static const int kOp = RegisterOp("WhereConst");
-  Tensor out = ts::Where(mask, a.value(), b.value());
+Var WhereBelow(const Var& key, float theta, const Var& a, const Var& b) {
+  static const int kOp = RegisterOp("WhereBelow");
+  const Tensor& k = key.value();
+  CAME_CHECK(ts::SameShape(k.shape(), a.shape()));
+  CAME_CHECK(ts::SameShape(a.shape(), b.shape()));
+  // fully-written: the select loop stores every element
+  Tensor out = Tensor::Uninitialized(a.shape());
+  ts::WhereBelowInto(k.data(), theta, a.value().data(), b.value().data(),
+                     out.numel(), out.data());
   auto as = a.state();
   auto bs = b.state();
-  Tensor m = mask;
-  return MakeResult(kOp, std::move(out), {a, b}, [as, bs, m](const Tensor& g) {
-    Tensor zeros = Tensor::Zeros(g.shape());
-    if (as->requires_grad) as->AccumulateGrad(ts::Where(m, g, zeros));
-    if (bs->requires_grad) bs->AccumulateGrad(ts::Where(m, zeros, g));
-  });
+  PlanAttrs plan = KernelPlan(PlanKernel::kWhereBelow);
+  plan.scalar = theta;
+  return MakeResult(kOp, std::move(out), {key, a, b},
+                    [as, bs, k, theta](const Tensor& g) {
+    const Tensor zeros = Tensor::Zeros(g.shape());
+    const int64_t n = g.numel();
+    if (as->requires_grad) {
+      // fully-written: the select loop stores every element
+      Tensor ga = Tensor::Uninitialized(g.shape());
+      ts::WhereBelowInto(k.data(), theta, g.data(), zeros.data(), n, ga.data());
+      as->AccumulateGrad(ga);
+    }
+    if (bs->requires_grad) {
+      // fully-written: the select loop stores every element
+      Tensor gb = Tensor::Uninitialized(g.shape());
+      ts::WhereBelowInto(k.data(), theta, zeros.data(), g.data(), n, gb.data());
+      bs->AccumulateGrad(gb);
+    }
+  }, plan);
 }
 
 // ---------------------------------------------------------------------------

@@ -78,9 +78,10 @@ Var Scatter(const Var& src, const std::vector<int64_t>& indices,
             int64_t num_rows);
 
 // -- selection ---------------------------------------------------------------
-/// Elementwise select with a constant mask (no gradient through mask):
-/// out = mask ? a : b.
-Var WhereConst(const Tensor& mask, const Var& a, const Var& b);
+/// Elementwise select by a threshold on `key`: out = key < theta ? a : b.
+/// The gradient routes to a or b by the same comparison; none flows
+/// into key (the EX exchange decision of Eq. 10/11).
+Var WhereBelow(const Var& key, float theta, const Var& a, const Var& b);
 
 // -- neural net primitives ---------------------------------------------------
 /// 2-D convolution, stride 1, zero padding `pad`.

@@ -10,6 +10,7 @@
 #include "autograd/coattention_kernel.h"
 #include "autograd/op_registry.h"
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "tensor/storage_pool.h"
 #include "tensor/tensor_ops.h"
 
@@ -89,18 +90,17 @@ class ArenaAllocator {
 }  // namespace
 
 struct QueryPlan::Step {
-  enum class Ids : uint8_t { kNone, kHeads, kRels };
-
   PlanKernel kernel = PlanKernel::kNone;
   int op_id = -1;
   int sub_op = 0;
   float scalar = 0.0f;
-  Ids ids = Ids::kNone;
-  /// Kernel extents, fixed at capture (see Replay for each kernel's use).
+  PlanIds ids = PlanIds::kNone;  ///< kGather: the ids it gathers by
+  /// Kernel extents, fixed at capture (see Run for each kernel's use).
   int64_t dims[8] = {};
   uint32_t in_begin = 0;
   uint32_t in_count = 0;
-  int64_t out_offset = -1;  ///< -1: the caller's row
+  bool out_to_dst = false;  ///< write dst + out_offset, not the arena
+  int64_t out_offset = 0;
   int64_t scratch_offset = 0;
   Shape a_shape;                 ///< kBinary operands
   Shape b_shape;
@@ -111,7 +111,12 @@ QueryPlan::QueryPlan() = default;
 QueryPlan::~QueryPlan() = default;
 
 int64_t QueryPlan::num_steps() const {
-  return static_cast<int64_t>(steps_.size());
+  return static_cast<int64_t>(replay_.steps.size());
+}
+
+const Tensor& QueryPlan::table(PlanIds ids) const {
+  CAME_CHECK(ids == PlanIds::kHeads || ids == PlanIds::kRels);
+  return ids == PlanIds::kHeads ? entity_table_ : relation_table_;
 }
 
 namespace internal {
@@ -208,7 +213,7 @@ PlanRecorder::Ref PlanRecorder::Classify(const Var& v, PlanKernel kernel,
     return Ref{};
   }
   if (kernel == PlanKernel::kGather && index == 0) {
-    // A gather table (feature rows, folded encoder rows): read in place.
+    // A gather table (e.g. frozen feature rows): read in place.
     held_.push_back(t);
     return Ref{-1, t.data()};
   }
@@ -257,10 +262,10 @@ void PlanRecorder::Describe(const PlanAttrs& attrs,
       dims[0] = x.dim(0);
       dims[1] = x.dim(1);
       if (attrs.ids == heads_) {
-        s.ids = QueryPlan::Step::Ids::kHeads;
+        s.ids = PlanIds::kHeads;
         head_bound_ = std::min(head_bound_, x.dim(0));
       } else if (attrs.ids == rels_) {
-        s.ids = QueryPlan::Step::Ids::kRels;
+        s.ids = PlanIds::kRels;
         rel_bound_ = std::min(rel_bound_, x.dim(0));
       } else {
         Refuse("a Gather by ids other than the query's heads or rels");
@@ -300,6 +305,7 @@ void PlanRecorder::Describe(const PlanAttrs& attrs,
       break;
     case PlanKernel::kUnary:
     case PlanKernel::kReshape:
+    case PlanKernel::kWhereBelow:
       dims[0] = x.numel();
       break;
     case PlanKernel::kConcat: {
@@ -360,85 +366,208 @@ std::unique_ptr<QueryPlan> PlanRecorder::Finish(const Tensor& result) {
     plan->refusal_ = refusal_;
     return plan;
   }
-  // Keep only the steps the result depends on.
-  const int last = result_slot->second;
-  std::vector<bool> needed(pending_.size(), false);
-  needed[static_cast<size_t>(last)] = true;
-  for (int i = last; i >= 0; --i) {
-    if (!needed[static_cast<size_t>(i)]) continue;
-    for (const Ref& r : pending_[static_cast<size_t>(i)].inputs) {
-      if (r.slot >= 0) needed[static_cast<size_t>(r.slot)] = true;
+  const auto count = static_cast<size_t>(result_slot->second) + 1;
+  const size_t last = count - 1;
+  auto slot = [](const Ref& r) { return static_cast<size_t>(r.slot); };
+
+  // A Reshape other than the result runs no step: its readers read its
+  // input, whose bits it would only copy.
+  for (size_t i = 0; i < count; ++i) {
+    for (Ref& r : pending_[i].inputs) {
+      while (r.slot >= 0 && slot(r) != last &&
+             pending_[slot(r)].step.kernel == PlanKernel::kReshape) {
+        r = pending_[slot(r)].inputs[0];
+      }
     }
   }
-  std::vector<int> last_use(pending_.size(), -1);
-  for (int i = 0; i <= last; ++i) {
-    if (!needed[static_cast<size_t>(i)]) continue;
-    for (const Ref& r : pending_[static_cast<size_t>(i)].inputs) {
-      if (r.slot >= 0) last_use[static_cast<size_t>(r.slot)] = i;
+  // Keep only the steps the result depends on, and label each by the ids
+  // it reads.
+  std::vector<bool> needed(count, false);
+  needed[last] = true;
+  for (size_t i = count; i-- > 0;) {
+    if (!needed[i]) continue;
+    for (const Ref& r : pending_[i].inputs) {
+      if (r.slot >= 0) needed[slot(r)] = true;
+    }
+  }
+  std::vector<PlanIds> label(count, PlanIds::kNone);
+  for (size_t i = 0; i < count; ++i) {
+    auto ids = static_cast<uint8_t>(pending_[i].step.ids);
+    for (const Ref& r : pending_[i].inputs) {
+      if (r.slot >= 0) ids |= static_cast<uint8_t>(label[slot(r)]);
+    }
+    label[i] = static_cast<PlanIds>(ids);
+  }
+
+  // What each step becomes: a constant (reads no id; its captured output
+  // is held), a view (a Gather of a fixed table, read in place at
+  // id * width), a hoisted step of the entity or the relation program
+  // (reads one kind of id), or a replayed step (reads both, or is the
+  // result). A hoisted output a replayed step reads is stored in its
+  // program's table.
+  enum class Role : uint8_t { kConst, kView, kEntity, kRelation, kReplayed };
+  std::vector<Role> role(count, Role::kReplayed);
+  std::vector<QueryPlan::Address> fixed(count);  // kConst and kView
+  std::vector<bool> stored(count, false);
+  for (size_t i = 0; i < count; ++i) {
+    if (!needed[i]) continue;
+    const Pending& p = pending_[i];
+    if (i == last || label[i] == PlanIds::kBoth) {
+      for (const Ref& r : p.inputs) {
+        if (r.slot >= 0 && (role[slot(r)] == Role::kEntity ||
+                            role[slot(r)] == Role::kRelation)) {
+          stored[slot(r)] = true;
+        }
+      }
+    } else if (label[i] == PlanIds::kNone) {
+      role[i] = Role::kConst;
+      held_.push_back(outputs_[i]);
+      fixed[i].base = outputs_[i].data();
+    } else if (p.step.kernel == PlanKernel::kGather &&
+               (p.inputs[0].slot < 0 ||
+                role[slot(p.inputs[0])] == Role::kConst)) {
+      role[i] = Role::kView;
+      const Ref& table = p.inputs[0];
+      fixed[i].base = table.slot < 0 ? table.fixed : fixed[slot(table)].base;
+      fixed[i].stride = p.step.dims[1];
+      fixed[i].ids = label[i];
+    } else {
+      role[i] = label[i] == PlanIds::kHeads ? Role::kEntity : Role::kRelation;
     }
   }
 
-  // Lay the live step outputs into the arena: a slot is taken when its
-  // step runs and returned after its last reader has run.
-  ArenaAllocator arena;
-  std::vector<int64_t> offset(pending_.size(), -1);
-  std::map<int, int64_t> counts;
-  for (int i = 0; i <= last; ++i) {
-    if (!needed[static_cast<size_t>(i)]) continue;
-    Pending& p = pending_[static_cast<size_t>(i)];
-    QueryPlan::Step step = p.step;
-    if (i != last) {
-      offset[static_cast<size_t>(i)] = arena.Allocate(p.out_floats);
-      step.out_offset = offset[static_cast<size_t>(i)];
-    }
-    if (p.scratch_floats > 0) {
-      step.scratch_offset = arena.Allocate(p.scratch_floats);
-      arena.Free(step.scratch_offset, p.scratch_floats);
-    }
-    step.in_begin = static_cast<uint32_t>(plan->operands_.size());
-    step.in_count = static_cast<uint32_t>(p.inputs.size());
-    for (const Ref& r : p.inputs) {
-      QueryPlan::Operand o;
-      if (r.slot >= 0) {
-        o.offset = offset[static_cast<size_t>(r.slot)];
-      } else {
-        o.fixed = r.fixed;
-      }
-      plan->operands_.push_back(o);
-    }
-    for (const Ref& r : p.inputs) {
-      const auto s = static_cast<size_t>(r.slot);
-      if (r.slot >= 0 && last_use[s] == i && offset[s] >= 0) {
-        arena.Free(offset[s], pending_[s].out_floats);
-        offset[s] = -1;  // a slot read twice by this step is freed once
-      }
-    }
-    ++counts[step.op_id];
-    plan->steps_.push_back(std::move(step));
+  // Lay the stored outputs side by side into the two tables.
+  std::vector<int64_t> column(count, -1);
+  int64_t entity_width = 0;
+  int64_t relation_width = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (!stored[i]) continue;
+    int64_t& w = role[i] == Role::kEntity ? entity_width : relation_width;
+    column[i] = w;
+    w += pending_[i].out_floats;
   }
-  plan->arena_floats_ = arena.size();
-  plan->row_floats_ = result.numel();
-  plan->held_ = std::move(held_);
+  plan->head_bound_ = head_bound_;
+  plan->rel_bound_ = rel_bound_;
+  if (entity_width > 0) {
+    // fully-written: each row is one run of the entity program
+    plan->entity_table_ = Tensor::Uninitialized({head_bound_, entity_width});
+  }
+  if (relation_width > 0) {
+    // fully-written: each row is one run of the relation program
+    plan->relation_table_ = Tensor::Uninitialized({rel_bound_, relation_width});
+  }
+
+  // Builds the program of the steps with role `which`. Its outputs live
+  // in its arena, except stored ones (the run's table row) and the result
+  // (the caller's row): a slot is taken when its step runs and returned
+  // after its last reader in the program has run.
+  auto build = [&](Role which, QueryPlan::Program* program) {
+    std::vector<size_t> last_use(count, count);
+    for (size_t i = 0; i < count; ++i) {
+      if (!needed[i] || role[i] != which) continue;
+      for (const Ref& r : pending_[i].inputs) {
+        if (r.slot >= 0) last_use[slot(r)] = i;
+      }
+    }
+    ArenaAllocator arena;
+    std::vector<int64_t> offset(count, -1);
+    for (size_t i = 0; i < count; ++i) {
+      if (!needed[i] || role[i] != which) continue;
+      const Pending& p = pending_[i];
+      QueryPlan::Step step = p.step;
+      if (i == last || stored[i]) {
+        step.out_to_dst = true;
+        step.out_offset = i == last ? 0 : column[i];
+      } else {
+        offset[i] = arena.Allocate(p.out_floats);
+        step.out_offset = offset[i];
+      }
+      if (p.scratch_floats > 0) {
+        step.scratch_offset = arena.Allocate(p.scratch_floats);
+        arena.Free(step.scratch_offset, p.scratch_floats);
+      }
+      step.in_begin = static_cast<uint32_t>(plan->operands_.size());
+      step.in_count = static_cast<uint32_t>(p.inputs.size());
+      for (const Ref& r : p.inputs) {
+        QueryPlan::Address a;
+        if (r.slot < 0) {
+          a.base = r.fixed;
+        } else if (role[slot(r)] == Role::kConst ||
+                   role[slot(r)] == Role::kView) {
+          a = fixed[slot(r)];
+        } else if (stored[slot(r)]) {
+          a.ids = label[slot(r)];
+          a.base = plan->table(a.ids).data();
+          a.offset = column[slot(r)];
+          a.stride = plan->table(a.ids).dim(1);
+        } else {
+          a.offset = offset[slot(r)];
+        }
+        plan->operands_.push_back(a);
+      }
+      for (const Ref& r : p.inputs) {
+        if (r.slot >= 0 && last_use[slot(r)] == i && offset[slot(r)] >= 0) {
+          arena.Free(offset[slot(r)], pending_[slot(r)].out_floats);
+          offset[slot(r)] = -1;  // a slot read twice by this step is freed once
+        }
+      }
+      program->steps.push_back(std::move(step));
+    }
+    program->arena_floats = arena.size();
+  };
+  build(Role::kEntity, &plan->entities_);
+  build(Role::kRelation, &plan->relations_);
+  build(Role::kReplayed, &plan->replay_);
+
+  std::map<int, int64_t> counts;
+  for (const QueryPlan::Step& step : plan->replay_.steps) ++counts[step.op_id];
   for (const auto& [op, n] : counts) {
     plan->op_counts_.emplace_back(op, n);
     plan->total_ops_ += n;
   }
+  plan->row_floats_ = result.numel();
+  plan->held_ = std::move(held_);
   plan->ok_ = true;
+
+  // Run the hoisted steps once per entity and once per relation.
+  for (Tensor* table : {&plan->entity_table_, &plan->relation_table_}) {
+    if (table->numel() == 0) continue;
+    const QueryPlan::Program& program =
+        table == &plan->entity_table_ ? plan->entities_ : plan->relations_;
+    const int64_t w = table->dim(1);
+    ParallelFor(0, table->dim(0), 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t id = lo; id < hi; ++id) {
+        plan->Run(program, id, id, table->data() + id * w);
+      }
+    });
+  }
+  CAME_LOG(Debug) << "query plan: " << plan->replay_.steps.size()
+                  << " replayed steps, arena "
+                  << plan->replay_.arena_floats << " floats; "
+                  << plan->entities_.steps.size()
+                  << " steps per entity into [" << head_bound_ << ", "
+                  << entity_width << "]; " << plan->relations_.steps.size()
+                  << " per relation into [" << rel_bound_ << ", "
+                  << relation_width << "]";
   return plan;
 }
 
 }  // namespace internal
 
-void QueryPlan::Replay(int64_t head, int64_t rel, float* row) const {
-  CAME_CHECK(ok_);
-  tensor::pool::ScratchLease arena(std::max<int64_t>(arena_floats_, 1));
+void QueryPlan::Run(const Program& program, int64_t head, int64_t rel,
+                    float* dst) const {
+  tensor::pool::ScratchLease arena(std::max<int64_t>(program.arena_floats, 1));
   float* base = arena.data();
-  for (const Step& s : steps_) {
-    const Operand* ops = operands_.data() + s.in_begin;
+  for (const Step& s : program.steps) {
+    const Address* ops = operands_.data() + s.in_begin;
     auto in = [&](uint32_t k) -> const float* {
-      return ops[k].fixed != nullptr ? ops[k].fixed : base + ops[k].offset;
+      const Address& a = ops[k];
+      const int64_t id = a.ids == PlanIds::kHeads  ? head
+                         : a.ids == PlanIds::kRels ? rel
+                                                   : 0;
+      return (a.base != nullptr ? a.base : base) + a.offset + id * a.stride;
     };
-    float* out = s.out_offset < 0 ? row : base + s.out_offset;
+    float* out = (s.out_to_dst ? dst : base) + s.out_offset;
     float* scratch = base + s.scratch_offset;
     const int64_t* d = s.dims;
     switch (s.kernel) {
@@ -447,7 +576,7 @@ void QueryPlan::Replay(int64_t head, int64_t rel, float* row) const {
         break;
       case PlanKernel::kGather:
         ts::GatherRowsInto(in(0), d[0], d[1],
-                           {s.ids == Step::Ids::kHeads ? &head : &rel, 1}, out);
+                           {s.ids == PlanIds::kHeads ? &head : &rel, 1}, out);
         break;
       case PlanKernel::kMatMul:
         ts::MatMulRaw(in(0), in(1), out, d[0], d[1], d[2], d[3] != 0,
@@ -494,8 +623,22 @@ void QueryPlan::Replay(int64_t head, int64_t rel, float* row) const {
         coattention::ForwardRows(in(0), in(1), in(2), in(3)[0], d[0], d[1],
                                  out, scratch);
         break;
+      case PlanKernel::kWhereBelow:
+        ts::WhereBelowInto(in(0), s.scalar, in(1), in(2), d[0], out);
+        break;
     }
   }
+}
+
+void QueryPlan::Replay(int64_t head, int64_t rel, float* row) const {
+  CAME_CHECK(ok_);
+  // Tables and views are read at id * width, unchecked: check the ids
+  // against the rows of the tables the forward gathers from.
+  CAME_CHECK_GE(head, 0);
+  CAME_CHECK_LT(head, head_bound_);
+  CAME_CHECK_GE(rel, 0);
+  CAME_CHECK_LT(rel, rel_bound_);
+  Run(replay_, head, rel, row);
   OpRegistry& registry = OpRegistry::Instance();
   for (const auto& [op, n] : op_counts_) registry.CountNoTapeDispatches(op, n);
   internal::CountNoTapeDispatches(total_ops_);

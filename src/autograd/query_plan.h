@@ -25,8 +25,17 @@ namespace came::ag {
 // states, which at d = 32 costs more than the arithmetic. A QueryPlan runs
 // the forward once, on one row, under a recorder and keeps a flat list of
 // steps: op kind, operand slots, shapes and attributes (the C-ML Operation
-// enum / Hetu op-header pattern). Replay walks the steps for one row over
-// one pooled arena with the eager ops' kernels, so the row is bitwise.
+// enum / Hetu op-header pattern).
+//
+// Each step is labelled by the ids it reads (PlanIds). Steps that read no
+// id are constants of the captured forward. Steps that read only heads or
+// only rels are run once per entity and once per relation at capture, into
+// two tables; Replay runs only the steps that read both, over one pooled
+// arena with the eager ops' kernels, so the row is bitwise.
+
+/// Which of the query's ids a step reads, directly or through its inputs
+/// (a bit set: kBoth is kHeads | kRels).
+enum class PlanIds : uint8_t { kNone = 0, kHeads = 1, kRels = 2, kBoth = 3 };
 
 namespace internal {
 
@@ -46,13 +55,14 @@ enum class PlanKernel : uint8_t {
   kLayerNorm,
   kConv2d,
   kCoAttention,
+  kWhereBelow,
 };
 
 /// What an op hands the recorder besides its inputs and output.
 struct PlanAttrs {
   PlanKernel kernel = PlanKernel::kNone;
   int sub_op = 0;       ///< tensor::BinaryOp / tensor::UnaryOp
-  float scalar = 0.0f;  ///< UnaryOp scalar; LayerNorm eps
+  float scalar = 0.0f;  ///< UnaryOp scalar; LayerNorm eps; WhereBelow theta
   int64_t i0 = 0;       ///< MatMul trans_a; Concat/Slice/reduction dim; pad
   int64_t i1 = 0;       ///< MatMul trans_b; Slice start
   const std::vector<int64_t>* ids = nullptr;  ///< Gather indices
@@ -85,38 +95,66 @@ class QueryPlan {
   bool ok() const { return ok_; }
   /// Why the capture was refused (empty when ok()).
   const std::string& refusal() const { return refusal_; }
+  /// Steps Replay runs per row: every step that reads both ids, and the
+  /// step that writes the result.
   int64_t num_steps() const;
   /// Floats in one query row: the d of the forward's [1, d] output.
   int64_t row_floats() const { return row_floats_; }
+  /// The hoisted rows of the steps that read only heads (kHeads: one row
+  /// per entity) or only rels (kRels: one row per relation). A row holds,
+  /// side by side in step order, the output of every such step that a
+  /// replayed step reads; the table is empty when there is none.
+  const Tensor& table(PlanIds ids) const;
 
   /// Writes the forward's row for (head, rel) to row[0, row_floats()),
   /// bitwise the eager one. Builds no Var and touches no shared refcount;
-  /// acquires only its arena from the pool. Requires ok().
+  /// acquires only its arena from the pool. Requires ok() and ids inside
+  /// the tables the forward gathers from.
   void Replay(int64_t head, int64_t rel, float* row) const;
 
  private:
   friend class internal::PlanRecorder;
   friend class QueryPlanSlot;
 
-  struct Operand {
-    const float* fixed = nullptr;  ///< parameter, table or constant
-    int64_t offset = 0;            ///< arena offset when fixed is null
+  /// Where a step reads an input: base + offset + id * stride, with id the
+  /// run's head, its rel or 0 (ids), and base null for the run's arena.
+  struct Address {
+    const float* base = nullptr;
+    int64_t offset = 0;
+    int64_t stride = 0;
+    PlanIds ids = PlanIds::kNone;
   };
   struct Step;
+  /// Steps run in order over one arena.
+  struct Program {
+    std::vector<Step> steps;
+    int64_t arena_floats = 0;
+  };
 
   QueryPlan();
 
+  /// Runs `program` for (head, rel); steps that write the run's
+  /// destination write into `dst`.
+  void Run(const Program& program, int64_t head, int64_t rel,
+           float* dst) const;
+
   bool ok_ = false;
   std::string refusal_;
-  int64_t arena_floats_ = 0;
   int64_t row_floats_ = 0;
-  std::vector<Step> steps_;
-  std::vector<Operand> operands_;
+  Program replay_;     ///< steps that read both ids, and the result
+  Program entities_;   ///< head-only steps, run once per entity
+  Program relations_;  ///< relation-only steps, run once per relation
+  Tensor entity_table_;    ///< [heads bound, width] or empty
+  Tensor relation_table_;  ///< [rels bound, width] or empty
+  /// Exclusive bounds on the ids: the rows of the tables gathered by them.
+  int64_t head_bound_ = 0;
+  int64_t rel_bound_ = 0;
+  std::vector<Address> operands_;
   /// Parameters, gather tables, constants and transposed weight copies
   /// the operands point into.
   std::vector<Tensor> held_;
-  /// (op id, steps of that op): credited to the dispatch counters per
-  /// replay, one add per op kind.
+  /// (op id, replayed steps of that op): credited to the dispatch
+  /// counters per replay, one add per op kind.
   std::vector<std::pair<int, int64_t>> op_counts_;
   int64_t total_ops_ = 0;
 };
@@ -133,10 +171,13 @@ class QueryPlanSlot {
   }
 
   /// Captures the plan by running `query` once on the one row (head, rel)
-  /// under a recorder, then checks it: replays of (head, rel) and of a
+  /// under a recorder, fills its tables (one ParallelFor chunk per entity
+  /// and per relation), then checks it: replays of (head, rel) and of a
   /// second id pair must memcmp the two rows of one eager batch of both,
   /// or the published plan is a refused one. `parameters` are the model's
-  /// parameters (referenced in place). Must run with grad mode off.
+  /// parameters (referenced in place). Must run with grad mode off, and
+  /// not from a pool chunk while another thread may be capturing (the
+  /// capture's ParallelFor would wait for that chunk's pool task).
   /// Returns the plan already published, if any.
   const QueryPlan* Capture(int64_t head, int64_t rel, const QueryFn& query,
                            const std::vector<Var>& parameters)

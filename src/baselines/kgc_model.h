@@ -77,33 +77,6 @@ class KgcModel : public nn::Module {
   /// can capture and restore it for bitwise-identical resume.
   Rng* mutable_rng() { return &rng_; }
 
-  // --- Offline encoder folding (serving) ---------------------------------
-  //
-  // Some models run per-entity encoder stages inside every forward that
-  // read the head entity alone (CamE: MMF fusion of frozen modality
-  // features, RIC's projections and head-only TCA half). For inference
-  // those rows are a pure function of the parameters, so they can be
-  // evaluated once for all N entities and reinstalled as a lookup table.
-  // The default implementation reports "nothing foldable".
-
-  /// Evaluates the per-entity encoder rows for every entity ([N, W] —
-  /// per-row, so batch-size invariant and bitwise equal to what an
-  /// un-folded forward computes). Returns an empty tensor when the model
-  /// has no foldable stage. Must be called in eval mode.
-  virtual tensor::Tensor FoldEntityEncoders() { return tensor::Tensor(); }
-
-  /// Installs rows produced by FoldEntityEncoders, sharing their storage
-  /// (neither side writes them). A model may derive further read-only
-  /// state from its frozen weights here (CamE: the relation-side rows).
-  /// Eval-mode forwards then gather from the cache instead of re-running
-  /// the folded stages. An empty tensor clears the cache; training mode
-  /// and restored parameters invalidate it automatically. No-op for
-  /// models without a foldable stage.
-  virtual void SetFoldedEncoderCache(tensor::Tensor rows) { (void)rows; }
-
-  /// True when a folded-encoder cache is installed and in use.
-  virtual bool HasFoldedEncoderCache() const { return false; }
-
  protected:
   explicit KgcModel(const ModelContext& context)
       : context_(context), rng_(context.seed) {}
@@ -135,10 +108,12 @@ class InnerProductKgcModel : public KgcModel {
 
   /// [B, d] query matrix for the batch (forward-only, no tape nodes),
   /// bitwise Query(heads, rels).value(). The first call captures the
-  /// model's one query plan from one row (autograd/query_plan.h); each
-  /// call replays it per row, one pool chunk per row. Models whose rows
-  /// are not independent (score_rows_independent()) and forwards the plan
-  /// cannot replay run eagerly. Safe for concurrent callers.
+  /// model's one query plan from one row (autograd/query_plan.h), which
+  /// runs every stage of Query that reads only the head or only the
+  /// relation once per entity and per relation; each call replays the
+  /// rest per row, one pool chunk per row. Models whose rows are not
+  /// independent (score_rows_independent()) and forwards the plan cannot
+  /// replay run eagerly. Safe for concurrent callers.
   tensor::Tensor ServingQuery(const std::vector<int64_t>& heads,
                               const std::vector<int64_t>& rels);
   /// Query(heads, rels).value() run eagerly under a no-tape scope: what
@@ -162,21 +137,18 @@ class InnerProductKgcModel : public KgcModel {
   /// [N, query_dim] candidate-entity table the query is matched against.
   virtual ag::Var CandidateTable() = 0;
 
-  /// Drops the query plan. Overrides that change what Query computes
-  /// without touching a parameter (e.g. installing folded encoder rows)
-  /// call this; training mode and restored parameters drop it already.
-  void DropQueryPlan() { query_plan_.Clear(); }
   void OnSetTraining(bool training) override {
-    if (training) DropQueryPlan();
+    if (training) query_plan_.Clear();
   }
-  void OnParametersRestored() override { DropQueryPlan(); }
+  void OnParametersRestored() override { query_plan_.Clear(); }
 
   ag::Var bias_;  // [N] or undefined
 
  private:
   /// ServingQuery's one plan, captured from a single row. It reads the
-  /// parameters in place but holds transposed copies of some, so it lives
-  /// only while the parameters are frozen (eval mode, no restore).
+  /// parameters in place but holds transposed copies of some and the
+  /// hoisted per-entity and per-relation rows, so it lives only while the
+  /// parameters are frozen (eval mode, no restore).
   ag::QueryPlanSlot query_plan_;
 };
 

@@ -21,24 +21,6 @@ namespace {
 // instead of re-entering the pool.
 thread_local bool tls_in_parallel_region = false;
 
-/// Moves the calling thread to the k-th allowed CPU after `home`, then
-/// allows every CPU again: a starting CPU where the kernel balances load,
-/// the only spread where it does not (a cpuset with load balancing off
-/// leaves every new thread on its creator's CPU, as on some VMs).
-void MoveToKthCpuAfter(int home, int k) {
-  cpu_set_t allowed, one;
-  if (home < 0 || sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
-  int cpu = home;
-  for (int found = 0; found < k;) {
-    cpu = (cpu + 1) % CPU_SETSIZE;
-    if (CPU_ISSET(cpu, &allowed)) ++found;
-  }
-  CPU_ZERO(&one);
-  CPU_SET(cpu, &one);
-  sched_setaffinity(0, sizeof(one), &one);
-  sched_setaffinity(0, sizeof(allowed), &allowed);
-}
-
 int ResolveDefaultThreads() {
   const int configured = GetRuntimeConfig().num_threads;
   if (configured > 0) return configured;
@@ -198,6 +180,20 @@ class WorkerPool {
 };
 
 }  // namespace
+
+void MoveToKthCpuAfter(int home, int k) {
+  cpu_set_t allowed, one;
+  if (home < 0 || sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
+  int cpu = home;
+  for (int found = 0; found < k;) {
+    cpu = (cpu + 1) % CPU_SETSIZE;
+    if (CPU_ISSET(cpu, &allowed)) ++found;
+  }
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  sched_setaffinity(0, sizeof(one), &one);
+  sched_setaffinity(0, sizeof(allowed), &allowed);
+}
 
 int NumThreads() { return WorkerPool::Instance().threads(); }
 

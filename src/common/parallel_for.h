@@ -16,6 +16,15 @@ int NumThreads();
 /// be called while a ParallelFor is in flight. Clamped to >= 1.
 void SetNumThreads(int n);
 
+/// Moves the calling thread to the k-th allowed CPU after `home` (k = 0:
+/// `home` itself), then allows every CPU again: a starting CPU where the
+/// kernel balances load, the only spread where it does not (a cpuset with
+/// load balancing off leaves every new thread on its creator's CPU, as on
+/// some VMs). The pool's workers call it with their creator's CPU; so can
+/// any caller that starts threads meant to run side by side. A negative
+/// `home` (sched_getcpu() failed) leaves the thread where it is.
+void MoveToKthCpuAfter(int home, int k);
+
 /// Invokes `fn(lo, hi)` over disjoint contiguous subranges that exactly
 /// cover [begin, end). The partition is *static*: chunk boundaries depend
 /// only on (begin, end, grain) — never on the thread count — so any kernel

@@ -1,55 +1,14 @@
 #include "core/came_model.h"
 
-#include <algorithm>
-#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
-#include "infer/no_tape.h"
 #include "nn/init.h"
-#include "tensor/tensor_ops.h"
 
 namespace came::core {
 
 using baselines::ModelContext;
 using baselines::Stack2d;
-
-namespace {
-
-/// Appends a TCA side's columns in fold order: per head s(x W_co), x_in.
-void AppendSide(const TcaSide& side, std::vector<ag::Var>* cols) {
-  for (size_t h = 0; h < side.co.size(); ++h) {
-    cols->push_back(side.co[h]);
-    cols->push_back(side.intra[h]);
-  }
-}
-
-/// Reads the consecutive column blocks of gathered folded rows back.
-class FoldReader {
- public:
-  explicit FoldReader(ag::Var rows) : rows_(std::move(rows)) {}
-
-  ag::Var Next(int64_t width) {
-    ag::Var out = ag::Slice(rows_, 1, at_, width);
-    at_ += width;
-    return out;
-  }
-  /// The inverse of AppendSide.
-  TcaSide NextSide(int heads, int64_t dim) {
-    TcaSide side;
-    for (int h = 0; h < heads; ++h) {
-      side.co.push_back(Next(dim));
-      side.intra.push_back(Next(dim));
-    }
-    return side;
-  }
-
- private:
-  ag::Var rows_;
-  int64_t at_ = 0;
-};
-
-}  // namespace
 
 CamE::CamE(const ModelContext& context, const CamEConfig& config)
     : InnerProductKgcModel(context, /*entity_bias=*/true),
@@ -167,125 +126,15 @@ std::vector<ag::Var> CamE::GatherModalities(
   return out;
 }
 
-std::vector<ag::Var> CamE::EntityFoldColumns(
-    const std::vector<int64_t>& ids) {
-  const std::vector<ag::Var> modal = GatherModalities(ids);
-  std::vector<ag::Var> cols = {mmf_->Forward(modal)};
-  for (size_t i = 0; i < modal.size(); ++i) {
-    const ag::Var h = ric_->Project(i, modal[i]);
-    cols.push_back(h);
-    if (ric_->interactive()) {
-      const Tca& tca = ric_->tca(i);
-      AppendSide(tca.QuerySide(h, tca.InvTau()), &cols);
-    }
-  }
-  return cols;
-}
-
-int64_t CamE::EntityFoldWidth() const {
-  const int64_t per_modality =
-      ric_->interactive() ? 1 + 2 * config_.num_heads : 1;
-  return config_.fusion_dim +
-         static_cast<int64_t>(modality_names_.size()) * per_modality *
-             config_.embed_dim;
-}
-
-tensor::Tensor CamE::FoldEntityEncoders() {
-  CAME_CHECK(!training()) << "FoldEntityEncoders requires eval mode";
-  infer::NoTapeGuard guard;
-  const int64_t n = num_entities();
-  const int64_t width = EntityFoldWidth();
-  tensor::Tensor rows({n, width});
-  // Batched so peak memory stays bounded; every folded stage is per-row,
-  // so the batch split cannot change any output bit.
-  constexpr int64_t kBatch = 512;
-  std::vector<int64_t> ids;
-  for (int64_t start = 0; start < n; start += kBatch) {
-    const int64_t end = std::min(n, start + kBatch);
-    ids.clear();
-    for (int64_t e = start; e < end; ++e) ids.push_back(e);
-    const tensor::Tensor block =
-        ag::Concat(EntityFoldColumns(ids), 1).value();
-    CAME_CHECK_EQ(block.dim(1), width);
-    std::copy(block.data(), block.data() + block.numel(),
-              rows.data() + start * width);
-  }
-  return rows;
-}
-
-void CamE::SetFoldedEncoderCache(tensor::Tensor rows) {
-  DropQueryPlan();
-  DropFoldedRows();
-  if (rows.numel() == 0) return;
-  CAME_CHECK(!training()) << "SetFoldedEncoderCache requires eval mode";
-  CAME_CHECK_EQ(rows.ndim(), 2);
-  CAME_CHECK_EQ(rows.dim(0), num_entities());
-  CAME_CHECK_EQ(rows.dim(1), EntityFoldWidth());
-  if (ric_->interactive()) {
-    // The relation-only half of each TCA head, for every relation at once.
-    infer::NoTapeGuard guard;
-    std::vector<ag::Var> cols;
-    for (size_t i = 0; i < modality_names_.size(); ++i) {
-      const Tca& tca = ric_->tca(i);
-      AppendSide(tca.DocSide(relations_, tca.InvTau()), &cols);
-    }
-    folded_relations_ = ag::Concat(cols, 1).value();
-  }
-  folded_entities_ = std::move(rows);
-}
-
-void CamE::DropFoldedRows() {
-  folded_entities_ = tensor::Tensor();
-  folded_relations_ = tensor::Tensor();
-}
-
-void CamE::OnSetTraining(bool training) {
-  InnerProductKgcModel::OnSetTraining(training);
-  if (training) DropFoldedRows();
-}
-
-void CamE::OnParametersRestored() {
-  InnerProductKgcModel::OnParametersRestored();
-  DropFoldedRows();
-}
-
 ag::Var CamE::Query(const std::vector<int64_t>& heads,
                     const std::vector<int64_t>& rels) {
   const int64_t batch = static_cast<int64_t>(heads.size());
-  ag::Var h_s;
-  ag::Var r;
-  ag::Var h_f;             // MMF joint representation
-  std::vector<ag::Var> v;  // RIC interactive representations, per modality
-  if (!training() && folded_entities_.numel() > 0) {
-    // Folded (eval only, bitwise the live computation): gather everything
-    // that depends on h alone or r alone and run only the pair-dependent
-    // half of each TCA head. h_s is still read raw for v_0.
-    h_s = ag::Gather(entities_, heads);
-    r = ag::Gather(relations_, rels);
-    FoldReader entity(ag::Gather(ag::Const(folded_entities_), heads));
-    FoldReader relation(ric_->interactive()
-                            ? ag::Gather(ag::Const(folded_relations_), rels)
-                            : ag::Var());
-    h_f = entity.Next(config_.fusion_dim);
-    const int64_t d = config_.embed_dim;
-    for (size_t i = 0; i < modality_names_.size(); ++i) {
-      ag::Var h = entity.Next(d);
-      ag::Var rt = r;
-      if (ric_->interactive()) {
-        const Tca& tca = ric_->tca(i);
-        const TcaSide hs = entity.NextSide(config_.num_heads, d);
-        const TcaSide rs = relation.NextSide(config_.num_heads, d);
-        std::tie(h, rt) = tca.Combine(h, hs, r, rs, tca.InvTau());
-      }
-      v.push_back(ag::Concat({h, rt}, 1));
-    }
-  } else {
-    std::vector<ag::Var> modal = GatherModalities(heads);
-    r = ag::Gather(relations_, rels);
-    h_s = modal[static_cast<size_t>(structural_slot_)];
-    h_f = mmf_->Forward(modal);
-    v = ric_->Forward(modal, r);
-  }
+  const std::vector<ag::Var> modal = GatherModalities(heads);
+  const ag::Var r = ag::Gather(relations_, rels);
+  const ag::Var h_s = modal[static_cast<size_t>(structural_slot_)];
+  const ag::Var h_f = mmf_->Forward(modal);  // MMF joint representation
+  // RIC interactive representations, per modality.
+  const std::vector<ag::Var> v = ric_->Forward(modal, r);
 
   // Branch 1: multimodal view.
   std::vector<ag::Var> channels1 = {h_f};

@@ -66,43 +66,14 @@ class CamE : public baselines::InnerProductKgcModel {
     return modality_names_;
   }
 
-  /// Folds every stage of CamE's query that reads the head entity alone
-  /// into one row per entity, [N, EntityFoldWidth()]:
-  ///   h_f = MMF(modalities(e))                                  (d_f)
-  ///   per modality i: h_i = modal_i W_proj_i                    (d)
-  ///     and, when RIC is interactive, per TCA head:
-  ///     s(h_i Wq_co) and the intra-attention output Q_in        (2d)
-  /// Every stage is per-row (GEMM bits do not depend on the row count, and
-  /// the co-attention kernel is row-independent), so these rows are
-  /// bitwise what any batched forward computes: installing them via
-  /// SetFoldedEncoderCache changes no score bit.
-  tensor::Tensor FoldEntityEncoders() override;
-  /// Installs the entity rows (sharing their storage) and builds the
-  /// matching relation rows from the frozen weights: per relation, per
-  /// modality and TCA head, s(r Wd_co) and D_in. Eval mode only; an empty
-  /// tensor drops both.
-  void SetFoldedEncoderCache(tensor::Tensor rows) override;
-  bool HasFoldedEncoderCache() const override {
-    return folded_entities_.numel() > 0;
-  }
-  /// The installed entity rows (empty when none are).
-  const tensor::Tensor& folded_entity_rows() const { return folded_entities_; }
-
  protected:
   ag::Var Query(const std::vector<int64_t>& heads,
                 const std::vector<int64_t>& rels) override;
   ag::Var CandidateTable() override { return entities_; }
-  /// Training and restored parameters invalidate the folded rows.
-  void OnSetTraining(bool training) override;
-  void OnParametersRestored() override;
 
  private:
   /// Gathers the active modality vectors for a batch of entities.
   std::vector<ag::Var> GatherModalities(const std::vector<int64_t>& heads);
-  /// The columns of the folded entity rows of `ids`, in table order.
-  std::vector<ag::Var> EntityFoldColumns(const std::vector<int64_t>& ids);
-  int64_t EntityFoldWidth() const;
-  void DropFoldedRows();
 
   CamEConfig config_;
   std::vector<std::string> modality_names_;
@@ -124,11 +95,6 @@ class CamE : public baselines::InnerProductKgcModel {
   std::unique_ptr<nn::Linear> fc2_;
   std::unique_ptr<nn::LayerNorm> norm_;
   std::unique_ptr<nn::Dropout> dropout_;
-  /// Folded rows (empty = none installed). Eval-only; dropped on
-  /// SetTraining(true) and on restored parameters.
-  tensor::Tensor folded_entities_;   // [N, EntityFoldWidth()]
-  tensor::Tensor folded_relations_;  // [2R, M*2H*d_r], or empty if RIC
-                                     // is not interactive
 };
 
 }  // namespace came::core

@@ -2,33 +2,17 @@
 
 #include "common/logging.h"
 #include "nn/init.h"
-#include "tensor/tensor_ops.h"
 
 namespace came::core {
 
 std::pair<ag::Var, ag::Var> ExchangeFusion(const ag::Var& x, const ag::Var& y,
                                            float theta) {
-  // Masks from the LayerNorm of the ORIGINAL inputs (Eq. 10/11); computed
-  // outside the tape — the comparison itself carries no gradient.
-  tensor::Tensor ln_x;
-  tensor::Tensor ln_y;
-  {
-    ag::NoGradGuard guard;
-    ln_x = ag::LayerNormNoAffine(x.Detach()).value();
-    ln_y = ag::LayerNormNoAffine(y.Detach()).value();
-  }
-  auto below = [theta](const tensor::Tensor& t) {
-    tensor::Tensor mask(t.shape());
-    for (int64_t i = 0; i < t.numel(); ++i) {
-      mask.data()[i] = t.data()[i] < theta ? 1.0f : 0.0f;
-    }
-    return mask;
-  };
-  tensor::Tensor swap_x = below(ln_x);  // x positions replaced by y
-  tensor::Tensor swap_y = below(ln_y);  // y positions replaced by x
-  ag::Var x_new = ag::WhereConst(swap_x, y, x);
-  ag::Var y_new = ag::WhereConst(swap_y, x, y);
-  return {x_new, y_new};
+  // Each mask reads the LayerNorm of an ORIGINAL input (Eq. 10/11); the
+  // detached inputs keep the comparison off the tape.
+  const ag::Var key_x = ag::LayerNormNoAffine(x.Detach());
+  const ag::Var key_y = ag::LayerNormNoAffine(y.Detach());
+  return {ag::WhereBelow(key_x, theta, y, x),   // x positions take y's
+          ag::WhereBelow(key_y, theta, x, y)};  // y positions take x's
 }
 
 Mmf::Mmf(const MmfConfig& config, Rng* rng) : config_(config) {

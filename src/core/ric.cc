@@ -26,16 +26,14 @@ std::vector<ag::Var> Ric::Forward(const std::vector<ag::Var>& modal_inputs,
   std::vector<ag::Var> out;
   out.reserve(modal_inputs.size());
   for (size_t i = 0; i < modal_inputs.size(); ++i) {
-    ag::Var h = Project(i, modal_inputs[i]);
+    ag::Var h = ag::MatMul(modal_inputs[i], proj_[i]);
     ag::Var r = relation;
-    if (interactive()) std::tie(h, r) = modal_tca_[i]->Forward(h, r);
+    if (config_.enabled && config_.use_tca) {
+      std::tie(h, r) = modal_tca_[i]->Forward(h, r);
+    }
     out.push_back(ag::Concat({h, r}, 1));
   }
   return out;
-}
-
-ag::Var Ric::Project(size_t i, const ag::Var& modal) const {
-  return ag::MatMul(modal, proj_[i]);
 }
 
 }  // namespace came::core

@@ -31,19 +31,6 @@ class Ric : public nn::Module {
   std::vector<ag::Var> Forward(const std::vector<ag::Var>& modal_inputs,
                                const ag::Var& relation) const;
 
-  // The pieces of Forward, for callers that fold the head-only and
-  // relation-only halves (CamE serving): v_i is
-  //   interactive: concat(tca(i).Forward(Project(i, modal_i), r))
-  //   otherwise:   [Project(i, modal_i) ; r]
-
-  /// True when each modality pair runs through TCA (neither ablation
-  /// switch is off).
-  bool interactive() const { return config_.enabled && config_.use_tca; }
-  /// h_i = modal_i W_proj_i, [B, rel_dim].
-  ag::Var Project(size_t i, const ag::Var& modal) const;
-  /// Modality i's TCA operator.
-  const Tca& tca(size_t i) const { return *modal_tca_[i]; }
-
  private:
   RicConfig config_;
   std::vector<ag::Var> proj_;                   // [input_dims[i], rel_dim]

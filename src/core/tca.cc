@@ -30,60 +30,41 @@ Tca::Tca(const TcaConfig& config, Rng* rng) : config_(config) {
 
 std::pair<ag::Var, ag::Var> Tca::Forward(const ag::Var& q,
                                          const ag::Var& d) const {
-  const std::vector<ag::Var> inv_tau = InvTau();
-  return Combine(q, QuerySide(q, inv_tau), d, DocSide(d, inv_tau), inv_tau);
-}
-
-std::vector<ag::Var> Tca::InvTau() const {
-  // Eq. (8): tau_i = tau0 * (lambda * i), i in {1..m}. The fused
-  // co-attention op takes 1/tau.
-  const ag::Var one = ag::Const(tensor::Tensor::Scalar(1.0f));
-  std::vector<ag::Var> inv_tau;
-  for (int h = 0; h < config_.num_heads; ++h) {
-    inv_tau.push_back(ag::Div(
-        one, ag::Scale(tau0_, config_.interval * static_cast<float>(h + 1))));
-  }
-  return inv_tau;
-}
-
-TcaSide Tca::QuerySide(const ag::Var& q,
-                       const std::vector<ag::Var>& inv_tau) const {
-  return Side(q, w_co_q_, w_in_q_, inv_tau);
-}
-
-TcaSide Tca::DocSide(const ag::Var& d,
-                     const std::vector<ag::Var>& inv_tau) const {
-  return Side(d, w_co_d_, w_in_d_, inv_tau);
-}
-
-TcaSide Tca::Side(const ag::Var& x, const std::vector<ag::Var>& w_co,
-                  const std::vector<ag::Var>& w_in,
-                  const std::vector<ag::Var>& inv_tau) const {
-  CAME_CHECK_EQ(x.dim(1), config_.dim);
-  CAME_CHECK_EQ(inv_tau.size(), w_co.size());
-  TcaSide side;
-  for (size_t h = 0; h < w_co.size(); ++h) {
-    ag::Var p_co = ag::Sigmoid(ag::MatMul(x, w_co[h]));  // [B,d]
-    ag::Var p_in = ag::Sigmoid(ag::MatMul(x, w_in[h]));
-    // Intra-attention (Eq. 4-5); the co projection is shared so both
-    // affinity families live in the same subspace.
-    side.intra.push_back(ag::CoAttentionApply(x, p_co, p_in, inv_tau[h]));
-    side.co.push_back(std::move(p_co));
-  }
-  return side;
-}
-
-std::pair<ag::Var, ag::Var> Tca::Combine(
-    const ag::Var& q, const TcaSide& qs, const ag::Var& d, const TcaSide& ds,
-    const std::vector<ag::Var>& inv_tau) const {
   const int64_t dim = config_.dim;
   CAME_CHECK_EQ(q.dim(1), dim);
   CAME_CHECK_EQ(d.dim(1), dim);
   CAME_CHECK_EQ(q.dim(0), d.dim(0));
   const auto heads = static_cast<size_t>(config_.num_heads);
-  CAME_CHECK_EQ(inv_tau.size(), heads);
-  CAME_CHECK(qs.co.size() == heads && qs.intra.size() == heads);
-  CAME_CHECK(ds.co.size() == heads && ds.intra.size() == heads);
+
+  // Eq. (8): tau_i = tau0 * (lambda * i), i in {1..m}. The fused
+  // co-attention op takes 1/tau.
+  const ag::Var one = ag::Const(tensor::Tensor::Scalar(1.0f));
+  std::vector<ag::Var> inv_tau;
+  for (size_t h = 0; h < heads; ++h) {
+    inv_tau.push_back(ag::Div(
+        one, ag::Scale(tau0_, config_.interval * static_cast<float>(h + 1))));
+  }
+
+  // Per head and input x: the co-attention projection s(x W_co) and the
+  // intra-attention output x_in (Eq. 4-5); the co projection is shared so
+  // both affinity families live in the same subspace.
+  struct Side {
+    std::vector<ag::Var> co;
+    std::vector<ag::Var> intra;
+  };
+  auto side = [&](const ag::Var& x, const std::vector<ag::Var>& w_co,
+                  const std::vector<ag::Var>& w_in) {
+    Side out;
+    for (size_t h = 0; h < heads; ++h) {
+      ag::Var p_co = ag::Sigmoid(ag::MatMul(x, w_co[h]));  // [B,d]
+      ag::Var p_in = ag::Sigmoid(ag::MatMul(x, w_in[h]));
+      out.intra.push_back(ag::CoAttentionApply(x, p_co, p_in, inv_tau[h]));
+      out.co.push_back(std::move(p_co));
+    }
+    return out;
+  };
+  const Side qs = side(q, w_co_q_, w_in_q_);
+  const Side ds = side(d, w_co_d_, w_in_d_);
 
   std::vector<ag::Var> q_heads;
   std::vector<ag::Var> d_heads;

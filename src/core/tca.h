@@ -27,15 +27,6 @@ struct TcaConfig {
   float tau0_init = 1.0f;
 };
 
-/// The half of a TCA forward that depends on one input x alone, per head:
-/// its co-attention projection s(x W_co) and its intra-attention output
-/// x_in (Eq. 4-5). Serving folds the entity and relation sides once and
-/// runs only Tca::Combine per query.
-struct TcaSide {
-  std::vector<ag::Var> co;     ///< s(x W_co_i), [B, dim] per head
-  std::vector<ag::Var> intra;  ///< x_in of head i, [B, dim] per head
-};
-
 /// Triple Co-Attention (TCA) operator.
 ///
 /// Per head, three affinity matrices are built from sigmoid projections of
@@ -52,34 +43,15 @@ class Tca : public nn::Module {
  public:
   Tca(const TcaConfig& config, Rng* rng);
 
-  /// Returns (Q_tca, D_tca), both [B, dim], for inputs of shape [B, dim]:
-  /// Combine(q, QuerySide(q, t), d, DocSide(d, t), t) with t = InvTau().
+  /// Returns (Q_tca, D_tca), both [B, dim], for inputs of shape [B, dim].
   std::pair<ag::Var, ag::Var> Forward(const ag::Var& q,
                                       const ag::Var& d) const;
-
-  /// 1/tau_i of every head (Eq. 8), [1] each. Computed once per forward
-  /// and handed to each half, so the halves add no tape node.
-  std::vector<ag::Var> InvTau() const;
-  /// The half that depends on Q alone: s(Q Wq_co) and Q_in (Eq. 4).
-  TcaSide QuerySide(const ag::Var& q,
-                    const std::vector<ag::Var>& inv_tau) const;
-  /// The half that depends on D alone: s(D Wd_co) and D_in (Eq. 5).
-  TcaSide DocSide(const ag::Var& d, const std::vector<ag::Var>& inv_tau) const;
-  /// The pair-dependent half: per head the two co-attention calls
-  /// (Eq. 1-3) and the Eq. 6 sums, then the Eq. 7 head projection.
-  std::pair<ag::Var, ag::Var> Combine(
-      const ag::Var& q, const TcaSide& qs, const ag::Var& d,
-      const TcaSide& ds, const std::vector<ag::Var>& inv_tau) const;
 
   const TcaConfig& config() const { return config_; }
   /// Current value of the learnable base temperature (diagnostics).
   float tau0() const { return tau0_.value().data()[0]; }
 
  private:
-  TcaSide Side(const ag::Var& x, const std::vector<ag::Var>& w_co,
-               const std::vector<ag::Var>& w_in,
-               const std::vector<ag::Var>& inv_tau) const;
-
   TcaConfig config_;
   // Per-head projections, each [dim, dim].
   std::vector<ag::Var> w_co_q_, w_co_d_, w_in_q_, w_in_d_;

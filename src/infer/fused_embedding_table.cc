@@ -8,19 +8,12 @@
 namespace came::infer {
 
 FusedEmbeddingTable::FusedEmbeddingTable(tensor::Tensor candidates,
-                                         tensor::Tensor bias,
-                                         tensor::Tensor folded_rows)
-    : candidates_(std::move(candidates)),
-      bias_(std::move(bias)),
-      folded_rows_(std::move(folded_rows)) {
+                                         tensor::Tensor bias)
+    : candidates_(std::move(candidates)), bias_(std::move(bias)) {
   CAME_CHECK_EQ(candidates_.ndim(), 2) << "candidates must be [N, d]";
   if (bias_.numel() > 0) {
     CAME_CHECK_EQ(bias_.ndim(), 1);
     CAME_CHECK_EQ(bias_.dim(0), candidates_.dim(0));
-  }
-  if (folded_rows_.numel() > 0) {
-    CAME_CHECK_EQ(folded_rows_.ndim(), 2);
-    CAME_CHECK_EQ(folded_rows_.dim(0), candidates_.dim(0));
   }
 }
 
@@ -31,15 +24,15 @@ FusedEmbeddingTable FusedEmbeddingTable::Build(
   // Clone the candidate matrix: the table is a frozen snapshot, and the
   // serving accessor aliases the live parameter buffer.
   return FusedEmbeddingTable(model->ServingCandidates().Clone(),
-                             model->ServingEntityBias().Clone(),
-                             model->FoldEntityEncoders());
+                             model->ServingEntityBias().Clone());
 }
 
-void FusedEmbeddingTable::InstallFoldedRows(baselines::KgcModel* model) const {
+void FusedEmbeddingTable::InstallFoldedRows(
+    baselines::InnerProductKgcModel* model) const {
   CAME_CHECK(model != nullptr);
-  if (!has_folded_rows()) return;
-  // A Tensor copy shares storage: the model reads the rows in place.
-  model->SetFoldedEncoderCache(folded_rows_);
+  CAME_CHECK_GT(model->num_entities(), 0);
+  CAME_CHECK_GT(model->num_relations(), 0);
+  (void)model->ServingQuery({0}, {0});
 }
 
 }  // namespace came::infer

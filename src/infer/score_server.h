@@ -27,7 +27,8 @@ namespace came::infer {
 /// server calls the encoder is invoked from multiple threads at once, so
 /// it must be safe for concurrent invocation. The model-backed encoder
 /// qualifies: ServingQuery replays the model's one query plan (for CamE:
-/// the folded-row gathers, RIC's co-attention heads and the conv decoder)
+/// RIC's pair-dependent co-attention calls and head projections and the
+/// conv decoder, reading the hoisted per-entity and per-relation rows)
 /// once per row, reading only the model, and captures it under a mutex.
 using QueryEncoder = std::function<tensor::Tensor(
     const std::vector<int64_t>& heads, const std::vector<int64_t>& rels)>;

@@ -60,9 +60,9 @@ class Module {
 
   /// Hook invoked at the end of every SetTraining call (after the flag is
   /// set and children are updated). Modules that keep mode-dependent
-  /// derived state — e.g. CamE's folded-encoder cache, which is only
-  /// valid while parameters are frozen — override this to invalidate it
-  /// when the mode flips back to training.
+  /// derived state — e.g. a model's query plan, which is only valid while
+  /// parameters are frozen — override this to invalidate it when the mode
+  /// flips back to training.
   virtual void OnSetTraining(bool training) { (void)training; }
 
   /// Hook invoked after RestoreParameters / LoadParameterValues overwrote

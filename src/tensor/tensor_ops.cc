@@ -516,18 +516,9 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int64_t>& indices,
   return out;
 }
 
-Tensor Where(const Tensor& mask, const Tensor& a, const Tensor& b) {
-  CAME_CHECK(SameShape(mask.shape(), a.shape()));
-  CAME_CHECK(SameShape(a.shape(), b.shape()));
-  // fully-written: the select loop stores every element
-  Tensor out = Tensor::Uninitialized(a.shape());
-  const float* pm = mask.data();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  const int64_t n = a.numel();
-  for (int64_t i = 0; i < n; ++i) po[i] = (pm[i] != 0.0f) ? pa[i] : pb[i];
-  return out;
+void WhereBelowInto(const float* key, float theta, const float* a,
+                    const float* b, int64_t n, float* out) {
+  for (int64_t i = 0; i < n; ++i) out[i] = key[i] < theta ? a[i] : b[i];
 }
 
 void Im2ColInto(const float* input, int64_t b, int64_t c, int64_t h,

@@ -112,8 +112,10 @@ Tensor ScatterAddRows(const Tensor& src, const std::vector<int64_t>& indices,
 // Selection
 // ---------------------------------------------------------------------------
 
-/// out[i] = mask[i] != 0 ? a[i] : b[i]; all three same shape.
-Tensor Where(const Tensor& mask, const Tensor& a, const Tensor& b);
+/// out[i] = key[i] < theta ? a[i] : b[i] over n elements (a NaN key
+/// selects b).
+void WhereBelowInto(const float* key, float theta, const float* a,
+                    const float* b, int64_t n, float* out);
 
 // ---------------------------------------------------------------------------
 // Raw kernels

@@ -142,16 +142,17 @@ TEST(OpsTest, DropoutTrainZerosAndRescales) {
   EXPECT_NEAR(zeros, 500, 75);
 }
 
-TEST(OpsTest, WhereConstRoutesGradient) {
-  Tensor mask = Tensor::FromVector({4}, {1, 0, 1, 0});
+TEST(OpsTest, WhereBelowRoutesGradient) {
+  Var key(Tensor::FromVector({4}, {-1.0f, 0.0f, -2.0f, 3.0f}), true);
   Var a(Tensor::Full({4}, 1.0f), true);
   Var b(Tensor::Full({4}, 5.0f), true);
-  Var w = WhereConst(mask, a, b);
+  Var w = WhereBelow(key, -0.5f, a, b);
   SumAll(w).Backward();
   EXPECT_FLOAT_EQ(a.grad().data()[0], 1.0f);
   EXPECT_FLOAT_EQ(a.grad().data()[1], 0.0f);
   EXPECT_FLOAT_EQ(b.grad().data()[0], 0.0f);
   EXPECT_FLOAT_EQ(b.grad().data()[1], 1.0f);
+  EXPECT_FALSE(key.has_grad());  // the decision carries no gradient
 }
 
 TEST(OpsTest, BceWithLogitsMatchesManual) {

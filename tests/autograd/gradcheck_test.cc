@@ -300,14 +300,14 @@ TEST(GradCheckTest, LayerNormNoAffine) {
   EXPECT_LT(GradCheck(fn, {x}), 5e-2);
 }
 
-TEST(GradCheckTest, WhereConst) {
+TEST(GradCheckTest, WhereBelow) {
   Rng rng(19);
   Var a = RandomVar({3, 3}, &rng);
   Var b = RandomVar({3, 3}, &rng);
-  Tensor mask(Shape{3, 3});
-  for (int64_t i = 0; i < 9; ++i) mask.data()[i] = (i % 2 == 0) ? 1.0f : 0.0f;
-  auto fn = [mask](const std::vector<Var>& v) {
-    return WeightedSum(WhereConst(mask, v[0], v[1]), 25);
+  Tensor key(Shape{3, 3});
+  for (int64_t i = 0; i < 9; ++i) key.data()[i] = (i % 2 == 0) ? -1.0f : 1.0f;
+  auto fn = [key](const std::vector<Var>& v) {
+    return WeightedSum(WhereBelow(Const(key), 0.0f, v[0], v[1]), 25);
   };
   EXPECT_LT(GradCheck(fn, {a, b}), kTol);
 }

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "autograd/gradcheck.h"
 #include "core/came_model.h"
 #include "encoders/feature_bank.h"
@@ -145,27 +143,6 @@ TEST(CoAttentionApplyTest, GradCheckAllInputs) {
         ag::CoAttentionApply(v[0], v[1], v[2], v[3])));
   };
   EXPECT_LT(ag::GradCheck(fn, {x, a, b, u}, 1e-2), 8e-2);
-}
-
-TEST(TcaTest, ForwardIsCombineOfTheTwoSides) {
-  Rng rng(10);
-  TcaConfig cfg;
-  cfg.dim = 8;
-  cfg.num_heads = 2;
-  Tca tca(cfg, &rng);
-  for (int64_t batch : {1, 5, 64}) {
-    ag::Var q = RandomVar({batch, 8}, &rng, false);
-    ag::Var d = RandomVar({batch, 8}, &rng, false);
-    auto [qf, df] = tca.Forward(q, d);
-    const std::vector<ag::Var> inv_tau = tca.InvTau();
-    auto [qc, dc] = tca.Combine(q, tca.QuerySide(q, inv_tau), d,
-                                tca.DocSide(d, inv_tau), inv_tau);
-    const size_t bytes = static_cast<size_t>(batch * 8) * sizeof(float);
-    EXPECT_EQ(std::memcmp(qf.value().data(), qc.value().data(), bytes), 0)
-        << "batch " << batch;
-    EXPECT_EQ(std::memcmp(df.value().data(), dc.value().data(), bytes), 0)
-        << "batch " << batch;
-  }
 }
 
 // A small bank with every modality present, so CamE runs all three.

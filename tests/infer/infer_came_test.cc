@@ -1,6 +1,7 @@
-// The inference stack against the real CamE model: offline encoder
-// folding must be bitwise-invisible, and the ScoreServer's blocked top-K
-// must reproduce a full ScoreAllTails sort exactly.
+// The inference stack against the real CamE model: the query plan that
+// hoists its head-only and relation-only stages must be bitwise-invisible,
+// and the ScoreServer's blocked top-K must reproduce a full ScoreAllTails
+// sort exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,36 +81,34 @@ TEST_F(InferCamETest, BuildFoldsTheEntireEntityTable) {
   const FusedEmbeddingTable table = FusedEmbeddingTable::Build(&model);
   EXPECT_EQ(table.num_entities(), bkg_->dataset.num_entities());
   EXPECT_GT(table.dim(), 0);
-  // CamE's MMF output is query-independent, so the fold must carry it.
-  EXPECT_TRUE(table.has_folded_rows());
-  EXPECT_EQ(table.folded_rows().dim(0), table.num_entities());
+  EXPECT_TRUE(table.has_bias());
 }
 
-TEST_F(InferCamETest, FoldedEncoderCacheIsBitwiseInvisible) {
+TEST_F(InferCamETest, InstallFoldedRowsCapturesThePlanInvisibly) {
   core::CamE model(Context(), Config());
   model.SetTraining(false);
   const tensor::Tensor live = EvalScoreAllTails(&model);
+  const tensor::Tensor live_query =
+      model.EagerQuery(SomeHeads(), SomeRels());
 
   const FusedEmbeddingTable table = FusedEmbeddingTable::Build(&model);
+  EXPECT_EQ(model.ServingPlan(), nullptr);
   table.InstallFoldedRows(&model);
-  ASSERT_TRUE(model.HasFoldedEncoderCache());
-  const tensor::Tensor cached = EvalScoreAllTails(&model);
-  ExpectBitwiseEqual(cached, live);
+  const ag::QueryPlan* plan = model.ServingPlan();
+  ASSERT_NE(plan, nullptr);
+  EXPECT_TRUE(plan->ok()) << plan->refusal();
+  // CamE's head-only stages (MMF, RIC's projections and head-only TCA
+  // half) and relation-only ones fill the two tables.
+  EXPECT_EQ(plan->table(ag::PlanIds::kHeads).dim(0), model.num_entities());
+  EXPECT_EQ(plan->table(ag::PlanIds::kRels).dim(0), model.num_relations());
+  ExpectBitwiseEqual(EvalScoreAllTails(&model), live);
+  ExpectBitwiseEqual(model.ServingQuery(SomeHeads(), SomeRels()), live_query);
 }
 
-TEST_F(InferCamETest, InstalledRowsShareTheTableStorage) {
-  core::CamE model(Context(), Config());
-  model.SetTraining(false);
-  const FusedEmbeddingTable table = FusedEmbeddingTable::Build(&model);
-  table.InstallFoldedRows(&model);
-  ASSERT_TRUE(model.HasFoldedEncoderCache());
-  // One copy of the rows in memory: the model reads the table's buffer.
-  EXPECT_EQ(model.folded_entity_rows().data(), table.folded_rows().data());
-}
-
-// The fold over the Fig. 6 ablation grid and the head count: each config
-// folds a different set of columns (no RIC/TCA: h_i only), and each must
-// serve exactly the live answers.
+// The plan over the Fig. 6 ablation grid and the head count: each config
+// hoists a different set of stages (no RIC/TCA: h_i only), and each must
+// serve exactly the live answers, captured by the first query or by
+// InstallFoldedRows.
 struct FoldCase {
   const char* name;
   void (*apply)(core::CamEConfig*);
@@ -143,20 +142,26 @@ TEST_P(InferCamEFoldTest, FoldedQueriesAreBitwiseTheLiveOnes) {
   for (int64_t b : batches) {
     live_queries.push_back(model.EagerQuery(heads(b), rels(b)));
   }
+  auto expect_served_live = [&] {
+    ExpectBitwiseEqual(EvalScoreAllTails(&model), live);
+    for (size_t k = 0; k < batches.size(); ++k) {
+      const int64_t b = batches[k];
+      const tensor::Tensor served = model.ServingQuery(heads(b), rels(b));
+      ExpectBitwiseEqual(served, model.EagerQuery(heads(b), rels(b)));
+      ExpectBitwiseEqual(served, live_queries[k]);
+      const ag::QueryPlan* plan = model.ServingPlan();
+      ASSERT_NE(plan, nullptr);
+      EXPECT_TRUE(plan->ok()) << plan->refusal();
+    }
+  };
+  expect_served_live();  // captured by the first ServingQuery
 
-  const FusedEmbeddingTable table = FusedEmbeddingTable::Build(&model);
-  table.InstallFoldedRows(&model);
-  ASSERT_TRUE(model.HasFoldedEncoderCache());
-  ExpectBitwiseEqual(EvalScoreAllTails(&model), live);
-  for (size_t k = 0; k < batches.size(); ++k) {
-    const int64_t b = batches[k];
-    const tensor::Tensor served = model.ServingQuery(heads(b), rels(b));
-    ExpectBitwiseEqual(served, model.EagerQuery(heads(b), rels(b)));
-    ExpectBitwiseEqual(served, live_queries[k]);
-    const ag::QueryPlan* plan = model.ServingPlan();
-    ASSERT_NE(plan, nullptr);
-    EXPECT_TRUE(plan->ok()) << plan->refusal();
-  }
+  model.SetTraining(true);
+  model.SetTraining(false);
+  ASSERT_EQ(model.ServingPlan(), nullptr);
+  FusedEmbeddingTable::Build(&model).InstallFoldedRows(&model);
+  ASSERT_NE(model.ServingPlan(), nullptr);
+  expect_served_live();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -165,6 +170,8 @@ INSTANTIATE_TEST_SUITE_P(
         FoldCase{"NoTca", [](core::CamEConfig* c) { c->use_tca = false; }},
         FoldCase{"NoRic", [](core::CamEConfig* c) { c->use_ric = false; }},
         FoldCase{"NoMmf", [](core::CamEConfig* c) { c->use_mmf = false; }},
+        FoldCase{"NoExchange",
+                 [](core::CamEConfig* c) { c->use_exchange = false; }},
         FoldCase{"OneHead", [](core::CamEConfig* c) { c->num_heads = 1; }},
         FoldCase{"ThreeHeads", [](core::CamEConfig* c) { c->num_heads = 3; }},
         FoldCase{"NoMolecule",
@@ -173,34 +180,34 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-TEST_F(InferCamETest, TrainingModeInvalidatesTheFoldCache) {
+TEST_F(InferCamETest, TrainingModeDropsThePlan) {
   core::CamE model(Context(), Config());
   model.SetTraining(false);
   const FusedEmbeddingTable table = FusedEmbeddingTable::Build(&model);
   table.InstallFoldedRows(&model);
-  ASSERT_TRUE(model.HasFoldedEncoderCache());
-  // Going back to training must drop the cache: the encoder weights are
-  // about to move, so the folded rows would silently go stale.
+  ASSERT_NE(model.ServingPlan(), nullptr);
+  // Going back to training must drop the plan: the encoder weights are
+  // about to move, so its hoisted rows would silently go stale.
   model.SetTraining(true);
-  EXPECT_FALSE(model.HasFoldedEncoderCache());
+  EXPECT_EQ(model.ServingPlan(), nullptr);
 }
 
-TEST_F(InferCamETest, RestoredParametersInvalidateTheFoldCache) {
+TEST_F(InferCamETest, RestoredParametersDropThePlan) {
   core::CamE model(Context(), Config());
   model.SetTraining(false);
   const std::vector<tensor::Tensor> original = model.SnapshotParameters();
-  const tensor::Tensor live = EvalScoreAllTails(&model);
+  const tensor::Tensor live = model.EagerQuery(SomeHeads(), SomeRels());
   std::vector<tensor::Tensor> halved;
   for (const tensor::Tensor& t : original) {
     halved.push_back(tensor::Scale(t, 0.5f));
   }
   model.RestoreParameters(halved);
   FusedEmbeddingTable::Build(&model).InstallFoldedRows(&model);
-  ASSERT_TRUE(model.HasFoldedEncoderCache());
-  // Rows folded from the halved weights must not outlive them.
+  ASSERT_NE(model.ServingPlan(), nullptr);
+  // Rows hoisted from the halved weights must not outlive them.
   model.RestoreParameters(original);
-  EXPECT_FALSE(model.HasFoldedEncoderCache());
-  ExpectBitwiseEqual(EvalScoreAllTails(&model), live);
+  EXPECT_EQ(model.ServingPlan(), nullptr);
+  ExpectBitwiseEqual(model.ServingQuery(SomeHeads(), SomeRels()), live);
 }
 
 // Full serving score vector for one query: the brute-force oracle the

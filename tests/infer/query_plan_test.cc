@@ -1,10 +1,11 @@
 // The query plan behind InnerProductKgcModel::ServingQuery: one plan per
-// model, captured from a single row and replayed once per row of a batch.
-// Every served batch must memcmp the eager forward (folded CamE over batch
-// sizes, GEMM kernels and thread counts, every inner-product model of the
-// zoo, concurrent clients racing pool-chunk replays, a scrubbed pool), the
-// plan must die with the weights it copied, and a replayed query must
-// build nothing but its arena and its result.
+// model, captured from a single row; its head-only and relation-only steps
+// fill two tables at capture and only the steps that read both ids are
+// replayed per row. Every served batch must memcmp the eager forward (CamE
+// over batch sizes, GEMM kernels and thread counts, every inner-product
+// model of the zoo, concurrent clients racing pool-chunk replays, a
+// scrubbed pool), the plan must die with the weights it copied, and a
+// replayed query must build nothing but its arena and its result.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,6 +43,16 @@ bool Bitwise(const Tensor& a, const Tensor& b) {
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
+/// The no-tape dispatches of `op` that `query` credits (0 for an op never
+/// registered, hence never dispatched).
+int64_t Credited(const char* op, const std::function<void()>& query) {
+  const ag::OpRegistry& registry = ag::OpRegistry::Instance();
+  const int id = registry.Find(op);
+  const int64_t before = id < 0 ? 0 : registry.NoTapeDispatches(id);
+  query();
+  return id < 0 ? 0 : registry.NoTapeDispatches(id) - before;
+}
+
 class QueryPlanTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -72,13 +83,15 @@ class QueryPlanTest : public ::testing::Test {
     zoo.came.conv_filters = 8;
     return zoo;
   }
-  /// An eval-mode CamE with its MMF rows folded, as ScoreServer serves it.
+  /// An eval-mode CamE whose plan InstallFoldedRows captured, as the
+  /// examples and benches serve it.
   static std::unique_ptr<core::CamE> FoldedCamE() {
     auto model = std::make_unique<core::CamE>(Context(), Options().came);
     model->SetTraining(false);
     FusedEmbeddingTable::Build(model.get()).InstallFoldedRows(model.get());
     return model;
   }
+
   static std::vector<int64_t> Heads(int64_t batch, int64_t salt) {
     std::vector<int64_t> out;
     for (int64_t i = 0; i < batch; ++i) {
@@ -120,15 +133,23 @@ TEST_F(QueryPlanTest, FoldedCamEReplaysBitwiseOverBatchesKernelsAndThreads) {
     if (tensor::gemm::ActiveKernel() != kernel) continue;  // not on this CPU
     for (int threads : {1, 4}) {
       SetNumThreads(threads);
-      auto model = FoldedCamE();
-      for (int64_t batch : {1, 3, 64}) {
-        for (int64_t salt : {0, 11, 23}) {
-          ExpectReplayIsEager(model.get(), batch, salt);
+      // Captured by InstallFoldedRows, and by the first query.
+      for (bool install : {true, false}) {
+        auto model = FoldedCamE();
+        if (!install) {
+          model->SetTraining(true);
+          model->SetTraining(false);
+          ASSERT_EQ(model->ServingPlan(), nullptr);
         }
-        const ag::QueryPlan* plan = model->ServingPlan();
-        ASSERT_NE(plan, nullptr);
-        EXPECT_TRUE(plan->ok()) << plan->refusal();
-        EXPECT_GT(plan->num_steps(), 0);
+        for (int64_t batch : {1, 3, 64}) {
+          for (int64_t salt : {0, 11, 23}) {
+            ExpectReplayIsEager(model.get(), batch, salt);
+          }
+          const ag::QueryPlan* plan = model->ServingPlan();
+          ASSERT_NE(plan, nullptr);
+          EXPECT_TRUE(plan->ok()) << plan->refusal();
+          EXPECT_GT(plan->num_steps(), 0);
+        }
       }
     }
   }
@@ -137,48 +158,62 @@ TEST_F(QueryPlanTest, FoldedCamEReplaysBitwiseOverBatchesKernelsAndThreads) {
 }
 
 TEST_F(QueryPlanTest, EveryInnerProductModelOfTheZooReplaysBitwise) {
+  // CamE included: its exchanging fusion is a recorded WhereBelow step.
+  // CamE's ablation grid runs in InferCamEFoldTest (infer_came_test.cc).
   std::vector<std::string> names = baselines::AllModelNames();
   for (const std::string& extra : baselines::ExtendedModelNames()) {
     names.push_back(extra);
   }
+  const int saved_threads = NumThreads();
   int planned = 0;
-  for (const std::string& name : names) {
-    auto model = baselines::CreateModel(name, Context(), Options());
-    auto* ip = dynamic_cast<baselines::InnerProductKgcModel*>(model.get());
-    if (ip == nullptr) continue;
-    ip->SetTraining(false);
-    for (int64_t batch : {1, 3}) {
-      ExpectReplayIsEager(ip, batch, 0);
-      ExpectReplayIsEager(ip, batch, 7);
-      const ag::QueryPlan* plan = ip->ServingPlan();
-      ASSERT_NE(plan, nullptr) << name;
-      // Unfolded CamE runs MMF's exchanging fusion, whose mask depends on
-      // the data; every other inner-product model is replayable.
-      if (name == "CamE") {
-        EXPECT_FALSE(plan->ok());
-      } else {
-        EXPECT_TRUE(plan->ok()) << name << ": " << plan->refusal();
-        planned += plan->ok() ? 1 : 0;
+  for (auto kernel : {tensor::gemm::Kernel::kScalar,
+                      tensor::gemm::Kernel::kAvx2,
+                      tensor::gemm::Kernel::kAvx512}) {
+    tensor::gemm::SetKernel(kernel);
+    if (tensor::gemm::ActiveKernel() != kernel) continue;  // not on this CPU
+    for (int threads : {1, 4}) {
+      SetNumThreads(threads);
+      for (const std::string& name : names) {
+        for (bool install : {false, true}) {
+          auto model = baselines::CreateModel(name, Context(), Options());
+          auto* ip =
+              dynamic_cast<baselines::InnerProductKgcModel*>(model.get());
+          if (ip == nullptr) break;
+          ip->SetTraining(false);
+          if (install) FusedEmbeddingTable::Build(ip).InstallFoldedRows(ip);
+          for (int64_t batch : {1, 3, 64}) {
+            ExpectReplayIsEager(ip, batch, 0);
+            ExpectReplayIsEager(ip, batch, 7);
+            const ag::QueryPlan* plan = ip->ServingPlan();
+            ASSERT_NE(plan, nullptr) << name;
+            EXPECT_TRUE(plan->ok()) << name << ": " << plan->refusal();
+          }
+          planned += install && ip->ServingPlan()->ok() ? 1 : 0;
+        }
       }
     }
   }
-  EXPECT_GE(planned, 8);  // DistMult, ComplEx, ConvE, DualE, MKGformer x 2
+  tensor::gemm::SetKernel(tensor::gemm::Kernel::kAuto);
+  SetNumThreads(saved_threads);
+  // Per kernel and thread count: CamE, DistMult, ComplEx, ConvE, DualE,
+  // MKGformer.
+  EXPECT_GE(planned, 12);
 }
 
-TEST_F(QueryPlanTest, UnfoldedCamEFallsBackToEager) {
-  core::CamE model(Context(), Options().came);
-  model.SetTraining(false);
-  ASSERT_FALSE(model.HasFoldedEncoderCache());
-  ExpectReplayIsEager(&model, 3, 0);
-  const ag::QueryPlan* plan = model.ServingPlan();
+TEST_F(QueryPlanTest, DistMultReplaysOneStep) {
+  // h * r: both gathers are read in place at id * d, so the one replayed
+  // step is the product, and nothing is hoisted into a table.
+  auto model = baselines::CreateModel("DistMult", Context(), Options());
+  auto* ip = dynamic_cast<baselines::InnerProductKgcModel*>(model.get());
+  ASSERT_NE(ip, nullptr);
+  ip->SetTraining(false);
+  ExpectReplayIsEager(ip, 3, 1);
+  const ag::QueryPlan* plan = ip->ServingPlan();
   ASSERT_NE(plan, nullptr);
-  EXPECT_FALSE(plan->ok());
-  EXPECT_NE(plan->refusal().find("WhereConst"), std::string::npos)
-      << plan->refusal();
-  // The refusal is remembered: later calls stay eager and stay exact.
-  ExpectReplayIsEager(&model, 3, 5);
-  ExpectReplayIsEager(&model, 1, 2);
-  EXPECT_EQ(model.ServingPlan(), plan);
+  ASSERT_TRUE(plan->ok()) << plan->refusal();
+  EXPECT_EQ(plan->num_steps(), 1);
+  EXPECT_EQ(plan->table(ag::PlanIds::kHeads).numel(), 0);
+  EXPECT_EQ(plan->table(ag::PlanIds::kRels).numel(), 0);
 }
 
 TEST_F(QueryPlanTest, ModelWithDependentRowsStaysEager) {
@@ -322,54 +357,51 @@ TEST_F(QueryPlanTest, ReplayBuildsOnlyItsArenaAndResult) {
   EXPECT_TRUE(Bitwise(q, model->EagerQuery(h, r)));
 }
 
-TEST_F(QueryPlanTest, ReplayCreditsTheSameDispatchCountsAsEager) {
+TEST_F(QueryPlanTest, ReplayCreditsExactlyItsReplayedSteps) {
   auto model = FoldedCamE();
-  const auto h = Heads(1, 6);
-  const auto r = Rels(1, 6);
-  (void)model->ServingQuery(h, r);  // capture
-  ag::OpRegistry& registry = ag::OpRegistry::Instance();
-  for (const char* op : {"MatMul", "CoAttentionApply", "Conv2d", "Gather"}) {
-    const int id = registry.Find(op);
-    ASSERT_GE(id, 0) << op;
-    const int64_t t0 = registry.NoTapeDispatches(id);
-    (void)model->EagerQuery(h, r);
-    const int64_t t1 = registry.NoTapeDispatches(id);
-    (void)model->ServingQuery(h, r);
-    const int64_t t2 = registry.NoTapeDispatches(id);
-    EXPECT_GT(t1 - t0, 0) << op;
-    EXPECT_EQ(t2 - t1, t1 - t0) << op;
+  const ag::QueryPlan* plan = model->ServingPlan();
+  ASSERT_NE(plan, nullptr);
+  ASSERT_TRUE(plan->ok()) << plan->refusal();
+  for (int64_t batch : {1, 3}) {
+    const auto h = Heads(batch, 6);
+    const auto r = Rels(batch, 6);
+    // A one-row batch replays on this thread; each row credits every
+    // replayed step once.
+    if (batch == 1) {
+      const int64_t before = ag::NoTapeDispatchesThisThread();
+      (void)model->ServingQuery(h, r);
+      EXPECT_EQ(ag::NoTapeDispatchesThisThread() - before, plan->num_steps());
+    }
+    auto serve = [&] { (void)model->ServingQuery(h, r); };
+    // The gathers are read in place, the Reshapes alias their input, and
+    // the hoisted stages ran at capture.
+    for (const char* op : {"Gather", "Slice", "Reshape", "Sigmoid"}) {
+      EXPECT_EQ(Credited(op, serve), 0) << op;
+    }
+    EXPECT_EQ(Credited("CoAttentionApply", serve), 12 * batch);
+    EXPECT_EQ(Credited("MatMul", serve), 10 * batch);
+    EXPECT_EQ(Credited("Conv2d", serve), 2 * batch);
   }
 }
 
 TEST_F(QueryPlanTest, FoldedCamEQueryStaysInsideItsDispatchBudget) {
-  // The fold leaves, per modality, RIC's two pair-dependent co-attention
-  // calls per head and its two head projections, plus the decoder's four
-  // MatMuls. The unfolded query also runs MMF (24 co-attention calls, 42
-  // MatMuls) and RIC's head-only and relation-only halves (12, 27).
-  ag::OpRegistry& registry = ag::OpRegistry::Instance();
-  const int coattention = registry.Find("CoAttentionApply");
-  const int matmul = registry.Find("MatMul");
-  ASSERT_GE(coattention, 0);
-  ASSERT_GE(matmul, 0);
+  // Per row the plan replays, per modality, RIC's two pair-dependent
+  // co-attention calls per head and its two head projections, plus the
+  // decoder's four MatMuls. The eager query also runs MMF (24 co-attention
+  // calls, 42 MatMuls) and RIC's head-only and relation-only halves (12,
+  // 27).
   const auto h = Heads(1, 8);
   const auto r = Rels(1, 8);
-  auto credited = [&](const std::function<void()>& query, int op) {
-    const int64_t before = registry.NoTapeDispatches(op);
-    query();
-    return registry.NoTapeDispatches(op) - before;
-  };
-
   auto folded = FoldedCamE();
-  (void)folded->ServingQuery(h, r);  // capture
   auto serve = [&] { (void)folded->ServingQuery(h, r); };
-  EXPECT_LE(credited(serve, coattention), 12);
-  EXPECT_LE(credited(serve, matmul), 10);
+  EXPECT_EQ(Credited("CoAttentionApply", serve), 12);
+  EXPECT_EQ(Credited("MatMul", serve), 10);
 
   core::CamE unfolded(Context(), Options().came);
   unfolded.SetTraining(false);
   auto eager = [&] { (void)unfolded.EagerQuery(h, r); };
-  EXPECT_EQ(credited(eager, coattention), 48);
-  EXPECT_EQ(credited(eager, matmul), 79);
+  EXPECT_EQ(Credited("CoAttentionApply", eager), 48);
+  EXPECT_EQ(Credited("MatMul", eager), 79);
 }
 
 // The recorder's rules on a hand-written forward: what it references,
@@ -417,8 +449,10 @@ TEST(QueryPlanRecorderTest, ReplaysAHandWrittenForwardBitwise) {
   EXPECT_EQ(slot.Get(), plan);
   // One plan per slot: a second capture, from another row, returns it.
   EXPECT_EQ(slot.Capture(7, 0, forward, toy.Parameters()), plan);
-  // Gather, MatMul, Sigmoid, Scale, Gather, Add, Add.
-  EXPECT_EQ(plan->num_steps(), 7);
+  // Gather, MatMul, Sigmoid and Scale read only the head: the gather is
+  // read in place, the rest run per entity at capture, and only the two
+  // Adds are replayed.
+  EXPECT_EQ(plan->num_steps(), 2);
   EXPECT_EQ(plan->row_floats(), 6);
   // Rows replayed one by one are the rows of an eager batch.
   const std::vector<int64_t> h2 = {9, 0, 4};
@@ -430,6 +464,97 @@ TEST(QueryPlanRecorderTest, ReplaysAHandWrittenForwardBitwise) {
   EXPECT_TRUE(Bitwise(rows, toy.Forward(h2, r2).value()));
   slot.Clear();
   EXPECT_EQ(slot.Get(), nullptr);
+}
+
+// One stage of each label: a parameter-only, a head-only, a
+// relation-only and a pair stage.
+class StagedForward {
+ public:
+  StagedForward()
+      : entities_(Tensor::Full({10, 4}, 0.0f), true),
+        weight_(Tensor::Full({6, 4}, 0.0f), true),
+        relations_(Tensor::Full({3, 6}, 0.0f), true),
+        bias_(Tensor::Full({6}, 0.0f), true) {
+    for (int64_t i = 0; i < 40; ++i) entities_.mutable_value().data()[i] = 0.1f * i - 1.5f;
+    for (int64_t i = 0; i < 24; ++i) weight_.mutable_value().data()[i] = 0.3f - 0.05f * i;
+    for (int64_t i = 0; i < 18; ++i) relations_.mutable_value().data()[i] = 0.2f * i - 1.0f;
+    for (int64_t i = 0; i < 6; ++i) bias_.mutable_value().data()[i] = 0.4f * i;
+  }
+  std::vector<ag::Var> Parameters() const {
+    return {entities_, weight_, relations_, bias_};
+  }
+  /// tanh(E[h] W^T), [B, 6].
+  ag::Var HeadStage(const std::vector<int64_t>& h) const {
+    return ag::Tanh(ag::MatMul(ag::Gather(entities_, h), weight_, false, true));
+  }
+  /// 3 sigmoid(R[r]), [B, 6].
+  ag::Var RelStage(const std::vector<int64_t>& r) const {
+    return ag::Scale(ag::Sigmoid(ag::Gather(relations_, r)), 3.0f);
+  }
+  /// HeadStage(h) * RelStage(r) + sigmoid(bias).
+  ag::Var Forward(const std::vector<int64_t>& h,
+                  const std::vector<int64_t>& r) const {
+    const ag::Var c = ag::Sigmoid(bias_);
+    return ag::Add(ag::Mul(HeadStage(h), RelStage(r)), c);
+  }
+
+ private:
+  ag::Var entities_;
+  ag::Var weight_;
+  ag::Var relations_;
+  ag::Var bias_;
+};
+
+TEST(QueryPlanRecorderTest, HoistsHeadOnlyAndRelationOnlyStages) {
+  StagedForward staged;
+  ag::QueryPlanSlot slot;
+  NoTapeGuard guard;
+  const ag::QueryPlan* plan = slot.Capture(
+      4, 1, [&](const auto& a, const auto& b) { return staged.Forward(a, b); },
+      staged.Parameters());
+  ASSERT_NE(plan, nullptr);
+  ASSERT_TRUE(plan->ok()) << plan->refusal();
+  // Only the pair stage replays: the Mul, and the Add of the constant.
+  EXPECT_EQ(plan->num_steps(), 2);
+  float row[6];
+  auto replay = [&] { plan->Replay(7, 2, row); };
+  EXPECT_EQ(Credited("Mul", replay), 1);
+  EXPECT_EQ(Credited("Add", replay), 1);
+  for (const char* op : {"Gather", "MatMul", "Tanh", "Sigmoid", "Scale"}) {
+    EXPECT_EQ(Credited(op, replay), 0) << op;
+  }
+  // Each table row is the eager stage of its id.
+  const std::vector<int64_t> entities = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const std::vector<int64_t> relations = {0, 1, 2};
+  EXPECT_TRUE(Bitwise(plan->table(ag::PlanIds::kHeads),
+                      staged.HeadStage(entities).value()));
+  EXPECT_TRUE(Bitwise(plan->table(ag::PlanIds::kRels),
+                      staged.RelStage(relations).value()));
+  // And every (head, rel) row replays the eager forward.
+  for (int64_t h : entities) {
+    for (int64_t r : relations) {
+      plan->Replay(h, r, row);
+      const Tensor want = staged.Forward({h}, {r}).value();
+      EXPECT_EQ(std::memcmp(row, want.data(), sizeof(row)), 0)
+          << h << ", " << r;
+    }
+  }
+}
+
+TEST(QueryPlanRecorderDeathTest, ReplayChecksTheIdRange) {
+  // The tables and in-place reads replace the Gather steps, so Replay
+  // makes their id checks itself.
+  StagedForward staged;
+  ag::QueryPlanSlot slot;
+  NoTapeGuard guard;
+  const ag::QueryPlan* plan = slot.Capture(
+      4, 1, [&](const auto& a, const auto& b) { return staged.Forward(a, b); },
+      staged.Parameters());
+  ASSERT_TRUE(plan->ok()) << plan->refusal();
+  float row[6];
+  EXPECT_DEATH(plan->Replay(10, 0, row), "head");
+  EXPECT_DEATH(plan->Replay(0, 3, row), "rel");
+  EXPECT_DEATH(plan->Replay(-1, 0, row), "head");
 }
 
 TEST(QueryPlanRecorderTest, RefusesWhatItCannotReplay) {

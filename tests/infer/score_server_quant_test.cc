@@ -127,7 +127,7 @@ class QuantScoreServerTest : public ::testing::Test {
     bias.data()[22] = bias.data()[20];
     bias.data()[101] = bias.data()[100];
 
-    table_ = FusedEmbeddingTable(cand, bias, tensor::Tensor());
+    table_ = FusedEmbeddingTable(cand, bias);
     ScoreServerConfig cfg;
     cfg.panel_width = 64;
     cfg.dtype = ScoreDtype::kInt8;
@@ -432,7 +432,7 @@ class QuantShardBackedServerTest : public ::testing::Test {
     std::filesystem::create_directories(dir_);
 
     tensor::Tensor cand = MakeCandidates();
-    table_ = FusedEmbeddingTable(cand, tensor::Tensor(), tensor::Tensor());
+    table_ = FusedEmbeddingTable(cand, tensor::Tensor());
 
     tensor::ShardStoreOptions opts;
     opts.rows_per_shard = 37;  // misaligned with the 64-wide panel

@@ -131,7 +131,7 @@ class ScoreServerTest : public ::testing::Test {
     bias.data()[22] = bias.data()[20];
     bias.data()[101] = bias.data()[100];
 
-    table_ = FusedEmbeddingTable(cand, bias, tensor::Tensor());
+    table_ = FusedEmbeddingTable(cand, bias);
     ScoreServerConfig cfg;
     cfg.panel_width = 64;
     server_ = std::make_unique<ScoreServer>(EncodeQueriesFixture, &table_,
@@ -333,8 +333,7 @@ TEST_F(ScoreServerTest, TopKBatchMatchesPerQueryCalls) {
           FullVal(static_cast<uint64_t>(i), static_cast<uint64_t>(j));
     }
   }
-  const FusedEmbeddingTable wide_table(cand, tensor::Tensor(),
-                                       tensor::Tensor());
+  const FusedEmbeddingTable wide_table(cand, tensor::Tensor());
   ScoreServer wide(
       [](const std::vector<int64_t>& heads, const std::vector<int64_t>& rels) {
         tensor::Tensor q({static_cast<int64_t>(heads.size()), kWideDim});
@@ -523,7 +522,7 @@ TEST(ScoreServerPruneTest, SkewedTableSkipsPanelsBitwiseIdentically) {
     }
     bias.data()[i] = 0.001f * HashVal(0xB1A5, static_cast<uint64_t>(i));
   }
-  const FusedEmbeddingTable table(cand, bias, tensor::Tensor());
+  const FusedEmbeddingTable table(cand, bias);
   ScoreServerConfig on_cfg;
   on_cfg.panel_width = 128;
   on_cfg.prune = true;
@@ -558,8 +557,7 @@ TEST(ScoreServerPruneTest, NanQueryMatchesUnprunedSweep) {
                                           static_cast<uint64_t>(j));
     }
   }
-  const FusedEmbeddingTable table(cand, tensor::Tensor(),
-                                  tensor::Tensor());
+  const FusedEmbeddingTable table(cand, tensor::Tensor());
   // Head 3 encodes to an all-NaN query row (a diverged encoder): every
   // candidate scores NaN and the serving order falls back to ids.
   QueryEncoder enc = [](const std::vector<int64_t>& heads,
@@ -766,7 +764,7 @@ class ShardBackedServerTest : public ::testing::Test {
     cand.data()[5 * kDim] = std::numeric_limits<float>::quiet_NaN();
 
     // No bias: the shard-backed source serves inner-product-only models.
-    table_ = FusedEmbeddingTable(cand, tensor::Tensor(), tensor::Tensor());
+    table_ = FusedEmbeddingTable(cand, tensor::Tensor());
 
     // 37 rows per shard: deliberately misaligned with the 64-wide panel,
     // so every shard boundary exercises the PanelEnd clamping.

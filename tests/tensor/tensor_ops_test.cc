@@ -230,15 +230,17 @@ TEST(GatherScatterTest, ScatterIsAdjointOfGather) {
   EXPECT_NEAR(SumAllScalar(Mul(g, s)), SumAllScalar(Mul(m, sc)), 1e-4);
 }
 
-TEST(WhereTest, SelectsByMask) {
-  Tensor mask = Tensor::FromVector({4}, {1, 0, 1, 0});
-  Tensor a = Tensor::Full({4}, 1.0f);
-  Tensor b = Tensor::Full({4}, 2.0f);
-  Tensor w = Where(mask, a, b);
-  EXPECT_EQ(w.data()[0], 1.0f);
-  EXPECT_EQ(w.data()[1], 2.0f);
-  EXPECT_EQ(w.data()[2], 1.0f);
-  EXPECT_EQ(w.data()[3], 2.0f);
+TEST(WhereTest, SelectsBelowTheThreshold) {
+  const float key[5] = {-1.0f, 0.5f, -0.6f, -0.5f, std::nanf("")};
+  const float a[5] = {1.0f, 1.0f, 1.0f, 1.0f, 1.0f};
+  const float b[5] = {2.0f, 2.0f, 2.0f, 2.0f, 2.0f};
+  float w[5];
+  WhereBelowInto(key, -0.5f, a, b, 5, w);
+  EXPECT_EQ(w[0], 1.0f);
+  EXPECT_EQ(w[1], 2.0f);
+  EXPECT_EQ(w[2], 1.0f);
+  EXPECT_EQ(w[3], 2.0f);  // strictly below
+  EXPECT_EQ(w[4], 2.0f);  // NaN is not below
 }
 
 TEST(UnaryTest, SigmoidStableAtExtremes) {
