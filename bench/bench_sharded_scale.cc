@@ -212,7 +212,8 @@ PointResult RunPoint(const Args& args, int64_t entities, int64_t triples,
   CAME_CHECK(made.ok()) << made.status().ToString();
   train::ScaleTrainer trainer = std::move(made).value();
 
-  train::TsvTripleSource train_source(gen_opts.out_dir + "/train.tsv",
+  train::TsvTripleSource train_source(kg::KgPath(gen_opts.out_dir,
+                                                 kg::kTrainFile),
                                       summary.num_entities,
                                       summary.num_relations);
   Stopwatch train_watch;
@@ -235,8 +236,8 @@ PointResult RunPoint(const Args& args, int64_t entities, int64_t triples,
   {
     std::vector<kg::Triple> buffer;
     buffer.reserve(static_cast<size_t>(summary.train_triples));
-    for (const char* split : {"train.tsv", "valid.tsv"}) {
-      train::TsvTripleSource src(gen_opts.out_dir + "/" + split,
+    for (const char* split : {kg::kTrainFile, kg::kValidFile}) {
+      train::TsvTripleSource src(kg::KgPath(gen_opts.out_dir, split),
                                  summary.num_entities, summary.num_relations);
       CAME_CHECK(src.Reset().ok());
       kg::Triple t;
@@ -245,7 +246,7 @@ PointResult RunPoint(const Args& args, int64_t entities, int64_t triples,
         CAME_CHECK(got.ok()) << got.status().ToString();
         if (!got.value()) break;
         buffer.push_back(t);
-        if (std::strcmp(split, "valid.tsv") == 0 &&
+        if (std::strcmp(split, kg::kValidFile) == 0 &&
             static_cast<int64_t>(eval_queries.size()) < args.eval_queries) {
           eval_queries.push_back(t);
         }

@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "eval/ranking.h"
 #include "infer/fused_embedding_table.h"
 #include "infer/score_server.h"
+#include "kg/kg_files.h"
 #include "train/checkpoint.h"
 #include "train/trainer.h"
 
@@ -83,40 +83,43 @@ struct KgMeta {
   uint64_t seed = 42;
 };
 
+std::string MetaPath(const std::string& dir) { return dir + "/config.tsv"; }
+
+// config.tsv holds one "key \t value" row per KgMeta field, read and
+// written by the same line rules as the KG files.
 Status SaveMeta(const std::string& dir, const KgMeta& meta) {
-  std::ofstream out(dir + "/config.tsv");
-  if (!out) return Status::IOError("cannot open " + dir + "/config.tsv");
-  out << "dataset\t" << meta.dataset << "\nscale\t" << meta.scale
-      << "\nseed\t" << meta.seed << "\n";
-  return Status::OK();
+  kg::TsvWriter out;
+  CAME_RETURN_IF_ERROR(out.Open(MetaPath(dir)));
+  out.Row("dataset", meta.dataset);
+  out.Row("scale", meta.scale);
+  out.Row("seed", meta.seed);
+  return out.Close();
 }
 
 Result<KgMeta> LoadMeta(const std::string& dir) {
-  std::ifstream in(dir + "/config.tsv");
-  if (!in) return Status::IOError("cannot open " + dir + "/config.tsv");
+  kg::TsvReader in;
+  CAME_RETURN_IF_ERROR(in.Open(MetaPath(dir)));
   KgMeta meta;
-  std::string key;
-  std::string value;
-  while (in >> key >> value) {
-    if (key == "dataset") meta.dataset = value;
-    if (key == "scale") {
-      auto parsed = flags::ParseDouble(value);
-      if (!parsed.ok()) {
-        return Status::Corruption(dir + "/config.tsv: bad scale \"" + value +
-                                  "\"");
-      }
+  while (true) {
+    Result<bool> got = in.Next(2);
+    if (!got.ok()) return got.status();
+    if (!got.value()) return meta;
+    const std::string_view key = in.field(0);
+    const std::string value(in.field(1));
+    if (key == "dataset") {
+      meta.dataset = value;
+    } else if (key == "scale") {
+      Result<double> parsed = flags::ParseDouble(value);
+      if (!parsed.ok()) return in.Malformed("bad scale \"" + value + "\"");
       meta.scale = parsed.value();
-    }
-    if (key == "seed") {
-      auto parsed = flags::ParseUint(value);
-      if (!parsed.ok()) {
-        return Status::Corruption(dir + "/config.tsv: bad seed \"" + value +
-                                  "\"");
-      }
+    } else if (key == "seed") {
+      Result<uint64_t> parsed = flags::ParseUint(value);
+      if (!parsed.ok()) return in.Malformed("bad seed \"" + value + "\"");
       meta.seed = parsed.value();
+    } else {
+      return in.Malformed("unknown key \"" + std::string(key) + "\"");
     }
   }
-  return meta;
 }
 
 datagen::BkgConfig ConfigFor(const KgMeta& meta) {

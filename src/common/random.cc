@@ -98,24 +98,6 @@ int64_t Rng::Zipf(int64_t n, double alpha) {
   return k;
 }
 
-int64_t Rng::Categorical(const std::vector<double>& weights) {
-  CAME_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    CAME_CHECK_GE(w, 0.0);
-    total += w;
-  }
-  CAME_CHECK_GT(total, 0.0);
-  double r = UniformDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r <= 0.0) return static_cast<int64_t>(i);
-  }
-  return static_cast<int64_t>(weights.size()) - 1;
-}
-
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 Rng::State Rng::GetState() const {
   State st;
   for (int i = 0; i < 4; ++i) st.s[i] = state_[i];

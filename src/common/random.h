@@ -46,8 +46,6 @@ class Rng {
   /// Zipf-like index in [0, n): P(i) ~ 1/(i+1)^alpha. Used by the synthetic
   /// BKG generator to produce long-tail degree distributions (Fig 4).
   int64_t Zipf(int64_t n, double alpha);
-  /// Sample an index from unnormalised non-negative weights.
-  int64_t Categorical(const std::vector<double>& weights);
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {
@@ -56,8 +54,6 @@ class Rng {
       std::swap((*v)[i - 1], (*v)[j]);
     }
   }
-  /// Derive an independent child generator (for per-module streams).
-  Rng Fork();
 
  private:
   uint64_t state_[4];

@@ -1,7 +1,6 @@
 #include "common/table_writer.h"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/logging.h"
@@ -48,28 +47,6 @@ std::string TableWriter::ToAscii() const {
   for (const auto& row : rows_) out += render_row(row);
   out += separator;
   return out;
-}
-
-std::string TableWriter::ToCsv() const {
-  auto join = [](const std::vector<std::string>& row) {
-    std::string line;
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) line += ",";
-      line += row[c];
-    }
-    return line + "\n";
-  };
-  std::string out = join(header_);
-  for (const auto& row : rows_) out += join(row);
-  return out;
-}
-
-Status TableWriter::WriteCsv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path);
-  out << ToCsv();
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
 }
 
 }  // namespace came

@@ -4,13 +4,10 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-
 namespace came {
 
 /// Accumulates rows and renders them as an aligned ASCII table (the format
-/// the benches print so their output reads like the paper's tables) and/or
-/// as CSV for downstream plotting.
+/// the benches print so their output reads like the paper's tables).
 class TableWriter {
  public:
   explicit TableWriter(std::vector<std::string> header);
@@ -23,12 +20,6 @@ class TableWriter {
 
   /// Aligned, boxed ASCII rendering.
   std::string ToAscii() const;
-
-  /// Comma-separated rendering (header + rows).
-  std::string ToCsv() const;
-
-  /// Writes the CSV form to `path`.
-  Status WriteCsv(const std::string& path) const;
 
   size_t num_rows() const { return rows_.size(); }
 

@@ -1,9 +1,9 @@
 #include "kg/dataset.h"
 
-#include <fstream>
+#include <cstdint>
 
-#include "common/flags.h"
 #include "common/logging.h"
+#include "kg/kg_files.h"
 
 namespace came::kg {
 
@@ -29,79 +29,66 @@ std::vector<Triple> Dataset::AllTriples() const {
 
 namespace {
 
+constexpr int64_t kNumEntityTypes = static_cast<int64_t>(EntityType::kOther) + 1;
+
 Status WriteTriples(const std::string& path,
                     const std::vector<Triple>& triples) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path);
-  for (const Triple& t : triples) {
-    out << t.head << '\t' << t.rel << '\t' << t.tail << '\n';
-  }
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
-}
-
-// Splits a TSV line into exactly its tab-separated fields; a trailing
-// '\r' (CRLF input) is stripped first.
-std::vector<std::string> SplitTsv(std::string line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  std::vector<std::string> fields;
-  size_t start = 0;
-  while (true) {
-    const size_t tab = line.find('\t', start);
-    if (tab == std::string::npos) {
-      fields.push_back(line.substr(start));
-      return fields;
-    }
-    fields.push_back(line.substr(start, tab - start));
-    start = tab + 1;
-  }
-}
-
-Status MalformedAt(const std::string& path, int64_t lineno,
-                   const std::string& why) {
-  return Status::Corruption(path + ":" + std::to_string(lineno) + ": " + why);
-}
-
-// Parses a field through the checked-parse helper and range-checks it, so
-// "12x", "", "9999999999999999999999" and ids past the vocab all fail
-// with the offending line instead of silently mis-parsing.
-Result<int64_t> ParseIdField(const std::string& field, int64_t limit,
-                             const char* what) {
-  Result<int64_t> parsed = flags::ParseInt(field);
-  if (!parsed.ok()) {
-    return Status::Corruption(std::string("non-numeric ") + what + " \"" +
-                              field + "\"");
-  }
-  if (parsed.value() < 0 || parsed.value() >= limit) {
-    return Status::Corruption(std::string(what) + " " + field +
-                              " out of range [0, " + std::to_string(limit) +
-                              ")");
-  }
-  return parsed.value();
+  TsvWriter out;
+  CAME_RETURN_IF_ERROR(out.Open(path));
+  for (const Triple& t : triples) out.TripleRow(t.head, t.rel, t.tail);
+  return out.Close();
 }
 
 Status ReadTriples(const std::string& path, int64_t num_entities,
                    int64_t num_relations, std::vector<Triple>* triples) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::string line;
-  int64_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    const std::vector<std::string> fields = SplitTsv(line);
-    if (fields.size() != 3) {
-      return MalformedAt(path, lineno,
-                         "expected 3 tab-separated fields, got " +
-                             std::to_string(fields.size()));
+  TsvReader in;
+  CAME_RETURN_IF_ERROR(in.Open(path));
+  Triple t;
+  while (true) {
+    Result<bool> got = in.NextTriple(num_entities, num_relations, &t);
+    if (!got.ok()) return got.status();
+    if (!got.value()) return Status::OK();
+    triples->push_back(t);
+  }
+}
+
+// Reads entities.tsv ("id \t name \t type") or relations.tsv
+// ("id \t name") into `vocab`: ids dense from 0, names non-empty and
+// unique.
+Status ReadVocab(const std::string& path, bool entities, Vocab* vocab) {
+  const char* what = entities ? "entity" : "relation";
+  TsvReader in;
+  CAME_RETURN_IF_ERROR(in.Open(path));
+  while (true) {
+    Result<bool> got = in.Next(entities ? 3 : 2);
+    if (!got.ok()) return got.status();
+    if (!got.value()) break;
+    Result<int64_t> id = in.Id(0, INT64_MAX, entities ? "entity id"
+                                                      : "relation id");
+    if (!id.ok()) return id.status();
+    const std::string name(in.field(1));
+    if (name.empty()) {
+      return in.Malformed(std::string("empty ") + what + " name");
     }
-    Result<int64_t> head = ParseIdField(fields[0], num_entities, "head id");
-    if (!head.ok()) return MalformedAt(path, lineno, head.status().message());
-    Result<int64_t> rel = ParseIdField(fields[1], num_relations, "relation id");
-    if (!rel.ok()) return MalformedAt(path, lineno, rel.status().message());
-    Result<int64_t> tail = ParseIdField(fields[2], num_entities, "tail id");
-    if (!tail.ok()) return MalformedAt(path, lineno, tail.status().message());
-    triples->push_back({head.value(), rel.value(), tail.value()});
+    Result<int64_t> type = entities ? in.Id(2, kNumEntityTypes, "entity type")
+                                    : Result<int64_t>(int64_t{0});
+    if (!type.ok()) return type.status();
+    if ((entities ? vocab->EntityId(name) : vocab->RelationId(name)) >= 0) {
+      return in.Malformed(std::string("duplicate ") + what + " name \"" +
+                          name + "\"");
+    }
+    const int64_t added =
+        entities ? vocab->AddEntity(name, static_cast<EntityType>(type.value()))
+                 : vocab->AddRelation(name);
+    if (added != id.value()) {
+      return in.Malformed(std::string("non-dense ") + what +
+                          " ids (expected " + std::to_string(added) +
+                          ", file says " + std::to_string(id.value()) + ")");
+    }
+  }
+  if ((entities ? vocab->num_entities() : vocab->num_relations()) == 0) {
+    return Status::Corruption(path + (entities ? ": no entities"
+                                               : ": no relations"));
   }
   return Status::OK();
 }
@@ -110,120 +97,39 @@ Status ReadTriples(const std::string& path, int64_t num_entities,
 
 Status Dataset::SaveTsv(const std::string& dir) const {
   {
-    std::ofstream out(dir + "/entities.tsv");
-    if (!out) return Status::IOError("cannot open " + dir + "/entities.tsv");
+    TsvWriter out;
+    CAME_RETURN_IF_ERROR(out.Open(KgPath(dir, kEntitiesFile)));
     for (int64_t i = 0; i < vocab.num_entities(); ++i) {
-      out << i << '\t' << vocab.EntityName(i) << '\t'
-          << static_cast<int>(vocab.entity_type(i)) << '\n';
+      out.EntityRow(i, vocab.EntityName(i), vocab.entity_type(i));
     }
+    CAME_RETURN_IF_ERROR(out.Close());
   }
   {
-    std::ofstream out(dir + "/relations.tsv");
-    if (!out) return Status::IOError("cannot open " + dir + "/relations.tsv");
+    TsvWriter out;
+    CAME_RETURN_IF_ERROR(out.Open(KgPath(dir, kRelationsFile)));
     for (int64_t i = 0; i < vocab.num_relations(); ++i) {
-      out << i << '\t' << vocab.RelationName(i) << '\n';
+      out.RelationRow(i, vocab.RelationName(i));
     }
+    CAME_RETURN_IF_ERROR(out.Close());
   }
-  CAME_RETURN_IF_ERROR(WriteTriples(dir + "/train.tsv", train));
-  CAME_RETURN_IF_ERROR(WriteTriples(dir + "/valid.tsv", valid));
-  CAME_RETURN_IF_ERROR(WriteTriples(dir + "/test.tsv", test));
-  return Status::OK();
+  CAME_RETURN_IF_ERROR(WriteTriples(KgPath(dir, kTrainFile), train));
+  CAME_RETURN_IF_ERROR(WriteTriples(KgPath(dir, kValidFile), valid));
+  return WriteTriples(KgPath(dir, kTestFile), test);
 }
 
 Result<Dataset> Dataset::LoadTsv(const std::string& dir,
                                  const std::string& name) {
   Dataset ds;
   ds.name = name;
-  {
-    const std::string path = dir + "/entities.tsv";
-    std::ifstream in(path);
-    if (!in) return Status::IOError("cannot open " + path);
-    std::string line;
-    int64_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (line.empty()) continue;
-      const std::vector<std::string> fields = SplitTsv(line);
-      if (fields.size() != 3) {
-        return MalformedAt(path, lineno,
-                           "expected 3 tab-separated fields, got " +
-                               std::to_string(fields.size()));
-      }
-      const Result<int64_t> id = flags::ParseInt(fields[0]);
-      if (!id.ok()) {
-        return MalformedAt(path, lineno,
-                           "non-numeric entity id \"" + fields[0] + "\"");
-      }
-      if (fields[1].empty()) {
-        return MalformedAt(path, lineno, "empty entity name");
-      }
-      const Result<int64_t> type = flags::ParseInt(fields[2]);
-      if (!type.ok() || type.value() < 0 ||
-          type.value() > static_cast<int64_t>(EntityType::kOther)) {
-        return MalformedAt(path, lineno,
-                           "invalid entity type \"" + fields[2] + "\"");
-      }
-      if (ds.vocab.EntityId(fields[1]) >= 0) {
-        return MalformedAt(path, lineno,
-                           "duplicate entity name \"" + fields[1] + "\"");
-      }
-      const int64_t got = ds.vocab.AddEntity(
-          fields[1], static_cast<EntityType>(type.value()));
-      if (got != id.value()) {
-        return MalformedAt(path, lineno,
-                           "non-dense entity ids (expected " +
-                               std::to_string(got) + ", file says " +
-                               fields[0] + ")");
-      }
-    }
-  }
-  {
-    const std::string path = dir + "/relations.tsv";
-    std::ifstream in(path);
-    if (!in) return Status::IOError("cannot open " + path);
-    std::string line;
-    int64_t lineno = 0;
-    while (std::getline(in, line)) {
-      ++lineno;
-      if (line.empty()) continue;
-      const std::vector<std::string> fields = SplitTsv(line);
-      if (fields.size() != 2) {
-        return MalformedAt(path, lineno,
-                           "expected 2 tab-separated fields, got " +
-                               std::to_string(fields.size()));
-      }
-      const Result<int64_t> id = flags::ParseInt(fields[0]);
-      if (!id.ok()) {
-        return MalformedAt(path, lineno,
-                           "non-numeric relation id \"" + fields[0] + "\"");
-      }
-      if (fields[1].empty()) {
-        return MalformedAt(path, lineno, "empty relation name");
-      }
-      if (ds.vocab.RelationId(fields[1]) >= 0) {
-        return MalformedAt(path, lineno,
-                           "duplicate relation name \"" + fields[1] + "\"");
-      }
-      const int64_t got = ds.vocab.AddRelation(fields[1]);
-      if (got != id.value()) {
-        return MalformedAt(path, lineno,
-                           "non-dense relation ids (expected " +
-                               std::to_string(got) + ", file says " +
-                               fields[0] + ")");
-      }
-    }
-  }
-  if (ds.vocab.num_entities() == 0) {
-    return Status::Corruption(dir + "/entities.tsv: no entities");
-  }
-  if (ds.vocab.num_relations() == 0) {
-    return Status::Corruption(dir + "/relations.tsv: no relations");
-  }
+  CAME_RETURN_IF_ERROR(
+      ReadVocab(KgPath(dir, kEntitiesFile), /*entities=*/true, &ds.vocab));
+  CAME_RETURN_IF_ERROR(
+      ReadVocab(KgPath(dir, kRelationsFile), /*entities=*/false, &ds.vocab));
   const int64_t ne = ds.vocab.num_entities();
   const int64_t nr = ds.vocab.num_relations();
-  CAME_RETURN_IF_ERROR(ReadTriples(dir + "/train.tsv", ne, nr, &ds.train));
-  CAME_RETURN_IF_ERROR(ReadTriples(dir + "/valid.tsv", ne, nr, &ds.valid));
-  CAME_RETURN_IF_ERROR(ReadTriples(dir + "/test.tsv", ne, nr, &ds.test));
+  CAME_RETURN_IF_ERROR(ReadTriples(KgPath(dir, kTrainFile), ne, nr, &ds.train));
+  CAME_RETURN_IF_ERROR(ReadTriples(KgPath(dir, kValidFile), ne, nr, &ds.valid));
+  CAME_RETURN_IF_ERROR(ReadTriples(KgPath(dir, kTestFile), ne, nr, &ds.test));
   return ds;
 }
 

@@ -56,16 +56,6 @@ std::span<const int64_t> FilterIndex::Tails(int64_t head, int64_t rel) const {
           static_cast<size_t>(offsets_[k + 1] - offsets_[k])};
 }
 
-std::span<const int64_t> FilterIndex::TailsInRange(int64_t head, int64_t rel,
-                                                   int64_t begin,
-                                                   int64_t end) const {
-  const std::span<const int64_t> all = Tails(head, rel);
-  const auto lo = std::lower_bound(all.begin(), all.end(), begin);
-  const auto hi = std::lower_bound(lo, all.end(), end);
-  return all.subspan(static_cast<size_t>(lo - all.begin()),
-                     static_cast<size_t>(hi - lo));
-}
-
 bool FilterIndex::Contains(int64_t head, int64_t rel, int64_t tail) const {
   const std::span<const int64_t> v = Tails(head, rel);
   return std::binary_search(v.begin(), v.end(), tail);

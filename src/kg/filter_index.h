@@ -19,8 +19,7 @@ namespace came::kg {
 /// array, one flat tail array — instead of a per-key hash map of vectors.
 /// At DRKG scale the map version costs a heap allocation plus ~2x pointer
 /// overhead per (head, rel) key; the CSR version is three contiguous
-/// arrays, O(log #keys) lookup, and its posting lists are sorted ranges
-/// that panel sweeps can subset with a binary search (TailsInRange).
+/// arrays, O(log #keys) lookup, and its posting lists are sorted ranges.
 class FilterIndex {
  public:
   /// `num_relations` counts base relations only; the index also stores
@@ -34,12 +33,6 @@ class FilterIndex {
   /// Known tails for the (possibly inverse) relation, sorted ascending.
   /// Empty if none. The span is invalidated by the next AddTriples.
   std::span<const int64_t> Tails(int64_t head, int64_t rel) const;
-
-  /// The subset of Tails(head, rel) falling in the id range [begin, end)
-  /// — the shard-panel query: a panel sweep filters against only the
-  /// postings that land inside the panel.
-  std::span<const int64_t> TailsInRange(int64_t head, int64_t rel,
-                                        int64_t begin, int64_t end) const;
 
   bool Contains(int64_t head, int64_t rel, int64_t tail) const;
 

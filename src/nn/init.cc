@@ -32,14 +32,6 @@ tensor::Tensor XavierNormal(tensor::Shape shape, Rng* rng, double gain) {
   return NormalInit(std::move(shape), rng, stddev);
 }
 
-tensor::Tensor XavierUniform(tensor::Shape shape, Rng* rng, double gain) {
-  double fan_in;
-  double fan_out;
-  FanInOut(shape, &fan_in, &fan_out);
-  const double bound = gain * std::sqrt(6.0 / (fan_in + fan_out));
-  return UniformInit(std::move(shape), rng, -bound, bound);
-}
-
 tensor::Tensor EmbeddingInit(tensor::Shape shape, Rng* rng) {
   CAME_CHECK_EQ(shape.size(), 2u);
   const double stddev = 1.0 / std::sqrt(static_cast<double>(shape[1]));

@@ -11,9 +11,6 @@ namespace came::nn {
 /// trailing two dims (or the full extent for 1-D tensors).
 tensor::Tensor XavierNormal(tensor::Shape shape, Rng* rng, double gain = 1.0);
 
-/// Xavier/Glorot uniform initialisation.
-tensor::Tensor XavierUniform(tensor::Shape shape, Rng* rng, double gain = 1.0);
-
 /// i.i.d. normal entries.
 tensor::Tensor NormalInit(tensor::Shape shape, Rng* rng, double stddev);
 

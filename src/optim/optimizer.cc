@@ -7,57 +7,10 @@
 
 namespace came::optim {
 
-Optimizer::Optimizer(std::vector<ag::Var> params, float lr)
-    : params_(std::move(params)), lr_(lr) {
-  for (const auto& p : params_) {
-    CAME_CHECK(p.defined());
-    CAME_CHECK(p.requires_grad());
-  }
-}
-
-void Optimizer::ZeroGrad() {
-  for (auto& p : params_) p.ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<ag::Var> params, float lr, float momentum,
-         float weight_decay)
-    : Optimizer(std::move(params), lr),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  if (momentum_ > 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const auto& p : params_) {
-      velocity_.push_back(tensor::Tensor::Zeros(p.shape()));
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    ag::Var& p = params_[i];
-    if (!p.has_grad()) continue;
-    tensor::Tensor g = p.grad();
-    float* pv = p.mutable_value().data();
-    const float* pg = g.data();
-    const int64_t n = g.numel();
-    if (momentum_ > 0.0f) {
-      float* vel = velocity_[i].data();
-      for (int64_t j = 0; j < n; ++j) {
-        const float grad = pg[j] + weight_decay_ * pv[j];
-        vel[j] = momentum_ * vel[j] + grad;
-        pv[j] -= lr_ * vel[j];
-      }
-    } else {
-      for (int64_t j = 0; j < n; ++j) {
-        pv[j] -= lr_ * (pg[j] + weight_decay_ * pv[j]);
-      }
-    }
-  }
-}
-
 Adam::Adam(std::vector<ag::Var> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
-    : Optimizer(std::move(params), lr),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
@@ -65,9 +18,15 @@ Adam::Adam(std::vector<ag::Var> params, float lr, float beta1, float beta2,
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto& p : params_) {
+    CAME_CHECK(p.defined());
+    CAME_CHECK(p.requires_grad());
     m_.push_back(tensor::Tensor::Zeros(p.shape()));
     v_.push_back(tensor::Tensor::Zeros(p.shape()));
   }
+}
+
+void Adam::ZeroGrad() {
+  for (auto& p : params_) p.ZeroGrad();
 }
 
 void Adam::Step() {

@@ -8,49 +8,23 @@
 
 namespace came::optim {
 
-/// Base interface: holds the parameter list, applies updates from the
-/// gradients accumulated by Backward().
-class Optimizer {
+/// Adam (Kingma & Ba, 2015) — the optimiser the paper uses (Section V-B).
+/// Optional decoupled weight decay turns it into AdamW. Holds the
+/// parameter list and applies updates from the gradients accumulated by
+/// Backward().
+class Adam {
  public:
-  explicit Optimizer(std::vector<ag::Var> params, float lr);
-  virtual ~Optimizer() = default;
+  Adam(std::vector<ag::Var> params, float lr, float beta1 = 0.9f,
+       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
 
   /// Applies one update using the current gradients.
-  virtual void Step() = 0;
+  void Step();
 
   /// Clears all parameter gradients.
   void ZeroGrad();
 
   float lr() const { return lr_; }
   void set_lr(float lr) { lr_ = lr; }
-
- protected:
-  std::vector<ag::Var> params_;
-  float lr_;
-};
-
-/// SGD with optional momentum and weight decay.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<ag::Var> params, float lr, float momentum = 0.0f,
-      float weight_decay = 0.0f);
-
-  void Step() override;
-
- private:
-  float momentum_;
-  float weight_decay_;
-  std::vector<tensor::Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba, 2015) — the optimiser the paper uses (Section V-B).
-/// Optional decoupled weight decay turns it into AdamW.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<ag::Var> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
-
-  void Step() override;
 
   /// Serialisation accessors (checkpointing). The moment vectors are
   /// aligned with the constructor's parameter order.
@@ -67,6 +41,8 @@ class Adam : public Optimizer {
                       const std::vector<tensor::Tensor>& v);
 
  private:
+  std::vector<ag::Var> params_;
+  float lr_;
   float beta1_;
   float beta2_;
   float eps_;

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/flags.h"
 #include "common/io.h"
 #include "common/logging.h"
 #include "common/parallel_for.h"
@@ -36,56 +35,12 @@ size_t RowSlot(const std::vector<int64_t>& rows, int64_t row) {
   return static_cast<size_t>(it - rows.begin());
 }
 
-Status MalformedTriple(const std::string& path, int64_t lineno,
-                       const std::string& why) {
-  return Status::Corruption(path + ":" + std::to_string(lineno) + ": " + why);
-}
-
 }  // namespace
 
-Status TsvTripleSource::Reset() {
-  if (in_.is_open()) in_.close();
-  in_.clear();
-  in_.open(path_);
-  if (!in_) return Status::NotFound("cannot open " + path_);
-  lineno_ = 0;
-  return Status::OK();
-}
+Status TsvTripleSource::Reset() { return reader_.Open(path_); }
 
 Result<bool> TsvTripleSource::Next(kg::Triple* t) {
-  std::string line;
-  if (!std::getline(in_, line)) {
-    if (in_.bad()) return Status::IOError("read failed on " + path_);
-    return false;
-  }
-  ++lineno_;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  const size_t tab1 = line.find('\t');
-  const size_t tab2 = tab1 == std::string::npos ? std::string::npos
-                                                : line.find('\t', tab1 + 1);
-  if (tab2 == std::string::npos ||
-      line.find('\t', tab2 + 1) != std::string::npos) {
-    return MalformedTriple(path_, lineno_, "expected 3 tab-separated fields");
-  }
-  const int64_t limits[3] = {num_entities_, num_relations_, num_entities_};
-  const std::string fields[3] = {
-      line.substr(0, tab1), line.substr(tab1 + 1, tab2 - tab1 - 1),
-      line.substr(tab2 + 1)};
-  int64_t ids[3];
-  for (int i = 0; i < 3; ++i) {
-    const Result<int64_t> parsed = flags::ParseInt(fields[i]);
-    if (!parsed.ok()) {
-      return MalformedTriple(path_, lineno_,
-                             "non-numeric id '" + fields[i] + "'");
-    }
-    ids[i] = parsed.value();
-    if (ids[i] < 0 || ids[i] >= limits[i]) {
-      return MalformedTriple(path_, lineno_,
-                             "id " + fields[i] + " out of range");
-    }
-  }
-  *t = kg::Triple{ids[0], ids[1], ids[2]};
-  return true;
+  return reader_.NextTriple(num_entities_, num_relations_, t);
 }
 
 Result<ScaleTrainer> ScaleTrainer::Create(int64_t num_entities,

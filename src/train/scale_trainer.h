@@ -2,7 +2,6 @@
 #define CAME_TRAIN_SCALE_TRAINER_H_
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "common/status.h"
 #include "eval/metrics.h"
 #include "kg/filter_index.h"
+#include "kg/kg_files.h"
 #include "kg/triple_store.h"
 #include "tensor/shard_store.h"
 
@@ -46,10 +46,10 @@ class VectorTripleSource : public TripleSource {
   size_t pos_ = 0;
 };
 
-/// Streaming source over a TSV triple file (one "h\tr\tt" line per
-/// triple, the format Dataset::SaveTsv and StreamGenerateBkg emit).
-/// Bounded memory: one line at a time; ids are checked-parsed and
-/// range-validated against the vocab sizes.
+/// Streaming source over a triple file of a KG directory (train.tsv and
+/// friends, read by kg::TsvReader::NextTriple as Dataset::LoadTsv reads
+/// them). Bounded memory: one line at a time; ids are range-checked
+/// against the vocab sizes.
 class TsvTripleSource : public TripleSource {
  public:
   TsvTripleSource(std::string path, int64_t num_entities,
@@ -64,8 +64,7 @@ class TsvTripleSource : public TripleSource {
   std::string path_;
   int64_t num_entities_;
   int64_t num_relations_;
-  std::ifstream in_;
-  int64_t lineno_ = 0;
+  kg::TsvReader reader_;
 };
 
 /// Beyond-RAM trainer configuration. With `store_dir` empty every table

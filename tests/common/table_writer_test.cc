@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 namespace came {
 namespace {
 
@@ -19,34 +16,9 @@ TEST(TableWriterTest, AsciiContainsHeaderAndRows) {
   EXPECT_EQ(t.num_rows(), 2u);
 }
 
-TEST(TableWriterTest, CsvFormat) {
-  TableWriter t({"a", "b"});
-  t.AddRow({"1", "2"});
-  EXPECT_EQ(t.ToCsv(), "a,b\n1,2\n");
-}
-
 TEST(TableWriterTest, NumFormatsPrecision) {
   EXPECT_EQ(TableWriter::Num(3.14159, 2), "3.14");
   EXPECT_EQ(TableWriter::Num(50.0), "50.0");
-}
-
-TEST(TableWriterTest, WriteCsvRoundTrip) {
-  TableWriter t({"x"});
-  t.AddRow({"7"});
-  const std::string path = "/tmp/came_table_writer_test.csv";
-  ASSERT_TRUE(t.WriteCsv(path).ok());
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "x");
-  std::getline(in, line);
-  EXPECT_EQ(line, "7");
-  std::remove(path.c_str());
-}
-
-TEST(TableWriterTest, WriteCsvToBadPathFails) {
-  TableWriter t({"x"});
-  EXPECT_FALSE(t.WriteCsv("/nonexistent-dir/f.csv").ok());
 }
 
 }  // namespace

@@ -147,15 +147,6 @@ TEST(InitTest, XavierNormalVarianceMatches) {
   EXPECT_NEAR(sumsq / t.numel(), expected_var, expected_var * 0.2);
 }
 
-TEST(InitTest, XavierUniformBounds) {
-  Rng rng(11);
-  tensor::Tensor t = XavierUniform({50, 50}, &rng);
-  const double bound = std::sqrt(6.0 / 100.0);
-  for (int64_t i = 0; i < t.numel(); ++i) {
-    EXPECT_LE(std::fabs(t.data()[i]), bound + 1e-6);
-  }
-}
-
 TEST(ModuleTest, SnapshotRestoreRoundTrip) {
   Rng rng(20);
   ToyModule m(&rng);

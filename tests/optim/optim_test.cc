@@ -11,7 +11,7 @@ namespace came::optim {
 namespace {
 
 // Minimises f(x) = ||x - target||^2 and checks convergence.
-double OptimiseQuadratic(Optimizer* opt, ag::Var x,
+double OptimiseQuadratic(Adam* opt, ag::Var x,
                          const tensor::Tensor& target, int steps) {
   for (int i = 0; i < steps; ++i) {
     opt->ZeroGrad();
@@ -25,24 +25,6 @@ double OptimiseQuadratic(Optimizer* opt, ag::Var x,
                                   target.data()[i]));
   }
   return err;
-}
-
-TEST(SgdTest, ConvergesOnQuadratic) {
-  ag::Var x(tensor::Tensor::Zeros({4}), true);
-  tensor::Tensor target = tensor::Tensor::FromVector({4}, {1, -2, 3, 0.5});
-  Sgd opt({x}, 0.1f);
-  EXPECT_LT(OptimiseQuadratic(&opt, x, target, 100), 1e-3);
-}
-
-TEST(SgdTest, MomentumConvergesFaster) {
-  tensor::Tensor target = tensor::Tensor::Full({4}, 2.0f);
-  ag::Var x1(tensor::Tensor::Zeros({4}), true);
-  ag::Var x2(tensor::Tensor::Zeros({4}), true);
-  Sgd plain({x1}, 0.02f);
-  Sgd momentum({x2}, 0.02f, 0.9f);
-  const double e_plain = OptimiseQuadratic(&plain, x1, target, 30);
-  const double e_momentum = OptimiseQuadratic(&momentum, x2, target, 30);
-  EXPECT_LT(e_momentum, e_plain);
 }
 
 TEST(AdamTest, ConvergesOnQuadratic) {
@@ -207,29 +189,21 @@ TEST(OptimizerTest, ZeroGradResetsAll) {
 }
 
 TEST(OptimizerTest, StepReadsButNeverMutatesTheAccumulator) {
-  // Pins the read-only contract from the grad() call-site audit: Sgd
-  // (with momentum + weight decay) and Adam may read the stored gradient
-  // during Step() but must not write through it — a Step that scaled or
-  // zeroed the accumulator in place would corrupt any later consumer
-  // (gradient logging, clipping, accumulation across micro-batches).
-  for (int use_adam = 0; use_adam <= 1; ++use_adam) {
-    ag::Var x(tensor::Tensor::Full({6}, 0.5f), true);
-    ag::SumAll(ag::Square(x)).Backward();
-    const tensor::Tensor before = x.state()->grad.Clone();
-    if (use_adam) {
-      Adam opt({x}, 0.05f, 0.9f, 0.999f, 1e-8f, /*weight_decay=*/0.01f);
-      opt.Step();
-    } else {
-      Sgd opt({x}, 0.05f, /*momentum=*/0.9f, /*weight_decay=*/0.01f);
-      opt.Step();
-    }
-    const tensor::Tensor& after = x.state()->grad;
-    ASSERT_EQ(after.numel(), before.numel());
-    for (int64_t i = 0; i < after.numel(); ++i) {
-      EXPECT_EQ(after.data()[i], before.data()[i])
-          << (use_adam ? "Adam" : "Sgd") << " mutated the accumulator at "
-          << i;
-    }
+  // Pins the read-only contract from the grad() call-site audit: Adam
+  // (with weight decay) may read the stored gradient during Step() but
+  // must not write through it — a Step that scaled or zeroed the
+  // accumulator in place would corrupt any later consumer (gradient
+  // logging, clipping, accumulation across micro-batches).
+  ag::Var x(tensor::Tensor::Full({6}, 0.5f), true);
+  ag::SumAll(ag::Square(x)).Backward();
+  const tensor::Tensor before = x.state()->grad.Clone();
+  Adam opt({x}, 0.05f, 0.9f, 0.999f, 1e-8f, /*weight_decay=*/0.01f);
+  opt.Step();
+  const tensor::Tensor& after = x.state()->grad;
+  ASSERT_EQ(after.numel(), before.numel());
+  for (int64_t i = 0; i < after.numel(); ++i) {
+    EXPECT_EQ(after.data()[i], before.data()[i])
+        << "Adam mutated the accumulator at " << i;
   }
 }
 

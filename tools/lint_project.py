@@ -38,6 +38,17 @@ so "the pattern appears anywhere else" is always a defect:
       second reader would bring back a second grammar. Read the field
       from came::GetRuntimeConfig() instead.
 
+  E2  kg-file-format    — in src/ outside src/kg/: a `.tsv"` string literal
+      (a KG file name), a '\t' field split or row write (find/getline/
+      split on a tab, or a tab streamed with <<), or an id-field parse
+      (std::from_chars, or flags::ParseInt/ParseUint of a field).
+      The KG directory format is decided once, in src/kg/kg_files.{h,cc}:
+      the five file names, the line rules (blank lines, CRLF, exact field
+      count), the checked id parser and the flushed-and-checked row
+      writers. A second reader or writer is how the copies came to
+      disagree. Use kg::TsvReader / kg::TsvWriter and the kg::k*File
+      names instead.
+
 There are no inline suppressions: the allowlists above are the complete
 set, so a new violation can only be fixed, not waved through.
 
@@ -58,6 +69,7 @@ SRC_EXTS = {".h", ".cc", ".cpp"}
 MUTEX_ALLOWED = {"src/common/mutex.h", "src/common/mutex.cc"}
 RAW_PARSE_ALLOWED = {"src/common/flags.cc"}
 GETENV_ALLOWED = {"src/common/runtime_config.cc"}
+KG_FORMAT_DIR = "src/kg/"
 
 MUTEX_RE = re.compile(
     r"\bstd::(?:mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|"
@@ -67,6 +79,17 @@ RAW_PARSE_RE = re.compile(
     r"\b(?:std::)?(?:atoi|atof|atol|atoll|strtol|strtoll|strtoul|strtoull|"
     r"strtof|strtod|strtold)\s*\(")
 GETENV_RE = re.compile(r"\b(?:std::)?(?:secure_)?getenv\s*\(")
+TSV_NAME_RE = re.compile(r'\.tsv"')
+# A tab literal as a split delimiter (find('\t'), getline(in, f, '\t'),
+# Split(..., '\t')) or streamed into a row (<< '\t', << "...\t...").
+# A `case '\t':` label (json_writer's escape table) is neither.
+TAB_SPLIT_RE = re.compile(
+    r"""(?:\bfind\w*|\bgetline|\b[Ss]plit\w*)\s*\([^;]*?'\\t'|"""
+    r"""<<\s*(?:'\\t'|"[^"]*\\t)""")
+# The id parser's primitive, or a checked parse of a row field.
+ID_PARSE_RE = re.compile(
+    r"\bfrom_chars\s*\(|"
+    r"\bParse(?:Int|Uint)\s*\(\s*(?:\w*[Ff]ield|\w+\s*\[)")
 UNINIT_CALL_RE = re.compile(r"\bUninitialized\s*\(")
 UNINIT_NON_CALL_RE = re.compile(
     r"^\s*(?:static\s+Tensor\s+Uninitialized\s*\(|"  # declaration
@@ -138,6 +161,27 @@ def check_raw_getenv(relpath, lines):
     return problems
 
 
+def check_kg_file_format(relpath, lines):
+    if not relpath.startswith("src/") or relpath.startswith(KG_FORMAT_DIR):
+        return []
+    problems = []
+    for i, line in enumerate(lines, 1):
+        code = strip_comment(line)
+        if TSV_NAME_RE.search(code):
+            what = "a KG file name"
+        elif TAB_SPLIT_RE.search(code):
+            what = "a tab-separated field split or row write"
+        elif ID_PARSE_RE.search(code):
+            what = "an id-field parse"
+        else:
+            continue
+        problems.append((relpath, i, "E2 kg-file-format",
+                         what + " outside src/kg/: read and write KG "
+                         "files through kg::TsvReader/kg::TsvWriter "
+                         "(kg/kg_files.h)"))
+    return problems
+
+
 def check_uninit_justified(relpath, lines):
     problems = []
     for i, line in enumerate(lines, 1):
@@ -193,6 +237,7 @@ def lint_repo(repo):
         lines = path.read_text().splitlines()
         problems += check_naked_mutex(relpath, lines)
         problems += check_uninit_justified(relpath, lines)
+        problems += check_kg_file_format(relpath, lines)
     for path in iter_source_files(repo, ["src", "examples", "bench"]):
         relpath = rel(repo, path)
         lines = path.read_text().splitlines()
@@ -246,6 +291,27 @@ FIXTURES = [
      "return std::getenv(name);\n"),
     ("commented-out getenv does not fire", None, "src/foo/knob.cc",
      "// std::getenv(\"CAME_FOO\") used to live here\n"),
+    ("KG file name outside src/kg", "E2", "src/datagen/gen.cc",
+     'std::ofstream out(dir + "/train.tsv");\n'),
+    ("tab split outside src/kg", "E2", "src/train/source.cc",
+     "const size_t tab = line.find('\\t', start);\n"),
+    ("tab row write outside src/kg", "E2", "src/datagen/gen.cc",
+     "out << h << '\\t' << r << '\\t' << t << '\\n';\n"),
+    ("id-field parse outside src/kg", "E2", "src/train/source.cc",
+     "const Result<int64_t> id = flags::ParseInt(fields[0]);\n"),
+    ("src/kg may read and write KG files", None, "src/kg/kg_files.cc",
+     "out_ << head << '\\t' << rel << '\\t' << tail << '\\n';\n"
+     "const size_t tab = line.find('\\t', start);\n"),
+    ("json escape table is not a field split", None,
+     "src/common/json_writer.cc",
+     "      case '\\t':\n        out += \"\\\\t\";\n"),
+    ("from_chars outside src/kg", "E2", "src/eval/x.cc",
+     "std::from_chars(f.data(), f.data() + f.size(), id);\n"),
+    ("a flag or knob parse is not an id parse", None,
+     "src/common/runtime_config.cc",
+     "const Result<int64_t> v = flags::ParseInt(text);\n"),
+    ("a .tsv name in a comment does not fire", None, "src/train/x.h",
+     "// reads train.tsv rows through kg::TsvReader\n"),
     ("unjustified Uninitialized", "U1", "src/foo/kernel.cc",
      "Tensor out = Tensor::Uninitialized(x.shape());\n"),
     ("justified same line", None, "src/foo/kernel.cc",
@@ -282,6 +348,7 @@ def self_test():
                     check_raw_parse(relpath, lines) +
                     check_raw_getenv(relpath, lines) +
                     check_uninit_justified(relpath, lines) +
+                    check_kg_file_format(relpath, lines) +
                     check_status_swallow(relpath, lines,
                                          SELF_TEST_STATUS_FNS))
         fired = {rule.split()[0] for _, _, rule, _ in problems}
