@@ -33,7 +33,7 @@ struct Cell {
   double test_seconds;
 };
 
-void WriteFig9Json(const std::string& path, const std::vector<Cell>& cells) {
+Status WriteFig9Json(const std::string& path, const std::vector<Cell>& cells) {
   JsonWriter w;
   w.BeginObject();
   w.Key("bench");
@@ -57,7 +57,9 @@ void WriteFig9Json(const std::string& path, const std::vector<Cell>& cells) {
   }
   w.EndArray();
   w.EndObject();
-  if (w.WriteFile(path)) std::printf("wrote %s\n", path.c_str());
+  CAME_RETURN_IF_ERROR(w.WriteFile(path));
+  std::printf("wrote %s\n", path.c_str());
+  return Status::OK();
 }
 
 }  // namespace
@@ -131,6 +133,10 @@ int main(int argc, char** argv) {
               train_table.ToAscii().c_str());
   std::printf("\nFig 9 — testing seconds (full test set):\n%s",
               test_table.ToAscii().c_str());
-  WriteFig9Json("BENCH_fig9_scalability.json", cells);
+  const Status written = WriteFig9Json("BENCH_fig9_scalability.json", cells);
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.ToString().c_str());
+    return 1;
+  }
   return 0;
 }

@@ -316,7 +316,7 @@ void EmitGemmCell(JsonWriter* w, const GemmShape& s, const std::string& kernel,
 }  // namespace
 
 // Outside the anonymous namespace so main() below can name it.
-void WriteMicroOpsJson(const std::string& path) {
+Status WriteMicroOpsJson(const std::string& path) {
   namespace gemm = ts::gemm;
   const std::vector<int> thread_counts =
       kDefaultThreads == 1 ? std::vector<int>{1}
@@ -474,9 +474,9 @@ void WriteMicroOpsJson(const std::string& path) {
   w.EndArray();
 
   w.EndObject();
-  if (w.WriteFile(path)) {
-    CAME_LOG(Info) << "wrote " << path;
-  }
+  CAME_RETURN_IF_ERROR(w.WriteFile(path));
+  CAME_LOG(Info) << "wrote " << path;
+  return Status::OK();
 }
 
 }  // namespace came
@@ -497,7 +497,13 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (write_json) came::WriteMicroOpsJson(json_out);
+  if (write_json) {
+    const came::Status written = came::WriteMicroOpsJson(json_out);
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
+      return 1;
+    }
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -984,9 +984,12 @@ int Main(int argc, char** argv) {
   WriteRankResults(&w, rank_results);
   w.EndObject();
   w.EndObject();
-  if (w.WriteFile(json_out)) {
-    std::printf("wrote %s\n", json_out.c_str());
+  const Status written = w.WriteFile(json_out);
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.ToString().c_str());
+    return 1;
   }
+  std::printf("wrote %s\n", json_out.c_str());
   return 0;
 }
 

@@ -414,9 +414,12 @@ int Main(int argc, char** argv) {
   w.Key("entity_tables_in_ram_mb");
   w.Double(in_ram_mb);
   w.EndObject();
-  if (w.WriteFile(args.json_out)) {
-    std::printf("wrote %s\n", args.json_out.c_str());
+  const Status written = w.WriteFile(args.json_out);
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.ToString().c_str());
+    return 1;
   }
+  std::printf("wrote %s\n", args.json_out.c_str());
 
   std::printf("peak RSS %lld MB (budget %lld MB) — %s\n",
               static_cast<long long>(rss_mb),

@@ -44,7 +44,7 @@ struct Row {
   double train_seconds;
 };
 
-bool WriteTable3Json(const std::string& path, const bench::BenchArgs& args,
+Status WriteTable3Json(const std::string& path, const bench::BenchArgs& args,
                      const std::vector<Row>& rows) {
   JsonWriter w;
   w.BeginObject();
@@ -79,9 +79,9 @@ bool WriteTable3Json(const std::string& path, const bench::BenchArgs& args,
   }
   w.EndArray();
   w.EndObject();
-  if (!w.WriteFile(path)) return false;  // WriteFile logs the error
+  CAME_RETURN_IF_ERROR(w.WriteFile(path));
   std::printf("wrote %s\n", path.c_str());
-  return true;
+  return Status::OK();
 }
 
 void RunDataset(const char* title, const bench::BenchEnv& env,
@@ -145,6 +145,12 @@ int main(int argc, char** argv) {
       "paper reference (DRKG-MM): CamE MRR=50.4 H@1=40.2 H@10=67.7; best "
       "baselines MKGformer MRR=45.4, DualE 45.7, ConvE 44.1; weakest "
       "multimodal TransAE MRR=6.8.\n");
-  if (!json_out.empty() && !WriteTable3Json(json_out, args, rows)) return 1;
+  if (!json_out.empty()) {
+    const Status written = WriteTable3Json(json_out, args, rows);
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
+      return 1;
+    }
+  }
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "common/io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -218,6 +219,15 @@ void AtomicFileWriter::Abort() {
 }
 
 Status WriteFileAtomic(const std::string& path, const void* data, size_t n) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    // A device or FIFO (/dev/stdout, /dev/full) cannot be replaced by a
+    // rename, and must not be: write it in place. Its errors still count.
+    FileWriter w;
+    CAME_RETURN_IF_ERROR(w.Open(path));
+    CAME_RETURN_IF_ERROR(w.Append(data, n));
+    return w.Close();
+  }
   AtomicFileWriter w(path);
   CAME_RETURN_IF_ERROR(w.Open());
   CAME_RETURN_IF_ERROR(w.Append(data, n));
@@ -245,6 +255,104 @@ Status ReadFile(const std::string& path, std::string* out) {
     out->append(buf, static_cast<size_t>(r));
   }
   ::close(fd);
+  return Status::OK();
+}
+
+Status ByteReader::Take(size_t n, std::string_view* out) {
+  if (n > remaining()) {
+    return Status::Corruption(std::string(file_) + ": truncated at byte " +
+                              std::to_string(offset()));
+  }
+  *out = bytes_.substr(pos_, n);
+  pos_ += n;
+  return Status::OK();
+}
+
+Status ByteReader::GetBytes(void* out, size_t n) {
+  std::string_view bytes;
+  CAME_RETURN_IF_ERROR(Take(n, &bytes));
+  std::memcpy(out, bytes.data(), n);
+  return Status::OK();
+}
+
+Status WriteContainer(const std::string& path, const ContainerFormat& format,
+                      const std::function<void(size_t, ByteWriter*)>& encode) {
+  CAME_CHECK_EQ(format.magic.size(), 8u);
+  std::string file(format.magic);
+  ByteWriter w(&file);
+  w.Put(format.version);
+  w.Put(static_cast<uint32_t>(format.sections.size()));
+  for (size_t i = 0; i < format.sections.size(); ++i) {
+    w.Put(format.sections[i]);
+    const size_t at = file.size();  // len and crc, filled in below
+    file.append(sizeof(uint64_t) + sizeof(uint32_t), '\0');
+    encode(i, &w);
+    const uint64_t len = file.size() - at - 12;
+    const uint32_t crc = Crc32(file.data() + at + 12, len);
+    std::memcpy(&file[at], &len, sizeof(len));
+    std::memcpy(&file[at + 8], &crc, sizeof(crc));
+  }
+  return WriteFileAtomic(path, file.data(), file.size());
+}
+
+Status ReadContainer(const std::string& path, const ContainerFormat& format,
+                     const std::function<Status(size_t, ByteReader*)>& decode) {
+  std::string file;
+  CAME_RETURN_IF_ERROR(ReadFile(path, &file));
+  ByteReader r(file, path, 0);
+  const auto corrupt = [&path, &format](const std::string& why) {
+    return Status::Corruption(path + ": " + std::string(format.kind) + " " +
+                              why);
+  };
+
+  std::string_view magic;
+  CAME_RETURN_IF_ERROR(r.Take(8, &magic));
+  if (magic != format.magic) {
+    return corrupt("has a bad magic");
+  }
+  uint32_t version = 0;
+  CAME_RETURN_IF_ERROR(r.Get(&version));
+  if (version != format.version) {
+    return corrupt("version " + std::to_string(version) +
+                   " is unsupported (this build reads version " +
+                   std::to_string(format.version) + ")");
+  }
+  uint32_t count = 0;
+  CAME_RETURN_IF_ERROR(r.Get(&count));
+  if (count != format.sections.size()) {
+    return corrupt("has " + std::to_string(count) + " sections, want " +
+                   std::to_string(format.sections.size()));
+  }
+  for (size_t i = 0; i < format.sections.size(); ++i) {
+    uint32_t id = 0;
+    uint64_t len = 0;
+    uint32_t crc = 0;
+    CAME_RETURN_IF_ERROR(r.Get(&id));
+    CAME_RETURN_IF_ERROR(r.Get(&len));
+    CAME_RETURN_IF_ERROR(r.Get(&crc));
+    const std::string want(reinterpret_cast<const char*>(&format.sections[i]),
+                           sizeof(uint32_t));
+    if (id != format.sections[i]) {
+      return corrupt("section " + std::to_string(i) + " is not " + want);
+    }
+    if (len > kMaxSectionBytes) {
+      return corrupt("section " + want + " length " + std::to_string(len) +
+                     " is above the cap");
+    }
+    std::string_view bytes;
+    CAME_RETURN_IF_ERROR(r.Take(len, &bytes));
+    if (Crc32(bytes.data(), bytes.size()) != crc) {
+      return corrupt("section " + want + " fails its CRC");
+    }
+    ByteReader payload(bytes, path, r.offset() - len);
+    CAME_RETURN_IF_ERROR(decode(i, &payload));
+    if (payload.remaining() != 0) {
+      return corrupt("section " + want + " has trailing bytes");
+    }
+  }
+  if (r.remaining() != 0) {
+    return corrupt("has trailing bytes after the last section");
+  }
   return Status::OK();
 }
 

@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
+#include "common/io.h"
 #include "common/logging.h"
 
 namespace came {
@@ -152,14 +152,9 @@ const std::string& JsonWriter::Str() const {
   return out_;
 }
 
-bool JsonWriter::WriteFile(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) {
-    CAME_LOG(Error) << "cannot open " << path << " for writing";
-    return false;
-  }
-  f << Str() << '\n';
-  return f.good();
+Status JsonWriter::WriteFile(const std::string& path) const {
+  const std::string doc = Str() + '\n';
+  return io::WriteFileAtomic(path, doc.data(), doc.size());
 }
 
 }  // namespace came

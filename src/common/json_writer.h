@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace came {
 
 /// Minimal streaming JSON emitter for machine-readable bench/eval output.
@@ -39,9 +41,10 @@ class JsonWriter {
 
   /// The document so far. Valid once every Begin* has been closed.
   const std::string& Str() const;
-  /// Writes Str() (plus trailing newline) to `path`. Returns false and
-  /// logs on I/O failure.
-  bool WriteFile(const std::string& path) const;
+  /// Writes Str() (plus trailing newline) to `path` through
+  /// io::WriteFileAtomic: a crash leaves the previous file or the whole new
+  /// one, and a failed write is an IOError.
+  Status WriteFile(const std::string& path) const;
 
  private:
   enum class Scope { kObject, kArray };

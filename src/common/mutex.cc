@@ -15,6 +15,20 @@
 
 #include "common/runtime_config.h"
 
+// libstdc++'s std::mutex has a trivial destructor, so ThreadSanitizer
+// never learns that a mutex died; a new mutex at the recycled address then
+// inherits the dead one's lock-order history. ~Mutex tells it.
+#if defined(__SANITIZE_THREAD__)
+#define CAME_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define CAME_TSAN 1
+#endif
+#endif
+#if defined(CAME_TSAN)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace came {
 namespace {
 
@@ -152,6 +166,9 @@ void SetDeadlockCheckEnabled(bool enabled) {
 }
 
 Mutex::~Mutex() {
+#if defined(CAME_TSAN)
+  __tsan_mutex_destroy(&mu_, 0);
+#endif
   if (!DeadlockCheckEnabled()) return;
   OrderGraph& g = Graph();
   std::lock_guard<std::mutex> lock(g.mu);
@@ -165,8 +182,10 @@ Mutex::~Mutex() {
 }
 
 void Mutex::Lock() {
-  mu_.lock();
+  // Order-check before blocking, so an inversion that would deadlock is
+  // reported instead of hanging (and before TSan's own report).
   if (DeadlockCheckEnabled()) OnAcquired(this);
+  mu_.lock();
 }
 
 void Mutex::Unlock() {

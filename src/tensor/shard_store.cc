@@ -18,25 +18,13 @@ namespace came::tensor {
 
 namespace {
 
-// Manifest layout (little-endian), the same for every dtype:
-//   magic   8 bytes "CAMESHD1"
-//   len     u64                  -- payload byte length
-//   payload:
-//     version        u64           -- 2
-//     dtype          u8            -- ShardDtype: 0 fp32, 1 int8, 2 bf16
-//     rows           i64
-//     dim            i64
-//     rows_per_shard i64
-//     sealed         u8
-//     num_shards     u64
-//     crc[i]         u32 per shard  -- slab payload CRC32 (sealed only)
-//   crc     u32                  -- CRC32 of the payload
-// Version 1 was an fp32-only layout without the dtype byte; Open rejects
-// it. Panel-pruning bounds are not persisted: Open derives them from the
-// CRC-verified slabs.
-constexpr char kMagic[8] = {'C', 'A', 'M', 'E', 'S', 'H', 'D', '1'};
-constexpr uint64_t kVersion = 2;
-constexpr uint64_t kMaxShards = 1ULL << 24;
+// The manifest is one io container (DESIGN.md §11): magic "CAMESHD1",
+// version 3, one MNFT section holding WriteManifest's fields. Version 2
+// framed the same fields by hand; Open rejects it by version.
+constexpr uint32_t kManifestSections[] = {io::FourCc("MNFT")};
+constexpr io::ContainerFormat kManifestFormat{"shard store manifest",
+                                              "CAMESHD1", 3,
+                                              kManifestSections};
 
 int64_t PadTo64(int64_t n) { return (n + 63) & ~int64_t{63}; }
 
@@ -55,37 +43,21 @@ int64_t ElementBytes(ShardDtype dtype) {
   return 0;
 }
 
-template <typename T>
-void AppendPod(std::string* buf, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  buf->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  Status ReadPod(T* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (sizeof(T) > size_ - pos_) {
-      return Status::Corruption("manifest truncated at byte " +
-                                std::to_string(pos_));
-    }
-    std::memcpy(out, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return Status::OK();
-  }
-
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
 std::string ManifestPath(const std::string& dir) { return dir + "/manifest"; }
+
+/// Creates `dir` if needed; a directory that already holds a store is
+/// InvalidArgument.
+Status MakeStoreDir(const std::string& dir) {
+  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+    return Status::IOError("mkdir " + dir + ": " + std::strerror(errno));
+  }
+  struct stat st {};
+  if (::stat(ManifestPath(dir).c_str(), &st) == 0) {
+    return Status::InvalidArgument(dir +
+                                   " already holds a shard store manifest");
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -209,16 +181,7 @@ Result<ShardStore> ShardStore::Create(const std::string& dir, int64_t rows,
   if (options.rows_per_shard < 0 || options.max_resident_shards < 0) {
     return Status::InvalidArgument("negative shard-store option");
   }
-  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Status::IOError("mkdir " + dir + ": " + std::strerror(errno));
-  }
-  {
-    struct stat st {};
-    if (::stat(ManifestPath(dir).c_str(), &st) == 0) {
-      return Status::InvalidArgument(dir +
-                                     " already holds a shard store manifest");
-    }
-  }
+  CAME_RETURN_IF_ERROR(MakeStoreDir(dir));
   ShardStore s;
   s.dir_ = dir;
   s.rows_ = rows;
@@ -256,57 +219,41 @@ Result<ShardStore> ShardStore::Open(const std::string& dir,
   if (options.max_resident_shards < 0) {
     return Status::InvalidArgument("negative shard-store option");
   }
-  std::string raw;
-  CAME_RETURN_IF_ERROR(io::ReadFile(ManifestPath(dir), &raw));
-  if (raw.size() < sizeof(kMagic) + sizeof(uint64_t) + sizeof(uint32_t)) {
-    return Status::Corruption(dir + ": manifest too small");
-  }
-  if (std::memcmp(raw.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption(dir + ": bad shard store magic");
-  }
-  uint64_t payload_len = 0;
-  std::memcpy(&payload_len, raw.data() + sizeof(kMagic), sizeof(payload_len));
-  const size_t framed =
-      sizeof(kMagic) + sizeof(uint64_t) + payload_len + sizeof(uint32_t);
-  if (payload_len > raw.size() || framed != raw.size()) {
-    return Status::Corruption(dir + ": manifest length mismatch");
-  }
-  const char* payload = raw.data() + sizeof(kMagic) + sizeof(uint64_t);
-  uint32_t want_crc = 0;
-  std::memcpy(&want_crc, payload + payload_len, sizeof(want_crc));
-  if (io::Crc32(payload, payload_len) != want_crc) {
-    return Status::Corruption(dir + ": manifest checksum mismatch");
-  }
-
-  Reader r(payload, payload_len);
-  uint64_t version = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&version));
-  if (version != kVersion) {
-    return Status::Corruption(dir + ": unsupported shard store version " +
-                              std::to_string(version));
-  }
   ShardStore s;
   s.dir_ = dir;
-  uint8_t dtype_byte = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&dtype_byte));
-  if (dtype_byte > static_cast<uint8_t>(ShardDtype::kBf16)) {
-    return Status::Corruption(dir + ": unknown slab dtype byte " +
-                              std::to_string(dtype_byte));
-  }
-  s.dtype_ = static_cast<ShardDtype>(dtype_byte);
   uint8_t sealed = 0;
-  uint64_t n_shards = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&s.rows_));
-  CAME_RETURN_IF_ERROR(r.ReadPod(&s.dim_));
-  CAME_RETURN_IF_ERROR(r.ReadPod(&s.rows_per_shard_));
-  CAME_RETURN_IF_ERROR(r.ReadPod(&sealed));
-  CAME_RETURN_IF_ERROR(r.ReadPod(&n_shards));
-  if (s.rows_ <= 0 || s.dim_ <= 0 || s.rows_per_shard_ <= 0 ||
-      n_shards > kMaxShards ||
-      static_cast<int64_t>(n_shards) !=
-          (s.rows_ + s.rows_per_shard_ - 1) / s.rows_per_shard_) {
-    return Status::Corruption(dir + ": implausible shard store geometry");
-  }
+  CAME_RETURN_IF_ERROR(io::ReadContainer(
+      ManifestPath(dir), kManifestFormat,
+      [&s, &sealed, &dir](size_t, io::ByteReader* r) -> Status {
+        uint8_t dtype_byte = 0;
+        CAME_RETURN_IF_ERROR(r->Get(&dtype_byte));
+        if (dtype_byte > static_cast<uint8_t>(ShardDtype::kBf16)) {
+          return Status::Corruption(dir + ": unknown slab dtype byte " +
+                                    std::to_string(dtype_byte));
+        }
+        s.dtype_ = static_cast<ShardDtype>(dtype_byte);
+        uint64_t n_shards = 0;
+        CAME_RETURN_IF_ERROR(r->Get(&s.rows_));
+        CAME_RETURN_IF_ERROR(r->Get(&s.dim_));
+        CAME_RETURN_IF_ERROR(r->Get(&s.rows_per_shard_));
+        CAME_RETURN_IF_ERROR(r->Get(&sealed));
+        CAME_RETURN_IF_ERROR(r->Get(&n_shards));
+        if (s.rows_ <= 0 || s.dim_ <= 0 || s.rows_per_shard_ <= 0 ||
+            n_shards > r->remaining() / sizeof(uint32_t) ||
+            static_cast<int64_t>(n_shards) !=
+                (s.rows_ + s.rows_per_shard_ - 1) / s.rows_per_shard_) {
+          return Status::Corruption(dir +
+                                    ": implausible shard store geometry");
+        }
+        s.shards_.resize(n_shards);
+        for (uint64_t i = 0; i < n_shards; ++i) {
+          Shard& sh = s.shards_[i];
+          sh.begin = static_cast<int64_t>(i) * s.rows_per_shard_;
+          sh.end = std::min(s.rows_, sh.begin + s.rows_per_shard_);
+          CAME_RETURN_IF_ERROR(r->Get(&sh.crc));
+        }
+        return Status::OK();
+      }));
   if (!sealed) {
     return Status::FailedPrecondition(
         dir + ": store is not sealed (crashed mid-write or still training); "
@@ -314,22 +261,11 @@ Result<ShardStore> ShardStore::Open(const std::string& dir,
   }
   s.sealed_ = true;
   s.max_resident_ = options.max_resident_shards;
-  s.shards_.resize(n_shards);
-  for (uint64_t i = 0; i < n_shards; ++i) {
-    Shard& sh = s.shards_[i];
-    sh.begin = static_cast<int64_t>(i) * s.rows_per_shard_;
-    sh.end = std::min(s.rows_, sh.begin + s.rows_per_shard_);
-    CAME_RETURN_IF_ERROR(r.ReadPod(&sh.crc));
-  }
-  if (r.remaining() != 0) {
-    return Status::Corruption(dir + ": trailing bytes in manifest payload");
-  }
   PanelBoundTable bounds(s.rows_, kDefaultBoundBlockRows);
-  for (uint64_t i = 0; i < n_shards; ++i) {
-    const int64_t shard = static_cast<int64_t>(i);
+  for (int64_t shard = 0; shard < s.num_shards(); ++shard) {
     Result<uint32_t> crc = s.ScanSlabFile(shard, /*sync=*/false, &bounds);
     if (!crc.ok()) return crc.status();
-    if (crc.value() != s.shards_[i].crc) {
+    if (crc.value() != s.shards_[static_cast<size_t>(shard)].crc) {
       return Status::Corruption(s.SlabPath(shard) + ": slab checksum mismatch");
     }
   }
@@ -358,16 +294,7 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
     return Status::InvalidArgument("negative shard-store option");
   }
   const bool in_ram = dir.empty();
-  if (!in_ram) {
-    if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-      return Status::IOError("mkdir " + dir + ": " + std::strerror(errno));
-    }
-    struct stat st {};
-    if (::stat(ManifestPath(dir).c_str(), &st) == 0) {
-      return Status::InvalidArgument(dir +
-                                     " already holds a shard store manifest");
-    }
-  }
+  if (!in_ram) CAME_RETURN_IF_ERROR(MakeStoreDir(dir));
 
   ShardStore s;
   s.dir_ = dir;
@@ -428,23 +355,17 @@ Result<ShardStore> ShardStore::Quantize(ShardStore* src,
 }
 
 Status ShardStore::WriteManifest(bool sealed) {
-  std::string payload;
-  AppendPod(&payload, kVersion);
-  AppendPod(&payload, static_cast<uint8_t>(dtype_));
-  AppendPod(&payload, rows_);
-  AppendPod(&payload, dim_);
-  AppendPod(&payload, rows_per_shard_);
-  AppendPod(&payload, static_cast<uint8_t>(sealed ? 1 : 0));
-  AppendPod(&payload, static_cast<uint64_t>(shards_.size()));
-  for (const Shard& sh : shards_) AppendPod(&payload, sh.crc);
-
-  std::string file;
-  file.append(kMagic, sizeof(kMagic));
-  AppendPod(&file, static_cast<uint64_t>(payload.size()));
-  file += payload;
-  AppendPod(&file, io::Crc32(payload.data(), payload.size()));
-  CAME_RETURN_IF_ERROR(
-      io::WriteFileAtomic(ManifestPath(dir_), file.data(), file.size()));
+  CAME_RETURN_IF_ERROR(io::WriteContainer(
+      ManifestPath(dir_), kManifestFormat,
+      [this, sealed](size_t, io::ByteWriter* w) {
+        w->Put(static_cast<uint8_t>(dtype_));
+        w->Put(rows_);
+        w->Put(dim_);
+        w->Put(rows_per_shard_);
+        w->Put(static_cast<uint8_t>(sealed ? 1 : 0));
+        w->Put(static_cast<uint64_t>(shards_.size()));
+        for (const Shard& sh : shards_) w->Put(sh.crc);
+      }));
   sealed_ = sealed;
   return Status::OK();
 }

@@ -50,10 +50,10 @@ struct ShardStoreOptions {
 /// matrices grow past RAM.
 ///
 /// Layout on disk (`dir/`):
-///   * `manifest` — versioned, CRC-framed metadata (magic "CAMESHD1",
-///     written atomically via the crash-safe temp+fsync+rename path), one
-///     layout for every dtype: version, dtype byte, shape, slab geometry,
-///     a sealed flag, and one payload CRC32 per slab.
+///   * `manifest` — one io binary container (magic "CAMESHD1", version
+///     3; DESIGN.md §8), published atomically, one layout for every
+///     dtype: dtype byte, shape, slab geometry, a sealed flag, and one
+///     payload CRC32 per slab.
 ///   * `slab_<i>.bin` — raw little-endian payload of rows
 ///     [i*rows_per_shard, min((i+1)*rows_per_shard, rows)), no header,
 ///     so a mapped slab is directly addressable at element alignment.

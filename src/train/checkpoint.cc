@@ -1,7 +1,5 @@
 #include "train/checkpoint.h"
 
-#include <cstring>
-
 #include "common/io.h"
 #include "common/logging.h"
 
@@ -9,125 +7,67 @@ namespace came::train {
 
 namespace {
 
-// File layout (version 1, little-endian):
-//   magic   8 bytes "CAMECKP1"
-//   version u32
-//   count   u32                     -- number of sections (always 4)
-//   sections, each:
-//     id    u32 fourcc              -- MODL, OPTM, RNGS, TRNR in order
-//     len   u64                     -- payload byte length
-//     crc   u32                     -- CRC32 of the payload
-//     payload
-//   (no trailing bytes)
-constexpr char kMagic[8] = {'C', 'A', 'M', 'E', 'C', 'K', 'P', '1'};
-constexpr uint32_t kVersion = 1;
-
-constexpr uint32_t FourCc(char a, char b, char c, char d) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(a)) |
-         static_cast<uint32_t>(static_cast<unsigned char>(b)) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(c)) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(d)) << 24;
-}
-
-constexpr uint32_t kSectionModel = FourCc('M', 'O', 'D', 'L');
-constexpr uint32_t kSectionOptim = FourCc('O', 'P', 'T', 'M');
-constexpr uint32_t kSectionRngs = FourCc('R', 'N', 'G', 'S');
-constexpr uint32_t kSectionTrainer = FourCc('T', 'R', 'N', 'R');
+// A checkpoint is one io binary container (common/io.h): magic
+// "CAMECKP1", version 1, four sections in this order.
+constexpr uint32_t kSections[] = {io::FourCc("MODL"), io::FourCc("OPTM"),
+                                  io::FourCc("RNGS"), io::FourCc("TRNR")};
+constexpr io::ContainerFormat kFormat{"checkpoint", "CAMECKP1", 1, kSections};
 
 // Structural sanity bounds: generous for any real model, tight enough
-// that a bit-flipped length field cannot drive a huge allocation.
-constexpr uint64_t kMaxSectionBytes = 1ULL << 33;  // 8 GiB
+// that a bit-flipped count cannot drive a huge allocation.
 constexpr uint64_t kMaxNameLen = 4096;
 constexpr uint64_t kMaxNdim = 8;
 constexpr uint64_t kMaxTensors = 1ULL << 20;
 
-// --- little-endian append helpers --------------------------------------
+// --- tensor encoding: u32 ndim, i64 dims[], f32 data[] ----------------------
 
-template <typename T>
-void AppendPod(std::string* buf, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  buf->append(reinterpret_cast<const char*>(&value), sizeof(T));
+void PutTensor(io::ByteWriter* w, const tensor::Tensor& t) {
+  w->Put(static_cast<uint32_t>(t.ndim()));
+  for (int64_t d : t.shape()) w->Put(d);
+  w->PutBytes(t.data(), static_cast<size_t>(t.numel()) * sizeof(float));
 }
 
-void AppendTensor(std::string* buf, const tensor::Tensor& t) {
-  AppendPod(buf, static_cast<uint32_t>(t.ndim()));
-  for (int64_t d : t.shape()) AppendPod(buf, d);
-  buf->append(reinterpret_cast<const char*>(t.data()),
-              static_cast<size_t>(t.numel()) * sizeof(float));
-}
-
-// --- bounds-checked reader ----------------------------------------------
-
-class Reader {
- public:
-  Reader(const char* data, size_t size) : data_(data), size_(size) {}
-
-  Status ReadRaw(void* out, size_t n) {
-    if (n > size_ - pos_) {
-      return Status::Corruption("checkpoint truncated at byte " +
-                                std::to_string(pos_));
-    }
-    std::memcpy(out, data_ + pos_, n);
-    pos_ += n;
-    return Status::OK();
+Status GetTensor(io::ByteReader* r, tensor::Tensor* out) {
+  uint32_t ndim = 0;
+  CAME_RETURN_IF_ERROR(r->Get(&ndim));
+  if (ndim > kMaxNdim) {
+    return Status::Corruption("tensor ndim out of range: " +
+                              std::to_string(ndim));
   }
-
-  template <typename T>
-  Status ReadPod(T* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return ReadRaw(out, sizeof(T));
-  }
-
-  Status ReadTensor(tensor::Tensor* out) {
-    uint32_t ndim = 0;
-    CAME_RETURN_IF_ERROR(ReadPod(&ndim));
-    if (ndim > kMaxNdim) {
-      return Status::Corruption("tensor ndim out of range: " +
-                                std::to_string(ndim));
-    }
-    tensor::Shape shape(ndim);
-    for (auto& d : shape) {
-      CAME_RETURN_IF_ERROR(ReadPod(&d));
-      if (d < 0 || static_cast<uint64_t>(d) > kMaxSectionBytes) {
-        return Status::Corruption("tensor dimension out of range");
-      }
-    }
-    const int64_t numel = tensor::NumElements(shape);
-    if (numel < 0 ||
-        static_cast<uint64_t>(numel) * sizeof(float) > remaining()) {
+  // Bound the element count by the bytes left as it grows, so no shape
+  // can overflow it or outrun the section.
+  const uint64_t max_numel = r->remaining() / sizeof(float);
+  uint64_t numel = 1;
+  tensor::Shape shape(ndim);
+  for (auto& d : shape) {
+    CAME_RETURN_IF_ERROR(r->Get(&d));
+    const uint64_t ud = static_cast<uint64_t>(d);
+    if (d < 0 || (ud > 0 && numel > max_numel / ud)) {
       return Status::Corruption("tensor data exceeds section");
     }
-    tensor::Tensor t(std::move(shape));
-    CAME_RETURN_IF_ERROR(
-        ReadRaw(t.data(), static_cast<size_t>(numel) * sizeof(float)));
-    *out = std::move(t);
-    return Status::OK();
+    numel *= ud;
   }
-
-  size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
+  tensor::Tensor t(std::move(shape));
+  CAME_RETURN_IF_ERROR(
+      r->GetBytes(t.data(), static_cast<size_t>(numel) * sizeof(float)));
+  *out = std::move(t);
+  return Status::OK();
+}
 
 // --- section payloads ----------------------------------------------------
 
-std::string EncodeModelSection(const CheckpointState& s) {
-  std::string buf;
-  AppendPod(&buf, static_cast<uint64_t>(s.params.size()));
+void EncodeModelSection(const CheckpointState& s, io::ByteWriter* w) {
+  w->Put(static_cast<uint64_t>(s.params.size()));
   for (const auto& [name, t] : s.params) {
-    AppendPod(&buf, static_cast<uint32_t>(name.size()));
-    buf.append(name);
-    AppendTensor(&buf, t);
+    w->Put(static_cast<uint32_t>(name.size()));
+    w->PutBytes(name.data(), name.size());
+    PutTensor(w, t);
   }
-  return buf;
 }
 
-Status DecodeModelSection(Reader* r, CheckpointState* s) {
+Status DecodeModelSection(io::ByteReader* r, CheckpointState* s) {
   uint64_t count = 0;
-  CAME_RETURN_IF_ERROR(r->ReadPod(&count));
+  CAME_RETURN_IF_ERROR(r->Get(&count));
   if (count > kMaxTensors) {
     return Status::Corruption("parameter count out of range");
   }
@@ -135,215 +75,129 @@ Status DecodeModelSection(Reader* r, CheckpointState* s) {
   s->params.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint32_t name_len = 0;
-    CAME_RETURN_IF_ERROR(r->ReadPod(&name_len));
+    CAME_RETURN_IF_ERROR(r->Get(&name_len));
     if (name_len > kMaxNameLen) {
       return Status::Corruption("parameter name length out of range");
     }
     std::string name(name_len, 0);
-    CAME_RETURN_IF_ERROR(r->ReadRaw(name.data(), name_len));
+    CAME_RETURN_IF_ERROR(r->GetBytes(name.data(), name_len));
     tensor::Tensor t;
-    CAME_RETURN_IF_ERROR(r->ReadTensor(&t));
+    CAME_RETURN_IF_ERROR(GetTensor(r, &t));
     s->params.emplace_back(std::move(name), std::move(t));
-  }
-  if (r->remaining() != 0) {
-    return Status::Corruption("trailing bytes in model section");
   }
   return Status::OK();
 }
 
-std::string EncodeOptimSection(const CheckpointState& s) {
-  std::string buf;
-  AppendPod(&buf, s.adam_step);
-  AppendPod(&buf, static_cast<uint64_t>(s.adam_m.size()));
-  for (const auto& t : s.adam_m) AppendTensor(&buf, t);
-  for (const auto& t : s.adam_v) AppendTensor(&buf, t);
-  return buf;
+void EncodeOptimSection(const CheckpointState& s, io::ByteWriter* w) {
+  w->Put(s.adam_step);
+  w->Put(static_cast<uint64_t>(s.adam_m.size()));
+  for (const auto& t : s.adam_m) PutTensor(w, t);
+  for (const auto& t : s.adam_v) PutTensor(w, t);
 }
 
-Status DecodeOptimSection(Reader* r, CheckpointState* s) {
-  CAME_RETURN_IF_ERROR(r->ReadPod(&s->adam_step));
+Status DecodeOptimSection(io::ByteReader* r, CheckpointState* s) {
+  CAME_RETURN_IF_ERROR(r->Get(&s->adam_step));
   if (s->adam_step < 0) {
     return Status::Corruption("negative Adam step count");
   }
   uint64_t count = 0;
-  CAME_RETURN_IF_ERROR(r->ReadPod(&count));
+  CAME_RETURN_IF_ERROR(r->Get(&count));
   if (count > kMaxTensors) {
     return Status::Corruption("Adam moment count out of range");
   }
   s->adam_m.assign(count, tensor::Tensor());
   s->adam_v.assign(count, tensor::Tensor());
-  for (auto& t : s->adam_m) CAME_RETURN_IF_ERROR(r->ReadTensor(&t));
-  for (auto& t : s->adam_v) CAME_RETURN_IF_ERROR(r->ReadTensor(&t));
-  if (r->remaining() != 0) {
-    return Status::Corruption("trailing bytes in optimizer section");
-  }
+  for (auto& t : s->adam_m) CAME_RETURN_IF_ERROR(GetTensor(r, &t));
+  for (auto& t : s->adam_v) CAME_RETURN_IF_ERROR(GetTensor(r, &t));
   return Status::OK();
 }
 
-std::string EncodeRngSection(const CheckpointState& s) {
-  std::string buf;
-  AppendPod(&buf, static_cast<uint64_t>(s.rng_streams.size()));
+void EncodeRngSection(const CheckpointState& s, io::ByteWriter* w) {
+  w->Put(static_cast<uint64_t>(s.rng_streams.size()));
   for (const Rng::State& st : s.rng_streams) {
-    for (uint64_t w : st.s) AppendPod(&buf, w);
-    AppendPod(&buf, static_cast<uint8_t>(st.has_cached_normal ? 1 : 0));
-    AppendPod(&buf, st.cached_normal);
+    for (uint64_t word : st.s) w->Put(word);
+    w->Put(static_cast<uint8_t>(st.has_cached_normal ? 1 : 0));
+    w->Put(st.cached_normal);
   }
-  return buf;
 }
 
-Status DecodeRngSection(Reader* r, CheckpointState* s) {
+Status DecodeRngSection(io::ByteReader* r, CheckpointState* s) {
   uint64_t count = 0;
-  CAME_RETURN_IF_ERROR(r->ReadPod(&count));
+  CAME_RETURN_IF_ERROR(r->Get(&count));
   if (count > 1024) {
     return Status::Corruption("rng stream count out of range");
   }
   s->rng_streams.assign(count, Rng::State{});
   for (Rng::State& st : s->rng_streams) {
-    for (uint64_t& w : st.s) CAME_RETURN_IF_ERROR(r->ReadPod(&w));
+    for (uint64_t& word : st.s) CAME_RETURN_IF_ERROR(r->Get(&word));
     uint8_t flag = 0;
-    CAME_RETURN_IF_ERROR(r->ReadPod(&flag));
+    CAME_RETURN_IF_ERROR(r->Get(&flag));
     if (flag > 1) return Status::Corruption("bad rng cache flag");
     st.has_cached_normal = flag == 1;
-    CAME_RETURN_IF_ERROR(r->ReadPod(&st.cached_normal));
-  }
-  if (r->remaining() != 0) {
-    return Status::Corruption("trailing bytes in rng section");
+    CAME_RETURN_IF_ERROR(r->Get(&st.cached_normal));
   }
   return Status::OK();
 }
 
-std::string EncodeTrainerSection(const CheckpointState& s) {
-  std::string buf;
-  AppendPod(&buf, s.epochs_run);
-  AppendPod(&buf, static_cast<uint8_t>(s.has_best ? 1 : 0));
-  AppendPod(&buf, s.best.rank_sum);
-  AppendPod(&buf, s.best.reciprocal_sum);
-  AppendPod(&buf, s.best.hits1);
-  AppendPod(&buf, s.best.hits3);
-  AppendPod(&buf, s.best.hits10);
-  AppendPod(&buf, s.best.count);
-  AppendPod(&buf, static_cast<uint64_t>(s.best_snapshot.size()));
-  for (const auto& t : s.best_snapshot) AppendTensor(&buf, t);
-  return buf;
+void EncodeTrainerSection(const CheckpointState& s, io::ByteWriter* w) {
+  w->Put(s.epochs_run);
+  w->Put(static_cast<uint8_t>(s.has_best ? 1 : 0));
+  w->Put(s.best.rank_sum);
+  w->Put(s.best.reciprocal_sum);
+  w->Put(s.best.hits1);
+  w->Put(s.best.hits3);
+  w->Put(s.best.hits10);
+  w->Put(s.best.count);
+  w->Put(static_cast<uint64_t>(s.best_snapshot.size()));
+  for (const auto& t : s.best_snapshot) PutTensor(w, t);
 }
 
-Status DecodeTrainerSection(Reader* r, CheckpointState* s) {
-  CAME_RETURN_IF_ERROR(r->ReadPod(&s->epochs_run));
+Status DecodeTrainerSection(io::ByteReader* r, CheckpointState* s) {
+  CAME_RETURN_IF_ERROR(r->Get(&s->epochs_run));
   if (s->epochs_run < 0) {
     return Status::Corruption("negative epoch counter");
   }
   uint8_t has_best = 0;
-  CAME_RETURN_IF_ERROR(r->ReadPod(&has_best));
+  CAME_RETURN_IF_ERROR(r->Get(&has_best));
   if (has_best > 1) return Status::Corruption("bad has_best flag");
   s->has_best = has_best == 1;
-  CAME_RETURN_IF_ERROR(r->ReadPod(&s->best.rank_sum));
-  CAME_RETURN_IF_ERROR(r->ReadPod(&s->best.reciprocal_sum));
-  CAME_RETURN_IF_ERROR(r->ReadPod(&s->best.hits1));
-  CAME_RETURN_IF_ERROR(r->ReadPod(&s->best.hits3));
-  CAME_RETURN_IF_ERROR(r->ReadPod(&s->best.hits10));
-  CAME_RETURN_IF_ERROR(r->ReadPod(&s->best.count));
+  CAME_RETURN_IF_ERROR(r->Get(&s->best.rank_sum));
+  CAME_RETURN_IF_ERROR(r->Get(&s->best.reciprocal_sum));
+  CAME_RETURN_IF_ERROR(r->Get(&s->best.hits1));
+  CAME_RETURN_IF_ERROR(r->Get(&s->best.hits3));
+  CAME_RETURN_IF_ERROR(r->Get(&s->best.hits10));
+  CAME_RETURN_IF_ERROR(r->Get(&s->best.count));
   uint64_t count = 0;
-  CAME_RETURN_IF_ERROR(r->ReadPod(&count));
+  CAME_RETURN_IF_ERROR(r->Get(&count));
   if (count > kMaxTensors) {
     return Status::Corruption("snapshot tensor count out of range");
   }
   s->best_snapshot.assign(count, tensor::Tensor());
-  for (auto& t : s->best_snapshot) CAME_RETURN_IF_ERROR(r->ReadTensor(&t));
-  if (r->remaining() != 0) {
-    return Status::Corruption("trailing bytes in trainer section");
-  }
+  for (auto& t : s->best_snapshot) CAME_RETURN_IF_ERROR(GetTensor(r, &t));
   return Status::OK();
-}
-
-void AppendSection(std::string* file, uint32_t id, const std::string& payload) {
-  AppendPod(file, id);
-  AppendPod(file, static_cast<uint64_t>(payload.size()));
-  AppendPod(file, io::Crc32(payload.data(), payload.size()));
-  file->append(payload);
 }
 
 }  // namespace
 
 Status WriteCheckpoint(const std::string& path, const CheckpointState& state) {
-  std::string file;
-  file.append(kMagic, sizeof(kMagic));
-  AppendPod(&file, kVersion);
-  AppendPod(&file, static_cast<uint32_t>(4));
-  AppendSection(&file, kSectionModel, EncodeModelSection(state));
-  AppendSection(&file, kSectionOptim, EncodeOptimSection(state));
-  AppendSection(&file, kSectionRngs, EncodeRngSection(state));
-  AppendSection(&file, kSectionTrainer, EncodeTrainerSection(state));
-  return io::WriteFileAtomic(path, file.data(), file.size());
+  using Encoder = void (*)(const CheckpointState&, io::ByteWriter*);
+  static constexpr Encoder kEncoders[] = {
+      EncodeModelSection, EncodeOptimSection, EncodeRngSection,
+      EncodeTrainerSection};
+  return io::WriteContainer(path, kFormat, [&](size_t i, io::ByteWriter* w) {
+    kEncoders[i](state, w);
+  });
 }
 
 Status ReadCheckpoint(const std::string& path, CheckpointState* out) {
   CAME_CHECK(out != nullptr);
-  std::string file;
-  CAME_RETURN_IF_ERROR(io::ReadFile(path, &file));
-  Reader r(file.data(), file.size());
-
-  char magic[8];
-  CAME_RETURN_IF_ERROR(r.ReadRaw(magic, sizeof(magic)));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::Corruption(path + ": not a CamE checkpoint (bad magic)");
-  }
-  uint32_t version = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&version));
-  if (version != kVersion) {
-    return Status::InvalidArgument(path + ": unsupported checkpoint version " +
-                                   std::to_string(version));
-  }
-  uint32_t section_count = 0;
-  CAME_RETURN_IF_ERROR(r.ReadPod(&section_count));
-  if (section_count != 4) {
-    return Status::Corruption(path + ": expected 4 sections, found " +
-                              std::to_string(section_count));
-  }
-
-  constexpr uint32_t kExpectedOrder[4] = {kSectionModel, kSectionOptim,
-                                          kSectionRngs, kSectionTrainer};
-  for (uint32_t idx = 0; idx < 4; ++idx) {
-    uint32_t id = 0;
-    uint64_t len = 0;
-    uint32_t crc = 0;
-    CAME_RETURN_IF_ERROR(r.ReadPod(&id));
-    CAME_RETURN_IF_ERROR(r.ReadPod(&len));
-    CAME_RETURN_IF_ERROR(r.ReadPod(&crc));
-    if (id != kExpectedOrder[idx]) {
-      return Status::Corruption(path + ": unexpected section id at index " +
-                                std::to_string(idx));
-    }
-    if (len > kMaxSectionBytes || len > r.remaining()) {
-      return Status::Corruption(path + ": section length out of range");
-    }
-    std::string payload(len, 0);
-    CAME_RETURN_IF_ERROR(r.ReadRaw(payload.data(), len));
-    if (io::Crc32(payload.data(), payload.size()) != crc) {
-      return Status::Corruption(path + ": CRC mismatch in section " +
-                                std::to_string(idx));
-    }
-    Reader pr(payload.data(), payload.size());
-    switch (id) {
-      case kSectionModel:
-        CAME_RETURN_IF_ERROR(DecodeModelSection(&pr, out));
-        break;
-      case kSectionOptim:
-        CAME_RETURN_IF_ERROR(DecodeOptimSection(&pr, out));
-        break;
-      case kSectionRngs:
-        CAME_RETURN_IF_ERROR(DecodeRngSection(&pr, out));
-        break;
-      case kSectionTrainer:
-        CAME_RETURN_IF_ERROR(DecodeTrainerSection(&pr, out));
-        break;
-      default:
-        return Status::Corruption("unreachable section id");
-    }
-  }
-  if (r.remaining() != 0) {
-    return Status::Corruption(path + ": trailing bytes after last section");
-  }
-  return Status::OK();
+  using Decoder = Status (*)(io::ByteReader*, CheckpointState*);
+  static constexpr Decoder kDecoders[] = {
+      DecodeModelSection, DecodeOptimSection, DecodeRngSection,
+      DecodeTrainerSection};
+  return io::ReadContainer(path, kFormat, [out](size_t i, io::ByteReader* r) {
+    return kDecoders[i](r, out);
+  });
 }
 
 }  // namespace came::train

@@ -1,6 +1,7 @@
 #include "common/json_writer.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdio>
 #include <fstream>
@@ -79,12 +80,31 @@ TEST(JsonWriterTest, WriteFileRoundTrips) {
   w.Int(1);
   w.EndObject();
   const std::string path = ::testing::TempDir() + "/json_writer_test.json";
-  ASSERT_TRUE(w.WriteFile(path));
+  ASSERT_TRUE(w.WriteFile(path).ok());
   std::ifstream f(path);
   std::stringstream got;
   got << f.rdbuf();
   EXPECT_EQ(got.str(), w.Str() + "\n");
   std::remove(path.c_str());
+}
+
+// /dev/full accepts the open and fails every write with ENOSPC: the
+// failure must come back as an IOError, not as success. WriteFile writes
+// a device in place, so the node itself is never replaced.
+TEST(JsonWriterTest, WriteFileToAFullDeviceIsAnIOError) {
+  struct stat st {};
+  if (::stat("/dev/full", &st) != 0 || !S_ISCHR(st.st_mode)) {
+    GTEST_SKIP() << "no /dev/full character device";
+  }
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("x");
+  w.Int(1);
+  w.EndObject();
+  const Status written = w.WriteFile("/dev/full");
+  EXPECT_EQ(written.code(), Status::Code::kIOError) << written.ToString();
+  ASSERT_EQ(::stat("/dev/full", &st), 0);
+  EXPECT_TRUE(S_ISCHR(st.st_mode));
 }
 
 TEST(JsonWriterDeathTest, ValueWithoutKeyInObjectDies) {

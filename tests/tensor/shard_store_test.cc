@@ -502,36 +502,39 @@ TEST_F(ShardStoreCorruptionTest, SlabTrailingBytesAreDetected) {
   EXPECT_EQ(opened.status().code(), Status::Code::kCorruption);
 }
 
-// Every manifest carries the dtype byte. A manifest in the older fp32-only
-// layout (version 1, no dtype byte) is framed and checksummed correctly,
-// so only its version can reject it.
-TEST_F(ShardStoreCorruptionTest, VersionOneManifestIsRejectedByVersion) {
+// The version-2 manifest (magic, u64 payload length, payload opening with
+// a u64 version 2, trailing CRC) is framed and checksummed correctly, but
+// this build reads only the version-3 container. Its length field sits
+// where the container keeps its u32 version, so the version check rejects
+// it, with a message naming the version found and the version wanted.
+TEST_F(ShardStoreCorruptionTest, VersionTwoManifestIsRejectedByVersion) {
   std::string payload;
-  auto append = [&payload](const auto& value) {
-    payload.append(reinterpret_cast<const char*>(&value), sizeof(value));
-  };
-  append(uint64_t{1});   // version
-  append(int64_t{10});   // rows
-  append(int64_t{2});    // dim
-  append(int64_t{4});    // rows_per_shard
-  append(uint8_t{1});    // sealed
-  append(uint64_t{3});   // num_shards
+  io::ByteWriter w(&payload);
+  w.Put(uint64_t{2});  // version
+  w.Put(uint8_t{0});   // dtype fp32
+  w.Put(int64_t{10});  // rows
+  w.Put(int64_t{2});   // dim
+  w.Put(int64_t{4});   // rows_per_shard
+  w.Put(uint8_t{1});   // sealed
+  w.Put(uint64_t{3});  // num_shards
   for (int i = 0; i < 3; ++i) {
     const std::string slab_bytes = ReadAll(slab(i));
-    append(io::Crc32(slab_bytes.data(), slab_bytes.size()));
+    w.Put(io::Crc32(slab_bytes.data(), slab_bytes.size()));
   }
   std::string file = "CAMESHD1";
-  const uint64_t len = payload.size();
-  file.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  io::ByteWriter f(&file);
+  f.Put(static_cast<uint64_t>(payload.size()));
   file += payload;
-  const uint32_t crc = io::Crc32(payload.data(), payload.size());
-  file.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  f.Put(io::Crc32(payload.data(), payload.size()));
   WriteAll(manifest(), file);
 
   Result<ShardStore> opened = ShardStore::Open(dir_);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), Status::Code::kCorruption);
-  EXPECT_NE(opened.status().message().find("version 1"), std::string::npos)
+  const std::string& msg = opened.status().message();
+  EXPECT_NE(msg.find("manifest version " + std::to_string(payload.size()) +
+                     " is unsupported (this build reads version 3)"),
+            std::string::npos)
       << opened.status().ToString();
 }
 
@@ -778,10 +781,12 @@ TEST_F(QuantShardCorruptionTest, SlabTruncationAndTrailingDetected) {
 }
 
 TEST_F(QuantShardCorruptionTest, ManifestDtypeByteFlipIsDetected) {
-  // Flipping the dtype byte alone (byte right after the u64 version in
-  // the framed payload) must fail the manifest CRC — a store can never
-  // silently change encoding.
+  // Flipping the dtype byte alone (byte 32: the first payload byte of the
+  // one section, after the 16-byte container header and the 16-byte
+  // section header) must fail the manifest CRC — a store can never
+  // silently change encoding. Every other 0x01 byte is swapped too.
   const std::string pristine = ReadAll(manifest());
+  ASSERT_EQ(pristine[32], 0x01) << "dtype byte of an int8 store";
   bool found_int8_byte = false;
   for (size_t i = 0; i < pristine.size(); ++i) {
     if (pristine[i] != 0x01) continue;

@@ -49,6 +49,17 @@ so "the pattern appears anywhere else" is always a defect:
       disagree. Use kg::TsvReader / kg::TsvWriter and the kg::k*File
       names instead.
 
+  E3  one-file-io       — in src/ outside src/common/io.{h,cc} and
+      src/kg/kg_files.{h,cc}: a file
+      stream (std::ofstream / std::ifstream / std::fstream / fopen) or a
+      POD byte-append (`reinterpret_cast<const char*>(&value)`). Library
+      files are written through io::WriteFileAtomic (crash-safe, and a
+      failed write is a Status, where a stream checked before its flush
+      reports success), binary files are one io container with
+      io::ByteWriter / io::ByteReader, and KG text files go through
+      kg::TsvReader / kg::TsvWriter. A hand-rolled writer or framing is how
+      two copies of one format came to exist.
+
 There are no inline suppressions: the allowlists above are the complete
 set, so a new violation can only be fixed, not waved through.
 
@@ -70,6 +81,8 @@ MUTEX_ALLOWED = {"src/common/mutex.h", "src/common/mutex.cc"}
 RAW_PARSE_ALLOWED = {"src/common/flags.cc"}
 GETENV_ALLOWED = {"src/common/runtime_config.cc"}
 KG_FORMAT_DIR = "src/kg/"
+FILE_IO_ALLOWED = {"src/common/io.h", "src/common/io.cc",
+                   "src/kg/kg_files.h", "src/kg/kg_files.cc"}
 
 MUTEX_RE = re.compile(
     r"\bstd::(?:mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|"
@@ -90,6 +103,9 @@ TAB_SPLIT_RE = re.compile(
 ID_PARSE_RE = re.compile(
     r"\bfrom_chars\s*\(|"
     r"\bParse(?:Int|Uint)\s*\(\s*(?:\w*[Ff]ield|\w+\s*\[)")
+FILE_STREAM_RE = re.compile(r"\bstd::(?:o|i)?fstream\b|\bfopen\s*\(")
+POD_APPEND_RE = re.compile(r"\breinterpret_cast\s*<\s*const\s+char\s*\*\s*>"
+                           r"\s*\(\s*&")
 UNINIT_CALL_RE = re.compile(r"\bUninitialized\s*\(")
 UNINIT_NON_CALL_RE = re.compile(
     r"^\s*(?:static\s+Tensor\s+Uninitialized\s*\(|"  # declaration
@@ -182,6 +198,26 @@ def check_kg_file_format(relpath, lines):
     return problems
 
 
+def check_one_file_io(relpath, lines):
+    if not relpath.startswith("src/") or relpath in FILE_IO_ALLOWED:
+        return []
+    problems = []
+    for i, line in enumerate(lines, 1):
+        code = strip_comment(line)
+        if FILE_STREAM_RE.search(code):
+            what = "a file stream"
+        elif POD_APPEND_RE.search(code):
+            what = "a POD byte-append"
+        else:
+            continue
+        problems.append((relpath, i, "E3 one-file-io",
+                         what + " outside common/io and kg/kg_files: "
+                         "write files with "
+                         "io::WriteFileAtomic and binary data with "
+                         "io::ByteWriter/io::WriteContainer"))
+    return problems
+
+
 def check_uninit_justified(relpath, lines):
     problems = []
     for i, line in enumerate(lines, 1):
@@ -238,6 +274,7 @@ def lint_repo(repo):
         problems += check_naked_mutex(relpath, lines)
         problems += check_uninit_justified(relpath, lines)
         problems += check_kg_file_format(relpath, lines)
+        problems += check_one_file_io(relpath, lines)
     for path in iter_source_files(repo, ["src", "examples", "bench"]):
         relpath = rel(repo, path)
         lines = path.read_text().splitlines()
@@ -312,6 +349,22 @@ FIXTURES = [
      "const Result<int64_t> v = flags::ParseInt(text);\n"),
     ("a .tsv name in a comment does not fire", None, "src/train/x.h",
      "// reads train.tsv rows through kg::TsvReader\n"),
+    ("ofstream outside common/io", "E3", "src/common/json_writer.cc",
+     "  std::ofstream f(path);\n"),
+    ("fopen outside common/io", "E3", "src/foo/dump.cc",
+     "FILE* f = fopen(path.c_str(), \"wb\");\n"),
+    ("POD byte-append outside common/io", "E3", "src/train/checkpoint.cc",
+     "  buf->append(reinterpret_cast<const char*>(&value), sizeof(T));\n"),
+    ("common/io may frame bytes", None, "src/common/io.h",
+     "out->append(reinterpret_cast<const char*>(&value), sizeof(T));\n"),
+    ("kg_files.cc may open a stream", None, "src/kg/kg_files.cc",
+     "  in_ = std::ifstream(path_);\n"),
+    ("a test may open a stream", None, "tests/foo/bar_test.cc",
+     "std::ofstream out(path, std::ios::binary);\n"),
+    ("a tensor data cast is not a POD append", None, "src/foo/slab.cc",
+     "const char* p = reinterpret_cast<const char*>(t.data());\n"),
+    ("WriteFileAtomic is the sanctioned form", None, "src/foo/dump.cc",
+     "return io::WriteFileAtomic(path, doc.data(), doc.size());\n"),
     ("unjustified Uninitialized", "U1", "src/foo/kernel.cc",
      "Tensor out = Tensor::Uninitialized(x.shape());\n"),
     ("justified same line", None, "src/foo/kernel.cc",
@@ -349,6 +402,7 @@ def self_test():
                     check_raw_getenv(relpath, lines) +
                     check_uninit_justified(relpath, lines) +
                     check_kg_file_format(relpath, lines) +
+                    check_one_file_io(relpath, lines) +
                     check_status_swallow(relpath, lines,
                                          SELF_TEST_STATUS_FNS))
         fired = {rule.split()[0] for _, _, rule, _ in problems}
