@@ -103,37 +103,20 @@ struct PointResult {
 };
 
 // Ranks `queries` through a ScoreServer built as EvaluateFiltered builds
-// its own (the entity store, an h∘r DistMult encoder, eval_panel_rows-wide
-// panels), `batch` queries per RankBatch call, and checks that the ranks
-// reproduce EvaluateFiltered's metrics exactly.
+// its own (the entity store, the trainer's h∘r encoder, eval_panel_rows-
+// wide panels), `batch` queries per RankBatch call, and checks that the
+// ranks reproduce EvaluateFiltered's metrics exactly.
 RankSweep RankAtBatch(train::ScaleTrainer* trainer,
                       const train::ScaleTrainConfig& tc,
                       const std::vector<kg::Triple>& queries,
                       const kg::FilterIndex& filter, int64_t batch,
                       const eval::Metrics& expected) {
-  const int64_t d = tc.dim;
-  tensor::ShardStore* entities = &trainer->entity_store();
-  tensor::ShardStore* relations = &trainer->relation_store();
-  infer::QueryEncoder encode = [entities, relations, d](
-                                   const std::vector<int64_t>& heads,
-                                   const std::vector<int64_t>& rels) {
-    // fully-written: every row is copied from its head row, then scaled.
-    tensor::Tensor q = tensor::Tensor::Uninitialized(
-        {static_cast<int64_t>(heads.size()), d});
-    for (size_t i = 0; i < heads.size(); ++i) {
-      float* qrow = q.data() + static_cast<int64_t>(i) * d;
-      std::memcpy(qrow, entities->Row(heads[i]),
-                  sizeof(float) * static_cast<size_t>(d));
-      const float* rr = relations->Row(rels[i]);
-      for (int64_t k = 0; k < d; ++k) qrow[k] *= rr[k];
-    }
-    return q;
-  };
-  infer::ShardStorePanelSource source(entities);
+  infer::ShardStorePanelSource source(&trainer->entity_store());
   infer::ScoreServerConfig server_config;
   server_config.panel_width = tc.eval_panel_rows;
   server_config.num_relations = trainer->num_relations();
-  infer::ScoreServer server(std::move(encode), &source, server_config);
+  infer::ScoreServer server(trainer->MakeQueryEncoder(), &source,
+                            server_config);
 
   eval::Metrics metrics;
   Stopwatch watch;

@@ -26,8 +26,6 @@ class TransE : public KgcModel {
   ag::Var ScoreAllTails(const std::vector<int64_t>& heads,
                         const std::vector<int64_t>& rels) override;
 
-  const ag::Var& entity_table() const { return entities_; }
-
  private:
   ag::Var Translate(const std::vector<int64_t>& heads,
                     const std::vector<int64_t>& rels);

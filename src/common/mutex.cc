@@ -87,8 +87,8 @@ OrderGraph& Graph() {
 
 // The per-thread held-lock stack must stay usable for the *entire* thread
 // lifetime, including the __call_tls_dtors phase: thread_local objects
-// elsewhere (e.g. the storage pool's ThreadCache) lock a came::Mutex from
-// their destructors, which runs after any non-trivially-destructible
+// elsewhere (e.g. the op registry's DispatchShardOwner) lock a came::Mutex
+// from their destructors, which runs after any non-trivially-destructible
 // thread_local here would already be dead. A POD with a fixed-size array
 // registers no TLS destructor, so it can never be used-after-freed.
 constexpr int kMaxHeldLocks = 64;

@@ -41,10 +41,6 @@ class Mmf : public nn::Module {
   /// `modal_inputs[i]` is [B, input_dims[i]]; returns h_f [B, fusion_dim].
   ag::Var Forward(const std::vector<ag::Var>& modal_inputs) const;
 
-  int64_t num_modalities() const {
-    return static_cast<int64_t>(config_.input_dims.size());
-  }
-
  private:
   MmfConfig config_;
   std::vector<ag::Var> proj_;  // W_i: [input_dims[i], fusion_dim]

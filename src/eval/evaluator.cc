@@ -29,7 +29,8 @@ Metrics Evaluator::Evaluate(baselines::KgcModel* model,
   // forward-only, and the guard CHECK-fails if any op records a node.
   infer::NoTapeGuard guard;
 
-  // Build the query list: (head, rel, target-tail) per direction.
+  // Build the query list: (h, r, ?) and the inverse (t, r^-1, ?) per
+  // triple, as the filtered protocol ranks both.
   struct Query {
     int64_t head;
     int64_t rel;
@@ -46,9 +47,7 @@ Metrics Evaluator::Evaluate(baselines::KgcModel* model,
   const int64_t r_offset = dataset_.num_relations();
   for (const kg::Triple& t : subset) {
     queries.push_back({t.head, t.rel, t.tail});
-    if (config.both_directions) {
-      queries.push_back({t.tail, t.rel + r_offset, t.head});
-    }
+    queries.push_back({t.tail, t.rel + r_offset, t.head});
   }
 
   Metrics metrics;

@@ -17,15 +17,15 @@ struct EvalConfig {
   /// convergence experiment, which samples 10k test triples like the
   /// paper (Section V-I).
   int64_t max_triples = -1;
-  /// Rank both (h, r, ?) and the inverse (t, r^-1, ?) query per triple.
-  bool both_directions = true;
   uint64_t seed = 5;
 };
 
-/// Filtered-setting ranking evaluator (Bordes et al.): when ranking the
-/// true tail, every *other* known true tail of the query — across train,
-/// valid and test — is masked out. Ties rank as 1 + #better + #equal/2 so
-/// constant-scoring models rank mid-table instead of first.
+/// Filtered-setting ranking evaluator (Bordes et al.): every triple is
+/// ranked as (h, r, ?) and as the inverse (t, r^-1, ?), and when ranking
+/// the true tail, every *other* known true tail of the query — across
+/// train, valid and test — is masked out. Ties rank as
+/// 1 + #better + #equal/2 so constant-scoring models rank mid-table
+/// instead of first.
 class Evaluator {
  public:
   explicit Evaluator(const kg::Dataset& dataset);

@@ -24,7 +24,6 @@ class Adam {
   void ZeroGrad();
 
   float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
 
   /// Serialisation accessors (checkpointing). The moment vectors are
   /// aligned with the constructor's parameter order.

@@ -21,12 +21,6 @@ namespace {
 constexpr int64_t kMinClassFloats = 64;
 constexpr int64_t kMaxClassFloats = int64_t{1} << 33;
 
-// Per-class depth of a thread's free list before the excess spills to the
-// shared pool. Kept small so buffers freed on a thread that never
-// re-acquires them (e.g. worker-side frees of main-thread tensors) reach
-// the shared pool within a few steps instead of stranding in the cache.
-constexpr size_t kMaxPerClass = 4;
-
 const std::vector<int64_t>& ClassTable() {
   static const std::vector<int64_t>* table = [] {
     auto* t = new std::vector<int64_t>;
@@ -79,91 +73,52 @@ void Poison(float* p, int64_t numel) {
   for (int64_t i = 0; i < numel; ++i) p[i] = snan;
 }
 
-// --- shared pool + thread caches ----------------------------------------
+// --- free lists -------------------------------------------------------
 
-struct SharedPool {
+// One free list per size class, shared by every thread. Micro-batch tapes
+// free most buffers on a different pool thread from the one that
+// acquired them, so a per-thread layer would only strand them. `mu` is a
+// leaf: heap allocation, memset and scrub poisoning happen outside it.
+struct FreeLists {
   came::Mutex mu;
   std::vector<std::vector<float*>> lists CAME_GUARDED_BY(mu);  // per class
 };
 
-// Leaked singleton: thread caches flush into it from thread_local
-// destructors, which may run during process teardown.
-SharedPool& Shared() {
-  static SharedPool* pool = [] {
-    auto* p = new SharedPool;
+// Leaked singleton: tensors with static storage duration may release
+// their buffers during process teardown.
+FreeLists& Pool() {
+  static FreeLists* pool = [] {
+    auto* p = new FreeLists;
     p->lists.resize(ClassTable().size());
     return p;
   }();
   return *pool;
 }
 
-struct ThreadCache {
-  std::vector<std::vector<float*>> lists;
-
-  ThreadCache() { lists.resize(ClassTable().size()); }
-
-  ~ThreadCache() { FlushTo(Shared()); }
-
-  void FlushTo(SharedPool& shared) {
-    came::MutexLock lock(&shared.mu);
-    for (size_t cls = 0; cls < lists.size(); ++cls) {
-      auto& src = lists[cls];
-      auto& dst = shared.lists[cls];
-      dst.insert(dst.end(), src.begin(), src.end());
-      src.clear();
-    }
-  }
-};
-
-ThreadCache& Cache() {
-  thread_local ThreadCache cache;
-  return cache;
+int64_t Bytes(int64_t floats) {
+  return floats * static_cast<int64_t>(sizeof(float));
 }
 
-// Returns `p` (capacity floats, known pool class) to the free lists.
+// Returns `p` (capacity floats, known pool class) to its free list.
 void ReleaseToPool(float* p, int64_t capacity) {
   if (ActiveMode() == Mode::kScrub) Poison(p, capacity);
   const int cls = ClassIndexFor(capacity);
   CAME_CHECK_GE(cls, 0);
-  ThreadCache& cache = Cache();
-  auto& list = cache.lists[static_cast<size_t>(cls)];
-  list.push_back(p);
-  g_pooled_bytes.fetch_add(capacity * static_cast<int64_t>(sizeof(float)),
-                           std::memory_order_relaxed);
-  if (list.size() > kMaxPerClass) {
-    // Spill the older half so repeated cross-thread frees reach threads
-    // that actually re-acquire this class.
-    const size_t spill = list.size() / 2;
-    SharedPool& shared = Shared();
-    came::MutexLock lock(&shared.mu);
-    auto& dst = shared.lists[static_cast<size_t>(cls)];
-    dst.insert(dst.end(), list.begin(),
-               list.begin() + static_cast<int64_t>(spill));
-    list.erase(list.begin(), list.begin() + static_cast<int64_t>(spill));
-  }
+  FreeLists& pool = Pool();
+  came::MutexLock lock(&pool.mu);
+  pool.lists[static_cast<size_t>(cls)].push_back(p);
+  g_pooled_bytes.fetch_add(Bytes(capacity), std::memory_order_relaxed);
 }
 
-// Pops a cached buffer of class `cls`, or nullptr.
+// Pops a pooled buffer of class `cls`, or nullptr.
 float* TryAcquireFromPool(int cls, int64_t capacity) {
-  ThreadCache& cache = Cache();
-  auto& list = cache.lists[static_cast<size_t>(cls)];
-  float* p = nullptr;
-  if (!list.empty()) {
-    p = list.back();
-    list.pop_back();
-  } else {
-    SharedPool& shared = Shared();
-    came::MutexLock lock(&shared.mu);
-    auto& dst = shared.lists[static_cast<size_t>(cls)];
-    if (!dst.empty()) {
-      p = dst.back();
-      dst.pop_back();
-    }
-  }
-  if (p != nullptr) {
-    g_pooled_bytes.fetch_sub(capacity * static_cast<int64_t>(sizeof(float)),
-                             std::memory_order_relaxed);
-  }
+  FreeLists& pool = Pool();
+  came::MutexLock lock(&pool.mu);
+  auto& list = pool.lists[static_cast<size_t>(cls)];
+  if (list.empty()) return nullptr;
+  float* p = list.back();
+  list.pop_back();
+  g_pooled_bytes.fetch_sub(Bytes(capacity), std::memory_order_relaxed);
   return p;
 }
 
@@ -174,8 +129,7 @@ struct Deleter {
   bool pooled;
 
   void operator()(float* p) const {
-    g_live_bytes.fetch_sub(capacity * static_cast<int64_t>(sizeof(float)),
-                           std::memory_order_relaxed);
+    g_live_bytes.fetch_sub(Bytes(capacity), std::memory_order_relaxed);
     if (pooled) {
       ReleaseToPool(p, capacity);
     } else {
@@ -262,8 +216,7 @@ StorageHandle Acquire(int64_t numel, bool zero) {
     p = HeapAlloc(capacity);
     g_misses.fetch_add(1, std::memory_order_relaxed);
   }
-  g_live_bytes.fetch_add(capacity * static_cast<int64_t>(sizeof(float)),
-                         std::memory_order_relaxed);
+  g_live_bytes.fetch_add(Bytes(capacity), std::memory_order_relaxed);
 
   if (zero) {
     std::memset(p, 0, static_cast<size_t>(numel) * sizeof(float));
@@ -276,30 +229,25 @@ StorageHandle Acquire(int64_t numel, bool zero) {
   return StorageHandle(p, Deleter{capacity, pooled});
 }
 
-void FlushThreadCache() { Cache().FlushTo(Shared()); }
-
-void Clear() {
-  const auto& table = ClassTable();
-  int64_t freed_bytes = 0;
-  ThreadCache& cache = Cache();
-  for (size_t cls = 0; cls < cache.lists.size(); ++cls) {
-    for (float* p : cache.lists[cls]) {
-      HeapFree(p);
-      freed_bytes += table[cls] * static_cast<int64_t>(sizeof(float));
+int64_t Clear() {
+  // Swapped out under the lock and freed after it, so the lock stays a
+  // leaf and pooled_bytes drops by exactly what leaves the lists.
+  std::vector<std::vector<float*>> drained(ClassTable().size());
+  int64_t drained_bytes = 0;
+  {
+    FreeLists& pool = Pool();
+    came::MutexLock lock(&pool.mu);
+    drained.swap(pool.lists);
+    for (size_t cls = 0; cls < drained.size(); ++cls) {
+      drained_bytes += Bytes(ClassTable()[cls]) *
+                       static_cast<int64_t>(drained[cls].size());
     }
-    cache.lists[cls].clear();
+    g_pooled_bytes.fetch_sub(drained_bytes, std::memory_order_relaxed);
   }
-  SharedPool& shared = Shared();
-  came::MutexLock lock(&shared.mu);
-  for (size_t cls = 0; cls < shared.lists.size(); ++cls) {
-    for (float* p : shared.lists[cls]) {
-      HeapFree(p);
-      freed_bytes += table[cls] * static_cast<int64_t>(sizeof(float));
-    }
-    shared.lists[cls].clear();
+  for (const auto& list : drained) {
+    for (float* p : list) HeapFree(p);
   }
-  // pooled_bytes keeps covering buffers cached on *other* live threads.
-  g_pooled_bytes.fetch_sub(freed_bytes, std::memory_order_relaxed);
+  return drained_bytes;
 }
 
 }  // namespace came::tensor::pool

@@ -12,10 +12,14 @@ namespace came::tensor::pool {
 /// Training and 1-to-N evaluation re-run the same op graph with identical
 /// shapes every step, so the steady-state allocation pattern is a small
 /// fixed set of buffer sizes acquired and released once per step. The pool
-/// recycles those buffers through per-thread free lists over
-/// power-of-two-ish size classes (capacities 2^k and 3*2^(k-1)) with a
-/// shared mutex-guarded overflow pool, driving steady-state heap
-/// allocations to ~zero.
+/// recycles those buffers through one free list per power-of-two-ish size
+/// class (capacities 2^k and 3*2^(k-1)), shared by every thread and
+/// guarded by one mutex, driving steady-state heap allocations to ~zero.
+/// A buffer freed on any thread is acquirable from every thread at once:
+/// 1-to-N micro-batches free most of their tape on a different pool
+/// thread from the one that acquired it, so there is no per-thread layer
+/// to strand them in. The mutex is a leaf: heap allocation, zeroing and
+/// scrub poisoning run outside it.
 ///
 /// Modes (CAME_TENSOR_POOL environment variable, default `on`):
 ///   on    recycle buffers through the free lists.
@@ -47,7 +51,7 @@ std::string ModeName(Mode mode);
 
 /// Allocation statistics. Counter semantics:
 ///   live_bytes    capacity bytes currently leased to handles
-///   pooled_bytes  capacity bytes sitting in free lists (thread + shared)
+///   pooled_bytes  capacity bytes sitting in the free lists
 ///   hits          acquires served from a free list
 ///   misses        acquires that fell through to the heap
 ///   acquires      total acquire calls (== hits + misses)
@@ -82,15 +86,11 @@ using StorageHandle = std::shared_ptr<float>;
 /// otherwise the contents are unspecified (signalling NaNs under scrub).
 StorageHandle Acquire(int64_t numel, bool zero);
 
-/// Moves the calling thread's free lists into the shared pool, making the
-/// buffers acquirable from any thread. Called automatically at thread
-/// exit.
-void FlushThreadCache();
-
-/// Frees every buffer cached in the calling thread's lists and the shared
-/// pool (buffers cached on *other* live threads stay put). Tests use this
-/// to start from a clean slate.
-void Clear();
+/// Frees every pooled buffer, whichever thread released it, and returns
+/// the capacity bytes freed: pooled_bytes drops by exactly that, to 0
+/// unless another thread releases a buffer meanwhile. Leased buffers are
+/// untouched. Tests use this to start from a clean slate.
+int64_t Clear();
 
 /// The signalling-NaN pattern scrub mode poisons buffers with.
 float ScrubPattern();

@@ -297,14 +297,12 @@ double ScaleTrainer::TrainBatch(const std::vector<Sample>& samples) {
   return batch_loss;
 }
 
-Result<eval::Metrics> ScaleTrainer::EvaluateFiltered(
-    TripleSource* queries, const kg::FilterIndex& filter) {
-  CAME_RETURN_IF_ERROR(queries->Reset());
+infer::QueryEncoder ScaleTrainer::MakeQueryEncoder() {
   const int64_t d = config_.dim;
-  // DistMult queries h∘r, built from row copies: only one pointer into a
-  // given store is live at a time (a second Row() may evict the slab).
-  infer::QueryEncoder encode = [this, d](const std::vector<int64_t>& heads,
-                                         const std::vector<int64_t>& rels) {
+  // Built from row copies: only one pointer into a given store is live at
+  // a time (a second Row() may evict the slab).
+  return [this, d](const std::vector<int64_t>& heads,
+                   const std::vector<int64_t>& rels) {
     // fully-written: every row is copied from its head row, then scaled.
     tensor::Tensor q = tensor::Tensor::Uninitialized(
         {static_cast<int64_t>(heads.size()), d});
@@ -317,11 +315,16 @@ Result<eval::Metrics> ScaleTrainer::EvaluateFiltered(
     }
     return q;
   };
+}
+
+Result<eval::Metrics> ScaleTrainer::EvaluateFiltered(
+    TripleSource* queries, const kg::FilterIndex& filter) {
+  CAME_RETURN_IF_ERROR(queries->Reset());
   infer::ShardStorePanelSource source(&entities_);
   infer::ScoreServerConfig server_config;
   server_config.panel_width = config_.eval_panel_rows;
   server_config.num_relations = num_relations_;
-  infer::ScoreServer server(std::move(encode), &source, server_config);
+  infer::ScoreServer server(MakeQueryEncoder(), &source, server_config);
 
   eval::Metrics metrics;
   std::vector<int64_t> heads;

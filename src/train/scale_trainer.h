@@ -8,6 +8,7 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "eval/metrics.h"
+#include "infer/score_server.h"
 #include "kg/filter_index.h"
 #include "kg/kg_files.h"
 #include "kg/triple_store.h"
@@ -125,6 +126,11 @@ class ScaleTrainer {
   /// with the same ranks.
   Result<eval::Metrics> EvaluateFiltered(TripleSource* queries,
                                          const kg::FilterIndex& filter);
+
+  /// The DistMult query encoder EvaluateFiltered serves with: one h∘r row
+  /// per (head, rel), read from the live tables. It holds `this`, so it
+  /// must not outlive the trainer.
+  infer::QueryEncoder MakeQueryEncoder();
 
   /// CRC32 over entity then relation parameter bytes (parity checks).
   uint32_t ParamsCrc();

@@ -163,9 +163,9 @@ struct LocksFromTlsDtor {
 };
 
 TEST(MutexTest, ValidatorSurvivesLocksFromTlsDestructors) {
-  // Regression: thread_local objects elsewhere (the storage pool's
-  // ThreadCache) lock a came::Mutex from their destructors. The TLS dtor
-  // phase runs destructors in reverse construction order, so the
+  // Regression: thread_local objects elsewhere (the op registry's
+  // DispatchShardOwner) lock a came::Mutex from their destructors. The TLS
+  // dtor phase runs destructors in reverse construction order, so the
   // validator's own per-thread state — constructed *after* such an object
   // on first lock below — is torn down first; it must tolerate being used
   // afterwards (heap corruption here once escaped to came_cli eval).

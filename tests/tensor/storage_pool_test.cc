@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <future>
+#include <iterator>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -120,12 +123,11 @@ TEST(StoragePoolTest, StatsAccounting) {
 TEST(StoragePoolTest, CrossThreadFreeReachesSharedPool) {
   ModeGuard guard(Mode::kOn);
   // Allocate here, free on another thread: the buffer must become
-  // acquirable from this thread again via the shared overflow pool.
+  // acquirable from this thread again via the shared free list.
   StorageHandle h = Acquire(300, /*zero=*/false);  // class 384
   float* raw = h.get();
   std::thread t([h = std::move(h)]() mutable {
-    h.reset();          // releases into the worker's thread cache
-    FlushThreadCache();  // ...and pushes it to the shared pool
+    h.reset();  // releases into the shared free list
   });
   t.join();
   StorageHandle again = Acquire(300, /*zero=*/false);
@@ -142,6 +144,113 @@ TEST(StoragePoolTest, ThreadExitFlushesItsCache) {
   t.join();
   StorageHandle again = Acquire(500, /*zero=*/false);
   EXPECT_EQ(again.get(), raw);
+}
+
+// Runs `release` on a worker thread, then keeps that thread alive until
+// `inspect` has run on the calling thread, so nothing the worker released
+// can reach the pool through its exit.
+template <typename Release, typename Inspect>
+void WhileReleasingThreadLives(Release release, Inspect inspect) {
+  std::promise<void> released;
+  std::promise<void> inspected;
+  std::thread t([&] {
+    release();
+    released.set_value();
+    inspected.get_future().wait();
+  });
+  released.get_future().wait();
+  inspect();
+  inspected.set_value();
+  t.join();
+}
+
+TEST(StoragePoolTest, BufferFreedOnLiveThreadIsAcquirableElsewhere) {
+  ModeGuard guard(Mode::kOn);
+  StorageHandle h = Acquire(700, /*zero=*/false);  // class 768
+  float* raw = h.get();
+  WhileReleasingThreadLives([&] { h.reset(); },
+                            [&] {
+                              const int64_t heap0 = HeapAllocCount();
+                              StorageHandle again = Acquire(700, false);
+                              EXPECT_EQ(again.get(), raw);
+                              EXPECT_EQ(HeapAllocCount(), heap0);
+                            });
+}
+
+TEST(StoragePoolTest, ClearFreesBuffersReleasedOnLiveThreads) {
+  ModeGuard guard(Mode::kOn);
+  const int64_t bytes = 1536 * static_cast<int64_t>(sizeof(float));
+  WhileReleasingThreadLives(
+      [] { StorageHandle h = Acquire(1500, /*zero=*/false); },  // 1536
+      [&] {
+        EXPECT_EQ(GetStats().pooled_bytes, bytes);
+        EXPECT_EQ(Clear(), bytes);
+        EXPECT_EQ(GetStats().pooled_bytes, 0);
+        const int64_t heap0 = HeapAllocCount();
+        StorageHandle fresh = Acquire(1500, /*zero=*/false);
+        EXPECT_EQ(HeapAllocCount() - heap0, 1);
+      });
+}
+
+// Four threads acquire and release mixed size classes; half of every
+// thread's buffers are freed by its neighbour. The counters must balance
+// exactly once the threads are done (TSan CI runs this under
+// halt_on_error, which also checks that the pool's lock orders each
+// buffer's writes before its next owner's).
+TEST(StoragePoolTest, CrossThreadHammerKeepsCountersExact) {
+  ModeGuard guard(Mode::kOn);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 400;
+  constexpr int64_t kSizes[] = {64, 100, 300, 1000, 2048, 5000};
+  struct Inbox {
+    std::mutex mu;
+    std::vector<StorageHandle> handles;
+  };
+  std::vector<Inbox> inboxes(kThreads);
+  const Stats before = GetStats();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Inbox& next = inboxes[static_cast<size_t>((t + 1) % kThreads)];
+      Inbox& mine = inboxes[static_cast<size_t>(t)];
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<StorageHandle> handed;
+        for (size_t i = 0; i < std::size(kSizes); ++i) {
+          const int64_t numel = kSizes[(i + static_cast<size_t>(round + t)) %
+                                       std::size(kSizes)];
+          StorageHandle h = Acquire(numel, /*zero=*/(i % 2) == 0);
+          h.get()[0] = static_cast<float>(t);
+          h.get()[numel - 1] = static_cast<float>(round);
+          // Odd i goes to the neighbour; even i is freed here.
+          if (i % 2 == 1) handed.push_back(std::move(h));
+        }
+        {
+          std::lock_guard<std::mutex> lock(next.mu);
+          for (StorageHandle& h : handed) next.handles.push_back(std::move(h));
+        }
+        std::vector<StorageHandle> received;
+        {
+          std::lock_guard<std::mutex> lock(mine.mu);
+          received.swap(mine.handles);
+        }
+        const float sender = static_cast<float>((t + kThreads - 1) % kThreads);
+        for (const StorageHandle& h : received) EXPECT_EQ(h.get()[0], sender);
+      }  // `received` dies here, on the neighbour of its acquirer
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (Inbox& inbox : inboxes) inbox.handles.clear();
+
+  const Stats after = GetStats();
+  EXPECT_EQ(after.live_bytes, before.live_bytes);
+  EXPECT_EQ(after.acquires - before.acquires,
+            int64_t{kThreads} * kRounds *
+                static_cast<int64_t>(std::size(kSizes)));
+  EXPECT_EQ(after.hits + after.misses, after.acquires);
+  EXPECT_GT(after.hits - before.hits, 0);
+  EXPECT_GT(after.pooled_bytes, 0);
+  EXPECT_EQ(Clear(), after.pooled_bytes);
+  EXPECT_EQ(GetStats().pooled_bytes, 0);
 }
 
 TEST(StoragePoolTest, ScrubPoisonsUninitialisedAcquires) {

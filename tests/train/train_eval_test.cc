@@ -241,9 +241,6 @@ TEST_F(TrainEvalFixture, MaxTriplesLimitsWork) {
   ec.max_triples = 25;
   auto m = evaluator.Evaluate(model.get(), bkg_->dataset.test, ec);
   EXPECT_EQ(m.count, 50);  // both directions
-  ec.both_directions = false;
-  m = evaluator.Evaluate(model.get(), bkg_->dataset.test, ec);
-  EXPECT_EQ(m.count, 25);
 }
 
 TEST_F(TrainEvalFixture, ConvergenceCurveIsRecorded) {
