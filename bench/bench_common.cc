@@ -10,7 +10,6 @@
 #include "common/parallel_for.h"
 #include "common/runtime_config.h"
 #include "common/stopwatch.h"
-#include "infer/score_dtype.h"
 #include "tensor/gemm.h"
 #include "tensor/qgemm.h"
 #include "tensor/storage_pool.h"
@@ -99,7 +98,7 @@ TrainedModel TrainAndEval(const std::string& name, const BenchEnv& env,
   train::TrainConfig cfg = TrainConfigFor(name, *out.model, epochs);
   train::Trainer trainer(out.model.get(), env.bkg.dataset, cfg);
   Stopwatch sw;
-  // Paper protocol: keep the checkpoint with the best validation Hits@10.
+  // Paper protocol: keep the checkpoint with the best validation MRR.
   trainer.TrainWithBestValidation(evaluator, std::max(2, cfg.epochs / 5),
                                   /*valid_sample=*/300);
   out.train_seconds = sw.ElapsedSeconds();
@@ -127,8 +126,6 @@ void WriteRuntimeConfig(JsonWriter* w) {
   w->String(kAuditLevels[static_cast<int>(ag::audit::TapeAuditLevel())]);
   w->Key("score_prune");
   w->Bool(config.score_prune);
-  w->Key("score_dtype");
-  w->String(infer::ScoreDtypeName(config.score_dtype));
   w->Key("deadlock_check");
   w->Bool(DeadlockCheckEnabled());
   w->Key("bench_scale");

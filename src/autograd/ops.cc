@@ -74,7 +74,6 @@ Var MakeResult(int op_id, Tensor value, const std::vector<Var>& inputs,
     for (const auto& v : inputs) any = any || NeedsGrad(v);
   }
   if (!any) {
-    internal::CountNoTapeDispatch();
     OpRegistry::Instance().CountNoTapeDispatch(op_id);
     if (internal::PlanRecorder* recorder = internal::ActivePlanRecorder()) {
       internal::RecordPlanStep(recorder, op_id, plan, inputs, value);

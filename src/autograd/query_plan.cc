@@ -521,10 +521,7 @@ std::unique_ptr<QueryPlan> PlanRecorder::Finish(const Tensor& result) {
 
   std::map<int, int64_t> counts;
   for (const QueryPlan::Step& step : plan->replay_.steps) ++counts[step.op_id];
-  for (const auto& [op, n] : counts) {
-    plan->op_counts_.emplace_back(op, n);
-    plan->total_ops_ += n;
-  }
+  for (const auto& [op, n] : counts) plan->op_counts_.emplace_back(op, n);
   plan->row_floats_ = result.numel();
   plan->held_ = std::move(held_);
   plan->ok_ = true;
@@ -641,7 +638,6 @@ void QueryPlan::Replay(int64_t head, int64_t rel, float* row) const {
   Run(replay_, head, rel, row);
   OpRegistry& registry = OpRegistry::Instance();
   for (const auto& [op, n] : op_counts_) registry.CountNoTapeDispatches(op, n);
-  internal::CountNoTapeDispatches(total_ops_);
 }
 
 const QueryPlan* QueryPlanSlot::Capture(int64_t head, int64_t rel,

@@ -156,7 +156,6 @@ class QueryPlan {
   /// (op id, replayed steps of that op): credited to the dispatch
   /// counters per replay, one add per op kind.
   std::vector<std::pair<int, int64_t>> op_counts_;
-  int64_t total_ops_ = 0;
 };
 
 /// The one query plan of a model. Get is one acquire load; Capture runs

@@ -13,7 +13,6 @@
 #include "common/logging.h"
 #include "tensor/gemm.h"
 #include "tensor/qgemm.h"
-#include "tensor/shard_store.h"
 #include "tensor/storage_pool.h"
 
 namespace came {
@@ -24,7 +23,6 @@ namespace gemm = tensor::gemm;
 namespace qgemm = tensor::qgemm;
 namespace pool = tensor::pool;
 using ag::audit::AuditLevel;
-using tensor::ShardDtype;
 
 struct Spelling {
   const char* text;  // lowercase; the value is lowercased before matching
@@ -96,13 +94,6 @@ std::vector<Knob> Knobs() {
        }},
       {"CAME_SCORE_PRUNE", on_off, 0, 0, false, 1,
        [](double v, RuntimeConfig* c) { c->score_prune = v != 0; }},
-      {"CAME_SCORE_DTYPE",
-       {{"fp32", V(ShardDtype::kFp32)}, {"int8", V(ShardDtype::kInt8)},
-        {"bf16", V(ShardDtype::kBf16)}},
-       0, 0, false, V(ShardDtype::kFp32),
-       [](double v, RuntimeConfig* c) {
-         c->score_dtype = static_cast<ShardDtype>(v);
-       }},
       {"CAME_DEADLOCK_CHECK", on_off, 0, 0, false, 0,
        [](double v, RuntimeConfig* c) { c->deadlock_check = v != 0; }},
       {"CAME_BENCH_SCALE", {}, 1e-6, 1e6, false, 1,

@@ -10,7 +10,6 @@ namespace came::tensor::gemm { enum class Kernel; }
 namespace came::tensor::qgemm { enum class Kernel; }
 namespace came::tensor::pool { enum class Mode; }
 namespace came::ag::audit { enum class AuditLevel; }
-namespace came::tensor { enum class ShardDtype : uint8_t; }
 
 namespace came {
 
@@ -30,7 +29,6 @@ struct RuntimeConfig {
   tensor::pool::Mode tensor_pool;
   ag::audit::AuditLevel tape_audit;
   bool score_prune;
-  tensor::ShardDtype score_dtype;
   bool deadlock_check;
   /// Multiplies every bench's default dataset scale.
   double bench_scale;

@@ -5,8 +5,7 @@
 namespace came::infer {
 
 NoTapeGuard::NoTapeGuard()
-    : nodes_at_entry_(ag::TapeNodesRecordedThisThread()),
-      dispatches_at_entry_(ag::NoTapeDispatchesThisThread()) {}
+    : nodes_at_entry_(ag::TapeNodesRecordedThisThread()) {}
 
 NoTapeGuard::~NoTapeGuard() {
   const int64_t recorded =
@@ -14,10 +13,6 @@ NoTapeGuard::~NoTapeGuard() {
   CAME_CHECK_EQ(recorded, 0)
       << "NoTapeGuard: " << recorded
       << " tape node(s) recorded inside a no-tape scope";
-}
-
-int64_t NoTapeGuard::ScopedNoTapeDispatches() const {
-  return ag::NoTapeDispatchesThisThread() - dispatches_at_entry_;
 }
 
 }  // namespace came::infer

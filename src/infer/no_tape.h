@@ -19,7 +19,7 @@ namespace came::infer {
 /// records a node under the guard is a programming error, not a slow path.
 ///
 /// Node construction never leaves the calling thread (kernels parallelise
-/// below the op layer), so the thread-local counters the guard samples are
+/// below the op layer), so the thread-local counter the guard samples is
 /// exact, and concurrent training on other threads cannot trip it.
 class NoTapeGuard {
  public:
@@ -29,13 +29,9 @@ class NoTapeGuard {
   NoTapeGuard(const NoTapeGuard&) = delete;
   NoTapeGuard& operator=(const NoTapeGuard&) = delete;
 
-  /// Ops dispatched forward-only on this thread since the guard opened.
-  int64_t ScopedNoTapeDispatches() const;
-
  private:
   ag::NoGradGuard no_grad_;
   int64_t nodes_at_entry_;
-  int64_t dispatches_at_entry_;
 };
 
 }  // namespace came::infer

@@ -45,14 +45,12 @@ struct ScoreServerConfig {
   /// 1024 with a warning (a misconfigured width should degrade, not
   /// crash the server).
   int64_t panel_width = 1024;
-  /// Candidate-matrix precision for fused-table servers. Defaults to
-  /// CAME_SCORE_DTYPE (fp32 when unset), so exporting the variable flips
-  /// every fused-table server in the process without a code change. A
-  /// non-fp32 value makes the server quantize the table at construction
+  /// Candidate-matrix precision for fused-table servers. A non-fp32
+  /// value makes the server quantize the table at construction
   /// (ShardStore::Quantize into RAM) and score through the matching qgemm
   /// path. Ignored by the ShardStorePanelSource constructor, where the
   /// store's own dtype governs (e.g. a quantized ShardStore).
-  ScoreDtype dtype = GetRuntimeConfig().score_dtype;
+  ScoreDtype dtype = ScoreDtype::kFp32;
   /// Exact panel-skip pruning: panels whose cached score upper bound
   /// (Cauchy–Schwarz: ||q|| * max_row_norm + max_bias) provably cannot
   /// beat a query's current K-th best are skipped, and panels are visited

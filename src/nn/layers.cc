@@ -19,17 +19,6 @@ ag::Var Linear::Forward(const ag::Var& x) const {
   return out;
 }
 
-Embedding::Embedding(int64_t num_embeddings, int64_t dim, Rng* rng,
-                     double init_stddev)
-    : table_(RegisterParameter(
-          "table", init_stddev > 0.0
-                       ? NormalInit({num_embeddings, dim}, rng, init_stddev)
-                       : XavierNormal({num_embeddings, dim}, rng))) {}
-
-ag::Var Embedding::Forward(const std::vector<int64_t>& indices) const {
-  return ag::Gather(table_, indices);
-}
-
 Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
                int64_t pad, Rng* rng)
     : weight_(RegisterParameter(

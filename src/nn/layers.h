@@ -26,23 +26,6 @@ class Linear : public Module {
   ag::Var bias_;    // [out] or undefined
 };
 
-/// Embedding table with gather lookup (dense scatter-add gradients).
-class Embedding : public Module {
- public:
-  Embedding(int64_t num_embeddings, int64_t dim, Rng* rng,
-            double init_stddev = 0.0);  // 0 -> Xavier
-
-  /// Rows for the given indices: [B, dim].
-  ag::Var Forward(const std::vector<int64_t>& indices) const;
-  /// The full table as a Var (for 1-to-N scoring against all entities).
-  const ag::Var& table() const { return table_; }
-  int64_t num_embeddings() const { return table_.dim(0); }
-  int64_t dim() const { return table_.dim(1); }
-
- private:
-  ag::Var table_;  // [N, dim]
-};
-
 /// 2-D convolution layer (stride 1, configurable zero padding).
 class Conv2d : public Module {
  public:

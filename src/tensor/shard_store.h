@@ -14,8 +14,8 @@ namespace came::tensor {
 
 /// Element encoding of a ShardStore's slab payloads — the one encoding
 /// enum of the candidate rows, also the serving layer's score dtype
-/// (infer::ScoreDtype, CAME_SCORE_DTYPE). Queries and accumulation stay
-/// fp32 in every mode; only the row bytes change:
+/// (infer::ScoreDtype, ScoreServerConfig::dtype). Queries and
+/// accumulation stay fp32 in every mode; only the row bytes change:
 ///
 ///   * kFp32 — 4 bytes/element. The trainer always produces these.
 ///   * kInt8 — per-row symmetric int8 + one fp32 scale per row

@@ -16,16 +16,15 @@ std::vector<ConvergencePoint> TrainWithConvergence(
   eval::EvalConfig eval_config;
   eval_config.max_triples = eval_sample;
 
-  for (int e = 0; e < config.epochs; ++e) {
-    const float loss = trainer.RunEpoch();
-    if ((e + 1) % eval_every != 0 && e + 1 != config.epochs) continue;
-    const double train_seconds = trainer.elapsed_seconds() - eval_overhead;
+  trainer.Train([&](const EpochStats& stats) {
+    if (stats.epoch % eval_every != 0 && stats.epoch != config.epochs) return;
+    const double train_seconds = stats.seconds_elapsed - eval_overhead;
     Stopwatch eval_watch;
     const eval::Metrics m = evaluator.Evaluate(model, eval_triples,
                                                eval_config);
     eval_overhead += eval_watch.ElapsedSeconds();
-    curve.push_back({e + 1, train_seconds, m.Mrr(), loss});
-  }
+    curve.push_back({stats.epoch, train_seconds, m.Mrr(), stats.loss});
+  });
   return curve;
 }
 

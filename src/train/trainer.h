@@ -23,10 +23,9 @@ namespace came::train {
 struct TrainConfig {
   int epochs = 20;
   /// Triples per optimizer step; the epoch's last batch takes the rest.
-  /// The 1-to-N regime splits every batch into a fixed grid of
-  /// Trainer::kMicroBatches near-equal micro-batches (one for models
-  /// whose score rows are not independent) and runs them concurrently on
-  /// the pool; the grid never depends on the thread count.
+  /// Every batch runs as a fixed grid of near-equal micro-batches on the
+  /// pool (Trainer::kMicroBatches for 1-to-N models with independent score
+  /// rows, one otherwise); the grid never depends on the thread count.
   int64_t batch_size = 256;
   float lr = 1e-3f;
   float weight_decay = 0.0f;
@@ -60,10 +59,17 @@ struct EpochStats {
 /// Drives one model through its training regime on a dataset. Training
 /// triples are augmented with inverses; the 1-to-N labels and the
 /// filtered negative sampler use an index over the training split only.
+///
+/// Every regime runs the same optimizer step: the batch (and, when the
+/// regime samples them, its negatives) is drawn on the calling thread,
+/// each micro-batch of the grid builds its regime's loss on a tape of its
+/// own, and the micro-batch gradients are summed in grid order before one
+/// clip and one Adam step. The regimes differ only in that loss.
 class Trainer {
  public:
-  /// Micro-batches per 1-to-N batch for models whose score rows are
-  /// independent (KgcModel::score_rows_independent).
+  /// Micro-batches per batch for 1-to-N models whose score rows are
+  /// independent (KgcModel::score_rows_independent); every other model
+  /// trains each batch as one micro-batch.
   static constexpr int64_t kMicroBatches = 4;
 
   Trainer(baselines::KgcModel* model, const kg::Dataset& dataset,
@@ -73,7 +79,9 @@ class Trainer {
 
   /// Trains until config.epochs total epochs have run (a freshly
   /// constructed trainer runs all of them; a resumed one only the
-  /// remainder); invokes `cb` after each.
+  /// remainder); invokes `cb` after each, then writes the periodic
+  /// checkpoint if one is due. The one epoch loop: the other training
+  /// entry points run it with their per-epoch work inside `cb`.
   void Train(const EpochCallback& cb = nullptr);
 
   /// Runs a single epoch and returns its mean batch loss.
@@ -109,25 +117,38 @@ class Trainer {
   int epochs_run() const { return epochs_run_; }
 
  private:
-  /// One 1-to-N micro-batch's state, reused every step.
+  /// One micro-batch's state, reused every step.
   struct MicroBatch {
     explicit MicroBatch(const std::vector<ag::Var>& params) : slots(params) {}
     std::vector<int64_t> heads;
     std::vector<int64_t> rels;
+    std::vector<int64_t> tails;
+    /// Negative-sampling regimes: each row's (head, rel) repeated once per
+    /// negative, and the negative tails, row-major [rows, negatives].
+    std::vector<int64_t> rep_heads;
+    std::vector<int64_t> rep_rels;
+    std::vector<int64_t> neg_tails;
     /// This micro-batch's parameter gradients.
     ag::GradSlots slots;
     /// Its loss, already weighted by its share of the batch rows.
     float loss = 0.0f;
   };
 
-  float OneToNEpoch();
   /// Forward + backward of rows [first, first + rows) of the batch that
   /// starts at epoch position `start` (`batch_rows` rows in all), on a
   /// tape of its own: gradients go to mb->slots, dropout draws from
   /// `dropout_rng`.
   void RunMicroBatch(size_t start, int64_t first, int64_t rows,
                      int64_t batch_rows, Rng* dropout_rng, MicroBatch* mb);
-  float NegativeSamplingEpoch(bool self_adversarial);
+  // The regime losses: each is the mean over the micro-batch rows held in
+  // mb->heads, rels and tails, before RunMicroBatch weights it.
+
+  /// BCE of every tail's score against the smoothed 1-to-N label rows.
+  ag::Var OneToNLoss(MicroBatch* mb);
+  /// The logsigmoid margin loss against the negatives drawn for batch rows
+  /// [first, first + rows), self-adversarially weighted in the
+  /// kSelfAdversarial regime, plus the model's AuxiliaryLoss.
+  ag::Var NegativeSamplingLoss(int64_t first, MicroBatch* mb);
 
   /// Writes the periodic checkpoint configured by
   /// TrainConfig::checkpoint_path, if due this epoch.
@@ -150,9 +171,12 @@ class Trainer {
   std::vector<size_t> order_;
   kg::FilterIndex train_filter_;
   std::unique_ptr<optim::Adam> optimizer_;
-  /// The 1-to-N micro-batch grid, built on the first 1-to-N epoch.
+  /// The micro-batch grid of every step.
   std::vector<MicroBatch> micro_batches_;
   NegativeSampler sampler_;
+  /// The current batch's negative tails, row-major [batch rows, negatives],
+  /// drawn on the calling thread in batch order before the grid runs.
+  std::vector<int64_t> negatives_;
   Rng rng_;
   Stopwatch stopwatch_;
   int epochs_run_ = 0;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "autograd/tape_audit.h"
-#include "infer/score_dtype.h"
 #include "tensor/gemm.h"
 #include "tensor/qgemm.h"
 #include "tensor/storage_pool.h"
@@ -26,14 +25,13 @@ namespace gemm = tensor::gemm;
 namespace qgemm = tensor::qgemm;
 namespace pool = tensor::pool;
 using ag::audit::AuditLevel;
-using infer::ScoreDtype;
 
 using Env = std::map<std::string, std::string>;
 
 const char* const kKnobs[] = {
     "CAME_GEMM_KERNEL", "CAME_QGEMM_KERNEL", "CAME_NUM_THREADS",
     "CAME_TENSOR_POOL", "CAME_TAPE_AUDIT",   "CAME_SCORE_PRUNE",
-    "CAME_SCORE_DTYPE", "CAME_DEADLOCK_CHECK", "CAME_BENCH_SCALE"};
+    "CAME_DEADLOCK_CHECK", "CAME_BENCH_SCALE"};
 
 RuntimeConfig Parse(const Env& env) {
   return ParseRuntimeConfig([&env](const char* name) -> const char* {
@@ -53,7 +51,6 @@ void ExpectDefaults(const RuntimeConfig& c) {
   EXPECT_EQ(c.tensor_pool, pool::Mode::kOn);
   EXPECT_EQ(c.tape_audit, AuditLevel::kOff);
   EXPECT_TRUE(c.score_prune);
-  EXPECT_EQ(c.score_dtype, ScoreDtype::kFp32);
   EXPECT_FALSE(c.deadlock_check);
   EXPECT_EQ(c.bench_scale, 1.0);
 }
@@ -129,17 +126,6 @@ TEST(RuntimeConfigTest, ScorePruneParsesOnOffAndDefaultsToOn) {
   EXPECT_TRUE(Parse({}).score_prune);
 }
 
-TEST(RuntimeConfigTest, ScoreDtypeSpellingsAreTheDtypeNames) {
-  for (const ScoreDtype d :
-       {ScoreDtype::kFp32, ScoreDtype::kInt8, ScoreDtype::kBf16}) {
-    EXPECT_EQ(ParseOne("CAME_SCORE_DTYPE", infer::ScoreDtypeName(d))
-                  .score_dtype,
-              d);
-  }
-  EXPECT_EQ(ParseOne("CAME_SCORE_DTYPE", "INT8").score_dtype,
-            ScoreDtype::kInt8);
-}
-
 TEST(RuntimeConfigTest, DeadlockCheckAcceptsOnAsWellAsOne) {
   for (const char* on : {"1", "on", "true", "ON", "True"}) {
     EXPECT_TRUE(ParseOne("CAME_DEADLOCK_CHECK", on).deadlock_check) << on;
@@ -169,7 +155,6 @@ TEST(RuntimeConfigTest, InvalidValueWarnsOnceAndMeansTheDefault) {
                {"CAME_TENSOR_POOL", "maybe", "on|1|true|off|0|false|scrub"},
                {"CAME_TAPE_AUDIT", "1", "off|0|false|shape|full"},
                {"CAME_SCORE_PRUNE", "bogus", "on|1|true|off|0|false"},
-               {"CAME_SCORE_DTYPE", "fp16", "fp32|int8|bf16"},
                {"CAME_DEADLOCK_CHECK", "yes", "on|1|true|off|0|false"},
                {"CAME_BENCH_SCALE", "0", "a number in [1e-06, 1e+06]"},
                {"CAME_BENCH_SCALE", "big", "a number in [1e-06, 1e+06]"}};
@@ -193,7 +178,6 @@ TEST(RuntimeConfigTest, KnobsAreIndependent) {
                                  {"CAME_TENSOR_POOL", "scrub"},
                                  {"CAME_TAPE_AUDIT", "shape"},
                                  {"CAME_SCORE_PRUNE", "off"},
-                                 {"CAME_SCORE_DTYPE", "bf16"},
                                  {"CAME_DEADLOCK_CHECK", "on"},
                                  {"CAME_BENCH_SCALE", "0.25"}});
   EXPECT_EQ(c.gemm_kernel, gemm::Kernel::kScalar);
@@ -202,7 +186,6 @@ TEST(RuntimeConfigTest, KnobsAreIndependent) {
   EXPECT_EQ(c.tensor_pool, pool::Mode::kScrub);
   EXPECT_EQ(c.tape_audit, AuditLevel::kShape);
   EXPECT_FALSE(c.score_prune);
-  EXPECT_EQ(c.score_dtype, ScoreDtype::kBf16);
   EXPECT_TRUE(c.deadlock_check);
   EXPECT_EQ(c.bench_scale, 0.25);
 }

@@ -93,16 +93,6 @@ TEST(LinearTest, GradCheck) {
   EXPECT_LT(ag::GradCheck(fn, leaves), 5e-2);
 }
 
-TEST(EmbeddingTest, LookupMatchesTable) {
-  Rng rng(7);
-  Embedding emb(6, 3, &rng);
-  ag::Var rows = emb.Forward({4, 1});
-  for (int64_t j = 0; j < 3; ++j) {
-    EXPECT_EQ(rows.value().at({0, j}), emb.table().value().at({4, j}));
-    EXPECT_EQ(rows.value().at({1, j}), emb.table().value().at({1, j}));
-  }
-}
-
 TEST(Conv2dTest, ShapePreservedWithSamePadding) {
   Rng rng(8);
   Conv2d conv(2, 4, 3, 1, &rng);

@@ -1,14 +1,20 @@
-// The 1-to-N micro-batch grid: every batch is split into a fixed number of
-// micro-batches, each trained on its own tape (possibly on a pool thread)
-// with its parameter gradients in private slots that are summed in grid
-// order. These tests pin what that must preserve: bitwise thread-count
-// invariance, agreement with one full-batch tape, and row weighting when a
-// batch has fewer rows than the grid.
+// The micro-batch grid every Trainer step runs: each batch is split into a
+// fixed number of micro-batches, each trained on its own tape (possibly on
+// a pool thread) with its parameter gradients in private slots that are
+// summed in grid order. These tests pin what that must preserve: bitwise
+// thread-count invariance, agreement with one full-batch tape, row
+// weighting when a batch has fewer rows than the grid, and, for the
+// negative-sampling regimes (one micro-batch per batch), the exact
+// arithmetic of a plain single-tape step.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -17,6 +23,9 @@
 #include "datagen/bkg_generator.h"
 #include "encoders/feature_bank.h"
 #include "kg/filter_index.h"
+#include "optim/optimizer.h"
+#include "train/checkpoint.h"
+#include "train/negative_sampler.h"
 #include "train/trainer.h"
 
 namespace came {
@@ -170,6 +179,137 @@ class MicroBatchGridFixture : public ::testing::Test {
     }
   }
 
+  /// One epoch of the negative-sampling regimes written out as plain
+  /// single-tape steps: the same visit order, sampler stream and loss as
+  /// the trainer, then ZeroGrad, Backward, clip and an Adam step on one
+  /// tape. Returns the epoch's mean batch loss.
+  static float SingleTapeSampledEpoch(baselines::KgcModel* model,
+                                      const kg::Dataset& ds,
+                                      const train::TrainConfig& cfg,
+                                      optim::Adam* adam) {
+    const std::vector<kg::Triple> train = ds.TrainWithInverses();
+    std::vector<size_t> order(train.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    Rng shuffle_rng(cfg.seed);
+    shuffle_rng.Shuffle(&order);
+    kg::FilterIndex filter(ds.num_entities(), ds.num_relations());
+    filter.AddTriples(ds.train);
+    // The trainer seeds its sampler with the config seed ^ 0x5151.
+    train::NegativeSampler sampler(&filter, ds.num_entities(),
+                                   cfg.seed ^ 0x5151);
+    const int64_t k = cfg.negatives;
+    const bool self_adversarial =
+        model->regime() == baselines::TrainingRegime::kSelfAdversarial;
+    model->SetTraining(true);
+    double total = 0.0;
+    int64_t batches = 0;
+    for (size_t start = 0; start < train.size();
+         start += static_cast<size_t>(cfg.batch_size)) {
+      const size_t end =
+          std::min(train.size(), start + static_cast<size_t>(cfg.batch_size));
+      const int64_t b = static_cast<int64_t>(end - start);
+      std::vector<int64_t> heads, rels, tails, rep_heads, rep_rels, neg_tails;
+      for (size_t i = start; i < end; ++i) {
+        const kg::Triple& t = train[order[i]];
+        heads.push_back(t.head);
+        rels.push_back(t.rel);
+        tails.push_back(t.tail);
+        sampler.AppendSamples(t.head, t.rel, k, &neg_tails);
+        for (int64_t j = 0; j < k; ++j) {
+          rep_heads.push_back(t.head);
+          rep_rels.push_back(t.rel);
+        }
+      }
+      ag::Var pos = model->ScoreTriples(heads, rels, tails);
+      ag::Var neg = ag::Reshape(
+          model->ScoreTriples(rep_heads, rep_rels, neg_tails), {b, k});
+      ag::Var pos_term = ag::Neg(
+          ag::MeanAll(ag::LogSigmoid(ag::AddScalar(pos, cfg.margin))));
+      ag::Var neg_logsig =
+          ag::LogSigmoid(ag::Neg(ag::AddScalar(neg, cfg.margin)));
+      ag::Var neg_term;
+      if (self_adversarial) {
+        ag::Var w =
+            ag::SoftmaxAlong(ag::Scale(neg, cfg.adv_temperature), 1).Detach();
+        neg_term = ag::Neg(
+            ag::MeanAll(ag::SumAlong(ag::Mul(w, neg_logsig), 1, false)));
+      } else {
+        neg_term = ag::Neg(ag::MeanAll(neg_logsig));
+      }
+      ag::Var loss = ag::Add(pos_term, neg_term);
+      std::vector<int64_t> entities = heads;
+      entities.insert(entities.end(), tails.begin(), tails.end());
+      ag::Var aux = model->AuxiliaryLoss(entities);
+      if (aux.defined()) loss = ag::Add(loss, aux);
+      adam->ZeroGrad();
+      loss.Backward();
+      if (cfg.grad_clip > 0.0f) {
+        optim::ClipGradNorm(model->Parameters(), cfg.grad_clip);
+      }
+      adam->Step();
+      total += loss.value().data()[0];
+      ++batches;
+    }
+    return static_cast<float>(total / static_cast<double>(batches));
+  }
+
+  static bool SameBits(const tensor::Tensor& a, const tensor::Tensor& b) {
+    return tensor::SameShape(a.shape(), b.shape()) &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+  }
+
+  /// Two Trainer steps (a 64-row batch and a 36-row one) of `name` against
+  /// SingleTapeSampledEpoch at 1 and 4 threads: the epoch loss, every
+  /// parameter and both Adam moments must be bitwise equal.
+  void CheckSampledStepMatchesSingleTape(const std::string& name) {
+    const kg::Dataset ds = Subset(50);
+    ASSERT_EQ(ds.TrainWithInverses().size(), 100u);
+    train::TrainConfig base;
+    base.epochs = 1;
+    base.batch_size = 64;
+    base.negatives = 8;
+    const train::TrainConfig cfg =
+        baselines::RecommendedTrainConfig(name, base);
+    const std::string path =
+        ::testing::TempDir() + "came_sampled_step_" + name + ".bin";
+    for (int threads : {1, 4}) {
+      SetNumThreads(threads);
+      auto model = Model(name, 0.0f);
+      ASSERT_NE(model->regime(), baselines::TrainingRegime::kOneToN) << name;
+      train::Trainer trainer(model.get(), ds, cfg);
+      const float loss = trainer.RunEpoch();
+      ASSERT_TRUE(trainer.SaveCheckpoint(path).ok());
+      train::CheckpointState st;
+      ASSERT_TRUE(train::ReadCheckpoint(path, &st).ok());
+
+      auto ref = Model(name, 0.0f);
+      optim::Adam adam(ref->Parameters(), cfg.lr, 0.9f, 0.999f, 1e-8f,
+                       cfg.weight_decay);
+      const float ref_loss = SingleTapeSampledEpoch(ref.get(), ds, cfg, &adam);
+
+      const std::string label = name + " at " + std::to_string(threads) +
+                                " threads";
+      EXPECT_EQ(std::memcmp(&loss, &ref_loss, sizeof(float)), 0)
+          << label << ": loss " << loss << " vs " << ref_loss;
+      EXPECT_EQ(st.adam_step, 2) << label;
+      EXPECT_EQ(adam.step_count(), 2) << label;
+      const auto got = model->NamedParameters();
+      const auto want = ref->NamedParameters();
+      ASSERT_EQ(got.size(), want.size()) << label;
+      ASSERT_EQ(st.adam_m.size(), want.size()) << label;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(SameBits(got[i].second.value(), want[i].second.value()))
+            << label << ": " << want[i].first;
+        EXPECT_TRUE(SameBits(st.adam_m[i], adam.first_moments()[i]))
+            << label << ": first moment of " << want[i].first;
+        EXPECT_TRUE(SameBits(st.adam_v[i], adam.second_moments()[i]))
+            << label << ": second moment of " << want[i].first;
+      }
+    }
+    std::remove(path.c_str());
+  }
+
   static datagen::GeneratedBkg* bkg_;
   static encoders::FeatureBank* bank_;
 
@@ -204,6 +344,22 @@ TEST_F(MicroBatchGridFixture, GridGradientMatchesSingleTapeWithoutDropout) {
         << name;
     ExpectGradientsClose(grid.get(), single.get(), 1e-5, name);
   }
+}
+
+// The negative-sampling regimes run the shared step with one micro-batch
+// per batch: the slot copy, the row weight of exactly 1 and the negatives
+// drawn before the grid leave the single-tape step's arithmetic intact.
+TEST_F(MicroBatchGridFixture, UniformNegativeStepMatchesSingleTape) {
+  CheckSampledStepMatchesSingleTape("TransE");
+}
+
+TEST_F(MicroBatchGridFixture, SelfAdversarialStepMatchesSingleTape) {
+  CheckSampledStepMatchesSingleTape("PairRE");
+  CheckSampledStepMatchesSingleTape("a-RotatE");
+}
+
+TEST_F(MicroBatchGridFixture, AuxiliaryLossStepMatchesSingleTape) {
+  CheckSampledStepMatchesSingleTape("TransAE");
 }
 
 // One triple gives a 2-row batch: micro-batches of 1, 1, 0 and 0 rows. The

@@ -173,8 +173,9 @@ encoders::FeatureBank* PoolTrainFixture::bank_ = nullptr;
 
 // ConvE covers the 1-to-N regime (dense label tensors, conv scratch,
 // GEMM packing leases); TransE covers negative sampling (many small
-// per-batch gather/score tensors). Both at 1 and 4 threads, since the
-// thread caches and the shared overflow pool take different paths.
+// per-batch gather/score tensors). Both at 1 and 4 threads: at 4, ConvE's
+// micro-batches and the kernels' chunks free buffers on threads other than
+// the ones that acquired them, so recycled buffers cross threads.
 TEST_F(PoolTrainFixture, ConvEOneToNBitwiseParityAt1Thread) {
   CheckBitwiseParity("ConvE", 1);
 }

@@ -8,7 +8,6 @@
 #include "eval/evaluator.h"
 #include "eval/metrics.h"
 #include "train/convergence.h"
-#include "train/grid_search.h"
 #include "train/negative_sampler.h"
 #include "train/trainer.h"
 
@@ -359,28 +358,6 @@ TEST_F(TrainEvalFixture, BestValidationSelectsOnMrrNotHits10) {
   EXPECT_NEAR(best.Hits10(), 100.0, 1e-6);
   EXPECT_EQ(best.hits1, 0);
   EXPECT_FLOAT_EQ(model.marker(), 2.0f);
-}
-
-TEST_F(TrainEvalFixture, GridSearchPicksAMarginAndReturnsModel) {
-  eval::Evaluator evaluator(bkg_->dataset);
-  auto factory = [&]() {
-    return baselines::CreateModel("TransE", Context(), Options());
-  };
-  train::TrainConfig base;
-  base.epochs = 4;
-  auto result = train::GridSearch(
-      factory, bkg_->dataset, evaluator,
-      train::MarginGrid(base, {0.5f, 2.0f, 8.0f}), /*valid_sample=*/60);
-  ASSERT_EQ(result.trials.size(), 3u);
-  ASSERT_NE(result.best_model, nullptr);
-  // Best trial must be at least as good as every trial.
-  for (const auto& [cfg, metrics] : result.trials) {
-    EXPECT_GE(result.best_valid.Hits10(), metrics.Hits10());
-  }
-  // The returned model is usable for scoring.
-  ag::NoGradGuard guard;
-  EXPECT_EQ(result.best_model->ScoreAllTails({0}, {0}).dim(1),
-            bkg_->dataset.num_entities());
 }
 
 // Oracle test: a model whose scores are perfect must have MRR 100 under
