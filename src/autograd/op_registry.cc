@@ -71,6 +71,18 @@ int64_t OpRegistry::NoTapeDispatches(int id) const {
   return total;
 }
 
+int64_t OpRegistry::TotalNoTapeDispatches() const {
+  came::MutexLock lock(&shards_mu_);
+  int64_t total = 0;
+  for (int i = 0; i <= kMaxOps; ++i) {
+    total += retired_[i];
+    for (const DispatchShard* shard : shards_) {
+      total += shard->counts[i].load(std::memory_order_relaxed);
+    }
+  }
+  return total;
+}
+
 void OpRegistry::AttachShard(DispatchShard* shard) {
   came::MutexLock lock(&shards_mu_);
   shards_.push_back(shard);

@@ -72,6 +72,8 @@ class OpRegistry {
   /// Total forward-only dispatches recorded for `id` across all threads:
   /// the sum over the live threads' shards plus the totals of exited ones.
   int64_t NoTapeDispatches(int id) const CAME_EXCLUDES(shards_mu_);
+  /// NoTapeDispatches summed over every id, unregistered ones included.
+  int64_t TotalNoTapeDispatches() const CAME_EXCLUDES(shards_mu_);
 
   /// Maximum number of distinct ops the dispatch counters track; the 36
   /// registered ops sit far below it, and Register CHECK-fails before the

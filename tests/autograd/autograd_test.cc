@@ -84,6 +84,26 @@ TEST(VariableTest, DiamondGraphAccumulates) {
   EXPECT_FLOAT_EQ(x.grad().data()[0], 12.0f);
 }
 
+TEST(GradSlotsTest, AddToLeavesHandsOverAndEmptiesTheSlots) {
+  // Two steps through one GradSlots: each step's slot becomes the leaf's
+  // gradient, and the emptied slot takes the next step's gradient afresh.
+  Var x(Tensor::Full({3}, 1.0f), true);
+  GradSlots slots({x});
+  for (const float scale : {2.0f, 5.0f}) {
+    x.ZeroGrad();
+    slots.Clear();
+    {
+      MicroBatchScope scope(&slots, /*dropout_rng=*/nullptr);
+      SumAll(Scale(x, scale)).Backward();
+    }
+    EXPECT_FALSE(x.has_grad()) << "the gradient belongs in the slot";
+    slots.AddToLeaves();
+    slots.AddToLeaves();  // the slot is empty now: adds nothing
+    ASSERT_TRUE(x.has_grad());
+    for (int64_t i = 0; i < 3; ++i) EXPECT_EQ(x.grad().data()[i], scale);
+  }
+}
+
 TEST(OpsTest, MatMulForwardMatchesKernel) {
   Rng rng(1);
   Var a = RandomVar({2, 3}, &rng);
