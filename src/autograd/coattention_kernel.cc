@@ -69,7 +69,7 @@ inline V16 Splat(float s) { return SplatT<V16>(s); }
 inline V16 Max(V16 m, V16 v) { return MaxT(m, v); }
 inline V16 FastExp16(V16 x) { return FastExpT<V16, V16i>(x); }
 #else
-// Two native 8-float halves, as in the GEMM's v8f microkernel. A 64-byte
+// Two native 8-float halves, as in the GEMM's ScalarLanes. A 64-byte
 // generic vector is no option here: without AVX-512, GCC lowers its
 // compares and selects lane by lane in scalar code.
 typedef float v8f __attribute__((vector_size(32)));

@@ -8,6 +8,7 @@
 #include "autograd/query_plan.h"
 #include "common/logging.h"
 #include "common/parallel_for.h"
+#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
 namespace came::ag {
@@ -756,15 +757,15 @@ Var Conv2d(const Var& input, const Var& weight, const Var& bias, int64_t pad) {
           const float* cb = saved_cols.data() + b * col_stride;
           if (ws->requires_grad) {
             // dW += g_b x cols_b^T
-            ts::MatMulRaw(gb, cb, dw2d.data(), filters, l, cin * kh * kw,
-                          false, /*trans_b=*/true, /*accumulate=*/true);
+            ts::gemm::Gemm(gb, cb, dw2d.data(), filters, l, cin * kh * kw,
+                           false, /*trans_b=*/true, /*accumulate=*/true);
           }
           if (xs->requires_grad) {
             // dcols_b = W^T x g_b
-            ts::MatMulRaw(saved_w2d.data(), gb,
-                          dcols.data() + b * col_stride, cin * kh * kw,
-                          filters, l, /*trans_a=*/true, false,
-                          /*accumulate=*/false);
+            ts::gemm::Gemm(saved_w2d.data(), gb,
+                           dcols.data() + b * col_stride, cin * kh * kw,
+                           filters, l, /*trans_a=*/true, false,
+                           /*accumulate=*/false);
           }
         }
         if (ws->requires_grad) {

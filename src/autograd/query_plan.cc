@@ -11,6 +11,7 @@
 #include "autograd/op_registry.h"
 #include "common/logging.h"
 #include "common/parallel_for.h"
+#include "tensor/gemm.h"
 #include "tensor/storage_pool.h"
 #include "tensor/tensor_ops.h"
 
@@ -576,8 +577,8 @@ void QueryPlan::Run(const Program& program, int64_t head, int64_t rel,
                            {s.ids == PlanIds::kHeads ? &head : &rel, 1}, out);
         break;
       case PlanKernel::kMatMul:
-        ts::MatMulRaw(in(0), in(1), out, d[0], d[1], d[2], d[3] != 0,
-                      d[4] != 0, /*accumulate=*/false);
+        ts::gemm::Gemm(in(0), in(1), out, d[0], d[1], d[2], d[3] != 0,
+                       d[4] != 0, /*accumulate=*/false);
         break;
       case PlanKernel::kBinary:
         ts::BinaryInto(static_cast<ts::BinaryOp>(s.sub_op), in(0), s.a_shape,

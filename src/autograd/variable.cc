@@ -115,7 +115,7 @@ void GradSlots::AddToLeaves() {
       // The first contribution hands its buffer over instead of a copy, so
       // a one-micro-batch step copies each gradient once, as a single tape
       // does. Accumulate allocates the emptied slot afresh at its next use.
-      s->grad = std::exchange(grads_[i], Tensor());
+      s->grad = std::move(grads_[i]);
       s->has_grad = true;
     }
     has_[i] = 0;

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <utility>
-#include <vector>
 
 #if defined(__AVX2__) || defined(__AVX512F__) || defined(__FMA__)
 #include <immintrin.h>
@@ -24,10 +22,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Blocking parameters (see DESIGN.md "GEMM subsystem").
 //
-// kKC x NR panels of B stream through L1/L2 inside the microkernel; a
+// kKC x NR panels of B stream through L1/L2 inside the register tile; a
 // kMC x kKC packed block of A stays L2-resident while every B panel of the
 // current column block is applied to it. kMC is a common multiple of every
-// microkernel's MR so full blocks pack without internal edge panels, and —
+// kernel's MR so full blocks pack without internal edge panels, and —
 // critically — the row-block grid {0, kMC, 2*kMC, ...} that ParallelFor
 // distributes depends only on m, never on the kernel or thread count.
 // ---------------------------------------------------------------------------
@@ -54,23 +52,11 @@ struct Operands {
   bool trans_b;
 };
 
-// One step of a C element's accumulation chain, rounded as the
-// microkernels round it: a fused multiply-add wherever the build targets
-// FMA (every microkernel fuses explicitly there), a separate multiply and
-// add otherwise.
-inline float MulAdd(float a, float b, float acc) {
-#if defined(__FMA__)
-  return std::fma(a, b, acc);
-#else
-  return acc + a * b;
-#endif
-}
-
 // ---------------------------------------------------------------------------
 // Packing. Operand layout is absorbed here: element (i, p) of op(A) lives at
 // a[i * a_si + p * a_sp] where the strides encode the transpose flag, so the
-// microkernel only ever sees contiguous zero-padded panels and no transposed
-// copy of A or B is materialized.
+// register tile only ever sees contiguous zero-padded panels and no
+// transposed copy of A or B is materialized.
 //
 //   Ap: per MR-row panel, column-major within the panel: ap[p * MR + r]
 //   Bp: per NR-col panel, row-major within the panel:    bp[p * NR + c]
@@ -113,23 +99,17 @@ void PackB(const float* b, int64_t b_sp, int64_t b_sj, int64_t pc, int64_t jc,
 }
 
 // ---------------------------------------------------------------------------
-// Microkernels: C[rows x cols] += Ap panel (MR x kc) * Bp panel (kc x NR).
-// Full tiles accumulate in registers and add straight into C; edge tiles
-// run the identical FMA sequence into a zeroed local tile first, then add
-// the valid region, so edge handling never changes the arithmetic.
+// Lanes: all that is ISA-specific about a kernel. Each struct holds the
+// vector type V of kL floats, the tile height kMR (a tile is always two
+// vectors, NR = 2 * kL columns, wide), a broadcast, an unaligned load and
+// store, the fused multiply-add and, optionally, an in-register kL x kL
+// transpose for staging a transposed B. V is a GNU vector type in every
+// struct (the intrinsic types __m256 and __m512 are ones), so `+` adds
+// lanes. On FMA builds every struct fuses explicitly: GCC contracts
+// `acc + a * b` only from -O2 on, and the chains must round alike at every
+// optimisation level.
 // ---------------------------------------------------------------------------
 
-// Portable fallback, MR=4 / NR=16. ISA-portable, not AVX2/FMA-gated: on
-// GNU-compatible compilers it uses generic vector extensions, which lower
-// to whatever SIMD the target has (SSE, NEON, ...) or plain scalar code.
-// A pure-loop variant covers other compilers. Named register accumulators
-// are essential: array-typed accumulator tiles spill to the stack and the
-// resulting store-to-load dependency chain caps the kernel at a fraction
-// of machine peak.
-constexpr int kScalarMR = 4;
-constexpr int kScalarNR = 16;
-
-#if defined(__GNUC__) || defined(__clang__)
 // v8f never crosses this file's boundary, so the ABI warning GCC gives for
 // it on targets without AVX does not apply; its deferred out-of-line
 // copies are emitted at the end of the file, hence no matching pop.
@@ -137,67 +117,27 @@ constexpr int kScalarNR = 16;
 
 typedef float v8f __attribute__((vector_size(32)));
 
-inline v8f Splat8(float s) { return v8f{s, s, s, s, s, s, s, s}; }
-inline v8f Load8(const float* p) {
-  v8f v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-inline void Store8(float* p, v8f v) { std::memcpy(p, &v, sizeof(v)); }
-
-// MulAdd on eight lanes. Fused explicitly on FMA builds: GCC contracts
-// `acc + a * b` only from -O2 on, and the tile must round like the
-// scalar chain (MulAdd) at every optimisation level.
-inline v8f MulAdd8(v8f a, v8f b, v8f acc) {
-#if defined(__FMA__) && defined(__AVX__)
-  return (v8f)_mm256_fmadd_ps((__m256)a, (__m256)b, (__m256)acc);
-#else
-  return acc + a * b;
-#endif
-}
-
-// 4x16 register tile: 8 generic-vector accumulators + 2 B loads.
-void MicroKernelScalarTile(const float* ap, const float* bp, int64_t kc,
-                           float* c, int64_t ldc) {
-  v8f a00{}, a01{}, a10{}, a11{}, a20{}, a21{}, a30{}, a31{};
-  for (int64_t p = 0; p < kc; ++p) {
-    const v8f b0 = Load8(bp + p * kScalarNR);
-    const v8f b1 = Load8(bp + p * kScalarNR + 8);
-    const float* arow = ap + p * kScalarMR;
-    a00 = MulAdd8(Splat8(arow[0]), b0, a00);
-    a01 = MulAdd8(Splat8(arow[0]), b1, a01);
-    a10 = MulAdd8(Splat8(arow[1]), b0, a10);
-    a11 = MulAdd8(Splat8(arow[1]), b1, a11);
-    a20 = MulAdd8(Splat8(arow[2]), b0, a20);
-    a21 = MulAdd8(Splat8(arow[2]), b1, a21);
-    a30 = MulAdd8(Splat8(arow[3]), b0, a30);
-    a31 = MulAdd8(Splat8(arow[3]), b1, a31);
-  }
-  float* c0 = c;
-  float* c1 = c + ldc;
-  float* c2 = c + 2 * ldc;
-  float* c3 = c + 3 * ldc;
-  Store8(c0, Load8(c0) + a00);
-  Store8(c0 + 8, Load8(c0 + 8) + a01);
-  Store8(c1, Load8(c1) + a10);
-  Store8(c1 + 8, Load8(c1 + 8) + a11);
-  Store8(c2, Load8(c2) + a20);
-  Store8(c2 + 8, Load8(c2 + 8) + a21);
-  Store8(c3, Load8(c3) + a30);
-  Store8(c3 + 8, Load8(c3 + 8) + a31);
-}
-
-// Lanes of the unpacked row kernel (see UnpackedTile below) for the
-// portable kernel: one GNU vector of eight floats.
-struct PortableLanes {
+// Portable kernel, 4 x 16 tile: one generic vector of eight floats, which
+// lowers to whatever SIMD the target has (SSE, NEON, ...) or to scalar
+// code. Not AVX2/FMA-gated, so it runs on every CPU.
+struct ScalarLanes {
   using V = v8f;
   static constexpr int kL = 8;
-  static V Zero() { return V{}; }
-  static V Splat(float s) { return Splat8(s); }
-  static V Load(const float* p) { return Load8(p); }
-  static void Store(float* p, V v) { Store8(p, v); }
-  static void AddStore(float* c, V v) { Store8(c, Load8(c) + v); }
-  static V MulAdd(V a, V b, V acc) { return MulAdd8(a, b, acc); }
+  static constexpr int kMR = 4;
+  static V Splat(float s) { return V{s, s, s, s, s, s, s, s}; }
+  static V Load(const float* p) {
+    V v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  }
+  static void Store(float* p, V v) { std::memcpy(p, &v, sizeof(v)); }
+  static V MulAdd(V a, V b, V acc) {
+#if defined(__FMA__) && defined(__AVX__)
+    return (V)_mm256_fmadd_ps((__m256)a, (__m256)b, (__m256)acc);
+#else
+    return acc + a * b;
+#endif
+  }
 #if defined(__has_builtin)
 #if __has_builtin(__builtin_shufflevector)
   // 8x8 block of B rows (src[j * lds + p]) into j-lane rows
@@ -205,135 +145,43 @@ struct PortableLanes {
   // swapping bit d of the row index with bit d of the column index.
   static void Transpose(const float* src, int64_t lds, float* dst,
                         int64_t ldd) {
-    v8f r[8];
-    for (int i = 0; i < 8; ++i) r[i] = Load8(src + i * lds);
+    V r[8];
+    for (int i = 0; i < 8; ++i) r[i] = Load(src + i * lds);
     for (int i : {0, 1, 2, 3}) {
-      const v8f x = r[i];
-      const v8f y = r[i + 4];
+      const V x = r[i];
+      const V y = r[i + 4];
       r[i] = __builtin_shufflevector(x, y, 0, 1, 2, 3, 8, 9, 10, 11);
       r[i + 4] = __builtin_shufflevector(x, y, 4, 5, 6, 7, 12, 13, 14, 15);
     }
     for (int i : {0, 1, 4, 5}) {
-      const v8f x = r[i];
-      const v8f y = r[i + 2];
+      const V x = r[i];
+      const V y = r[i + 2];
       r[i] = __builtin_shufflevector(x, y, 0, 1, 8, 9, 4, 5, 12, 13);
       r[i + 2] = __builtin_shufflevector(x, y, 2, 3, 10, 11, 6, 7, 14, 15);
     }
     for (int i : {0, 2, 4, 6}) {
-      const v8f x = r[i];
-      const v8f y = r[i + 1];
+      const V x = r[i];
+      const V y = r[i + 1];
       r[i] = __builtin_shufflevector(x, y, 0, 8, 2, 10, 4, 12, 6, 14);
       r[i + 1] = __builtin_shufflevector(x, y, 1, 9, 3, 11, 5, 13, 7, 15);
     }
-    for (int i = 0; i < 8; ++i) Store8(dst + i * ldd, r[i]);
+    for (int i = 0; i < 8; ++i) Store(dst + i * ldd, r[i]);
   }
 #endif  // __has_builtin(__builtin_shufflevector)
 #endif  // __has_builtin
 };
 
-#else   // plain-loop variant for compilers without GNU vector extensions
-struct PortableLanes {
-  using V = float;
-  static constexpr int kL = 1;
-  static V Zero() { return 0.0f; }
-  static V Splat(float s) { return s; }
-  static V Load(const float* p) { return *p; }
-  static void Store(float* p, V v) { *p = v; }
-  static void AddStore(float* c, V v) { *c += v; }
-  static V MulAdd(V a, V b, V acc) {
-    return came::tensor::gemm::MulAdd(a, b, acc);
-  }
-};
-
-void MicroKernelScalarTile(const float* ap, const float* bp, int64_t kc,
-                           float* c, int64_t ldc) {
-  float acc[kScalarMR][kScalarNR] = {};
-  for (int64_t p = 0; p < kc; ++p) {
-    const float* brow = bp + p * kScalarNR;
-    const float* arow = ap + p * kScalarMR;
-    for (int r = 0; r < kScalarMR; ++r) {
-      const float av = arow[r];
-      for (int j = 0; j < kScalarNR; ++j)
-        acc[r][j] = MulAdd(av, brow[j], acc[r][j]);
-    }
-  }
-  for (int r = 0; r < kScalarMR; ++r) {
-    float* crow = c + r * ldc;
-    for (int j = 0; j < kScalarNR; ++j) crow[j] += acc[r][j];
-  }
-}
-#endif  // __GNUC__ || __clang__
-
-void MicroKernelScalar(const float* ap, const float* bp, int64_t kc, float* c,
-                       int64_t ldc, int rows, int cols) {
-  if (rows == kScalarMR && cols == kScalarNR) {
-    MicroKernelScalarTile(ap, bp, kc, c, ldc);
-    return;
-  }
-  float tmp[kScalarMR * kScalarNR] = {};
-  MicroKernelScalarTile(ap, bp, kc, tmp, kScalarNR);
-  for (int r = 0; r < rows; ++r) {
-    float* crow = c + r * ldc;
-    for (int j = 0; j < cols; ++j) crow[j] += tmp[r * kScalarNR + j];
-  }
-}
-
 #if defined(__AVX2__) && defined(__FMA__)
-constexpr int kAvx2MR = 6;
-constexpr int kAvx2NR = 16;
-
-// 6x16 register tile: 12 ymm accumulators + 2 ymm B loads + 1 broadcast.
-void MicroKernelAvx2Tile(const float* ap, const float* bp, int64_t kc,
-                         float* c, int64_t ldc) {
-  __m256 acc[kAvx2MR][2];
-  for (int r = 0; r < kAvx2MR; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
-  }
-  for (int64_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * kAvx2NR);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * kAvx2NR + 8);
-    const float* arow = ap + p * kAvx2MR;
-    for (int r = 0; r < kAvx2MR; ++r) {
-      const __m256 av = _mm256_broadcast_ss(arow + r);
-      acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
-    }
-  }
-  for (int r = 0; r < kAvx2MR; ++r) {
-    float* crow = c + r * ldc;
-    _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc[r][0]));
-    _mm256_storeu_ps(crow + 8,
-                     _mm256_add_ps(_mm256_loadu_ps(crow + 8), acc[r][1]));
-  }
-}
-
-void MicroKernelAvx2(const float* ap, const float* bp, int64_t kc, float* c,
-                     int64_t ldc, int rows, int cols) {
-  if (rows == kAvx2MR && cols == kAvx2NR) {
-    MicroKernelAvx2Tile(ap, bp, kc, c, ldc);
-    return;
-  }
-  alignas(32) float tmp[kAvx2MR * kAvx2NR] = {};
-  MicroKernelAvx2Tile(ap, bp, kc, tmp, kAvx2NR);
-  for (int r = 0; r < rows; ++r) {
-    float* crow = c + r * ldc;
-    for (int j = 0; j < cols; ++j) crow[j] += tmp[r * kAvx2NR + j];
-  }
-}
-
-// Unpacked-kernel lanes: one ymm. Transpose turns an 8x8 block of B rows
-// (src[j * lds + p]) into j-lane rows (dst[p * ldd + j]) in registers.
+// AVX2 + FMA, 6 x 16 tile: 12 ymm accumulators + 2 B loads + 1 broadcast.
+// Transpose turns an 8x8 block of B rows (src[j * lds + p]) into j-lane
+// rows (dst[p * ldd + j]) in registers.
 struct Avx2Lanes {
   using V = __m256;
   static constexpr int kL = 8;
-  static V Zero() { return _mm256_setzero_ps(); }
+  static constexpr int kMR = 6;
   static V Splat(float s) { return _mm256_set1_ps(s); }
   static V Load(const float* p) { return _mm256_loadu_ps(p); }
   static void Store(float* p, V v) { _mm256_storeu_ps(p, v); }
-  static void AddStore(float* c, V v) {
-    _mm256_storeu_ps(c, _mm256_add_ps(_mm256_loadu_ps(c), v));
-  }
   static V MulAdd(V a, V b, V acc) { return _mm256_fmadd_ps(a, b, acc); }
   static void Transpose(const float* src, int64_t lds, float* dst,
                         int64_t ldd) {
@@ -361,60 +209,16 @@ struct Avx2Lanes {
 #endif  // __AVX2__ && __FMA__
 
 #if defined(__AVX512F__)
-constexpr int kAvx512MR = 12;
-constexpr int kAvx512NR = 32;
-
-// 12x32 register tile: 24 zmm accumulators + 2 zmm B loads + 1 broadcast.
-void MicroKernelAvx512Tile(const float* ap, const float* bp, int64_t kc,
-                           float* c, int64_t ldc) {
-  __m512 acc[kAvx512MR][2];
-  for (int r = 0; r < kAvx512MR; ++r) {
-    acc[r][0] = _mm512_setzero_ps();
-    acc[r][1] = _mm512_setzero_ps();
-  }
-  for (int64_t p = 0; p < kc; ++p) {
-    const __m512 b0 = _mm512_loadu_ps(bp + p * kAvx512NR);
-    const __m512 b1 = _mm512_loadu_ps(bp + p * kAvx512NR + 16);
-    const float* arow = ap + p * kAvx512MR;
-    for (int r = 0; r < kAvx512MR; ++r) {
-      const __m512 av = _mm512_set1_ps(arow[r]);
-      acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
-    }
-  }
-  for (int r = 0; r < kAvx512MR; ++r) {
-    float* crow = c + r * ldc;
-    _mm512_storeu_ps(crow, _mm512_add_ps(_mm512_loadu_ps(crow), acc[r][0]));
-    _mm512_storeu_ps(crow + 16,
-                     _mm512_add_ps(_mm512_loadu_ps(crow + 16), acc[r][1]));
-  }
-}
-
-void MicroKernelAvx512(const float* ap, const float* bp, int64_t kc, float* c,
-                       int64_t ldc, int rows, int cols) {
-  if (rows == kAvx512MR && cols == kAvx512NR) {
-    MicroKernelAvx512Tile(ap, bp, kc, c, ldc);
-    return;
-  }
-  alignas(64) float tmp[kAvx512MR * kAvx512NR] = {};
-  MicroKernelAvx512Tile(ap, bp, kc, tmp, kAvx512NR);
-  for (int r = 0; r < rows; ++r) {
-    float* crow = c + r * ldc;
-    for (int j = 0; j < cols; ++j) crow[j] += tmp[r * kAvx512NR + j];
-  }
-}
-// Unpacked-kernel lanes: one zmm. Transpose is the 16x16 counterpart of
-// Avx2Lanes::Transpose, as four rounds of two-source permutes.
+// AVX-512F, 12 x 32 tile: 24 zmm accumulators + 2 B loads + 1 broadcast.
+// Transpose is the 16x16 counterpart of Avx2Lanes::Transpose, as four
+// rounds of two-source permutes.
 struct Avx512Lanes {
   using V = __m512;
   static constexpr int kL = 16;
-  static V Zero() { return _mm512_setzero_ps(); }
+  static constexpr int kMR = 12;
   static V Splat(float s) { return _mm512_set1_ps(s); }
   static V Load(const float* p) { return _mm512_loadu_ps(p); }
   static void Store(float* p, V v) { _mm512_storeu_ps(p, v); }
-  static void AddStore(float* c, V v) {
-    _mm512_storeu_ps(c, _mm512_add_ps(_mm512_loadu_ps(c), v));
-  }
   static V MulAdd(V a, V b, V acc) { return _mm512_fmadd_ps(a, b, acc); }
 
   // Swaps bit D of the row index with bit D of the column index: each
@@ -457,15 +261,69 @@ struct Avx512Lanes {
 #endif  // __AVX512F__
 
 // ---------------------------------------------------------------------------
-// Unpacked row kernel: every product with fewer rows than a microkernel
-// tile, and every product too small to amortise packing. Lanes run over
-// the column j, two vectors (W = 2 * kL columns) per row of C, and each
-// row keeps its own register chains. Each C element follows the
-// microkernels' chain exactly: per kKC pass a sequential multiply-add over
-// p from zero, then one add into C, so the result is bitwise the blocked
-// path's. Nothing is packed: B rows are read in place, and only a kL-deep
-// block of a transposed or ragged B is staged in j-lanes, once for all the
-// rows of the tile.
+// The multiply-add chain, written once for every kernel and both
+// schedules. acc[r] is row r of a tile two vectors (2 * kL columns) wide.
+// Each depth step p broadcasts A(r, p) = a[r * a_si + p * a_sp] against
+// row p of B, the 2 * kL floats at b + p * ldb. Per kKC depth pass each C
+// element is one sequential multiply-add chain over p from zero, then one
+// add into C (AddIntoC); ReferenceGemm in the tests follows the same
+// chain, so every schedule gives its bits.
+// ---------------------------------------------------------------------------
+
+template <class Lanes, int R>
+[[gnu::always_inline]] inline void MulAddRows(const float* a, int64_t a_si,
+                                              int64_t a_sp, const float* b,
+                                              int64_t ldb, int64_t depth,
+                                              typename Lanes::V (&acc)[R][2]) {
+  using V = typename Lanes::V;
+  for (int64_t p = 0; p < depth; ++p) {
+    const V b0 = Lanes::Load(b + p * ldb);
+    const V b1 = Lanes::Load(b + p * ldb + Lanes::kL);
+    for (int r = 0; r < R; ++r) {
+      const V av = Lanes::Splat(a[r * a_si + p * a_sp]);
+      acc[r][0] = Lanes::MulAdd(av, b0, acc[r][0]);
+      acc[r][1] = Lanes::MulAdd(av, b1, acc[r][1]);
+    }
+  }
+}
+
+// Adds the chains of the first `rows` rows and `cols` columns of the tile
+// into C (row stride ldc): whole vectors when the full width is valid,
+// element by element from a stored copy otherwise. Each chain is added
+// into C itself, never into a zeroed temporary first, so a -0 chain leaves
+// a -0 in C as ReferenceGemm does. The row loop runs over the constant R
+// so that acc is only ever indexed by constants and stays in registers.
+template <class Lanes, int R>
+[[gnu::always_inline]] inline void AddIntoC(
+    const typename Lanes::V (&acc)[R][2], float* c, int64_t ldc, int rows,
+    int cols) {
+  constexpr int kL = Lanes::kL;
+  if (cols == 2 * kL) {
+    for (int r = 0; r < R; ++r) {
+      if (r == rows) break;
+      float* crow = c + r * ldc;
+      Lanes::Store(crow, Lanes::Load(crow) + acc[r][0]);
+      Lanes::Store(crow + kL, Lanes::Load(crow + kL) + acc[r][1]);
+    }
+    return;
+  }
+  alignas(64) float tile[R][2 * kL];
+  for (int r = 0; r < R; ++r) {
+    Lanes::Store(tile[r], acc[r][0]);
+    Lanes::Store(tile[r] + kL, acc[r][1]);
+  }
+  for (int r = 0; r < rows; ++r) {
+    for (int j = 0; j < cols; ++j) c[r * ldc + j] += tile[r][j];
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Unpacked row kernel: every product with fewer rows than a tile, and every
+// product too small to amortise packing. Lanes run over the column j, one
+// tile width (W = 2 * kL columns) per column block, and each row keeps its
+// own register chains. Nothing is packed: B rows are read in place, and
+// only a kL-deep block of a transposed or ragged B is staged in j-lanes,
+// once for all the rows of the tile.
 // ---------------------------------------------------------------------------
 
 // Fills t (kL x W, row-major) with op(B)(p0 + p, j0 + jj) for p < depth,
@@ -496,56 +354,28 @@ void StageB(const Operands& o, int64_t p0, int64_t j0, int depth, int w,
 // Rows [i0, i0 + R) x columns [j0, j0 + W) of C, clipped to n.
 template <class Lanes, int R>
 void UnpackedTile(const Operands& o, int64_t i0, int64_t j0) {
-  using V = typename Lanes::V;
   constexpr int kL = Lanes::kL;
   constexpr int kW = 2 * kL;
   const int w = static_cast<int>(std::min<int64_t>(kW, o.n - j0));
   // Full-width rows of an untransposed B are read where they lie.
   const bool in_place = !o.trans_b && w == kW;
-  const float* arow[R];
-  for (int r = 0; r < R; ++r) arow[r] = o.a + (i0 + r) * o.a_si;
+  const float* a = o.a + i0 * o.a_si;
   alignas(64) float staged[kL * kW];
-  float* c = o.c + i0 * o.n + j0;
   for (int64_t pc = 0; pc < o.k; pc += kKC) {
     const int64_t pe = std::min(o.k, pc + kKC);
-    V acc[R][2];
-    for (int r = 0; r < R; ++r) acc[r][0] = acc[r][1] = Lanes::Zero();
-    for (int64_t p0 = pc; p0 < pe; p0 += kL) {
-      const int depth = static_cast<int>(std::min<int64_t>(kL, pe - p0));
-      const float* bt = staged;
-      int64_t ldb = kW;
-      if (in_place) {
-        bt = o.b + p0 * o.n + j0;
-        ldb = o.n;
-      } else {
-        StageB<Lanes>(o, p0, j0, depth, w, staged);
-      }
-      for (int p = 0; p < depth; ++p) {
-        const V b0 = Lanes::Load(bt + p * ldb);
-        const V b1 = Lanes::Load(bt + p * ldb + kL);
-        const int64_t ap = (p0 + p) * o.a_sp;
-        for (int r = 0; r < R; ++r) {
-          const V av = Lanes::Splat(arow[r][ap]);
-          acc[r][0] = Lanes::MulAdd(av, b0, acc[r][0]);
-          acc[r][1] = Lanes::MulAdd(av, b1, acc[r][1]);
-        }
-      }
-    }
-    if (w == kW) {
-      for (int r = 0; r < R; ++r) {
-        Lanes::AddStore(c + r * o.n, acc[r][0]);
-        Lanes::AddStore(c + r * o.n + kL, acc[r][1]);
-      }
+    typename Lanes::V acc[R][2] = {};
+    if (in_place) {
+      MulAddRows<Lanes, R>(a + pc * o.a_sp, o.a_si, o.a_sp,
+                           o.b + pc * o.n + j0, o.n, pe - pc, acc);
     } else {
-      alignas(64) float tile[R * kW];
-      for (int r = 0; r < R; ++r) {
-        Lanes::Store(tile + r * kW, acc[r][0]);
-        Lanes::Store(tile + r * kW + kL, acc[r][1]);
-      }
-      for (int r = 0; r < R; ++r) {
-        for (int jj = 0; jj < w; ++jj) c[r * o.n + jj] += tile[r * kW + jj];
+      for (int64_t p0 = pc; p0 < pe; p0 += kL) {
+        const int depth = static_cast<int>(std::min<int64_t>(kL, pe - p0));
+        StageB<Lanes>(o, p0, j0, depth, w, staged);
+        MulAddRows<Lanes, R>(a + p0 * o.a_sp, o.a_si, o.a_sp, staged, kW,
+                             depth, acc);
       }
     }
+    AddIntoC<Lanes, R>(acc, o.c + i0 * o.n + j0, o.n, R, w);
   }
 }
 
@@ -559,13 +389,14 @@ constexpr std::array<UnpackedTileFn, sizeof...(R)> UnpackedTiles(
 
 // Column blocks of W, each in row tiles of MR and one tile of the m % MR
 // remaining rows. Serial: a product this skinny or small is one work item.
-template <class Lanes, int MR>
+template <class Lanes>
 void UnpackedGemm(const Operands& o) {
-  static constexpr std::array<UnpackedTileFn, MR> kTiles =
-      UnpackedTiles<Lanes>(std::make_integer_sequence<int, MR>());
+  constexpr int kMR = Lanes::kMR;
+  static constexpr std::array<UnpackedTileFn, kMR> kTiles =
+      UnpackedTiles<Lanes>(std::make_integer_sequence<int, kMR>());
   for (int64_t j0 = 0; j0 < o.n; j0 += 2 * Lanes::kL) {
     int64_t i0 = 0;
-    for (; i0 + MR <= o.m; i0 += MR) kTiles[MR - 1](o, i0, j0);
+    for (; i0 + kMR <= o.m; i0 += kMR) kTiles[kMR - 1](o, i0, j0);
     if (i0 < o.m) kTiles[o.m - i0 - 1](o, i0, j0);
   }
 }
@@ -575,14 +406,15 @@ void UnpackedGemm(const Operands& o) {
 // panels (pc, serial — so the accumulation order into C is fixed), then
 // row blocks of A distributed over the worker pool. Each row block packs
 // its own slab of A (a pooled scratch lease) and writes a disjoint band of C
-// rows; the packed B panel is shared read-only across workers.
+// rows; the packed B panel is shared read-only across workers. Each MR x NR
+// tile runs the full chain over its zero-padded panels, and AddIntoC clips
+// it to the valid rows and columns.
 // ---------------------------------------------------------------------------
 
-using MicroKernelFn = void (*)(const float*, const float*, int64_t, float*,
-                               int64_t, int, int);
-
-template <int MR, int NR, MicroKernelFn MK>
+template <class Lanes>
 void BlockedGemm(const Operands& o) {
+  constexpr int kMR = Lanes::kMR;
+  constexpr int kNR = 2 * Lanes::kL;
   const float* a = o.a;
   const float* b = o.b;
   float* c = o.c;
@@ -597,15 +429,15 @@ void BlockedGemm(const Operands& o) {
   // (zeroed edges), so uninitialised scratch is safe.
   for (int64_t jc = 0; jc < n; jc += kNC) {
     const int64_t nc = std::min(kNC, n - jc);
-    const int64_t nc_pad = RoundUp(nc, NR);
+    const int64_t nc_pad = RoundUp(nc, kNR);
     for (int64_t pc = 0; pc < k; pc += kKC) {
       const int64_t kc = std::min(kKC, k - pc);
       const pool::ScratchLease bp_lease(nc_pad * kc);
       float* bp = bp_lease.data();  // raw pointer: workers share the
                                     // calling thread's packed panel
-      PackB<NR>(b, o.b_sp, o.b_sj, pc, jc, kc, nc, bp);
+      PackB<kNR>(b, o.b_sp, o.b_sj, pc, jc, kc, nc, bp);
 
-      const int64_t ap_numel = RoundUp(std::min(kMC, m), MR) * kc;
+      const int64_t ap_numel = RoundUp(std::min(kMC, m), kMR) * kc;
       ParallelFor(0, CeilDiv(m, kMC), /*grain=*/1,
                   [&, bp](int64_t blk_lo, int64_t blk_hi) {
         const pool::ScratchLease ap_lease(ap_numel);
@@ -613,16 +445,18 @@ void BlockedGemm(const Operands& o) {
         for (int64_t blk = blk_lo; blk < blk_hi; ++blk) {
           const int64_t ic = blk * kMC;
           const int64_t mc = std::min(kMC, m - ic);
-          PackA<MR>(a, o.a_si, o.a_sp, ic, pc, mc, kc, ap_buf);
-          for (int64_t jr = 0; jr < nc; jr += NR) {
-            const float* bpan = bp + (jr / NR) * NR * kc;
-            const int cols = static_cast<int>(std::min<int64_t>(NR, nc - jr));
-            for (int64_t ir = 0; ir < mc; ir += MR) {
-              const float* apan = ap_buf + (ir / MR) * MR * kc;
+          PackA<kMR>(a, o.a_si, o.a_sp, ic, pc, mc, kc, ap_buf);
+          for (int64_t jr = 0; jr < nc; jr += kNR) {
+            const float* bpan = bp + (jr / kNR) * kNR * kc;
+            const int cols = static_cast<int>(std::min<int64_t>(kNR, nc - jr));
+            for (int64_t ir = 0; ir < mc; ir += kMR) {
+              const float* apan = ap_buf + (ir / kMR) * kMR * kc;
               const int rows =
-                  static_cast<int>(std::min<int64_t>(MR, mc - ir));
-              MK(apan, bpan, kc, c + (ic + ir) * n + (jc + jr), n, rows,
-                 cols);
+                  static_cast<int>(std::min<int64_t>(kMR, mc - ir));
+              typename Lanes::V acc[kMR][2] = {};
+              MulAddRows<Lanes, kMR>(apan, 1, kMR, bpan, kNR, kc, acc);
+              AddIntoC<Lanes, kMR>(acc, c + (ic + ir) * n + (jc + jr), n,
+                                   rows, cols);
             }
           }
         }
@@ -631,16 +465,16 @@ void BlockedGemm(const Operands& o) {
   }
 }
 
-// The one shape rule: rows that cannot fill a microkernel tile, or a
-// product too small to amortise packing, run unpacked; everything else is
-// blocked. Shape-only, so the path never depends on the thread count, and
-// both paths give the same bits anyway.
-template <class Lanes, int MR, int NR, MicroKernelFn MK>
+// The one shape rule: rows that cannot fill a tile, or a product too small
+// to amortise packing, run unpacked; everything else is blocked.
+// Shape-only, so the path never depends on the thread count, and both
+// paths give the same bits anyway.
+template <class Lanes>
 void RunGemm(const Operands& o) {
-  if (o.m < MR || o.m * o.k * o.n < kSmallGemmFlopCutoff) {
-    UnpackedGemm<Lanes, MR>(o);
+  if (o.m < Lanes::kMR || o.m * o.k * o.n < kSmallGemmFlopCutoff) {
+    UnpackedGemm<Lanes>(o);
   } else {
-    BlockedGemm<MR, NR, MK>(o);
+    BlockedGemm<Lanes>(o);
   }
 }
 
@@ -732,16 +566,16 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
   switch (ActiveKernel()) {
 #if defined(__AVX512F__)
     case Kernel::kAvx512:
-      RunGemm<Avx512Lanes, kAvx512MR, kAvx512NR, MicroKernelAvx512>(o);
+      RunGemm<Avx512Lanes>(o);
       return;
 #endif
 #if defined(__AVX2__) && defined(__FMA__)
     case Kernel::kAvx2:
-      RunGemm<Avx2Lanes, kAvx2MR, kAvx2NR, MicroKernelAvx2>(o);
+      RunGemm<Avx2Lanes>(o);
       return;
 #endif
     default:
-      RunGemm<PortableLanes, kScalarMR, kScalarNR, MicroKernelScalar>(o);
+      RunGemm<ScalarLanes>(o);
       return;
   }
 }

@@ -10,16 +10,17 @@ namespace came::tensor::gemm {
 // Single-precision GEMM: C (m x n, row-major) = op(A) * op(B) [+ C].
 //
 // Two schedules, chosen by shape alone (see DESIGN.md "GEMM subsystem"):
-//  - unpacked: a product with fewer rows than the active microkernel's
+//  - unpacked: a product with fewer rows than the active kernel's
 //    tile height MR, or with fewer than 32^3 multiply-adds, runs serially
 //    on vector lanes over the columns of C, one register chain per row,
 //    reading B in place (a transposed B passes through registers a
 //    lanes x lanes block at a time). Nothing is packed.
-//  - blocked: everything else is a cache-blocked, packed-panel SGEMM with
-//    a register-tiled microkernel, distributed over the ParallelFor pool
-//    with a partition that depends only on the shape.
+//  - blocked: everything else is a cache-blocked, packed-panel SGEMM on
+//    register tiles, distributed over the ParallelFor pool with a
+//    partition that depends only on the shape.
 // Both read operands through their transpose flags, so no transposed copy
-// is materialized, and both compute each C element in the same chain, so
+// is materialized, and both run each C element's chain through the same
+// multiply-add routine, so
 // results are bitwise-identical on either path and at every
 // CAME_NUM_THREADS setting.
 // ---------------------------------------------------------------------------
@@ -35,16 +36,16 @@ void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t k,
 // Microkernel dispatch
 // ---------------------------------------------------------------------------
 
-/// Available microkernel implementations, best-first. Which ones exist in
+/// Available kernels, best-first. Which ones exist in
 /// the binary depends on the compile-time ISA (-march); which one runs is
 /// decided at startup from cpuid, overridable via the CAME_GEMM_KERNEL
 /// environment variable ("avx512" | "avx2" | "scalar" | "auto") or
 /// SetKernel below.
 enum class Kernel {
   kAuto,    ///< pick the best kernel the CPU and binary support
-  kScalar,  ///< portable blocked C++ (still compiler-autovectorizable)
-  kAvx2,    ///< AVX2 + FMA 6x16 microkernel
-  kAvx512,  ///< AVX-512F 12x32 microkernel
+  kScalar,  ///< portable GNU-vector 4x16 tile
+  kAvx2,    ///< AVX2 + FMA 6x16 tile
+  kAvx512,  ///< AVX-512F 12x32 tile
 };
 
 /// The kernel Gemm will actually run (never kAuto). Resolved on first use
@@ -52,7 +53,7 @@ enum class Kernel {
 /// the best available kernel with a warning.
 Kernel ActiveKernel();
 
-/// Forces the microkernel at runtime (tests / benches). kAuto restores
+/// Forces the kernel at runtime (tests / benches). kAuto restores
 /// cpuid-based selection. Requests for kernels the CPU or binary cannot
 /// run fall back to the best available one.
 void SetKernel(Kernel k);

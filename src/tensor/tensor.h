@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/storage_pool.h"
@@ -33,6 +34,24 @@ class Tensor {
   Tensor();
   /// Zero-filled tensor of the given shape (same guarantee as `Zeros`).
   explicit Tensor(Shape shape);
+
+  Tensor(const Tensor&) = default;
+  Tensor& operator=(const Tensor&) = default;
+  /// A moved-from tensor holds nothing: numel() == 0, an empty shape()
+  /// and a null data(), so a buffer reused by numel() is allocated afresh.
+  /// Moving allocates nothing.
+  Tensor(Tensor&& other) noexcept
+      : shape_(std::exchange(other.shape_, Shape())),
+        numel_(std::exchange(other.numel_, 0)),
+        data_(std::move(other.data_)) {}
+  Tensor& operator=(Tensor&& other) noexcept {
+    if (this != &other) {
+      shape_ = std::exchange(other.shape_, Shape());
+      numel_ = std::exchange(other.numel_, 0);
+      data_ = std::move(other.data_);
+    }
+    return *this;
+  }
 
   static Tensor Zeros(Shape shape);
   /// Tensor whose contents are unspecified — every element must be

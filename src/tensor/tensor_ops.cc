@@ -310,11 +310,6 @@ Tensor BatchMatMul(const Tensor& a, const Tensor& b, bool trans_a,
   return c;
 }
 
-void MatMulRaw(const float* a, const float* b, float* c, int64_t m, int64_t k,
-               int64_t n, bool trans_a, bool trans_b, bool accumulate) {
-  gemm::Gemm(a, b, c, m, k, n, trans_a, trans_b, accumulate);
-}
-
 Tensor Transpose2D(const Tensor& t) {
   CAME_CHECK_EQ(t.ndim(), 2);
   const int64_t r = t.dim(0);
@@ -579,8 +574,8 @@ void Conv2dInto(const float* x, int64_t b, int64_t c, int64_t h, int64_t w,
   // out[b] = w2d x cols[b] on raw slices; the accumulate=false GEMM
   // overwrites every slab.
   for (int64_t bi = 0; bi < b; ++bi) {
-    MatMulRaw(weight, cols + bi * depth * l, out + bi * f * l, f, depth, l,
-              false, false, /*accumulate=*/false);
+    gemm::Gemm(weight, cols + bi * depth * l, out + bi * f * l, f, depth, l,
+               false, false, /*accumulate=*/false);
   }
   if (bias == nullptr) return;
   for (int64_t bi = 0; bi < b; ++bi) {

@@ -66,12 +66,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
 Tensor BatchMatMul(const Tensor& a, const Tensor& b, bool trans_a = false,
                    bool trans_b = false);
 
-/// Raw GEMM on pointers: C (m x n) += op(A) * op(B). `accumulate=false`
-/// zeroes C first. Exposed for kernels (conv im2col) that multiply many
-/// small per-sample slices without allocating per-slice tensors.
-void MatMulRaw(const float* a, const float* b, float* c, int64_t m, int64_t k,
-               int64_t n, bool trans_a, bool trans_b, bool accumulate);
-
 /// 2-D transpose.
 Tensor Transpose2D(const Tensor& t);
 

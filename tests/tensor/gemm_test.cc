@@ -220,12 +220,14 @@ TEST(GemmParityTest, EveryAvailableKernel) {
       return &rng;
     }());
   }
-  // Every row count up to the largest microkernel tile (12), so each
-  // kernel runs both sides of its m < MR boundary; depths that span
-  // several 256-deep passes, with and without a ragged last one; whole,
-  // ragged and wide column counts; IEEE specials in every operand.
+  // Every row count up to the largest tile height (12), so each kernel
+  // runs both sides of its m < MR boundary, and row counts past it that
+  // leave a ragged last row tile on the blocked schedule of every kernel;
+  // depths that span several 256-deep passes, with and without a ragged
+  // last one; whole, ragged and wide column counts; IEEE specials in every
+  // operand.
   Rng rng(13);
-  for (int64_t m = 1; m <= 12; ++m) {
+  for (const int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 18, 25}) {
     for (const int64_t depth : {256, 257, 1024, 2048}) {
       for (const int64_t n : {16, 17, 32, 1024}) {
         CheckShape(m, depth, n, &rng, /*specials=*/true, available);
@@ -422,8 +424,8 @@ TEST(GemmEdgeTest, DegenerateDimensions) {
 
 TEST(GemmEdgeTest, ZeroTimesInfIsNanAtEveryBatchSize) {
   // IEEE 0 * inf = NaN must reach C whichever path the shape selects: m = 1
-  // runs below the small-GEMM cutoff (reference loop), m = 64 above it
-  // (blocked kernel). A row of C must not depend on the batch it rides in.
+  // runs unpacked, m = 64 blocked. A row of C must not depend on the batch
+  // it rides in.
   constexpr int64_t kK = 32;
   constexpr int64_t kN = 32;
   for (const bool trans_b : {false, true}) {
@@ -441,6 +443,40 @@ TEST(GemmEdgeTest, ZeroTimesInfIsNanAtEveryBatchSize) {
         EXPECT_EQ(c[static_cast<size_t>(i * kN + 1)], kK - 1.0f)
             << "m=" << m << " tb=" << trans_b << " row " << i;
       }
+    }
+  }
+}
+
+TEST(GemmEdgeTest, NegativeZeroChainSurvivesRaggedTiles) {
+  // On an FMA build a negative product that underflows makes a -0 chain
+  // (fma(-1e-30, 1e-30, +0) is -0), and -0 + -0 leaves -0 in C. m = 13 is
+  // no multiple of any tile height and n = 4099 of no tile width, so the
+  // blocked schedule runs a ragged last row tile and ragged last column
+  // tiles; they must add their chains into C as full tiles do.
+  KernelAndThreadGuard guard;
+  constexpr int64_t kM = 13;
+  for (const Kernel kernel :
+       {Kernel::kScalar, Kernel::kAvx2, Kernel::kAvx512}) {
+    SetKernel(kernel);
+    if (ActiveKernel() != kernel) continue;  // not available here
+    for (const int64_t n : {int64_t{4096}, int64_t{4099}}) {
+      const std::vector<float> a(static_cast<size_t>(kM), -1e-30f);
+      const std::vector<float> b(static_cast<size_t>(n), 1e-30f);
+      std::vector<float> ref(static_cast<size_t>(kM * n), -0.0f);
+      std::vector<float> got = ref;
+      ReferenceGemm(a.data(), b.data(), ref.data(), kM, 1, n, false, false,
+                    /*accumulate=*/true);
+      Gemm(a.data(), b.data(), got.data(), kM, 1, n, false, false,
+           /*accumulate=*/true);
+      int64_t mismatches = 0;
+      for (size_t i = 0; i < got.size(); ++i) {
+#if defined(__FMA__)
+        ASSERT_TRUE(std::signbit(ref[i]) && ref[i] == 0.0f) << i;
+#endif
+        if (!SameBits(got[i], ref[i])) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0)
+          << "kernel=" << KernelName(kernel) << " n=" << n;
     }
   }
 }

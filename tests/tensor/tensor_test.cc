@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace came::tensor {
 namespace {
 
@@ -33,6 +35,27 @@ TEST(TensorTest, CopyAliasesBuffer) {
   b.data()[0] = 9.0f;
   EXPECT_EQ(a.data()[0], 9.0f);
   EXPECT_TRUE(a.SharesBufferWith(b));
+}
+
+TEST(TensorTest, MovedFromTensorIsEmpty) {
+  // A moved-from tensor holds nothing, so code that sizes a reused buffer
+  // by numel() allocates afresh instead of writing through null.
+  Tensor a = Tensor::Full(Shape{3, 4}, 1.0f);
+  const float* buffer = a.data();
+  Tensor b = std::move(a);
+  EXPECT_EQ(b.data(), buffer);
+  EXPECT_EQ(b.numel(), 12);
+  EXPECT_EQ(a.numel(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(a.shape().empty());
+  EXPECT_EQ(a.data(), nullptr);
+
+  Tensor c = Tensor::Full(Shape{2}, 2.0f);
+  c = std::move(b);
+  EXPECT_EQ(c.data(), buffer);
+  EXPECT_EQ(c.shape(), (Shape{3, 4}));
+  EXPECT_EQ(b.numel(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(b.shape().empty());
+  EXPECT_EQ(b.data(), nullptr);
 }
 
 TEST(TensorTest, CloneIsDeep) {
