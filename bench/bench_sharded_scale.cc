@@ -9,7 +9,11 @@
 // second (default 1.2M entities), so the JSON carries triples/sec vs
 // entity count. After the timed filtered evaluation, each point ranks the
 // same held-out queries again through ScoreServer::RankBatch at batch 1, 8
-// and 64 and records how much of the sweep pruning skipped. Exit status
+// and 64 and records how much of the sweep pruning skipped. Each point
+// also records the training epoch's slab evictions per store (the entity
+// table and its two Adam moment tables, summed) and the process's user and
+// system CPU seconds over the epoch, which show how much of training the
+// kernel's map/unmap/refault work takes. Exit status
 // is non-zero if peak RSS exceeded the budget, which is what lets CI
 // enforce the memory envelope rather than trust the README.
 //
@@ -54,6 +58,16 @@ struct Args {
   std::string json_out = "BENCH_sharded_scale.json";
 };
 
+// User and system CPU seconds the process has used so far.
+std::pair<double, double> CpuSeconds() {
+  struct rusage usage = {};
+  CAME_CHECK_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return {seconds(usage.ru_utime), seconds(usage.ru_stime)};
+}
+
 int64_t PeakRssMb() {
   struct rusage usage = {};
   CAME_CHECK_EQ(getrusage(RUSAGE_SELF, &usage), 0);
@@ -93,6 +107,12 @@ struct PointResult {
   double datagen_seconds = 0;
   double train_seconds = 0;
   double triples_per_sec = 0;
+  double train_user_seconds = 0;
+  double train_sys_seconds = 0;
+  // Slab evictions of the training epoch: the entity table, and its Adam
+  // m and v tables summed.
+  int64_t train_ent_evictions = 0;
+  int64_t train_moment_evictions = 0;
   double eval_seconds = 0;
   double mrr = 0;
   double hits10 = 0;
@@ -199,10 +219,20 @@ PointResult RunPoint(const Args& args, int64_t entities, int64_t triples,
                                                  kg::kTrainFile),
                                       summary.num_entities,
                                       summary.num_relations);
+  const int64_t ent_evictions0 = trainer.entity_store().GetStats().evictions;
+  const int64_t moment_evictions0 = trainer.moment_stats().evictions;
+  const std::pair<double, double> cpu0 = CpuSeconds();
   Stopwatch train_watch;
   Result<double> loss = trainer.TrainEpoch(&train_source);
   CAME_CHECK(loss.ok()) << loss.status().ToString();
   point.train_seconds = train_watch.ElapsedSeconds();
+  const std::pair<double, double> cpu1 = CpuSeconds();
+  point.train_user_seconds = cpu1.first - cpu0.first;
+  point.train_sys_seconds = cpu1.second - cpu0.second;
+  point.train_ent_evictions =
+      trainer.entity_store().GetStats().evictions - ent_evictions0;
+  point.train_moment_evictions =
+      trainer.moment_stats().evictions - moment_evictions0;
   point.triples_per_sec =
       static_cast<double>(summary.train_triples) / point.train_seconds;
   // Sealing computes the entity store's panel bounds; without them every
@@ -248,7 +278,8 @@ PointResult RunPoint(const Args& args, int64_t entities, int64_t triples,
   point.eval_seconds = eval_watch.ElapsedSeconds();
   point.mrr = metrics.value().Mrr();
   point.hits10 = metrics.value().Hits10();
-  // Store stats cover the training epoch and the timed evaluation only.
+  // Entity store stats since Create: the initial fill, the training epoch
+  // and the timed evaluation.
   const tensor::ShardStore::Stats stats = trainer.entity_store().GetStats();
 
   // 4. Held-out-tail pruning: the same queries through RankBatch.
@@ -273,10 +304,14 @@ PointResult RunPoint(const Args& args, int64_t entities, int64_t triples,
 
   std::printf(
       "[%s] entities=%lld train_triples=%lld datagen=%.1fs "
-      "train=%.1fs (%.0f triples/s) eval=%.1fs mrr=%.4f evictions=%lld\n",
+      "train=%.1fs (%.0f triples/s, user %.1fs sys %.1fs, evictions "
+      "ent=%lld ent_m+ent_v=%lld) eval=%.1fs mrr=%.4f evictions=%lld\n",
       tag.c_str(), static_cast<long long>(point.entities),
       static_cast<long long>(point.train_triples), point.datagen_seconds,
-      point.train_seconds, point.triples_per_sec, point.eval_seconds,
+      point.train_seconds, point.triples_per_sec, point.train_user_seconds,
+      point.train_sys_seconds,
+      static_cast<long long>(point.train_ent_evictions),
+      static_cast<long long>(point.train_moment_evictions), point.eval_seconds,
       point.mrr, static_cast<long long>(point.evictions));
 
   std::filesystem::remove_all(dir);
@@ -295,6 +330,14 @@ void WritePoint(JsonWriter* w, const PointResult& p) {
   w->Double(p.train_seconds);
   w->Key("triples_per_sec");
   w->Double(p.triples_per_sec);
+  w->Key("train_user_seconds");
+  w->Double(p.train_user_seconds);
+  w->Key("train_sys_seconds");
+  w->Double(p.train_sys_seconds);
+  w->Key("train_ent_evictions");
+  w->Int(p.train_ent_evictions);
+  w->Key("train_moment_evictions");
+  w->Int(p.train_moment_evictions);
   w->Key("eval_seconds");
   w->Double(p.eval_seconds);
   w->Key("mrr");

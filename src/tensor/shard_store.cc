@@ -561,6 +561,14 @@ bool ShardStore::ShardResident(int64_t shard) const {
   return shards_[static_cast<size_t>(shard)].base != nullptr;
 }
 
+void ShardStore::Unmap() {
+  if (in_ram()) return;
+  came::MutexLock lock(&mu_);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (shards_[i].pins == 0) UnmapShard(static_cast<int64_t>(i));
+  }
+}
+
 const float* ShardStore::Row(int64_t r) { return PanelRows(r, r + 1); }
 
 float* ShardStore::MutableRow(int64_t r) {

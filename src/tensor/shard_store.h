@@ -172,8 +172,16 @@ class ShardStore {
   int64_t PinPanel(int64_t begin, int64_t end) CAME_EXCLUDES(mu_);
   void UnpinPanel(int64_t shard) CAME_EXCLUDES(mu_);
 
-  /// Whether `shard`'s slab is currently mapped (tests/observability).
+  /// Whether `shard`'s slab is currently mapped (tests/observability and
+  /// the trainer's resident-first sweep order).
   bool ShardResident(int64_t shard) const CAME_EXCLUDES(mu_);
+
+  /// Unmaps every unpinned slab of a file-backed store, so a table that
+  /// sits idle stops counting in RSS; written rows stay in the page cache
+  /// (as after an eviction) and the next access maps the slab again. Not
+  /// an eviction: only resident_shards/resident_bytes move. No-op for
+  /// in-RAM stores, whose anonymous mappings hold the only copy.
+  void Unmap() CAME_EXCLUDES(mu_);
 
   /// Per-block score-bound metadata over the store's rows (no bias —
   /// shard-backed serving is inner-product only). Empty — meaning "never

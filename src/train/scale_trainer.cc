@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <utility>
 
 #include "common/io.h"
@@ -33,6 +34,57 @@ double Sigmoid(double s) {
 size_t RowSlot(const std::vector<int64_t>& rows, int64_t row) {
   const auto it = std::lower_bound(rows.begin(), rows.end(), row);
   return static_cast<size_t>(it - rows.begin());
+}
+
+/// Sparse Adam on one row: the three stores have independent residency,
+/// so holding one pointer from each at a time is safe.
+void AdamRow(const ScaleTrainConfig& config, double bc1, double bc2,
+             tensor::ShardStore* w_store, tensor::ShardStore* m_store,
+             tensor::ShardStore* v_store, int64_t row, const double* grad) {
+  float* w = w_store->MutableRow(row);
+  float* m = m_store->MutableRow(row);
+  float* v = v_store->MutableRow(row);
+  for (int64_t k = 0; k < config.dim; ++k) {
+    const auto uk = static_cast<size_t>(k);
+    const double g = grad[uk];
+    const double mk =
+        config.beta1 * static_cast<double>(m[uk]) + (1.0 - config.beta1) * g;
+    const double vk = config.beta2 * static_cast<double>(v[uk]) +
+                      (1.0 - config.beta2) * g * g;
+    m[uk] = static_cast<float>(mk);
+    v[uk] = static_cast<float>(vk);
+    const double update =
+        config.lr * (mk / bc1) / (std::sqrt(vk / bc2) + config.eps);
+    w[uk] = static_cast<float>(static_cast<double>(w[uk]) - update);
+  }
+}
+
+/// One slab's share of an entity sweep: [adam_begin, adam_end) of the
+/// pending step's rows and [copy_begin, copy_end) of the gathered rows.
+struct SlabWork {
+  int64_t slab;
+  size_t adam_begin;
+  size_t adam_end;
+  size_t copy_begin;
+  size_t copy_end;
+  int64_t mapped = 0;  // how many of the swept stores map the slab
+};
+
+/// Orders `work` (ascending slabs) so the slabs mapped in the most of
+/// `stores` come first, ties by slab index: under an LRU budget the
+/// resident slabs are all hits and only the missing ones fault, where an
+/// ascending walk over one slab more than the budget misses every slab.
+void ResidentFirst(std::vector<SlabWork>* work,
+                   std::initializer_list<const tensor::ShardStore*> stores) {
+  for (SlabWork& w : *work) {
+    for (const tensor::ShardStore* store : stores) {
+      w.mapped += store->ShardResident(w.slab) ? 1 : 0;
+    }
+  }
+  std::stable_sort(work->begin(), work->end(),
+                   [](const SlabWork& x, const SlabWork& y) {
+                     return x.mapped > y.mapped;
+                   });
 }
 
 }  // namespace
@@ -131,6 +183,17 @@ Result<ScaleTrainer> ScaleTrainer::Create(int64_t num_entities,
 }
 
 Result<double> ScaleTrainer::TrainEpoch(TripleSource* source) {
+  Result<double> loss = TrainBatches(source);
+  // Every return path lands here, so the stores always leave holding each
+  // trained batch's full step. The moments sit idle until the next epoch:
+  // unmapping them keeps their pages out of RSS in between.
+  SweepEntities({}, nullptr);
+  ent_m_.Unmap();
+  ent_v_.Unmap();
+  return loss;
+}
+
+Result<double> ScaleTrainer::TrainBatches(TripleSource* source) {
   CAME_RETURN_IF_ERROR(source->Reset());
   double total_loss = 0.0;
   int64_t total_samples = 0;
@@ -175,13 +238,48 @@ Result<double> ScaleTrainer::TrainEpoch(TripleSource* source) {
   return total_loss / static_cast<double>(total_samples);
 }
 
+void ScaleTrainer::SweepEntities(const std::vector<int64_t>& rows,
+                                 float* scratch) {
+  const auto d = static_cast<size_t>(config_.dim);
+  const int64_t rows_per_shard = entities_.rows_per_shard();
+  // Both row lists ascend, so each slab's share of either is one range.
+  std::vector<SlabWork> work;
+  size_t a = 0;
+  size_t c = 0;
+  while (a < pending_rows_.size() || c < rows.size()) {
+    int64_t slab = INT64_MAX;
+    if (a < pending_rows_.size()) slab = pending_rows_[a] / rows_per_shard;
+    if (c < rows.size()) slab = std::min(slab, rows[c] / rows_per_shard);
+    const int64_t slab_end = (slab + 1) * rows_per_shard;
+    SlabWork w{slab, a, a, c, c};
+    while (a < pending_rows_.size() && pending_rows_[a] < slab_end) ++a;
+    while (c < rows.size() && rows[c] < slab_end) ++c;
+    w.adam_end = a;
+    w.copy_end = c;
+    work.push_back(w);
+  }
+  ResidentFirst(&work, {&entities_, &ent_m_, &ent_v_});
+
+  for (const SlabWork& w : work) {
+    // The Adam rows first, so the copies below read the stepped values.
+    for (size_t i = w.adam_begin; i < w.adam_end; ++i) {
+      AdamRow(config_, pending_bc1_, pending_bc2_, &entities_, &ent_m_,
+              &ent_v_, pending_rows_[i], &pending_grad_[i * d]);
+    }
+    for (size_t i = w.copy_begin; i < w.copy_end; ++i) {
+      std::memcpy(&scratch[i * d], entities_.Row(rows[i]), sizeof(float) * d);
+    }
+  }
+  pending_rows_.clear();
+  pending_grad_.clear();
+}
+
 double ScaleTrainer::TrainBatch(const std::vector<Sample>& samples) {
   const int64_t d = config_.dim;
   const size_t n = samples.size();
 
-  // Sorted-unique touched rows: the gather, scatter, and Adam phases all
-  // walk these in ascending order, so shard faults happen in a coherent
-  // sweep and the arithmetic order is layout-independent.
+  // Sorted-unique touched rows: gradients and Adam steps index these, so
+  // the arithmetic order is layout-independent.
   std::vector<int64_t> e_rows;
   std::vector<int64_t> r_rows;
   e_rows.reserve(n * 2);
@@ -197,13 +295,11 @@ double ScaleTrainer::TrainBatch(const std::vector<Sample>& samples) {
   r_rows.erase(std::unique(r_rows.begin(), r_rows.end()), r_rows.end());
 
   // Gather into scratch copies: ShardStore pointers can be invalidated by
-  // eviction, so compute never touches the mapping directly.
+  // eviction, so compute never touches the mapping directly. The entity
+  // gather shares its sweep with the previous batch's entity step.
   std::vector<float> e_scratch(e_rows.size() * static_cast<size_t>(d));
   std::vector<float> r_scratch(r_rows.size() * static_cast<size_t>(d));
-  for (size_t i = 0; i < e_rows.size(); ++i) {
-    std::memcpy(&e_scratch[i * static_cast<size_t>(d)], entities_.Row(e_rows[i]),
-                sizeof(float) * static_cast<size_t>(d));
-  }
+  SweepEntities(e_rows, e_scratch.data());
   for (size_t i = 0; i < r_rows.size(); ++i) {
     std::memcpy(&r_scratch[i * static_cast<size_t>(d)],
                 relations_.Row(r_rows[i]),
@@ -259,41 +355,19 @@ double ScaleTrainer::TrainBatch(const std::vector<Sample>& samples) {
     }
   }
 
-  // Sparse Adam over the touched rows, ascending — one coherent pass per
-  // table. The three stores have independent residency, so holding one
-  // pointer from each at a time is safe.
+  // Sparse Adam over the touched rows. The relations sit in one slab and
+  // step now; the entity step waits for the next sweep (SweepEntities).
   ++step_;
   const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(step_));
   const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(step_));
-  const auto adam_row = [&](tensor::ShardStore* w_store,
-                            tensor::ShardStore* m_store,
-                            tensor::ShardStore* v_store, int64_t row,
-                            const double* grad) {
-    float* w = w_store->MutableRow(row);
-    float* m = m_store->MutableRow(row);
-    float* v = v_store->MutableRow(row);
-    for (int64_t k = 0; k < d; ++k) {
-      const auto uk = static_cast<size_t>(k);
-      const double g = grad[uk];
-      const double mk =
-          config_.beta1 * static_cast<double>(m[uk]) + (1.0 - config_.beta1) * g;
-      const double vk = config_.beta2 * static_cast<double>(v[uk]) +
-                        (1.0 - config_.beta2) * g * g;
-      m[uk] = static_cast<float>(mk);
-      v[uk] = static_cast<float>(vk);
-      const double update =
-          config_.lr * (mk / bc1) / (std::sqrt(vk / bc2) + config_.eps);
-      w[uk] = static_cast<float>(static_cast<double>(w[uk]) - update);
-    }
-  };
-  for (size_t i = 0; i < e_rows.size(); ++i) {
-    adam_row(&entities_, &ent_m_, &ent_v_, e_rows[i],
-             &e_grad[i * static_cast<size_t>(d)]);
-  }
   for (size_t i = 0; i < r_rows.size(); ++i) {
-    adam_row(&relations_, &rel_m_, &rel_v_, r_rows[i],
-             &r_grad[i * static_cast<size_t>(d)]);
+    AdamRow(config_, bc1, bc2, &relations_, &rel_m_, &rel_v_, r_rows[i],
+            &r_grad[i * static_cast<size_t>(d)]);
   }
+  pending_rows_ = std::move(e_rows);
+  pending_grad_ = std::move(e_grad);
+  pending_bc1_ = bc1;
+  pending_bc2_ = bc2;
   return batch_loss;
 }
 
@@ -354,6 +428,20 @@ Result<eval::Metrics> ScaleTrainer::EvaluateFiltered(
     for (const double rank : ranks.value()) metrics.AddRank(rank);
   }
   return metrics;
+}
+
+tensor::ShardStore::Stats ScaleTrainer::moment_stats() const {
+  const tensor::ShardStore::Stats m = ent_m_.GetStats();
+  const tensor::ShardStore::Stats v = ent_v_.GetStats();
+  return tensor::ShardStore::Stats{
+      .map_hits = m.map_hits + v.map_hits,
+      .map_misses = m.map_misses + v.map_misses,
+      .evictions = m.evictions + v.evictions,
+      .pin_blocked_evictions =
+          m.pin_blocked_evictions + v.pin_blocked_evictions,
+      .resident_shards = m.resident_shards + v.resident_shards,
+      .resident_bytes = m.resident_bytes + v.resident_bytes,
+  };
 }
 
 uint32_t ScaleTrainer::ParamsCrc() {

@@ -102,9 +102,18 @@ struct ScaleTrainConfig {
 /// suite pins this): negatives are drawn sequentially from the trainer
 /// Rng; per-sample forward/backward runs under ParallelFor writing
 /// per-sample slots only; gradients scatter into per-row contribution
-/// lists accumulated in sample order; sparse Adam applies sequentially
-/// over the sorted unique touched rows. No step depends on the thread
-/// count or the shard geometry.
+/// lists accumulated in sample order; sparse Adam updates each sorted
+/// unique touched row once per step. No step depends on the thread count,
+/// the shard geometry or which slabs happen to be mapped.
+///
+/// Residency: each batch makes one sweep over the entity slabs, resident
+/// slabs first, so under a residency budget only the slab that is not
+/// mapped faults. The sweep applies the previous batch's entity Adam step
+/// and then gathers this batch's rows, slab by slab, so a gather reads the
+/// updated rows. TrainEpoch applies the last pending step on every return
+/// path and unmaps the idle Adam moments. Neither a gather copy nor a
+/// row's Adam update reads any row but its own, so the visiting order
+/// changes no bits. Relations live in one slab and step immediately.
 class ScaleTrainer {
  public:
   /// Empty shell (Result<T> plumbing); only Create() yields a usable one.
@@ -142,6 +151,8 @@ class ScaleTrainer {
 
   tensor::ShardStore& entity_store() { return entities_; }
   tensor::ShardStore& relation_store() { return relations_; }
+  /// The entity Adam moment stores' (m and v) Stats, summed field by field.
+  tensor::ShardStore::Stats moment_stats() const;
 
  private:
   struct Sample {
@@ -151,8 +162,16 @@ class ScaleTrainer {
     float label;
   };
 
-  /// Runs forward+backward+Adam on one batch; returns summed loss.
+  /// TrainEpoch's batch loop; TrainEpoch flushes the deferred entity
+  /// step after it, whichever way it returns.
+  Result<double> TrainBatches(TripleSource* source);
+  /// Runs forward+backward on one batch and steps the relations; the
+  /// entity step waits for the next sweep. Returns the summed loss.
   double TrainBatch(const std::vector<Sample>& samples);
+  /// One pass over the entity slabs, resident ones first. In each slab it
+  /// applies the pending entity Adam step, then copies the slab's share
+  /// of `rows` (sorted unique) into `scratch` (`rows.size()` x dim).
+  void SweepEntities(const std::vector<int64_t>& rows, float* scratch);
 
   int64_t num_entities_ = 0;
   int64_t num_relations_ = 0;
@@ -166,6 +185,13 @@ class ScaleTrainer {
   tensor::ShardStore ent_v_;
   tensor::ShardStore rel_m_;
   tensor::ShardStore rel_v_;
+
+  // The last batch's entity Adam step, not yet applied: its sorted unique
+  // rows, their gradients (rows x dim) and its bias corrections.
+  std::vector<int64_t> pending_rows_;
+  std::vector<double> pending_grad_;
+  double pending_bc1_ = 1.0;
+  double pending_bc2_ = 1.0;
 };
 
 }  // namespace came::train

@@ -331,6 +331,61 @@ TEST(ShardStoreTest, NestedPinsMustAllReleaseBeforeEviction) {
   EXPECT_TRUE(s.ShardResident(2));
 }
 
+TEST(ShardStoreTest, UnmapDropsUnpinnedSlabsAndKeepsTheirRows) {
+  const std::string dir = TestDir("unmap");
+  ShardStoreOptions opts;
+  opts.rows_per_shard = 4;
+  opts.max_resident_shards = 3;
+  Result<ShardStore> created = ShardStore::Create(dir, 12, 3, opts);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ShardStore& s = created.value();
+  FillStore(&s);
+  // Bit patterns a value-level compare would blur: -0, a denormal and a
+  // NaN with a payload.
+  const uint32_t bits[3] = {0x80000000u, 0x00000001u, 0x7fc01234u};
+  std::memcpy(s.MutableRow(5), bits, sizeof(bits));
+  const int64_t lease = s.PinPanel(8, 12);
+  for (int64_t i = 0; i < s.num_shards(); ++i) {
+    ASSERT_TRUE(s.ShardResident(i)) << "shard " << i;
+  }
+  const ShardStore::Stats before = s.GetStats();
+  ASSERT_EQ(before.resident_shards, 3);
+
+  s.Unmap();
+  EXPECT_FALSE(s.ShardResident(0));
+  EXPECT_FALSE(s.ShardResident(1));
+  EXPECT_TRUE(s.ShardResident(2)) << "a pinned slab must stay mapped";
+  ShardStore::Stats after = s.GetStats();
+  EXPECT_EQ(after.resident_shards, 1);
+  EXPECT_EQ(after.resident_bytes, before.resident_bytes / 3);
+  EXPECT_EQ(after.evictions, before.evictions) << "Unmap is not an eviction";
+  s.UnpinPanel(lease);
+
+  // The written rows come back bit for bit through a fresh mapping.
+  EXPECT_EQ(std::memcmp(s.Row(5), bits, sizeof(bits)), 0);
+  for (int64_t r = 0; r < s.rows(); ++r) {
+    if (r == 5) continue;
+    const float* row = s.Row(r);
+    for (int64_t c = 0; c < s.dim(); ++c) {
+      ASSERT_EQ(row[c], RowValue(r, c)) << "row " << r << " col " << c;
+    }
+  }
+  EXPECT_GT(s.GetStats().map_misses, after.map_misses);
+}
+
+TEST(ShardStoreTest, UnmapIsANoOpInRam) {
+  Result<ShardStore> s = ShardStore::InRam(10, 4);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  FillStore(&s.value());
+  const ShardStore::Stats before = s.value().GetStats();
+  s.value().Unmap();
+  const ShardStore::Stats after = s.value().GetStats();
+  EXPECT_TRUE(s.value().ShardResident(0));
+  EXPECT_EQ(after.resident_shards, before.resident_shards);
+  EXPECT_EQ(after.resident_bytes, before.resident_bytes);
+  ExpectStoreContents(&s.value());
+}
+
 TEST(ShardStoreTest, QuantizedAccessorsShareTheLruClock) {
   // Interleaved QuantPanelRows / PanelScales touches must refresh the
   // same residency clock as fp32 PanelRows, so eviction order reflects

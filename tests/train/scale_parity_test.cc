@@ -56,8 +56,8 @@ constexpr int64_t kRelations = 4;
 constexpr int64_t kTrainTriples = 400;
 constexpr int64_t kEvalTriples = 60;
 
-RunResult RunTrainer(const std::string& store_dir, int64_t rows_per_shard,
-                     int64_t max_resident) {
+ScaleTrainConfig SmallConfig(const std::string& store_dir,
+                             int64_t rows_per_shard, int64_t max_resident) {
   ScaleTrainConfig config;
   config.dim = 16;
   config.batch_size = 64;
@@ -68,7 +68,13 @@ RunResult RunTrainer(const std::string& store_dir, int64_t rows_per_shard,
   config.store_dir = store_dir;
   config.rows_per_shard = rows_per_shard;
   config.max_resident_shards = max_resident;
+  return config;
+}
 
+RunResult RunTrainer(const std::string& store_dir, int64_t rows_per_shard,
+                     int64_t max_resident) {
+  const ScaleTrainConfig config =
+      SmallConfig(store_dir, rows_per_shard, max_resident);
   Result<ScaleTrainer> made = ScaleTrainer::Create(kEntities, kRelations, config);
   EXPECT_TRUE(made.ok()) << made.status().ToString();
   ScaleTrainer trainer = std::move(made).value();
@@ -184,6 +190,88 @@ TEST_F(ScaleParityTest, TsvSourceMatchesVectorSource) {
   ASSERT_TRUE(loss_vec.ok() && loss_file.ok());
   EXPECT_EQ(loss_vec.value(), loss_file.value());
   EXPECT_EQ(a.value().ParamsCrc(), b.value().ParamsCrc());
+}
+
+TEST_F(ScaleParityTest, OneSlabMissPerStorePerBatch) {
+  // One slab more than the budget: an ascending walk would miss every slab
+  // of every sweep (about 10 entity evictions per batch). The resident-first
+  // single sweep misses only the slab that is not mapped.
+  const ScaleTrainConfig config = SmallConfig(dir_ + "/order", 24, 4);
+  Result<ScaleTrainer> made = ScaleTrainer::Create(kEntities, kRelations, config);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  ScaleTrainer& trainer = made.value();
+  ASSERT_EQ(trainer.entity_store().num_shards(), 5);
+  VectorTripleSource source(MakeTriples(kEntities, kRelations, kTrainTriples, 17));
+  ASSERT_TRUE(trainer.TrainEpoch(&source).ok());  // warm-up
+
+  const int64_t ent_before = trainer.entity_store().GetStats().evictions;
+  const int64_t moment_before = trainer.moment_stats().evictions;
+  const int64_t step_before = trainer.step();
+  ASSERT_TRUE(trainer.TrainEpoch(&source).ok());
+  const int64_t batches = trainer.step() - step_before;
+  ASSERT_EQ(batches, (kTrainTriples + 63) / 64);
+  EXPECT_LE(trainer.entity_store().GetStats().evictions - ent_before,
+            batches + 2);
+  EXPECT_LE(trainer.moment_stats().evictions - moment_before,
+            2 * batches + 4);
+  // The moments are unmapped between epochs.
+  EXPECT_EQ(trainer.moment_stats().resident_shards, 0);
+}
+
+// Yields the first `fail_after` triples of `triples`, then an IOError.
+class FailingTripleSource : public TripleSource {
+ public:
+  FailingTripleSource(std::vector<kg::Triple> triples, size_t fail_after)
+      : inner_(std::move(triples)), fail_after_(fail_after) {}
+  Status Reset() override {
+    served_ = 0;
+    return inner_.Reset();
+  }
+  Result<bool> Next(kg::Triple* t) override {
+    if (served_ == fail_after_) return Status::IOError("read failed");
+    ++served_;
+    return inner_.Next(t);
+  }
+
+ private:
+  VectorTripleSource inner_;
+  size_t fail_after_;
+  size_t served_ = 0;
+};
+
+// A failed epoch must still apply the deferred entity step of the last
+// complete batch: the trainer ends where one fed only the complete
+// batches does.
+void ExpectFailedEpochFlushes(const std::string& dir, TripleSource* failing,
+                              const std::vector<kg::Triple>& complete) {
+  const ScaleTrainConfig config_a = SmallConfig(dir + "/a", 24, 4);
+  const ScaleTrainConfig config_b = SmallConfig(dir + "/b", 24, 4);
+  Result<ScaleTrainer> a = ScaleTrainer::Create(kEntities, kRelations, config_a);
+  Result<ScaleTrainer> b = ScaleTrainer::Create(kEntities, kRelations, config_b);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_FALSE(a.value().TrainEpoch(failing).ok());
+  VectorTripleSource clean(complete);
+  ASSERT_TRUE(b.value().TrainEpoch(&clean).ok());
+  EXPECT_EQ(a.value().step(), 2);
+  EXPECT_EQ(a.value().step(), b.value().step());
+  EXPECT_EQ(a.value().ParamsCrc(), b.value().ParamsCrc());
+}
+
+TEST_F(ScaleParityTest, FailedReadFlushesTheDeferredStep) {
+  const std::vector<kg::Triple> train =
+      MakeTriples(kEntities, kRelations, kTrainTriples, 17);
+  const std::vector<kg::Triple> complete(train.begin(), train.begin() + 128);
+  FailingTripleSource failing(train, 128 + 5);  // partway through batch 3
+  ExpectFailedEpochFlushes(dir_, &failing, complete);
+}
+
+TEST_F(ScaleParityTest, OutOfRangeTripleFlushesTheDeferredStep) {
+  std::vector<kg::Triple> train =
+      MakeTriples(kEntities, kRelations, kTrainTriples, 17);
+  const std::vector<kg::Triple> complete(train.begin(), train.begin() + 128);
+  train[128 + 5].tail = kEntities;  // in batch 3
+  VectorTripleSource bad(train);
+  ExpectFailedEpochFlushes(dir_, &bad, complete);
 }
 
 TEST_F(ScaleParityTest, CreateRejectsBadConfig) {
