@@ -25,10 +25,9 @@ namespace {
 
 thread_local internal::PlanRecorder* g_recorder = nullptr;
 
-/// Arena slots start on 64-byte boundaries, as pool buffers do.
+/// Arena slots start on 64-byte boundaries, as pool buffers do (per row;
+/// a run scales every offset by its rows, which keeps them aligned).
 constexpr int64_t kAlignFloats = 16;
-/// Concat parts a replay step can take (a fixed array on the stack).
-constexpr size_t kMaxConcatParts = 16;
 
 int64_t AlignUp(int64_t floats) {
   return (floats + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
@@ -88,32 +87,74 @@ class ArenaAllocator {
   int64_t top_ = 0;
 };
 
+/// Writes the two-level form (rows, cols, ai, aj, bi, bj) of the NumPy
+/// broadcast of shapes a and b into dims[0..5], in BinaryRowsInto's terms:
+/// output dims of extent 1 dropped, neighbours merged while each operand
+/// keeps advancing (or not) along them. False when more levels remain.
+bool CompileBroadcast(const Shape& a, const Shape& b, int64_t* dims) {
+  const size_t nd = std::max(a.size(), b.size());
+  auto extent = [nd](const Shape& s, size_t k) {
+    return k < nd - s.size() ? int64_t{1} : s[k - (nd - s.size())];
+  };
+  int64_t ext[2] = {1, 1};
+  bool full_a[2] = {true, true};
+  bool full_b[2] = {true, true};
+  int levels = 0;
+  for (size_t k = 0; k < nd; ++k) {
+    const int64_t ea = extent(a, k);
+    const int64_t eb = extent(b, k);
+    const int64_t eo = std::max(ea, eb);
+    if (eo == 1) continue;
+    const bool fa = ea == eo;
+    const bool fb = eb == eo;
+    if (levels > 0 && full_a[levels - 1] == fa && full_b[levels - 1] == fb) {
+      ext[levels - 1] *= eo;
+      continue;
+    }
+    if (levels == 2) return false;
+    ext[levels] = eo;
+    full_a[levels] = fa;
+    full_b[levels] = fb;
+    ++levels;
+  }
+  if (levels < 2) {
+    // One level: cols along the row, ai and bi unused.
+    dims[0] = 1;
+    dims[1] = ext[0];
+    dims[2] = 0;
+    dims[3] = full_a[0] ? 1 : 0;
+    dims[4] = 0;
+    dims[5] = full_b[0] ? 1 : 0;
+    return true;
+  }
+  dims[0] = ext[0];
+  dims[1] = ext[1];
+  dims[2] = full_a[0] ? (full_a[1] ? ext[1] : 1) : 0;
+  dims[3] = full_a[1] ? 1 : 0;
+  dims[4] = full_b[0] ? (full_b[1] ? ext[1] : 1) : 0;
+  dims[5] = full_b[1] ? 1 : 0;
+  return true;
+}
+
 }  // namespace
 
 struct QueryPlan::Step {
   PlanKernel kernel = PlanKernel::kNone;
-  int op_id = -1;
+  int op_id = -1;  ///< -1: a load of table rows, not a recorded op
   int sub_op = 0;
   float scalar = 0.0f;
   PlanIds ids = PlanIds::kNone;  ///< kGather: the ids it gathers by
-  /// Kernel extents, fixed at capture (see Run for each kernel's use).
+  /// Kernel extents of one row, fixed at capture (see Run for each
+  /// kernel's use).
   int64_t dims[8] = {};
   uint32_t in_begin = 0;
   uint32_t in_count = 0;
-  bool out_to_dst = false;  ///< write dst + out_offset, not the arena
-  int64_t out_offset = 0;
+  int64_t out_offset = 0;  ///< arena slot, per row
   int64_t scratch_offset = 0;
-  Shape a_shape;                 ///< kBinary operands
-  Shape b_shape;
-  std::vector<int64_t> extents;  ///< kConcat part extents
 };
 
 QueryPlan::QueryPlan() = default;
 QueryPlan::~QueryPlan() = default;
-
-int64_t QueryPlan::num_steps() const {
-  return static_cast<int64_t>(replay_.steps.size());
-}
 
 const Tensor& QueryPlan::table(PlanIds ids) const {
   CAME_CHECK(ids == PlanIds::kHeads || ids == PlanIds::kRels);
@@ -160,8 +201,9 @@ class PlanRecorder {
   struct Pending {
     QueryPlan::Step step;
     std::vector<Ref> inputs;
+    std::vector<int64_t> extents;  ///< kConcat part extents
     int64_t out_floats = 0;
-    int64_t scratch_floats = 0;
+    int64_t scratch_floats = 0;  ///< per row
   };
 
   void Refuse(const std::string& why) {
@@ -301,8 +343,9 @@ void PlanRecorder::Describe(const PlanAttrs& attrs,
       break;
     }
     case PlanKernel::kBinary:
-      s.a_shape = x.shape();
-      s.b_shape = inputs[1].value().shape();
+      if (!CompileBroadcast(x.shape(), inputs[1].value().shape(), dims)) {
+        Refuse("a broadcast of more than two levels");
+      }
       break;
     case PlanKernel::kUnary:
     case PlanKernel::kReshape:
@@ -310,16 +353,11 @@ void PlanRecorder::Describe(const PlanAttrs& attrs,
       dims[0] = x.numel();
       break;
     case PlanKernel::kConcat: {
-      if (inputs.size() > kMaxConcatParts) {
-        Refuse("a Concat of more than " + std::to_string(kMaxConcatParts) +
-               " parts");
-        break;
-      }
       int64_t axis = 0;
       ts::AxisDecompose(out.shape(), attrs.i0, &dims[0], &axis, &dims[1]);
       const int64_t nd = out.ndim();
       const int64_t dim = attrs.i0 < 0 ? attrs.i0 + nd : attrs.i0;
-      for (const Var& v : inputs) s.extents.push_back(v.value().dim(dim));
+      for (const Var& v : inputs) p->extents.push_back(v.value().dim(dim));
       break;
     }
     case PlanKernel::kSlice:
@@ -350,8 +388,9 @@ void PlanRecorder::Describe(const PlanAttrs& attrs,
     case PlanKernel::kCoAttention:
       dims[0] = x.dim(0);
       dims[1] = x.dim(1);
+      // rows * BlockScratchFloats(1, d) covers any block of rows.
       p->scratch_floats =
-          coattention::ForwardRowsScratchFloats(dims[0], dims[1]);
+          dims[0] * coattention::BlockScratchFloats(1, dims[1]);
       break;
   }
 }
@@ -399,16 +438,25 @@ std::unique_ptr<QueryPlan> PlanRecorder::Finish(const Tensor& result) {
     }
     label[i] = static_cast<PlanIds>(ids);
   }
+  for (size_t i = 0; i < count; ++i) {
+    if (!needed[i] || pending_[i].step.kernel != PlanKernel::kGather) continue;
+    const Ref& table = pending_[i].inputs[0];
+    if (table.slot >= 0 && label[slot(table)] != PlanIds::kNone) {
+      plan->refusal_ = "a Gather from a table that depends on the ids";
+      CAME_LOG(Debug) << "query plan refused: " << plan->refusal_;
+      return plan;
+    }
+  }
 
   // What each step becomes: a constant (reads no id; its captured output
-  // is held), a view (a Gather of a fixed table, read in place at
-  // id * width), a hoisted step of the entity or the relation program
-  // (reads one kind of id), or a replayed step (reads both, or is the
-  // result). A hoisted output a replayed step reads is stored in its
-  // program's table.
+  // is held), a view (a Gather of a fixed table, loaded by id where it is
+  // read), a hoisted step of the entity or the relation program (reads one
+  // kind of id), or a replayed step (reads both, or is the result). A
+  // hoisted output a replayed step reads is stored in its program's table.
   enum class Role : uint8_t { kConst, kView, kEntity, kRelation, kReplayed };
   std::vector<Role> role(count, Role::kReplayed);
-  std::vector<QueryPlan::Address> fixed(count);  // kConst and kView
+  // kConst: its output; kView: its table, read at id * stride.
+  std::vector<QueryPlan::Address> fixed(count);
   std::vector<bool> stored(count, false);
   for (size_t i = 0; i < count; ++i) {
     if (!needed[i]) continue;
@@ -424,14 +472,11 @@ std::unique_ptr<QueryPlan> PlanRecorder::Finish(const Tensor& result) {
       role[i] = Role::kConst;
       held_.push_back(outputs_[i]);
       fixed[i].base = outputs_[i].data();
-    } else if (p.step.kernel == PlanKernel::kGather &&
-               (p.inputs[0].slot < 0 ||
-                role[slot(p.inputs[0])] == Role::kConst)) {
+    } else if (p.step.kernel == PlanKernel::kGather) {
       role[i] = Role::kView;
       const Ref& table = p.inputs[0];
       fixed[i].base = table.slot < 0 ? table.fixed : fixed[slot(table)].base;
       fixed[i].stride = p.step.dims[1];
-      fixed[i].ids = label[i];
     } else {
       role[i] = label[i] == PlanIds::kHeads ? Role::kEntity : Role::kRelation;
     }
@@ -458,34 +503,74 @@ std::unique_ptr<QueryPlan> PlanRecorder::Finish(const Tensor& result) {
     plan->relation_table_ = Tensor::Uninitialized({rel_bound_, relation_width});
   }
 
-  // Builds the program of the steps with role `which`. Its outputs live
-  // in its arena, except stored ones (the run's table row) and the result
-  // (the caller's row): a slot is taken when its step runs and returned
-  // after its last reader in the program has run.
+  // Builds the program of the steps with role `which`. Every output lives
+  // in an arena slot holding the block's rows side by side; the result
+  // and the stored outputs are copied to the run's destination at the
+  // end. A view or a stored output of another program is loaded into a
+  // slot by id before its first reader. A slot is taken when its step
+  // runs and returned after its last reader in the program has run.
   auto build = [&](Role which, QueryPlan::Program* program) {
+    auto local = [&](size_t s) { return role[s] == which; };
+    auto loaded = [&](size_t s) {
+      return role[s] == Role::kView || (stored[s] && !local(s));
+    };
     std::vector<size_t> last_use(count, count);
     for (size_t i = 0; i < count; ++i) {
-      if (!needed[i] || role[i] != which) continue;
+      if (!needed[i] || !local(i)) continue;
       for (const Ref& r : pending_[i].inputs) {
         if (r.slot >= 0) last_use[slot(r)] = i;
       }
     }
     ArenaAllocator arena;
     std::vector<int64_t> offset(count, -1);
+    auto free_after = [&](size_t i) {
+      for (const Ref& r : pending_[i].inputs) {
+        const size_t s = r.slot >= 0 ? slot(r) : count;
+        if (s < count && last_use[s] == i && offset[s] >= 0 &&
+            !(local(s) && (stored[s] || s == last))) {
+          arena.Free(offset[s], pending_[s].out_floats);
+          offset[s] = -1;  // a slot read twice by this step is freed once
+        }
+      }
+    };
     for (size_t i = 0; i < count; ++i) {
-      if (!needed[i] || role[i] != which) continue;
+      if (!needed[i] || !local(i)) continue;
       const Pending& p = pending_[i];
+      for (const Ref& r : p.inputs) {
+        if (r.slot < 0 || !loaded(slot(r)) || offset[slot(r)] >= 0) continue;
+        const size_t s = slot(r);
+        QueryPlan::Step load;
+        load.kernel = PlanKernel::kGather;
+        load.ids = label[s];
+        load.dims[1] = pending_[s].out_floats;
+        load.in_begin = static_cast<uint32_t>(plan->operands_.size());
+        load.in_count = 1;
+        offset[s] = arena.Allocate(pending_[s].out_floats);
+        load.out_offset = offset[s];
+        QueryPlan::Address a = fixed[s];
+        if (role[s] != Role::kView) {
+          a.base = plan->table(label[s]).data();
+          a.offset = column[s];
+          a.stride = plan->table(label[s]).dim(1);
+        }
+        plan->operands_.push_back(a);
+        program->steps.push_back(load);
+      }
       QueryPlan::Step step = p.step;
+      offset[i] = arena.Allocate(p.out_floats);
+      step.out_offset = offset[i];
       if (i == last || stored[i]) {
-        step.out_to_dst = true;
-        step.out_offset = i == last ? 0 : column[i];
-      } else {
-        offset[i] = arena.Allocate(p.out_floats);
-        step.out_offset = offset[i];
+        program->stores.push_back(
+            {offset[i], p.out_floats, i == last ? 0 : column[i]});
       }
       if (p.scratch_floats > 0) {
         step.scratch_offset = arena.Allocate(p.scratch_floats);
         arena.Free(step.scratch_offset, p.scratch_floats);
+      }
+      if (step.kernel == PlanKernel::kConcat) {
+        step.dims[2] = static_cast<int64_t>(plan->extents_.size());
+        plan->extents_.insert(plan->extents_.end(), p.extents.begin(),
+                              p.extents.end());
       }
       step.in_begin = static_cast<uint32_t>(plan->operands_.size());
       step.in_count = static_cast<uint32_t>(p.inputs.size());
@@ -493,26 +578,17 @@ std::unique_ptr<QueryPlan> PlanRecorder::Finish(const Tensor& result) {
         QueryPlan::Address a;
         if (r.slot < 0) {
           a.base = r.fixed;
-        } else if (role[slot(r)] == Role::kConst ||
-                   role[slot(r)] == Role::kView) {
-          a = fixed[slot(r)];
-        } else if (stored[slot(r)]) {
-          a.ids = label[slot(r)];
-          a.base = plan->table(a.ids).data();
-          a.offset = column[slot(r)];
-          a.stride = plan->table(a.ids).dim(1);
+        } else if (role[slot(r)] == Role::kConst) {
+          a.base = fixed[slot(r)].base;
         } else {
           a.offset = offset[slot(r)];
+          a.stride = pending_[slot(r)].out_floats;
         }
+        if (step.kernel == PlanKernel::kGather) a.stride = step.dims[1];
         plan->operands_.push_back(a);
       }
-      for (const Ref& r : p.inputs) {
-        if (r.slot >= 0 && last_use[slot(r)] == i && offset[slot(r)] >= 0) {
-          arena.Free(offset[slot(r)], pending_[slot(r)].out_floats);
-          offset[slot(r)] = -1;  // a slot read twice by this step is freed once
-        }
-      }
-      program->steps.push_back(std::move(step));
+      free_after(i);
+      program->steps.push_back(step);
     }
     program->arena_floats = arena.size();
   };
@@ -521,27 +597,39 @@ std::unique_ptr<QueryPlan> PlanRecorder::Finish(const Tensor& result) {
   build(Role::kReplayed, &plan->replay_);
 
   std::map<int, int64_t> counts;
-  for (const QueryPlan::Step& step : plan->replay_.steps) ++counts[step.op_id];
-  for (const auto& [op, n] : counts) plan->op_counts_.emplace_back(op, n);
+  for (const QueryPlan::Step& step : plan->replay_.steps) {
+    if (step.op_id >= 0) ++counts[step.op_id];
+  }
+  for (const auto& [op, n] : counts) {
+    plan->op_counts_.emplace_back(op, n);
+    plan->num_steps_ += n;
+  }
   plan->row_floats_ = result.numel();
   plan->held_ = std::move(held_);
   plan->ok_ = true;
 
-  // Run the hoisted steps once per entity and once per relation.
+  // Run the hoisted steps over blocks of consecutive entities and
+  // relations.
   for (Tensor* table : {&plan->entity_table_, &plan->relation_table_}) {
     if (table->numel() == 0) continue;
     const QueryPlan::Program& program =
         table == &plan->entity_table_ ? plan->entities_ : plan->relations_;
+    const int64_t bound = table->dim(0);
     const int64_t w = table->dim(1);
-    ParallelFor(0, table->dim(0), 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t id = lo; id < hi; ++id) {
-        plan->Run(program, id, id, table->data() + id * w);
+    const int64_t k = QueryPlan::kBlockRows;
+    ParallelFor(0, (bound + k - 1) / k, 1, [&](int64_t lo, int64_t hi) {
+      int64_t ids[QueryPlan::kBlockRows];
+      for (int64_t block = lo; block < hi; ++block) {
+        const int64_t first = block * k;
+        const int64_t rows = std::min(k, bound - first);
+        for (int64_t r = 0; r < rows; ++r) ids[r] = first + r;
+        plan->Run(program, ids, ids, rows, table->data() + first * w, w);
       }
     });
   }
   CAME_LOG(Debug) << "query plan: " << plan->replay_.steps.size()
                   << " replayed steps, arena "
-                  << plan->replay_.arena_floats << " floats; "
+                  << plan->replay_.arena_floats << " floats per row; "
                   << plan->entities_.steps.size()
                   << " steps per entity into [" << head_bound_ << ", "
                   << entity_width << "]; " << plan->relations_.steps.size()
@@ -552,93 +640,218 @@ std::unique_ptr<QueryPlan> PlanRecorder::Finish(const Tensor& result) {
 
 }  // namespace internal
 
-void QueryPlan::Run(const Program& program, int64_t head, int64_t rel,
-                    float* dst) const {
-  tensor::pool::ScratchLease arena(std::max<int64_t>(program.arena_floats, 1));
+void QueryPlan::Run(const Program& program, const int64_t* heads,
+                    const int64_t* rels, int64_t rows, float* dst,
+                    int64_t dst_stride) const {
+  tensor::pool::ScratchLease arena(
+      std::max<int64_t>(program.arena_floats * rows, 1));
   float* base = arena.data();
   for (const Step& s : program.steps) {
     const Address* ops = operands_.data() + s.in_begin;
+    // Row 0 of input k, and how far its row r lies beyond it.
     auto in = [&](uint32_t k) -> const float* {
       const Address& a = ops[k];
-      const int64_t id = a.ids == PlanIds::kHeads  ? head
-                         : a.ids == PlanIds::kRels ? rel
-                                                   : 0;
-      return (a.base != nullptr ? a.base : base) + a.offset + id * a.stride;
+      return a.base != nullptr ? a.base + a.offset : base + a.offset * rows;
     };
-    float* out = (s.out_to_dst ? dst : base) + s.out_offset;
-    float* scratch = base + s.scratch_offset;
+    auto stride = [&](uint32_t k) { return ops[k].stride; };
+    float* out = base + s.out_offset * rows;
+    float* scratch = base + s.scratch_offset * rows;
     const int64_t* d = s.dims;
+    // A kernel over `n` input floats per row runs once over the block when
+    // its input rows are contiguous (stride n), and row by row otherwise.
+    auto rowwise = [&](int64_t n, int64_t out_n, auto&& kernel) {
+      if (stride(0) == n) {
+        kernel(in(0), rows, out);
+      } else {
+        for (int64_t r = 0; r < rows; ++r) {
+          kernel(in(0) + r * stride(0), 1, out + r * out_n);
+        }
+      }
+    };
     switch (s.kernel) {
       case PlanKernel::kNone:
         CAME_CHECK(false) << "unreachable";
         break;
-      case PlanKernel::kGather:
-        ts::GatherRowsInto(in(0), d[0], d[1],
-                           {s.ids == PlanIds::kHeads ? &head : &rel, 1}, out);
+      case PlanKernel::kGather: {
+        const int64_t* ids = s.ids == PlanIds::kHeads ? heads : rels;
+        const int64_t w = d[1];
+        for (int64_t r = 0; r < rows; ++r) {
+          const float* src = in(0) + ids[r] * stride(0);
+          std::copy(src, src + w, out + r * w);
+        }
         break;
-      case PlanKernel::kMatMul:
-        ts::gemm::Gemm(in(0), in(1), out, d[0], d[1], d[2], d[3] != 0,
-                       d[4] != 0, /*accumulate=*/false);
+      }
+      case PlanKernel::kMatMul: {
+        const int64_t m = d[0];
+        const int64_t k = d[1];
+        const int64_t n = d[2];
+        const bool ta = d[3] != 0;
+        const bool tb = d[4] != 0;
+        if (!ta && stride(0) == m * k && stride(1) == 0) {
+          // One GEMM at m * rows: its bits do not depend on m.
+          ts::gemm::Gemm(in(0), in(1), out, m * rows, k, n, false, tb,
+                         /*accumulate=*/false);
+        } else {
+          for (int64_t r = 0; r < rows; ++r) {
+            ts::gemm::Gemm(in(0) + r * stride(0), in(1) + r * stride(1),
+                           out + r * m * n, m, k, n, ta, tb,
+                           /*accumulate=*/false);
+          }
+        }
         break;
-      case PlanKernel::kBinary:
-        ts::BinaryInto(static_cast<ts::BinaryOp>(s.sub_op), in(0), s.a_shape,
-                       in(1), s.b_shape, out);
+      }
+      case PlanKernel::kBinary: {
+        const auto op = static_cast<ts::BinaryOp>(s.sub_op);
+        const int64_t n = d[0];  // BinaryRowsInto rows per query row
+        const int64_t ai = d[2];
+        const int64_t bi = d[4];
+        const bool aj = d[3] != 0;
+        const bool bj = d[5] != 0;
+        if (n == 1) {
+          ts::BinaryRowsInto(op, in(0), stride(0), aj, in(1), stride(1), bj,
+                             rows, d[1], out);
+        } else if (stride(0) == n * ai && stride(1) == n * bi) {
+          ts::BinaryRowsInto(op, in(0), ai, aj, in(1), bi, bj, rows * n, d[1],
+                             out);
+        } else {
+          for (int64_t r = 0; r < rows; ++r) {
+            ts::BinaryRowsInto(op, in(0) + r * stride(0), ai, aj,
+                               in(1) + r * stride(1), bi, bj, n, d[1],
+                               out + r * n * d[1]);
+          }
+        }
         break;
+      }
       case PlanKernel::kUnary:
-        ts::UnaryInto(static_cast<ts::UnaryOp>(s.sub_op), in(0), d[0],
-                      s.scalar, out);
+        rowwise(d[0], d[0], [&](const float* x, int64_t b, float* o) {
+          ts::UnaryInto(static_cast<ts::UnaryOp>(s.sub_op), x, b * d[0],
+                        s.scalar, o);
+        });
         break;
       case PlanKernel::kReshape:
-        std::copy(in(0), in(0) + d[0], out);
+        rowwise(d[0], d[0], [&](const float* x, int64_t b, float* o) {
+          std::copy(x, x + b * d[0], o);
+        });
         break;
       case PlanKernel::kConcat: {
-        const float* parts[kMaxConcatParts];
-        for (uint32_t k = 0; k < s.in_count; ++k) parts[k] = in(k);
-        ts::ConcatInto(parts, s.extents.data(), s.in_count, d[0], d[1], out);
+        // Part k of row r, outer index o, is the next run of the output.
+        const int64_t* ext = extents_.data() + d[2];
+        float* o_ptr = out;
+        for (int64_t r = 0; r < rows; ++r) {
+          for (int64_t o = 0; o < d[0]; ++o) {
+            for (uint32_t k = 0; k < s.in_count; ++k) {
+              const int64_t len = ext[k] * d[1];
+              const float* src = in(k) + r * stride(k) + o * len;
+              o_ptr = std::copy(src, src + len, o_ptr);
+            }
+          }
+        }
         break;
       }
       case PlanKernel::kSlice:
-        ts::SliceInto(in(0), d[0], d[1], d[2], d[3], d[4], out);
+        rowwise(d[0] * d[1] * d[2], d[0] * d[4] * d[2],
+                [&](const float* x, int64_t b, float* o) {
+                  ts::SliceInto(x, b * d[0], d[1], d[2], d[3], d[4], o);
+                });
         break;
       case PlanKernel::kSumAlong:
-        ts::SumAlongInto(in(0), d[0], d[1], d[2], out);
+        rowwise(d[0] * d[1] * d[2], d[0] * d[2],
+                [&](const float* x, int64_t b, float* o) {
+                  ts::SumAlongInto(x, b * d[0], d[1], d[2], o);
+                });
         break;
       case PlanKernel::kSoftmaxAlong:
-        ts::SoftmaxAlongInto(in(0), d[0], d[1], d[2], out);
+        rowwise(d[0] * d[1] * d[2], d[0] * d[1] * d[2],
+                [&](const float* x, int64_t b, float* o) {
+                  ts::SoftmaxAlongInto(x, b * d[0], d[1], d[2], o);
+                });
         break;
       case PlanKernel::kLayerNorm: {
         const bool affine = s.in_count == 3;
-        ts::LayerNormInto(in(0), d[0], d[1], affine ? in(1) : nullptr,
-                          affine ? in(2) : nullptr, s.scalar, out, nullptr,
-                          nullptr);
+        rowwise(d[0] * d[1], d[0] * d[1],
+                [&](const float* x, int64_t b, float* o) {
+                  ts::LayerNormInto(x, b * d[0], d[1],
+                                    affine ? in(1) : nullptr,
+                                    affine ? in(2) : nullptr, s.scalar, o,
+                                    nullptr, nullptr);
+                });
         break;
       }
-      case PlanKernel::kConv2d:
-        ts::Conv2dInto(in(0), d[0], d[1], d[2], d[3], in(1), d[4], d[5], d[6],
-                       s.in_count == 3 ? in(2) : nullptr, d[7], scratch, out);
+      case PlanKernel::kConv2d: {
+        const int64_t l = (d[2] + 2 * d[7] - d[5] + 1) *
+                          (d[3] + 2 * d[7] - d[6] + 1);
+        rowwise(d[0] * d[1] * d[2] * d[3], d[0] * d[4] * l,
+                [&](const float* x, int64_t b, float* o) {
+                  ts::Conv2dInto(x, b * d[0], d[1], d[2], d[3], in(1), d[4],
+                                 d[5], d[6],
+                                 s.in_count == 3 ? in(2) : nullptr, d[7],
+                                 scratch, o);
+                });
         break;
-      case PlanKernel::kCoAttention:
-        coattention::ForwardRows(in(0), in(1), in(2), in(3)[0], d[0], d[1],
-                                 out, scratch);
+      }
+      case PlanKernel::kCoAttention: {
+        const int64_t n = d[0];  // co-attention rows per query row
+        const int64_t w = d[1];
+        if (n == 1 && stride(3) == 0) {
+          coattention::ForwardBlock(in(0), stride(0), in(1), stride(1), in(2),
+                                    stride(2), in(3)[0], rows, w, out,
+                                    scratch);
+        } else if (stride(0) == n * w && stride(1) == n * w &&
+                   stride(2) == n * w && stride(3) == 0) {
+          coattention::ForwardBlock(in(0), w, in(1), w, in(2), w, in(3)[0],
+                                    rows * n, w, out, scratch);
+        } else {
+          for (int64_t r = 0; r < rows; ++r) {
+            coattention::ForwardBlock(
+                in(0) + r * stride(0), w, in(1) + r * stride(1), w,
+                in(2) + r * stride(2), w, in(3)[r * stride(3)], n, w,
+                out + r * n * w, scratch);
+          }
+        }
         break;
-      case PlanKernel::kWhereBelow:
-        ts::WhereBelowInto(in(0), s.scalar, in(1), in(2), d[0], out);
+      }
+      case PlanKernel::kWhereBelow: {
+        const int64_t n = d[0];
+        if (stride(0) == n && stride(1) == n && stride(2) == n) {
+          ts::WhereBelowInto(in(0), s.scalar, in(1), in(2), rows * n, out);
+        } else {
+          for (int64_t r = 0; r < rows; ++r) {
+            ts::WhereBelowInto(in(0) + r * stride(0), s.scalar,
+                               in(1) + r * stride(1), in(2) + r * stride(2),
+                               n, out + r * n);
+          }
+        }
         break;
+      }
+    }
+  }
+  for (const Store& st : program.stores) {
+    const float* src = base + st.offset * rows;
+    for (int64_t r = 0; r < rows; ++r) {
+      std::copy(src + r * st.width, src + (r + 1) * st.width,
+                dst + r * dst_stride + st.column);
     }
   }
 }
 
-void QueryPlan::Replay(int64_t head, int64_t rel, float* row) const {
+void QueryPlan::Replay(const int64_t* heads, const int64_t* rels,
+                       int64_t rows, float* out) const {
   CAME_CHECK(ok_);
+  CAME_CHECK_GE(rows, 1);
+  CAME_CHECK_LE(rows, kBlockRows);
   // Tables and views are read at id * width, unchecked: check the ids
   // against the rows of the tables the forward gathers from.
-  CAME_CHECK_GE(head, 0);
-  CAME_CHECK_LT(head, head_bound_);
-  CAME_CHECK_GE(rel, 0);
-  CAME_CHECK_LT(rel, rel_bound_);
-  Run(replay_, head, rel, row);
+  for (int64_t r = 0; r < rows; ++r) {
+    CAME_CHECK_GE(heads[r], 0);
+    CAME_CHECK_LT(heads[r], head_bound_);
+    CAME_CHECK_GE(rels[r], 0);
+    CAME_CHECK_LT(rels[r], rel_bound_);
+  }
+  Run(replay_, heads, rels, rows, out, row_floats_);
   OpRegistry& registry = OpRegistry::Instance();
-  for (const auto& [op, n] : op_counts_) registry.CountNoTapeDispatches(op, n);
+  for (const auto& [op, n] : op_counts_) {
+    registry.CountNoTapeDispatches(op, n * rows);
+  }
 }
 
 const QueryPlan* QueryPlanSlot::Capture(int64_t head, int64_t rel,
@@ -662,16 +875,23 @@ const QueryPlan* QueryPlanSlot::Capture(int64_t head, int64_t rel,
   }
   if (plan->ok()) {
     // The captured pair and a second one (each id moved to the next valid
-    // one), replayed row by row against one eager batch of both: a constant
-    // that depends on the ids, or rows that are not independent, fail.
+    // one), replayed as one 2-row block and as two 1-row blocks against
+    // one eager batch of both: a constant that depends on the ids, rows
+    // that are not independent, or a block that mixes its rows, fail.
     const int64_t d = plan->row_floats();
-    // fully-written: each row is one replay's output
+    // fully-written: each holds the two replayed rows
+    Tensor block = Tensor::Uninitialized({2, d});
     Tensor rows = Tensor::Uninitialized({2, d});
-    plan->Replay(head, rel, rows.data());
-    plan->Replay(pair_heads[1], pair_rels[1], rows.data() + d);
+    plan->Replay(pair_heads.data(), pair_rels.data(), 2, block.data());
+    for (int64_t r = 0; r < 2; ++r) {
+      plan->Replay(pair_heads.data() + r, pair_rels.data() + r, 1,
+                   rows.data() + r * d);
+    }
     const Tensor eager = query(pair_heads, pair_rels).value();
-    if (!ts::SameShape(rows.shape(), eager.shape()) ||
-        std::memcmp(rows.data(), eager.data(), 2 * d * sizeof(float)) != 0) {
+    const auto bytes = static_cast<size_t>(2 * d) * sizeof(float);
+    if (!ts::SameShape(block.shape(), eager.shape()) ||
+        std::memcmp(block.data(), eager.data(), bytes) != 0 ||
+        std::memcmp(rows.data(), eager.data(), bytes) != 0) {
       plan.reset(new QueryPlan());
       plan->refusal_ = "replay differs from the eager forward";
       CAME_LOG(Debug) << "query plan refused: " << plan->refusal_;

@@ -24,14 +24,19 @@ namespace came::ag {
 // std::vector<Var> per op, and bumps the refcounts of the shared parameter
 // states, which at d = 32 costs more than the arithmetic. A QueryPlan runs
 // the forward once, on one row, under a recorder and keeps a flat list of
-// steps: op kind, operand slots, shapes and attributes (the C-ML Operation
-// enum / Hetu op-header pattern).
+// steps: op kind, operand slots, extents and attributes (the C-ML
+// Operation enum / Hetu op-header pattern), each resolved at capture into
+// a fixed kernel call.
 //
 // Each step is labelled by the ids it reads (PlanIds). Steps that read no
 // id are constants of the captured forward. Steps that read only heads or
 // only rels are run once per entity and once per relation at capture, into
-// two tables; Replay runs only the steps that read both, over one pooled
-// arena with the eager ops' kernels, so the row is bitwise.
+// two tables; Replay runs only the steps that read both. Every run covers
+// a block of up to kBlockRows rows: each arena slot holds the block's rows
+// side by side, rows read from the tables are loaded into slots by id
+// first, and each step's kernel runs once for the whole block (a MatMul at
+// m = rows), with the eager ops' arithmetic, so every row is bitwise the
+// eager forward's.
 
 /// Which of the query's ids a step reads, directly or through its inputs
 /// (a bit set: kBoth is kHeads | kRels).
@@ -83,10 +88,14 @@ void RecordPlanStep(PlanRecorder* recorder, int op_id, const PlanAttrs& attrs,
 using QueryFn = std::function<Var(const std::vector<int64_t>& heads,
                                   const std::vector<int64_t>& rels)>;
 
-/// One captured query forward for a single (head, rel) row; a batch
-/// replays it once per row.
+/// One captured query forward, replayed over blocks of up to kBlockRows
+/// (head, rel) rows.
 class QueryPlan {
  public:
+  /// Most rows one Replay runs. Fixed: the GEMMs of a block share their B
+  /// reads across its rows, and a larger block would only grow the arena.
+  static constexpr int64_t kBlockRows = 8;
+
   ~QueryPlan();
 
   /// False for a refused capture: the forward has an op without a replay
@@ -95,9 +104,9 @@ class QueryPlan {
   bool ok() const { return ok_; }
   /// Why the capture was refused (empty when ok()).
   const std::string& refusal() const { return refusal_; }
-  /// Steps Replay runs per row: every step that reads both ids, and the
-  /// step that writes the result.
-  int64_t num_steps() const;
+  /// Recorded ops Replay runs per row: every step that reads both ids, and
+  /// the step that writes the result (loads of table rows not counted).
+  int64_t num_steps() const { return num_steps_; }
   /// Floats in one query row: the d of the forward's [1, d] output.
   int64_t row_floats() const { return row_floats_; }
   /// The hoisted rows of the steps that read only heads (kHeads: one row
@@ -106,55 +115,70 @@ class QueryPlan {
   /// replayed step reads; the table is empty when there is none.
   const Tensor& table(PlanIds ids) const;
 
-  /// Writes the forward's row for (head, rel) to row[0, row_floats()),
-  /// bitwise the eager one. Builds no Var and touches no shared refcount;
-  /// acquires only its arena from the pool. Requires ok() and ids inside
-  /// the tables the forward gathers from.
-  void Replay(int64_t head, int64_t rel, float* row) const;
+  /// Writes the forward's rows for (heads[r], rels[r]), r < rows, to
+  /// out[r * row_floats(), (r + 1) * row_floats()), each bitwise the eager
+  /// one. 1 <= rows <= kBlockRows. Builds no Var and touches no shared
+  /// refcount; acquires only its arena from the pool. Requires ok() and
+  /// ids inside the tables the forward gathers from.
+  void Replay(const int64_t* heads, const int64_t* rels, int64_t rows,
+              float* out) const;
 
  private:
   friend class internal::PlanRecorder;
   friend class QueryPlanSlot;
 
-  /// Where a step reads an input: base + offset + id * stride, with id the
-  /// run's head, its rel or 0 (ids), and base null for the run's arena.
+  /// Where a step reads row 0 of an input: base + offset, or the run's
+  /// arena at offset * rows when base is null. Row r is `stride` floats
+  /// further (0: one row shared by the block). For a Gather step, row r
+  /// reads base + offset + id[r] * stride.
   struct Address {
     const float* base = nullptr;
     int64_t offset = 0;
     int64_t stride = 0;
-    PlanIds ids = PlanIds::kNone;
   };
   struct Step;
-  /// Steps run in order over one arena.
+  /// Copies `width` floats per row from the arena slot at `offset` to the
+  /// run's destination row at `column`.
+  struct Store {
+    int64_t offset = 0;
+    int64_t width = 0;
+    int64_t column = 0;
+  };
+  /// Steps run in order over one arena, then the stores. Offsets and
+  /// sizes are per row: a run over `rows` rows multiplies them by rows.
   struct Program {
     std::vector<Step> steps;
+    std::vector<Store> stores;
     int64_t arena_floats = 0;
   };
 
   QueryPlan();
 
-  /// Runs `program` for (head, rel); steps that write the run's
-  /// destination write into `dst`.
-  void Run(const Program& program, int64_t head, int64_t rel,
-           float* dst) const;
+  /// Runs `program` for rows (heads[r], rels[r]); its stores write row r
+  /// at dst + r * dst_stride.
+  void Run(const Program& program, const int64_t* heads, const int64_t* rels,
+           int64_t rows, float* dst, int64_t dst_stride) const;
 
   bool ok_ = false;
   std::string refusal_;
   int64_t row_floats_ = 0;
+  int64_t num_steps_ = 0;
   Program replay_;     ///< steps that read both ids, and the result
-  Program entities_;   ///< head-only steps, run once per entity
-  Program relations_;  ///< relation-only steps, run once per relation
+  Program entities_;   ///< head-only steps, run per block of entities
+  Program relations_;  ///< relation-only steps, run per block of relations
   Tensor entity_table_;    ///< [heads bound, width] or empty
   Tensor relation_table_;  ///< [rels bound, width] or empty
   /// Exclusive bounds on the ids: the rows of the tables gathered by them.
   int64_t head_bound_ = 0;
   int64_t rel_bound_ = 0;
   std::vector<Address> operands_;
+  /// Concat part extents, a run per Concat step.
+  std::vector<int64_t> extents_;
   /// Parameters, gather tables, constants and transposed weight copies
   /// the operands point into.
   std::vector<Tensor> held_;
   /// (op id, replayed steps of that op): credited to the dispatch
-  /// counters per replay, one add per op kind.
+  /// counters per replayed row, one add per op kind.
   std::vector<std::pair<int, int64_t>> op_counts_;
 };
 
@@ -170,10 +194,11 @@ class QueryPlanSlot {
   }
 
   /// Captures the plan by running `query` once on the one row (head, rel)
-  /// under a recorder, fills its tables (one ParallelFor chunk per entity
-  /// and per relation), then checks it: replays of (head, rel) and of a
-  /// second id pair must memcmp the two rows of one eager batch of both,
-  /// or the published plan is a refused one. `parameters` are the model's
+  /// under a recorder, fills its tables (one ParallelFor chunk per block
+  /// of entities and of relations), then checks it: (head, rel) and a
+  /// second id pair, replayed as one 2-row block and as two 1-row blocks,
+  /// must each memcmp the two rows of one eager batch of both, or the
+  /// published plan is a refused one. `parameters` are the model's
   /// parameters (referenced in place). Must run with grad mode off, and
   /// not from a pool chunk while another thread may be capturing (the
   /// capture's ParallelFor would wait for that chunk's pool task).

@@ -59,13 +59,18 @@ tensor::Tensor InnerProductKgcModel::ServingQuery(
   }
   if (!plan->ok()) return EagerQuery(heads, rels);
   const int64_t d = plan->row_floats();
-  // fully-written: each row is one replay's output
-  tensor::Tensor out = tensor::Tensor::Uninitialized(
-      {static_cast<int64_t>(heads.size()), d});
-  // Grain 1: chunk [i, i + 1) replays row i.
-  ParallelFor(0, out.dim(0), 1, [&](int64_t i, int64_t) {
-    const auto ui = static_cast<size_t>(i);
-    plan->Replay(heads[ui], rels[ui], out.data() + i * d);
+  const auto n = static_cast<int64_t>(heads.size());
+  // fully-written: each row is written by its block's replay
+  tensor::Tensor out = tensor::Tensor::Uninitialized({n, d});
+  // Blocks of at most kBlockRows rows, as even as the count allows; grain
+  // 1: one block per chunk, so a batch of one block runs on this thread.
+  const int64_t blocks =
+      (n + ag::QueryPlan::kBlockRows - 1) / ag::QueryPlan::kBlockRows;
+  ParallelFor(0, blocks, 1, [&](int64_t b, int64_t) {
+    const int64_t first = b * n / blocks;
+    const int64_t rows = (b + 1) * n / blocks - first;
+    plan->Replay(heads.data() + first, rels.data() + first, rows,
+                 out.data() + first * d);
   });
   return out;
 }

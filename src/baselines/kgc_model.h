@@ -111,7 +111,8 @@ class InnerProductKgcModel : public KgcModel {
   /// model's one query plan from one row (autograd/query_plan.h), which
   /// runs every stage of Query that reads only the head or only the
   /// relation once per entity and per relation; each call replays the
-  /// rest per row, one pool chunk per row. Models whose rows are not
+  /// rest over blocks of up to QueryPlan::kBlockRows rows, one pool chunk
+  /// per block. Models whose rows are not
   /// independent (score_rows_independent()) and forwards the plan cannot
   /// replay run eagerly. Safe for concurrent callers.
   tensor::Tensor ServingQuery(const std::vector<int64_t>& heads,

@@ -45,17 +45,26 @@ std::vector<int64_t> BroadcastStrides(const Shape& padded, const Shape& out) {
   return strides;
 }
 
+/// Calls fn with the elementwise functor of `op`.
+template <typename Fn>
+void WithBinaryOp(BinaryOp op, Fn&& fn) {
+  switch (op) {
+    case BinaryOp::kAdd:
+      return fn([](float x, float y) { return x + y; });
+    case BinaryOp::kSub:
+      return fn([](float x, float y) { return x - y; });
+    case BinaryOp::kMul:
+      return fn([](float x, float y) { return x * y; });
+    case BinaryOp::kDiv:
+      return fn([](float x, float y) { return x / y; });
+  }
+}
+
+// NumPy broadcasting over any rank: an odometer over the output shape.
 template <typename F>
 void BinaryBroadcastInto(const float* pa, const Shape& a_shape,
                          const float* pb, const Shape& b_shape, float* po,
                          F op) {
-  if (SameShape(a_shape, b_shape)) {
-    ParallelFor(0, NumElements(a_shape), kElementwiseGrain,
-                [&](int64_t lo, int64_t hi) {
-                  for (int64_t i = lo; i < hi; ++i) po[i] = op(pa[i], pb[i]);
-                });
-    return;
-  }
   const Shape out_shape = BroadcastShape(a_shape, b_shape);
   const size_t nd = out_shape.size();
   const Shape sa = PadShape(a_shape, nd);
@@ -95,25 +104,40 @@ void BinaryBroadcastInto(const float* pa, const Shape& a_shape,
 }
 
 Tensor Binary(BinaryOp op, const Tensor& a, const Tensor& b) {
-  const bool same = SameShape(a.shape(), b.shape());
-  // fully-written: BinaryInto stores every element of the broadcast shape
-  Tensor out = Tensor::Uninitialized(
-      same ? a.shape() : BroadcastShape(a.shape(), b.shape()));
-  BinaryInto(op, a.data(), a.shape(), b.data(), b.shape(), out.data());
+  if (SameShape(a.shape(), b.shape())) {
+    // fully-written: every chunk stores its elements
+    Tensor out = Tensor::Uninitialized(a.shape());
+    const float* pa = a.data();
+    const float* pb = b.data();
+    float* po = out.data();
+    ParallelFor(0, a.numel(), kElementwiseGrain, [&](int64_t lo, int64_t hi) {
+      BinaryRowsInto(op, pa + lo, 0, true, pb + lo, 0, true, 1, hi - lo,
+                     po + lo);
+    });
+    return out;
+  }
+  // fully-written: the odometer stores every element of the broadcast shape
+  Tensor out = Tensor::Uninitialized(BroadcastShape(a.shape(), b.shape()));
+  WithBinaryOp(op, [&](auto f) {
+    BinaryBroadcastInto(a.data(), a.shape(), b.data(), b.shape(), out.data(),
+                        f);
+  });
   return out;
 }
 
 template <typename F>
 void UnaryLoop(const float* pi, int64_t n, float* po, F op) {
-  ParallelFor(0, n, kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) po[i] = op(pi[i]);
-  });
+  for (int64_t i = 0; i < n; ++i) po[i] = op(pi[i]);
 }
 
 Tensor Unary(UnaryOp op, const Tensor& t, float s = 0.0f) {
-  // fully-written: UnaryInto stores every element
+  // fully-written: every chunk stores its elements
   Tensor out = Tensor::Uninitialized(t.shape());
-  UnaryInto(op, t.data(), t.numel(), s, out.data());
+  const float* pi = t.data();
+  float* po = out.data();
+  ParallelFor(0, t.numel(), kElementwiseGrain, [&](int64_t lo, int64_t hi) {
+    UnaryInto(op, pi + lo, hi - lo, s, po + lo);
+  });
   return out;
 }
 
@@ -176,22 +200,25 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target) {
   return cur.Reshape(target);
 }
 
-void BinaryInto(BinaryOp op, const float* a, const Shape& a_shape,
-                const float* b, const Shape& b_shape, float* out) {
-  switch (op) {
-    case BinaryOp::kAdd:
-      return BinaryBroadcastInto(a, a_shape, b, b_shape, out,
-                                 [](float x, float y) { return x + y; });
-    case BinaryOp::kSub:
-      return BinaryBroadcastInto(a, a_shape, b, b_shape, out,
-                                 [](float x, float y) { return x - y; });
-    case BinaryOp::kMul:
-      return BinaryBroadcastInto(a, a_shape, b, b_shape, out,
-                                 [](float x, float y) { return x * y; });
-    case BinaryOp::kDiv:
-      return BinaryBroadcastInto(a, a_shape, b, b_shape, out,
-                                 [](float x, float y) { return x / y; });
-  }
+void BinaryRowsInto(BinaryOp op, const float* a, int64_t ai, bool aj,
+                    const float* b, int64_t bi, bool bj, int64_t rows,
+                    int64_t cols, float* out) {
+  WithBinaryOp(op, [&](auto f) {
+    for (int64_t i = 0; i < rows; ++i) {
+      const float* ar = a + i * ai;
+      const float* br = b + i * bi;
+      float* o = out + i * cols;
+      if (aj && bj) {
+        for (int64_t j = 0; j < cols; ++j) o[j] = f(ar[j], br[j]);
+      } else if (aj) {
+        const float y = br[0];
+        for (int64_t j = 0; j < cols; ++j) o[j] = f(ar[j], y);
+      } else {
+        const float x = ar[0];
+        for (int64_t j = 0; j < cols; ++j) o[j] = f(x, br[j]);
+      }
+    }
+  });
 }
 
 Tensor Add(const Tensor& a, const Tensor& b) {
@@ -532,15 +559,21 @@ void Im2ColInto(const float* input, int64_t b, int64_t c, int64_t h,
       for (int64_t ki = 0; ki < kh; ++ki) {
         for (int64_t kj = 0; kj < kw; ++kj, ++row) {
           float* dst = col + row * out_h * out_w;
+          // Output columns [j_lo, j_hi) read input columns oj + kj - pad
+          // inside [0, w); the rest are padding.
+          const int64_t j_lo = std::clamp<int64_t>(pad - kj, 0, out_w);
+          const int64_t j_hi = std::clamp<int64_t>(w + pad - kj, j_lo, out_w);
           for (int64_t oi = 0; oi < out_h; ++oi) {
+            float* d = dst + oi * out_w;
             const int64_t ii = oi + ki - pad;
-            for (int64_t oj = 0; oj < out_w; ++oj) {
-              const int64_t jj = oj + kj - pad;
-              dst[oi * out_w + oj] =
-                  (ii >= 0 && ii < h && jj >= 0 && jj < w)
-                      ? img[(ci * h + ii) * w + jj]
-                      : 0.0f;
+            if (ii < 0 || ii >= h) {
+              std::fill(d, d + out_w, 0.0f);
+              continue;
             }
+            const float* src = img + (ci * h + ii) * w + (j_lo + kj - pad);
+            std::fill(d, d + j_lo, 0.0f);
+            std::copy(src, src + (j_hi - j_lo), d + j_lo);
+            std::fill(d + j_hi, d + out_w, 0.0f);
           }
         }
       }

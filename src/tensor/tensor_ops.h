@@ -122,9 +122,12 @@ void WhereBelowInto(const float* key, float theta, const float* a,
 // ---------------------------------------------------------------------------
 
 enum class BinaryOp { kAdd, kSub, kMul, kDiv };
-/// out = a op b with NumPy broadcasting; out has BroadcastShape(a, b).
-void BinaryInto(BinaryOp op, const float* a, const Shape& a_shape,
-                const float* b, const Shape& b_shape, float* out);
+/// out[i * cols + j] = a[i * ai + j * aj] op b[i * bi + j * bj] for
+/// i < rows, j < cols: a two-level broadcast (aj, bj: whether the operand
+/// advances along a row; at least one does). Serial.
+void BinaryRowsInto(BinaryOp op, const float* a, int64_t ai, bool aj,
+                    const float* b, int64_t bi, bool bj, int64_t rows,
+                    int64_t cols, float* out);
 
 enum class UnaryOp {
   kNeg, kLog, kSqrt, kSquare, kSigmoid, kTanh, kRelu, kAbs,
@@ -132,6 +135,7 @@ enum class UnaryOp {
   kAddScalar,  ///< x + s
 };
 /// out[i] = op(x[i]) for i < n; `s` is the scalar of kScale / kAddScalar.
+/// Serial.
 void UnaryInto(UnaryOp op, const float* x, int64_t n, float s, float* out);
 
 /// out[i] = matrix[indices[i]] for a [rows, d] matrix; CHECK-fails on an

@@ -1,13 +1,14 @@
 // The query plan behind InnerProductKgcModel::ServingQuery: one plan per
 // model, captured from a single row; its head-only and relation-only steps
 // fill two tables at capture and only the steps that read both ids are
-// replayed per row. Every served batch must memcmp the eager forward (CamE
+// replayed, over blocks of up to QueryPlan::kBlockRows rows. Every served batch must memcmp the eager forward (CamE
 // over batch sizes, GEMM kernels and thread counts, every inner-product
 // model of the zoo, concurrent clients racing pool-chunk replays, a
 // scrubbed pool), the plan must die with the weights it copied, and a
 // replayed query must build nothing but its arena and its result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -201,8 +202,8 @@ TEST_F(QueryPlanTest, EveryInnerProductModelOfTheZooReplaysBitwise) {
 }
 
 TEST_F(QueryPlanTest, DistMultReplaysOneStep) {
-  // h * r: both gathers are read in place at id * d, so the one replayed
-  // step is the product, and nothing is hoisted into a table.
+  // h * r: both gathers are loads of parameter rows by id, so the one
+  // replayed step is the product, and nothing is hoisted into a table.
   auto model = baselines::CreateModel("DistMult", Context(), Options());
   auto* ip = dynamic_cast<baselines::InnerProductKgcModel*>(model.get());
   ASSERT_NE(ip, nullptr);
@@ -231,18 +232,47 @@ TEST_F(QueryPlanTest, ModelWithDependentRowsStaysEager) {
 }
 
 TEST_F(QueryPlanTest, ServesEveryBatchSizeFromOnePlan) {
-  // 70 sizes, past the 64 a per-size plan table could hold: each is
-  // bitwise the eager batch, and the plan captured by the first call is
-  // the one every later size replays.
-  auto model = FoldedCamE();
-  ExpectReplayIsEager(model.get(), 1, 0);
-  const ag::QueryPlan* plan = model->ServingPlan();
-  ASSERT_NE(plan, nullptr);
-  ASSERT_TRUE(plan->ok()) << plan->refusal();
-  for (int64_t batch = 1; batch <= 70; ++batch) {
-    ExpectReplayIsEager(model.get(), batch, batch);
-    EXPECT_EQ(model->ServingPlan(), plan) << "batch " << batch;
+  // 70 sizes, past the 64 a per-size plan table could hold and across
+  // every split into blocks: each is bitwise the eager batch, and the plan
+  // captured by the first call is the one every later size replays. Then
+  // blocks holding one id pair several times, and the first and last ids
+  // of both tables, on every GEMM kernel at 1 and 4 threads.
+  const int saved_threads = NumThreads();
+  const int64_t entities = bkg_->dataset.num_entities();
+  const int64_t relations = bkg_->dataset.num_relations_with_inverses();
+  for (auto kernel : {tensor::gemm::Kernel::kScalar,
+                      tensor::gemm::Kernel::kAvx2,
+                      tensor::gemm::Kernel::kAvx512}) {
+    tensor::gemm::SetKernel(kernel);
+    if (tensor::gemm::ActiveKernel() != kernel) continue;  // not on this CPU
+    for (int threads : {1, 4}) {
+      SetNumThreads(threads);
+      auto model = FoldedCamE();
+      ExpectReplayIsEager(model.get(), 1, 0);
+      const ag::QueryPlan* plan = model->ServingPlan();
+      ASSERT_NE(plan, nullptr);
+      ASSERT_TRUE(plan->ok()) << plan->refusal();
+      for (int64_t batch = 1; batch <= 70; ++batch) {
+        ExpectReplayIsEager(model.get(), batch, batch);
+        EXPECT_EQ(model->ServingPlan(), plan) << "batch " << batch;
+      }
+      const std::vector<std::vector<int64_t>> heads = {
+          {5, 5, 5, 5},
+          {0, entities - 1, 0, entities - 1, 3, 0, 0, entities - 1},
+          {entities - 1, 7, 7, 0, 7, 7, entities - 1, 7, 7, 0, 2, 2, 2}};
+      const std::vector<std::vector<int64_t>> rels = {
+          {2, 2, 2, 2},
+          {0, relations - 1, relations - 1, 0, 1, 0, 0, relations - 1},
+          {relations - 1, 1, 1, 0, 1, 1, 0, 1, 1, relations - 1, 3, 3, 3}};
+      for (size_t i = 0; i < heads.size(); ++i) {
+        EXPECT_TRUE(Bitwise(model->ServingQuery(heads[i], rels[i]),
+                            model->EagerQuery(heads[i], rels[i])))
+            << "id set " << i << ", " << threads << " threads";
+      }
+    }
   }
+  tensor::gemm::SetKernel(tensor::gemm::Kernel::kAuto);
+  SetNumThreads(saved_threads);
 }
 
 TEST_F(QueryPlanTest, ConcurrentCapturesAndReplaysMatchEager) {
@@ -365,18 +395,15 @@ TEST_F(QueryPlanTest, ReplayCreditsExactlyItsReplayedSteps) {
   for (int64_t batch : {1, 3}) {
     const auto h = Heads(batch, 6);
     const auto r = Rels(batch, 6);
-    // A one-row batch replays on this thread; each row credits every
-    // replayed step once.
-    if (batch == 1) {
-      const int64_t before = ag::OpRegistry::Instance().TotalNoTapeDispatches();
-      (void)model->ServingQuery(h, r);
-      EXPECT_EQ(
-          ag::OpRegistry::Instance().TotalNoTapeDispatches() - before,
-          plan->num_steps());
-    }
+    // A batch of one block replays on this thread; each row credits every
+    // replayed step once, as the same batch replayed row by row would.
+    const int64_t before = ag::OpRegistry::Instance().TotalNoTapeDispatches();
+    (void)model->ServingQuery(h, r);
+    EXPECT_EQ(ag::OpRegistry::Instance().TotalNoTapeDispatches() - before,
+              plan->num_steps() * batch);
     auto serve = [&] { (void)model->ServingQuery(h, r); };
-    // The gathers are read in place, the Reshapes alias their input, and
-    // the hoisted stages ran at capture.
+    // The gathers are loads of table rows, the Reshapes alias their input,
+    // and the hoisted stages ran at capture.
     for (const char* op : {"Gather", "Slice", "Reshape", "Sigmoid"}) {
       EXPECT_EQ(Credited(op, serve), 0) << op;
     }
@@ -456,14 +483,19 @@ TEST(QueryPlanRecorderTest, ReplaysAHandWrittenForwardBitwise) {
   // Adds are replayed.
   EXPECT_EQ(plan->num_steps(), 2);
   EXPECT_EQ(plan->row_floats(), 6);
-  // Rows replayed one by one are the rows of an eager batch.
+  // Rows replayed as one block, and one by one, are the rows of an eager
+  // batch.
   const std::vector<int64_t> h2 = {9, 0, 4};
   const std::vector<int64_t> r2 = {1, 1, 2};
+  const Tensor want = toy.Forward(h2, r2).value();
+  Tensor block = Tensor::Uninitialized({3, 6});
+  plan->Replay(h2.data(), r2.data(), 3, block.data());
+  EXPECT_TRUE(Bitwise(block, want));
   Tensor rows = Tensor::Uninitialized({3, 6});
-  for (size_t i = 0; i < h2.size(); ++i) {
-    plan->Replay(h2[i], r2[i], rows.data() + 6 * static_cast<int64_t>(i));
+  for (int64_t i = 0; i < 3; ++i) {
+    plan->Replay(h2.data() + i, r2.data() + i, 1, rows.data() + 6 * i);
   }
-  EXPECT_TRUE(Bitwise(rows, toy.Forward(h2, r2).value()));
+  EXPECT_TRUE(Bitwise(rows, want));
   slot.Clear();
   EXPECT_EQ(slot.Get(), nullptr);
 }
@@ -518,10 +550,13 @@ TEST(QueryPlanRecorderTest, HoistsHeadOnlyAndRelationOnlyStages) {
   ASSERT_TRUE(plan->ok()) << plan->refusal();
   // Only the pair stage replays: the Mul, and the Add of the constant.
   EXPECT_EQ(plan->num_steps(), 2);
-  float row[6];
-  auto replay = [&] { plan->Replay(7, 2, row); };
-  EXPECT_EQ(Credited("Mul", replay), 1);
-  EXPECT_EQ(Credited("Add", replay), 1);
+  const int64_t h7[] = {7, 7};
+  const int64_t r2[] = {2, 0};
+  float rows[12];
+  auto replay = [&] { plan->Replay(h7, r2, 2, rows); };
+  // Credited per row.
+  EXPECT_EQ(Credited("Mul", replay), 2);
+  EXPECT_EQ(Credited("Add", replay), 2);
   for (const char* op : {"Gather", "MatMul", "Tanh", "Sigmoid", "Scale"}) {
     EXPECT_EQ(Credited(op, replay), 0) << op;
   }
@@ -532,20 +567,31 @@ TEST(QueryPlanRecorderTest, HoistsHeadOnlyAndRelationOnlyStages) {
                       staged.HeadStage(entities).value()));
   EXPECT_TRUE(Bitwise(plan->table(ag::PlanIds::kRels),
                       staged.RelStage(relations).value()));
-  // And every (head, rel) row replays the eager forward.
+  // And every (head, rel) row replays the eager forward, in blocks of
+  // every size.
+  std::vector<int64_t> all_h;
+  std::vector<int64_t> all_r;
   for (int64_t h : entities) {
     for (int64_t r : relations) {
-      plan->Replay(h, r, row);
-      const Tensor want = staged.Forward({h}, {r}).value();
-      EXPECT_EQ(std::memcmp(row, want.data(), sizeof(row)), 0)
-          << h << ", " << r;
+      all_h.push_back(h);
+      all_r.push_back(r);
     }
+  }
+  const Tensor want = staged.Forward(all_h, all_r).value();
+  const auto n = static_cast<int64_t>(all_h.size());
+  for (int64_t rows = 1; rows <= ag::QueryPlan::kBlockRows; ++rows) {
+    Tensor got = Tensor::Uninitialized({n, 6});
+    for (int64_t first = 0; first < n; first += rows) {
+      plan->Replay(all_h.data() + first, all_r.data() + first,
+                   std::min(rows, n - first), got.data() + first * 6);
+    }
+    EXPECT_TRUE(Bitwise(got, want)) << "blocks of " << rows;
   }
 }
 
 TEST(QueryPlanRecorderDeathTest, ReplayChecksTheIdRange) {
-  // The tables and in-place reads replace the Gather steps, so Replay
-  // makes their id checks itself.
+  // The tables and row loads replace the Gather steps, so Replay makes
+  // their id checks itself, for every row of the block.
   StagedForward staged;
   ag::QueryPlanSlot slot;
   NoTapeGuard guard;
@@ -553,10 +599,14 @@ TEST(QueryPlanRecorderDeathTest, ReplayChecksTheIdRange) {
       4, 1, [&](const auto& a, const auto& b) { return staged.Forward(a, b); },
       staged.Parameters());
   ASSERT_TRUE(plan->ok()) << plan->refusal();
-  float row[6];
-  EXPECT_DEATH(plan->Replay(10, 0, row), "head");
-  EXPECT_DEATH(plan->Replay(0, 3, row), "rel");
-  EXPECT_DEATH(plan->Replay(-1, 0, row), "head");
+  float rows[18];
+  const int64_t ok_ids[] = {0, 1, 2};
+  const int64_t bad_head[] = {0, 10, 1};
+  const int64_t bad_rel[] = {0, 3, 1};
+  const int64_t negative[] = {2, -1, 0};
+  EXPECT_DEATH(plan->Replay(bad_head, ok_ids, 3, rows), "head");
+  EXPECT_DEATH(plan->Replay(ok_ids, bad_rel, 3, rows), "rel");
+  EXPECT_DEATH(plan->Replay(negative, ok_ids, 3, rows), "head");
 }
 
 TEST(QueryPlanRecorderTest, RefusesWhatItCannotReplay) {
@@ -593,10 +643,14 @@ TEST(QueryPlanRecorderTest, RefusesWhatItCannotReplay) {
               return ag::Scale(ag::Const(t), 3.0f);
             }, toy.Parameters()).find("differs"), std::string::npos);
   // A forward whose rows are not independent: one row replays exactly,
-  // but the rows of a two-row eager batch differ from two replays.
+  // but the rows of a two-row eager batch differ from two replays, and
+  // a 2-row block keeps its rows apart where the forward mixes them.
   EXPECT_NE(refusal([&](const auto& a, const auto& b) {
               ag::Var x = toy.Forward(a, b);
               return ag::Add(x, ag::SumAlong(x, 0, /*keepdim=*/true));
+            }, toy.Parameters()).find("differs"), std::string::npos);
+  EXPECT_NE(refusal([&](const auto& a, const auto& b) {
+              return ag::SumAlong(toy.Forward(a, b), 0, /*keepdim=*/true);
             }, toy.Parameters()).find("differs"), std::string::npos);
 }
 

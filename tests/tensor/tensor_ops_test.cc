@@ -274,6 +274,44 @@ TEST(Im2ColTest, PaddedShapes) {
   EXPECT_EQ(cols.shape(), (Shape{2, 27, 20}));
 }
 
+TEST(Im2ColTest, MatchesPerElementDefinition) {
+  // Every column element is the input pixel it names, or 0 in the
+  // padding, for kernels narrower, as wide as and wider than the padded
+  // image rows.
+  Rng rng(11);
+  for (int64_t pad : {0, 1, 2, 3}) {
+    for (int64_t k : {1, 2, 3, 5}) {
+      const int64_t c = 2, h = 4, w = 3;
+      if (h + 2 * pad - k + 1 <= 0 || w + 2 * pad - k + 1 <= 0) continue;
+      Tensor x = RandomTensor({2, c, h, w}, &rng);
+      Tensor cols = Im2Col(x, k, k, pad);
+      const int64_t out_h = h + 2 * pad - k + 1;
+      const int64_t out_w = w + 2 * pad - k + 1;
+      int64_t at = 0;
+      for (int64_t b = 0; b < 2; ++b) {
+        for (int64_t ci = 0; ci < c; ++ci) {
+          for (int64_t ki = 0; ki < k; ++ki) {
+            for (int64_t kj = 0; kj < k; ++kj) {
+              for (int64_t oi = 0; oi < out_h; ++oi) {
+                for (int64_t oj = 0; oj < out_w; ++oj, ++at) {
+                  const int64_t ii = oi + ki - pad;
+                  const int64_t jj = oj + kj - pad;
+                  const float want =
+                      ii >= 0 && ii < h && jj >= 0 && jj < w
+                          ? x.data()[((b * c + ci) * h + ii) * w + jj]
+                          : 0.0f;
+                  ASSERT_EQ(cols.data()[at], want)
+                      << "pad " << pad << " k " << k << " at " << at;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Im2ColTest, Col2ImIsAdjoint) {
   // <Im2Col(x), c> == <x, Col2Im(c)>.
   Rng rng(7);
