@@ -817,9 +817,9 @@ Var CoAttentionApply(const Var& x, const Var& a, const Var& b,
   const int64_t grain = coattention::RowsPerChunk(d);
 
   // Only the output is written; the softmax lives in per-chunk scratch.
-  // fully-written: every row's ForwardRow stores all d outputs
+  // fully-written: ForwardBlock stores all d outputs of every row
   Tensor out = Tensor::Uninitialized(Shape{batch, d});
-  // fully-written: ForwardRow writes its scratch before reading it
+  // fully-written: ForwardBlock writes its scratch before reading it
   Tensor scratch = Tensor::Uninitialized(
       Shape{coattention::ForwardRowsScratchFloats(batch, d)});
   coattention::ForwardRows(xv.data(), av.data(), bv.data(), u, batch, d,

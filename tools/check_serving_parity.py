@@ -3,8 +3,8 @@
 
 Reads the BENCH_serving.json emitted by bench_serving. Every batched
 answer must equal the same query's unbatched answer, ids and score bits
-("batched_answers_match": a coalesced batch replays the one-row query plan
-per row, so each answer is bitwise the single query's).
+("batched_answers_match": a coalesced batch replays the query plan
+over blocks of rows, and each row is bitwise the single query's).
 
 It enforces the quantized-vs-fp32 quality floor on the int8 section:
 
